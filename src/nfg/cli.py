@@ -35,7 +35,6 @@ import numpy as np
 
 from .correlation import (
     GaussianChannel,
-    OptimizerConfig,
     apply_channel,
     check_monotonicity,
     nfg_after_channel_closed_form,
@@ -198,16 +197,8 @@ def _yes(flag: bool) -> str:
 def cmd_nfg(state_path: str, method: str = "closed", as_json: bool = False) -> int:
     """Compute the correlation measure (or its upper bound) for a state file."""
     state = read_state(state_path)
-    if method == "closed":
-        res = nfg_two_mode(state)
-        out = {
-            "value": res.value,
-            "method": res.method,
-            "optimizer_theta": [float(t) for t in res.optimizer_theta],
-            "lower_bound_only": res.lower_bound_only,
-        }
-    elif method == "numeric":
-        res = nfg_numeric(state, OptimizerConfig())
+    if method in ("closed", "numeric"):
+        res = nfg_two_mode(state) if method == "closed" else nfg_numeric(state)
         out = {
             "value": res.value,
             "method": res.method,

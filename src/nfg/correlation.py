@@ -13,21 +13,25 @@ the reduced state rho_A invariant, of the squared overlap distance
 
 Everything here works on covariance matrices only: the measure is independent
 of the mean, and determinants are taken in log space so large-parameter states
-remain finite.
+remain finite.  Stabilizing rotations are symplectic, so det G_S = det G and
+the objective reduces to 1 - det G / det((G+G_S)/2): the numeric search
+computes log det G once and one Cholesky factorization per evaluation.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 from scipy.optimize import minimize, minimize_scalar
 
+from .overlap import _chol_logdet
 from .states import (
     GaussianState,
     StandardFormParams,
+    _act_on_side,
+    _as_square_even,
     blocks,
     standard_form,
     williamson,
@@ -109,7 +113,7 @@ def nfg_theta_objective(state: GaussianState, theta: float) -> float:
         raise ValueError("theta objective is defined for (1+1)-mode states")
     if not 0.0 <= theta <= np.pi / 2 + 1e-12:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    return _objective(state.cm, np.array([theta]))
+    return _objective(state.cm, np.array([theta]), _chol_logdet(state.cm)[1])
 
 
 def nfg_two_mode(state: GaussianState) -> NfgResult:
@@ -132,29 +136,25 @@ def nfg_upper_bound(state: GaussianState) -> float:
     a, b, ct = blocks(state)
     cf = la.cho_factor(a, lower=True, check_finite=False)
     schur = b - ct.T @ la.cho_solve(cf, ct, check_finite=False)
-    return max(0.0, -float(np.expm1(_logdet(schur) - _logdet(b))))
+    return max(0.0, -float(np.expm1(_chol_logdet(schur)[1] - _chol_logdet(b)[1])))
 
 
-def _logdet(m: np.ndarray) -> float:
-    cf = la.cholesky(0.5 * (m + m.T), lower=True, check_finite=False)
-    return 2.0 * float(np.sum(np.log(np.diag(cf))))
+def _objective(gamma: np.ndarray, thetas: np.ndarray, logdet_gamma: float) -> float:
+    """1 - det G / det((G+G_S)/2) with A-modes rotated by thetas.
 
-
-def _block_rotation(thetas: np.ndarray) -> np.ndarray:
-    """Direct sum of single-mode phase-space rotations by the given angles."""
-    blocks_ = [
-        np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]]) for t in thetas
-    ]
-    return la.block_diag(*blocks_)
-
-
-def _objective(gamma: np.ndarray, thetas: np.ndarray) -> float:
-    """1 - sqrt(det G det G_S)/det((G+G_S)/2) with A-modes rotated by thetas."""
+    This is 1 - sqrt(det G det G_S)/det((G+G_S)/2) because the rotation is
+    symplectic (det G_S = det G), so ``logdet_gamma`` is computed once by the
+    caller and each evaluation runs a single Cholesky factorization.
+    """
     ka = 2 * len(thetas)
-    s = la.block_diag(_block_rotation(thetas), np.eye(gamma.shape[0] - ka))
-    gs = s @ gamma @ s.T
-    log_ratio = 0.5 * (_logdet(gamma) + _logdet(gs)) - _logdet(0.5 * (gamma + gs))
-    return -float(np.expm1(log_ratio))
+    c, s = np.cos(thetas), np.sin(thetas)
+    i = np.arange(0, ka, 2)
+    rot = np.zeros((ka, ka))
+    rot[i, i] = rot[i + 1, i + 1] = c
+    rot[i, i + 1] = s
+    rot[i + 1, i] = -s
+    gs = _act_on_side(gamma, ka, "A", rot)
+    return -float(np.expm1(logdet_gamma - _chol_logdet(0.5 * (gamma + gs))[1]))
 
 
 @dataclass(frozen=True)
@@ -163,21 +163,17 @@ class OptimizerConfig:
 
     ``grid_points`` is the coarse-grid resolution per angle (endpoints
     included), ``refine_iters`` bounds each local refinement, ``restarts``
-    counts the refinement launches (best grid point plus jittered copies).
-    ``seed`` fixes the jitter; None defers to the NFG_SEED environment
-    variable, falling back to 0, so runs are reproducible by default.
+    counts the Powell launches for two or more A modes (best grid point plus
+    jittered copies).  ``seed`` fixes the jitter, so runs are reproducible.
     """
 
     grid_points: int = 33
     refine_iters: int = 60
     restarts: int = 4
-    seed: int | None = None
+    seed: int = 0
 
     def rng(self) -> np.random.Generator:
-        seed = self.seed
-        if seed is None:
-            seed = int(os.environ.get("NFG_SEED", "0"))
-        return np.random.default_rng(seed)
+        return np.random.default_rng(self.seed)
 
 
 def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> NfgResult:
@@ -187,10 +183,13 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
     which leaves the measure unchanged and makes every direct sum of
     single-mode rotations a stabilizer of the reduced state.  The search then
     maximizes the determinant objective over theta in [0, pi/2]^n_a with a
-    coarse grid followed by derivative-free refinement (bounded golden-section
-    in one dimension, Powell otherwise), multi-started from jittered copies of
-    the grid optimum.  The best value ever evaluated is returned, so an
-    unconverged refinement can only fail to improve it, never corrupt it.
+    coarse grid followed by derivative-free refinement.  Each evaluation
+    reuses one log det of the state and runs one Cholesky factorization.  In
+    one dimension the refinement is a single bounded golden-section run (it
+    takes no start point, so restarts would only repeat it); otherwise Powell
+    is multi-started from the grid optimum and jittered copies of it.  The
+    best value ever evaluated is returned, so an unconverged refinement can
+    only fail to improve it, never corrupt it.
 
     When the A-block symplectic spectrum is degenerate the stabilizer group
     is strictly larger than the rotation family searched here, so the result
@@ -203,8 +202,8 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
         raise ValueError("numeric search needs at least one mode on each side")
     a, _, _ = blocks(state)
     dec = williamson(a)
-    s_full = la.block_diag(dec.s, np.eye(2 * state.n_b))
-    gamma = s_full @ state.cm @ s_full.T
+    gamma = _act_on_side(state.cm, 2 * n_a, "A", dec.s)
+    logdet = _chol_logdet(gamma)[1]
 
     # Coarse grid, capped so the total point count stays within budget.
     per_axis = min(opt.grid_points, max(3, int(_GRID_BUDGET ** (1.0 / n_a))))
@@ -212,35 +211,37 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
     best_val, best_theta = -np.inf, np.zeros(n_a)
     for idx in np.ndindex(*([per_axis] * n_a)):
         theta = axis[list(idx)]
-        val = _objective(gamma, theta)
+        val = _objective(gamma, theta, logdet)
         if val > best_val:
             best_val, best_theta = val, theta
 
-    # Local refinement, multi-start.
-    rng = opt.rng()
+    # Local refinement.  The bounded 1-D method takes no start point, so it runs once.
     half_pi = np.pi / 2
-    starts = [best_theta] + [
-        np.clip(best_theta + rng.uniform(-0.2, 0.2, n_a), 0.0, half_pi)
-        for _ in range(max(0, opt.restarts - 1))
-    ]
-    for x0 in starts:
-        if n_a == 1:
-            res = minimize_scalar(
-                lambda t: -_objective(gamma, np.array([t])),
-                bounds=(0.0, half_pi),
-                method="bounded",
-                options={"xatol": 1e-12, "maxiter": opt.refine_iters},
-            )
-            cand_theta, cand_val = np.array([res.x]), -res.fun
-        else:
+    if n_a == 1:
+        res = minimize_scalar(
+            lambda t: -_objective(gamma, np.array([t]), logdet),
+            bounds=(0.0, half_pi),
+            method="bounded",
+            options={"xatol": 1e-12, "maxiter": opt.refine_iters},
+        )
+        candidates = [(np.array([res.x]), -res.fun)]
+    else:
+        rng = opt.rng()
+        starts = [best_theta] + [
+            np.clip(best_theta + rng.uniform(-0.2, 0.2, n_a), 0.0, half_pi)
+            for _ in range(max(0, opt.restarts - 1))
+        ]
+        candidates = []
+        for x0 in starts:
             res = minimize(
-                lambda t: -_objective(gamma, t),
+                lambda t: -_objective(gamma, t, logdet),
                 x0,
                 method="Powell",
                 bounds=[(0.0, half_pi)] * n_a,
                 options={"maxiter": opt.refine_iters, "xtol": 1e-10, "ftol": 1e-12},
             )
-            cand_theta, cand_val = np.clip(res.x, 0.0, half_pi), -res.fun
+            candidates.append((np.clip(res.x, 0.0, half_pi), -res.fun))
+    for cand_theta, cand_val in candidates:
         if cand_val > best_val:
             best_val, best_theta = cand_val, cand_theta
     return _result(best_val, "numeric", best_theta, dec.degeneracy_flag)
@@ -261,14 +262,10 @@ class GaussianChannel:
     d_bar: np.ndarray | None = None
 
     def __post_init__(self):
-        k = np.asarray(self.k, float)
-        m = np.asarray(self.m_noise, float)
-        if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] % 2 or k.shape[0] == 0:
-            raise ValueError(f"K must be square with even dimension, got {k.shape}")
+        k = _as_square_even(self.k, "K")
+        m = _as_square_even(self.m_noise, "M")
         if m.shape != k.shape:
             raise ValueError("M must match the shape of K")
-        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(m))):
-            raise ValueError("channel matrices must be finite")
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > 1e-9 * scale:
             raise ValueError("noise matrix M must be symmetric")
@@ -305,11 +302,8 @@ def apply_channel(state: GaussianState, ch: GaussianChannel, side: str = "B") ->
     ka = 2 * state.n_a
     if ch.k.shape[0] != state.cm.shape[0] - ka:
         raise ValueError("channel dimension does not match subsystem B")
-    g = np.empty_like(state.cm)
-    g[:ka, :ka] = state.cm[:ka, :ka]
-    g[:ka, ka:] = state.cm[:ka, ka:] @ ch.k.T
-    g[ka:, :ka] = g[:ka, ka:].T
-    g[ka:, ka:] = ch.k @ state.cm[ka:, ka:] @ ch.k.T + ch.m_noise
+    g = _act_on_side(state.cm, ka, "B", ch.k)
+    g[ka:, ka:] += ch.m_noise
     mean = state.mean.copy()
     mean[ka:] = ch.k @ state.mean[ka:] + ch.d_bar
     return GaussianState(g, state.n_a, state.n_b, mean)

@@ -188,6 +188,24 @@ class GaussianUnitary:
         object.__setattr__(self, "m", _frozen(m))
 
 
+def _act_on_side(cm: np.ndarray, ka: int, side: str, k: np.ndarray) -> np.ndarray:
+    """Return ``(K ⊕ I) cm (K ⊕ I)^T``, or ``(I ⊕ K) cm (I ⊕ K)^T`` for side "B".
+
+    ``cm`` has the layout ``[[A, C], [C^T, B]]`` with A of size ``ka``.  Only
+    the rows and columns of ``side`` are recomputed: the other diagonal block
+    is copied bit for bit and the lower cross block mirrors the upper one.
+    """
+    g = cm.copy()
+    if side == "A":
+        g[:ka, :ka] = k @ cm[:ka, :ka] @ k.T
+        g[:ka, ka:] = k @ cm[:ka, ka:]
+    else:
+        g[ka:, ka:] = k @ cm[ka:, ka:] @ k.T
+        g[:ka, ka:] = cm[:ka, ka:] @ k.T
+    g[ka:, :ka] = g[:ka, ka:].T
+    return g
+
+
 def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str = "global") -> GaussianState:
     """Apply a Gaussian unitary to one side of the partition, or globally.
 
@@ -195,33 +213,19 @@ def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str =
     over untouched (bit for bit).  The output is revalidated on construction.
     """
     ka = 2 * state.n_a
-    dim = state.cm.shape[0]
     s, m = u.s, u.m
     if side == "global":
-        if s.shape[0] != dim:
+        if s.shape[0] != state.cm.shape[0]:
             raise ValueError("unitary dimension does not match the state")
         return GaussianState(s @ state.cm @ s.T, state.n_a, state.n_b, s @ state.mean + m)
     if side not in ("A", "B"):
         raise ValueError("side must be 'A', 'B' or 'global'")
-    nside = ka if side == "A" else dim - ka
-    if s.shape[0] != nside:
-        raise ValueError(f"unitary dimension {s.shape[0]} does not match side {side}")
-    a, b, c = state.cm[:ka, :ka], state.cm[ka:, ka:], state.cm[:ka, ka:]
-    g = np.empty_like(state.cm)
+    part = slice(0, ka) if side == "A" else slice(ka, None)
     mean = state.mean.copy()
-    if side == "A":
-        g[:ka, :ka] = s @ a @ s.T
-        g[:ka, ka:] = s @ c
-        g[ka:, :ka] = g[:ka, ka:].T
-        g[ka:, ka:] = b
-        mean[:ka] = s @ state.mean[:ka] + m
-    else:
-        g[:ka, :ka] = a
-        g[:ka, ka:] = c @ s.T
-        g[ka:, :ka] = g[:ka, ka:].T
-        g[ka:, ka:] = s @ b @ s.T
-        mean[ka:] = s @ state.mean[ka:] + m
-    return GaussianState(g, state.n_a, state.n_b, mean)
+    if s.shape[0] != mean[part].shape[0]:
+        raise ValueError(f"unitary dimension {s.shape[0]} does not match side {side}")
+    mean[part] = s @ state.mean[part] + m
+    return GaussianState(_act_on_side(state.cm, ka, side, s), state.n_a, state.n_b, mean)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from nfg import (
     StandardFormParams,
     apply_channel,
     apply_gaussian_unitary,
+    c_squared,
     check_monotonicity,
     nfg_after_channel_closed_form,
     nfg_closed_form,
@@ -23,7 +24,9 @@ from nfg import (
     standard_form,
     state_from_params,
     tmsv,
+    williamson,
 )
+from nfg import correlation
 
 from helpers import random_channel, random_state, random_symplectic, rotation
 
@@ -218,11 +221,33 @@ class TestNumeric:
                 np.linalg.det(state.cm), rel=1e-10
             )
 
-    def test_respects_seed_override(self, monkeypatch):
+    def test_seed_ignores_environment(self, monkeypatch):
         monkeypatch.setenv("NFG_SEED", "7")
-        cfg = OptimizerConfig()
-        draws = cfg.rng().uniform(size=3)
-        assert np.array_equal(draws, np.random.default_rng(7).uniform(size=3))
+        draws = OptimizerConfig().rng().uniform(size=3)
+        assert np.array_equal(draws, np.random.default_rng(0).uniform(size=3))
+
+    def test_one_dimensional_refinement_runs_once(self, rng, monkeypatch):
+        calls = []
+        real = correlation.minimize_scalar
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(correlation, "minimize_scalar", counting)
+        nfg_numeric(random_state(rng), OptimizerConfig(restarts=4))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 2)])
+    def test_optimizer_theta_attains_value(self, rng, n_a, n_b):
+        for _ in range(3):
+            state = random_state(rng, n_a, n_b)
+            res = nfg_numeric(state)
+            s = williamson(state.cm[: 2 * n_a, : 2 * n_a]).s
+            rot = la.block_diag(*[rotation(t) for t in res.optimizer_theta])
+            u = GaussianUnitary(np.linalg.solve(s, rot @ s))
+            rotated = apply_gaussian_unitary(state, u, "A")
+            assert c_squared(state, rotated) == pytest.approx(res.value, abs=1e-9)
 
     def test_bad_partition_rejected(self, rng):
         with pytest.raises(ValueError):
