@@ -3,8 +3,8 @@
 Covariance-matrix toolkit for a correlation measure defined as the largest
 squared overlap distance a state can acquire under Gaussian unitaries on one
 subsystem that leave that subsystem's reduced state invariant.  Includes the
-exact two-mode closed form, a numeric supremum search for more modes, an
-upper bound, Gaussian channels with a post-channel closed form and
+exact two-mode closed form, one block closed form for every (n+m)-mode
+partition, an upper bound, Gaussian channels with a post-channel closed form and
 monotonicity checks, the symmetric squeezed thermal family with comparison
 measures, and a JSON/CSV command-line interface.
 

@@ -5,17 +5,28 @@ the reduced state rho_A invariant, of the squared overlap distance
 1 - F^2(rho, U rho U^dagger).  This module provides:
 
 * the exact closed form for (1+1)-mode states in standard form;
-* the determinant-form objective as a function of the rotation angle(s) and a
-  numeric supremum search for general (n+m)-mode states;
+* one block formula for every (n+m)-mode partition, behind both
+  `nfg_two_mode` and `nfg_numeric`;
+* the literal determinant-form objective at a given rotation angle;
 * an upper bound from a Schur-complement determinant ratio;
 * Gaussian channels on subsystem B, the post-channel closed form for
   single-mode-B channels, and a monotonicity checker.
 
 Everything here works on covariance matrices only: the measure is independent
-of the mean, and determinants are taken in log space so large-parameter states
-remain finite.  Stabilizing rotations are symplectic, so det G_S = det G and
-the objective reduces to 1 - det G / det((G+G_S)/2): the numeric search
-computes log det G once and one Cholesky factorization per evaluation.
+of the mean.  Stabilizing rotations are symplectic, so det G_S = det G and the
+objective is 1 - det G / det((G+G_S)/2).  In the Williamson frame of A
+(A = direct sum of nu_i I_2) rotating the A modes by theta_i gives
+
+    det((G+G_S)/2) = det A * det(B - sum_i cos^2(theta_i/2) P_i),  P_i >= 0,
+
+so the objective rises in every angle and its supremum over [0, pi/2]^n_a
+sits at theta = (pi/2, ..., pi/2):
+
+    N = 1 - det(B - X) / det(B - X/2),  X = C^T A^{-1} C.
+
+X is unchanged by local symplectics on A, so the value needs no Williamson
+rotation.  For (1+1) modes this is `nfg_closed_form`; `nfg_theta_objective`
+keeps the literal rotation as an independent check.
 """
 
 from __future__ import annotations
@@ -24,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-from scipy.optimize import minimize, minimize_scalar
 
 from .overlap import _chol_logdet
 from .states import (
@@ -33,7 +43,6 @@ from .states import (
     _act_on_side,
     _as_square_even,
     blocks,
-    standard_form,
     williamson,
 )
 
@@ -52,11 +61,6 @@ __all__ = [
     "nfg_upper_bound",
 ]
 
-#: Ceiling on the coarse-grid size of the numeric search (points across all
-#: angle axes combined), so high mode counts degrade gracefully instead of
-#: exploding combinatorially.
-_GRID_BUDGET = 200_000
-
 _ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
 
 
@@ -65,11 +69,12 @@ class NfgResult:
     """Value of the correlation measure together with how it was obtained.
 
     ``optimizer_theta`` holds the rotation angle(s) attaining the reported
-    value (always pi/2 for the closed forms).  ``lower_bound_only`` is set
-    when the numeric search ran over a restricted stabilizer family (see
-    `nfg_numeric`), in which case ``value`` is a certified lower bound rather
-    than a certified supremum.  Values are clamped into [0, 1) at double
-    precision.
+    value, one per A mode and always pi/2: the objective rises in every
+    angle.  ``lower_bound_only`` is set when a degenerate A spectrum makes the
+    stabilizer group larger than the rotation family the value is the
+    supremum over (see `nfg_numeric`), in which case ``value`` is a certified
+    lower bound rather than a certified supremum.  Values are clamped into
+    [0, 1) at double precision.
     """
 
     value: float
@@ -79,7 +84,7 @@ class NfgResult:
 
 
 def _result(value: float, method: str, theta, lower_bound_only: bool = False) -> NfgResult:
-    value = min(max(float(value), 0.0), _ONE_BELOW_1)
+    value = min(max(0.0, float(value)), _ONE_BELOW_1)  # max(0.0, -0.0) is +0.0
     theta = None if theta is None else np.atleast_1d(np.asarray(theta, float))
     return NfgResult(value, method, theta, lower_bound_only)
 
@@ -116,13 +121,34 @@ def nfg_theta_objective(state: GaussianState, theta: float) -> float:
     return _objective(state.cm, np.array([theta]), _chol_logdet(state.cm)[1])
 
 
+def _block_value(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """1 - det(B - X)/det(B - X/2) with X = C^T A^{-1} C, for blocks A, B, C.
+
+    With L the Cholesky factor of B - X/2 the ratio is det(I - Y) for
+    Y = L^{-1} (X/2) L^{-T}, so the value is -expm1(sum log1p(-lambda(Y))).
+    This keeps full relative precision for weak correlations, where a
+    difference of log-determinants cancels to nothing, and gives exactly
+    zero for C = 0 (as -0.0, which `_result` maps to +0.0).
+    """
+    x = c.T @ np.linalg.solve(a, c)
+    half = 0.25 * (x + x.T)
+    chol = np.linalg.cholesky(b - half)
+    y = np.linalg.solve(chol, np.linalg.solve(chol, half).T)
+    # lambda = 1 means det(B - X) = 0, a pure state squeezed past double
+    # precision; rounding can push it just above 1.
+    lam = np.minimum(np.linalg.eigvalsh(y), 1.0)
+    with np.errstate(divide="ignore"):
+        return -float(np.expm1(np.sum(np.log1p(-lam))))
+
+
 def nfg_two_mode(state: GaussianState) -> NfgResult:
-    """Exact value for any (1+1)-mode state: reduce to standard form, then
-    apply the closed form.  The mean plays no role."""
+    """Exact value for any (1+1)-mode state, from its covariance blocks.
+
+    Equals `nfg_closed_form` of the state's standard form without computing
+    that form.  The mean plays no role."""
     if state.n_a != 1 or state.n_b != 1:
         raise ValueError("closed form requires a (1+1)-mode state")
-    params, _, _ = standard_form(state)
-    return nfg_closed_form(params)
+    return _result(_block_value(*blocks(state)), "closed_form", np.pi / 2)
 
 
 def nfg_upper_bound(state: GaussianState) -> float:
@@ -159,12 +185,10 @@ def _objective(gamma: np.ndarray, thetas: np.ndarray, logdet_gamma: float) -> fl
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the numeric supremum search.
+    """Settings of a numeric supremum search; `nfg_numeric` ignores them.
 
-    ``grid_points`` is the coarse-grid resolution per angle (endpoints
-    included), ``refine_iters`` bounds each local refinement, ``restarts``
-    counts the Powell launches for two or more A modes (best grid point plus
-    jittered copies).  ``seed`` fixes the jitter, so runs are reproducible.
+    The supremum has a closed form, so no search runs.  The class and its
+    fields are kept so callers that build one keep working.
     """
 
     grid_points: int = 33
@@ -172,79 +196,25 @@ class OptimizerConfig:
     restarts: int = 4
     seed: int = 0
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
 
 def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> NfgResult:
-    """Numeric supremum of the objective for an (n+m)-mode state.
+    """Supremum of the objective over A-mode rotations, for an (n+m)-mode state.
 
-    The A block is first Williamson-rotated to a direct sum of nu_i * I_2,
-    which leaves the measure unchanged and makes every direct sum of
-    single-mode rotations a stabilizer of the reduced state.  The search then
-    maximizes the determinant objective over theta in [0, pi/2]^n_a with a
-    coarse grid followed by derivative-free refinement.  Each evaluation
-    reuses one log det of the state and runs one Cholesky factorization.  In
-    one dimension the refinement is a single bounded golden-section run (it
-    takes no start point, so restarts would only repeat it); otherwise Powell
-    is multi-started from the grid optimum and jittered copies of it.  The
-    best value ever evaluated is returned, so an unconverged refinement can
-    only fail to improve it, never corrupt it.
+    In the Williamson frame of A every direct sum of single-mode rotations
+    stabilizes the reduced state, and the objective rises in every angle
+    (see the module notes), so the supremum over theta in [0, pi/2]^n_a is
+    the block formula at theta = pi/2 for every A mode.  The name, the
+    ``"numeric"`` method string and ``opt`` (ignored) are kept for callers.
 
     When the A-block symplectic spectrum is degenerate the stabilizer group
-    is strictly larger than the rotation family searched here, so the result
-    is flagged ``lower_bound_only``.
+    is strictly larger than this rotation family, so the result is flagged
+    ``lower_bound_only``.
     """
-    if opt is None:
-        opt = OptimizerConfig()
-    n_a = state.n_a
-    if n_a < 1 or state.n_b < 1:
+    if state.n_a < 1 or state.n_b < 1:
         raise ValueError("numeric search needs at least one mode on each side")
-    a, _, _ = blocks(state)
-    dec = williamson(a)
-    gamma = _act_on_side(state.cm, 2 * n_a, "A", dec.s)
-    logdet = _chol_logdet(gamma)[1]
-
-    # Coarse grid, capped so the total point count stays within budget.
-    per_axis = min(opt.grid_points, max(3, int(_GRID_BUDGET ** (1.0 / n_a))))
-    axis = np.linspace(0.0, np.pi / 2, per_axis)
-    best_val, best_theta = -np.inf, np.zeros(n_a)
-    for idx in np.ndindex(*([per_axis] * n_a)):
-        theta = axis[list(idx)]
-        val = _objective(gamma, theta, logdet)
-        if val > best_val:
-            best_val, best_theta = val, theta
-
-    # Local refinement.  The bounded 1-D method takes no start point, so it runs once.
-    half_pi = np.pi / 2
-    if n_a == 1:
-        res = minimize_scalar(
-            lambda t: -_objective(gamma, np.array([t]), logdet),
-            bounds=(0.0, half_pi),
-            method="bounded",
-            options={"xatol": 1e-12, "maxiter": opt.refine_iters},
-        )
-        candidates = [(np.array([res.x]), -res.fun)]
-    else:
-        rng = opt.rng()
-        starts = [best_theta] + [
-            np.clip(best_theta + rng.uniform(-0.2, 0.2, n_a), 0.0, half_pi)
-            for _ in range(max(0, opt.restarts - 1))
-        ]
-        candidates = []
-        for x0 in starts:
-            res = minimize(
-                lambda t: -_objective(gamma, t, logdet),
-                x0,
-                method="Powell",
-                bounds=[(0.0, half_pi)] * n_a,
-                options={"maxiter": opt.refine_iters, "xtol": 1e-10, "ftol": 1e-12},
-            )
-            candidates.append((np.clip(res.x, 0.0, half_pi), -res.fun))
-    for cand_theta, cand_val in candidates:
-        if cand_val > best_val:
-            best_val, best_theta = cand_val, cand_theta
-    return _result(best_val, "numeric", best_theta, dec.degeneracy_flag)
+    a, b, c = blocks(state)
+    theta = np.full(state.n_a, np.pi / 2)
+    return _result(_block_value(a, b, c), "numeric", theta, williamson(a).degeneracy_flag)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import scipy.linalg as la
@@ -36,18 +37,27 @@ __all__ = [
     "williamson",
 ]
 
-#: Default validation tolerance, relative to max|Gamma|.  Double-precision
-#: eigen-solves on the small (<= 8x8) matrices handled here are accurate to
-#: a few ulps of the matrix scale, so 1e-9 leaves a wide safety margin.
+#: Default validation tolerance, relative to the matrix scale (see
+#: `validate_cm`).  Double-precision eigen-solves on the small (<= 8x8)
+#: matrices handled here are accurate to a few ulps of that scale, so 1e-9
+#: leaves a wide safety margin.
 DEFAULT_TOL = 1e-9
 
 
+@cache
 def symplectic_form(n: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form, a direct sum of [[0,1],[-1,0]]."""
+    """Return the 2n x 2n symplectic form, a direct sum of [[0,1],[-1,0]].
+
+    The array is read-only and shared by every caller asking for ``n`` modes.
+    """
     if n < 1:
         raise ValueError("mode count must be a positive integer")
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return la.block_diag(*([j] * n))
+    delta = np.zeros((2 * n, 2 * n))
+    q = np.arange(0, 2 * n, 2)
+    delta[q, q + 1] = 1.0
+    delta[q + 1, q] = -1.0
+    delta.flags.writeable = False
+    return delta
 
 
 def _as_square_even(m, name: str) -> np.ndarray:
@@ -74,11 +84,19 @@ class ValidationReport:
 def validate_cm(gamma, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check whether `gamma` is a physical covariance matrix.
 
-    The verdict combines three tests: symmetry within ``tol`` (relative to
-    max|Gamma|), positive definiteness, and min symplectic eigenvalue
-    >= 1 - tol*scale.  Together these are equivalent to Gamma + i*Delta >= 0.
-    Symplectic eigenvalues are the moduli of the eigenvalues of i*Delta*Gamma,
-    reported once each, in descending order.
+    The verdict combines symmetry within ``tol`` (relative to max|Gamma|)
+    with Simon's criterion Gamma + i*Delta >= 0, tested on the equilibrated
+    D^{-1/2} (Gamma + i*Delta) D^{-1/2} with D = diag(Gamma) > 0: its smallest
+    eigenvalue must be >= -tol.  That matrix has unit diagonal however large
+    Gamma is, so ``tol`` means the same thing at every scale: a relative
+    distance to the physical set.  (The singular two-mode matrix with
+    a = b = c = -d, nu_min = 0, is that close for a >~ 3e4.)  Symplectic
+    eigenvalues are the moduli of the eigenvalues of i*Delta*Gamma, reported
+    once each, in descending order; ``positive_definite`` is the smallest
+    eigenvalue of Gamma being > 0.  A pure state squeezed past double
+    precision (n_bar >~ 1e8) is stored as a singular matrix, so it can read
+    not positive definite with nu_min ~ 0 and still be physical within
+    ``tol``.
     """
     g = _as_square_even(gamma, "covariance matrix")
     scale = max(1.0, float(np.abs(g).max()))
@@ -88,9 +106,12 @@ def validate_cm(gamma, tol: float = DEFAULT_TOL) -> ValidationReport:
     moduli = np.sort(np.abs(np.linalg.eigvals(delta @ gs)))
     nus = moduli[::2][::-1]  # pairs collapse to one entry each, descending
     positive_definite = bool(np.linalg.eigvalsh(gs)[0] > 0.0)
-    physical = bool(
-        symmetric and positive_definite and nus[-1] >= 1.0 - tol * scale
-    )
+    diag = np.diag(gs)
+    physical = bool(symmetric and np.all(diag > 0.0))
+    if physical:
+        root = 1.0 / np.sqrt(diag)
+        simon = (gs + 1j * delta) * np.outer(root, root)
+        physical = bool(np.linalg.eigvalsh(simon)[0] >= -tol)
     nus = nus.copy()
     nus.flags.writeable = False
     return ValidationReport(symmetric, nus, positive_definite, physical)
@@ -253,8 +274,9 @@ def williamson(gamma, degeneracy_tol: float = 1e-8) -> WilliamsonDecomposition:
     casing for degenerate spectra.
 
     ``degeneracy_flag`` is set when two consecutive eigenvalues agree within
-    ``degeneracy_tol`` (relative); downstream optimizers use it to report that
-    their stabilizer search set may be incomplete.
+    ``degeneracy_tol`` (relative); `nfg_numeric` uses it to report that the
+    rotation family its value is the supremum over may not exhaust the
+    stabilizers of the reduced state.
     """
     g = _as_square_even(gamma, "covariance matrix")
     g = 0.5 * (g + g.T)

@@ -3,7 +3,15 @@
 import numpy as np
 import scipy.linalg as la
 
-from nfg import GaussianChannel, GaussianState, symplectic_form
+from nfg import (
+    GaussianChannel,
+    GaussianState,
+    GaussianUnitary,
+    apply_gaussian_unitary,
+    c_squared,
+    symplectic_form,
+    williamson,
+)
 
 
 def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.4) -> np.ndarray:
@@ -35,6 +43,38 @@ def random_channel(rng: np.random.Generator) -> GaussianChannel:
     m0 = r @ r.T + 1e-3 * np.eye(2)
     lam = 1.05 * abs(np.linalg.det(k) - 1.0) / np.sqrt(np.linalg.det(m0))
     return GaussianChannel(k, lam * m0)
+
+
+def through_thermal_dilation(
+    rng: np.random.Generator, state: GaussianState, scale: float = 0.4, nu_max: float = 3.0
+) -> GaussianState:
+    """Send subsystem B through a random Gaussian channel given by its
+    dilation: B and a thermal environment of as many modes pass through one
+    random symplectic (`random_symplectic` with `scale`; small scales give
+    near-identity channels), then the environment is traced out."""
+    ka, kb = 2 * state.n_a, 2 * state.n_b
+    env = np.diag(np.repeat(rng.uniform(1.0, nu_max, state.n_b), 2))
+    s = la.block_diag(np.eye(ka), random_symplectic(rng, 2 * state.n_b, scale))
+    out = (s @ la.block_diag(state.cm, env) @ s.T)[: ka + kb, : ka + kb]
+    return GaussianState(0.5 * (out + out.T), state.n_a, state.n_b)
+
+
+def brute_force_nfg(state: GaussianState, points: int) -> np.ndarray:
+    """Independent check of the measure's supremum: c_squared between `state`
+    and its copy with the A modes rotated in A's Williamson frame, on a grid
+    of `points` angles per A mode spanning [0, pi/2].
+
+    Entry ``[i, j, ...]`` holds the score at angles ``(axis[i], axis[j], ...)``,
+    so ``[-1, ..., -1]`` is the all-pi/2 corner.
+    """
+    s = williamson(state.cm[: 2 * state.n_a, : 2 * state.n_a]).s
+    axis = np.linspace(0.0, np.pi / 2, points)
+    scores = np.empty((points,) * state.n_a)
+    for idx in np.ndindex(scores.shape):
+        rot = la.block_diag(*[rotation(axis[i]) for i in idx])
+        u = GaussianUnitary(np.linalg.solve(s, rot @ s))
+        scores[idx] = c_squared(state, apply_gaussian_unitary(state, u, "A"))
+    return scores
 
 
 def rotation(theta: float) -> np.ndarray:

@@ -6,7 +6,6 @@ from nfg import (
     GaussianChannel,
     GaussianState,
     GaussianUnitary,
-    OptimizerConfig,
     SstsParams,
     StandardFormParams,
     apply_channel,
@@ -26,9 +25,15 @@ from nfg import (
     tmsv,
     williamson,
 )
-from nfg import correlation
 
-from helpers import random_channel, random_state, random_symplectic, rotation
+from helpers import (
+    brute_force_nfg,
+    random_channel,
+    random_state,
+    random_symplectic,
+    rotation,
+    through_thermal_dilation,
+)
 
 
 def tmsv_reference(r: float) -> float:
@@ -126,6 +131,21 @@ class TestTwoMode:
         with pytest.raises(ValueError):
             nfg_two_mode(GaussianState(np.eye(6), 2, 1))
 
+    def test_matches_closed_form_of_standard_form(self, rng):
+        states = [random_state(rng) for _ in range(180)]
+        for _ in range(10):  # c = 1e-9 under random local symplectics
+            p = StandardFormParams(
+                rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0), 1e-9, rng.uniform(-1e-9, 1e-9)
+            )
+            u = GaussianUnitary(
+                la.block_diag(random_symplectic(rng, 1), random_symplectic(rng, 1))
+            )
+            states.append(apply_gaussian_unitary(state_from_params(p), u, "global"))
+        states += [ssts(SstsParams(1e13, mu)) for mu in np.linspace(0.0, 1.0, 10)]
+        for state in states:
+            expected = nfg_closed_form(standard_form(state)[0]).value
+            assert nfg_two_mode(state).value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestZeroIffProduct:
     def test_product_states_give_exact_zero(self, rng):
@@ -133,7 +153,8 @@ class TestZeroIffProduct:
             a = random_state(rng, 1, 0)
             b = random_state(rng, 1, 0)
             prod = GaussianState(la.block_diag(a.cm, b.cm), 1, 1)
-            assert nfg_two_mode(prod).value == 0.0
+            value = nfg_two_mode(prod).value
+            assert value == 0.0 and not np.signbit(value)  # prints as 0, not -0
 
     def test_small_but_nonzero_correlations_detected(self, rng):
         for _ in range(10):
@@ -222,21 +243,22 @@ class TestNumeric:
             )
 
     def test_seed_ignores_environment(self, monkeypatch):
+        state = random_state(np.random.default_rng(0), 2, 2)
+        base = nfg_numeric(state)
         monkeypatch.setenv("NFG_SEED", "7")
-        draws = OptimizerConfig().rng().uniform(size=3)
-        assert np.array_equal(draws, np.random.default_rng(0).uniform(size=3))
+        again = nfg_numeric(state)
+        assert again.value == base.value
+        assert np.array_equal(again.optimizer_theta, base.optimizer_theta)
 
-    def test_one_dimensional_refinement_runs_once(self, rng, monkeypatch):
-        calls = []
-        real = correlation.minimize_scalar
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(correlation, "minimize_scalar", counting)
-        nfg_numeric(random_state(rng), OptimizerConfig(restarts=4))
-        assert len(calls) == 1
+    @pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_dominates_brute_force_grid(self, rng, n_a, n_b):
+        for _ in range(3):
+            state = random_state(rng, n_a, n_b)
+            res = nfg_numeric(state)
+            scores = brute_force_nfg(state, 7)
+            assert res.value >= scores.max() - 1e-12
+            assert res.value == pytest.approx(scores[(-1,) * n_a], abs=1e-9)
+            assert np.array_equal(res.optimizer_theta, np.full(n_a, np.pi / 2))
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 2)])
     def test_optimizer_theta_attains_value(self, rng, n_a, n_b):
@@ -392,3 +414,12 @@ class TestMonotonicity:
             rep = check_monotonicity(random_state(rng), random_channel(rng))
             assert rep.holds
             assert rep.after <= rep.before + 1e-10
+
+    @pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 2), (3, 2)])
+    def test_multimode_channels_on_b_do_not_increase_the_measure(self, rng, n_a, n_b):
+        # Monotonicity is proved for (1+1) modes only; for a multi-mode B
+        # this is a seeded check of the conjecture, not a proof.
+        for i in range(40):
+            state = random_state(rng, n_a, n_b)
+            out = through_thermal_dilation(rng, state, scale=0.4 if i % 2 else 0.02)
+            assert nfg_numeric(out).value <= nfg_numeric(state).value + 1e-10

@@ -5,10 +5,12 @@ import scipy.linalg as la
 from nfg import (
     GaussianState,
     GaussianUnitary,
+    SstsParams,
     StandardFormParams,
     apply_gaussian_unitary,
     blocks,
     is_symplectic,
+    ssts,
     standard_form,
     state_from_params,
     symplectic_form,
@@ -39,6 +41,12 @@ class TestSymplecticForm:
     def test_zero_modes_rejected(self):
         with pytest.raises(ValueError):
             symplectic_form(0)
+
+    def test_shared_and_read_only(self):
+        d = symplectic_form(3)
+        assert symplectic_form(3) is d
+        with pytest.raises(ValueError):
+            d[0, 0] = 1.0
 
 
 class TestValidateCm:
@@ -78,6 +86,24 @@ class TestValidateCm:
         report = validate_cm(np.diag([7.0, 7.0, 3.0, 3.0]))
         assert report.physical
         assert report.symplectic_eigenvalues == pytest.approx([7.0, 3.0])
+
+    @pytest.mark.parametrize("exponent", range(14))
+    def test_sub_vacuum_mode_rejected_at_every_scale(self, rng, exponent):
+        # A product of a large thermal-squeezed mode and a mode below vacuum
+        # (nu < 1, computed exactly) is unphysical however large the first is.
+        scale = 10.0**exponent
+        for _ in range(5):
+            r, o = rng.uniform(0.0, 1.0), rotation(rng.uniform(0.0, np.pi))
+            big = scale * o @ np.diag(np.exp([-2.0 * r, 2.0 * r])) @ o.T
+            small = rng.uniform(0.1, 0.999) * np.eye(2)
+            for g in (la.block_diag(big, small), la.block_diag(small, big)):
+                assert not validate_cm(g).physical
+
+    @pytest.mark.parametrize("n_bar", [1e-3, 1.0, 1e4, 1e8, 1e10, 1e13])
+    def test_families_accepted_up_to_large_n_bar(self, n_bar):
+        for mu in (0.0, 0.5, 0.9, 1.0):
+            assert validate_cm(ssts(SstsParams(n_bar, mu)).cm).physical
+        assert validate_cm(tmsv(np.arcsinh(np.sqrt(n_bar))).cm).physical
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
