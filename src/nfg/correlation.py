@@ -43,6 +43,7 @@ from .states import (
     _act_on_side,
     _as_square_even,
     blocks,
+    symplectic_form,
     williamson,
 )
 
@@ -157,12 +158,19 @@ def nfg_upper_bound(state: GaussianState) -> float:
     The Schur complement B - C^T A^{-1} C is the covariance of B conditioned
     on A; both determinants are computed from Cholesky factorizations and
     combined in log space.  Exactly 0 for product states (C = 0); always
-    in [0, 1).
+    in [0, 1), clamped like `NfgResult` values.  A pure state squeezed past
+    double precision has a Schur complement that is singular or rounds to
+    indefinite, which is read as the clamped value just below 1.
     """
     a, b, ct = blocks(state)
     cf = la.cho_factor(a, lower=True, check_finite=False)
     schur = b - ct.T @ la.cho_solve(cf, ct, check_finite=False)
-    return max(0.0, -float(np.expm1(_chol_logdet(schur)[1] - _chol_logdet(b)[1])))
+    try:
+        logdet_schur = _chol_logdet(schur)[1]
+    except np.linalg.LinAlgError:
+        return _ONE_BELOW_1
+    value = -float(np.expm1(logdet_schur - _chol_logdet(b)[1]))
+    return min(max(0.0, value), _ONE_BELOW_1)
 
 
 def _objective(gamma: np.ndarray, thetas: np.ndarray, logdet_gamma: float) -> float:
@@ -222,9 +230,10 @@ class GaussianChannel:
     """Gaussian channel acting on covariance and mean as
     Gamma -> K Gamma K^T + M, d -> K d + d_bar.
 
-    Complete positivity requires M symmetric positive semidefinite with
-    det M >= (det K - 1)^2; both are checked on construction (within a small
-    scale-relative tolerance).
+    On construction M must be symmetric and the channel completely positive:
+    the Hermitian M + i(Delta - K Delta K^T) positive semidefinite, which
+    implies M >= 0 and, for one mode, reads det M >= (det K - 1)^2.  Both
+    checks allow a 1e-9 tolerance relative to the largest entry involved.
     """
 
     k: np.ndarray
@@ -240,13 +249,12 @@ class GaussianChannel:
         if np.abs(m - m.T).max() > 1e-9 * scale:
             raise ValueError("noise matrix M must be symmetric")
         m = 0.5 * (m + m.T)
-        if np.linalg.eigvalsh(m)[0] < -1e-9 * scale:
-            raise ValueError("noise matrix M must be positive semidefinite")
-        det_m, det_k = float(np.linalg.det(m)), float(np.linalg.det(k))
-        need = (det_k - 1.0) ** 2
-        if det_m < need - 1e-9 * max(1.0, det_m, need):
+        delta = symplectic_form(k.shape[0] // 2)
+        twist = delta - k @ delta @ k.T
+        least = float(np.linalg.eigvalsh(m + 1j * twist)[0])
+        if least < -1e-9 * max(scale, float(np.abs(twist).max())):
             raise ValueError(
-                f"invalid channel: det M = {det_m:.6g} < (det K - 1)^2 = {need:.6g}"
+                f"invalid channel: M + i(Delta - K Delta K^T) has eigenvalue {least:.6g} < 0"
             )
         d = np.zeros(k.shape[0]) if self.d_bar is None else np.asarray(self.d_bar, float)
         if d.shape != (k.shape[0],) or not np.all(np.isfinite(d)):

@@ -9,8 +9,10 @@ the public package surface.
 Cutoffs are adaptive by default: they grow from 20, doubling per step, until
 the truncated trace is within the guard of 1, and the achieved deficit is
 reported on the result.  Matrices with real expansions are stored in real
-dtype (a real symmetric matrix is Hermitian), which halves the memory of the
-two-mode states.
+dtype (a real symmetric matrix is Hermitian).  A two-mode state is stored on
+its support: the block of rows and columns it can occupy, with their indices
+in the cutoff^2 product basis, so the two-mode squeezed vacuum takes
+cutoff^2 entries instead of cutoff^4.
 """
 
 from __future__ import annotations
@@ -45,24 +47,33 @@ _CEILING_TWO_MODE = 128
 class FockDensityMatrix:
     """Density matrix in a truncated number basis.
 
-    ``cutoff`` is the basis dimension per mode; ``entries`` has dimension
-    cutoff (one mode) or cutoff^2 (two modes).  ``trace_deficit`` is
-    1 - trace, the probability weight lost to truncation (clamped at 0).
+    ``cutoff`` is the basis dimension per mode.  ``support`` holds the basis
+    indices of the rows and columns of ``entries``; every other matrix
+    element is zero.  ``None`` means the full basis, which is how one-mode
+    states are stored (``entries`` is cutoff x cutoff); two-mode states carry
+    a support in the cutoff^2 product basis, where |m n> has index
+    m * cutoff + n.  ``trace_deficit`` is 1 - trace, the probability weight
+    lost to truncation (clamped at 0).
     """
 
     cutoff: int
     entries: np.ndarray
     trace_deficit: float
+    support: np.ndarray | None = None
 
 
-def _finalize(cutoff: int, entries: np.ndarray) -> FockDensityMatrix:
+def _finalize(
+    cutoff: int, entries: np.ndarray, support: np.ndarray | None = None
+) -> FockDensityMatrix:
     herm_err = np.abs(entries - entries.conj().T).max()
     if herm_err > 1e-12:
         raise ValueError(f"construction produced a non-Hermitian matrix ({herm_err:.3g})")
     deficit = max(0.0, 1.0 - float(np.trace(entries).real))
     entries = entries.copy()
     entries.flags.writeable = False
-    return FockDensityMatrix(cutoff, entries, deficit)
+    if support is not None:
+        support.flags.writeable = False
+    return FockDensityMatrix(cutoff, entries, deficit, support)
 
 
 def _adaptive(build, cutoff: int | None, ceiling: int) -> FockDensityMatrix:
@@ -166,8 +177,9 @@ def two_mode_squeezed_dm(r: float, cutoff: int | None = None) -> FockDensityMatr
     """Two-mode squeezed vacuum: Schmidt coefficients tanh^k(r) / cosh(r).
 
     The state vector sits on the diagonal pairs |kk>, so the density matrix
-    is the outer product of a vector with cutoff^2 entries; it is kept in
-    real dtype (the expansion is real).
+    is stored on that support: the cutoff x cutoff outer product of the
+    Schmidt coefficients, in real dtype (the expansion is real), with
+    ``support`` = k * cutoff + k.
     """
     if not (np.isfinite(r) and r >= 0.0):
         raise ValueError(f"squeeze parameter must be finite and >= 0, got {r}")
@@ -179,21 +191,26 @@ def two_mode_squeezed_dm(r: float, cutoff: int | None = None) -> FockDensityMatr
             lam[0] = 1.0
         else:
             lam = np.exp(k * np.log(np.tanh(r))) / np.cosh(r)
-        psi = np.zeros(c * c)
-        psi[k * c + k] = lam
-        return _finalize(c, np.outer(psi, psi))
+        return _finalize(c, np.outer(lam, lam), k * c + k)
 
     return _adaptive(build, cutoff, _CEILING_TWO_MODE)
 
 
 def overlap_fock(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
-    """tr(rho sigma) by direct contraction of the truncated matrices."""
-    if rho.entries.shape != sigma.entries.shape:
-        raise ValueError(
-            f"dimension mismatch: {rho.entries.shape} vs {sigma.entries.shape}"
-        )
-    val = np.einsum("ij,ji->", rho.entries, sigma.entries)
-    val = complex(val)
+    """tr(rho sigma) by direct contraction of the truncated matrices.
+
+    Two support-stored matrices are contracted on their common support, the
+    only basis states on which both can be nonzero.
+    """
+    if rho.cutoff != sigma.cutoff:
+        raise ValueError(f"cutoff mismatch: {rho.cutoff} vs {sigma.cutoff}")
+    if (rho.support is None) != (sigma.support is None):
+        raise ValueError("cannot contract a full matrix with a support-stored one")
+    a, b = rho.entries, sigma.entries
+    if rho.support is not None:
+        _, i, j = np.intersect1d(rho.support, sigma.support, return_indices=True)
+        a, b = a[np.ix_(i, i)], b[np.ix_(j, j)]
+    val = complex(np.einsum("ij,ji->", a, b))
     assert abs(val.imag) < 1e-12, "overlap of Hermitian matrices must be real"
     return float(val.real)
 

@@ -12,6 +12,7 @@ from nfg import (
     symplectic_form,
     williamson,
 )
+from nfg.fock import FockDensityMatrix
 
 
 def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.4) -> np.ndarray:
@@ -45,18 +46,37 @@ def random_channel(rng: np.random.Generator) -> GaussianChannel:
     return GaussianChannel(k, lam * m0)
 
 
+def random_dilation(
+    rng: np.random.Generator, n: int, scale: float = 0.4, nu_max: float = 3.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dilation of a random n-mode Gaussian channel: a random symplectic on
+    the n system modes plus n environment modes (`random_symplectic` with
+    `scale`; small scales give near-identity channels), and the thermal
+    covariance matrix of the environment."""
+    env = np.diag(np.repeat(rng.uniform(1.0, nu_max, n), 2))
+    return random_symplectic(rng, 2 * n, scale), env
+
+
 def through_thermal_dilation(
     rng: np.random.Generator, state: GaussianState, scale: float = 0.4, nu_max: float = 3.0
 ) -> GaussianState:
-    """Send subsystem B through a random Gaussian channel given by its
-    dilation: B and a thermal environment of as many modes pass through one
-    random symplectic (`random_symplectic` with `scale`; small scales give
-    near-identity channels), then the environment is traced out."""
+    """Send subsystem B through the channel of `random_dilation`: B and the
+    environment pass through its symplectic, then the environment is traced
+    out."""
     ka, kb = 2 * state.n_a, 2 * state.n_b
-    env = np.diag(np.repeat(rng.uniform(1.0, nu_max, state.n_b), 2))
-    s = la.block_diag(np.eye(ka), random_symplectic(rng, 2 * state.n_b, scale))
+    s_be, env = random_dilation(rng, state.n_b, scale, nu_max)
+    s = la.block_diag(np.eye(ka), s_be)
     out = (s @ la.block_diag(state.cm, env) @ s.T)[: ka + kb, : ka + kb]
     return GaussianState(0.5 * (out + out.T), state.n_a, state.n_b)
+
+
+def dense(dm: FockDensityMatrix) -> np.ndarray:
+    """The full cutoff^2 x cutoff^2 matrix of a support-stored two-mode
+    density matrix, zero off its support.  For small cutoffs only."""
+    n = dm.cutoff**2
+    full = np.zeros((n, n), dm.entries.dtype)
+    full[np.ix_(dm.support, dm.support)] = dm.entries
+    return full
 
 
 def brute_force_nfg(state: GaussianState, points: int) -> np.ndarray:

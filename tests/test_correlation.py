@@ -29,6 +29,7 @@ from nfg import (
 from helpers import (
     brute_force_nfg,
     random_channel,
+    random_dilation,
     random_state,
     random_symplectic,
     rotation,
@@ -193,6 +194,13 @@ class TestUpperBound:
         state = random_state(rng, 2, 1)
         assert 0.0 <= nfg_upper_bound(state) < 1.0
 
+    @pytest.mark.parametrize("n_bar", [1e6, 1e8, 1e13])
+    def test_pure_state_squeezed_past_double_precision(self, n_bar):
+        state = tmsv(np.arcsinh(np.sqrt(n_bar)))
+        bound = nfg_upper_bound(state)
+        assert bound < 1.0
+        assert bound >= nfg_two_mode(state).value
+
 
 class TestNumeric:
     def test_matches_closed_form(self, rng):
@@ -302,6 +310,24 @@ class TestGaussianChannel:
         ch = GaussianChannel(np.eye(2), np.zeros((2, 2)))
         assert ch.n_modes == 1
         assert np.array_equal(ch.d_bar, np.zeros(2))
+
+    def test_rejects_multimode_channel_passing_the_one_mode_determinant_test(self):
+        # det M = 100 >= (det K - 1)^2 = 9, but mode 1 alone is an amplifier
+        # of gain 4 with unit noise, below the 3 its gain requires.
+        with pytest.raises(ValueError):
+            GaussianChannel(np.diag([2.0, 2.0, 1.0, 1.0]), np.diag([1.0, 1.0, 10.0, 10.0]))
+
+    @pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 2), (1, 3)])
+    def test_accepts_multimode_channels_read_off_a_dilation(self, n_a, n_b, rng):
+        kb = 2 * n_b
+        for seed in rng.integers(2**32, size=100):
+            state = random_state(rng, n_a, n_b)
+            expected = through_thermal_dilation(np.random.default_rng(seed), state)
+            s_be, env = random_dilation(np.random.default_rng(seed), n_b)
+            k, k_env = s_be[:kb, :kb], s_be[:kb, kb:]
+            ch = GaussianChannel(k, k_env @ env @ k_env.T)
+            out = apply_channel(state, ch, "B").cm
+            assert np.abs(out - expected.cm).max() <= 1e-12 * np.abs(expected.cm).max()
 
 
 class TestApplyChannel:

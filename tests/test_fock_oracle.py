@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nfg import GaussianState, overlap
+from nfg import GaussianState, nfg_theta_objective, nfg_two_mode, overlap, tmsv
 from nfg.fock import (
+    FockDensityMatrix,
     coherent_dm,
     oracle_rows,
     overlap_fock,
@@ -10,6 +11,8 @@ from nfg.fock import (
     thermal_dm,
     two_mode_squeezed_dm,
 )
+
+from helpers import dense
 
 
 def vacuum_projector(cutoff: int) -> np.ndarray:
@@ -94,7 +97,7 @@ class TestTwoModeSqueezed:
         dm = two_mode_squeezed_dm(0.0, cutoff=10)
         expected = np.zeros((100, 100))
         expected[0, 0] = 1.0
-        assert np.array_equal(dm.entries, expected)
+        assert np.array_equal(dense(dm), expected)
 
     def test_overlap_with_double_vacuum(self):
         r = 0.5
@@ -105,13 +108,77 @@ class TestTwoModeSqueezed:
     def test_reduced_state_is_thermal(self):
         r = 0.5
         dm = two_mode_squeezed_dm(r, cutoff=30)
-        reduced = np.einsum("ikjk->ij", dm.entries.reshape(30, 30, 30, 30))
+        reduced = np.einsum("ikjk->ij", dense(dm).reshape(30, 30, 30, 30))
         thermal = thermal_dm(np.sinh(r) ** 2, cutoff=30)
         assert np.abs(reduced - thermal.entries).max() < 1e-12
 
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             two_mode_squeezed_dm(-1.0)
+
+
+class TestSupportStorage:
+    @pytest.mark.parametrize("cutoff", [10, 24])
+    def test_overlap_matches_dense_contraction(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        # A hand-built state whose support only partly meets the |kk> pairs.
+        support = np.array([1, cutoff + 1, 3 * cutoff + 3, cutoff - 1])
+        g = rng.normal(size=(4, 4))
+        block = g @ g.T / np.trace(g @ g.T)
+        dms = [two_mode_squeezed_dm(r, cutoff) for r in (0.0, 0.1, 0.3)]
+        dms.append(FockDensityMatrix(cutoff, block, 0.0, support))
+        for a in dms:
+            for b in dms:
+                expected = np.einsum("ij,ji->", dense(a), dense(b))
+                assert abs(overlap_fock(a, b) - expected) <= 1e-15
+
+    @pytest.mark.parametrize("r, cutoff", [(0.3, 10), (0.3, 24), (1.0, None)])
+    def test_block_holds_cutoff_squared_entries(self, r, cutoff):
+        dm = two_mode_squeezed_dm(r, cutoff)
+        assert dm.entries.nbytes == dm.cutoff**2 * 8
+        assert np.array_equal(dm.support, np.arange(dm.cutoff) * (dm.cutoff + 1))
+
+    @pytest.mark.parametrize("cutoff", [10, 24])
+    def test_full_against_support_stored_rejected(self, cutoff):
+        dm = two_mode_squeezed_dm(0.3, cutoff)
+        full = FockDensityMatrix(cutoff, dense(dm), dm.trace_deficit)
+        for a, b in ((full, dm), (dm, full), (thermal_dm(0.1, cutoff), dm)):
+            with pytest.raises(ValueError):
+                overlap_fock(a, b)
+
+    def test_cutoff_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            overlap_fock(two_mode_squeezed_dm(0.3, 10), two_mode_squeezed_dm(0.3, 24))
+
+
+class TestMeasureInFockBasis:
+    """1 - tr(rho rho_S)^2 / (tr rho^2 tr rho_S^2) for a TMSV and its copy
+    with mode A rotated by exp(-i theta n_A), formed in the number basis."""
+
+    @staticmethod
+    def fock_objective(r: float, theta: float) -> float:
+        rho = two_mode_squeezed_dm(r)
+        # exp(-i theta n_A) |kk> = exp(-i theta k) |kk>: same support.
+        phase = np.exp(-1j * theta * np.arange(rho.cutoff))
+        rotated = rho.entries * np.outer(phase, phase.conj())
+        rho_s = FockDensityMatrix(rho.cutoff, rotated, rho.trace_deficit, rho.support)
+        cross = overlap_fock(rho, rho_s)
+        return 1.0 - cross**2 / (overlap_fock(rho, rho) * overlap_fock(rho_s, rho_s))
+
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 4, np.pi / 2])
+    @pytest.mark.parametrize("r", [0.3, 0.5, 1.0])
+    def test_matches_theta_objective(self, r, theta):
+        expected = nfg_theta_objective(tmsv(r), theta)
+        assert self.fock_objective(r, theta) == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("r", [0.3, 0.5, 1.0])
+    def test_matches_measure_at_right_angle(self, r):
+        expected = nfg_two_mode(tmsv(r)).value
+        assert self.fock_objective(r, np.pi / 2) == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("r", [0.3, 0.5, 1.0])
+    def test_zero_angle_gives_zero(self, r):
+        assert abs(self.fock_objective(r, 0.0) - nfg_theta_objective(tmsv(r), 0.0)) <= 1e-13
 
 
 class TestMatrixInvariants:
