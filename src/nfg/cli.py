@@ -274,7 +274,7 @@ def cmd_sweep(grid: SweepGrid, out: str | None = None) -> int:
 
 def cmd_oracle_check(families: list[str] | None = None) -> int:
     """Compare phase-space overlaps against the Fock oracle; exit 0 iff all match."""
-    from .fock import oracle_rows  # only this subcommand pays for scipy.special
+    from .fock import oracle_rows  # only this subcommand pays for the Fock oracle's imports
 
     rows = oracle_rows(families)
     width = max(len(f"{r.family} {r.label}") for r in rows)

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .overlap import _chol_logdet
 from .states import (
@@ -84,10 +83,13 @@ class NfgResult:
     lower_bound_only: bool = False
 
 
+def _clamp(value: float) -> float:
+    return min(max(0.0, float(value)), _ONE_BELOW_1)  # max(0.0, -0.0) is +0.0
+
+
 def _result(value: float, method: str, theta, lower_bound_only: bool = False) -> NfgResult:
-    value = min(max(0.0, float(value)), _ONE_BELOW_1)  # max(0.0, -0.0) is +0.0
     theta = None if theta is None else np.atleast_1d(np.asarray(theta, float))
-    return NfgResult(value, method, theta, lower_bound_only)
+    return NfgResult(_clamp(value), method, theta, lower_bound_only)
 
 
 def nfg_closed_form(p: StandardFormParams) -> NfgResult:
@@ -122,24 +124,34 @@ def nfg_theta_objective(state: GaussianState, theta: float) -> float:
     return _objective(state.cm, np.array([theta]), _chol_logdet(state.cm)[1])
 
 
-def _block_value(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """1 - det(B - X)/det(B - X/2) with X = C^T A^{-1} C, for blocks A, B, C.
+def _schur_term(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X = C^T A^{-1} C, symmetrized."""
+    x = c.T @ np.linalg.solve(a, c)
+    return 0.5 * (x + x.T)
 
-    With L the Cholesky factor of B - X/2 the ratio is det(I - Y) for
-    Y = L^{-1} (X/2) L^{-T}, so the value is -expm1(sum log1p(-lambda(Y))).
+
+def _det_ratio_deficit(m: np.ndarray, y: np.ndarray) -> float:
+    """1 - det(M - Y)/det M for symmetric positive-definite M and Y >= 0.
+
+    With L the Cholesky factor of M the ratio is det(I - Z) for
+    Z = L^{-1} Y L^{-T}, so the value is -expm1(sum log1p(-lambda(Z))).
     This keeps full relative precision for weak correlations, where a
     difference of log-determinants cancels to nothing, and gives exactly
-    zero for C = 0 (as -0.0, which `_result` maps to +0.0).
+    zero for Y = 0 (as -0.0, which `_clamp` maps to +0.0).
     """
-    x = c.T @ np.linalg.solve(a, c)
-    half = 0.25 * (x + x.T)
-    chol = np.linalg.cholesky(b - half)
-    y = np.linalg.solve(chol, np.linalg.solve(chol, half).T)
-    # lambda = 1 means det(B - X) = 0, a pure state squeezed past double
+    chol = np.linalg.cholesky(m)
+    z = np.linalg.solve(chol, np.linalg.solve(chol, y).T)
+    # lambda = 1 means det(M - Y) = 0, a pure state squeezed past double
     # precision; rounding can push it just above 1.
-    lam = np.minimum(np.linalg.eigvalsh(y), 1.0)
+    lam = np.minimum(np.linalg.eigvalsh(z), 1.0)
     with np.errstate(divide="ignore"):
         return -float(np.expm1(np.sum(np.log1p(-lam))))
+
+
+def _block_value(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """1 - det(B - X)/det(B - X/2) with X = C^T A^{-1} C, for blocks A, B, C."""
+    half = 0.5 * _schur_term(a, c)
+    return _det_ratio_deficit(b - half, half)
 
 
 def nfg_two_mode(state: GaussianState) -> NfgResult:
@@ -156,21 +168,14 @@ def nfg_upper_bound(state: GaussianState) -> float:
     """Upper bound 1 - det(B - C^T A^{-1} C)/det B on the measure.
 
     The Schur complement B - C^T A^{-1} C is the covariance of B conditioned
-    on A; both determinants are computed from Cholesky factorizations and
-    combined in log space.  Exactly 0 for product states (C = 0); always
-    in [0, 1), clamped like `NfgResult` values.  A pure state squeezed past
-    double precision has a Schur complement that is singular or rounds to
-    indefinite, which is read as the clamped value just below 1.
+    on A.  The ratio goes through the same helper as the measure, so weak
+    correlations keep full relative precision and product states (C = 0)
+    give exactly 0.  Clamped into [0, 1) like `NfgResult` values: a pure
+    state squeezed past double precision has a singular Schur complement and
+    reads just below 1.
     """
-    a, b, ct = blocks(state)
-    cf = la.cho_factor(a, lower=True, check_finite=False)
-    schur = b - ct.T @ la.cho_solve(cf, ct, check_finite=False)
-    try:
-        logdet_schur = _chol_logdet(schur)[1]
-    except np.linalg.LinAlgError:
-        return _ONE_BELOW_1
-    value = -float(np.expm1(logdet_schur - _chol_logdet(b)[1]))
-    return min(max(0.0, value), _ONE_BELOW_1)
+    a, b, c = blocks(state)
+    return _clamp(_det_ratio_deficit(b, _schur_term(a, c)))
 
 
 def _objective(gamma: np.ndarray, thetas: np.ndarray, logdet_gamma: float) -> float:

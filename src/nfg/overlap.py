@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .states import GaussianState
 
@@ -36,19 +35,19 @@ class OverlapResult:
 
 
 def _chol_logdet(m: np.ndarray):
-    """Cholesky factor and log-determinant of a symmetric PD matrix."""
-    cf = cho_factor(0.5 * (m + m.T), lower=True, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-    return cf, logdet
+    """Lower Cholesky factor L of a symmetric PD matrix and its log-determinant,
+    2 sum log diag(L)."""
+    chol = np.linalg.cholesky(0.5 * (m + m.T))
+    return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def _log_overlap(v1, d1, v2, d2) -> float:
-    mid = 0.5 * (v1 + v2)
-    cf, logdet = _chol_logdet(mid)
+    chol, logdet = _chol_logdet(0.5 * (v1 + v2))
     log = -0.5 * logdet
     delta = d1 - d2
     if delta.any():
-        log -= 0.5 * float(delta @ cho_solve(cf, delta, check_finite=False))
+        z = np.linalg.solve(chol, delta)  # delta^T mid^{-1} delta = z.z
+        log -= 0.5 * float(z @ z)
     return log
 
 

@@ -14,11 +14,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-import scipy.linalg as la
 
 __all__ = [
     "DEFAULT_TOL",
@@ -266,12 +265,14 @@ def williamson(gamma, degeneracy_tol: float = 1e-8) -> WilliamsonDecomposition:
 
     The computation sandwiches the symplectic form between the inverse square
     root of Gamma: ``W = Gamma^{-1/2} Delta Gamma^{-1/2}`` is skew-symmetric,
-    and its real Schur form is block diagonal with 2x2 blocks
-    ``[[0, 1/nu], [-1/nu, 0]]`` (each block is one conjugate pair of the
-    equivalent Hermitian eigenproblem).  After fixing block orientations and
-    order, ``S = D^{1/2} O^T Gamma^{-1/2}`` is symplectic by construction.
-    This route is stable for positive-definite input and needs no special
-    casing for degenerate spectra.
+    so ``iW`` is Hermitian with eigenvalues +-1/nu_i.  One Hermitian
+    eigensolve gives them in ascending order, so the top n are 1/nu in
+    descending nu.  An eigenvector x + iy of +1/nu satisfies W x = y/nu and
+    W y = -x/nu with x orthogonal to y and |x| = |y|: each eigenspace of +1/nu
+    is orthogonal to its conjugate, the eigenspace of -1/nu, even when it is
+    degenerate.  The columns sqrt(2) (x, -y) therefore form an orthogonal O
+    with O^T W O = direct_sum [[0, 1/nu], [-1/nu, 0]], and
+    ``S = D^{1/2} O^T Gamma^{-1/2}`` is symplectic by construction.
 
     ``degeneracy_flag`` is set when two consecutive eigenvalues agree within
     ``degeneracy_tol`` (relative); `nfg_numeric` uses it to report that the
@@ -286,21 +287,11 @@ def williamson(gamma, degeneracy_tol: float = 1e-8) -> WilliamsonDecomposition:
         raise ValueError("covariance matrix must be positive definite")
     root_inv = (evecs * evals**-0.5) @ evecs.T
     w = root_inv @ symplectic_form(n) @ root_inv
-    w = 0.5 * (w - w.T)
-    t, z = la.schur(w, output="real")
-    b = np.empty(n)
-    for i in range(n):
-        bi = t[2 * i, 2 * i + 1]
-        if bi < 0.0:  # swap the pair to flip the block orientation
-            z[:, [2 * i, 2 * i + 1]] = z[:, [2 * i + 1, 2 * i]]
-            bi = -bi
-        b[i] = bi
-    nus = 1.0 / b
-    order = np.argsort(-nus, kind="stable")
-    nus = nus[order]
-    cols = np.empty_like(z)
-    for k, i in enumerate(order):
-        cols[:, 2 * k : 2 * k + 2] = z[:, 2 * i : 2 * i + 2]
+    inv_nus, v = np.linalg.eigh(0.5j * (w - w.T))
+    nus = 1.0 / inv_nus[n:]
+    cols = np.empty((2 * n, 2 * n))
+    cols[:, 0::2] = np.sqrt(2.0) * v[:, n:].real
+    cols[:, 1::2] = -np.sqrt(2.0) * v[:, n:].imag
     s = np.repeat(np.sqrt(nus), 2)[:, None] * (cols.T @ root_inv)
     degenerate = bool(
         np.any(np.abs(np.diff(nus)) <= degeneracy_tol * np.maximum(nus[:-1], 1.0))

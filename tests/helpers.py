@@ -21,9 +21,10 @@ def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.4) -> n
     return la.expm(symplectic_form(n) @ (0.5 * (h + h.T)))
 
 
-def random_cm(rng: np.random.Generator, n: int, nu_max: float = 3.0) -> np.ndarray:
-    """Random physical CM: symplectic conjugation of a Williamson form."""
-    nus = rng.uniform(1.0, nu_max, n)
+def random_cm(rng: np.random.Generator, n: int, nu_max: float = 3.0, nus=None) -> np.ndarray:
+    """Random physical CM: symplectic conjugation of a Williamson form, with
+    symplectic eigenvalues `nus` or, by default, drawn from [1, nu_max)."""
+    nus = rng.uniform(1.0, nu_max, n) if nus is None else np.asarray(nus, float)
     s = random_symplectic(rng, n)
     cm = s @ np.diag(np.repeat(nus, 2)) @ s.T
     return 0.5 * (cm + cm.T)

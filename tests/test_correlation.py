@@ -194,6 +194,18 @@ class TestUpperBound:
         state = random_state(rng, 2, 1)
         assert 0.0 <= nfg_upper_bound(state) < 1.0
 
+    @pytest.mark.parametrize("c", [1e-3, 1e-5, 1e-7, 1e-8, 1e-9])
+    def test_weak_correlations_keep_relative_precision(self, c):
+        # Standard form: 1 - det(B - X)/det B = (ab(c^2 + d^2) - c^2 d^2)/(ab)^2,
+        # which has no cancellation.  A difference of log-determinants loses
+        # every digit here and falls to 0, below the measure itself.
+        a, b, d = 3.0, 2.0, -c / 2
+        state = state_from_params(StandardFormParams(a, b, c, d))
+        exact = (a * b * (c * c + d * d) - c * c * d * d) / (a * b) ** 2
+        bound = nfg_upper_bound(state)
+        assert bound == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert bound >= nfg_two_mode(state).value
+
     @pytest.mark.parametrize("n_bar", [1e6, 1e8, 1e13])
     def test_pure_state_squeezed_past_double_precision(self, n_bar):
         state = tmsv(np.arcsinh(np.sqrt(n_bar)))

@@ -158,16 +158,29 @@ class TestWilliamson:
         assert dec.nus == pytest.approx([1.0, 1.0], abs=1e-10)
         assert dec.degeneracy_flag
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_random_reconstruction(self, rng, n):
+    @pytest.mark.parametrize(
+        "spectrum",
+        [1, 2, 3]
+        + [
+            pytest.param(nus, id="degenerate-" + "-".join(map(str, nus)))
+            for nus in [(1.0, 1.0), (2.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 1.5)]
+        ],
+    )
+    def test_random_reconstruction(self, rng, spectrum):
+        # An int is a mode count with random symplectic eigenvalues; a tuple
+        # fixes a degenerate spectrum under random symplectic conjugations.
+        degenerate = not isinstance(spectrum, int)
+        n = len(spectrum) if degenerate else spectrum
         for _ in range(20):
-            g = random_cm(rng, n)
+            g = random_cm(rng, n, nus=spectrum if degenerate else None)
             dec = williamson(g)
             target = np.diag(np.repeat(dec.nus, 2))
             assert np.abs(dec.s @ g @ dec.s.T - target).max() < 1e-8
             assert is_symplectic(dec.s, tol=1e-8)
             assert np.all(np.diff(dec.nus) <= 1e-12)
             assert np.all(dec.nus >= 1.0 - 1e-9)
+            if degenerate:
+                assert dec.degeneracy_flag
 
     def test_non_positive_definite_rejected(self):
         with pytest.raises(ValueError):
