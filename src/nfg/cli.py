@@ -42,7 +42,7 @@ from .correlation import (
     nfg_two_mode,
     nfg_upper_bound,
 )
-from .families import SweepGrid, sweep
+from .families import SweepGrid, _sweep_columns
 from .states import GaussianState, standard_form, validate_cm
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 CSV_HEADER = "n_bar,mu,nfg,dg,q,nfg_minus_dg,nfg_minus_q"
+_CSV_ROW = ",".join("%.17g" for _ in CSV_HEADER.split(","))
 
 
 class ParseError(Exception):
@@ -254,13 +255,14 @@ _FIGURE_GRIDS = {
 
 
 def cmd_sweep(grid: SweepGrid, out: str | None = None) -> int:
-    """Evaluate the closed forms on a grid and emit CSV (stdout or --out file)."""
-    lines = [CSV_HEADER]
-    for r in sweep(grid):
-        lines.append(
-            ",".join(_g(v) for v in (r.n_bar, r.mu, r.nfg, r.dg, r.q, r.nfg_minus_dg, r.nfg_minus_q))
-        )
-    text = "\n".join(lines) + "\n"
+    """Evaluate the closed forms on a grid and emit CSV (stdout or --out file).
+
+    Rows are formatted straight from the grid's columns, one ``%.17g`` format
+    per row (the same digits as ``_g``), and the text is written at once; an
+    invalid grid raises before any file is opened.
+    """
+    columns = (c.tolist() for c in _sweep_columns(grid))
+    text = "\n".join([CSV_HEADER, *(_CSV_ROW % row for row in zip(*columns))]) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:

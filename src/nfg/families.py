@@ -17,6 +17,12 @@ P = (1-mu)(1+mu) + u*eps  (an exact rewrite of 1 - us):
 Every factor is positive and bounded away from cancellation on the whole
 parameter range, so the values degrade gracefully to the n_bar -> infinity
 limits (eps -> 0) instead of losing digits.
+
+Each closed form has one implementation, written with + - * / and sqrt only,
+so it runs element-wise on a float or on an array.  The point functions pass
+one (n_bar, mu) pair; ``sweep`` and ``nfg sweep`` pass the whole grid as
+arrays.  IEEE arithmetic rounds every element as it rounds the same scalar,
+so a grid value equals the point value bit for bit.
 """
 
 from __future__ import annotations
@@ -54,10 +60,18 @@ class SstsParams:
     mu: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.n_bar) and self.n_bar >= 0.0):
+        if not _n_bar_ok(self.n_bar):
             raise ValueError(f"n_bar must be finite and >= 0, got {self.n_bar}")
-        if not (np.isfinite(self.mu) and 0.0 <= self.mu <= 1.0):
+        if not _mu_ok(self.mu):
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
+
+
+def _n_bar_ok(n_bar):
+    return np.isfinite(n_bar) & (n_bar >= 0.0)
+
+
+def _mu_ok(mu):
+    return np.isfinite(mu) & (mu >= 0.0) & (mu <= 1.0)
 
 
 def ssts(p: SstsParams) -> GaussianState:
@@ -79,19 +93,36 @@ def tmsv(r: float) -> GaussianState:
     return state_from_params(StandardFormParams(ch, ch, sh, -sh))
 
 
-def _split(p: SstsParams) -> tuple[float, float, float, float]:
+def _split(n_bar, mu):
     """Common stable ingredients (eps, u, us, P) of the closed forms."""
-    t = 1.0 + 2.0 * p.n_bar
+    t = 1.0 + 2.0 * n_bar
     eps = 1.0 / (t * t)
-    u = p.mu * p.mu
+    u = mu * mu
     us = u * (1.0 - eps)
-    big_p = (1.0 - p.mu) * (1.0 + p.mu) + u * eps  # = 1 - us, cancellation-free
+    big_p = (1.0 - mu) * (1.0 + mu) + u * eps  # = 1 - us, cancellation-free
     return eps, u, us, big_p
 
 
-def _nfg_from_us(us: float, big_p: float) -> float:
+def _nfg_from_us(us, big_p):
     q = 1.0 - 0.5 * us
     return us * (big_p + q) / (2.0 * q * q)
+
+
+def _nfg(n_bar, mu):
+    _, _, us, big_p = _split(n_bar, mu)
+    return _nfg_from_us(us, big_p)
+
+
+def _dg(n_bar, mu):
+    eps, u, us, big_p = _split(n_bar, mu)
+    root_w = np.sqrt((4.0 - 3.0 * u) + 3.0 * u * eps)
+    return 6.0 * us * eps / (big_p * (2.0 + root_w) * (1.0 + root_w))
+
+
+def _q(n_bar, mu):
+    u = mu * mu
+    omu = (1.0 - mu) * (1.0 + mu)
+    return 2.0 * n_bar * u / ((1.0 + 2.0 * n_bar * omu) * (1.0 + 2.0 * n_bar))
 
 
 def nfg_ssts(p: SstsParams) -> float:
@@ -101,8 +132,7 @@ def nfg_ssts(p: SstsParams) -> float:
     evaluated as us*(P+Q)/(2Q^2), which is exact at mu = 0 and keeps full
     precision as n_bar -> infinity.
     """
-    _, _, us, big_p = _split(p)
-    return _nfg_from_us(us, big_p)
+    return _nfg(p.n_bar, p.mu)
 
 
 def dg_ssts(p: SstsParams) -> float:
@@ -113,9 +143,7 @@ def dg_ssts(p: SstsParams) -> float:
     whose factors never cancel (the raw difference loses all digits once the
     two terms agree to ~1e-16, which happens already at moderate n_bar).
     """
-    eps, u, us, big_p = _split(p)
-    root_w = np.sqrt((4.0 - 3.0 * u) + 3.0 * u * eps)
-    return 6.0 * us * eps / (big_p * (2.0 + root_w) * (1.0 + root_w))
+    return _dg(p.n_bar, p.mu)
 
 
 def q_ssts(p: SstsParams) -> float:
@@ -124,9 +152,7 @@ def q_ssts(p: SstsParams) -> float:
     Algebraically 1/(1 + 2 n_bar (1-mu^2)) - 1/(1 + 2 n_bar), evaluated over
     the common denominator so nothing cancels.
     """
-    n, u = p.n_bar, p.mu * p.mu
-    omu = (1.0 - p.mu) * (1.0 + p.mu)
-    return 2.0 * n * u / ((1.0 + 2.0 * n * omu) * (1.0 + 2.0 * n))
+    return _q(p.n_bar, p.mu)
 
 
 def nfg_ssts_limit(mu: float) -> float:
@@ -175,18 +201,31 @@ class SweepRow:
     nfg_minus_q: float
 
 
-def sweep(grid: SweepGrid) -> list[SweepRow]:
-    """Evaluate all closed forms on the grid, n_bar outer, mu inner.
+def _sweep_columns(grid: SweepGrid) -> tuple[np.ndarray, ...]:
+    """The seven CSV columns (n_bar, mu, nfg, dg, q, nfg - dg, nfg - q) of the
+    grid, n_bar outer, mu inner, as flat float arrays.
 
-    The difference columns are computed from the value columns of the same
-    row, so they agree with them exactly.
+    The two axes are validated once, n_bar first: an invalid value raises the
+    ValueError that SstsParams raises for the first bad n_bar, else for the
+    first bad mu.  That is also the first bad point in grid order, because an
+    n_bar axis whose first value is valid stays valid.
     """
     n_axis = np.linspace(grid.n_bar_min, grid.n_bar_max, grid.n_bar_steps)
     mu_axis = np.linspace(grid.mu_min, grid.mu_max, grid.mu_steps)
-    rows = []
-    for n in n_axis:
-        for mu in mu_axis:
-            p = SstsParams(float(n), float(mu))
-            nfg, dg, q = nfg_ssts(p), dg_ssts(p), q_ssts(p)
-            rows.append(SweepRow(p.n_bar, p.mu, nfg, dg, q, nfg - dg, nfg - q))
-    return rows
+    bad_n, bad_mu = ~_n_bar_ok(n_axis), ~_mu_ok(mu_axis)
+    if bad_n.any() or bad_mu.any():  # let SstsParams raise its own message
+        SstsParams(float(n_axis[bad_n.argmax()]), float(mu_axis[bad_mu.argmax()]))
+    n_bar, mu = (x.ravel() for x in np.meshgrid(n_axis, mu_axis, indexing="ij"))
+    nfg, dg, q = _nfg(n_bar, mu), _dg(n_bar, mu), _q(n_bar, mu)
+    return n_bar, mu, nfg, dg, q, nfg - dg, nfg - q
+
+
+def sweep(grid: SweepGrid) -> list[SweepRow]:
+    """Evaluate all closed forms on the grid, n_bar outer, mu inner.
+
+    The grid is evaluated at once as arrays (`_sweep_columns`); every field
+    is a float equal bit for bit to the point functions, and the difference
+    columns agree exactly with the value columns of the same row.
+    """
+    columns = (c.tolist() for c in _sweep_columns(grid))
+    return [SweepRow(*row) for row in zip(*columns)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -26,6 +27,43 @@ def state_doc(cm, n_a, n_b, mean=None):
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+#: A 57 x 33 grid whose n_bar axis reaches 1e13.
+HUGE_GRID = ["--n-bar-max", "1e13", "--n-bar-steps", "57", "--mu-steps", "33"]
+
+#: Byte length and SHA-256 of `nfg sweep` CSVs, recorded with the earlier
+#: point-by-point implementation (one SstsParams and one f-string per value).
+GOLDEN_SWEEPS = {
+    "figure-1": (
+        ["--figure", "1"],
+        314299, "06675975653bbf5d35e1f85be049600aa60152973cce5ae6ab735e9fef3564b7",
+    ),
+    "figure-2": (
+        ["--figure", "2"],
+        333440, "e2dbe83f203e49aad16831c7ffb9ec1336a051ff26132598e28214f98b8c12f7",
+    ),
+    "figure-3": (
+        ["--figure", "3"],
+        314299, "06675975653bbf5d35e1f85be049600aa60152973cce5ae6ab735e9fef3564b7",
+    ),
+    "figure-4": (
+        ["--figure", "4"],
+        333440, "e2dbe83f203e49aad16831c7ffb9ec1336a051ff26132598e28214f98b8c12f7",
+    ),
+    "101x101-low": (
+        ["--n-bar-max", "52.5", "--n-bar-steps", "101", "--mu-steps", "101"],
+        1387603, "c10f56e0ba98b89869500affbd50c1943215d7bf725b895a314b377b2f87e106",
+    ),
+    "101x101-high": (
+        ["--n-bar-min", "100000", "--n-bar-max", "100525", "--n-bar-steps", "101", "--mu-steps", "101"],
+        1341513, "6989413558fb7ea76643e42ede20916d0a68e73fc78ae41f40f1580fafb55f49",
+    ),
+    "n-bar-1e13": (
+        HUGE_GRID,
+        235709, "1610de4518758d0f8c9afb34fb7ad35bfc8d1c322e0d745712298e9e1689aa3e",
+    ),
+}  # fmt: skip
 
 
 class TestStateRoundTrip:
@@ -221,6 +259,43 @@ class TestSweepCommand:
     def test_degenerate_grid_exits_two(self, capsys):
         assert main(["sweep", "--n-bar-min", "5", "--n-bar-max", "1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--n-bar-min", "-1", "--n-bar-max", "1"], "n_bar must be finite and >= 0, got -1.0"),
+            (["--mu-max", "1.5"], "mu must lie in [0, 1], got 1.02"),
+            (["--mu-min", "-0.5", "--mu-max", "0.5"], "mu must lie in [0, 1], got -0.5"),
+        ],
+    )
+    def test_bad_grid_point_exits_one_without_output(self, capsys, tmp_path, args, message):
+        out = tmp_path / "bad.csv"
+        assert main(["sweep", *args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, size, sha256", list(GOLDEN_SWEEPS.values()), ids=list(GOLDEN_SWEEPS)
+    )
+    def test_csv_bytes_are_pinned(self, tmp_path, args, size, sha256):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *args, "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha256)
+
+    def test_every_row_up_to_n_bar_1e13_matches_point_functions(self, tmp_path):
+        out = tmp_path / "huge.csv"
+        assert main(["sweep", *HUGE_GRID, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 57 * 33
+        assert float(rows[-1].split(",")[0]) == 1e13
+        for row in rows:
+            n_bar, mu, nfg, dg, q, nfg_minus_dg, nfg_minus_q = map(float, row.split(","))
+            p = SstsParams(n_bar, mu)
+            assert (nfg, dg, q) == (nfg_ssts(p), dg_ssts(p), q_ssts(p))
+            assert (nfg_minus_dg, nfg_minus_q) == (nfg - dg, nfg - q)
 
 
 class TestOracleCheckCommand:

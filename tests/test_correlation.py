@@ -194,6 +194,18 @@ class TestUpperBound:
         state = random_state(rng, 2, 1)
         assert 0.0 <= nfg_upper_bound(state) < 1.0
 
+    @pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_equals_overlap_distance_to_parity_on_a(self, rng, n_a, n_b):
+        # Parity on A (S = -I) is the rotation by pi of every A mode.  Applied
+        # as a unitary and scored with the overlap distance, it shares no code
+        # with the determinant-ratio helper behind the bound.
+        parity = GaussianUnitary(-np.eye(2 * n_a))
+        for _ in range(40):
+            state = random_state(rng, n_a, n_b)
+            flipped = apply_gaussian_unitary(state, parity, "A")
+            expected = c_squared(state, flipped)
+            assert nfg_upper_bound(state) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("c", [1e-3, 1e-5, 1e-7, 1e-8, 1e-9])
     def test_weak_correlations_keep_relative_precision(self, c):
         # Standard form: 1 - det(B - X)/det B = (ab(c^2 + d^2) - c^2 d^2)/(ab)^2,

@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from nfg import (
     SstsParams,
     SweepGrid,
+    SweepRow,
     dg_ssts,
     nfg_ssts,
     nfg_ssts_limit,
@@ -178,6 +181,30 @@ class TestSweep:
             assert row.nfg == nfg_ssts(p)
             assert row.dg == dg_ssts(p)
             assert row.q == q_ssts(p)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            SweepGrid(0.0, 2.0, 3, 0.0, 1.0, 4),
+            SweepGrid(0.0, 52.5, 21, 0.0, 1.0, 17),
+            SweepGrid(1e5, 1e5 + 525.0, 9, 0.1, 0.9, 11),
+            SweepGrid(0.0, 1e13, 13, 0.0, 1.0, 7),
+        ],
+        ids=["small", "low", "high", "1e13"],
+    )
+    def test_contract(self, grid):
+        rows = sweep(grid)
+        assert type(rows) is list
+        n_axis = np.linspace(grid.n_bar_min, grid.n_bar_max, grid.n_bar_steps).tolist()
+        mu_axis = np.linspace(grid.mu_min, grid.mu_max, grid.mu_steps).tolist()
+        assert [(row.n_bar, row.mu) for row in rows] == [(n, mu) for n in n_axis for mu in mu_axis]
+        for row in rows:
+            assert type(row) is SweepRow
+            assert all(type(getattr(row, f.name)) is float for f in fields(SweepRow))
+            assert row.nfg_minus_dg == row.nfg - row.dg
+            assert row.nfg_minus_q == row.nfg - row.q
+            p = SstsParams(row.n_bar, row.mu)
+            assert (row.nfg, row.dg, row.q) == (nfg_ssts(p), dg_ssts(p), q_ssts(p))
 
     def test_degenerate_grids_rejected(self):
         with pytest.raises(ValueError):
