@@ -27,6 +27,23 @@ sits at theta = (pi/2, ..., pi/2):
 X is unchanged by local symplectics on A, so the value needs no Williamson
 rotation.  For (1+1) modes this is `nfg_closed_form`; `nfg_theta_objective`
 keeps the literal rotation as an independent check.
+
+Degenerate A spectra and the phase convention.  When symplectic eigenvalues
+of A coincide, the stabilizer of rho_A is larger than the single-mode
+rotations.  In A's Williamson frame it is block diagonal over the groups g
+of equal nu_g, each block O_g a passive (orthogonal symplectic) map, that is
+an element of U(k_g).  (G+G_S)/2 then has A block A and cross block M C with
+M = (I + O)/2, so
+
+    det((G+G_S)/2) = det A * det(B - sum_g C_g^T M_g^T M_g C_g / nu_g),
+
+and M_g^T M_g = (I + sym O_g)/2 >= I/2 whenever every eigenphase of O_g lies
+in [-pi/2, pi/2].  Within that range the block value is therefore the
+supremum over the whole stabilizer, attained at O = rotation by pi/2 on
+every mode (U = i I).  That phase range is this package's convention: the
+definition fixes none, and with eigenphases up to pi the objective climbs
+further, to `nfg_upper_bound` at parity on A.  The tests sample U(k)
+stabilizers on planted degenerate spectra against it.
 """
 
 from __future__ import annotations
@@ -71,10 +88,11 @@ class NfgResult:
     ``optimizer_theta`` holds the rotation angle(s) attaining the reported
     value, one per A mode and always pi/2: the objective rises in every
     angle.  ``lower_bound_only`` is set when a degenerate A spectrum makes the
-    stabilizer group larger than the rotation family the value is the
-    supremum over (see `nfg_numeric`), in which case ``value`` is a certified
-    lower bound rather than a certified supremum.  Values are clamped into
-    [0, 1) at double precision.
+    stabilizer group larger than the rotation family (see `nfg_numeric`).
+    Under the phase convention of the module notes, every stabilizer
+    eigenphase within [-pi/2, pi/2], ``value`` is still the supremum over the
+    whole stabilizer; without that convention it is only a lower bound.
+    Values are clamped into [0, 1) at double precision.
     """
 
     value: float
@@ -115,13 +133,13 @@ def nfg_theta_objective(state: GaussianState, theta: float) -> float:
     a state in standard form this equals
     1 - (ab-c^2)(ab-d^2) / ((ab-c^2*n0)(ab-d^2*n0)) with n0 = (1+cos theta)/2,
     so it is 0 at theta = 0 and reaches the closed-form value at theta = pi/2,
-    nondecreasing in between.
+    nondecreasing in between.  Clamped into [0, 1) like `NfgResult` values.
     """
     if state.n_a != 1 or state.n_b != 1:
         raise ValueError("theta objective is defined for (1+1)-mode states")
     if not 0.0 <= theta <= np.pi / 2 + 1e-12:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    return _objective(state.cm, np.array([theta]), _chol_logdet(state.cm)[1])
+    return _clamp(_objective(state.cm, np.array([theta]), _chol_logdet(state.cm)[1]))
 
 
 def _schur_term(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -221,7 +239,10 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
 
     When the A-block symplectic spectrum is degenerate the stabilizer group
     is strictly larger than this rotation family, so the result is flagged
-    ``lower_bound_only``.
+    ``lower_bound_only``.  The value is then still the supremum over every
+    stabilizer U(k_g) on the degenerate groups whose eigenphases lie in
+    [-pi/2, pi/2]: M^T M = (I + sym O)/2 >= I/2 bounds the determinant (see
+    the module notes), with equality at U = i I.
     """
     if state.n_a < 1 or state.n_b < 1:
         raise ValueError("numeric search needs at least one mode on each side")

@@ -36,8 +36,23 @@ class OverlapResult:
 
 def _chol_logdet(m: np.ndarray):
     """Lower Cholesky factor L of a symmetric PD matrix and its log-determinant,
-    2 sum log diag(L)."""
-    chol = np.linalg.cholesky(0.5 * (m + m.T))
+    2 sum log diag(L).
+
+    The matrices passed here are physical covariance matrices or means of
+    two, so a failed factorization means the matrix is singular at double
+    precision: a pure state squeezed so far that it is stored with
+    det Gamma = 0 (the TMSV at n_bar = 1e10 already).  That raises a
+    `ValueError` saying so, since no overlap of such a state is defined in
+    floating point.
+    """
+    try:
+        chol = np.linalg.cholesky(0.5 * (m + m.T))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            "covariance matrix is singular at double precision "
+            "(a pure state squeezed past what float64 resolves); "
+            "its overlaps are undefined"
+        ) from exc
     return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 

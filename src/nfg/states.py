@@ -80,6 +80,25 @@ class ValidationReport:
     physical: bool
 
 
+def _verdict(g: np.ndarray, tol: float) -> tuple[bool, np.ndarray, bool]:
+    """The `validate_cm` verdict of a square, even, finite `g`:
+    ``(symmetric, gs, physical)`` with ``gs`` the symmetric part of `g`.
+
+    It runs the one eigensolve the verdict needs, the Hermitian one of the
+    equilibrated Simon matrix; `validate_cm` adds the report-only ones.
+    """
+    scale = max(1.0, float(np.abs(g).max()))
+    symmetric = float(np.abs(g - g.T).max()) <= tol * scale
+    gs = 0.5 * (g + g.T)
+    diag = np.diag(gs)
+    physical = bool(symmetric and np.all(diag > 0.0))
+    if physical:
+        root = 1.0 / np.sqrt(diag)
+        simon = (gs + 1j * symplectic_form(g.shape[0] // 2)) * np.outer(root, root)
+        physical = bool(np.linalg.eigvalsh(simon)[0] >= -tol)
+    return symmetric, gs, physical
+
+
 def validate_cm(gamma, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check whether `gamma` is a physical covariance matrix.
 
@@ -96,21 +115,18 @@ def validate_cm(gamma, tol: float = DEFAULT_TOL) -> ValidationReport:
     precision (n_bar >~ 1e8) is stored as a singular matrix, so it can read
     not positive definite with nu_min ~ 0 and still be physical within
     ``tol``.
+
+    Only the Simon eigensolve decides ``physical``; the symplectic spectrum
+    and ``positive_definite`` take two more eigensolves and serve the report.
+    `GaussianState` therefore checks the verdict alone on construction and
+    builds this full report only to explain a rejection.
     """
     g = _as_square_even(gamma, "covariance matrix")
-    scale = max(1.0, float(np.abs(g).max()))
-    symmetric = float(np.abs(g - g.T).max()) <= tol * scale
-    gs = 0.5 * (g + g.T)
+    symmetric, gs, physical = _verdict(g, tol)
     delta = symplectic_form(g.shape[0] // 2)
     moduli = np.sort(np.abs(np.linalg.eigvals(delta @ gs)))
     nus = moduli[::2][::-1]  # pairs collapse to one entry each, descending
     positive_definite = bool(np.linalg.eigvalsh(gs)[0] > 0.0)
-    diag = np.diag(gs)
-    physical = bool(symmetric and np.all(diag > 0.0))
-    if physical:
-        root = 1.0 / np.sqrt(diag)
-        simon = (gs + 1j * delta) * np.outer(root, root)
-        physical = bool(np.linalg.eigvalsh(simon)[0] >= -tol)
     nus = nus.copy()
     nus.flags.writeable = False
     return ValidationReport(symmetric, nus, positive_definite, physical)
@@ -135,8 +151,11 @@ class GaussianState:
 
     ``cm`` is 2(n_a+n_b) x 2(n_a+n_b) with the block layout
     ``[[A, C], [C^T, B]]`` where A covers the first 2*n_a rows.  ``mean``
-    defaults to zero.  Construction validates physicality and freezes the
-    arrays; instances are immutable and safe to share between threads.
+    defaults to zero.  Construction checks the Simon verdict of `validate_cm`
+    at `DEFAULT_TOL`, one Hermitian eigensolve, and freezes the arrays; the
+    full report is built only to explain a rejection.  Every state, including
+    the outputs of `apply_gaussian_unitary` and `apply_channel`, is checked
+    this way.  Instances are immutable and safe to share between threads.
     """
 
     cm: np.ndarray
@@ -159,8 +178,8 @@ class GaussianState:
             raise ValueError(f"mean must have length {dim}, got {mean.shape}")
         if not np.all(np.isfinite(mean)):
             raise ValueError("mean has non-finite entries")
-        report = validate_cm(g)
-        if not report.physical:
+        if not _verdict(g, DEFAULT_TOL)[2]:
+            report = validate_cm(g)
             raise ValueError(
                 "covariance matrix is not physical "
                 f"(symmetric={report.symmetric}, "
@@ -230,7 +249,8 @@ def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str =
     """Apply a Gaussian unitary to one side of the partition, or globally.
 
     For side "A" or "B" the other block of the covariance matrix is carried
-    over untouched (bit for bit).  The output is revalidated on construction.
+    over untouched (bit for bit).  The output goes through the `GaussianState`
+    constructor, so its Simon verdict is checked again.
     """
     ka = 2 * state.n_a
     s, m = u.s, u.m

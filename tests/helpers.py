@@ -101,3 +101,60 @@ def brute_force_nfg(state: GaussianState, points: int) -> np.ndarray:
 def rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, s], [-s, c]])
+
+
+def planted_degenerate_state(rng: np.random.Generator, n_a: int, n_b: int) -> GaussianState:
+    """Random (n_a+n_b)-mode state whose A block has the symplectic spectrum
+    nu (n_a-fold), under random local symplectics on A and on B.
+
+    A random CM is brought to A's Williamson frame, its A block is raised to
+    nu I with nu the largest symplectic eigenvalue of A (adding the noise
+    diag(nu - nu_i) on A keeps it physical), and the local symplectics are
+    applied last.
+    """
+    ka = 2 * n_a
+    g = random_cm(rng, n_a + n_b)
+    w = williamson(g[:ka, :ka])
+    s = la.block_diag(w.s, np.eye(g.shape[0] - ka))
+    g = s @ g @ s.T
+    g[:ka, :ka] = w.nus[0] * np.eye(ka)
+    s = la.block_diag(random_symplectic(rng, n_a), random_symplectic(rng, n_b))
+    g = s @ g @ s.T
+    return GaussianState(0.5 * (g + g.T), n_a, n_b)
+
+
+def haar_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Haar-random k x k unitary: QR of a complex Gaussian matrix, with the
+    phases of R's diagonal moved onto Q."""
+    z = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def passive_stabilizer(s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The passive unitary U on A's modes as a symplectic acting on A.
+
+    With a = (q + ip)/sqrt(2) and U = X + iY, a -> U a maps q -> Xq - Yp and
+    p -> Yq + Xp, a real orthogonal symplectic O in interleaved (q, p) order.
+    ``s`` is A's Williamson symplectic (s A s^T = nu I), and S^{-1} O S
+    leaves A invariant because O commutes with nu I.  U = e^{i phi} on one
+    mode is `rotation(-phi)`.
+    """
+    k = u.shape[0]
+    o = np.empty((2 * k, 2 * k))
+    o[0::2, 0::2] = o[1::2, 1::2] = u.real
+    o[0::2, 1::2] = -u.imag
+    o[1::2, 0::2] = u.imag
+    return np.linalg.solve(s, o @ s)
+
+
+def random_passive_stabilizer(
+    rng: np.random.Generator, s: np.ndarray, max_phase: float = np.pi / 2
+) -> np.ndarray:
+    """`passive_stabilizer` of U = V e^{i phi} V^dagger, V Haar-random and the
+    eigenphases phi uniform in [-max_phase, max_phase]."""
+    k = s.shape[0] // 2
+    v = haar_unitary(rng, k)
+    phases = rng.uniform(-max_phase, max_phase, k)
+    return passive_stabilizer(s, (v * np.exp(1j * phases)) @ v.conj().T)

@@ -28,8 +28,11 @@ from nfg import (
 
 from helpers import (
     brute_force_nfg,
+    passive_stabilizer,
+    planted_degenerate_state,
     random_channel,
     random_dilation,
+    random_passive_stabilizer,
     random_state,
     random_symplectic,
     rotation,
@@ -89,6 +92,11 @@ class TestThetaObjective:
             state = state_from_params(params)
             vals = [nfg_theta_objective(state, t) for t in np.linspace(0.0, np.pi / 2, 100)]
             assert np.all(np.diff(vals) >= -1e-12)
+
+    @pytest.mark.parametrize("n_bar", [1e6, 1e8])
+    def test_stays_below_one_for_states_squeezed_to_the_limit(self, n_bar):
+        state = tmsv(np.arcsinh(np.sqrt(n_bar)))
+        assert nfg_theta_objective(state, 0.5) == np.nextafter(1.0, 0.0)
 
     def test_out_of_range_rejected(self):
         state = tmsv(0.3)
@@ -306,6 +314,40 @@ class TestNumeric:
     def test_bad_partition_rejected(self, rng):
         with pytest.raises(ValueError):
             nfg_numeric(random_state(rng, 1, 0))
+
+
+class TestPassiveStabilizers:
+    """The block value against the whole stabilizer of a degenerate A block:
+    U(n_a) on A's Williamson frame, eigenphases within [-pi/2, pi/2]."""
+
+    @pytest.mark.parametrize("n_a, n_b", [(2, 1), (2, 2), (3, 1)])
+    def test_no_draw_beats_the_block_value(self, rng, n_a, n_b):
+        for _ in range(5):
+            state = planted_degenerate_state(rng, n_a, n_b)
+            res = nfg_numeric(state)
+            assert res.lower_bound_only
+            a = state.cm[: 2 * n_a, : 2 * n_a]
+            s = williamson(a).s
+            for _ in range(40):
+                u = GaussianUnitary(random_passive_stabilizer(rng, s))
+                moved = apply_gaussian_unitary(state, u, "A")
+                assert np.abs(moved.cm[: 2 * n_a, : 2 * n_a] - a).max() <= 1e-9 * np.abs(a).max()
+                assert c_squared(state, moved) <= res.value + 1e-12
+
+    @pytest.mark.parametrize("n_a, n_b", [(2, 1), (2, 2), (3, 1)])
+    def test_value_attained_at_i_times_identity(self, rng, n_a, n_b):
+        for _ in range(5):
+            state = planted_degenerate_state(rng, n_a, n_b)
+            value = nfg_numeric(state).value
+            s = williamson(state.cm[: 2 * n_a, : 2 * n_a]).s
+            at_i = GaussianUnitary(passive_stabilizer(s, 1j * np.eye(n_a)))
+            assert c_squared(state, apply_gaussian_unitary(state, at_i, "A")) == pytest.approx(
+                value, abs=1e-9
+            )
+            # Past the phase range the objective does exceed it: parity on A
+            # (U = -I) reaches the upper bound.
+            parity = GaussianUnitary(passive_stabilizer(s, -np.eye(n_a)))
+            assert c_squared(state, apply_gaussian_unitary(state, parity, "A")) > value + 1e-6
 
 
 class TestGaussianChannel:

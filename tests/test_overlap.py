@@ -8,6 +8,7 @@ from nfg import (
     apply_gaussian_unitary,
     c_squared,
     fidelity_f,
+    nfg_theta_objective,
     overlap,
     purity,
     tmsv,
@@ -136,3 +137,18 @@ class TestCSquared:
         for _ in range(20):
             val = c_squared(random_state(rng, displaced=True), random_state(rng, displaced=True))
             assert 0.0 <= val < 1.0
+
+
+class TestSingularCovariance:
+    # A TMSV at n_bar = 1e13 is stored with c = a exactly: Gamma is singular
+    # at double precision, though physical within the validation tolerance.
+    @pytest.mark.parametrize(
+        "call",
+        [purity, lambda s: c_squared(s, s), lambda s: nfg_theta_objective(s, 0.5)],
+        ids=["purity", "c_squared", "nfg_theta_objective"],
+    )
+    def test_clear_error(self, call):
+        state = tmsv(np.arcsinh(np.sqrt(1e13)))
+        with pytest.raises(ValueError, match="singular at double precision") as info:
+            call(state)
+        assert not isinstance(info.value, np.linalg.LinAlgError)

@@ -7,6 +7,7 @@ from nfg import (
     GaussianUnitary,
     SstsParams,
     StandardFormParams,
+    apply_channel,
     apply_gaussian_unitary,
     blocks,
     is_symplectic,
@@ -19,7 +20,7 @@ from nfg import (
     williamson,
 )
 
-from helpers import random_cm, random_state, random_symplectic, rotation
+from helpers import random_channel, random_cm, random_state, random_symplectic, rotation
 
 
 class TestSymplecticForm:
@@ -301,6 +302,100 @@ class TestGaussianState:
         moved = state.displaced([1.0, -2.0])
         assert np.array_equal(moved.mean, [1.0, -2.0])
         assert np.array_equal(state.mean, [0.0, 0.0])
+
+
+def _verdict_corpus(rng):
+    """(cm, n_a, n_b) on both sides of the physical boundary and at every scale."""
+    tol = 1e-9
+    for n_a, n_b in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]:
+        n = n_a + n_b
+        for _ in range(4):
+            g = random_cm(rng, n)
+            yield g, n_a, n_b
+            for factor in (0.5, 0.99, 1.0 - 1e-6, 1.0 + 1e-6):
+                yield factor * random_cm(rng, n, nus=np.ones(n)), n_a, n_b
+            scale = np.abs(g).max()
+            for slack in (0.99, 1.01):
+                skew = g.copy()
+                skew[0, 1] += slack * tol * scale
+                yield skew, n_a, n_b
+    for exponent in range(14):
+        r, o = rng.uniform(0.0, 1.0), rotation(rng.uniform(0.0, np.pi))
+        big = 10.0**exponent * o @ np.diag(np.exp([-2.0 * r, 2.0 * r])) @ o.T
+        small = rng.uniform(0.1, 0.999) * np.eye(2)
+        yield la.block_diag(big, small), 1, 1
+        yield la.block_diag(small, big), 1, 1
+    for n_bar in [1e-3, 1.0, 1e4, 1e8, 1e10, 1e13]:
+        for mu in (0.0, 0.5, 0.9, 1.0):
+            yield ssts(SstsParams(n_bar, mu)).cm, 1, 1
+        yield tmsv(np.arcsinh(np.sqrt(n_bar))).cm, 1, 1
+    for d0 in (0.0, -1.0):
+        g = 2.0 * np.eye(4)
+        g[0, 0] = d0
+        yield g, 1, 1
+    for a in (1e2, 2e4, 3e4, 1e6):
+        # singular, nu_min = 0: rejected up to 2e4, within tol from 3e4 on
+        z = np.diag([1.0, -1.0])
+        yield a * np.block([[np.eye(2), z], [z, np.eye(2)]]), 1, 1
+
+
+class TestConstructionVerdict:
+    def test_construction_succeeds_exactly_when_physical(self, rng):
+        verdicts = []
+        for g, n_a, n_b in _verdict_corpus(rng):
+            physical = validate_cm(g).physical
+            verdicts.append(physical)
+            try:
+                state = GaussianState(g, n_a, n_b)
+            except ValueError:
+                assert not physical
+            else:
+                assert physical
+                assert np.array_equal(state.cm, g)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize(
+        "cm, message",
+        [
+            (
+                0.5 * np.eye(2),
+                "covariance matrix is not physical (symmetric=True, "
+                "positive_definite=True, min symplectic eigenvalue=0.5)",
+            ),
+            (
+                [[2.0, 0.5], [-0.5, 2.0]],
+                "covariance matrix is not physical (symmetric=False, "
+                "positive_definite=True, min symplectic eigenvalue=2)",
+            ),
+            (
+                -3.0 * np.eye(2),
+                "covariance matrix is not physical (symmetric=True, "
+                "positive_definite=False, min symplectic eigenvalue=3)",
+            ),
+        ],
+        ids=["sub-vacuum", "asymmetric", "negative-definite"],
+    )
+    def test_rejection_message_is_the_full_report(self, cm, message):
+        with pytest.raises(ValueError) as info:
+            GaussianState(cm, 1, 0)
+        assert str(info.value) == message
+
+    def test_construction_runs_no_report_eigensolve(self, rng, monkeypatch):
+        # The symplectic spectrum (a non-symmetric eigvals) serves only the
+        # report, so building a physical state, on its own or as the output
+        # of a unitary or a channel, never asks for it.
+        cm, ch = random_cm(rng, 2), random_channel(rng)
+        quarter_turn = GaussianUnitary(rotation(np.pi / 2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        state = GaussianState(cm, 1, 1)
+        apply_gaussian_unitary(state, quarter_turn, "A")
+        apply_channel(state, ch)
+        with pytest.raises(AssertionError):
+            validate_cm(cm)
 
 
 class TestApplyGaussianUnitary:
