@@ -61,7 +61,6 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 CSV_HEADER = "n_bar,mu,nfg,dg,q,nfg_minus_dg,nfg_minus_q"
-_CSV_ROW = ",".join("%.17g" for _ in CSV_HEADER.split(","))
 
 
 class ParseError(Exception):
@@ -257,12 +256,20 @@ _FIGURE_GRIDS = {
 def cmd_sweep(grid: SweepGrid, out: str | None = None) -> int:
     """Evaluate the closed forms on a grid and emit CSV (stdout or --out file).
 
-    Rows are formatted straight from the grid's columns, one ``%.17g`` format
-    per row (the same digits as ``_g``), and the text is written at once; an
-    invalid grid raises before any file is opened.
+    Every number is a ``%.17g`` format (the same digits as ``_g``).  Each
+    n_bar and each mu of the grid is formatted once; a row is its
+    "n_bar,mu," prefix, built lazily from those, and one format of its five
+    values.  The text is written at once; an invalid grid raises before any
+    file is opened.
     """
-    columns = (c.tolist() for c in _sweep_columns(grid))
-    text = "\n".join([CSV_HEADER, *(_CSV_ROW % row for row in zip(*columns))]) + "\n"
+    n_axis, mu_axis, values = _sweep_columns(grid)
+    mu_cells = ["%.17g," % mu for mu in mu_axis.tolist()]
+    n_cells = ("%.17g," % n for n in n_axis.tolist())
+    prefixes = (n + mu for n in n_cells for mu in mu_cells)
+    row = "%s" + ",".join(["%.17g"] * len(values))
+    # a generator, so the value lists are freed before the join, not after it
+    rows = (row % r for r in zip(prefixes, *(c.tolist() for c in values)))
+    text = "\n".join([CSV_HEADER, *rows]) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
     else:

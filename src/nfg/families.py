@@ -28,6 +28,7 @@ so a grid value equals the point value bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -54,6 +55,12 @@ class SstsParams:
     ``n_bar`` is the mean photon number of each reduced mode, ``mu`` the
     mixing parameter: 0 gives a product of thermal states, 1 the two-mode
     squeezed vacuum.
+
+    ``n_bar`` must be at most 1e150.  The closed forms stop holding in double
+    precision near 7e153, where t^2 = (1 + 2 n_bar)^2 overflows and
+    ``dg_ssts`` reads NaN at mu = 1; up to 1e150, t^2 and eps = 1/t^2 stay
+    normal and the three closed forms match the raw formulas, evaluated in
+    high precision, within a few ulps.
     """
 
     n_bar: float
@@ -61,13 +68,18 @@ class SstsParams:
 
     def __post_init__(self):
         if not _n_bar_ok(self.n_bar):
+            if self.n_bar > _N_BAR_MAX and np.isfinite(self.n_bar):
+                raise ValueError(f"n_bar must be at most {_N_BAR_MAX}, got {self.n_bar}")
             raise ValueError(f"n_bar must be finite and >= 0, got {self.n_bar}")
         if not _mu_ok(self.mu):
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
 
 
+_N_BAR_MAX = 1e150
+
+
 def _n_bar_ok(n_bar):
-    return np.isfinite(n_bar) & (n_bar >= 0.0)
+    return (n_bar >= 0.0) & (n_bar <= _N_BAR_MAX)
 
 
 def _mu_ok(mu):
@@ -201,31 +213,38 @@ class SweepRow:
     nfg_minus_q: float
 
 
-def _sweep_columns(grid: SweepGrid) -> tuple[np.ndarray, ...]:
-    """The seven CSV columns (n_bar, mu, nfg, dg, q, nfg - dg, nfg - q) of the
-    grid, n_bar outer, mu inner, as flat float arrays.
+def _sweep_columns(grid: SweepGrid) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The grid's validated n_bar and mu axes, and its five value columns
+    (nfg, dg, q, nfg - dg, nfg - q) as flat float arrays, n_bar outer, mu inner.
 
-    The two axes are validated once, n_bar first: an invalid value raises the
-    ValueError that SstsParams raises for the first bad n_bar, else for the
-    first bad mu.  That is also the first bad point in grid order, because an
-    n_bar axis whose first value is valid stays valid.
+    Each axis value repeats along the other axis, so callers expand the axes
+    themselves.  An invalid grid raises the ValueError that SstsParams raises
+    for its first bad point in grid order.  A bad mu makes every n_bar row
+    bad, so that point is then in the first row, at the first bad mu (its
+    n_bar may be bad too, and SstsParams checks n_bar first); otherwise it is
+    at the first bad n_bar, with the first mu.
     """
     n_axis = np.linspace(grid.n_bar_min, grid.n_bar_max, grid.n_bar_steps)
     mu_axis = np.linspace(grid.mu_min, grid.mu_max, grid.mu_steps)
     bad_n, bad_mu = ~_n_bar_ok(n_axis), ~_mu_ok(mu_axis)
-    if bad_n.any() or bad_mu.any():  # let SstsParams raise its own message
-        SstsParams(float(n_axis[bad_n.argmax()]), float(mu_axis[bad_mu.argmax()]))
+    if bad_mu.any():  # let SstsParams raise its own message
+        SstsParams(float(n_axis[0]), float(mu_axis[bad_mu.argmax()]))
+    if bad_n.any():
+        SstsParams(float(n_axis[bad_n.argmax()]), float(mu_axis[0]))
     n_bar, mu = (x.ravel() for x in np.meshgrid(n_axis, mu_axis, indexing="ij"))
     nfg, dg, q = _nfg(n_bar, mu), _dg(n_bar, mu), _q(n_bar, mu)
-    return n_bar, mu, nfg, dg, q, nfg - dg, nfg - q
+    return n_axis, mu_axis, (nfg, dg, q, nfg - dg, nfg - q)
 
 
 def sweep(grid: SweepGrid) -> list[SweepRow]:
     """Evaluate all closed forms on the grid, n_bar outer, mu inner.
 
-    The grid is evaluated at once as arrays (`_sweep_columns`); every field
-    is a float equal bit for bit to the point functions, and the difference
+    The grid is evaluated at once as arrays (`_sweep_columns`), and the rows
+    repeat each n_bar over the mu axis and cycle that axis; every field is a
+    float equal bit for bit to the point functions, and the difference
     columns agree exactly with the value columns of the same row.
     """
-    columns = (c.tolist() for c in _sweep_columns(grid))
-    return [SweepRow(*row) for row in zip(*columns)]
+    n_axis, mu_axis, values = _sweep_columns(grid)
+    n_bar = chain.from_iterable(repeat(n, mu_axis.size) for n in n_axis.tolist())
+    mu = cycle(mu_axis.tolist())
+    return [SweepRow(*row) for row in zip(n_bar, mu, *(c.tolist() for c in values))]

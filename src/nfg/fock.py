@@ -252,17 +252,13 @@ def _squeezed_state(r: float) -> GaussianState:
     return GaussianState(np.diag([np.exp(-2.0 * r), np.exp(2.0 * r)]), 1, 0)
 
 
-def _build(family: str, x, cutoff: int | None = None):
-    """(FockDensityMatrix, GaussianState) pair for one family member."""
-    if family == "thermal":
-        return thermal_dm(x, cutoff), _thermal_state(x)
-    if family == "coherent":
-        return coherent_dm(x, cutoff), _coherent_state(complex(x))
-    if family == "squeezed":
-        return squeezed_vacuum_dm(x, cutoff), _squeezed_state(x)
-    if family == "tmsv":
-        return two_mode_squeezed_dm(x, cutoff), tmsv(x)
-    raise ValueError(f"unknown family {family!r}")
+#: (density-matrix builder, GaussianState builder) of each family.
+_BUILDERS = {
+    "thermal": (thermal_dm, _thermal_state),
+    "coherent": (coherent_dm, _coherent_state),
+    "squeezed": (squeezed_vacuum_dm, _squeezed_state),
+    "tmsv": (two_mode_squeezed_dm, tmsv),
+}
 
 
 def oracle_rows(families: list[str] | None = None) -> list[OracleRow]:
@@ -277,16 +273,16 @@ def oracle_rows(families: list[str] | None = None) -> list[OracleRow]:
     for family in families or list(_CASES):
         if family not in _CASES:
             raise ValueError(f"unknown family {family!r}")
+        build_dm, build_state = _BUILDERS[family]
         for x1, x2 in _CASES[family]:
-            d1, s1 = _build(family, x1)
-            d2, s2 = _build(family, x2)
+            d1, d2 = build_dm(x1), build_dm(x2)
             c = max(d1.cutoff, d2.cutoff)
             if d1.cutoff != c:
-                d1, s1 = _build(family, x1, c)
+                d1 = build_dm(x1, c)
             if d2.cutoff != c:
-                d2, s2 = _build(family, x2, c)
+                d2 = build_dm(x2, c)
             fock_val = overlap_fock(d1, d2)
-            cm_val = overlap(s1, s2).value
+            cm_val = overlap(build_state(x1), build_state(x2)).value
             rel = abs(fock_val - cm_val) / abs(cm_val)
             rows.append(
                 OracleRow(

@@ -1,11 +1,12 @@
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from nfg import SstsParams, dg_ssts, nfg_ssts, q_ssts, ssts, tmsv
-from nfg.cli import main, read_state, write_state
+from nfg import SstsParams, SweepGrid, dg_ssts, nfg_ssts, q_ssts, ssts, sweep, tmsv
+from nfg.cli import CSV_HEADER, _g, main, read_state, write_state
 
 from helpers import random_state
 
@@ -275,6 +276,46 @@ class TestSweepCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--n-bar-max", "1e151"], "n_bar must be at most 1e+150, got 1.2e+150"),
+            (
+                ["--n-bar-max", "1.7976931348623157e308"],
+                "n_bar must be at most 1e+150, got 3.595386269724631e+306",
+            ),
+            # a bad mu puts the first bad point of the grid in its first row
+            (["--n-bar-max", "1e200", "--mu-max", "1.5"], "mu must lie in [0, 1], got 1.02"),
+            (
+                ["--n-bar-min", "1e151", "--n-bar-max", "1e152", "--mu-max", "1.5"],
+                "n_bar must be at most 1e+150, got 1e+151",
+            ),
+        ],
+    )
+    def test_n_bar_past_ceiling_exits_one_without_output(self, capsys, tmp_path, args, message):
+        out = tmp_path / "bad.csv"
+        assert main(["sweep", *args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_steps, mu_steps", [(1, 7), (7, 1), (3, 5), (5, 3)])
+    def test_layout_matches_library_rows(self, capsys, tmp_path, n_steps, mu_steps):
+        grid = SweepGrid(0.0, 2.5, n_steps, 0.25, 1.0, mu_steps)
+        args = [
+            "sweep", "--n-bar-min", "0", "--n-bar-max", "2.5", "--n-bar-steps", str(n_steps),
+            "--mu-min", "0.25", "--mu-max", "1", "--mu-steps", str(mu_steps),
+        ]  # fmt: skip
+        out = tmp_path / "sweep.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        rows = [",".join(_g(x) for x in dataclasses.astuple(row)) for row in sweep(grid)]
+        assert out.read_text() == "\n".join([CSV_HEADER, *rows]) + "\n"
+        for to_stdout in ([], ["--out", "-"]):
+            capsys.readouterr()
+            assert main([*args, *to_stdout]) == 0
+            assert capsys.readouterr().out == out.read_text()
 
     @pytest.mark.parametrize(
         "args, size, sha256", list(GOLDEN_SWEEPS.values()), ids=list(GOLDEN_SWEEPS)

@@ -19,8 +19,9 @@ from nfg import (
     validate_cm,
 )
 
-# Reference values computed with 50-digit arithmetic directly from the
-# published closed forms (no rearrangement), rounded to double precision.
+# Reference values computed with 50-digit arithmetic (1200 digits at n_bar =
+# 1e150, where t^2 has 300) directly from the published closed forms (no
+# rearrangement), rounded to double precision.
 REFERENCE = [
     # (n_bar, mu, nfg, dg, q)
     (0.5, 0.99, 0.8245407271414542, 0.5326412801797844, 0.4804882831650162),
@@ -30,6 +31,9 @@ REFERENCE = [
     (1e6, 0.3, 0.09202050382388482, 1.2873306522168163e-14, 4.945049755468404e-08),
     (1e10, 0.7, 0.5437042234989693, 1.5493535572977105e-21, 4.803921567916282e-11),
     (1e13, 0.999, 0.9999840797089411, 1.2450171162649139e-24, 2.496250625250094e-11),
+    (1e150, 0.01, 0.00010000249999999376, 1.2501797083030213e-305, 5.000500050005001e-155),
+    (1e150, 0.5, 0.2653061224489796, 4.691167798399524e-302, 1.6666666666666667e-151),
+    (1e150, 1.0, 1.0, 1.0, 1.0),
 ]
 
 
@@ -59,6 +63,33 @@ class TestSstsState:
             SstsParams(1.0, 1.5)
         with pytest.raises(ValueError):
             SstsParams(np.inf, 0.5)
+
+    @pytest.mark.parametrize(
+        "n_bar, message",
+        [
+            (-0.1, "n_bar must be finite and >= 0, got -0.1"),
+            (np.inf, "n_bar must be finite and >= 0, got inf"),
+            (np.nan, "n_bar must be finite and >= 0, got nan"),
+            (np.nextafter(1e150, np.inf), "n_bar must be at most 1e+150, got 1.0000000000000002e+150"),
+            (1.7976931348623157e308, "n_bar must be at most 1e+150, got 1.7976931348623157e+308"),
+        ],
+    )
+    def test_n_bar_messages(self, n_bar, message):
+        with pytest.raises(ValueError) as exc:
+            SstsParams(float(n_bar), 0.5)
+        assert str(exc.value) == message
+
+    def test_closed_forms_are_normal_up_to_the_n_bar_ceiling(self):
+        # past ~7e153 t^2 overflows and dg_ssts reads NaN at mu = 1
+        for mu in np.linspace(0.0, 1.0, 101).tolist():
+            p = SstsParams(1e150, mu)
+            values = [nfg_ssts(p), dg_ssts(p), q_ssts(p)]
+            if mu == 0.0:
+                assert values == [0.0, 0.0, 0.0]
+            else:
+                assert all(np.finfo(float).tiny <= v <= 1.0 for v in values)
+        with pytest.raises(ValueError, match="at most"):
+            sweep(SweepGrid(0.0, 1e151, 3, 0.0, 1.0, 3))
 
 
 class TestTmsv:

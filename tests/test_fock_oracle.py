@@ -217,6 +217,18 @@ class TestAgainstPhaseSpaceFormula:
             assert row.trace_deficit < 1e-10
             assert row.rel_err < 1e-6
 
+    def test_builds_each_state_once(self, monkeypatch):
+        built = []
+        post_init = GaussianState.__post_init__
+
+        def counting(state):
+            built.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(GaussianState, "__post_init__", counting)
+        rows = oracle_rows()
+        assert len(built) == 2 * len(rows) == 26
+
     def test_family_subset(self):
         rows = oracle_rows(["thermal"])
         assert {r.family for r in rows} == {"thermal"}
