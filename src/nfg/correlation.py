@@ -5,10 +5,10 @@ the reduced state rho_A invariant, of the squared overlap distance
 1 - F^2(rho, U rho U^dagger).  This module provides:
 
 * the exact closed form for (1+1)-mode states in standard form;
-* one block formula for every (n+m)-mode partition, behind both
-  `nfg_two_mode` and `nfg_numeric`;
+* one spectral formula for every (n+m)-mode partition, behind both
+  `nfg_two_mode` and `nfg_numeric`, and the upper bound from the same
+  spectrum;
 * the literal determinant-form objective at a given rotation angle;
-* an upper bound from a Schur-complement determinant ratio;
 * Gaussian channels on subsystem B, the post-channel closed form for
   single-mode-B channels, and a monotonicity checker.
 
@@ -24,9 +24,27 @@ sits at theta = (pi/2, ..., pi/2):
 
     N = 1 - det(B - X) / det(B - X/2),  X = C^T A^{-1} C.
 
-X is unchanged by local symplectics on A, so the value needs no Williamson
-rotation.  For (1+1) modes this is `nfg_closed_form`; `nfg_theta_objective`
-keeps the literal rotation as an independent check.
+X is unchanged by local symplectics on A (A -> S A S^T and C -> S C cancel),
+so the value needs no Williamson rotation.  For (1+1) modes this is
+`nfg_closed_form`; `nfg_theta_objective` keeps the literal rotation as an
+independent check.
+
+One spectrum gives the measure and its bound.  Let mu_i be the eigenvalues
+of B^{-1} X, the squared canonical correlations between A and B, in [0, 1]
+(a local symplectic T on B only conjugates B^{-1} X, so mu is local-unitary
+invariant too).  Then
+
+    N     = 1 - prod_i (1 - mu_i) / (1 - mu_i/2),
+    bound = 1 - prod_i (1 - mu_i)                 = 1 - det(B - X)/det B,
+
+evaluated as -expm1 of a sum of log1p terms, so weak correlations keep full
+relative precision and X = 0 gives exactly 0.  Each state computes mu once
+(`GaussianState` keeps it), so the two values cost one eigensolve.  The
+bound's term log1p(-mu) is at most N's term log1p(-mu) - log1p(-mu/2),
+because log1p(-mu/2) <= 0; rounding is monotone, so bound >= N holds term by
+term in floating point, not only in exact arithmetic.  Rounding can leave
+mu slightly below 0 on directions X does not reach; N's half term reads those
+as 0, so the inequality holds for them as well.
 
 Degenerate A spectra and the phase convention.  When symplectic eigenvalues
 of A coincide, the stabilizer of rho_A is larger than the single-mode
@@ -58,9 +76,8 @@ from .states import (
     StandardFormParams,
     _act_on_side,
     _as_square_even,
-    blocks,
+    _spectrum_degenerate,
     symplectic_form,
-    williamson,
 )
 
 __all__ = [
@@ -87,12 +104,13 @@ class NfgResult:
 
     ``optimizer_theta`` holds the rotation angle(s) attaining the reported
     value, one per A mode and always pi/2: the objective rises in every
-    angle.  ``lower_bound_only`` is set when a degenerate A spectrum makes the
-    stabilizer group larger than the rotation family (see `nfg_numeric`).
-    Under the phase convention of the module notes, every stabilizer
-    eigenphase within [-pi/2, pi/2], ``value`` is still the supremum over the
-    whole stabilizer; without that convention it is only a lower bound.
-    Values are clamped into [0, 1) at double precision.
+    angle.  ``lower_bound_only`` means "A spectrum degenerate": two symplectic
+    eigenvalues of the A block agree within 1e-8 relative, so the stabilizer
+    group is larger than the rotation family (see `nfg_numeric`).  Under the
+    phase convention of the module notes, every stabilizer eigenphase within
+    [-pi/2, pi/2], ``value`` is still the supremum over the whole stabilizer;
+    without that convention it is only a lower bound.  Values are clamped
+    into [0, 1) at double precision.
     """
 
     value: float
@@ -142,34 +160,13 @@ def nfg_theta_objective(state: GaussianState, theta: float) -> float:
     return _clamp(_objective(state.cm, np.array([theta]), _chol_logdet(state.cm)[1]))
 
 
-def _schur_term(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """X = C^T A^{-1} C, symmetrized."""
-    x = c.T @ np.linalg.solve(a, c)
-    return 0.5 * (x + x.T)
-
-
-def _det_ratio_deficit(m: np.ndarray, y: np.ndarray) -> float:
-    """1 - det(M - Y)/det M for symmetric positive-definite M and Y >= 0.
-
-    With L the Cholesky factor of M the ratio is det(I - Z) for
-    Z = L^{-1} Y L^{-T}, so the value is -expm1(sum log1p(-lambda(Z))).
-    This keeps full relative precision for weak correlations, where a
-    difference of log-determinants cancels to nothing, and gives exactly
-    zero for Y = 0 (as -0.0, which `_clamp` maps to +0.0).
-    """
-    chol = np.linalg.cholesky(m)
-    z = np.linalg.solve(chol, np.linalg.solve(chol, y).T)
-    # lambda = 1 means det(M - Y) = 0, a pure state squeezed past double
-    # precision; rounding can push it just above 1.
-    lam = np.minimum(np.linalg.eigvalsh(z), 1.0)
-    with np.errstate(divide="ignore"):
-        return -float(np.expm1(np.sum(np.log1p(-lam))))
-
-
-def _block_value(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """1 - det(B - X)/det(B - X/2) with X = C^T A^{-1} C, for blocks A, B, C."""
-    half = 0.5 * _schur_term(a, c)
-    return _det_ratio_deficit(b - half, half)
+def _measure(state: GaussianState) -> float:
+    """1 - prod (1 - mu)/(1 - mu/2) over the state's correlation spectrum,
+    unclamped; a mu rounded below 0 enters the half term as 0."""
+    mu = state._correlation_spectrum
+    with np.errstate(divide="ignore"):  # mu = 1: log1p(-1) = -inf
+        terms = np.log1p(-mu) - np.log1p(-0.5 * np.maximum(mu, 0.0))
+    return -float(np.expm1(np.sum(terms)))
 
 
 def nfg_two_mode(state: GaussianState) -> NfgResult:
@@ -179,21 +176,22 @@ def nfg_two_mode(state: GaussianState) -> NfgResult:
     that form.  The mean plays no role."""
     if state.n_a != 1 or state.n_b != 1:
         raise ValueError("closed form requires a (1+1)-mode state")
-    return _result(_block_value(*blocks(state)), "closed_form", np.pi / 2)
+    return _result(_measure(state), "closed_form", np.pi / 2)
 
 
 def nfg_upper_bound(state: GaussianState) -> float:
     """Upper bound 1 - det(B - C^T A^{-1} C)/det B on the measure.
 
     The Schur complement B - C^T A^{-1} C is the covariance of B conditioned
-    on A.  The ratio goes through the same helper as the measure, so weak
-    correlations keep full relative precision and product states (C = 0)
-    give exactly 0.  Clamped into [0, 1) like `NfgResult` values: a pure
-    state squeezed past double precision has a singular Schur complement and
-    reads just below 1.
+    on A.  The ratio is 1 - prod (1 - mu) over the correlation spectrum the
+    measure uses (see the module notes), so it is at least the measure term
+    by term, weak correlations keep full relative precision, and product
+    states (C = 0) and states with no mode on one side give exactly 0.
+    Clamped into [0, 1) like `NfgResult` values: a pure state squeezed past
+    double precision has a singular Schur complement and reads just below 1.
     """
-    a, b, c = blocks(state)
-    return _clamp(_det_ratio_deficit(b, _schur_term(a, c)))
+    with np.errstate(divide="ignore"):  # mu = 1: log1p(-1) = -inf
+        return _clamp(-float(np.expm1(np.sum(np.log1p(-state._correlation_spectrum)))))
 
 
 def _objective(gamma: np.ndarray, thetas: np.ndarray, logdet_gamma: float) -> float:
@@ -239,16 +237,18 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
 
     When the A-block symplectic spectrum is degenerate the stabilizer group
     is strictly larger than this rotation family, so the result is flagged
-    ``lower_bound_only``.  The value is then still the supremum over every
-    stabilizer U(k_g) on the degenerate groups whose eigenphases lie in
-    [-pi/2, pi/2]: M^T M = (I + sym O)/2 >= I/2 bounds the determinant (see
-    the module notes), with equality at U = i I.
+    ``lower_bound_only`` ("A spectrum degenerate", by the rule of
+    `williamson`'s ``degeneracy_flag``).  The flag reads the spectrum from one
+    Hermitian eigensolve; no Williamson decomposition runs.  The value is
+    then still the supremum over every stabilizer U(k_g) on the degenerate
+    groups whose eigenphases lie in [-pi/2, pi/2]: M^T M = (I + sym O)/2 >= I/2
+    bounds the determinant (see the module notes), with equality at U = i I.
     """
     if state.n_a < 1 or state.n_b < 1:
         raise ValueError("numeric search needs at least one mode on each side")
-    a, b, c = blocks(state)
     theta = np.full(state.n_a, np.pi / 2)
-    return _result(_block_value(a, b, c), "numeric", theta, williamson(a).degeneracy_flag)
+    ka = 2 * state.n_a
+    return _result(_measure(state), "numeric", theta, _spectrum_degenerate(state.cm[:ka, :ka]))
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,8 @@ def check_monotonicity(state: GaussianState, ch: GaussianChannel) -> Monotonicit
     """Check that a channel on B cannot increase the measure.
 
     ``holds`` allows 1e-10 of numerical slack; ``slack`` reports the raw
-    decrease before - after.
+    decrease before - after.  ``before`` reads the correlation spectrum the
+    input state already holds if the measure or the bound was asked of it.
     """
     before = nfg_two_mode(state).value
     after = nfg_two_mode(apply_channel(state, ch, "B")).value

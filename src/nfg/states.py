@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -132,11 +132,24 @@ def validate_cm(gamma, tol: float = DEFAULT_TOL) -> ValidationReport:
     return ValidationReport(symmetric, nus, positive_definite, physical)
 
 
+#: Rounding allowance of `is_symplectic`, per unit of max|S|^2.  Products of
+#: passive, squeezing and passive maps on 1-4 modes round S Delta S^T by at
+#: most ~6 eps max|S|^2; a scaled copy (1 + e) S is off by ~2e.
+_SYMPLECTIC_ROUNDING = 32.0 * float(np.finfo(float).eps)
+
+
 def is_symplectic(s, tol: float = DEFAULT_TOL) -> bool:
-    """True iff max|S Delta S^T - Delta| <= tol."""
+    """True iff max|S Delta S^T - Delta| <= max(tol, 32 eps max|S|^2).
+
+    Rounding in S Delta S^T grows like eps max|S|^2, so an absolute ``tol``
+    alone rejects valid symplectics squeezed by r >~ 10 (max|S| = e^r).  The
+    second term takes over only from max|S| ~ 1e3 (``tol`` = 1e-8); a
+    symplectic scaled by 2 is still rejected up to max|S| = e^16.
+    """
     s = _as_square_even(s, "matrix")
     delta = symplectic_form(s.shape[0] // 2)
-    return bool(np.abs(s @ delta @ s.T - delta).max() <= tol)
+    slack = max(tol, _SYMPLECTIC_ROUNDING * float(np.abs(s).max()) ** 2)
+    return bool(np.abs(s @ delta @ s.T - delta).max() <= slack)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -156,6 +169,11 @@ class GaussianState:
     full report is built only to explain a rejection.  Every state, including
     the outputs of `apply_gaussian_unitary` and `apply_channel`, is checked
     this way.  Instances are immutable and safe to share between threads.
+
+    The correlation spectrum behind the measure and its bound (see
+    `nfg.correlation`) is computed on first use and kept with the instance,
+    which never changes; it is a read-only array, and two threads that miss
+    it at once compute the same value.
     """
 
     cm: np.ndarray
@@ -197,6 +215,25 @@ class GaussianState:
         """Same state with the mean shifted by `shift`."""
         return GaussianState(self.cm, self.n_a, self.n_b, self.mean + np.asarray(shift, float))
 
+    @cached_property
+    def _correlation_spectrum(self) -> np.ndarray:
+        """mu, the eigenvalues of B^{-1} X with X = C^T A^{-1} C, ascending.
+
+        These are the squared canonical correlations between A and B.  With
+        L the Cholesky factor of B they are the eigenvalues of the symmetric
+        Z = L^{-1} X L^{-T}.  mu = 1 means det(B - X) = 0, a pure state
+        squeezed past double precision, and rounding can push it above 1, so
+        mu is clipped at 1; directions X does not reach (rank X <= 2 n_a)
+        give mu = 0 up to rounding of either sign.  Empty when B has no
+        modes, all zero when A has none.
+        """
+        a, b, c = blocks(self)
+        x = c.T @ np.linalg.solve(a, c)
+        x = 0.5 * (x + x.T)
+        chol = np.linalg.cholesky(b)
+        z = np.linalg.solve(chol, np.linalg.solve(chol, x).T)
+        return _frozen(np.minimum(np.linalg.eigvalsh(z), 1.0))
+
 
 def blocks(state: GaussianState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return copies of the (A, B, C) blocks of the covariance matrix.
@@ -211,7 +248,13 @@ def blocks(state: GaussianState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GaussianUnitary:
-    """Phase-space action of a Gaussian unitary: Gamma -> S Gamma S^T, d -> S d + m."""
+    """Phase-space action of a Gaussian unitary: Gamma -> S Gamma S^T, d -> S d + m.
+
+    S must pass `is_symplectic` with ``tol`` = 1e-8, whose allowance grows
+    with eps max|S|^2 from max|S| ~ 1e3 on, so squeezers up to the n_bar =
+    1e13 states that `validate_cm` accepts (r ~ 16) are not rejected on
+    rounding.
+    """
 
     s: np.ndarray
     m: np.ndarray | None = None
@@ -277,7 +320,32 @@ class WilliamsonDecomposition:
     degeneracy_flag: bool
 
 
-def williamson(gamma, degeneracy_tol: float = 1e-8) -> WilliamsonDecomposition:
+#: Relative gap below which two symplectic eigenvalues count as degenerate.
+_DEGENERACY_TOL = 1e-8
+
+
+def _degenerate(nus: np.ndarray, tol: float) -> bool:
+    """True when two neighbours of the descending spectrum ``nus`` agree within
+    ``tol``, relative to the larger one or 1; never for a single mode."""
+    return len(nus) > 1 and bool(
+        np.any(np.abs(np.diff(nus)) <= tol * np.maximum(nus[:-1], 1.0))
+    )
+
+
+def _spectrum_degenerate(a: np.ndarray) -> bool:
+    """`williamson(a).degeneracy_flag` from the symplectic spectrum alone.
+
+    With the Cholesky factor a = L L^T, L^T Delta L is similar to Delta a,
+    so the Hermitian i L^T Delta L has eigenvalues +-nu_i: one eigensolve,
+    with no eigenvectors and no symplectic S.
+    """
+    n = a.shape[0] // 2
+    chol = np.linalg.cholesky(a)
+    nus = np.linalg.eigvalsh(1j * (chol.T @ symplectic_form(n) @ chol))[n:][::-1]
+    return _degenerate(nus, _DEGENERACY_TOL)
+
+
+def williamson(gamma, degeneracy_tol: float = _DEGENERACY_TOL) -> WilliamsonDecomposition:
     """Williamson decomposition of a positive-definite covariance matrix.
 
     Returns a symplectic S with ``S Gamma S^T = direct_sum(nu_i * I_2)``, with
@@ -295,9 +363,8 @@ def williamson(gamma, degeneracy_tol: float = 1e-8) -> WilliamsonDecomposition:
     ``S = D^{1/2} O^T Gamma^{-1/2}`` is symplectic by construction.
 
     ``degeneracy_flag`` is set when two consecutive eigenvalues agree within
-    ``degeneracy_tol`` (relative); `nfg_numeric` uses it to report that the
-    rotation family its value is the supremum over may not exhaust the
-    stabilizers of the reduced state.
+    ``degeneracy_tol`` (relative).  `nfg_numeric` applies the same rule, at
+    the default tolerance, to the A block's spectrum without decomposing it.
     """
     g = _as_square_even(gamma, "covariance matrix")
     g = 0.5 * (g + g.T)
@@ -313,10 +380,7 @@ def williamson(gamma, degeneracy_tol: float = 1e-8) -> WilliamsonDecomposition:
     cols[:, 0::2] = np.sqrt(2.0) * v[:, n:].real
     cols[:, 1::2] = -np.sqrt(2.0) * v[:, n:].imag
     s = np.repeat(np.sqrt(nus), 2)[:, None] * (cols.T @ root_inv)
-    degenerate = bool(
-        np.any(np.abs(np.diff(nus)) <= degeneracy_tol * np.maximum(nus[:-1], 1.0))
-    ) if n > 1 else False
-    return WilliamsonDecomposition(_frozen(s), _frozen(nus), degenerate)
+    return WilliamsonDecomposition(_frozen(s), _frozen(nus), _degenerate(nus, degeneracy_tol))
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,79 @@ GOLDEN_SWEEPS = {
 }  # fmt: skip
 
 
+#: State files behind `PINNED_OUTPUTS`: a family state and generic states
+#: whose entries are rounded to two decimals.
+PINNED_STATES = {
+    "ssts": (1, 1, ssts(SstsParams(49.0, 0.9)).cm),
+    "random-1+1": (1, 1, [
+        [3.2, 2.05, -0.36, -1.36], [2.05, 2.57, -0.95, -0.79],
+        [-0.36, -0.95, 2.32, 0.79], [-1.36, -0.79, 0.79, 3.38],
+    ]),
+    "random-1+2": (1, 2, [
+        [2.45, 1.77, -0.13, 1.45, 0.67, 0.74], [1.77, 2.75, 0.37, 0.62, 0.83, 0.09],
+        [-0.13, 0.37, 1.31, 0.25, -0.72, -0.68], [1.45, 0.62, 0.25, 4.89, -1.33, 0.67],
+        [0.67, 0.83, -0.72, -1.33, 3.32, 0.99], [0.74, 0.09, -0.68, 0.67, 0.99, 1.63],
+    ]),
+    "random-2+2": (2, 2, [
+        [2.14, 1.66, 2.19, -0.92, -0.05, 0.8, 0.78, 0.2],
+        [1.66, 6.79, -2.51, -3.37, -1.54, 1.97, 1.12, 1.13],
+        [2.19, -2.51, 10.21, 1.79, 2.5, 0.89, 2.24, -2.42],
+        [-0.92, -3.37, 1.79, 2.75, 1.39, -2.35, -0.67, -1.51],
+        [-0.05, -1.54, 2.5, 1.39, 2.17, -1.19, -0.36, -0.55],
+        [0.8, 1.97, 0.89, -2.35, -1.19, 5.81, 1.01, 1.17],
+        [0.78, 1.12, 2.24, -0.67, -0.36, 1.01, 3.19, -1.5],
+        [0.2, 1.13, -2.42, -1.51, -0.55, 1.17, -1.5, 3.43],
+    ]),
+}  # fmt: skip
+
+#: Standard output of `nfg nfg --method bound`, `nfg validate` and
+#: `nfg standard-form` on `PINNED_STATES`, recorded while the bound still
+#: factored its own matrices.
+PINNED_OUTPUTS = {
+    ("ssts", "nfg"): "value: 0.96386858821118782\nmethod: bound\n",
+    ("ssts", "validate"): (
+        "symplectic eigenvalues: 43.162483709814467 43.162483709814438\n"
+        "symmetric: yes\npositive definite: yes\nphysical: yes\n"
+    ),
+    ("ssts", "standard-form"): (
+        "a: 98.999999999999986\nb: 98.999999999999986\n"
+        "c: 89.095454429504969\nd: -89.095454429504969\n"
+    ),
+    ("random-1+1", "nfg"): "value: 0.34099955138084659\nmethod: bound\n",
+    ("random-1+1", "validate"): (
+        "symplectic eigenvalues: 2.4648454856626851 1.7743553003297543\n"
+        "symmetric: yes\npositive definite: yes\nphysical: yes\n"
+    ),
+    ("random-1+1", "standard-form"): (
+        "a: 2.0053677966896744\nb: 2.6865405264019375\n"
+        "c: 1.0560323341042255\nd: -0.95413745153427676\n"
+    ),
+    ("random-1+2", "nfg"): "value: 0.51328354156933786\nmethod: bound\n",
+    ("random-1+2", "validate"): (
+        "symplectic eigenvalues: 2.0835801302199077 1.6253618640231786 1.5102293375285374\n"
+        "symmetric: yes\npositive definite: yes\nphysical: yes\n"
+    ),
+    ("random-2+2", "nfg"): "value: 0.92591856185422938\nmethod: bound\n",
+    ("random-2+2", "validate"): (
+        "symplectic eigenvalues: 2.284886183228652 2.1381634285464184 "
+        "1.9110441504119762 1.8239414841747574\n"
+        "symmetric: yes\npositive definite: yes\nphysical: yes\n"
+    ),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize(
+        "name, command", list(PINNED_OUTPUTS), ids=["-".join(k) for k in PINNED_OUTPUTS]
+    )
+    def test_stdout_is_pinned(self, capsys, tmp_path, name, command):
+        n_a, n_b, cm = PINNED_STATES[name]
+        path = write_json(tmp_path / f"{name}.json", state_doc(cm, n_a, n_b))
+        options = ["--method", "bound"] if command == "nfg" else []
+        assert main([command, path, *options]) == 0
+        assert capsys.readouterr().out == PINNED_OUTPUTS[name, command]
+
+
 class TestStateRoundTrip:
     def test_cm_and_mean_survive_exactly(self, tmp_path, rng):
         state = random_state(rng, 2, 1, displaced=True)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -20,7 +23,15 @@ from nfg import (
     williamson,
 )
 
-from helpers import random_channel, random_cm, random_state, random_symplectic, rotation
+from helpers import (
+    haar_unitary,
+    passive_stabilizer,
+    random_channel,
+    random_cm,
+    random_state,
+    random_symplectic,
+    rotation,
+)
 
 
 class TestSymplecticForm:
@@ -136,6 +147,38 @@ class TestIsSymplectic:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             is_symplectic(np.eye(3))
+
+    @staticmethod
+    def passive_squeeze_passive(rng, n: int, r: float) -> np.ndarray:
+        """O diag(e^-r_i, e^r_i) O' with passive O, O' and the largest r_i = r,
+        so max|S| <= e^r."""
+        rs = np.append(r, rng.uniform(0.0, r, n - 1))
+        squeeze = np.diag(np.exp(np.ravel(np.column_stack([-rs, rs]))))
+        passive = [passive_stabilizer(np.eye(2 * n), haar_unitary(rng, n)) for _ in range(2)]
+        return passive[0] @ squeeze @ passive[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_large_squeezers_accepted_and_scaled_copies_rejected(self, rng, n):
+        for r in np.linspace(0.0, 16.0, 33):
+            for _ in range(10):
+                s = self.passive_squeeze_passive(rng, n, r)
+                assert is_symplectic(s)
+                GaussianUnitary(s)
+                assert not is_symplectic(2.0 * s)
+                if r <= 8.0:
+                    assert not is_symplectic((1.0 + 1e-6) * s)
+
+    @pytest.mark.parametrize("tol, max_entry", [(1e-8, 1e3), (1e-9, 3e2)])
+    def test_small_scale_check_is_the_absolute_tolerance(self, rng, tol, max_entry):
+        # Up to these scales the allowance is ``tol`` itself: perturbations
+        # straddling it get the verdict of the plain max|S Delta S^T - Delta|.
+        for n in (1, 2, 3):
+            delta = symplectic_form(n)
+            for r in np.linspace(0.0, np.log(max_entry), 8):
+                for step in (0.3, 0.45, 0.55, 0.7):
+                    s = (1.0 + step * tol) * self.passive_squeeze_passive(rng, n, r)
+                    plain = np.abs(s @ delta @ s.T - delta).max() <= tol
+                    assert is_symplectic(s, tol) == plain
 
 
 class TestWilliamson:
@@ -302,6 +345,41 @@ class TestGaussianState:
         moved = state.displaced([1.0, -2.0])
         assert np.array_equal(moved.mean, [1.0, -2.0])
         assert np.array_equal(state.mean, [0.0, 0.0])
+
+    def test_correlation_spectrum_is_cached_read_only(self, rng):
+        state = random_state(rng, 2, 2)
+        mu = state._correlation_spectrum
+        assert state._correlation_spectrum is mu
+        assert mu.shape == (4,) and np.all(mu <= 1.0)
+        with pytest.raises(ValueError):
+            mu[0] = 0.5
+
+    def test_correlation_spectrum_under_concurrent_first_use(self, rng):
+        # Many threads ask fresh states for the spectrum at once; each must
+        # read the value a serial computation gives, bit for bit.
+        cms = [random_cm(rng, 3) for _ in range(40)]
+        expected = [GaussianState(g, 2, 1)._correlation_spectrum for g in cms]
+        states = [GaussianState(g, 2, 1) for g in cms]
+        mismatches, start = [], threading.Barrier(8)
+
+        def work():
+            start.wait()
+            for state, mu in zip(states, expected):
+                if not np.array_equal(state._correlation_spectrum, mu):
+                    mismatches.append(mu)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not mismatches
 
 
 def _verdict_corpus(rng):
