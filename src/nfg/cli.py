@@ -43,6 +43,7 @@ from .correlation import (
     nfg_upper_bound,
 )
 from .families import SweepGrid, _sweep_columns
+from .fock import oracle_rows
 from .states import GaussianState, standard_form, validate_cm
 
 __all__ = [
@@ -283,8 +284,6 @@ def cmd_sweep(grid: SweepGrid, out: str | None = None) -> int:
 
 def cmd_oracle_check(families: list[str] | None = None) -> int:
     """Compare phase-space overlaps against the Fock oracle; exit 0 iff all match."""
-    from .fock import oracle_rows  # only this subcommand pays for the Fock oracle's imports
-
     rows = oracle_rows(families)
     width = max(len(f"{r.family} {r.label}") for r in rows)
     print(f"{'case':<{width}}  {'fock':<24} {'formula':<24} {'rel_err':<10} deficit")

@@ -124,7 +124,7 @@ def _clamp(value: float) -> float:
 
 
 def _result(value: float, method: str, theta, lower_bound_only: bool = False) -> NfgResult:
-    theta = None if theta is None else np.atleast_1d(np.asarray(theta, float))
+    theta = np.atleast_1d(np.asarray(theta, float))
     return NfgResult(_clamp(value), method, theta, lower_bound_only)
 
 
@@ -151,13 +151,18 @@ def nfg_theta_objective(state: GaussianState, theta: float) -> float:
     a state in standard form this equals
     1 - (ab-c^2)(ab-d^2) / ((ab-c^2*n0)(ab-d^2*n0)) with n0 = (1+cos theta)/2,
     so it is 0 at theta = 0 and reaches the closed-form value at theta = pi/2,
-    nondecreasing in between.  Clamped into [0, 1) like `NfgResult` values.
+    nondecreasing in between.  The rotation is symplectic, so det G_S = det G
+    and the value is 1 - det G / det((G+G_S)/2), from two Cholesky
+    factorizations.  Clamped into [0, 1) like `NfgResult` values.
     """
     if state.n_a != 1 or state.n_b != 1:
         raise ValueError("theta objective is defined for (1+1)-mode states")
     if not 0.0 <= theta <= np.pi / 2 + 1e-12:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    return _clamp(_objective(state.cm, np.array([theta]), _chol_logdet(state.cm)[1]))
+    g = state.cm
+    c, s = np.cos(theta), np.sin(theta)
+    gs = _act_on_side(g, 2, "A", np.array([[c, s], [-s, c]]))
+    return _clamp(-float(np.expm1(_chol_logdet(g)[1] - _chol_logdet(0.5 * (g + gs))[1])))
 
 
 def _measure(state: GaussianState) -> float:
@@ -192,24 +197,6 @@ def nfg_upper_bound(state: GaussianState) -> float:
     """
     with np.errstate(divide="ignore"):  # mu = 1: log1p(-1) = -inf
         return _clamp(-float(np.expm1(np.sum(np.log1p(-state._correlation_spectrum)))))
-
-
-def _objective(gamma: np.ndarray, thetas: np.ndarray, logdet_gamma: float) -> float:
-    """1 - det G / det((G+G_S)/2) with A-modes rotated by thetas.
-
-    This is 1 - sqrt(det G det G_S)/det((G+G_S)/2) because the rotation is
-    symplectic (det G_S = det G), so ``logdet_gamma`` is computed once by the
-    caller and each evaluation runs a single Cholesky factorization.
-    """
-    ka = 2 * len(thetas)
-    c, s = np.cos(thetas), np.sin(thetas)
-    i = np.arange(0, ka, 2)
-    rot = np.zeros((ka, ka))
-    rot[i, i] = rot[i + 1, i + 1] = c
-    rot[i, i + 1] = s
-    rot[i + 1, i] = -s
-    gs = _act_on_side(gamma, ka, "A", rot)
-    return -float(np.expm1(logdet_gamma - _chol_logdet(0.5 * (gamma + gs))[1]))
 
 
 @dataclass(frozen=True)

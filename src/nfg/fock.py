@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .families import tmsv
 from .overlap import overlap
@@ -99,6 +98,11 @@ def _adaptive(build, cutoff: int | None, ceiling: int) -> FockDensityMatrix:
         c = min(2 * c, ceiling)
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0 ... n-1, as a running sum of log j."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n)))))
+
+
 def thermal_dm(n_bar: float, cutoff: int | None = None) -> FockDensityMatrix:
     """Thermal state: diagonal weights n_bar^k / (1 + n_bar)^(k+1)."""
     if not (np.isfinite(n_bar) and n_bar >= 0.0):
@@ -130,7 +134,7 @@ def coherent_dm(alpha: complex, cutoff: int | None = None) -> FockDensityMatrix:
             psi[0] = 1.0
         else:
             # Amplitude modulus in log space; the phase factored separately.
-            log_mod = k * np.log(abs(alpha)) - 0.5 * gammaln(k + 1.0) - 0.5 * abs(alpha) ** 2
+            log_mod = k * np.log(abs(alpha)) - 0.5 * _log_factorials(c) - 0.5 * abs(alpha) ** 2
             phase = np.exp(1j * k * np.angle(alpha))
             psi = np.exp(log_mod) * phase
         return _finalize(c, np.outer(psi, psi.conj()))
@@ -142,19 +146,20 @@ def _squeezed_amplitudes(r: float, c: int) -> np.ndarray:
     """Real amplitudes of the squeezed vacuum on even levels, in log space.
 
     c_{2k} = (-tanh r)^k sqrt((2k)!) / (2^k k! sqrt(cosh r)); the factorials
-    are combined under gammaln so large cutoffs neither overflow nor lose
-    the small tail.
+    are combined as logarithms (`_log_factorials`) so large cutoffs neither
+    overflow nor lose the small tail.
     """
     psi = np.zeros(c)
     if r == 0.0:
         psi[0] = 1.0
         return psi
     k = np.arange((c + 1) // 2)
+    log_fact = _log_factorials(2 * len(k))
     log_mod = (
         k * np.log(np.abs(np.tanh(r)))
-        + 0.5 * gammaln(2.0 * k + 1.0)
+        + 0.5 * log_fact[2 * k]
         - k * np.log(2.0)
-        - gammaln(k + 1.0)
+        - log_fact[k]
         - 0.5 * np.log(np.cosh(r))
     )
     psi[2 * k] = np.sign(-np.tanh(r)) ** k * np.exp(log_mod)

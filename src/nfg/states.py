@@ -80,7 +80,7 @@ class ValidationReport:
     physical: bool
 
 
-def _verdict(g: np.ndarray, tol: float) -> tuple[bool, np.ndarray, bool]:
+def _verdict(g: np.ndarray) -> tuple[bool, np.ndarray, bool]:
     """The `validate_cm` verdict of a square, even, finite `g`:
     ``(symmetric, gs, physical)`` with ``gs`` the symmetric part of `g`.
 
@@ -88,33 +88,33 @@ def _verdict(g: np.ndarray, tol: float) -> tuple[bool, np.ndarray, bool]:
     equilibrated Simon matrix; `validate_cm` adds the report-only ones.
     """
     scale = max(1.0, float(np.abs(g).max()))
-    symmetric = float(np.abs(g - g.T).max()) <= tol * scale
+    symmetric = float(np.abs(g - g.T).max()) <= DEFAULT_TOL * scale
     gs = 0.5 * (g + g.T)
     diag = np.diag(gs)
     physical = bool(symmetric and np.all(diag > 0.0))
     if physical:
         root = 1.0 / np.sqrt(diag)
         simon = (gs + 1j * symplectic_form(g.shape[0] // 2)) * np.outer(root, root)
-        physical = bool(np.linalg.eigvalsh(simon)[0] >= -tol)
+        physical = bool(np.linalg.eigvalsh(simon)[0] >= -DEFAULT_TOL)
     return symmetric, gs, physical
 
 
-def validate_cm(gamma, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate_cm(gamma) -> ValidationReport:
     """Check whether `gamma` is a physical covariance matrix.
 
-    The verdict combines symmetry within ``tol`` (relative to max|Gamma|)
+    The verdict combines symmetry within `DEFAULT_TOL` (relative to max|Gamma|)
     with Simon's criterion Gamma + i*Delta >= 0, tested on the equilibrated
     D^{-1/2} (Gamma + i*Delta) D^{-1/2} with D = diag(Gamma) > 0: its smallest
-    eigenvalue must be >= -tol.  That matrix has unit diagonal however large
-    Gamma is, so ``tol`` means the same thing at every scale: a relative
-    distance to the physical set.  (The singular two-mode matrix with
+    eigenvalue must be >= -DEFAULT_TOL.  That matrix has unit diagonal however
+    large Gamma is, so the tolerance means the same thing at every scale: a
+    relative distance to the physical set.  (The singular two-mode matrix with
     a = b = c = -d, nu_min = 0, is that close for a >~ 3e4.)  Symplectic
     eigenvalues are the moduli of the eigenvalues of i*Delta*Gamma, reported
     once each, in descending order; ``positive_definite`` is the smallest
     eigenvalue of Gamma being > 0.  A pure state squeezed past double
     precision (n_bar >~ 1e8) is stored as a singular matrix, so it can read
-    not positive definite with nu_min ~ 0 and still be physical within
-    ``tol``.
+    not positive definite with nu_min ~ 0 and still be physical within the
+    tolerance.
 
     Only the Simon eigensolve decides ``physical``; the symplectic spectrum
     and ``positive_definite`` take two more eigensolves and serve the report.
@@ -122,7 +122,7 @@ def validate_cm(gamma, tol: float = DEFAULT_TOL) -> ValidationReport:
     builds this full report only to explain a rejection.
     """
     g = _as_square_even(gamma, "covariance matrix")
-    symmetric, gs, physical = _verdict(g, tol)
+    symmetric, gs, physical = _verdict(g)
     delta = symplectic_form(g.shape[0] // 2)
     moduli = np.sort(np.abs(np.linalg.eigvals(delta @ gs)))
     nus = moduli[::2][::-1]  # pairs collapse to one entry each, descending
@@ -196,7 +196,7 @@ class GaussianState:
             raise ValueError(f"mean must have length {dim}, got {mean.shape}")
         if not np.all(np.isfinite(mean)):
             raise ValueError("mean has non-finite entries")
-        if not _verdict(g, DEFAULT_TOL)[2]:
+        if not _verdict(g)[2]:
             report = validate_cm(g)
             raise ValueError(
                 "covariance matrix is not physical "
@@ -324,11 +324,12 @@ class WilliamsonDecomposition:
 _DEGENERACY_TOL = 1e-8
 
 
-def _degenerate(nus: np.ndarray, tol: float) -> bool:
+def _degenerate(nus: np.ndarray) -> bool:
     """True when two neighbours of the descending spectrum ``nus`` agree within
-    ``tol``, relative to the larger one or 1; never for a single mode."""
+    `_DEGENERACY_TOL`, relative to the larger one or 1; never for a single
+    mode."""
     return len(nus) > 1 and bool(
-        np.any(np.abs(np.diff(nus)) <= tol * np.maximum(nus[:-1], 1.0))
+        np.any(np.abs(np.diff(nus)) <= _DEGENERACY_TOL * np.maximum(nus[:-1], 1.0))
     )
 
 
@@ -342,10 +343,10 @@ def _spectrum_degenerate(a: np.ndarray) -> bool:
     n = a.shape[0] // 2
     chol = np.linalg.cholesky(a)
     nus = np.linalg.eigvalsh(1j * (chol.T @ symplectic_form(n) @ chol))[n:][::-1]
-    return _degenerate(nus, _DEGENERACY_TOL)
+    return _degenerate(nus)
 
 
-def williamson(gamma, degeneracy_tol: float = _DEGENERACY_TOL) -> WilliamsonDecomposition:
+def williamson(gamma) -> WilliamsonDecomposition:
     """Williamson decomposition of a positive-definite covariance matrix.
 
     Returns a symplectic S with ``S Gamma S^T = direct_sum(nu_i * I_2)``, with
@@ -363,8 +364,8 @@ def williamson(gamma, degeneracy_tol: float = _DEGENERACY_TOL) -> WilliamsonDeco
     ``S = D^{1/2} O^T Gamma^{-1/2}`` is symplectic by construction.
 
     ``degeneracy_flag`` is set when two consecutive eigenvalues agree within
-    ``degeneracy_tol`` (relative).  `nfg_numeric` applies the same rule, at
-    the default tolerance, to the A block's spectrum without decomposing it.
+    `_DEGENERACY_TOL` (relative).  `nfg_numeric` applies the same rule to the
+    A block's spectrum without decomposing it.
     """
     g = _as_square_even(gamma, "covariance matrix")
     g = 0.5 * (g + g.T)
@@ -380,16 +381,17 @@ def williamson(gamma, degeneracy_tol: float = _DEGENERACY_TOL) -> WilliamsonDeco
     cols[:, 0::2] = np.sqrt(2.0) * v[:, n:].real
     cols[:, 1::2] = -np.sqrt(2.0) * v[:, n:].imag
     s = np.repeat(np.sqrt(nus), 2)[:, None] * (cols.T @ root_inv)
-    return WilliamsonDecomposition(_frozen(s), _frozen(nus), _degenerate(nus, degeneracy_tol))
+    return WilliamsonDecomposition(_frozen(s), _frozen(nus), _degenerate(nus))
 
 
 @dataclass(frozen=True)
 class StandardFormParams:
     """Two-mode standard form parameters (a, b, c, d).
 
-    The corresponding covariance matrix is ``[[a*I, diag(c,d)], [diag(c,d), b*I]]``
-    with a, b >= 1, ab - 1 >= max(c^2, d^2) and the canonical orientation
-    c >= |d|.
+    The corresponding covariance matrix is ``[[a*I, diag(c,d)], [diag(c,d), b*I]]``.
+    The parameters are physical when that matrix passes the Simon verdict of
+    `validate_cm` (the rule `GaussianState` applies, at `DEFAULT_TOL`), and
+    canonically oriented when c >= |d|.  Construction checks both.
     """
 
     a: float
@@ -401,22 +403,24 @@ class StandardFormParams:
         a, b, c, d = self.a, self.b, self.c, self.d
         if not all(np.isfinite([a, b, c, d])):
             raise ValueError("standard-form parameters must be finite")
-        scale = max(1.0, abs(a), abs(b))
-        tol = DEFAULT_TOL * scale
-        if a < 1.0 - tol or b < 1.0 - tol:
-            raise ValueError(f"need a, b >= 1, got a={a}, b={b}")
-        if a * b - 1.0 < c * c - tol * scale or a * b - 1.0 < d * d - tol * scale:
-            raise ValueError("parameters violate ab - 1 >= max(c^2, d^2)")
-        if c < abs(d) - tol:
+        if not _verdict(_standard_cm(self))[2]:
+            raise ValueError(
+                f"standard-form parameters are not physical: a={a}, b={b}, c={c}, d={d}"
+            )
+        if c < abs(d) - DEFAULT_TOL * max(1.0, abs(a), abs(b)):
             raise ValueError(f"canonical orientation requires c >= |d|, got c={c}, d={d}")
+
+
+def _standard_cm(p: StandardFormParams) -> np.ndarray:
+    g = np.diag([p.a, p.a, p.b, p.b]).astype(float)
+    g[0, 2] = g[2, 0] = p.c
+    g[1, 3] = g[3, 1] = p.d
+    return g
 
 
 def state_from_params(p: StandardFormParams) -> GaussianState:
     """Build the zero-mean (1+1)-mode state with the standard-form CM of `p`."""
-    g = np.diag([p.a, p.a, p.b, p.b]).astype(float)
-    g[0, 2] = g[2, 0] = p.c
-    g[1, 3] = g[3, 1] = p.d
-    return GaussianState(g, 1, 1)
+    return GaussianState(_standard_cm(p), 1, 1)
 
 
 def _williamson_2x2(a: np.ndarray) -> tuple[np.ndarray, float]:

@@ -412,7 +412,17 @@ class TestSweepCommand:
             assert (nfg_minus_dg, nfg_minus_q) == (nfg - dg, nfg - q)
 
 
+#: Byte length and SHA-256 of the default `nfg oracle-check` stdout, with the
+#: Fock oracle's log k! from a running sum of log j.
+GOLDEN_ORACLE = (1395, "a2664018c2decec9af6debcd8021bedad9ee9a92a56471024de88f3645754a21")
+
+
 class TestOracleCheckCommand:
+    def test_default_output_is_pinned(self, capsys):
+        assert main(["oracle-check"]) == 0
+        data = capsys.readouterr().out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN_ORACLE
+
     def test_fast_families_pass(self, capsys):
         assert main(["oracle-check", "--families", "thermal,coherent"]) == 0
         out = capsys.readouterr().out

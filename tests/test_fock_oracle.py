@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from nfg import GaussianState, nfg_theta_objective, nfg_two_mode, overlap, tmsv
 from nfg.fock import (
     FockDensityMatrix,
+    _log_factorials,
     coherent_dm,
     oracle_rows,
     overlap_fock,
@@ -19,6 +22,18 @@ def vacuum_projector(cutoff: int) -> np.ndarray:
     m = np.zeros((cutoff, cutoff))
     m[0, 0] = 1.0
     return m
+
+
+class TestLogFactorials:
+    def test_matches_exact_factorials(self):
+        # The running sum of log j stays within 1e-14 relative of log k! up to
+        # twice the largest cutoff, the squeezed builder's reach.
+        table = _log_factorials(1100)
+        assert len(table) == 1100
+        assert table[0] == table[1] == 0.0
+        for k in range(2, 1100):
+            exact = math.log(math.factorial(k))
+            assert abs(table[k] - exact) <= 1e-14 * exact, k
 
 
 class TestThermal:

@@ -19,15 +19,16 @@ def _run(code: str) -> str:
     return out.stdout.strip()
 
 
-def test_import_does_not_load_scipy_optimize():
-    # Importing scipy.optimize costs ~200 ms of start-up; nothing in nfg needs it.
-    # scipy.special serves only the Fock oracle, which `nfg.cli` imports lazily,
-    # and the rest of the package runs on NumPy alone, so no scipy module loads.
-    code = (
-        "import sys, nfg, nfg.cli; "
-        f"print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules, {ANY_SCIPY})"
-    )
-    assert _run(code) == "False False False"
+def test_import_does_not_load_scipy():
+    # nfg runs on NumPy alone, the Fock oracle included, so importing the
+    # package, its CLI and the oracle loads no scipy module.
+    assert _run(f"import sys, nfg, nfg.cli, nfg.fock; print({ANY_SCIPY})") == "False"
+
+
+def test_oracle_check_does_not_load_scipy():
+    # The oracle's log-factorials are a NumPy running sum, not scipy.special.
+    code = f"import sys, nfg.cli; code = nfg.cli.main(['oracle-check']); print(code, {ANY_SCIPY})"
+    assert _run(code).splitlines()[-1] == "0 False"
 
 
 def test_sweep_does_not_load_scipy(tmp_path):

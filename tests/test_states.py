@@ -300,6 +300,41 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             StandardFormParams(2.0, 2.0, 0.5, -1.0)
 
+    @pytest.mark.parametrize(
+        "a, b, c, d",
+        [
+            (2.0, 2.0, np.sqrt(3.0), 0.0),
+            (3.0, 3.0, 2.8, 0.0),
+            (3.0, 2.0, 2.2, 1.0),
+            (1.5, 4.0, 2.2, -2.2),
+            (2.0, 2.0, 1.7, -1.0),
+        ],
+    )
+    def test_rejects_what_simon_rejects(self, a, b, c, d):
+        # a, b >= 1 and ab - 1 >= max(c^2, d^2) hold here, but that is not
+        # Simon's criterion: each matrix has a symplectic eigenvalue below 1.
+        assert a * b - 1.0 >= max(c * c, d * d) and c >= abs(d)
+        g = np.array([[a, 0.0, c, 0.0], [0.0, a, 0.0, d], [c, 0.0, b, 0.0], [0.0, d, 0.0, b]])
+        assert validate_cm(g).symplectic_eigenvalues[-1] < 0.99
+        with pytest.raises(ValueError, match="not physical"):
+            StandardFormParams(a, b, c, d)
+
+    @pytest.mark.parametrize("n_bar", [1e-3, 1.0, 1e4, 1e8, 1e10, 1e13])
+    def test_standard_forms_of_accepted_states_accepted(self, rng, n_bar):
+        # Rotated and locally squeezed SSTS are physical, so their standard
+        # forms must pass the same verdict at every scale.
+        def local():
+            r = rng.uniform(0.0, 2.0)
+            phi, psi = rng.uniform(0.0, 2.0 * np.pi, 2)
+            return rotation(phi) @ np.diag([np.exp(-r), np.exp(r)]) @ rotation(psi)
+
+        for mu in (0.0, 0.5, 0.9, 1.0):
+            base = ssts(SstsParams(n_bar, mu))
+            for _ in range(10):
+                u = GaussianUnitary(la.block_diag(local(), local()))
+                params, _, _ = standard_form(apply_gaussian_unitary(base, u, "global"))
+                assert validate_cm(state_from_params(params).cm).physical
+
 
 class TestBlocks:
     def test_product_state_has_zero_cross_block(self):
