@@ -35,7 +35,6 @@ import numpy as np
 
 from .correlation import (
     GaussianChannel,
-    apply_channel,
     check_monotonicity,
     nfg_after_channel_closed_form,
     nfg_numeric,
@@ -43,7 +42,7 @@ from .correlation import (
     nfg_upper_bound,
 )
 from .families import SweepGrid, _sweep_columns
-from .fock import oracle_rows
+from .fock import _CASES, oracle_rows
 from .states import GaussianState, standard_form, validate_cm
 
 __all__ = [
@@ -223,20 +222,23 @@ def cmd_nfg(state_path: str, method: str = "closed", as_json: bool = False) -> i
 def cmd_channel(state_path: str, channel_path: str, compare_closed: bool = False) -> int:
     """Send B through a channel, print the measure before/after and the verdict.
 
-    With ``compare_closed``, also evaluate the post-channel closed form (with
-    the channel conjugated into the state's standard-form frame, so the
-    comparison is exact for any input orientation) and print the discrepancy
-    against the apply-then-compute value.
+    Any partition is accepted.  With ``compare_closed``, which needs a
+    (1+1)-mode state and fails before any output otherwise, also evaluate the
+    post-channel closed form (with the channel conjugated into the state's
+    standard-form frame, so the comparison is exact for any input
+    orientation) and print the discrepancy against the apply-then-compute
+    value.
     """
     state = read_state(state_path)
     ch = read_channel(channel_path)
+    if compare_closed:
+        params, _, s_b = standard_form(state)
     report = check_monotonicity(state, ch)
     print(f"before: {_g(report.before)}")
     print(f"after: {_g(report.after)}")
     print(f"monotonic: {_yes(report.holds)}")
     print(f"slack: {_g(report.slack)}")
     if compare_closed:
-        params, _, s_b = standard_form(state)
         frame = GaussianChannel(
             s_b @ ch.k @ np.linalg.inv(s_b), s_b @ ch.m_noise @ s_b.T, None
         )
@@ -331,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["closed", "numeric", "bound"], default="closed")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("channel", help="apply a channel on B and check monotonicity")
+    p = sub.add_parser("channel", help="apply a channel on B and check monotonicity, any partition")
     p.add_argument("state")
     p.add_argument("channel")
     p.add_argument("--compare-closed", action="store_true")
@@ -349,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="validate overlaps against the Fock oracle")
     p.add_argument(
         "--families",
-        help="comma-separated subset of thermal,coherent,squeezed,tmsv (default all)",
+        help=f"comma-separated subset of {','.join(_CASES)} (default all)",
     )
 
     p = sub.add_parser("standard-form", help="print standard-form parameters of a state file")
@@ -387,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle-check":
             families = args.families.split(",") if args.families else None
             for name in families or []:
-                if name not in ("thermal", "coherent", "squeezed", "tmsv"):
+                if name not in _CASES:
                     raise ParseError(f"unknown family {name!r}")
             return cmd_oracle_check(families)
         if args.command == "standard-form":

@@ -9,8 +9,8 @@ the reduced state rho_A invariant, of the squared overlap distance
   `nfg_two_mode` and `nfg_numeric`, and the upper bound from the same
   spectrum;
 * the literal determinant-form objective at a given rotation angle;
-* Gaussian channels on subsystem B, the post-channel closed form for
-  single-mode-B channels, and a monotonicity checker.
+* Gaussian channels on either subsystem, the post-channel closed form for
+  single-mode channels on B, and a monotonicity checker for every partition.
 
 Everything here works on covariance matrices only: the measure is independent
 of the mean.  Stabilizing rotations are symplectic, so det G_S = det G and the
@@ -62,6 +62,33 @@ every mode (U = i I).  That phase range is this package's convention: the
 definition fixes none, and with eigenphases up to pi the objective climbs
 further, to `nfg_upper_bound` at parity on A.  The tests sample U(k)
 stabilizers on planted degenerate spectra against it.
+
+Monotonicity, swap symmetry and ancilla invariance, for every partition.
+The value above rests on the phase convention; each step below reads only
+mu, so the three properties hold for every (n+m)-mode partition:
+
+1. N = 1 - prod_i (1 - mu_i)/(1 - mu_i/2) rises in each mu_i in [0, 1]:
+   each factor lies in [0, 1] and falls as mu_i rises.  So does the bound's
+   factor 1 - mu_i.
+2. With W = A^{-1/2} C B^{-1/2}, B^{-1} X is similar to W^T W, so mu are the
+   squared singular values of W, in [0, 1] because B - X >= 0.  The nonzero
+   ones are the eigenvalues of T = W W^T = A^{-1/2} C B^{-1} C^T A^{-1/2},
+   which is symmetric in A and B: swapping the sides turns W into W^T, so
+   only the number of zero mu changes, and a zero adds a factor 1.
+3. A channel on B maps C -> C K^T and B -> Y Y^T + M with Y = K B^{1/2} and
+   M >= 0 (the real part of the complete-positivity condition), so
+   T' = W Y^T (Y Y^T + M)^{-1} Y W^T.  The middle factor is <= I because
+   Y Y^T <= Y Y^T + M, so T' <= T in the Loewner order and, by Weyl, each
+   sorted mu' <= mu: N and the bound cannot rise.  By step 2 the same holds
+   for a channel on A, with any number of modes on either side.
+4. An uncorrelated ancilla appended to B turns W into [W, 0], to A into
+   [W; 0].  The singular values stay, so mu is only padded with zeros and
+   N and the bound are unchanged.  An ancilla whose symplectic eigenvalue
+   equals one of A's leaves the value as it is but makes A's spectrum
+   degenerate, which sets ``lower_bound_only``.
+
+Without the phase convention the supremum over the stabilizer is the bound
+(parity on A), and steps 1-4 give it the same three properties.
 """
 
 from __future__ import annotations
@@ -76,6 +103,7 @@ from .states import (
     StandardFormParams,
     _act_on_side,
     _as_square_even,
+    _map_side,
     _spectrum_degenerate,
     symplectic_form,
 )
@@ -283,21 +311,14 @@ class GaussianChannel:
 
 
 def apply_channel(state: GaussianState, ch: GaussianChannel, side: str = "B") -> GaussianState:
-    """Send subsystem B through the channel: Gamma -> (I+K) sandwich plus noise.
+    """Send subsystem ``side``, "A" or "B", through the channel.
 
-    Block-wise this is A -> A, C -> C K^T, B -> K B K^T + M, and the B part of
-    the mean becomes K d_B + d_bar.  The A block is carried over untouched.
+    For side B this is A -> A, C -> C K^T, B -> K B K^T + M, and the B part of
+    the mean becomes K d_B + d_bar; side A maps the A rows likewise.  The
+    other diagonal block is carried over untouched.  The map is the one
+    `apply_gaussian_unitary` uses for one side, with the noise M added.
     """
-    if side != "B":
-        raise ValueError("channels act on side 'B'")
-    ka = 2 * state.n_a
-    if ch.k.shape[0] != state.cm.shape[0] - ka:
-        raise ValueError("channel dimension does not match subsystem B")
-    g = _act_on_side(state.cm, ka, "B", ch.k)
-    g[ka:, ka:] += ch.m_noise
-    mean = state.mean.copy()
-    mean[ka:] = ch.k @ state.mean[ka:] + ch.d_bar
-    return GaussianState(g, state.n_a, state.n_b, mean)
+    return _map_side(state, side, ch.k, ch.d_bar, ch.m_noise)
 
 
 def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) -> NfgResult:
@@ -343,7 +364,8 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    """Before/after comparison of the measure across a channel on B."""
+    """Before/after comparison of the measure across a channel on B, for any
+    partition."""
 
     before: float
     after: float
@@ -352,12 +374,13 @@ class MonotonicityReport:
 
 
 def check_monotonicity(state: GaussianState, ch: GaussianChannel) -> MonotonicityReport:
-    """Check that a channel on B cannot increase the measure.
+    """Check that a channel on B cannot increase the measure, for any
+    partition (the module notes prove that it cannot).
 
     ``holds`` allows 1e-10 of numerical slack; ``slack`` reports the raw
     decrease before - after.  ``before`` reads the correlation spectrum the
     input state already holds if the measure or the bound was asked of it.
     """
-    before = nfg_two_mode(state).value
-    after = nfg_two_mode(apply_channel(state, ch, "B")).value
+    before = _clamp(_measure(state))
+    after = _clamp(_measure(apply_channel(state, ch, "B")))
     return MonotonicityReport(before, after, after <= before + 1e-10, before - after)

@@ -32,7 +32,7 @@ from itertools import chain, cycle, repeat
 
 import numpy as np
 
-from .states import GaussianState, StandardFormParams, state_from_params
+from .states import GaussianState, _standard_cm
 
 __all__ = [
     "SstsParams",
@@ -87,22 +87,27 @@ def _mu_ok(mu):
 
 
 def ssts(p: SstsParams) -> GaussianState:
-    """The symmetric squeezed thermal state as a zero-mean (1+1)-mode state."""
+    """The symmetric squeezed thermal state as a zero-mean (1+1)-mode state.
+
+    The matrix is in standard form with c >= |d| and physical for every valid
+    `SstsParams`, so it goes to `GaussianState`, whose Simon verdict is the
+    only one run, without a `StandardFormParams` check.
+    """
     a = 1.0 + 2.0 * p.n_bar
     c = 2.0 * p.mu * np.sqrt(p.n_bar * (1.0 + p.n_bar))
-    return state_from_params(StandardFormParams(a, a, c, -c))
+    return GaussianState(_standard_cm(a, a, c, -c), 1, 1)
 
 
 def tmsv(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeeze parameter r >= 0.
 
     Diagonal entries cosh(2r), cross block diag(sinh 2r, -sinh 2r); equals
-    ssts(n_bar = sinh^2 r, mu = 1).
+    ssts(n_bar = sinh^2 r, mu = 1).  Built like `ssts`, with one verdict.
     """
     if not (np.isfinite(r) and r >= 0.0):
         raise ValueError(f"squeeze parameter must be finite and >= 0, got {r}")
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    return state_from_params(StandardFormParams(ch, ch, sh, -sh))
+    return GaussianState(_standard_cm(ch, ch, sh, -sh), 1, 1)
 
 
 def _split(n_bar, mu):

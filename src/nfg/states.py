@@ -288,27 +288,44 @@ def _act_on_side(cm: np.ndarray, ka: int, side: str, k: np.ndarray) -> np.ndarra
     return g
 
 
-def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str = "global") -> GaussianState:
-    """Apply a Gaussian unitary to one side of the partition, or globally.
+def _map_side(
+    state: GaussianState, side: str, k: np.ndarray, shift: np.ndarray, noise: np.ndarray | None = None
+) -> GaussianState:
+    """Map one side of the partition: the side's rows and columns of the
+    covariance matrix by K, plus ``noise`` on its diagonal block, and its
+    part of the mean to K d + shift.
 
-    For side "A" or "B" the other block of the covariance matrix is carried
-    over untouched (bit for bit).  The output goes through the `GaussianState`
-    constructor, so its Simon verdict is checked again.
+    The other diagonal block and the other part of the mean are carried over
+    bit for bit.  The output goes through the `GaussianState` constructor, so
+    its Simon verdict is checked again.
     """
-    ka = 2 * state.n_a
-    s, m = u.s, u.m
-    if side == "global":
-        if s.shape[0] != state.cm.shape[0]:
-            raise ValueError("unitary dimension does not match the state")
-        return GaussianState(s @ state.cm @ s.T, state.n_a, state.n_b, s @ state.mean + m)
     if side not in ("A", "B"):
-        raise ValueError("side must be 'A', 'B' or 'global'")
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    ka = 2 * state.n_a
     part = slice(0, ka) if side == "A" else slice(ka, None)
     mean = state.mean.copy()
-    if s.shape[0] != mean[part].shape[0]:
-        raise ValueError(f"unitary dimension {s.shape[0]} does not match side {side}")
-    mean[part] = s @ state.mean[part] + m
-    return GaussianState(_act_on_side(state.cm, ka, side, s), state.n_a, state.n_b, mean)
+    if k.shape[0] != mean[part].shape[0]:
+        raise ValueError(f"dimension {k.shape[0]} does not match side {side}")
+    mean[part] = k @ state.mean[part] + shift
+    g = _act_on_side(state.cm, ka, side, k)
+    if noise is not None:
+        g[part, part] += noise
+    return GaussianState(g, state.n_a, state.n_b, mean)
+
+
+def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str = "global") -> GaussianState:
+    """Apply a Gaussian unitary to side "A" or "B" of the partition, or globally.
+
+    For one side the other block of the covariance matrix is carried over
+    untouched (bit for bit).  The output goes through the `GaussianState`
+    constructor, so its Simon verdict is checked again.
+    """
+    s, m = u.s, u.m
+    if side != "global":
+        return _map_side(state, side, s, m)
+    if s.shape[0] != state.cm.shape[0]:
+        raise ValueError("unitary dimension does not match the state")
+    return GaussianState(s @ state.cm @ s.T, state.n_a, state.n_b, s @ state.mean + m)
 
 
 @dataclass(frozen=True)
@@ -403,7 +420,7 @@ class StandardFormParams:
         a, b, c, d = self.a, self.b, self.c, self.d
         if not all(np.isfinite([a, b, c, d])):
             raise ValueError("standard-form parameters must be finite")
-        if not _verdict(_standard_cm(self))[2]:
+        if not _verdict(_standard_cm(a, b, c, d))[2]:
             raise ValueError(
                 f"standard-form parameters are not physical: a={a}, b={b}, c={c}, d={d}"
             )
@@ -411,16 +428,16 @@ class StandardFormParams:
             raise ValueError(f"canonical orientation requires c >= |d|, got c={c}, d={d}")
 
 
-def _standard_cm(p: StandardFormParams) -> np.ndarray:
-    g = np.diag([p.a, p.a, p.b, p.b]).astype(float)
-    g[0, 2] = g[2, 0] = p.c
-    g[1, 3] = g[3, 1] = p.d
+def _standard_cm(a: float, b: float, c: float, d: float) -> np.ndarray:
+    g = np.diag([a, a, b, b]).astype(float)
+    g[0, 2] = g[2, 0] = c
+    g[1, 3] = g[3, 1] = d
     return g
 
 
 def state_from_params(p: StandardFormParams) -> GaussianState:
     """Build the zero-mean (1+1)-mode state with the standard-form CM of `p`."""
-    return GaussianState(_standard_cm(p), 1, 1)
+    return GaussianState(_standard_cm(p.a, p.b, p.c, p.d), 1, 1)
 
 
 def _williamson_2x2(a: np.ndarray) -> tuple[np.ndarray, float]:

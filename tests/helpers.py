@@ -58,6 +58,15 @@ def random_dilation(
     return random_symplectic(rng, 2 * n, scale), env
 
 
+def dilation_channel(rng: np.random.Generator, n: int, scale: float = 0.4) -> GaussianChannel:
+    """The n-mode channel of `random_dilation`: K is the system block of its
+    symplectic and M the environment's covariance seen through the cross
+    block."""
+    s, env = random_dilation(rng, n, scale)
+    k, k_env = s[: 2 * n, : 2 * n], s[: 2 * n, 2 * n :]
+    return GaussianChannel(k, k_env @ env @ k_env.T)
+
+
 def through_thermal_dilation(
     rng: np.random.Generator, state: GaussianState, scale: float = 0.4, nu_max: float = 3.0
 ) -> GaussianState:

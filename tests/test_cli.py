@@ -140,6 +140,75 @@ class TestPinnedOutputs:
         assert capsys.readouterr().out == PINNED_OUTPUTS[name, command]
 
 
+#: Channel files behind `PINNED_CHANNEL_OUTPUTS`, by the mode count of B: a
+#: one-mode attenuation with noise, and a 50:50 beam splitter between the two
+#: B modes with loss and noise.
+PINNED_CHANNELS = {
+    1: (0.5 * np.eye(2), 0.8 * np.eye(2)),
+    2: (0.5 * np.array([[1, 0, 1, 0], [0, 1, 0, 1], [-1, 0, 1, 0], [0, -1, 0, 1]]), 0.6 * np.eye(4)),
+}
+
+#: Standard output of `nfg channel` on `PINNED_STATES`; the (1+1) outputs
+#: were recorded while `check_monotonicity` went through `nfg_two_mode`, the
+#: others match 50-digit determinants of the stored matrices to 1e-15.
+PINNED_CHANNEL_OUTPUTS = {
+    "ssts": (
+        "before: 0.89795524691358042\nafter: 0.87432393845740408\n"
+        "monotonic: yes\nslack: 0.023631308456176336\n"
+    ),
+    "random-1+1": (
+        "before: 0.19708077100178328\nafter: 0.08624719611916766\n"
+        "monotonic: yes\nslack: 0.11083357488261562\n"
+    ),
+    "random-1+2": (
+        "before: 0.32545076972146081\nafter: 0.21264904756913805\n"
+        "monotonic: yes\nslack: 0.11280172215232276\n"
+    ),
+    "random-2+2": (
+        "before: 0.81300283017100905\nafter: 0.61465574823098079\n"
+        "monotonic: yes\nslack: 0.19834708194002826\n"
+    ),
+}
+
+#: What `nfg channel --compare-closed` adds for the (1+1) states.
+PINNED_CLOSED_OUTPUTS = {
+    "ssts": "closed_form_after: 0.87432393845740408\ndiscrepancy: 0\n",
+    "random-1+1": (
+        "closed_form_after: 0.086247196119167632\ndiscrepancy: 2.7755575615628914e-17\n"
+    ),
+}
+
+
+class TestPinnedChannelOutputs:
+    def write_files(self, tmp_path, name):
+        n_a, n_b, cm = PINNED_STATES[name]
+        k, m = PINNED_CHANNELS[n_b]
+        doc = {"schema_version": "1", "k": list(np.ravel(k)), "m_noise": list(np.ravel(m))}
+        state = write_json(tmp_path / f"{name}.json", state_doc(cm, n_a, n_b))
+        return state, write_json(tmp_path / "ch.json", doc)
+
+    @pytest.mark.parametrize("name", list(PINNED_CHANNEL_OUTPUTS))
+    def test_stdout_is_pinned(self, capsys, tmp_path, name):
+        state, ch = self.write_files(tmp_path, name)
+        assert main(["channel", state, ch]) == 0
+        assert capsys.readouterr().out == PINNED_CHANNEL_OUTPUTS[name]
+
+    @pytest.mark.parametrize("name", list(PINNED_CLOSED_OUTPUTS))
+    def test_compare_closed_stdout_is_pinned(self, capsys, tmp_path, name):
+        state, ch = self.write_files(tmp_path, name)
+        assert main(["channel", state, ch, "--compare-closed"]) == 0
+        expected = PINNED_CHANNEL_OUTPUTS[name] + PINNED_CLOSED_OUTPUTS[name]
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("name", ["random-1+2", "random-2+2"])
+    def test_compare_closed_needs_a_two_mode_state(self, capsys, tmp_path, name):
+        state, ch = self.write_files(tmp_path, name)
+        assert main(["channel", state, ch, "--compare-closed"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: standard form is defined for (1+1)-mode states\n"
+
+
 class TestStateRoundTrip:
     def test_cm_and_mean_survive_exactly(self, tmp_path, rng):
         state = random_state(rng, 2, 1, displaced=True)

@@ -32,10 +32,11 @@ from nfg import (
 
 from helpers import (
     brute_force_nfg,
+    dilation_channel,
     passive_stabilizer,
     planted_degenerate_state,
     random_channel,
-    random_dilation,
+    random_cm,
     random_passive_stabilizer,
     random_state,
     random_symplectic,
@@ -485,13 +486,10 @@ class TestGaussianChannel:
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 2), (1, 3)])
     def test_accepts_multimode_channels_read_off_a_dilation(self, n_a, n_b, rng):
-        kb = 2 * n_b
         for seed in rng.integers(2**32, size=100):
             state = random_state(rng, n_a, n_b)
             expected = through_thermal_dilation(np.random.default_rng(seed), state)
-            s_be, env = random_dilation(np.random.default_rng(seed), n_b)
-            k, k_env = s_be[:kb, :kb], s_be[:kb, kb:]
-            ch = GaussianChannel(k, k_env @ env @ k_env.T)
+            ch = dilation_channel(np.random.default_rng(seed), n_b)
             out = apply_channel(state, ch, "B").cm
             assert np.abs(out - expected.cm).max() <= 1e-12 * np.abs(expected.cm).max()
 
@@ -532,10 +530,13 @@ class TestApplyChannel:
 
     def test_dimension_mismatch_rejected(self, rng):
         state = random_state(rng, 2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not match side B"):
             apply_channel(state, random_channel(rng), "B")
-        with pytest.raises(ValueError):
-            apply_channel(random_state(rng), random_channel(rng), "A")
+        two_mode = GaussianChannel(np.eye(4), np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="does not match side A"):
+            apply_channel(random_state(rng, 1, 2), two_mode, "A")
+        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+            apply_channel(random_state(rng), random_channel(rng), "global")
 
 
 class TestAfterChannelClosedForm:
@@ -603,15 +604,114 @@ class TestMonotonicity:
 
     def test_random_channels_never_increase_the_measure(self, rng):
         for _ in range(50):
-            rep = check_monotonicity(random_state(rng), random_channel(rng))
+            state, ch = random_state(rng), random_channel(rng)
+            rep = check_monotonicity(state, ch)
             assert rep.holds
             assert rep.after <= rep.before + 1e-10
+            assert rep.before == nfg_two_mode(state).value
+            assert rep.after == nfg_two_mode(apply_channel(state, ch, "B")).value
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 2), (3, 2)])
     def test_multimode_channels_on_b_do_not_increase_the_measure(self, rng, n_a, n_b):
-        # Monotonicity is proved for (1+1) modes only; for a multi-mode B
-        # this is a seeded check of the conjecture, not a proof.
+        # check_monotonicity takes every partition; the module notes prove
+        # that the measure cannot rise.
         for i in range(40):
             state = random_state(rng, n_a, n_b)
-            out = through_thermal_dilation(rng, state, scale=0.4 if i % 2 else 0.02)
-            assert nfg_numeric(out).value <= nfg_numeric(state).value + 1e-10
+            ch = dilation_channel(rng, n_b, scale=0.4 if i % 2 else 0.02)
+            rep = check_monotonicity(state, ch)
+            assert rep.holds
+            assert rep.before == nfg_numeric(state).value
+            assert rep.after == nfg_numeric(apply_channel(state, ch, "B")).value
+            assert rep.after <= rep.before + 1e-13
+
+
+#: Partitions from (1+1) to (3+3) for the properties the module notes prove.
+PROOF_PARTITIONS = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 3)]
+
+
+def swapped(state: GaussianState) -> GaussianState:
+    """The state with subsystems A and B exchanged."""
+    ka = 2 * state.n_a
+    perm = np.r_[ka : state.cm.shape[0], :ka]
+    return GaussianState(state.cm[np.ix_(perm, perm)], state.n_b, state.n_a, state.mean[perm])
+
+
+def with_ancilla(state: GaussianState, side: str, ancilla: np.ndarray) -> GaussianState:
+    """`state` with the uncorrelated one-mode covariance `ancilla` appended
+    as the last mode of `side`."""
+    cm = la.block_diag(state.cm, ancilla)
+    if side == "B":
+        return GaussianState(cm, state.n_a, state.n_b + 1)
+    ka, n = 2 * state.n_a, cm.shape[0]
+    perm = np.r_[:ka, n - 2 : n, ka : n - 2]
+    return GaussianState(cm[np.ix_(perm, perm)], state.n_a + 1, state.n_b)
+
+
+class TestPartitionProperties:
+    """The properties the module notes prove for every partition: channels
+    on either side lower each sorted mu, the measure is symmetric in A and B,
+    and an uncorrelated ancilla on either side leaves it unchanged."""
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("n_a, n_b", PROOF_PARTITIONS)
+    def test_channel_lowers_each_sorted_mu(self, rng, side, n_a, n_b):
+        for i in range(15):
+            state = random_state(rng, n_a, n_b)
+            ch = dilation_channel(rng, n_a if side == "A" else n_b, 0.4 if i % 2 else 0.02)
+            out = apply_channel(state, ch, side)
+            # both spectra come sorted ascending from eigvalsh
+            assert np.all(out._correlation_spectrum <= state._correlation_spectrum + 1e-13)
+            assert nfg_numeric(out).value <= nfg_numeric(state).value + 1e-13
+            assert nfg_upper_bound(out) <= nfg_upper_bound(state) + 1e-13
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("n_a, n_b", PROOF_PARTITIONS)
+    def test_rotation_objective_never_rises(self, rng, side, n_a, n_b):
+        # c_squared at pi/2 on every A mode in A's Williamson frame, from the
+        # fidelity and the Williamson code alone: no correlation spectrum.
+        for i in range(4):
+            state = random_state(rng, n_a, n_b)
+            ch = dilation_channel(rng, n_a if side == "A" else n_b, 0.4 if i % 2 else 0.02)
+            before, after = (
+                brute_force_nfg(s, 2)[(-1,) * n_a] for s in (state, apply_channel(state, ch, side))
+            )
+            assert after <= before + 1e-10
+
+    @pytest.mark.parametrize("n_a, n_b", PROOF_PARTITIONS)
+    def test_channel_on_a_is_the_swapped_channel_on_b(self, rng, n_a, n_b):
+        for _ in range(5):
+            state = random_state(rng, n_a, n_b, displaced=True)
+            ch = dilation_channel(rng, n_a)
+            ch = GaussianChannel(ch.k, ch.m_noise, rng.normal(size=2 * n_a))
+            direct = apply_channel(state, ch, "A")
+            via = swapped(apply_channel(swapped(state), ch, "B"))
+            assert np.abs(direct.cm - via.cm).max() <= 1e-13 * np.abs(via.cm).max()
+            assert np.array_equal(direct.mean, via.mean)
+            assert np.array_equal(direct.cm[2 * n_a :, 2 * n_a :], state.cm[2 * n_a :, 2 * n_a :])
+
+    @pytest.mark.parametrize("n_a, n_b", PROOF_PARTITIONS)
+    def test_swap_symmetry(self, rng, n_a, n_b):
+        for _ in range(20):
+            state = random_state(rng, n_a, n_b)
+            swap = swapped(state)
+            value, bound = nfg_numeric(state).value, nfg_upper_bound(state)
+            assert nfg_numeric(swap).value == pytest.approx(value, rel=1e-13, abs=0.0)
+            assert nfg_upper_bound(swap) == pytest.approx(bound, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("n_a, n_b", PROOF_PARTITIONS)
+    def test_uncorrelated_ancilla_leaves_the_measure(self, rng, side, n_a, n_b):
+        # Every other ancilla has the largest symplectic eigenvalue of A: on
+        # A that makes A's spectrum degenerate, which sets lower_bound_only
+        # and leaves the value as it is.
+        for i in range(10):
+            state = random_state(rng, n_a, n_b)
+            shared = i % 2 == 1
+            nu = williamson(state.cm[: 2 * n_a, : 2 * n_a]).nus[0] if shared else None
+            grown = with_ancilla(state, side, random_cm(rng, 1, nus=None if nu is None else [nu]))
+            res = nfg_numeric(grown)
+            assert res.value == pytest.approx(nfg_numeric(state).value, rel=1e-13, abs=0.0)
+            assert nfg_upper_bound(grown) == pytest.approx(
+                nfg_upper_bound(state), rel=1e-13, abs=0.0
+            )
+            assert res.lower_bound_only == (shared and side == "A")

@@ -3,8 +3,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import nfg.states
+
 from nfg import (
     SstsParams,
+    StandardFormParams,
     SweepGrid,
     SweepRow,
     dg_ssts,
@@ -14,6 +17,7 @@ from nfg import (
     purity,
     q_ssts,
     ssts,
+    state_from_params,
     sweep,
     tmsv,
     validate_cm,
@@ -111,6 +115,43 @@ class TestTmsv:
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             tmsv(-0.5)
+
+    def test_overflowing_r_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            tmsv(400.0)
+
+
+class TestOneVerdict:
+    """The family builders hand their standard-form matrix to GaussianState,
+    whose Simon verdict is the only one run, and build the matrix that
+    `state_from_params` builds."""
+
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        calls = []
+        verdict = nfg.states._verdict
+
+        def spy(g):
+            calls.append(g.shape)
+            return verdict(g)
+
+        monkeypatch.setattr(nfg.states, "_verdict", spy)
+        return calls
+
+    @pytest.mark.parametrize("n_bar, mu", [(0.0, 0.0), (1.0, 0.5), (49.0, 0.9), (1e13, 1.0)])
+    def test_ssts(self, verdicts, n_bar, mu):
+        state = ssts(SstsParams(n_bar, mu))
+        assert verdicts == [(4, 4)]
+        a = 1.0 + 2.0 * n_bar
+        c = 2.0 * mu * np.sqrt(n_bar * (1.0 + n_bar))
+        assert np.array_equal(state.cm, state_from_params(StandardFormParams(a, a, c, -c)).cm)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 3.0, 350.0])
+    def test_tmsv(self, verdicts, r):
+        state = tmsv(r)
+        assert verdicts == [(4, 4)]
+        ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+        assert np.array_equal(state.cm, state_from_params(StandardFormParams(ch, ch, sh, -sh)).cm)
 
 
 class TestClosedFormValues:

@@ -1,9 +1,12 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 #: A Python expression: is any scipy module loaded?
 ANY_SCIPY = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
@@ -42,3 +45,26 @@ def test_sweep_does_not_load_scipy(tmp_path):
     )
     assert _run(code) == "0 False"
     assert out.stat().st_size > 0
+
+
+def test_benchmark_workloads_reference_existing_names():
+    # The benchmark's workloads reach nfg through attribute lookups on the
+    # package and on its cli and fock modules.  No other test runs them, so
+    # a renamed or deleted name would break the benchmark with every test
+    # green.  The file is parsed, not imported or changed.
+    modules = {"nfg": "nfg", "cli": "nfg.cli", "fock": "nfg.fock"}
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    refs = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {name for name, _ in refs} == set(modules)
+    missing = [
+        f"{name}.{attr}"
+        for name, attr in sorted(refs)
+        if not hasattr(importlib.import_module(modules[name]), attr)
+    ]
+    assert missing == []
