@@ -97,12 +97,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .overlap import _chol_logdet
+from .overlap import _chol_logdet, _clamp
 from .states import (
     GaussianState,
     StandardFormParams,
     _act_on_side,
     _as_square_even,
+    _as_vector,
+    _frozen,
     _map_side,
     _spectrum_degenerate,
     symplectic_form,
@@ -122,9 +124,6 @@ __all__ = [
     "nfg_two_mode",
     "nfg_upper_bound",
 ]
-
-_ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
-
 
 @dataclass(frozen=True)
 class NfgResult:
@@ -147,13 +146,20 @@ class NfgResult:
     lower_bound_only: bool = False
 
 
-def _clamp(value: float) -> float:
-    return min(max(0.0, float(value)), _ONE_BELOW_1)  # max(0.0, -0.0) is +0.0
-
-
 def _result(value: float, method: str, theta, lower_bound_only: bool = False) -> NfgResult:
-    theta = np.atleast_1d(np.asarray(theta, float))
-    return NfgResult(_clamp(value), method, theta, lower_bound_only)
+    return NfgResult(_clamp(value), method, _frozen(np.atleast_1d(theta)), lower_bound_only)
+
+
+def _standard_kernel(p: StandardFormParams) -> tuple[float, float, float, float, float]:
+    """(c^2, d^2, ab - c^2/2, ab - d^2/2, beta - alpha) of a standard form.
+
+    beta = (ab-c^2/2)(ab-d^2/2) is the product of the middle two entries and
+    beta - alpha, alpha = (ab-c^2)(ab-d^2), is the expanded
+    ab(c^2+d^2)/2 - 3c^2d^2/4 (see `nfg_closed_form`).
+    """
+    ab = p.a * p.b
+    c2, d2 = p.c * p.c, p.d * p.d
+    return c2, d2, ab - 0.5 * c2, ab - 0.5 * d2, 0.5 * ab * (c2 + d2) - 0.75 * c2 * d2
 
 
 def nfg_closed_form(p: StandardFormParams) -> NfgResult:
@@ -165,11 +171,8 @@ def nfg_closed_form(p: StandardFormParams) -> NfgResult:
     denominator, which is exact for product states and immune to the
     cancellation the literal 1-minus-ratio suffers when the ratio is near 1.
     """
-    ab = p.a * p.b
-    c2, d2 = p.c * p.c, p.d * p.d
-    num = 0.5 * ab * (c2 + d2) - 0.75 * c2 * d2
-    den = (ab - 0.5 * c2) * (ab - 0.5 * d2)
-    return _result(num / den, "closed_form", np.pi / 2)
+    _, _, half_c, half_d, beta_minus_alpha = _standard_kernel(p)
+    return _result(beta_minus_alpha / (half_c * half_d), "closed_form", np.pi / 2)
 
 
 def nfg_theta_objective(state: GaussianState, theta: float) -> float:
@@ -297,13 +300,9 @@ class GaussianChannel:
             raise ValueError(
                 f"invalid channel: M + i(Delta - K Delta K^T) has eigenvalue {least:.6g} < 0"
             )
-        d = np.zeros(k.shape[0]) if self.d_bar is None else np.asarray(self.d_bar, float)
-        if d.shape != (k.shape[0],) or not np.all(np.isfinite(d)):
-            raise ValueError("d_bar must be a finite vector matching K")
+        d = _as_vector(self.d_bar, k.shape[0], "d_bar")
         for name, arr in (("k", k), ("m_noise", m), ("d_bar", d)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def n_modes(self) -> int:
@@ -347,17 +346,14 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
     k, m = ch.k, ch.m_noise
     if not (k.any() or m.any()):
         raise ValueError("K and M must not both be zero")
-    ab = p.a * p.b
-    c2, d2 = p.c * p.c, p.d * p.d
+    c2, d2, half_c, half_d, beta_minus_alpha = _standard_kernel(p)
     n1 = float(np.linalg.det(k)) ** 2
     n2 = m[1, 1] * k[0, 0] ** 2 + m[0, 0] * k[1, 0] ** 2 - 2.0 * m[0, 1] * k[0, 0] * k[1, 0]
     n3 = m[1, 1] * k[0, 1] ** 2 + m[0, 0] * k[1, 1] ** 2 - 2.0 * m[0, 1] * k[0, 1] * k[1, 1]
     n4 = float(np.linalg.det(m))
-    beta_minus_alpha = 0.5 * ab * (c2 + d2) - 0.75 * c2 * d2
-    beta = (ab - 0.5 * c2) * (ab - 0.5 * d2)
-    delta = p.a * ((ab - 0.5 * c2) * n2 + (ab - 0.5 * d2) * n3 + p.a * n4)
+    delta = p.a * (half_c * n2 + half_d * n3 + p.a * n4)
     num = beta_minus_alpha * n1 + 0.5 * p.a * (c2 * n2 + d2 * n3)
-    den = beta * n1 + delta
+    den = half_c * half_d * n1 + delta
     assert den > 0.0, "denominator must be positive for a valid channel"
     return _result(num / den, "channel_closed_form", np.pi / 2)
 

@@ -98,14 +98,25 @@ def ssts(p: SstsParams) -> GaussianState:
     return GaussianState(_standard_cm(a, a, c, -c), 1, 1)
 
 
+#: The largest r accepted by `tmsv`.
+_R_MAX = 354.891356446692
+
+
 def tmsv(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeeze parameter r >= 0.
 
     Diagonal entries cosh(2r), cross block diag(sinh 2r, -sinh 2r); equals
     ssts(n_bar = sinh^2 r, mu = 1).  Built like `ssts`, with one verdict.
+
+    ``r`` must be at most 354.891356446692, the largest double for which
+    2 cosh 2r is finite: the verdict symmetrizes the matrix as (G + G^T)/2,
+    which overflows beyond it.  A larger r is rejected before cosh and sinh
+    are evaluated.
     """
     if not (np.isfinite(r) and r >= 0.0):
         raise ValueError(f"squeeze parameter must be finite and >= 0, got {r}")
+    if r > _R_MAX:
+        raise ValueError(f"squeeze parameter must be at most {_R_MAX}, got {r}")
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
     return GaussianState(_standard_cm(ch, ch, sh, -sh), 1, 1)
 

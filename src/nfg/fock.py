@@ -103,19 +103,21 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n)))))
 
 
+def _log_powers(x: float, k: np.ndarray) -> np.ndarray:
+    """k log x, the log of the weights x^k, with 0 log 0 = 0: x = 0 puts all
+    weight on k = 0."""
+    if x == 0.0:
+        return np.where(k == 0, 0.0, -np.inf)
+    return k * np.log(x)
+
+
 def thermal_dm(n_bar: float, cutoff: int | None = None) -> FockDensityMatrix:
     """Thermal state: diagonal weights n_bar^k / (1 + n_bar)^(k+1)."""
     if not (np.isfinite(n_bar) and n_bar >= 0.0):
         raise ValueError(f"n_bar must be finite and >= 0, got {n_bar}")
 
     def build(c: int) -> FockDensityMatrix:
-        k = np.arange(c)
-        if n_bar == 0.0:
-            p = np.zeros(c)
-            p[0] = 1.0
-        else:
-            ratio = n_bar / (1.0 + n_bar)
-            p = np.exp(k * np.log(ratio)) / (1.0 + n_bar)
+        p = np.exp(_log_powers(n_bar / (1.0 + n_bar), np.arange(c))) / (1.0 + n_bar)
         return _finalize(c, np.diag(p))
 
     return _adaptive(build, cutoff, _CEILING)
@@ -129,14 +131,9 @@ def coherent_dm(alpha: complex, cutoff: int | None = None) -> FockDensityMatrix:
 
     def build(c: int) -> FockDensityMatrix:
         k = np.arange(c)
-        if alpha == 0:
-            psi = np.zeros(c, complex)
-            psi[0] = 1.0
-        else:
-            # Amplitude modulus in log space; the phase factored separately.
-            log_mod = k * np.log(abs(alpha)) - 0.5 * _log_factorials(c) - 0.5 * abs(alpha) ** 2
-            phase = np.exp(1j * k * np.angle(alpha))
-            psi = np.exp(log_mod) * phase
+        # Amplitude modulus in log space; the phase factored separately.
+        log_mod = _log_powers(abs(alpha), k) - 0.5 * _log_factorials(c) - 0.5 * abs(alpha) ** 2
+        psi = np.exp(log_mod) * np.exp(1j * k * np.angle(alpha))
         return _finalize(c, np.outer(psi, psi.conj()))
 
     return _adaptive(build, cutoff, _CEILING)
@@ -150,13 +147,10 @@ def _squeezed_amplitudes(r: float, c: int) -> np.ndarray:
     overflow nor lose the small tail.
     """
     psi = np.zeros(c)
-    if r == 0.0:
-        psi[0] = 1.0
-        return psi
     k = np.arange((c + 1) // 2)
     log_fact = _log_factorials(2 * len(k))
     log_mod = (
-        k * np.log(np.abs(np.tanh(r)))
+        _log_powers(abs(np.tanh(r)), k)
         + 0.5 * log_fact[2 * k]
         - k * np.log(2.0)
         - log_fact[k]
@@ -191,11 +185,7 @@ def two_mode_squeezed_dm(r: float, cutoff: int | None = None) -> FockDensityMatr
 
     def build(c: int) -> FockDensityMatrix:
         k = np.arange(c)
-        if r == 0.0:
-            lam = np.zeros(c)
-            lam[0] = 1.0
-        else:
-            lam = np.exp(k * np.log(np.tanh(r))) / np.cosh(r)
+        lam = np.exp(_log_powers(np.tanh(r), k)) / np.cosh(r)
         return _finalize(c, np.outer(lam, lam), k * c + k)
 
     return _adaptive(build, cutoff, _CEILING_TWO_MODE)

@@ -34,6 +34,13 @@ class OverlapResult:
     log_value: float
 
 
+_ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
+
+
+def _clamp(value: float) -> float:
+    return min(max(0.0, float(value)), _ONE_BELOW_1)  # max(0.0, -0.0) is +0.0
+
+
 def _chol_logdet(m: np.ndarray):
     """Lower Cholesky factor L of a symmetric PD matrix and its log-determinant,
     2 sum log diag(L).
@@ -102,4 +109,4 @@ def c_squared(rho: GaussianState, sigma: GaussianState) -> float:
     maps to zero, and F underflowing to zero maps to the float just below 1.
     """
     f = fidelity_f(rho, sigma)
-    return min(max(0.0, 1.0 - f * f), np.nextafter(1.0, 0.0))
+    return _clamp(1.0 - f * f)

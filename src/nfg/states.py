@@ -55,8 +55,7 @@ def symplectic_form(n: int) -> np.ndarray:
     q = np.arange(0, 2 * n, 2)
     delta[q, q + 1] = 1.0
     delta[q + 1, q] = -1.0
-    delta.flags.writeable = False
-    return delta
+    return _frozen(delta)
 
 
 def _as_square_even(m, name: str) -> np.ndarray:
@@ -68,6 +67,22 @@ def _as_square_even(m, name: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
     return m
+
+
+def _as_vector(v, n: int, name: str) -> np.ndarray:
+    """``v`` as a finite float vector of length ``n``; zeros if it is None."""
+    if v is None:
+        return np.zeros(n)
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be a finite vector of length {n}, got {v}")
+    return v
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -127,9 +142,7 @@ def validate_cm(gamma) -> ValidationReport:
     moduli = np.sort(np.abs(np.linalg.eigvals(delta @ gs)))
     nus = moduli[::2][::-1]  # pairs collapse to one entry each, descending
     positive_definite = bool(np.linalg.eigvalsh(gs)[0] > 0.0)
-    nus = nus.copy()
-    nus.flags.writeable = False
-    return ValidationReport(symmetric, nus, positive_definite, physical)
+    return ValidationReport(symmetric, _frozen(nus), positive_definite, physical)
 
 
 #: Rounding allowance of `is_symplectic`, per unit of max|S|^2.  Products of
@@ -150,12 +163,6 @@ def is_symplectic(s, tol: float = DEFAULT_TOL) -> bool:
     delta = symplectic_form(s.shape[0] // 2)
     slack = max(tol, _SYMPLECTIC_ROUNDING * float(np.abs(s).max()) ** 2)
     return bool(np.abs(s @ delta @ s.T - delta).max() <= slack)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -191,11 +198,7 @@ class GaussianState:
                 f"covariance matrix is {g.shape[0]}x{g.shape[0]}, "
                 f"expected {dim}x{dim} for {self.n_a}+{self.n_b} modes"
             )
-        mean = np.zeros(dim) if self.mean is None else np.asarray(self.mean, float)
-        if mean.shape != (dim,):
-            raise ValueError(f"mean must have length {dim}, got {mean.shape}")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("mean has non-finite entries")
+        mean = _as_vector(self.mean, dim, "mean")
         if not _verdict(g)[2]:
             report = validate_cm(g)
             raise ValueError(
@@ -263,11 +266,8 @@ class GaussianUnitary:
         s = _as_square_even(self.s, "symplectic matrix")
         if not is_symplectic(s, tol=1e-8):
             raise ValueError("matrix does not satisfy S Delta S^T = Delta")
-        m = np.zeros(s.shape[0]) if self.m is None else np.asarray(self.m, float)
-        if m.shape != (s.shape[0],) or not np.all(np.isfinite(m)):
-            raise ValueError("displacement must be a finite vector matching S")
         object.__setattr__(self, "s", _frozen(s))
-        object.__setattr__(self, "m", _frozen(m))
+        object.__setattr__(self, "m", _frozen(_as_vector(self.m, s.shape[0], "m")))
 
 
 def _act_on_side(cm: np.ndarray, ka: int, side: str, k: np.ndarray) -> np.ndarray:

@@ -416,6 +416,25 @@ class TestNumeric:
         with pytest.raises(ValueError):
             nfg_numeric(random_state(rng, 1, 0))
 
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda: nfg_two_mode(tmsv(0.5)),
+            lambda: nfg_numeric(tmsv(0.5)),
+            lambda: nfg_closed_form(StandardFormParams(3.0, 3.0, 2.0, -2.0)),
+            lambda: nfg_after_channel_closed_form(
+                StandardFormParams(3.0, 3.0, 2.0, -2.0),
+                GaussianChannel(np.eye(2), np.zeros((2, 2))),
+            ),
+        ],
+        ids=["two_mode", "numeric", "closed_form", "after_channel_closed_form"],
+    )
+    def test_optimizer_theta_is_read_only(self, compute):
+        res = compute()
+        with pytest.raises(ValueError):
+            res.optimizer_theta[0] = 0.0
+        assert np.array_equal(res.optimizer_theta, [np.pi / 2])
+
 
 class TestPassiveStabilizers:
     """The block value against the whole stabilizer of a degenerate A block:

@@ -1,3 +1,5 @@
+import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -22,6 +24,7 @@ from nfg import (
     tmsv,
     validate_cm,
 )
+from nfg.families import _R_MAX
 
 # Reference values computed with 50-digit arithmetic (1200 digits at n_bar =
 # 1e150, where t^2 has 300) directly from the published closed forms (no
@@ -117,8 +120,29 @@ class TestTmsv:
             tmsv(-0.5)
 
     def test_overflowing_r_rejected(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="at most"):
             tmsv(400.0)
+
+    def test_limit_is_where_twice_cosh_overflows(self):
+        above = np.nextafter(_R_MAX, np.inf)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(2.0 * np.cosh(2.0 * _R_MAX))
+            assert not np.isfinite(2.0 * np.cosh(2.0 * above))
+
+    def test_largest_r_builds(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = tmsv(_R_MAX)
+        assert np.all(np.isfinite(state.cm))
+        assert state.cm[0, 0] == np.cosh(2.0 * _R_MAX)
+
+    def test_next_float_above_the_limit_rejected(self):
+        above = np.nextafter(_R_MAX, np.inf)
+        message = re.escape(f"squeeze parameter must be at most {_R_MAX}, got {above}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                tmsv(above)
 
 
 class TestOneVerdict:

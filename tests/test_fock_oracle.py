@@ -18,6 +18,11 @@ from nfg.fock import (
 from helpers import dense
 
 
+#: Cutoffs at which each builder's zero parameter must give the vacuum exactly:
+#: the smallest allowed, the adaptive start, and one odd size.
+ZERO_PARAMETER_CUTOFFS = (2, 20, 33)
+
+
 def vacuum_projector(cutoff: int) -> np.ndarray:
     m = np.zeros((cutoff, cutoff))
     m[0, 0] = 1.0
@@ -38,9 +43,10 @@ class TestLogFactorials:
 
 class TestThermal:
     def test_zero_temperature_is_vacuum(self):
-        dm = thermal_dm(0.0, cutoff=20)
-        assert np.array_equal(dm.entries, vacuum_projector(20))
-        assert dm.trace_deficit == 0.0
+        for cutoff in ZERO_PARAMETER_CUTOFFS:
+            dm = thermal_dm(0.0, cutoff=cutoff)
+            assert np.array_equal(dm.entries, vacuum_projector(cutoff))
+            assert dm.trace_deficit == 0.0
 
     def test_geometric_weights(self):
         dm = thermal_dm(1.0, cutoff=60)
@@ -70,8 +76,10 @@ class TestThermal:
 
 class TestCoherent:
     def test_zero_amplitude_is_vacuum(self):
-        dm = coherent_dm(0.0, cutoff=20)
-        assert np.array_equal(dm.entries, vacuum_projector(20).astype(complex))
+        for cutoff in ZERO_PARAMETER_CUTOFFS:
+            dm = coherent_dm(0.0, cutoff=cutoff)
+            assert np.array_equal(dm.entries, vacuum_projector(cutoff).astype(complex))
+            assert dm.trace_deficit == 0.0
 
     def test_overlap_with_vacuum(self):
         vac = coherent_dm(0.0, cutoff=40)
@@ -90,8 +98,10 @@ class TestCoherent:
 
 class TestSqueezed:
     def test_zero_squeezing_is_vacuum(self):
-        dm = squeezed_vacuum_dm(0.0, cutoff=20)
-        assert np.array_equal(dm.entries, vacuum_projector(20))
+        for cutoff in ZERO_PARAMETER_CUTOFFS:
+            dm = squeezed_vacuum_dm(0.0, cutoff=cutoff)
+            assert np.array_equal(dm.entries, vacuum_projector(cutoff))
+            assert dm.trace_deficit == 0.0
 
     def test_odd_levels_empty(self):
         dm = squeezed_vacuum_dm(0.8)
@@ -109,10 +119,10 @@ class TestSqueezed:
 
 class TestTwoModeSqueezed:
     def test_zero_squeezing_is_vacuum(self):
-        dm = two_mode_squeezed_dm(0.0, cutoff=10)
-        expected = np.zeros((100, 100))
-        expected[0, 0] = 1.0
-        assert np.array_equal(dense(dm), expected)
+        for cutoff in (10, *ZERO_PARAMETER_CUTOFFS):
+            dm = two_mode_squeezed_dm(0.0, cutoff=cutoff)
+            assert np.array_equal(dense(dm), vacuum_projector(cutoff**2))
+            assert dm.trace_deficit == 0.0
 
     def test_overlap_with_double_vacuum(self):
         r = 0.5

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as la
 
 from nfg import (
+    GaussianChannel,
     GaussianState,
     GaussianUnitary,
     SstsParams,
@@ -509,6 +510,36 @@ class TestConstructionVerdict:
         apply_channel(state, ch)
         with pytest.raises(AssertionError):
             validate_cm(cm)
+
+
+#: (build, field, length): build(v) makes a valid instance with v as its
+#: vector field ``field``, which must have ``length`` entries.
+VECTOR_FIELDS = [
+    pytest.param(lambda v: GaussianState(np.eye(4), 1, 1, mean=v), "mean", 4, id="mean"),
+    pytest.param(lambda v: GaussianUnitary(np.eye(2), m=v), "m", 2, id="m"),
+    pytest.param(
+        lambda v: GaussianChannel(np.eye(2), np.zeros((2, 2)), d_bar=v), "d_bar", 2, id="d_bar"
+    ),
+]
+
+
+class TestVectorFields:
+    @pytest.mark.parametrize("build, field, n", VECTOR_FIELDS)
+    def test_none_gives_zeros_and_a_vector_is_kept(self, build, field, n):
+        assert np.array_equal(getattr(build(None), field), np.zeros(n))
+        v = np.arange(1.0, n + 1.0)
+        assert np.array_equal(getattr(build(list(v)), field), v)
+
+    @pytest.mark.parametrize("build, field, n", VECTOR_FIELDS)
+    @pytest.mark.parametrize("bad", ["short", "long", "matrix", "nan", "inf", "-inf"])
+    def test_bad_vector_rejected_naming_the_field(self, build, field, n, bad):
+        v = np.zeros(n)
+        if bad in ("nan", "inf", "-inf"):
+            v[-1] = float(bad)
+        else:
+            v = {"short": np.zeros(n - 1), "long": np.zeros(n + 1), "matrix": np.zeros((n, 1))}[bad]
+        with pytest.raises(ValueError, match=f"^{field} must be a finite vector of length {n}, got"):
+            build(v)
 
 
 class TestApplyGaussianUnitary:
