@@ -1,6 +1,13 @@
 """Command-line front end: file I/O, single-shot computations, and sweeps.
 
 Subcommands: validate, nfg, channel, sweep, oracle-check, standard-form.
+Each subparser names its handler, a private function of the parsed
+arguments, so `main` only parses, runs the handler and maps errors to exit
+codes.  There is no per-subcommand Python API: call the library (``nfg``)
+directly, or ``main([...])`` with the command-line arguments.  The public
+names are `main`, the console-script entry point `run`, and the file
+helpers `read_state`, `write_state` and `read_channel`.
+
 States and channels travel as single JSON documents (schema below); sweeps
 are written as CSV.  All numbers are printed with 17 significant digits so
 output is byte-deterministic and round-trips exactly.
@@ -45,19 +52,7 @@ from .families import SweepGrid, _sweep_columns
 from .fock import _CASES, oracle_rows
 from .states import GaussianState, standard_form, validate_cm
 
-__all__ = [
-    "cmd_channel",
-    "cmd_nfg",
-    "cmd_oracle_check",
-    "cmd_standard_form",
-    "cmd_sweep",
-    "cmd_validate",
-    "main",
-    "read_channel",
-    "read_state",
-    "run",
-    "write_state",
-]
+__all__ = ["main", "read_channel", "read_state", "run", "write_state"]
 
 SCHEMA_VERSION = "1"
 CSV_HEADER = "n_bar,mu,nfg,dg,q,nfg_minus_dg,nfg_minus_q"
@@ -163,13 +158,35 @@ def read_channel(path: str) -> GaussianChannel:
 
 
 # --- subcommands -------------------------------------------------------------
+#
+# Each handler takes the parsed arguments and returns the exit code.
 
 
-def cmd_validate(state_path: str, as_json: bool = False) -> int:
-    """Report symmetry, symplectic spectrum, and physicality; exit 0 iff physical."""
-    _, _, cm, _ = _parse_state_raw(state_path)
-    report = validate_cm(cm)
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _print_fields(fields: dict, as_json: bool = False) -> None:
+    """Print ``fields`` as one JSON object, or one "key: value" line each:
+    a float with `_g`, a flag as yes/no, a list as space-separated `_g`."""
     if as_json:
+        print(json.dumps(fields))
+        return
+    for key, val in fields.items():
+        if isinstance(val, bool):
+            val = _yes(val)
+        elif isinstance(val, list):
+            val = " ".join(_g(v) for v in val)
+        elif not isinstance(val, str):
+            val = _g(val)
+        print(f"{key}: {val}")
+
+
+def _validate(args) -> int:
+    """Report symmetry, symplectic spectrum, and physicality; exit 0 iff physical."""
+    _, _, cm, _ = _parse_state_raw(args.state)
+    report = validate_cm(cm)
+    if args.json:
         print(
             json.dumps(
                 {
@@ -189,62 +206,51 @@ def cmd_validate(state_path: str, as_json: bool = False) -> int:
     return 0 if report.physical else 1
 
 
-def _yes(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def cmd_nfg(state_path: str, method: str = "closed", as_json: bool = False) -> int:
+def _nfg(args) -> int:
     """Compute the correlation measure (or its upper bound) for a state file."""
-    state = read_state(state_path)
-    if method in ("closed", "numeric"):
-        res = nfg_two_mode(state) if method == "closed" else nfg_numeric(state)
+    state = read_state(args.state)
+    if args.method == "bound":
+        out = {"value": nfg_upper_bound(state), "method": "bound"}
+    else:
+        res = nfg_two_mode(state) if args.method == "closed" else nfg_numeric(state)
         out = {
             "value": res.value,
             "method": res.method,
             "optimizer_theta": [float(t) for t in res.optimizer_theta],
             "lower_bound_only": res.lower_bound_only,
         }
-    elif method == "bound":
-        out = {"value": nfg_upper_bound(state), "method": "bound"}
-    else:
-        raise ParseError(f"unknown method {method!r}")
-    if as_json:
-        print(json.dumps(out))
-    else:
-        print(f"value: {_g(out['value'])}")
-        print(f"method: {out['method']}")
-        if "optimizer_theta" in out:
-            print(f"optimizer_theta: {' '.join(_g(t) for t in out['optimizer_theta'])}")
-            print(f"lower_bound_only: {_yes(out['lower_bound_only'])}")
+    _print_fields(out, args.json)
     return 0
 
 
-def cmd_channel(state_path: str, channel_path: str, compare_closed: bool = False) -> int:
+def _channel(args) -> int:
     """Send B through a channel, print the measure before/after and the verdict.
 
-    Any partition is accepted.  With ``compare_closed``, which needs a
+    Any partition is accepted.  With ``--compare-closed``, which needs a
     (1+1)-mode state and fails before any output otherwise, also evaluate the
     post-channel closed form (with the channel conjugated into the state's
     standard-form frame, so the comparison is exact for any input
     orientation) and print the discrepancy against the apply-then-compute
     value.
     """
-    state = read_state(state_path)
-    ch = read_channel(channel_path)
-    if compare_closed:
+    state = read_state(args.state)
+    ch = read_channel(args.channel)
+    if args.compare_closed:
         params, _, s_b = standard_form(state)
     report = check_monotonicity(state, ch)
-    print(f"before: {_g(report.before)}")
-    print(f"after: {_g(report.after)}")
-    print(f"monotonic: {_yes(report.holds)}")
-    print(f"slack: {_g(report.slack)}")
-    if compare_closed:
+    out = {
+        "before": report.before,
+        "after": report.after,
+        "monotonic": report.holds,
+        "slack": report.slack,
+    }
+    if args.compare_closed:
         frame = GaussianChannel(
             s_b @ ch.k @ np.linalg.inv(s_b), s_b @ ch.m_noise @ s_b.T, None
         )
-        closed = nfg_after_channel_closed_form(params, frame)
-        print(f"closed_form_after: {_g(closed.value)}")
-        print(f"discrepancy: {_g(abs(closed.value - report.after))}")
+        out["closed_form_after"] = nfg_after_channel_closed_form(params, frame).value
+        out["discrepancy"] = abs(out["closed_form_after"] - report.after)
+    _print_fields(out)
     return 0
 
 
@@ -256,15 +262,26 @@ _FIGURE_GRIDS = {
 }
 
 
-def cmd_sweep(grid: SweepGrid, out: str | None = None) -> int:
+def _sweep(args) -> int:
     """Evaluate the closed forms on a grid and emit CSV (stdout or --out file).
 
-    Every number is a ``%.17g`` format (the same digits as ``_g``).  Each
-    n_bar and each mu of the grid is formatted once; a row is its
-    "n_bar,mu," prefix, built lazily from those, and one format of its five
-    values.  The text is written at once; an invalid grid raises before any
-    file is opened.
+    ``--figure`` picks a paper grid; otherwise the six grid options give one,
+    and a grid `SweepGrid` rejects is a parse failure.  Every number is a
+    ``%.17g`` format (the same digits as ``_g``).  Each n_bar and each mu of
+    the grid is formatted once; a row is its "n_bar,mu," prefix, built
+    lazily from those, and one format of its five values.  The text is
+    written at once; an invalid grid raises before any file is opened.
     """
+    if args.figure is not None:
+        grid = _FIGURE_GRIDS[args.figure]
+    else:
+        try:
+            grid = SweepGrid(
+                args.n_bar_min, args.n_bar_max, args.n_bar_steps,
+                args.mu_min, args.mu_max, args.mu_steps,
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
     n_axis, mu_axis, values = _sweep_columns(grid)
     mu_cells = ["%.17g," % mu for mu in mu_axis.tolist()]
     n_cells = ("%.17g," % n for n in n_axis.tolist())
@@ -273,19 +290,27 @@ def cmd_sweep(grid: SweepGrid, out: str | None = None) -> int:
     # a generator, so the value lists are freed before the join, not after it
     rows = (row % r for r in zip(prefixes, *(c.tolist() for c in values)))
     text = "\n".join([CSV_HEADER, *rows]) + "\n"
-    if out is None or out == "-":
+    if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:
         try:
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ParseError(f"cannot write {out}: {exc}") from exc
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 
-def cmd_oracle_check(families: list[str] | None = None) -> int:
-    """Compare phase-space overlaps against the Fock oracle; exit 0 iff all match."""
+def _oracle_check(args) -> int:
+    """Compare phase-space overlaps against the Fock oracle; exit 0 iff all match.
+
+    ``--families`` is a comma-separated subset of the oracle's cases; an
+    unknown name is a parse failure.
+    """
+    families = args.families.split(",") if args.families else None
+    for name in families or []:
+        if name not in _CASES:
+            raise ParseError(f"unknown family {name!r}")
     rows = oracle_rows(families)
     width = max(len(f"{r.family} {r.label}") for r in rows)
     print(f"{'case':<{width}}  {'fock':<24} {'formula':<24} {'rel_err':<10} deficit")
@@ -302,15 +327,10 @@ def cmd_oracle_check(families: list[str] | None = None) -> int:
     return 0 if ok else 1
 
 
-def cmd_standard_form(state_path: str, as_json: bool = False) -> int:
+def _standard_form(args) -> int:
     """Print the standard-form parameters (a, b, c, d) of a two-mode state."""
-    state = read_state(state_path)
-    params, _, _ = standard_form(state)
-    if as_json:
-        print(json.dumps({"a": params.a, "b": params.b, "c": params.c, "d": params.d}))
-    else:
-        for name, val in zip("abcd", (params.a, params.b, params.c, params.d)):
-            print(f"{name}: {_g(val)}")
+    params, _, _ = standard_form(read_state(args.state))
+    _print_fields({"a": params.a, "b": params.b, "c": params.c, "d": params.d}, args.json)
     return 0
 
 
@@ -325,20 +345,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a state file for physicality")
+    p.set_defaults(run=_validate)
     p.add_argument("state")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("nfg", help="compute the correlation measure of a state file")
+    p.set_defaults(run=_nfg)
     p.add_argument("state")
     p.add_argument("--method", choices=["closed", "numeric", "bound"], default="closed")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("channel", help="apply a channel on B and check monotonicity, any partition")
+    p.set_defaults(run=_channel)
     p.add_argument("state")
     p.add_argument("channel")
     p.add_argument("--compare-closed", action="store_true")
 
     p = sub.add_parser("sweep", help="closed-form measures over an (n_bar, mu) grid as CSV")
+    p.set_defaults(run=_sweep)
     p.add_argument("--figure", choices=["1", "2", "3", "4"])
     p.add_argument("--n-bar-min", type=float, default=0.0)
     p.add_argument("--n-bar-max", type=float, default=50.0)
@@ -349,58 +373,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path (default stdout)")
 
     p = sub.add_parser("oracle-check", help="validate overlaps against the Fock oracle")
+    p.set_defaults(run=_oracle_check)
     p.add_argument(
         "--families",
         help=f"comma-separated subset of {','.join(_CASES)} (default all)",
     )
 
     p = sub.add_parser("standard-form", help="print standard-form parameters of a state file")
+    p.set_defaults(run=_standard_form)
     p.add_argument("state")
     p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run the ``nfg`` command on ``argv`` (default ``sys.argv[1:]``) and
+    return its exit code: 0 success, 1 domain failure, 2 parse failure."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags and 0 on --help; pass its code through
         return int(exc.code or 0)
     try:
-        if args.command == "validate":
-            return cmd_validate(args.state, as_json=args.json)
-        if args.command == "nfg":
-            return cmd_nfg(args.state, method=args.method, as_json=args.json)
-        if args.command == "channel":
-            return cmd_channel(args.state, args.channel, compare_closed=args.compare_closed)
-        if args.command == "sweep":
-            if args.figure is not None:
-                grid = _FIGURE_GRIDS[args.figure]
-            else:
-                try:
-                    grid = SweepGrid(
-                        args.n_bar_min, args.n_bar_max, args.n_bar_steps,
-                        args.mu_min, args.mu_max, args.mu_steps,
-                    )
-                except ValueError as exc:
-                    raise ParseError(str(exc)) from exc
-            return cmd_sweep(grid, out=args.out)
-        if args.command == "oracle-check":
-            families = args.families.split(",") if args.families else None
-            for name in families or []:
-                if name not in _CASES:
-                    raise ParseError(f"unknown family {name!r}")
-            return cmd_oracle_check(families)
-        if args.command == "standard-form":
-            return cmd_standard_form(args.state, as_json=args.json)
-        raise AssertionError(f"unhandled command {args.command!r}")
-    except ParseError as exc:
+        return args.run(args)
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 def run() -> None:

@@ -106,6 +106,7 @@ from .states import (
     _as_vector,
     _frozen,
     _map_side,
+    _mid,
     _spectrum_degenerate,
     symplectic_form,
 )
@@ -193,7 +194,7 @@ def nfg_theta_objective(state: GaussianState, theta: float) -> float:
     g = state.cm
     c, s = np.cos(theta), np.sin(theta)
     gs = _act_on_side(g, 2, "A", np.array([[c, s], [-s, c]]))
-    return _clamp(-float(np.expm1(_chol_logdet(g)[1] - _chol_logdet(0.5 * (g + gs))[1])))
+    return _clamp(-float(np.expm1(_chol_logdet(g)[1] - _chol_logdet(_mid(g, gs))[1])))
 
 
 def _measure(state: GaussianState) -> float:
@@ -290,9 +291,9 @@ class GaussianChannel:
         if m.shape != k.shape:
             raise ValueError("M must match the shape of K")
         scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > 1e-9 * scale:
+        if np.abs(_mid(m, -m.T)).max() > 0.5 * 1e-9 * scale:
             raise ValueError("noise matrix M must be symmetric")
-        m = 0.5 * (m + m.T)
+        m = _mid(m, m.T)
         delta = symplectic_form(k.shape[0] // 2)
         twist = delta - k @ delta @ k.T
         least = float(np.linalg.eigvalsh(m + 1j * twist)[0])

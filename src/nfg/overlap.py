@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState
+from .states import GaussianState, _factorize, _mid
 
 __all__ = ["OverlapResult", "c_squared", "fidelity_f", "overlap", "purity"]
 
@@ -46,25 +46,14 @@ def _chol_logdet(m: np.ndarray):
     2 sum log diag(L).
 
     The matrices passed here are physical covariance matrices or means of
-    two, so a failed factorization means the matrix is singular at double
-    precision: a pure state squeezed so far that it is stored with
-    det Gamma = 0 (the TMSV at n_bar = 1e10 already).  That raises a
-    `ValueError` saying so, since no overlap of such a state is defined in
-    floating point.
+    two; one singular at double precision raises `_factorize`'s `ValueError`.
     """
-    try:
-        chol = np.linalg.cholesky(0.5 * (m + m.T))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "covariance matrix is singular at double precision "
-            "(a pure state squeezed past what float64 resolves); "
-            "its overlaps are undefined"
-        ) from exc
+    chol = _factorize(np.linalg.cholesky, _mid(m, m.T))
     return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def _log_overlap(v1, d1, v2, d2) -> float:
-    chol, logdet = _chol_logdet(0.5 * (v1 + v2))
+    chol, logdet = _chol_logdet(_mid(v1, v2))
     log = -0.5 * logdet
     delta = d1 - d2
     if delta.any():

@@ -20,7 +20,6 @@ from functools import cache, cached_property
 import numpy as np
 
 __all__ = [
-    "DEFAULT_TOL",
     "GaussianState",
     "GaussianUnitary",
     "StandardFormParams",
@@ -85,6 +84,36 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _mid(x, y):
+    """(x + y)/2 without overflow, for every symmetrization and midpoint.
+
+    Halving is exact and scaling by 2 commutes with rounding, so this equals
+    0.5 * (x + y) bit for bit unless a half is subnormal; but x + y
+    overflows from ~9e307 on, and x/2 + y/2 never does.
+    """
+    return 0.5 * x + 0.5 * y
+
+
+def _factorize(factor, *args):
+    """``factor(*args)`` for a NumPy factorization or solve of covariance
+    blocks; a block that does not factor raises a `ValueError` saying why.
+
+    The matrices passed here are blocks of physical covariance matrices or
+    means of two, so a failed factorization means the matrix is singular at
+    double precision: a pure state squeezed so far that it is stored with a
+    zero determinant (the TMSV at n_bar = 1e10 already).  No overlap of such
+    a state, and so no measure, is defined in floating point.
+    """
+    try:
+        return factor(*args)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            "covariance matrix is singular at double precision "
+            "(a pure state squeezed past what float64 resolves); "
+            "its overlaps are undefined"
+        ) from exc
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a covariance-matrix physicality check."""
@@ -103,8 +132,9 @@ def _verdict(g: np.ndarray) -> tuple[bool, np.ndarray, bool]:
     equilibrated Simon matrix; `validate_cm` adds the report-only ones.
     """
     scale = max(1.0, float(np.abs(g).max()))
-    symmetric = float(np.abs(g - g.T).max()) <= DEFAULT_TOL * scale
-    gs = 0.5 * (g + g.T)
+    # half the asymmetry against half the tolerance: the same test, no overflow
+    symmetric = float(np.abs(_mid(g, -g.T)).max()) <= 0.5 * DEFAULT_TOL * scale
+    gs = _mid(g, g.T)
     diag = np.diag(gs)
     physical = bool(symmetric and np.all(diag > 0.0))
     if physical:
@@ -228,12 +258,17 @@ class GaussianState:
         squeezed past double precision, and rounding can push it above 1, so
         mu is clipped at 1; directions X does not reach (rank X <= 2 n_a)
         give mu = 0 up to rounding of either sign.  Empty when B has no
-        modes, all zero when A has none.
+        modes.  Exactly zero, with nothing factorized, when C is zero (a
+        product state, or no mode on A), so a product state scores 0 even with
+        a block squeezed past double precision.  A correlated state whose A or
+        B block is singular at double precision raises a `ValueError`.
         """
         a, b, c = blocks(self)
-        x = c.T @ np.linalg.solve(a, c)
-        x = 0.5 * (x + x.T)
-        chol = np.linalg.cholesky(b)
+        if not c.any():
+            return _frozen(np.zeros(2 * self.n_b))
+        x = c.T @ _factorize(np.linalg.solve, a, c)
+        x = _mid(x, x.T)
+        chol = _factorize(np.linalg.cholesky, b)
         z = np.linalg.solve(chol, np.linalg.solve(chol, x).T)
         return _frozen(np.minimum(np.linalg.eigvalsh(z), 1.0))
 
@@ -350,17 +385,26 @@ def _degenerate(nus: np.ndarray) -> bool:
     )
 
 
-def _spectrum_degenerate(a: np.ndarray) -> bool:
-    """`williamson(a).degeneracy_flag` from the symplectic spectrum alone.
+def _symplectic_hermitian(chol: np.ndarray) -> np.ndarray:
+    """i L^T Delta L for the Cholesky factor L of g = L L^T.
 
-    With the Cholesky factor a = L L^T, L^T Delta L is similar to Delta a,
-    so the Hermitian i L^T Delta L has eigenvalues +-nu_i: one eigensolve,
-    with no eigenvectors and no symplectic S.
+    L^T Delta L is similar to Delta g, so this Hermitian matrix has
+    eigenvalues +-nu_i, the symplectic eigenvalues of g; `williamson` and
+    the degeneracy flag of `nfg_numeric` both solve it.
     """
+    return 1j * (chol.T @ symplectic_form(chol.shape[0] // 2) @ chol)
+
+
+def _spectrum_degenerate(a: np.ndarray) -> bool:
+    """`williamson(a).degeneracy_flag` from the symplectic spectrum alone:
+    one eigensolve of `_symplectic_hermitian`, with no eigenvectors and no
+    symplectic S.  A single mode is never degenerate, so its block is not
+    factorized at all (it may be singular at double precision)."""
     n = a.shape[0] // 2
-    chol = np.linalg.cholesky(a)
-    nus = np.linalg.eigvalsh(1j * (chol.T @ symplectic_form(n) @ chol))[n:][::-1]
-    return _degenerate(nus)
+    if n == 1:
+        return False
+    h = _symplectic_hermitian(_factorize(np.linalg.cholesky, a))
+    return _degenerate(np.linalg.eigvalsh(h)[n:][::-1])
 
 
 def williamson(gamma) -> WilliamsonDecomposition:
@@ -369,35 +413,36 @@ def williamson(gamma) -> WilliamsonDecomposition:
     Returns a symplectic S with ``S Gamma S^T = direct_sum(nu_i * I_2)``, with
     the symplectic eigenvalues ``nu_i`` sorted in descending order.
 
-    The computation sandwiches the symplectic form between the inverse square
-    root of Gamma: ``W = Gamma^{-1/2} Delta Gamma^{-1/2}`` is skew-symmetric,
-    so ``iW`` is Hermitian with eigenvalues +-1/nu_i.  One Hermitian
-    eigensolve gives them in ascending order, so the top n are 1/nu in
-    descending nu.  An eigenvector x + iy of +1/nu satisfies W x = y/nu and
-    W y = -x/nu with x orthogonal to y and |x| = |y|: each eigenspace of +1/nu
-    is orthogonal to its conjugate, the eigenspace of -1/nu, even when it is
-    degenerate.  The columns sqrt(2) (x, -y) therefore form an orthogonal O
-    with O^T W O = direct_sum [[0, 1/nu], [-1/nu, 0]], and
-    ``S = D^{1/2} O^T Gamma^{-1/2}`` is symplectic by construction.
+    The computation sandwiches the symplectic form between the Cholesky
+    factor of Gamma = L L^T: ``K = L^T Delta L`` is skew-symmetric, so ``iK``
+    (`_symplectic_hermitian`) is Hermitian with eigenvalues +-nu_i.  One
+    Hermitian eigensolve gives them in ascending order, so the top n,
+    reversed, are nu in descending order.  An eigenvector x + iy of +nu
+    satisfies K x = nu y and K y = -nu x with x orthogonal to y and
+    |x| = |y|: each eigenspace of +nu is orthogonal to its conjugate, the
+    eigenspace of -nu, even when it is degenerate.  The columns
+    sqrt(2) (x, -y) therefore form an orthogonal O with
+    O^T K O = direct_sum [[0, nu], [-nu, 0]].  Then ``S = D^{1/2} O^T L^{-1}``
+    gives S Gamma S^T = D, and S Delta S^T = Delta because
+    L^{-1} Delta L^{-T} = -K^{-1}.
 
     ``degeneracy_flag`` is set when two consecutive eigenvalues agree within
     `_DEGENERACY_TOL` (relative).  `nfg_numeric` applies the same rule to the
     A block's spectrum without decomposing it.
     """
     g = _as_square_even(gamma, "covariance matrix")
-    g = 0.5 * (g + g.T)
+    g = _mid(g, g.T)
     n = g.shape[0] // 2
-    evals, evecs = np.linalg.eigh(g)
-    if evals[0] <= 0.0:
-        raise ValueError("covariance matrix must be positive definite")
-    root_inv = (evecs * evals**-0.5) @ evecs.T
-    w = root_inv @ symplectic_form(n) @ root_inv
-    inv_nus, v = np.linalg.eigh(0.5j * (w - w.T))
-    nus = 1.0 / inv_nus[n:]
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariance matrix must be positive definite") from exc
+    evals, v = np.linalg.eigh(_symplectic_hermitian(chol))
+    nus, v = evals[n:][::-1], v[:, n:][:, ::-1]
     cols = np.empty((2 * n, 2 * n))
-    cols[:, 0::2] = np.sqrt(2.0) * v[:, n:].real
-    cols[:, 1::2] = -np.sqrt(2.0) * v[:, n:].imag
-    s = np.repeat(np.sqrt(nus), 2)[:, None] * (cols.T @ root_inv)
+    cols[:, 0::2] = np.sqrt(2.0) * v.real
+    cols[:, 1::2] = -np.sqrt(2.0) * v.imag
+    s = np.repeat(np.sqrt(nus), 2)[:, None] * np.linalg.solve(chol.T, cols).T
     return WilliamsonDecomposition(_frozen(s), _frozen(nus), _degenerate(nus))
 
 
@@ -447,7 +492,7 @@ def _williamson_2x2(a: np.ndarray) -> tuple[np.ndarray, float]:
         lam = np.array([a[0, 0], a[1, 1]])
         q = np.eye(2)
     else:
-        lam, q = np.linalg.eigh(0.5 * (a + a.T))
+        lam, q = np.linalg.eigh(_mid(a, a.T))
         if np.linalg.det(q) < 0.0:
             q = q * np.array([1.0, -1.0])  # keep det +1 so s is symplectic
     return np.diag(np.sqrt(nu / lam)) @ q.T, nu

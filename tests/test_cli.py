@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import nfg.cli
 from nfg import SstsParams, SweepGrid, dg_ssts, nfg_ssts, q_ssts, ssts, sweep, tmsv
 from nfg.cli import CSV_HEADER, _g, main, read_state, write_state
 
@@ -140,6 +141,96 @@ class TestPinnedOutputs:
         assert capsys.readouterr().out == PINNED_OUTPUTS[name, command]
 
 
+#: `--json` output of `nfg validate`, `nfg nfg` and `nfg standard-form` on
+#: `PINNED_STATES`, parsed, recorded when each subcommand was a public
+#: function with its own defaults.
+PINNED_JSON = {
+    ("ssts", "validate"): {
+        "symmetric": True, "symplectic_eigenvalues": [43.16248370981447, 43.16248370981444],
+        "positive_definite": True, "physical": True,
+    },
+    ("ssts", "nfg"): {
+        "value": 0.8979552469135804, "method": "closed_form",
+        "optimizer_theta": [1.5707963267948966], "lower_bound_only": False,
+    },
+    ("ssts", "nfg", "--method", "numeric"): {
+        "value": 0.8979552469135804, "method": "numeric",
+        "optimizer_theta": [1.5707963267948966], "lower_bound_only": False,
+    },
+    ("ssts", "nfg", "--method", "bound"): {"value": 0.9638685882111878, "method": "bound"},
+    ("ssts", "standard-form"): {
+        "a": 98.99999999999999, "b": 98.99999999999999,
+        "c": 89.09545442950497, "d": -89.09545442950497,
+    },
+    ("random-1+1", "validate"): {
+        "symmetric": True, "symplectic_eigenvalues": [2.464845485662685, 1.7743553003297543],
+        "positive_definite": True, "physical": True,
+    },
+    ("random-1+1", "nfg"): {
+        "value": 0.19708077100178328, "method": "closed_form",
+        "optimizer_theta": [1.5707963267948966], "lower_bound_only": False,
+    },
+    ("random-1+1", "nfg", "--method", "bound"): {"value": 0.3409995513808466, "method": "bound"},
+    ("random-1+1", "standard-form"): {
+        "a": 2.0053677966896744, "b": 2.6865405264019375,
+        "c": 1.0560323341042255, "d": -0.9541374515342768,
+    },
+    ("random-1+2", "validate"): {
+        "symmetric": True,
+        "symplectic_eigenvalues": [2.0835801302199077, 1.6253618640231786, 1.5102293375285374],
+        "positive_definite": True, "physical": True,
+    },
+    ("random-1+2", "nfg", "--method", "numeric"): {
+        "value": 0.3254507697214608, "method": "numeric",
+        "optimizer_theta": [1.5707963267948966], "lower_bound_only": False,
+    },
+    ("random-2+2", "nfg", "--method", "numeric"): {
+        "value": 0.813002830171009, "method": "numeric",
+        "optimizer_theta": [1.5707963267948966, 1.5707963267948966], "lower_bound_only": False,
+    },
+    ("random-2+2", "nfg", "--method", "bound"): {"value": 0.9259185618542294, "method": "bound"},
+}  # fmt: skip
+
+
+class TestPinnedJson:
+    @pytest.mark.parametrize("key", list(PINNED_JSON), ids=[" ".join(k) for k in PINNED_JSON])
+    def test_json_is_pinned(self, capsys, tmp_path, key):
+        name, command, *options = key
+        n_a, n_b, cm = PINNED_STATES[name]
+        path = write_json(tmp_path / f"{name}.json", state_doc(cm, n_a, n_b))
+        assert main([command, path, *options, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert json.loads(out) == PINNED_JSON[key]
+
+
+#: One command line per subcommand.
+SUBCOMMAND_ARGV = [
+    ["validate", "s.json"],
+    ["nfg", "s.json"],
+    ["channel", "s.json", "c.json"],
+    ["sweep"],
+    ["oracle-check"],
+    ["standard-form", "s.json"],
+]
+
+
+class TestDispatch:
+    def test_each_subcommand_parses_to_its_own_handler(self):
+        parser = nfg.cli._build_parser()
+        handlers = []
+        for argv in SUBCOMMAND_ARGV:
+            args = parser.parse_args(argv)
+            assert args.command == argv[0]
+            assert callable(args.run)
+            handlers.append(args.run)
+        assert len(set(handlers)) == len(SUBCOMMAND_ARGV)
+
+    def test_no_per_subcommand_api(self):
+        assert nfg.cli.__all__ == ["main", "read_channel", "read_state", "run", "write_state"]
+        assert [name for name in vars(nfg.cli) if name.startswith("cmd_")] == []
+
+
 #: Channel files behind `PINNED_CHANNEL_OUTPUTS`, by the mode count of B: a
 #: one-mode attenuation with noise, and a 50:50 beam splitter between the two
 #: B modes with loss and noise.
@@ -207,6 +298,35 @@ class TestPinnedChannelOutputs:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: standard form is defined for (1+1)-mode states\n"
+
+
+class TestSqueezedPastDoublePrecision:
+    # Product and correlated (1+1) states with a mode squeezed by r = 16,
+    # stored singular at double precision.
+    @pytest.fixture(params=["A", "B"])
+    def files(self, request, tmp_path):
+        from test_correlation import squeezed_correlated, squeezed_product
+
+        paths = {}
+        for kind, build in (("product", squeezed_product), ("correlated", squeezed_correlated)):
+            paths[kind] = str(tmp_path / f"{kind}.json")
+            write_state(build(16.0, request.param), paths[kind])
+        return paths
+
+    def test_product_state_reads_zero(self, capsys, files):
+        assert main(["validate", files["product"]]) == 0
+        assert main(["nfg", files["product"]]) == 0
+        assert main(["nfg", files["product"], "--method", "bound"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("value: 0\n") == 2
+
+    @pytest.mark.parametrize("method", ["closed", "numeric", "bound"])
+    def test_correlated_state_exits_one_with_a_clear_message(self, capsys, files, method):
+        assert main(["nfg", files["correlated"], "--method", method]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: covariance matrix is singular at double precision")
+        assert "Singular matrix" not in err and "not positive definite" not in err
 
 
 class TestStateRoundTrip:

@@ -196,6 +196,60 @@ class TestZeroIffProduct:
             assert nfg_two_mode(state).value >= 1e-14
 
 
+def squeezed_block(r: float) -> np.ndarray:
+    """A pure mode squeezed by r along an axis at angle 0.7; from r ~ 10 it
+    is stored singular (or indefinite) at double precision."""
+    rot = rotation(0.7)
+    return rot @ np.diag([np.exp(-2.0 * r), np.exp(2.0 * r)]) @ rot.T
+
+
+def squeezed_product(r: float, side: str) -> GaussianState:
+    """(1+1) product of `squeezed_block(r)` on ``side`` and a thermal 3 I."""
+    pair = (squeezed_block(r), 3.0 * np.eye(2))
+    return GaussianState(la.block_diag(*(pair if side == "A" else pair[::-1])), 1, 1)
+
+
+def squeezed_correlated(r: float, side: str) -> GaussianState:
+    """`squeezed_product` with a correlation 0.5 between the thermal mode's q
+    and the squeezed mode's anti-squeezed quadrature."""
+    g = np.array(squeezed_product(r, side).cm)
+    wide = rotation(0.7)[:, 1]
+    if side == "A":
+        g[:2, 2:] = 0.5 * np.outer(wide, [1.0, 0.0])
+    else:
+        g[:2, 2:] = 0.5 * np.outer([1.0, 0.0], wide)
+    g[2:, :2] = g[:2, 2:].T
+    return GaussianState(g, 1, 1)
+
+
+class TestSqueezedPastDoublePrecision:
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("r", np.linspace(4.0, 17.0, 27))
+    def test_product_state_scores_zero(self, r, side):
+        state = squeezed_product(r, side)
+        values = (nfg_two_mode(state).value, nfg_numeric(state).value, nfg_upper_bound(state))
+        assert values == (0.0, 0.0, 0.0)
+        assert not np.any(np.signbit(values))
+
+    def test_grid_reaches_blocks_that_do_not_factor(self):
+        # Otherwise the product test above would not exercise the fault.
+        for r in (10.0, 16.0):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(squeezed_block(r))
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("r", [12.0, 16.0])
+    @pytest.mark.parametrize(
+        "call",
+        [lambda s: nfg_two_mode(s).value, lambda s: nfg_numeric(s).value, nfg_upper_bound],
+        ids=["nfg_two_mode", "nfg_numeric", "nfg_upper_bound"],
+    )
+    def test_correlated_state_raises_a_clear_error(self, call, r, side):
+        with pytest.raises(ValueError, match="singular at double precision") as info:
+            call(squeezed_correlated(r, side))
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
 class TestUpperBound:
     def test_product_state_bound_is_zero(self):
         g = la.block_diag(3.0 * np.eye(2), 2.0 * np.eye(2))

@@ -3,7 +3,10 @@ import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import nfg
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -68,3 +71,69 @@ def test_benchmark_workloads_reference_existing_names():
         if not hasattr(importlib.import_module(modules[name]), attr)
     ]
     assert missing == []
+
+
+#: `nfg.__all__` when it was still written out by hand, name by name.
+PUBLIC_NAMES = [
+    "GaussianChannel",
+    "GaussianState",
+    "GaussianUnitary",
+    "MonotonicityReport",
+    "NfgResult",
+    "OptimizerConfig",
+    "OverlapResult",
+    "SstsParams",
+    "StandardFormParams",
+    "SweepGrid",
+    "SweepRow",
+    "ValidationReport",
+    "WilliamsonDecomposition",
+    "apply_channel",
+    "apply_gaussian_unitary",
+    "blocks",
+    "c_squared",
+    "check_monotonicity",
+    "dg_ssts",
+    "fidelity_f",
+    "is_symplectic",
+    "nfg_after_channel_closed_form",
+    "nfg_closed_form",
+    "nfg_numeric",
+    "nfg_ssts",
+    "nfg_ssts_limit",
+    "nfg_theta_objective",
+    "nfg_two_mode",
+    "nfg_upper_bound",
+    "overlap",
+    "purity",
+    "q_ssts",
+    "ssts",
+    "standard_form",
+    "state_from_params",
+    "sweep",
+    "symplectic_form",
+    "tmsv",
+    "validate_cm",
+    "williamson",
+]
+
+
+def test_public_names_are_the_module_lists():
+    # nfg republishes the __all__ of four modules: the same names in the same
+    # order, each bound to its module's own object, each from one module.
+    modules = [sys.modules[f"nfg.{m}"] for m in ("states", "overlap", "correlation", "families")]
+    owner = {name: module for module in modules for name in module.__all__}
+    assert nfg.__all__ == PUBLIC_NAMES
+    assert sum(len(module.__all__) for module in modules) == len(PUBLIC_NAMES)
+    assert sorted(owner) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(nfg, name) is getattr(owner[name], name), name
+
+
+def test_overlap_is_the_function_not_the_module():
+    # `nfg.overlap` is both a submodule and a public function; the function
+    # wins whichever module is imported first.
+    assert not isinstance(nfg.overlap, types.ModuleType)
+    assert nfg.overlap is sys.modules["nfg.overlap"].overlap
+    code = "import nfg.overlap, nfg.cli, nfg.fock, nfg; print(type(nfg.overlap).__name__)"
+    assert _run(code) == "function"

@@ -78,6 +78,12 @@ class TestPurity:
             1.0 / np.sqrt(np.linalg.det(state.cm)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("s", [9e307, 1.5e308, 1.79e308])
+    def test_huge_thermal_state(self, s):
+        # det(Gamma)^{-1/2} = 1/s; the mean of Gamma with itself must not
+        # overflow on the way.
+        assert purity(GaussianState(s * np.eye(2), 1, 0)) == pytest.approx(1.0 / s, rel=1e-12)
+
 
 class TestFidelity:
     def test_self_fidelity_is_one(self, rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
+import nfg.states
 from nfg import (
     GaussianChannel,
     GaussianState,
@@ -231,6 +232,31 @@ class TestWilliamson:
         with pytest.raises(ValueError):
             williamson(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_relative_residuals(self, rng, n):
+        delta = symplectic_form(n)
+        for _ in range(50):
+            g = random_cm(rng, n)
+            dec = williamson(g)
+            target = np.diag(np.repeat(dec.nus, 2))
+            assert np.abs(dec.s @ g @ dec.s.T - target).max() <= 2e-14 * dec.nus[0]
+            assert np.abs(dec.s @ delta @ dec.s.T - delta).max() <= 2e-14
+
+    def test_one_hermitian_eigensolve_shared_with_the_flag(self, rng, monkeypatch):
+        # williamson solves the matrix the degeneracy flag solves, i L^T Delta L,
+        # once, with eigenvectors; nothing else is decomposed.
+        seen, eigh = [], np.linalg.eigh
+
+        def spy(m):
+            seen.append(m)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        g = random_cm(rng, 3)
+        williamson(g)
+        hermitian = nfg.states._symplectic_hermitian(np.linalg.cholesky(g))
+        assert len(seen) == 1 and np.array_equal(seen[0], hermitian)
+
 
 class TestStandardForm:
     def test_already_standard_returns_identity_locals(self):
@@ -416,6 +442,38 @@ class TestGaussianState:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not mismatches
+
+
+#: Scales whose sum of two overflows: (x + y)/2 must be taken as x/2 + y/2.
+HUGE = [9e307, 1.5e308, 1.79e308]
+
+
+class TestHugeScale:
+    @pytest.mark.parametrize("s", HUGE)
+    def test_thermal_state_builds_and_validates(self, s):
+        state = GaussianState(s * np.eye(2), 1, 0)
+        report = validate_cm(state.cm)
+        assert report.symmetric and report.positive_definite and report.physical
+        assert report.symplectic_eigenvalues[0] == pytest.approx(s, rel=1e-15)
+
+    def test_asymmetric_rejected_without_overflow(self):
+        g = np.array([[1e308, 1.7e308], [-1.7e308, 1e308]])
+        assert not validate_cm(g).symmetric
+        with pytest.raises(ValueError, match="not physical"):
+            GaussianState(g, 1, 0)
+
+    @pytest.mark.parametrize("s", HUGE)
+    def test_channel_noise_symmetrized_without_overflow(self, s):
+        ch = GaussianChannel(np.eye(2), s * np.eye(2))
+        assert np.array_equal(ch.m_noise, s * np.eye(2))
+
+    def test_midpoint_is_the_plain_one_on_normal_numbers(self, rng):
+        for _ in range(20):
+            x = rng.normal(size=(6, 6)) * 10.0 ** rng.integers(-300, 300, size=(6, 6))
+            y = rng.normal(size=(6, 6)) * 10.0 ** rng.integers(-300, 300, size=(6, 6))
+            assert np.array_equal(nfg.states._mid(x, y), 0.5 * (x + y))
+        top = np.finfo(float).max
+        assert nfg.states._mid(top, top) == top
 
 
 def _verdict_corpus(rng):
