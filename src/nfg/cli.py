@@ -41,7 +41,6 @@ import sys
 import numpy as np
 
 from .correlation import (
-    GaussianChannel,
     check_monotonicity,
     nfg_after_channel_closed_form,
     nfg_numeric,
@@ -50,7 +49,7 @@ from .correlation import (
 )
 from .families import SweepGrid, _sweep_columns
 from .fock import _CASES, oracle_rows
-from .states import GaussianState, standard_form, validate_cm
+from .states import GaussianChannel, GaussianState, standard_form, validate_cm
 
 __all__ = ["main", "read_channel", "read_state", "run", "write_state"]
 

@@ -9,8 +9,11 @@ the reduced state rho_A invariant, of the squared overlap distance
   `nfg_two_mode` and `nfg_numeric`, and the upper bound from the same
   spectrum;
 * the literal determinant-form objective at a given rotation angle;
-* Gaussian channels on either subsystem, the post-channel closed form for
-  single-mode channels on B, and a monotonicity checker for every partition.
+* the post-channel closed form for single-mode channels on B, and a
+  monotonicity checker for every partition.
+
+Gaussian channels themselves, `GaussianChannel` and `apply_channel`, live in
+`nfg.states` with the Gaussian unitaries, where one rule judges both maps.
 
 Everything here works on covariance matrices only: the measure is independent
 of the mean.  Stabilizing rotations are symplectic, so det G_S = det G and the
@@ -99,24 +102,20 @@ import numpy as np
 
 from .overlap import _chol_logdet, _clamp
 from .states import (
+    GaussianChannel,
     GaussianState,
     StandardFormParams,
     _act_on_side,
-    _as_square_even,
-    _as_vector,
     _frozen,
-    _map_side,
     _mid,
     _spectrum_degenerate,
-    symplectic_form,
+    apply_channel,
 )
 
 __all__ = [
-    "GaussianChannel",
     "MonotonicityReport",
     "NfgResult",
     "OptimizerConfig",
-    "apply_channel",
     "check_monotonicity",
     "nfg_after_channel_closed_form",
     "nfg_closed_form",
@@ -268,57 +267,6 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
     theta = np.full(state.n_a, np.pi / 2)
     ka = 2 * state.n_a
     return _result(_measure(state), "numeric", theta, _spectrum_degenerate(state.cm[:ka, :ka]))
-
-
-@dataclass(frozen=True)
-class GaussianChannel:
-    """Gaussian channel acting on covariance and mean as
-    Gamma -> K Gamma K^T + M, d -> K d + d_bar.
-
-    On construction M must be symmetric and the channel completely positive:
-    the Hermitian M + i(Delta - K Delta K^T) positive semidefinite, which
-    implies M >= 0 and, for one mode, reads det M >= (det K - 1)^2.  Both
-    checks allow a 1e-9 tolerance relative to the largest entry involved.
-    """
-
-    k: np.ndarray
-    m_noise: np.ndarray
-    d_bar: np.ndarray | None = None
-
-    def __post_init__(self):
-        k = _as_square_even(self.k, "K")
-        m = _as_square_even(self.m_noise, "M")
-        if m.shape != k.shape:
-            raise ValueError("M must match the shape of K")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(_mid(m, -m.T)).max() > 0.5 * 1e-9 * scale:
-            raise ValueError("noise matrix M must be symmetric")
-        m = _mid(m, m.T)
-        delta = symplectic_form(k.shape[0] // 2)
-        twist = delta - k @ delta @ k.T
-        least = float(np.linalg.eigvalsh(m + 1j * twist)[0])
-        if least < -1e-9 * max(scale, float(np.abs(twist).max())):
-            raise ValueError(
-                f"invalid channel: M + i(Delta - K Delta K^T) has eigenvalue {least:.6g} < 0"
-            )
-        d = _as_vector(self.d_bar, k.shape[0], "d_bar")
-        for name, arr in (("k", k), ("m_noise", m), ("d_bar", d)):
-            object.__setattr__(self, name, _frozen(arr))
-
-    @property
-    def n_modes(self) -> int:
-        return self.k.shape[0] // 2
-
-
-def apply_channel(state: GaussianState, ch: GaussianChannel, side: str = "B") -> GaussianState:
-    """Send subsystem ``side``, "A" or "B", through the channel.
-
-    For side B this is A -> A, C -> C K^T, B -> K B K^T + M, and the B part of
-    the mean becomes K d_B + d_bar; side A maps the A rows likewise.  The
-    other diagonal block is carried over untouched.  The map is the one
-    `apply_gaussian_unitary` uses for one side, with the noise M added.
-    """
-    return _map_side(state, side, ch.k, ch.d_bar, ch.m_noise)
 
 
 def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) -> NfgResult:

@@ -9,7 +9,10 @@ Conventions used throughout the package:
 * a CM is physical iff ``Gamma + i*Delta >= 0``, equivalently all of its
   symplectic eigenvalues are >= 1 (for symmetric positive-definite Gamma);
 * Gaussian unitaries act as ``Gamma -> S Gamma S^T``, ``d -> S d + m`` with
-  ``S`` symplectic.
+  ``S`` symplectic, and Gaussian channels as ``Gamma -> K Gamma K^T + M``,
+  ``d -> K d + d_bar`` with ``M + i(Delta - K Delta K^T) >= 0``, on the whole
+  state or on one side of the partition.  Both maps are judged by one rule:
+  their defining identity must hold up to `_allowance` of their scale.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from functools import cache, cached_property
 import numpy as np
 
 __all__ = [
+    "GaussianChannel",
     "GaussianState",
     "GaussianUnitary",
     "StandardFormParams",
     "ValidationReport",
     "WilliamsonDecomposition",
+    "apply_channel",
     "apply_gaussian_unitary",
     "blocks",
     "is_symplectic",
@@ -114,6 +119,34 @@ def _factorize(factor, *args):
         ) from exc
 
 
+def _symmetric_part(g: np.ndarray) -> tuple[bool, np.ndarray]:
+    """``(symmetric, gs)``: whether ``g`` is symmetric within `DEFAULT_TOL`
+    relative to max(1, max|g|), and its symmetric part ``gs``."""
+    scale = max(1.0, float(np.abs(g).max()))
+    # half the asymmetry against half the tolerance: the same test, no overflow
+    symmetric = float(np.abs(_mid(g, -g.T)).max()) <= 0.5 * DEFAULT_TOL * scale
+    return symmetric, _mid(g, g.T)
+
+
+#: Rounding of a Gaussian map's defining identity, per unit of its scale.
+#: Products of passive, squeezing and passive maps on 1-4 modes round
+#: S Delta S^T by at most ~6 eps max|S|^2; a scaled copy (1 + e) S is off by
+#: ~2e.
+_ROUNDING = 32.0 * float(np.finfo(float).eps)
+
+
+def _allowance(scale: float) -> float:
+    """How far the defining identity of a Gaussian map, built from entries
+    up to ``scale``, may miss: max(`DEFAULT_TOL`, 32 eps scale).
+
+    The rounding term takes over from scale ~ 1.4e5 (max|S| ~ 375), so
+    squeezers up to r ~ 16, those of the n_bar = 1e13 states `validate_cm`
+    accepts, are not rejected on rounding, and 2 S is still rejected there.
+    `is_symplectic` and `GaussianChannel` both read it.
+    """
+    return max(DEFAULT_TOL, _ROUNDING * scale)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a covariance-matrix physicality check."""
@@ -131,10 +164,7 @@ def _verdict(g: np.ndarray) -> tuple[bool, np.ndarray, bool]:
     It runs the one eigensolve the verdict needs, the Hermitian one of the
     equilibrated Simon matrix; `validate_cm` adds the report-only ones.
     """
-    scale = max(1.0, float(np.abs(g).max()))
-    # half the asymmetry against half the tolerance: the same test, no overflow
-    symmetric = float(np.abs(_mid(g, -g.T)).max()) <= 0.5 * DEFAULT_TOL * scale
-    gs = _mid(g, g.T)
+    symmetric, gs = _symmetric_part(g)
     diag = np.diag(gs)
     physical = bool(symmetric and np.all(diag > 0.0))
     if physical:
@@ -175,24 +205,16 @@ def validate_cm(gamma) -> ValidationReport:
     return ValidationReport(symmetric, _frozen(nus), positive_definite, physical)
 
 
-#: Rounding allowance of `is_symplectic`, per unit of max|S|^2.  Products of
-#: passive, squeezing and passive maps on 1-4 modes round S Delta S^T by at
-#: most ~6 eps max|S|^2; a scaled copy (1 + e) S is off by ~2e.
-_SYMPLECTIC_ROUNDING = 32.0 * float(np.finfo(float).eps)
+def is_symplectic(s) -> bool:
+    """True iff max|S Delta S^T - Delta| <= `_allowance` (max|S|^2).
 
-
-def is_symplectic(s, tol: float = DEFAULT_TOL) -> bool:
-    """True iff max|S Delta S^T - Delta| <= max(tol, 32 eps max|S|^2).
-
-    Rounding in S Delta S^T grows like eps max|S|^2, so an absolute ``tol``
-    alone rejects valid symplectics squeezed by r >~ 10 (max|S| = e^r).  The
-    second term takes over only from max|S| ~ 1e3 (``tol`` = 1e-8); a
-    symplectic scaled by 2 is still rejected up to max|S| = e^16.
+    The allowance is `DEFAULT_TOL` up to max|S| ~ 375 and grows with the
+    rounding of S Delta S^T beyond, so valid squeezers up to r ~ 16 pass and
+    a symplectic scaled by 2 is still rejected there.
     """
     s = _as_square_even(s, "matrix")
     delta = symplectic_form(s.shape[0] // 2)
-    slack = max(tol, _SYMPLECTIC_ROUNDING * float(np.abs(s).max()) ** 2)
-    return bool(np.abs(s @ delta @ s.T - delta).max() <= slack)
+    return bool(np.abs(s @ delta @ s.T - delta).max() <= _allowance(float(np.abs(s).max()) ** 2))
 
 
 @dataclass(frozen=True)
@@ -288,10 +310,10 @@ def blocks(state: GaussianState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class GaussianUnitary:
     """Phase-space action of a Gaussian unitary: Gamma -> S Gamma S^T, d -> S d + m.
 
-    S must pass `is_symplectic` with ``tol`` = 1e-8, whose allowance grows
-    with eps max|S|^2 from max|S| ~ 1e3 on, so squeezers up to the n_bar =
-    1e13 states that `validate_cm` accepts (r ~ 16) are not rejected on
-    rounding.
+    S must pass `is_symplectic`, the map rule `GaussianChannel` applies too:
+    its allowance grows with eps max|S|^2 from max|S| ~ 375 on, so
+    squeezers up to the n_bar = 1e13 states that `validate_cm` accepts
+    (r ~ 16) are not rejected on rounding.
     """
 
     s: np.ndarray
@@ -299,7 +321,7 @@ class GaussianUnitary:
 
     def __post_init__(self):
         s = _as_square_even(self.s, "symplectic matrix")
-        if not is_symplectic(s, tol=1e-8):
+        if not is_symplectic(s):
             raise ValueError("matrix does not satisfy S Delta S^T = Delta")
         object.__setattr__(self, "s", _frozen(s))
         object.__setattr__(self, "m", _frozen(_as_vector(self.m, s.shape[0], "m")))
@@ -361,6 +383,67 @@ def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str =
     if s.shape[0] != state.cm.shape[0]:
         raise ValueError("unitary dimension does not match the state")
     return GaussianState(s @ state.cm @ s.T, state.n_a, state.n_b, s @ state.mean + m)
+
+
+#: Largest max|K| a channel may have: K Delta K^T and max|K|^2 stay finite.
+_K_MAX = 1e150
+
+
+@dataclass(frozen=True)
+class GaussianChannel:
+    """Gaussian channel acting on covariance and mean as
+    Gamma -> K Gamma K^T + M, d -> K d + d_bar.
+
+    On construction M must be symmetric within `DEFAULT_TOL`, by the test
+    `validate_cm` applies to a covariance matrix, and the channel completely
+    positive: the Hermitian M + i(Delta - K Delta K^T) positive
+    semidefinite, which implies M >= 0 and, for one mode, reads
+    det M >= (det K - 1)^2.  Its smallest eigenvalue may miss 0 by the
+    `_allowance` of max(max|K|^2, max|M|), the rule `is_symplectic` applies
+    to a unitary, so the noiseless channels of squeezers up to r ~ 16 pass
+    as their unitaries do.  A NaN eigenvalue rejects.  max|K| may be at most
+    1e150, so that neither K Delta K^T nor max|K|^2 overflows.
+    """
+
+    k: np.ndarray
+    m_noise: np.ndarray
+    d_bar: np.ndarray | None = None
+
+    def __post_init__(self):
+        k = _as_square_even(self.k, "K")
+        m = _as_square_even(self.m_noise, "M")
+        if m.shape != k.shape:
+            raise ValueError("M must match the shape of K")
+        k_max = float(np.abs(k).max())
+        if k_max > _K_MAX:
+            raise ValueError(f"entries of K must be at most {_K_MAX} in modulus, got {k_max}")
+        symmetric, m = _symmetric_part(m)
+        if not symmetric:
+            raise ValueError("noise matrix M must be symmetric")
+        delta = symplectic_form(k.shape[0] // 2)
+        least = float(np.linalg.eigvalsh(m + 1j * (delta - k @ delta @ k.T))[0])
+        if not least >= -_allowance(max(k_max**2, float(np.abs(m).max()))):
+            raise ValueError(
+                f"invalid channel: M + i(Delta - K Delta K^T) has eigenvalue {least:.6g} < 0"
+            )
+        d = _as_vector(self.d_bar, k.shape[0], "d_bar")
+        for name, arr in (("k", k), ("m_noise", m), ("d_bar", d)):
+            object.__setattr__(self, name, _frozen(arr))
+
+    @property
+    def n_modes(self) -> int:
+        return self.k.shape[0] // 2
+
+
+def apply_channel(state: GaussianState, ch: GaussianChannel, side: str = "B") -> GaussianState:
+    """Send subsystem ``side``, "A" or "B", through the channel.
+
+    For side B this is A -> A, C -> C K^T, B -> K B K^T + M, and the B part of
+    the mean becomes K d_B + d_bar; side A maps the A rows likewise.  The
+    other diagonal block is carried over untouched.  The map is the one
+    `apply_gaussian_unitary` uses for one side, with the noise M added.
+    """
+    return _map_side(state, side, ch.k, ch.d_bar, ch.m_noise)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,6 +477,54 @@ class TestChannelCommand:
         path.write_text('{"schema_version": "1", "k": [1, 0, 0]}')
         assert main(["channel", ssts_file, str(path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_k_past_the_limit_exits_one_before_any_product(self, capsys, ssts_file, tmp_path, scale):
+        # K Delta K^T would overflow; the channel is refused with the limit
+        # named and no RuntimeWarning.
+        ch = self.write_channel(tmp_path, scale * np.eye(2), np.eye(2))
+        assert main(["channel", ssts_file, ch]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "at most 1e+150" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(language):
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+class TestReadmeExamples:
+    def test_state_and_channel_files_run_every_file_command(self, capsys, tmp_path):
+        state_text, channel_text = readme_blocks("json")
+        state = tmp_path / "state.json"
+        channel = tmp_path / "channel.json"
+        state.write_text(state_text)
+        channel.write_text(channel_text)
+        outputs = {}
+        for argv in (
+            ["validate", str(state)],
+            ["nfg", str(state)],
+            ["channel", str(state), str(channel), "--compare-closed"],
+            ["standard-form", str(state)],
+        ):
+            assert main(argv) == 0, argv
+            outputs[argv[0]], err = capsys.readouterr()
+            assert err == "", argv
+        assert "physical: yes" in outputs["validate"]
+        assert "monotonic: yes" in outputs["channel"]
+        assert float(outputs["channel"].split("discrepancy: ")[1]) < 1e-12
+
+    def test_quick_start_prints_the_values_it_quotes(self, capsys):
+        (code,) = readme_blocks("python")
+        exec(compile(code, str(README), "exec"), {})
+        tmsv_value, family_value, product_value = capsys.readouterr().out.split()
+        assert tmsv_value.startswith("0.98258198128931")
+        assert float(family_value) == pytest.approx(float(tmsv_value), rel=1e-15)
+        assert product_value == "0.0"
 
 
 class TestSweepCommand:

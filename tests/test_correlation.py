@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from nfg import (
     ssts,
     standard_form,
     state_from_params,
+    symplectic_form,
     tmsv,
     williamson,
 )
@@ -33,6 +36,7 @@ from nfg import (
 from helpers import (
     brute_force_nfg,
     dilation_channel,
+    haar_unitary,
     passive_stabilizer,
     planted_degenerate_state,
     random_channel,
@@ -556,6 +560,69 @@ class TestGaussianChannel:
         # of gain 4 with unit noise, below the 3 its gain requires.
         with pytest.raises(ValueError):
             GaussianChannel(np.diag([2.0, 2.0, 1.0, 1.0]), np.diag([1.0, 1.0, 10.0, 10.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_k_past_the_limit_is_refused_before_any_product(self, scale):
+        # K Delta K^T would overflow to a NaN eigenvalue, which no comparison
+        # may read as "completely positive".
+        with pytest.raises(ValueError, match=r"at most 1e\+150"):
+            GaussianChannel(scale * np.eye(2), np.eye(2))
+
+    @staticmethod
+    def exact_det(a: np.ndarray) -> Fraction:
+        (p, q), (r, s) = [[Fraction(float(x)) for x in row] for row in a]
+        return p * s - q * r
+
+    def test_ill_conditioned_noise_gets_the_exact_verdict(self, rng):
+        # One mode with M > 0: completely positive iff det M >= (det K - 1)^2.
+        # M is nearly rank one, with det M 10% either side of the bound, so
+        # max|M| reaches ~1e4 and beyond.  The truth is the exact determinant
+        # of the stored floats; a draw is judged when its relative margin
+        # exceeds 1e-6 and its smallest eigenvalue, whose modulus is at least
+        # |det M - (det K - 1)^2| / (2 tr M), is twice the allowance from 0.
+        eps32 = 32.0 * np.finfo(float).eps
+        judged = 0
+        for _ in range(2000):
+            k = rng.normal(size=(2, 2)) * 10 ** rng.uniform(-2, 2)
+            v = rng.normal(size=2)
+            m = np.outer(v, v) + 10 ** rng.uniform(-8, 0) * np.eye(2)
+            m *= np.sqrt(rng.uniform(0.9, 1.1) * (np.linalg.det(k) - 1) ** 2 / np.linalg.det(m))
+            need = (self.exact_det(k) - 1) ** 2
+            gap = self.exact_det(m) - need
+            allowance = max(1e-9, eps32 * max(np.abs(k).max() ** 2, np.abs(m).max()))
+            trace = Fraction(float(m[0, 0])) + Fraction(float(m[1, 1]))
+            if abs(gap) <= need / 10**6 or abs(gap) <= 4 * Fraction(allowance) * trace:
+                continue
+            judged += 1
+            if gap > 0:
+                GaussianChannel(k, m)
+            else:
+                with pytest.raises(ValueError, match="invalid channel"):
+                    GaussianChannel(k, m)
+        assert judged >= 1900
+
+    @pytest.mark.parametrize("scale, allowance", [(1.0, 1e-9), (1e8, 32.0 * np.finfo(float).eps * 1e8)])
+    def test_noise_straddling_the_allowance_gets_the_plain_eigenvalue_verdict(
+        self, rng, scale, allowance
+    ):
+        # Up to max|M| = 1 the allowance is the 1e-9 floor; at max|M| = 1e8
+        # it is the rounding term 32 eps max|M|.  A passive K (max|K| <= 1)
+        # leaves Delta - K Delta K^T at rounding level, so the smallest
+        # eigenvalue is M's planted one.
+        for n in (1, 2, 3):
+            delta = symplectic_form(n)
+            for step in (0.5, 0.9, 1.1, 2.0):
+                k = passive_stabilizer(np.eye(2 * n), haar_unitary(rng, n))
+                m = np.diag(np.append(scale * rng.uniform(0.5, 1.0, 2 * n - 1), -step * allowance))
+                m[0, 0] = scale
+                plain = np.linalg.eigvalsh(m + 1j * (delta - k @ delta @ k.T))[0] >= -allowance
+                assert plain == (step <= 1.0)
+                if plain:
+                    GaussianChannel(k, m)
+                else:
+                    with pytest.raises(ValueError, match="invalid channel"):
+                        GaussianChannel(k, m)
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 2), (1, 3)])
     def test_accepts_multimode_channels_read_off_a_dilation(self, n_a, n_b, rng):

@@ -144,7 +144,7 @@ class TestIsSymplectic:
 
     def test_random_generated(self, rng):
         for n in (1, 2, 3):
-            assert is_symplectic(random_symplectic(rng, n), tol=1e-8)
+            assert is_symplectic(random_symplectic(rng, n))
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -170,9 +170,22 @@ class TestIsSymplectic:
                 if r <= 8.0:
                     assert not is_symplectic((1.0 + 1e-6) * s)
 
-    @pytest.mark.parametrize("tol, max_entry", [(1e-8, 1e3), (1e-9, 3e2)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_noiseless_channels_follow_the_unitary_verdict(self, rng, n):
+        # One rule judges both maps: the noiseless channel of every squeezer
+        # accepted above is accepted, and that of 2 S is rejected.
+        zero = np.zeros((2 * n, 2 * n))
+        for r in np.linspace(0.0, 16.0, 33):
+            for _ in range(10):
+                s = self.passive_squeeze_passive(rng, n, r)
+                if is_symplectic(s):
+                    GaussianChannel(s, zero)
+                with pytest.raises(ValueError, match="invalid channel"):
+                    GaussianChannel(2.0 * s, zero)
+
+    @pytest.mark.parametrize("tol, max_entry", [(1e-9, 3e2)])
     def test_small_scale_check_is_the_absolute_tolerance(self, rng, tol, max_entry):
-        # Up to these scales the allowance is ``tol`` itself: perturbations
+        # Up to this scale the allowance is the 1e-9 floor itself: perturbations
         # straddling it get the verdict of the plain max|S Delta S^T - Delta|.
         for n in (1, 2, 3):
             delta = symplectic_form(n)
@@ -180,7 +193,7 @@ class TestIsSymplectic:
                 for step in (0.3, 0.45, 0.55, 0.7):
                     s = (1.0 + step * tol) * self.passive_squeeze_passive(rng, n, r)
                     plain = np.abs(s @ delta @ s.T - delta).max() <= tol
-                    assert is_symplectic(s, tol) == plain
+                    assert is_symplectic(s) == plain
 
 
 class TestWilliamson:
@@ -222,7 +235,7 @@ class TestWilliamson:
             dec = williamson(g)
             target = np.diag(np.repeat(dec.nus, 2))
             assert np.abs(dec.s @ g @ dec.s.T - target).max() < 1e-8
-            assert is_symplectic(dec.s, tol=1e-8)
+            assert is_symplectic(dec.s)
             assert np.all(np.diff(dec.nus) <= 1e-12)
             assert np.all(dec.nus >= 1.0 - 1e-9)
             if degenerate:
@@ -294,7 +307,7 @@ class TestStandardForm:
             assert params.a * params.b - 1.0 >= params.c**2 - 1e-9 * scale
             assert params.a * params.b - 1.0 >= params.d**2 - 1e-9 * scale
             assert params.c >= abs(params.d) - 1e-12
-            assert is_symplectic(s_a, tol=1e-8) and is_symplectic(s_b, tol=1e-8)
+            assert is_symplectic(s_a) and is_symplectic(s_b)
             loc = la.block_diag(s_a, s_b)
             target = state_from_params(params).cm
             assert np.abs(loc @ state.cm @ loc.T - target).max() < 1e-8 * scale
