@@ -40,14 +40,28 @@ invariant too).  Then
     N     = 1 - prod_i (1 - mu_i) / (1 - mu_i/2),
     bound = 1 - prod_i (1 - mu_i)                 = 1 - det(B - X)/det B,
 
-evaluated as -expm1 of a sum of log1p terms, so weak correlations keep full
-relative precision and X = 0 gives exactly 0.  Each state computes mu once
+evaluated as -expm1 of a sum of `math.log1p` terms, summed in the same
+order for both, so weak correlations keep full relative precision, X = 0
+gives exactly 0 and mu = 1 gives the clamp.  Each state computes mu once
 (`GaussianState` keeps it), so the two values cost one eigensolve.  The
 bound's term log1p(-mu) is at most N's term log1p(-mu) - log1p(-mu/2),
 because log1p(-mu/2) <= 0; rounding is monotone, so bound >= N holds term by
 term in floating point, not only in exact arithmetic.  Rounding can leave
 mu slightly below 0 on directions X does not reach; N's half term reads those
 as 0, so the inequality holds for them as well.
+
+For (1+1) modes mu needs no eigensolve.  With L_A, L_B the Cholesky factors
+of A and B, mu are the squared singular values of the 2x2
+W = L_A^{-1} C L_B^{-T}, since W^T W = L_B^{-1} X L_B^{-T}.  Two scalar
+Cholesky factorizations and two triangular solves give W, and
+
+    sigma_+- = (|(w00 + w11, w01 - w10)| +- |(w00 - w11, w01 + w10)|) / 2,
+
+so the paper's two-mode value comes from float arithmetic on the four
+blocks' entries, with no LAPACK call (`states._two_mode_spectrum`).  Over
+3000 benchmark-shaped states it is within 8.9e-16 relative of 50-digit
+determinants.  Larger partitions keep the eigensolve, and `nfg_closed_form`
+keeps the standard-form arithmetic as an independent check.
 
 Degenerate A spectra and the phase convention.  When symplectic eigenvalues
 of A coincide, the stabilizer of rho_A is larger than the single-mode
@@ -96,6 +110,7 @@ Without the phase convention the supremum over the stabilizer is the bound
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,13 +211,18 @@ def nfg_theta_objective(state: GaussianState, theta: float) -> float:
     return _clamp(-float(np.expm1(_chol_logdet(g)[1] - _chol_logdet(_mid(g, gs))[1])))
 
 
+def _log1m(mu: float) -> float:
+    """log(1 - mu) for mu <= 1, with -inf at mu = 1: the clamp, no warning."""
+    return math.log1p(-mu) if mu < 1.0 else -math.inf
+
+
 def _measure(state: GaussianState) -> float:
     """1 - prod (1 - mu)/(1 - mu/2) over the state's correlation spectrum,
     unclamped; a mu rounded below 0 enters the half term as 0."""
-    mu = state._correlation_spectrum
-    with np.errstate(divide="ignore"):  # mu = 1: log1p(-1) = -inf
-        terms = np.log1p(-mu) - np.log1p(-0.5 * np.maximum(mu, 0.0))
-    return -float(np.expm1(np.sum(terms)))
+    total = 0.0
+    for mu in state._correlation_spectrum.tolist():
+        total += _log1m(mu) - math.log1p(-0.5 * max(mu, 0.0))
+    return -math.expm1(total)
 
 
 def nfg_two_mode(state: GaussianState) -> NfgResult:
@@ -226,8 +246,10 @@ def nfg_upper_bound(state: GaussianState) -> float:
     Clamped into [0, 1) like `NfgResult` values: a pure state squeezed past
     double precision has a singular Schur complement and reads just below 1.
     """
-    with np.errstate(divide="ignore"):  # mu = 1: log1p(-1) = -inf
-        return _clamp(-float(np.expm1(np.sum(np.log1p(-state._correlation_spectrum)))))
+    total = 0.0
+    for mu in state._correlation_spectrum.tolist():  # in `_measure`'s order
+        total += _log1m(mu)
+    return _clamp(-math.expm1(total))
 
 
 @dataclass(frozen=True)
@@ -257,7 +279,10 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
     is strictly larger than this rotation family, so the result is flagged
     ``lower_bound_only`` ("A spectrum degenerate", by the rule of
     `williamson`'s ``degeneracy_flag``).  The flag reads the spectrum from one
-    Hermitian eigensolve; no Williamson decomposition runs.  The value is
+    Hermitian eigensolve; no Williamson decomposition runs.  A product state
+    (C = 0) is never flagged and its A block is not factorized: every
+    stabilizer leaves it as it is, so its value, exactly 0, is the supremum
+    over the whole stabilizer whatever A's spectrum.  The value is
     then still the supremum over every stabilizer U(k_g) on the degenerate
     groups whose eigenphases lie in [-pi/2, pi/2]: M^T M = (I + sym O)/2 >= I/2
     bounds the determinant (see the module notes), with equality at U = i I.
@@ -266,7 +291,8 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
         raise ValueError("numeric search needs at least one mode on each side")
     theta = np.full(state.n_a, np.pi / 2)
     ka = 2 * state.n_a
-    return _result(_measure(state), "numeric", theta, _spectrum_degenerate(state.cm[:ka, :ka]))
+    degenerate = state.cm[:ka, ka:].any() and _spectrum_degenerate(state.cm[:ka, :ka])
+    return _result(_measure(state), "numeric", theta, bool(degenerate))
 
 
 def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) -> NfgResult:

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -101,22 +102,67 @@ def _mid(x, y):
 
 def _factorize(factor, *args):
     """``factor(*args)`` for a NumPy factorization or solve of covariance
-    blocks; a block that does not factor raises a `ValueError` saying why.
-
-    The matrices passed here are blocks of physical covariance matrices or
-    means of two, so a failed factorization means the matrix is singular at
-    double precision: a pure state squeezed so far that it is stored with a
-    zero determinant (the TMSV at n_bar = 1e10 already).  No overlap of such
-    a state, and so no measure, is defined in floating point.
+    blocks; a block that does not factor raises `_singular`'s `ValueError`.
     """
     try:
         return factor(*args)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "covariance matrix is singular at double precision "
-            "(a pure state squeezed past what float64 resolves); "
-            "its overlaps are undefined"
-        ) from exc
+        raise _singular() from exc
+
+
+def _singular() -> ValueError:
+    """The error for a covariance block that does not factor.
+
+    The matrices factorized here are blocks of physical covariance matrices
+    or means of two, so a failed factorization means the matrix is singular
+    at double precision: a pure state squeezed so far that it is stored with
+    a zero determinant (the TMSV at n_bar = 1e10 already).  No overlap of
+    such a state, and so no measure, is defined in floating point.
+    """
+    return ValueError(
+        "covariance matrix is singular at double precision "
+        "(a pure state squeezed past what float64 resolves); "
+        "its overlaps are undefined"
+    )
+
+
+def _cholesky_2x2(p: float, q: float, r: float) -> tuple[float, float, float]:
+    """``(l00, l10, l11)``, the lower Cholesky factor of [[p, q], [q, r]] in
+    scalar arithmetic, by the steps LAPACK takes (the column is scaled by
+    the pivot's reciprocal), so the same blocks fail to factor; they raise
+    `_singular`'s `ValueError`."""
+    if p > 0.0:
+        l00 = math.sqrt(p)
+        l10 = q * (1.0 / l00)
+        pivot = r - l10 * l10
+        if pivot > 0.0:
+            return l00, l10, math.sqrt(pivot)
+    raise _singular()
+
+
+def _two_mode_spectrum(g: list[list[float]]) -> list[float]:
+    """The correlation spectrum of a (1+1)-mode covariance matrix ``g``
+    (nested lists), ascending and clipped at 1, in scalar arithmetic.
+
+    mu are the squared singular values of W = L_A^{-1} C L_B^{-T}, where L_A
+    and L_B are the Cholesky factors of the A and B blocks: W^T W is
+    L_B^{-1} X L_B^{-T}, the matrix the generic path solves.  For a 2x2 W
+    the singular values are (p +- q)/2 with p = |(w00 + w11, w01 - w10)| and
+    q = |(w00 - w11, w01 + w10)|, so no eigensolve runs.  Reads the lower
+    triangles of A and B, as LAPACK's Cholesky does.
+    """
+    (a00, _, c00, c01), (a10, a11, c10, c11), (_, _, b00, _), (_, _, b10, b11) = g
+    la0, la1, la2 = _cholesky_2x2(a00, a10, a11)
+    lb0, lb1, lb2 = _cholesky_2x2(b00, b10, b11)
+    # Y = L_A^{-1} C, then W = Y L_B^{-T}, each by forward substitution
+    y00, y01 = c00 / la0, c01 / la0
+    y10, y11 = (c10 - la1 * y00) / la2, (c11 - la1 * y01) / la2
+    w00, w10 = y00 / lb0, y10 / lb0
+    w01, w11 = (y01 - lb1 * w00) / lb2, (y11 - lb1 * w10) / lb2
+    p = math.hypot(w00 + w11, w01 - w10)
+    q = math.hypot(w00 - w11, w01 + w10)
+    low, high = 0.5 * (p - q), 0.5 * (p + q)
+    return [min(low * low, 1.0), min(high * high, 1.0)]
 
 
 def _symmetric_part(g: np.ndarray) -> tuple[bool, np.ndarray]:
@@ -199,10 +245,28 @@ def validate_cm(gamma) -> ValidationReport:
     g = _as_square_even(gamma, "covariance matrix")
     symmetric, gs, physical = _verdict(g)
     delta = symplectic_form(g.shape[0] // 2)
-    moduli = np.sort(np.abs(np.linalg.eigvals(delta @ gs)))
+    # Delta Gamma scaled by an even power of two at most max|Gamma|, so it is
+    # finite up to the float maximum and the eigensolve, square roots too,
+    # scales exactly
+    scale = math.ldexp(1.0, (math.frexp(float(np.abs(gs).max()))[1] - 1) // 2 * 2)
+    moduli = np.sort(np.abs(np.linalg.eigvals(delta @ (gs / scale)))) * scale
     nus = moduli[::2][::-1]  # pairs collapse to one entry each, descending
     positive_definite = bool(np.linalg.eigvalsh(gs)[0] > 0.0)
     return ValidationReport(symmetric, _frozen(nus), positive_definite, physical)
+
+
+#: Largest entry a Gaussian map (S or K) may have: S Delta S^T and max|S|^2
+#: stay finite.
+_K_MAX = 1e150
+
+
+def _map_peak(m: np.ndarray, name: str) -> float:
+    """max|m| of a Gaussian map's matrix, refused past `_K_MAX` before any
+    product of it is formed."""
+    peak = float(np.abs(m).max())
+    if peak > _K_MAX:
+        raise ValueError(f"entries of {name} must be at most {_K_MAX} in modulus, got {peak}")
+    return peak
 
 
 def is_symplectic(s) -> bool:
@@ -210,11 +274,13 @@ def is_symplectic(s) -> bool:
 
     The allowance is `DEFAULT_TOL` up to max|S| ~ 375 and grows with the
     rounding of S Delta S^T beyond, so valid squeezers up to r ~ 16 pass and
-    a symplectic scaled by 2 is still rejected there.
+    a symplectic scaled by 2 is still rejected there.  An S with max|S|
+    above 1e150 raises a `ValueError`, as a channel's K does.
     """
     s = _as_square_even(s, "matrix")
+    peak = _map_peak(s, "S")
     delta = symplectic_form(s.shape[0] // 2)
-    return bool(np.abs(s @ delta @ s.T - delta).max() <= _allowance(float(np.abs(s).max()) ** 2))
+    return bool(np.abs(s @ delta @ s.T - delta).max() <= _allowance(peak**2))
 
 
 @dataclass(frozen=True)
@@ -276,18 +342,24 @@ class GaussianState:
 
         These are the squared canonical correlations between A and B.  With
         L the Cholesky factor of B they are the eigenvalues of the symmetric
-        Z = L^{-1} X L^{-T}.  mu = 1 means det(B - X) = 0, a pure state
-        squeezed past double precision, and rounding can push it above 1, so
-        mu is clipped at 1; directions X does not reach (rank X <= 2 n_a)
-        give mu = 0 up to rounding of either sign.  Empty when B has no
-        modes.  Exactly zero, with nothing factorized, when C is zero (a
-        product state, or no mode on A), so a product state scores 0 even with
-        a block squeezed past double precision.  A correlated state whose A or
-        B block is singular at double precision raises a `ValueError`.
+        Z = L^{-1} X L^{-T}, from one eigensolve; for a (1+1)-mode state
+        `_two_mode_spectrum` gives them as the squared singular values of a
+        2x2 matrix in closed form, with no NumPy linear algebra.  mu = 1
+        means det(B - X) = 0, a pure state squeezed past double precision,
+        and rounding can push it above 1, so mu is clipped at 1; directions
+        X does not reach (rank X <= 2 n_a) give mu = 0 up to rounding of
+        either sign.  Empty when B has no modes.  Exactly zero, with nothing
+        factorized, when C is zero (a product state, or no mode on A), so a
+        product state scores 0 even with a block squeezed past double
+        precision.  A correlated state whose A or B block is singular at
+        double precision raises `_singular`'s `ValueError`.
         """
-        a, b, c = blocks(self)
-        if not c.any():
+        k = 2 * self.n_a
+        if not self.cm[:k, k:].any():
             return _frozen(np.zeros(2 * self.n_b))
+        if self.n_a == self.n_b == 1:
+            return _frozen(_two_mode_spectrum(self.cm.tolist()))
+        a, b, c = blocks(self)
         x = c.T @ _factorize(np.linalg.solve, a, c)
         x = _mid(x, x.T)
         chol = _factorize(np.linalg.cholesky, b)
@@ -385,10 +457,6 @@ def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str =
     return GaussianState(s @ state.cm @ s.T, state.n_a, state.n_b, s @ state.mean + m)
 
 
-#: Largest max|K| a channel may have: K Delta K^T and max|K|^2 stay finite.
-_K_MAX = 1e150
-
-
 @dataclass(frozen=True)
 class GaussianChannel:
     """Gaussian channel acting on covariance and mean as
@@ -414,9 +482,7 @@ class GaussianChannel:
         m = _as_square_even(self.m_noise, "M")
         if m.shape != k.shape:
             raise ValueError("M must match the shape of K")
-        k_max = float(np.abs(k).max())
-        if k_max > _K_MAX:
-            raise ValueError(f"entries of K must be at most {_K_MAX} in modulus, got {k_max}")
+        k_max = _map_peak(k, "K")
         symmetric, m = _symmetric_part(m)
         if not symmetric:
             raise ValueError("noise matrix M must be symmetric")

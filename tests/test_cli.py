@@ -97,9 +97,11 @@ PINNED_STATES = {
 
 #: Standard output of `nfg nfg --method bound`, `nfg validate` and
 #: `nfg standard-form` on `PINNED_STATES`, recorded while the bound still
-#: factored its own matrices.
+#: factored its own matrices.  The (1+1) bounds were re-pinned, 1 ulp apart,
+#: when their spectrum took the closed form; each lies within 2e-16 relative
+#: of 50-digit determinants of the stored matrix.
 PINNED_OUTPUTS = {
-    ("ssts", "nfg"): "value: 0.96386858821118782\nmethod: bound\n",
+    ("ssts", "nfg"): "value: 0.96386858821118793\nmethod: bound\n",
     ("ssts", "validate"): (
         "symplectic eigenvalues: 43.162483709814467 43.162483709814438\n"
         "symmetric: yes\npositive definite: yes\nphysical: yes\n"
@@ -108,7 +110,7 @@ PINNED_OUTPUTS = {
         "a: 98.999999999999986\nb: 98.999999999999986\n"
         "c: 89.095454429504969\nd: -89.095454429504969\n"
     ),
-    ("random-1+1", "nfg"): "value: 0.34099955138084659\nmethod: bound\n",
+    ("random-1+1", "nfg"): "value: 0.34099955138084648\nmethod: bound\n",
     ("random-1+1", "validate"): (
         "symplectic eigenvalues: 2.4648454856626851 1.7743553003297543\n"
         "symmetric: yes\npositive definite: yes\nphysical: yes\n"
@@ -145,21 +147,22 @@ class TestPinnedOutputs:
 
 #: `--json` output of `nfg validate`, `nfg nfg` and `nfg standard-form` on
 #: `PINNED_STATES`, parsed, recorded when each subcommand was a public
-#: function with its own defaults.
+#: function with its own defaults.  The (1+1) values were re-pinned like
+#: `PINNED_OUTPUTS`.
 PINNED_JSON = {
     ("ssts", "validate"): {
         "symmetric": True, "symplectic_eigenvalues": [43.16248370981447, 43.16248370981444],
         "positive_definite": True, "physical": True,
     },
     ("ssts", "nfg"): {
-        "value": 0.8979552469135804, "method": "closed_form",
+        "value": 0.8979552469135805, "method": "closed_form",
         "optimizer_theta": [1.5707963267948966], "lower_bound_only": False,
     },
     ("ssts", "nfg", "--method", "numeric"): {
-        "value": 0.8979552469135804, "method": "numeric",
+        "value": 0.8979552469135805, "method": "numeric",
         "optimizer_theta": [1.5707963267948966], "lower_bound_only": False,
     },
-    ("ssts", "nfg", "--method", "bound"): {"value": 0.9638685882111878, "method": "bound"},
+    ("ssts", "nfg", "--method", "bound"): {"value": 0.9638685882111879, "method": "bound"},
     ("ssts", "standard-form"): {
         "a": 98.99999999999999, "b": 98.99999999999999,
         "c": 89.09545442950497, "d": -89.09545442950497,
@@ -169,10 +172,10 @@ PINNED_JSON = {
         "positive_definite": True, "physical": True,
     },
     ("random-1+1", "nfg"): {
-        "value": 0.19708077100178328, "method": "closed_form",
+        "value": 0.19708077100178326, "method": "closed_form",
         "optimizer_theta": [1.5707963267948966], "lower_bound_only": False,
     },
-    ("random-1+1", "nfg", "--method", "bound"): {"value": 0.3409995513808466, "method": "bound"},
+    ("random-1+1", "nfg", "--method", "bound"): {"value": 0.3409995513808465, "method": "bound"},
     ("random-1+1", "standard-form"): {
         "a": 2.0053677966896744, "b": 2.6865405264019375,
         "c": 1.0560323341042255, "d": -0.9541374515342768,
@@ -242,16 +245,17 @@ PINNED_CHANNELS = {
 }
 
 #: Standard output of `nfg channel` on `PINNED_STATES`; the (1+1) outputs
-#: were recorded while `check_monotonicity` went through `nfg_two_mode`, the
-#: others match 50-digit determinants of the stored matrices to 1e-15.
+#: were re-pinned when their spectrum took the closed form, the others were
+#: recorded with the eigensolve.  All match 50-digit determinants of the
+#: stored matrices to 1e-15.
 PINNED_CHANNEL_OUTPUTS = {
     "ssts": (
-        "before: 0.89795524691358042\nafter: 0.87432393845740408\n"
+        "before: 0.89795524691358053\nafter: 0.87432393845740419\n"
         "monotonic: yes\nslack: 0.023631308456176336\n"
     ),
     "random-1+1": (
-        "before: 0.19708077100178328\nafter: 0.08624719611916766\n"
-        "monotonic: yes\nslack: 0.11083357488261562\n"
+        "before: 0.19708077100178326\nafter: 0.08624719611916766\n"
+        "monotonic: yes\nslack: 0.1108335748826156\n"
     ),
     "random-1+2": (
         "before: 0.32545076972146081\nafter: 0.21264904756913805\n"
@@ -265,7 +269,7 @@ PINNED_CHANNEL_OUTPUTS = {
 
 #: What `nfg channel --compare-closed` adds for the (1+1) states.
 PINNED_CLOSED_OUTPUTS = {
-    "ssts": "closed_form_after: 0.87432393845740408\ndiscrepancy: 0\n",
+    "ssts": "closed_form_after: 0.87432393845740408\ndiscrepancy: 1.1102230246251565e-16\n",
     "random-1+1": (
         "closed_form_after: 0.086247196119167632\ndiscrepancy: 2.7755575615628914e-17\n"
     ),

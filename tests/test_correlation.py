@@ -347,7 +347,9 @@ class TestCorrelationSpectrum:
     def test_one_spectrum_eigensolve_per_state(self, rng, monkeypatch):
         # The spectrum is the only real symmetric eigvalsh in these calls;
         # validation and the degeneracy flag solve complex Hermitian ones.
-        state, ch = random_state(rng), random_channel(rng)
+        # A (1+1) state takes the closed form and solves none.
+        pair, ch = random_state(rng), random_channel(rng)
+        multimode = random_state(rng, 2, 1)
         real_solves = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -357,13 +359,17 @@ class TestCorrelationSpectrum:
             return eigvalsh(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        value = nfg_two_mode(state).value
-        nfg_upper_bound(state)
-        nfg_numeric(state)
-        assert real_solves == [(2, 2)]
-        report = check_monotonicity(state, ch)
+        value = nfg_two_mode(pair).value
+        nfg_upper_bound(pair)
+        nfg_numeric(pair)
+        report = check_monotonicity(pair, ch)
         assert report.before == value
-        assert real_solves == [(2, 2), (2, 2)]  # the post-channel state only
+        assert real_solves == []
+        nfg_upper_bound(multimode)
+        nfg_numeric(multimode)
+        report = check_monotonicity(multimode, ch)
+        assert report.before == nfg_numeric(multimode).value
+        assert real_solves == [(2, 2), (2, 2)]  # the input state, then the output
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1), (2, 0), (0, 2)])
     def test_bound_is_zero_with_one_side_empty(self, rng, n_a, n_b):
@@ -384,6 +390,23 @@ class TestNumeric:
         a, b = random_state(rng, 1, 0), random_state(rng, 1, 0)
         prod = GaussianState(la.block_diag(a.cm, b.cm), 1, 1)
         assert nfg_numeric(prod).value < 1e-12
+
+    def test_product_state_with_a_block_squeezed_past_double_precision(self):
+        # C = 0 scores exactly 0 over the whole stabilizer: the flag reads
+        # False and A, which does not factor here, is not factorized.
+        a = la.block_diag(squeezed_block(12.0), 2.0 * np.eye(2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
+        state = GaussianState(la.block_diag(a, np.eye(2)), 2, 1)
+        res = nfg_numeric(state)
+        assert (res.value, res.lower_bound_only) == (0.0, False)
+        assert nfg_upper_bound(state) == 0.0
+
+    def test_product_state_is_never_flagged(self):
+        state = GaussianState(la.block_diag(3.0 * np.eye(4), np.eye(2)), 2, 1)
+        assert williamson(state.cm[:4, :4]).degeneracy_flag
+        res = nfg_numeric(state)
+        assert (res.value, res.lower_bound_only) == (0.0, False)
 
     def test_uncorrelated_factor_is_ignored(self):
         # SSTS on (mode 1, mode 3) with an uncorrelated thermal on mode 2:
@@ -855,3 +878,122 @@ class TestPartitionProperties:
                 nfg_upper_bound(state), rel=1e-13, abs=0.0
             )
             assert res.lower_bound_only == (shared and side == "A")
+
+
+def stream_shaped_state(rng: np.random.Generator) -> GaussianState:
+    """A (1+1) state shaped like the benchmark's request stream: local
+    squeezers and rotations after a two-mode squeezer and a beam splitter,
+    on thermal modes with n_bar log-uniform over 1e-3..1e5."""
+    n_bar = 10.0 ** rng.uniform(-3.0, 5.0, 2)
+    local = [
+        rotation(rng.uniform(0.0, 2 * np.pi)) @ np.diag(np.exp([-r, r]))
+        @ rotation(rng.uniform(0.0, 2 * np.pi))
+        for r in rng.uniform(0.0, 0.5, 2)
+    ]
+    r, t = rng.uniform(0.0, 1.0), rng.uniform(0.0, np.pi / 2)
+    z, one = np.diag([1.0, -1.0]), np.eye(2)
+    squeezer = np.block([[np.cosh(r) * one, np.sinh(r) * z], [np.sinh(r) * z, np.cosh(r) * one]])
+    splitter = np.block([[np.cos(t) * one, np.sin(t) * one], [-np.sin(t) * one, np.cos(t) * one]])
+    s = la.block_diag(*local) @ squeezer @ splitter
+    g = s @ np.diag(np.repeat(1.0 + 2.0 * n_bar, 2)) @ s.T
+    return GaussianState(0.5 * (g + g.T), 1, 1)
+
+
+class TestTwoModeClosedForm:
+    """The (1+1) spectrum in closed form against the generic eigensolve.  A
+    vacuum ancilla on B sends a (1+1) state down the generic path and, by
+    ancilla invariance (step 4 of the module notes), leaves mu as it is."""
+
+    @staticmethod
+    def closed_and_generic(state: GaussianState) -> tuple[tuple, tuple]:
+        wide = with_ancilla(state, "B", np.eye(2))
+        closed = (nfg_two_mode(state).value, nfg_upper_bound(state))
+        return closed, (nfg_numeric(wide).value, nfg_upper_bound(wide))
+
+    def assert_paths_agree(self, state: GaussianState):
+        closed, generic = self.closed_and_generic(state)
+        assert closed[1] >= closed[0]  # bound >= N with zero slack
+        if closed != pytest.approx(generic, rel=2e-15, abs=0.0):
+            # The eigensolve loses digits as mu nears 1 (4.1e-15 on N at
+            # mu = 0.99995 in one of 3000 draws); there the 50-digit
+            # reference decides, and it must side with the closed form.
+            assert closed == pytest.approx(reference_values(state), rel=2e-15, abs=0.0)
+
+    def test_stream_shaped_draws(self, rng):
+        for _ in range(2000):
+            self.assert_paths_agree(stream_shaped_state(rng))
+
+    @pytest.mark.parametrize("n_bar", 10.0 ** np.arange(-3.0, 14.0))
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9, 0.99, 0.999])
+    def test_locally_rotated_ssts(self, rng, n_bar, mu):
+        for _ in range(3):
+            local = la.block_diag(*(rotation(t) for t in rng.uniform(0.0, 2 * np.pi, 2)))
+            family = ssts(SstsParams(n_bar, mu))
+            self.assert_paths_agree(apply_gaussian_unitary(family, GaussianUnitary(local), "global"))
+
+    @pytest.mark.parametrize("c", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_weak_standard_forms_keep_relative_precision(self, c):
+        p = StandardFormParams(3.0, 2.0, c, -c / 2)
+        state = state_from_params(p)
+        closed, generic = self.closed_and_generic(state)
+        assert closed == pytest.approx(generic, rel=2e-15, abs=0.0)
+        assert closed[0] == pytest.approx(nfg_closed_form(p).value, rel=2e-15, abs=0.0)
+
+    def test_product_states_score_exactly_zero(self, rng):
+        for sign in (1.0, -1.0):  # -0.0 cross entries are zero too
+            g = la.block_diag(random_cm(rng, 1), random_cm(rng, 1))
+            g[:2, 2:] = g[2:, :2] = sign * 0.0
+            state = GaussianState(g, 1, 1)
+            closed, generic = self.closed_and_generic(state)
+            assert closed == generic == (0.0, 0.0)
+            assert not np.any(np.signbit(closed))
+            assert np.array_equal(state._correlation_spectrum, [0.0, 0.0])
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_correlated_singular_block_raises_the_factorization_error(self, side):
+        with pytest.raises(ValueError) as generic:
+            nfg.states._factorize(np.linalg.cholesky, squeezed_block(16.0))
+        with pytest.raises(ValueError) as closed:
+            nfg_two_mode(squeezed_correlated(16.0, side))
+        assert str(closed.value) == str(generic.value)
+
+    def test_singular_b_block_raises_where_lapack_cholesky_fails(self):
+        # The scalar factorization takes LAPACK's steps, so a B block squeezed
+        # past double precision raises exactly where np.linalg.cholesky fails.
+        for r in np.linspace(4.0, 17.0, 261):
+            try:
+                np.linalg.cholesky(squeezed_block(r))
+                factors = True
+            except np.linalg.LinAlgError:
+                factors = False
+            state = squeezed_correlated(r, "B")
+            if factors:
+                assert 0.0 <= nfg_upper_bound(state) < 1.0
+            else:
+                with pytest.raises(ValueError, match="singular at double precision"):
+                    nfg_upper_bound(state)
+
+    @pytest.mark.parametrize("n_bar", [1e8, 1e10, 1e13])
+    def test_tmsv_past_double_precision_reads_the_clamp(self, n_bar):
+        state = tmsv(np.arcsinh(np.sqrt(n_bar)))
+        below_one = np.nextafter(1.0, 0.0)
+        assert state._correlation_spectrum.tolist() == [1.0, 1.0]
+        assert self.closed_and_generic(state) == ((below_one, below_one),) * 2
+
+    def test_no_numpy_linear_algebra_runs(self, rng, monkeypatch):
+        pair, multimode = stream_shaped_state(rng), random_state(rng, 2, 1)
+        calls = []
+        for name in np.linalg.__all__:
+            original = getattr(np.linalg, name)
+            if callable(original) and not isinstance(original, type):
+
+                def spy(*args, _name=name, _original=original, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(np.linalg, name, spy)
+        mu = pair._correlation_spectrum
+        assert calls == []
+        assert not mu.flags.writeable and mu[0] <= mu[1] <= 1.0
+        multimode._correlation_spectrum
+        assert "eigvalsh" in calls

@@ -150,6 +150,19 @@ class TestIsSymplectic:
         with pytest.raises(ValueError):
             is_symplectic(np.eye(3))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_s_past_the_limit_is_refused_before_any_product(self, scale):
+        # S Delta S^T and max|S|^2 would overflow; the limit is a channel's.
+        for check in (is_symplectic, GaussianUnitary):
+            with pytest.raises(ValueError, match=r"entries of S must be at most 1e\+150"):
+                check(scale * np.eye(2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_s_at_the_limit_is_judged(self):
+        assert not is_symplectic(1e150 * np.eye(2))
+        assert is_symplectic(np.diag([1e150, 1e-150]))
+
     @staticmethod
     def passive_squeeze_passive(rng, n: int, r: float) -> np.ndarray:
         """O diag(e^-r_i, e^r_i) O' with passive O, O' and the largest r_i = r,
@@ -468,6 +481,14 @@ class TestHugeScale:
         report = validate_cm(state.cm)
         assert report.symmetric and report.positive_definite and report.physical
         assert report.symplectic_eigenvalues[0] == pytest.approx(s, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_report_at_the_float_maximum(self):
+        top = np.finfo(float).max
+        for g in (top * np.eye(2), la.block_diag(np.eye(2), top * np.eye(2))):
+            report = validate_cm(g)
+            assert report.physical
+            assert report.symplectic_eigenvalues[0] == pytest.approx(top, rel=1e-15)
 
     def test_asymmetric_rejected_without_overflow(self):
         g = np.array([[1e308, 1.7e308], [-1.7e308, 1e308]])
