@@ -60,8 +60,16 @@ Cholesky factorizations and two triangular solves give W, and
 so the paper's two-mode value comes from float arithmetic on the four
 blocks' entries, with no LAPACK call (`states._two_mode_spectrum`).  Over
 3000 benchmark-shaped states it is within 8.9e-16 relative of 50-digit
-determinants.  Larger partitions keep the eigensolve, and `nfg_closed_form`
-keeps the standard-form arithmetic as an independent check.
+determinants.  Larger partitions keep the eigensolve.
+
+The same 2x2 W gives the standard form (a, b, c, d): sqrt(a) L_A^{-1} and
+sqrt(b) L_B^{-1} are local symplectics that take A to a I, B to b I and C to
+sqrt(ab) W, and the SVD of W with both factors in SO(2), in closed form,
+gives c, d and the frames (`states.standard_form`, `states._whiten`).  So
+`nfg_closed_form(standard_form(s))` and `nfg_two_mode(s)` share W; the
+independent check of both is the eigensolve-and-SVD standard form kept in
+the test suite (`tests/helpers.py`), which `standard_form` is tested
+against, together with `nfg_theta_objective`.
 
 Degenerate A spectra and the phase convention.  When symplectic eigenvalues
 of A coincide, the stabilizer of rho_A is larger than the single-mode
@@ -312,20 +320,22 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
     delta = a(ab-c^2/2) n2 + a(ab-d^2/2) n3 + a^2 n4.  The numerator uses the
     same expanded beta-alpha difference as `nfg_closed_form`; the denominator
     is strictly positive for any valid channel with K, M not both zero, which
-    is asserted rather than branched on.  The channel displacement d_bar does
-    not enter.  K = 0 gives exactly 0; M = 0 with det K = 1 reproduces
-    `nfg_closed_form` bit for bit.
+    is asserted rather than branched on.  Everything, det K and det M
+    included, is scalar arithmetic on the entries.  The channel displacement
+    d_bar does not enter.  K = 0 gives exactly 0; M = 0 with det K = 1
+    reproduces `nfg_closed_form` bit for bit.
     """
     if ch.n_modes != 1:
         raise ValueError("closed form requires a single-mode channel on B")
-    k, m = ch.k, ch.m_noise
-    if not (k.any() or m.any()):
+    (k11, k12), (k21, k22) = ch.k.tolist()
+    (m11, m12), (_, m22) = ch.m_noise.tolist()
+    if not any((k11, k12, k21, k22, m11, m12, m22)):
         raise ValueError("K and M must not both be zero")
     c2, d2, half_c, half_d, beta_minus_alpha = _standard_kernel(p)
-    n1 = float(np.linalg.det(k)) ** 2
-    n2 = m[1, 1] * k[0, 0] ** 2 + m[0, 0] * k[1, 0] ** 2 - 2.0 * m[0, 1] * k[0, 0] * k[1, 0]
-    n3 = m[1, 1] * k[0, 1] ** 2 + m[0, 0] * k[1, 1] ** 2 - 2.0 * m[0, 1] * k[0, 1] * k[1, 1]
-    n4 = float(np.linalg.det(m))
+    n1 = (k11 * k22 - k12 * k21) ** 2
+    n2 = m22 * k11**2 + m11 * k21**2 - 2.0 * m12 * k11 * k21
+    n3 = m22 * k12**2 + m11 * k22**2 - 2.0 * m12 * k12 * k22
+    n4 = m11 * m22 - m12 * m12
     delta = p.a * (half_c * n2 + half_d * n3 + p.a * n4)
     num = beta_minus_alpha * n1 + 0.5 * p.a * (c2 * n2 + d2 * n3)
     den = half_c * half_d * n1 + delta

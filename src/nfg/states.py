@@ -126,39 +126,52 @@ def _singular() -> ValueError:
     )
 
 
-def _cholesky_2x2(p: float, q: float, r: float) -> tuple[float, float, float]:
-    """``(l00, l10, l11)``, the lower Cholesky factor of [[p, q], [q, r]] in
-    scalar arithmetic, by the steps LAPACK takes (the column is scaled by
+def _cholesky_2x2(p: float, q: float, r: float) -> tuple[float, float, float, float]:
+    """``(l00, l10, l11, det)``: the lower Cholesky factor of [[p, q], [q, r]]
+    in scalar arithmetic, by the steps LAPACK takes (the column is scaled by
     the pivot's reciprocal), so the same blocks fail to factor; they raise
-    `_singular`'s `ValueError`."""
+    `_singular`'s `ValueError`.  ``det`` = p * pivot is the block's
+    determinant, exactly p^2 for a block p I."""
     if p > 0.0:
         l00 = math.sqrt(p)
         l10 = q * (1.0 / l00)
         pivot = r - l10 * l10
         if pivot > 0.0:
-            return l00, l10, math.sqrt(pivot)
+            return l00, l10, math.sqrt(pivot), p * pivot
     raise _singular()
+
+
+def _whiten(g: list[list[float]]) -> tuple[tuple, tuple, tuple]:
+    """``(l_a, l_b, w)`` for a (1+1)-mode covariance matrix ``g`` (nested
+    lists), in scalar arithmetic: the `_cholesky_2x2` results of the A and B
+    blocks and W = L_A^{-1} C L_B^{-T} as ``(w00, w01, w10, w11)``, by two
+    forward substitutions.  Reads the lower triangles of A and B, as
+    LAPACK's Cholesky does; a block that does not factor raises `_singular`'s
+    `ValueError`.  The correlation spectrum and the standard form both start
+    here.
+    """
+    (a00, _, c00, c01), (a10, a11, c10, c11), (_, _, b00, _), (_, _, b10, b11) = g
+    la0, la1, la2, _ = l_a = _cholesky_2x2(a00, a10, a11)
+    lb0, lb1, lb2, _ = l_b = _cholesky_2x2(b00, b10, b11)
+    # Y = L_A^{-1} C, then W = Y L_B^{-T}
+    y00, y01 = c00 / la0, c01 / la0
+    y10, y11 = (c10 - la1 * y00) / la2, (c11 - la1 * y01) / la2
+    w00, w10 = y00 / lb0, y10 / lb0
+    w01, w11 = (y01 - lb1 * w00) / lb2, (y11 - lb1 * w10) / lb2
+    return l_a, l_b, (w00, w01, w10, w11)
 
 
 def _two_mode_spectrum(g: list[list[float]]) -> list[float]:
     """The correlation spectrum of a (1+1)-mode covariance matrix ``g``
     (nested lists), ascending and clipped at 1, in scalar arithmetic.
 
-    mu are the squared singular values of W = L_A^{-1} C L_B^{-T}, where L_A
-    and L_B are the Cholesky factors of the A and B blocks: W^T W is
-    L_B^{-1} X L_B^{-T}, the matrix the generic path solves.  For a 2x2 W
-    the singular values are (p +- q)/2 with p = |(w00 + w11, w01 - w10)| and
-    q = |(w00 - w11, w01 + w10)|, so no eigensolve runs.  Reads the lower
-    triangles of A and B, as LAPACK's Cholesky does.
+    mu are the squared singular values of the `_whiten` matrix
+    W = L_A^{-1} C L_B^{-T}: W^T W is L_B^{-1} X L_B^{-T}, the matrix the
+    generic path solves.  For a 2x2 W the singular values are (p +- q)/2
+    with p = |(w00 + w11, w01 - w10)| and q = |(w00 - w11, w01 + w10)|, so
+    no eigensolve runs.
     """
-    (a00, _, c00, c01), (a10, a11, c10, c11), (_, _, b00, _), (_, _, b10, b11) = g
-    la0, la1, la2 = _cholesky_2x2(a00, a10, a11)
-    lb0, lb1, lb2 = _cholesky_2x2(b00, b10, b11)
-    # Y = L_A^{-1} C, then W = Y L_B^{-T}, each by forward substitution
-    y00, y01 = c00 / la0, c01 / la0
-    y10, y11 = (c10 - la1 * y00) / la2, (c11 - la1 * y01) / la2
-    w00, w10 = y00 / lb0, y10 / lb0
-    w01, w11 = (y01 - lb1 * w00) / lb2, (y11 - lb1 * w10) / lb2
+    _, _, (w00, w01, w10, w11) = _whiten(g)
     p = math.hypot(w00 + w11, w01 - w10)
     q = math.hypot(w00 - w11, w01 + w10)
     low, high = 0.5 * (p - q), 0.5 * (p + q)
@@ -634,17 +647,18 @@ def state_from_params(p: StandardFormParams) -> GaussianState:
     return GaussianState(_standard_cm(p.a, p.b, p.c, p.d), 1, 1)
 
 
-def _williamson_2x2(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Single-mode Williamson: symplectic s with s a s^T = nu*I, nu = sqrt(det a)."""
-    nu = float(np.sqrt(np.linalg.det(a)))
-    if a[0, 1] == 0.0 and a[1, 0] == 0.0:
-        lam = np.array([a[0, 0], a[1, 1]])
-        q = np.eye(2)
-    else:
-        lam, q = np.linalg.eigh(_mid(a, a.T))
-        if np.linalg.det(q) < 0.0:
-            q = q * np.array([1.0, -1.0])  # keep det +1 so s is symplectic
-    return np.diag(np.sqrt(nu / lam)) @ q.T, nu
+def _local_frame(l: tuple[float, float, float, float], angle: float) -> np.ndarray:
+    """R(angle) s for the `_cholesky_2x2` result ``l`` of a one-mode block,
+    with s = sqrt(l00 l11) L^{-1} and R(t) = [[cos t, -sin t], [sin t, cos t]].
+
+    det s = 1, so s and R(angle) s are symplectic, and s takes the block to
+    l00 l11 I.  The diagonal of s is sqrt(l11/l00) and sqrt(l00/l11), so a
+    block p I gives exactly the identity at angle 0.
+    """
+    l00, l10, l11, _ = l
+    s00, s10, s11 = math.sqrt(l11 / l00), -l10 / math.sqrt(l00 * l11), math.sqrt(l00 / l11)
+    co, si = math.cos(angle), math.sin(angle)
+    return np.array([[co * s00 - si * s10, -si * s11], [si * s00 + co * s10, co * s11]])
 
 
 def standard_form(state: GaussianState) -> tuple[StandardFormParams, np.ndarray, np.ndarray]:
@@ -653,26 +667,34 @@ def standard_form(state: GaussianState) -> tuple[StandardFormParams, np.ndarray,
     Returns ``(params, s_a, s_b)`` where the local symplectics satisfy
     ``(s_a ⊕ s_b) Gamma (s_a ⊕ s_b)^T = [[a*I, diag(c,d)], [diag(c,d)^T, b*I]]``.
 
-    Algorithm: Williamson-diagonalize the A and B blocks with local
-    symplectics, then diagonalize the resulting cross block with a two-sided
-    rotation (an SVD with both factors forced into SO(2), which pushes any
-    sign onto the second diagonal entry).  This lands on c = sigma_1 >= |d|
-    with d carrying the sign of det C.  Inputs already in standard form come
-    back with exactly identity locals.
+    Algorithm, in scalar arithmetic on the entries with no NumPy linear
+    algebra (`_whiten` and `_local_frame`): with L_A, L_B the Cholesky
+    factors of the A and B blocks, a = sqrt(det A) and s = sqrt(a) L_A^{-1}
+    is symplectic with s A s^T = a I; B gives b likewise.  The cross block
+    becomes sqrt(ab) W with W = L_A^{-1} C L_B^{-T}, the matrix whose
+    singular values give the correlation spectrum.  Its SVD with both
+    factors in SO(2) is W = R(phi) diag(sigma_+, sigma_-') R(theta): with
+    e, f = (w00 +- w11)/2 and g, h = (w10 +- w01)/2, sigma_+ and
+    sigma_-' are |(e, h)| +- |(f, g)|, and phi, theta = (atan2(h, e) +-
+    atan2(g, f))/2.  So c = sqrt(ab) sigma_+ >= |d|, d = sqrt(ab) sigma_-'
+    carries the sign of det C, and the frames are R(phi)^T s_a and
+    R(theta) s_b.  An input already in standard form (A = a I, B = b I,
+    C = diag(c, d) with c >= |d|) comes back as it is, with exactly identity
+    locals.  A block that does not factor at double precision raises
+    `_singular`'s `ValueError`, and the parameters must pass the
+    `StandardFormParams` verdict.
     """
     if state.n_a != 1 or state.n_b != 1:
         raise ValueError("standard form is defined for (1+1)-mode states")
-    g = state.cm
-    s_a, a = _williamson_2x2(g[:2, :2])
-    s_b, b = _williamson_2x2(g[2:, 2:])
-    ct = s_a @ g[:2, 2:] @ s_b.T
-    if ct[0, 1] == 0.0 and ct[1, 0] == 0.0 and ct[0, 0] >= abs(ct[1, 1]):
-        c, d = float(ct[0, 0]), float(ct[1, 1])
-    else:
-        u, sig, vt = np.linalg.svd(ct)
-        du = float(np.linalg.det(u))
-        dv = float(np.linalg.det(vt))  # det(V) = det(V^T)
-        s_a = np.diag([1.0, du]) @ u.T @ s_a
-        s_b = np.diag([1.0, dv]) @ vt @ s_b
-        c, d = float(sig[0]), float(du * dv * sig[1])
-    return StandardFormParams(a, b, c, d), s_a, s_b
+    cm = state.cm.tolist()
+    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = cm
+    if a01 == b01 == c01 == c10 == 0.0 and a00 == a11 and b00 == b11 and c00 >= abs(c11):
+        return StandardFormParams(a00, b00, c00, c11), np.eye(2), np.eye(2)
+    l_a, l_b, (w00, w01, w10, w11) = _whiten(cm)
+    e, f, g, h = 0.5 * (w00 + w11), 0.5 * (w00 - w11), 0.5 * (w10 + w01), 0.5 * (w10 - w01)
+    p, q = math.hypot(e, h), math.hypot(f, g)
+    u, v = math.atan2(h, e), math.atan2(g, f)
+    a, b = math.sqrt(l_a[3]), math.sqrt(l_b[3])
+    root = math.sqrt(a * b)
+    params = StandardFormParams(a, b, root * (p + q), root * (p - q))
+    return params, _local_frame(l_a, -0.5 * (u + v)), _local_frame(l_b, 0.5 * (u - v))

@@ -1,5 +1,6 @@
 """Shared builders for randomized property tests."""
 
+import mpmath
 import numpy as np
 import scipy.linalg as la
 
@@ -7,6 +8,7 @@ from nfg import (
     GaussianChannel,
     GaussianState,
     GaussianUnitary,
+    StandardFormParams,
     apply_gaussian_unitary,
     c_squared,
     symplectic_form,
@@ -167,3 +169,104 @@ def random_passive_stabilizer(
     v = haar_unitary(rng, k)
     phases = rng.uniform(-max_phase, max_phase, k)
     return passive_stabilizer(s, (v * np.exp(1j * phases)) @ v.conj().T)
+
+
+def squeezed_block(r: float) -> np.ndarray:
+    """A pure mode squeezed by r along an axis at angle 0.7; from r ~ 10 it
+    is stored singular (or indefinite) at double precision."""
+    rot = rotation(0.7)
+    return rot @ np.diag([np.exp(-2.0 * r), np.exp(2.0 * r)]) @ rot.T
+
+
+def squeezed_product(r: float, side: str) -> GaussianState:
+    """(1+1) product of `squeezed_block(r)` on ``side`` and a thermal 3 I."""
+    pair = (squeezed_block(r), 3.0 * np.eye(2))
+    return GaussianState(la.block_diag(*(pair if side == "A" else pair[::-1])), 1, 1)
+
+
+def stream_shaped_state(rng: np.random.Generator) -> GaussianState:
+    """A (1+1) state shaped like the benchmark's request stream: local
+    squeezers and rotations after a two-mode squeezer and a beam splitter,
+    on thermal modes with n_bar log-uniform over 1e-3..1e5."""
+    n_bar = 10.0 ** rng.uniform(-3.0, 5.0, 2)
+    local = [
+        rotation(rng.uniform(0.0, 2 * np.pi)) @ np.diag(np.exp([-r, r]))
+        @ rotation(rng.uniform(0.0, 2 * np.pi))
+        for r in rng.uniform(0.0, 0.5, 2)
+    ]
+    r, t = rng.uniform(0.0, 1.0), rng.uniform(0.0, np.pi / 2)
+    z, one = np.diag([1.0, -1.0]), np.eye(2)
+    squeezer = np.block([[np.cosh(r) * one, np.sinh(r) * z], [np.sinh(r) * z, np.cosh(r) * one]])
+    splitter = np.block([[np.cos(t) * one, np.sin(t) * one], [-np.sin(t) * one, np.cos(t) * one]])
+    s = la.block_diag(*local) @ squeezer @ splitter
+    g = s @ np.diag(np.repeat(1.0 + 2.0 * n_bar, 2)) @ s.T
+    return GaussianState(0.5 * (g + g.T), 1, 1)
+
+
+def williamson_2x2(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Single-mode Williamson by eigendecomposition: symplectic s with
+    s a s^T = nu I, nu = sqrt(det a)."""
+    nu = float(np.sqrt(np.linalg.det(a)))
+    if a[0, 1] == 0.0 and a[1, 0] == 0.0:
+        lam = np.array([a[0, 0], a[1, 1]])
+        q = np.eye(2)
+    else:
+        lam, q = np.linalg.eigh(0.5 * a + 0.5 * a.T)
+        if np.linalg.det(q) < 0.0:
+            q = q * np.array([1.0, -1.0])  # keep det +1 so s is symplectic
+    return np.diag(np.sqrt(nu / lam)) @ q.T, nu
+
+
+def reference_standard_form(
+    state: GaussianState,
+) -> tuple[StandardFormParams, np.ndarray, np.ndarray]:
+    """Independent check of `nfg.standard_form` (and, through
+    `nfg_closed_form`, of `nfg_two_mode`, which shares the whitened cross
+    block with it): `williamson_2x2` on the A and B blocks, then an SVD of
+    the transformed cross block with both factors forced into SO(2), which
+    pushes any sign onto d.  This is the eigensolve-and-SVD algorithm the
+    library used before its scalar standard form."""
+    g = state.cm
+    s_a, a = williamson_2x2(g[:2, :2])
+    s_b, b = williamson_2x2(g[2:, 2:])
+    ct = s_a @ g[:2, 2:] @ s_b.T
+    if ct[0, 1] == 0.0 and ct[1, 0] == 0.0 and ct[0, 0] >= abs(ct[1, 1]):
+        c, d = float(ct[0, 0]), float(ct[1, 1])
+    else:
+        u, sig, vt = np.linalg.svd(ct)
+        du = float(np.linalg.det(u))
+        dv = float(np.linalg.det(vt))  # det(V) = det(V^T)
+        s_a = np.diag([1.0, du]) @ u.T @ s_a
+        s_b = np.diag([1.0, dv]) @ vt @ s_b
+        c, d = float(sig[0]), float(du * dv * sig[1])
+    return StandardFormParams(a, b, c, d), s_a, s_b
+
+
+def linalg_calls(monkeypatch) -> list[str]:
+    """Wrap every `np.linalg` function so each call appends its name to the
+    returned list, for the rest of the test."""
+    calls = []
+    for name in np.linalg.__all__:
+        original = getattr(np.linalg, name)
+        if callable(original) and not isinstance(original, type):
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def exact_standard_form(state: GaussianState) -> tuple[float, float, float, float]:
+    """(a, b, c, d) of a (1+1)-mode state from 50-digit invariants of the
+    stored matrix: a^2 = det A, b^2 = det B, cd = det C and
+    det Gamma = (ab - c^2)(ab - d^2), with c >= |d|."""
+    with mpmath.workdps(50):
+        g = mpmath.matrix(state.cm.tolist())
+        a, b = mpmath.sqrt(mpmath.det(g[0:2, 0:2])), mpmath.sqrt(mpmath.det(g[2:4, 2:4]))
+        cd, ab = mpmath.det(g[0:2, 2:4]), a * b
+        squares = (ab**2 + cd**2 - mpmath.det(g)) / ab  # c^2 + d^2
+        plus, minus = mpmath.sqrt(squares + 2 * cd), mpmath.sqrt(max(squares - 2 * cd, 0))
+        c, d = (plus + minus) / 2, mpmath.sign(cd) * abs(plus - minus) / 2
+        return float(a), float(b), float(c), float(d)

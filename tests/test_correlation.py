@@ -37,6 +37,7 @@ from helpers import (
     brute_force_nfg,
     dilation_channel,
     haar_unitary,
+    linalg_calls,
     passive_stabilizer,
     planted_degenerate_state,
     random_channel,
@@ -45,6 +46,9 @@ from helpers import (
     random_state,
     random_symplectic,
     rotation,
+    squeezed_block,
+    squeezed_product,
+    stream_shaped_state,
     through_thermal_dilation,
 )
 
@@ -198,19 +202,6 @@ class TestZeroIffProduct:
             )
             state = apply_gaussian_unitary(state_from_params(params), u, "global")
             assert nfg_two_mode(state).value >= 1e-14
-
-
-def squeezed_block(r: float) -> np.ndarray:
-    """A pure mode squeezed by r along an axis at angle 0.7; from r ~ 10 it
-    is stored singular (or indefinite) at double precision."""
-    rot = rotation(0.7)
-    return rot @ np.diag([np.exp(-2.0 * r), np.exp(2.0 * r)]) @ rot.T
-
-
-def squeezed_product(r: float, side: str) -> GaussianState:
-    """(1+1) product of `squeezed_block(r)` on ``side`` and a thermal 3 I."""
-    pair = (squeezed_block(r), 3.0 * np.eye(2))
-    return GaussianState(la.block_diag(*(pair if side == "A" else pair[::-1])), 1, 1)
 
 
 def squeezed_correlated(r: float, side: str) -> GaussianState:
@@ -745,6 +736,13 @@ class TestAfterChannelClosedForm:
             == nfg_after_channel_closed_form(p, moved).value
         )
 
+    def test_no_numpy_linear_algebra_runs(self, rng, monkeypatch):
+        p, _, _ = standard_form(random_state(rng))
+        ch = random_channel(rng)
+        calls = linalg_calls(monkeypatch)
+        nfg_after_channel_closed_form(p, ch)
+        assert calls == []
+
     def test_multimode_channel_rejected(self, rng):
         ch = GaussianChannel(np.eye(4), np.zeros((4, 4)))
         p, _, _ = standard_form(random_state(rng))
@@ -878,25 +876,6 @@ class TestPartitionProperties:
                 nfg_upper_bound(state), rel=1e-13, abs=0.0
             )
             assert res.lower_bound_only == (shared and side == "A")
-
-
-def stream_shaped_state(rng: np.random.Generator) -> GaussianState:
-    """A (1+1) state shaped like the benchmark's request stream: local
-    squeezers and rotations after a two-mode squeezer and a beam splitter,
-    on thermal modes with n_bar log-uniform over 1e-3..1e5."""
-    n_bar = 10.0 ** rng.uniform(-3.0, 5.0, 2)
-    local = [
-        rotation(rng.uniform(0.0, 2 * np.pi)) @ np.diag(np.exp([-r, r]))
-        @ rotation(rng.uniform(0.0, 2 * np.pi))
-        for r in rng.uniform(0.0, 0.5, 2)
-    ]
-    r, t = rng.uniform(0.0, 1.0), rng.uniform(0.0, np.pi / 2)
-    z, one = np.diag([1.0, -1.0]), np.eye(2)
-    squeezer = np.block([[np.cosh(r) * one, np.sinh(r) * z], [np.sinh(r) * z, np.cosh(r) * one]])
-    splitter = np.block([[np.cos(t) * one, np.sin(t) * one], [-np.sin(t) * one, np.cos(t) * one]])
-    s = la.block_diag(*local) @ squeezer @ splitter
-    g = s @ np.diag(np.repeat(1.0 + 2.0 * n_bar, 2)) @ s.T
-    return GaussianState(0.5 * (g + g.T), 1, 1)
 
 
 class TestTwoModeClosedForm:

@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -26,13 +27,18 @@ from nfg import (
 )
 
 from helpers import (
+    exact_standard_form,
     haar_unitary,
+    linalg_calls,
     passive_stabilizer,
     random_channel,
     random_cm,
     random_state,
     random_symplectic,
+    reference_standard_form,
     rotation,
+    squeezed_product,
+    stream_shaped_state,
 )
 
 
@@ -338,6 +344,77 @@ class TestStandardForm:
         state = GaussianState(np.eye(6), 2, 1)
         with pytest.raises(ValueError):
             standard_form(state)
+
+    @staticmethod
+    def assert_matches_reference(state: GaussianState):
+        """(a, b, c, d) within 1e-12 of the eigensolve-and-SVD path in
+        `helpers`, a and b relative to themselves and c, d relative to c.
+        Both paths resolve a block only to ~kappa eps, kappa = a00 a11 / det
+        of the block, so where they differ by more, the scalar path must lie
+        within 4 kappa eps of the 50-digit reference (kappa of A for a, of B
+        for b, the larger for c and d); over 16,000 stream-shaped draws it
+        stayed within 2.6 kappa eps, the eigensolve path within 8.9.  Both
+        sets of frames bring Gamma to the standard matrix within 1e-12 of
+        max(a, b)."""
+        p, s_a, s_b = standard_form(state)
+        q, t_a, t_b = reference_standard_form(state)
+        new, old = np.array([p.a, p.b, p.c, p.d]), np.array([q.a, q.b, q.c, q.d])
+        scale = np.array([q.a, q.b, q.c, q.c])
+        far = np.abs(new - old) > 1e-12 * scale
+        if far.any():
+            g = state.cm
+            kappa_a, kappa_b = (
+                g[k, k] * g[k + 1, k + 1] / np.linalg.det(g[k : k + 2, k : k + 2]) for k in (0, 2)
+            )
+            kappa = np.array([kappa_a, kappa_b, max(kappa_a, kappa_b), max(kappa_a, kappa_b)])
+            error = np.abs(new - exact_standard_form(state)) / scale
+            assert np.all(error[far] <= 4.0 * kappa[far] * np.finfo(float).eps)
+        target = state_from_params(p).cm
+        for frames in ((s_a, s_b), (t_a, t_b)):
+            local = la.block_diag(*frames)
+            assert np.abs(local @ state.cm @ local.T - target).max() <= 1e-12 * max(p.a, p.b)
+
+    def test_matches_eigensolve_path_on_stream_shaped_states(self, rng):
+        for _ in range(2000):
+            self.assert_matches_reference(stream_shaped_state(rng))
+
+    @pytest.mark.parametrize("n_bar", 10.0 ** np.arange(-3.0, 14.0))
+    def test_matches_eigensolve_path_on_locally_squeezed_ssts(self, rng, n_bar):
+        for mu in (0.1, 0.5, 0.9, 0.99, 0.999, 1.0):
+            family = ssts(SstsParams(n_bar, mu))
+            for _ in range(3):
+                local = [
+                    rotation(before) @ np.diag(np.exp([-r, r])) @ rotation(after)
+                    for r, before, after in rng.uniform(0.0, [1.0, 2 * np.pi, 2 * np.pi], (2, 3))
+                ]
+                u = GaussianUnitary(la.block_diag(*local))
+                self.assert_matches_reference(apply_gaussian_unitary(family, u, "global"))
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_squeezed_block_gives_params_or_the_value_error(self, side):
+        # 3 I with a mode squeezed by r: the stored block's determinant is off
+        # by ~eps e^{4r}, so from r ~ 5 no path resolves the squeezed side's
+        # parameter; it must still come back as parameters or a ValueError,
+        # with no warning on the way.
+        for r in np.arange(0.5, 16.25, 0.5):
+            state = squeezed_product(r, side)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    p, _, _ = standard_form(state)
+                except ValueError:
+                    assert r > 4.0
+                    continue
+            if r <= 4.0:
+                squeezed, thermal = (p.a, p.b) if side == "A" else (p.b, p.a)
+                assert squeezed == pytest.approx(1.0, abs=1e-9)
+                assert thermal == 3.0 and p.c == p.d == 0.0
+
+    def test_no_numpy_linear_algebra_but_the_params_verdict(self, rng, monkeypatch):
+        state = stream_shaped_state(rng)
+        calls = linalg_calls(monkeypatch)
+        standard_form(state)
+        assert calls == ["eigvalsh"]
 
 
 class TestParamsValidation:
