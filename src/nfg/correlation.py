@@ -177,12 +177,14 @@ def _standard_kernel(p: StandardFormParams) -> tuple[float, float, float, float,
     """(c^2, d^2, ab - c^2/2, ab - d^2/2, beta - alpha) of a standard form.
 
     beta = (ab-c^2/2)(ab-d^2/2) is the product of the middle two entries and
-    beta - alpha, alpha = (ab-c^2)(ab-d^2), is the expanded
-    ab(c^2+d^2)/2 - 3c^2d^2/4 (see `nfg_closed_form`).
+    beta - alpha, alpha = (ab-c^2)(ab-d^2), is ab(c^2+d^2)/2 - 3c^2d^2/4,
+    evaluated as (c^2/2)(ab-d^2/2) + (d^2/2)(ab-c^2): a physical form has
+    ab >= c^2 >= d^2, so both terms are nonnegative and nothing cancels.
     """
     ab = p.a * p.b
     c2, d2 = p.c * p.c, p.d * p.d
-    return c2, d2, ab - 0.5 * c2, ab - 0.5 * d2, 0.5 * ab * (c2 + d2) - 0.75 * c2 * d2
+    half_d = ab - 0.5 * d2
+    return c2, d2, ab - 0.5 * c2, half_d, 0.5 * c2 * half_d + 0.5 * d2 * (ab - c2)
 
 
 def nfg_closed_form(p: StandardFormParams) -> NfgResult:
@@ -190,9 +192,10 @@ def nfg_closed_form(p: StandardFormParams) -> NfgResult:
 
     The supremum over stabilizing rotations is attained at theta = pi/2 and
     equals 1 - (ab-c^2)(ab-d^2) / ((ab-c^2/2)(ab-d^2/2)).  The difference is
-    evaluated in expanded form, ab(c^2+d^2)/2 - 3c^2d^2/4 over the same
-    denominator, which is exact for product states and immune to the
-    cancellation the literal 1-minus-ratio suffers when the ratio is near 1.
+    evaluated as a sum of two nonnegative terms,
+    (c^2/2)(ab-d^2/2) + (d^2/2)(ab-c^2) over the same denominator, which is
+    exact for product states and immune to the cancellation the literal
+    1-minus-ratio suffers when the ratio is near 1.
     """
     _, _, half_c, half_d, beta_minus_alpha = _standard_kernel(p)
     return _result(beta_minus_alpha / (half_c * half_d), "closed_form", np.pi / 2)
@@ -318,7 +321,7 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
 
     where alpha = (ab-c^2)(ab-d^2), beta = (ab-c^2/2)(ab-d^2/2) and
     delta = a(ab-c^2/2) n2 + a(ab-d^2/2) n3 + a^2 n4.  The numerator uses the
-    same expanded beta-alpha difference as `nfg_closed_form`; the denominator
+    same cancellation-free beta-alpha as `nfg_closed_form`; the denominator
     is strictly positive for any valid channel with K, M not both zero, which
     is asserted rather than branched on.  Everything, det K and det M
     included, is scalar arithmetic on the entries.  The channel displacement

@@ -15,6 +15,7 @@ from nfg import (
     williamson,
 )
 from nfg.fock import FockDensityMatrix
+from nfg.states import DEFAULT_TOL
 
 
 def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.4) -> np.ndarray:
@@ -184,23 +185,32 @@ def squeezed_product(r: float, side: str) -> GaussianState:
     return GaussianState(la.block_diag(*(pair if side == "A" else pair[::-1])), 1, 1)
 
 
-def stream_shaped_state(rng: np.random.Generator) -> GaussianState:
-    """A (1+1) state shaped like the benchmark's request stream: local
-    squeezers and rotations after a two-mode squeezer and a beam splitter,
-    on thermal modes with n_bar log-uniform over 1e-3..1e5."""
-    n_bar = 10.0 ** rng.uniform(-3.0, 5.0, 2)
+def stream_shaped_cm(rng: np.random.Generator, log_n_bar_max: float = 5.0, nus=None) -> np.ndarray:
+    """The covariance matrix of a (1+1) state shaped like the benchmark's
+    request stream: local squeezers and rotations after a two-mode squeezer
+    and a beam splitter, on thermal modes with n_bar log-uniform over
+    1e-3..10**log_n_bar_max, or with symplectic eigenvalues `nus`."""
+    if nus is None:
+        nus = 1.0 + 2.0 * 10.0 ** rng.uniform(-3.0, log_n_bar_max, 2)
     local = [
         rotation(rng.uniform(0.0, 2 * np.pi)) @ np.diag(np.exp([-r, r]))
         @ rotation(rng.uniform(0.0, 2 * np.pi))
         for r in rng.uniform(0.0, 0.5, 2)
     ]
     r, t = rng.uniform(0.0, 1.0), rng.uniform(0.0, np.pi / 2)
-    z, one = np.diag([1.0, -1.0]), np.eye(2)
-    squeezer = np.block([[np.cosh(r) * one, np.sinh(r) * z], [np.sinh(r) * z, np.cosh(r) * one]])
-    splitter = np.block([[np.cos(t) * one, np.sin(t) * one], [-np.sin(t) * one, np.cos(t) * one]])
-    s = la.block_diag(*local) @ squeezer @ splitter
-    g = s @ np.diag(np.repeat(1.0 + 2.0 * n_bar, 2)) @ s.T
-    return GaussianState(0.5 * (g + g.T), 1, 1)
+    ch, sh, co, si = np.cosh(r), np.sinh(r), np.cos(t), np.sin(t)
+    squeezer = np.array([[ch, 0, sh, 0], [0, ch, 0, -sh], [sh, 0, ch, 0], [0, -sh, 0, ch]])
+    splitter = np.array([[co, 0, si, 0], [0, co, 0, si], [-si, 0, co, 0], [0, -si, 0, co]])
+    s = np.zeros((4, 4))
+    s[:2, :2], s[2:, 2:] = local
+    s = s @ squeezer @ splitter
+    g = s @ np.diag(np.repeat(nus, 2)) @ s.T
+    return 0.5 * (g + g.T)
+
+
+def stream_shaped_state(rng: np.random.Generator) -> GaussianState:
+    """The `stream_shaped_cm` state, n_bar up to 1e5."""
+    return GaussianState(stream_shaped_cm(rng), 1, 1)
 
 
 def williamson_2x2(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -240,6 +250,43 @@ def reference_standard_form(
         s_b = np.diag([1.0, dv]) @ vt @ s_b
         c, d = float(sig[0]), float(du * dv * sig[1])
     return StandardFormParams(a, b, c, d), s_a, s_b
+
+
+def reference_verdict(g) -> tuple[np.ndarray, np.ndarray]:
+    """Independent check of the Simon verdict `GaussianState` applies, on a
+    covariance matrix or a stack of them: ``(physical, margin)`` by the
+    Hermitian eigensolve the library used before its scalar Cholesky test,
+    with its arithmetic.  ``margin`` is the smallest eigenvalue of the
+    equilibrated D^{-1/2} (Gamma + i Delta) D^{-1/2} plus `DEFAULT_TOL`, so
+    ``physical`` is ``margin >= 0``; it is NaN where the symmetry or the
+    positive-diagonal test already rejects."""
+    g = np.asarray(g, dtype=float)
+    gt = np.swapaxes(g, -1, -2)
+    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
+    symmetric = np.abs(0.5 * g - 0.5 * gt).max(axis=(-2, -1)) <= 0.5 * DEFAULT_TOL * scale
+    gs = 0.5 * g + 0.5 * gt
+    diag = np.diagonal(gs, axis1=-2, axis2=-1)
+    screened = symmetric & np.all(diag > 0.0, axis=-1)
+    root = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    outer = root[..., :, None] * root[..., None, :]
+    simon = (gs + 1j * symplectic_form(g.shape[-1] // 2)) * outer
+    margin = np.where(screened, np.linalg.eigvalsh(simon)[..., 0] + DEFAULT_TOL, np.nan)
+    return screened & (margin >= 0.0), margin
+
+
+def reference_channel_verdict(k: np.ndarray, m: np.ndarray) -> tuple[bool, float, float]:
+    """Independent check of `GaussianChannel`'s complete-positivity test:
+    ``(accepted, margin, scale)`` by the Hermitian eigensolve the library
+    used before its scalar Cholesky test.  ``margin`` is the smallest
+    eigenvalue of M_s + i(Delta - K Delta K^T), M_s the symmetric part of M,
+    plus the allowance max(1e-9, 32 eps scale), scale = max(max|K|^2,
+    max|M_s|); the channel passes iff ``margin >= 0``."""
+    m = 0.5 * m + 0.5 * m.T
+    delta = symplectic_form(k.shape[0] // 2)
+    least = float(np.linalg.eigvalsh(m + 1j * (delta - k @ delta @ k.T))[0])
+    scale = max(float(np.abs(k).max()) ** 2, float(np.abs(m).max()))
+    margin = least + max(DEFAULT_TOL, 32.0 * float(np.finfo(float).eps) * scale)
+    return margin >= 0.0, margin, scale
 
 
 def linalg_calls(monkeypatch) -> list[str]:

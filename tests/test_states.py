@@ -1,6 +1,7 @@
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from nfg import (
 )
 
 from helpers import (
+    dilation_channel,
     exact_standard_form,
     haar_unitary,
     linalg_calls,
@@ -35,9 +37,12 @@ from helpers import (
     random_cm,
     random_state,
     random_symplectic,
+    reference_channel_verdict,
     reference_standard_form,
+    reference_verdict,
     rotation,
     squeezed_product,
+    stream_shaped_cm,
     stream_shaped_state,
 )
 
@@ -201,6 +206,19 @@ class TestIsSymplectic:
                     GaussianChannel(s, zero)
                 with pytest.raises(ValueError, match="invalid channel"):
                     GaussianChannel(2.0 * s, zero)
+
+    def test_one_mode_check_is_the_determinant(self, rng):
+        # For one mode S Delta S^T = det S Delta, so the scalar |det S - 1|
+        # decides as the plain max|S Delta S^T - Delta| on a det S that
+        # misses 1 by half or twice the allowance, floor and rounding term.
+        delta, eps32 = symplectic_form(1), 32.0 * np.finfo(float).eps
+        for r in np.linspace(0.0, 8.0, 17):
+            for step in (-2.0, -0.5, 0.5, 2.0):
+                s = self.passive_squeeze_passive(rng, 1, r)
+                allowance = max(1e-9, eps32 * np.abs(s).max() ** 2)
+                s = np.sqrt(1.0 + step * allowance) * s
+                plain = np.abs(s @ delta @ s.T - delta).max() <= allowance
+                assert is_symplectic(s) == plain == (abs(step) < 1.0)
 
     @pytest.mark.parametrize("tol, max_entry", [(1e-9, 3e2)])
     def test_small_scale_check_is_the_absolute_tolerance(self, rng, tol, max_entry):
@@ -414,7 +432,7 @@ class TestStandardForm:
         state = stream_shaped_state(rng)
         calls = linalg_calls(monkeypatch)
         standard_form(state)
-        assert calls == ["eigvalsh"]
+        assert calls == []
 
 
 class TestParamsValidation:
@@ -679,6 +697,172 @@ class TestConstructionVerdict:
         apply_channel(state, ch)
         with pytest.raises(AssertionError):
             validate_cm(cm)
+
+
+#: Half-width of the band around a threshold in which the scalar Cholesky
+#: test and the reference eigensolve may part on rounding, per unit of the
+#: matrix scale (1 for the equilibrated Simon matrix).
+BAND = 1e-12
+
+
+def _near_boundary_cms(rng, count):
+    """(1+1) covariance matrices whose equilibrated Simon matrix has its
+    smallest eigenvalue within 1e-6, 1e-9 or 1e-11 of -DEFAULT_TOL: a state
+    with nu_min = 1, whose equilibrated matrix E has lambda_min ~ 0, minus
+    x diag(Gamma), which equilibrates to (E - x I)/(1 - x)."""
+    for i in range(count):
+        spread = (1e-6, 1e-9, 1e-11)[i % 3]
+        target = -1e-9 + rng.uniform(-spread, spread)
+        g = stream_shaped_cm(rng, nus=[1.0, rng.uniform(1.0, 3.0) if i % 2 else 1.0])
+        yield g - target / (target - 1.0) * np.diag(np.diag(g))
+
+
+def _exact_det(a) -> Fraction:
+    (p, q), (r, s) = [[Fraction(float(x)) for x in row] for row in a]
+    return p * s - q * r
+
+
+class TestScalarVerdict:
+    """Up to 4 x 4 the Simon verdict and the channel check are a scalar
+    Cholesky test.  It decides as the eigensolve it replaced (kept in
+    `helpers`) on every draw outside a rounding band around the threshold,
+    and `validate_cm` agrees with construction on every draw."""
+
+    @staticmethod
+    def agree(cms) -> np.ndarray:
+        """Cross-check (1+1) matrices; return the acceptance of each."""
+        cms = np.array(list(cms))
+        physical, margin = reference_verdict(cms)
+        accepted = np.empty(len(cms), dtype=bool)
+        for i, g in enumerate(cms):
+            try:
+                GaussianState(g, 1, 1)
+                accepted[i] = True
+            except ValueError:
+                accepted[i] = False
+            assert validate_cm(g).physical == accepted[i]
+            if not abs(margin[i]) <= BAND:  # NaN: screened before the test
+                assert accepted[i] == physical[i], margin[i]
+        return accepted
+
+    def test_stream_shaped_states_and_their_sub_vacuum_copies(self, rng):
+        cms = [stream_shaped_cm(rng) for _ in range(4000)]
+        cms += [rng.uniform(0.5, 1.0) * g for g in cms]
+        accepted = self.agree(cms)
+        assert accepted[:4000].all() and not accepted[4000:].all()
+
+    def test_near_boundary_states(self, rng):
+        accepted = self.agree(_near_boundary_cms(rng, 6000))
+        assert 1000 < accepted.sum() < 5000
+
+    def test_states_up_to_n_bar_1e13(self, rng):
+        cms = [stream_shaped_cm(rng, log_n_bar_max=13.0) for _ in range(3000)]
+        for n_bar in np.geomspace(1e-3, 1e13, 17):
+            cms += [ssts(SstsParams(n_bar, mu)).cm for mu in (0.0, 0.5, 0.9, 0.99, 1.0)]
+            cms.append(tmsv(np.arcsinh(np.sqrt(n_bar))).cm)
+        physical = len(cms)
+        cms += [rng.uniform(0.5, 1.0) * g for g in cms[:1000]]
+        accepted = self.agree(cms)
+        assert accepted[:physical].all() and not accepted[physical:].all()
+
+    def test_singular_family_keeps_its_decisions(self):
+        # a = b = c = -d, nu_min = 0: rejected up to 2e4, within the
+        # tolerance from 3e4 on
+        z = np.diag([1.0, -1.0])
+        unit = np.block([[np.eye(2), z], [z, np.eye(2)]])
+        scales = np.geomspace(1e2, 1e6, 81)
+        accepted = self.agree(a * unit for a in scales)
+        assert not accepted[scales <= 2e4].any() and accepted[scales >= 3e4].all()
+
+    def test_channels(self, rng):
+        # One-mode channels of the ill-conditioned recipe (M nearly rank
+        # one, det M 10% either side of (det K - 1)^2), then one-mode and
+        # two-mode channels with their noise scaled either side of enough.
+        draws = []
+        for _ in range(4000):
+            k = rng.normal(size=(2, 2)) * 10 ** rng.uniform(-2, 2)
+            v = rng.normal(size=2)
+            m = np.outer(v, v) + 10 ** rng.uniform(-8, 0) * np.eye(2)
+            m *= np.sqrt(rng.uniform(0.9, 1.1) * (np.linalg.det(k) - 1) ** 2 / np.linalg.det(m))
+            draws.append((k, m))
+        for _ in range(1000):
+            ch = random_channel(rng)
+            draws.append((ch.k, rng.uniform(0.5, 1.5) * ch.m_noise))
+            ch = dilation_channel(rng, 2)
+            draws.append((ch.k, rng.uniform(0.5, 1.5) * ch.m_noise))
+        outcomes = []
+        for k, m in draws:
+            expected, margin, scale = reference_channel_verdict(k, m)
+            try:
+                GaussianChannel(k, m)
+                accepted = True
+            except ValueError as exc:
+                assert str(exc).startswith("invalid channel")
+                accepted = False
+            if abs(margin) > BAND * max(1.0, scale):
+                assert accepted == expected, margin
+            if k.shape == (2, 2):
+                need = (_exact_det(k) - 1) ** 2
+                gap = _exact_det(m) - need
+                if gap < -need / 10**6:  # not completely positive
+                    # nothing the eigensolve rejects passes
+                    assert expected or not accepted
+            outcomes.append(accepted)
+        assert 0.2 < np.mean(outcomes) < 0.8
+
+    def test_two_mode_acceptance_calls_no_linear_algebra(self, rng, monkeypatch):
+        cm, ch = stream_shaped_cm(rng), random_channel(rng)
+        p, s_a, _ = standard_form(GaussianState(cm, 1, 1))
+        multimode = random_cm(rng, 3)
+        calls = linalg_calls(monkeypatch)
+        GaussianState(cm, 1, 1)
+        StandardFormParams(p.a, p.b, p.c, p.d)
+        GaussianChannel(ch.k, ch.m_noise)
+        GaussianUnitary(s_a)
+        assert calls == []
+        GaussianState(multimode, 2, 1)
+        assert calls == ["eigvalsh"]
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: GaussianChannel(2.0 * np.eye(2), np.zeros((2, 2))),
+                "invalid channel: M + i(Delta - K Delta K^T) has eigenvalue -3 < 0",
+            ),
+            (
+                lambda: GaussianChannel(np.zeros((2, 2)), 0.5 * np.eye(2)),
+                "invalid channel: M + i(Delta - K Delta K^T) has eigenvalue -0.5 < 0",
+            ),
+            (
+                lambda: GaussianChannel(np.diag([2.0, 2.0, 1.0, 1.0]), np.diag([1.0, 1.0, 10.0, 10.0])),
+                "invalid channel: M + i(Delta - K Delta K^T) has eigenvalue -2 < 0",
+            ),
+            (
+                lambda: GaussianChannel(1.5 * np.eye(6), np.eye(6)),
+                "invalid channel: M + i(Delta - K Delta K^T) has eigenvalue -0.25 < 0",
+            ),
+            (
+                lambda: StandardFormParams(0.5, 2.0, 0.0, 0.0),
+                "standard-form parameters are not physical: a=0.5, b=2.0, c=0.0, d=0.0",
+            ),
+            (
+                lambda: GaussianUnitary(2.0 * np.eye(2)),
+                "matrix does not satisfy S Delta S^T = Delta",
+            ),
+            (
+                lambda: GaussianState(np.diag([3.0, 3.0, 0.9, 0.9]), 1, 1),
+                "covariance matrix is not physical (symmetric=True, "
+                "positive_definite=True, min symplectic eigenvalue=0.9)",
+            ),
+        ],
+        ids=["amplifier", "erasure", "two-mode", "three-mode", "params", "unitary", "state"],
+    )
+    def test_rejection_messages_are_unchanged(self, build, message):
+        # recorded with the eigensolve the scalar test replaced
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
 
 #: (build, field, length): build(v) makes a valid instance with v as its
