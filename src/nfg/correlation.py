@@ -8,7 +8,6 @@ the reduced state rho_A invariant, of the squared overlap distance
 * one spectral formula for every (n+m)-mode partition, behind both
   `nfg_two_mode` and `nfg_numeric`, and the upper bound from the same
   spectrum;
-* the literal determinant-form objective at a given rotation angle;
 * the post-channel closed form for single-mode channels on B, and a
   monotonicity checker for every partition.
 
@@ -29,8 +28,8 @@ sits at theta = (pi/2, ..., pi/2):
 
 X is unchanged by local symplectics on A (A -> S A S^T and C -> S C cancel),
 so the value needs no Williamson rotation.  For (1+1) modes this is
-`nfg_closed_form`; `nfg_theta_objective` keeps the literal rotation as an
-independent check.
+`nfg_closed_form`; the test suite keeps the literal rotation
+(`tests/helpers.py`) as an independent check.
 
 One spectrum gives the measure and its bound.  Let mu_i be the eigenvalues
 of B^{-1} X, the squared canonical correlations between A and B, in [0, 1]
@@ -43,24 +42,27 @@ invariant too).  Then
 evaluated as -expm1 of a sum of `math.log1p` terms, summed in the same
 order for both, so weak correlations keep full relative precision, X = 0
 gives exactly 0 and mu = 1 gives the clamp.  Each state computes mu once
-(`GaussianState` keeps it), so the two values cost one eigensolve.  The
+(`GaussianState` keeps it), so the two values cost one spectrum.  The
 bound's term log1p(-mu) is at most N's term log1p(-mu) - log1p(-mu/2),
 because log1p(-mu/2) <= 0; rounding is monotone, so bound >= N holds term by
-term in floating point, not only in exact arithmetic.  Rounding can leave
-mu slightly below 0 on directions X does not reach; N's half term reads those
-as 0, so the inequality holds for them as well.
+term in floating point, not only in exact arithmetic.
 
-For (1+1) modes mu needs no eigensolve.  With L_A, L_B the Cholesky factors
-of A and B, mu are the squared singular values of the 2x2
-W = L_A^{-1} C L_B^{-T}, since W^T W = L_B^{-1} X L_B^{-T}.  Two scalar
-Cholesky factorizations and two triangular solves give W, and
+One algorithm gives mu for every partition.  With L_A, L_B the Cholesky
+factors of A and B, mu are the squared singular values of
+W = L_A^{-1} C L_B^{-T}, since W^T W = L_B^{-1} X L_B^{-T} is similar to
+B^{-1} X.  Taking singular values of W, not eigenvalues of W^T W, keeps
+W's conditioning unsquared (Bjorck and Golub, Math. Comp. 27 (1973)), so
+mu near 1 and weak correlations keep full relative precision, and every
+mu is a square, never below 0.  Two triangular solves give W and one SVD
+its min(2 n_a, 2 n_b) singular values; when n_a < n_b the 2 n_b - 2 n_a
+directions X cannot reach get exact zeros.  For (1+1) modes W is 2x2, and
 
     sigma_+- = (|(w00 + w11, w01 - w10)| +- |(w00 - w11, w01 + w10)|) / 2,
 
 so the paper's two-mode value comes from float arithmetic on the four
 blocks' entries, with no LAPACK call (`states._two_mode_spectrum`).  Over
 3000 benchmark-shaped states it is within 8.9e-16 relative of 50-digit
-determinants.  Larger partitions keep the eigensolve.
+determinants.
 
 The same 2x2 W gives the standard form (a, b, c, d): sqrt(a) L_A^{-1} and
 sqrt(b) L_B^{-1} are local symplectics that take A to a I, B to b I and C to
@@ -69,7 +71,7 @@ gives c, d and the frames (`states.standard_form`, `states._whiten`).  So
 `nfg_closed_form(standard_form(s))` and `nfg_two_mode(s)` share W; the
 independent check of both is the eigensolve-and-SVD standard form kept in
 the test suite (`tests/helpers.py`), which `standard_form` is tested
-against, together with `nfg_theta_objective`.
+against, together with the literal rotation objective.
 
 Degenerate A spectra and the phase convention.  When symplectic eigenvalues
 of A coincide, the stabilizer of rho_A is larger than the single-mode
@@ -95,12 +97,12 @@ mu, so the three properties hold for every (n+m)-mode partition:
 1. N = 1 - prod_i (1 - mu_i)/(1 - mu_i/2) rises in each mu_i in [0, 1]:
    each factor lies in [0, 1] and falls as mu_i rises.  So does the bound's
    factor 1 - mu_i.
-2. With W = A^{-1/2} C B^{-1/2}, B^{-1} X is similar to W^T W, so mu are the
-   squared singular values of W, in [0, 1] because B - X >= 0.  The nonzero
-   ones are the eigenvalues of T = W W^T = A^{-1/2} C B^{-1} C^T A^{-1/2},
-   which is symmetric in A and B: swapping the sides turns W into W^T, so
-   only the number of zero mu changes, and a zero adds a factor 1.
-3. A channel on B maps C -> C K^T and B -> Y Y^T + M with Y = K B^{1/2} and
+2. mu are the squared singular values of W = L_A^{-1} C L_B^{-T}, in
+   [0, 1] because B - X >= 0.  The nonzero ones are the eigenvalues of
+   T = W W^T = L_A^{-1} C B^{-1} C^T L_A^{-T}, which is symmetric in A and
+   B: swapping the sides turns W into W^T, so only the number of zero mu
+   changes, and a zero adds a factor 1.
+3. A channel on B maps C -> C K^T and B -> Y Y^T + M with Y = K L_B and
    M >= 0 (the real part of the complete-positivity condition), so
    T' = W Y^T (Y Y^T + M)^{-1} Y W^T.  The middle factor is <= I because
    Y Y^T <= Y Y^T + M, so T' <= T in the Loewner order and, by Weyl, each
@@ -123,14 +125,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .overlap import _chol_logdet, _clamp
+from .overlap import _clamp
 from .states import (
     GaussianChannel,
     GaussianState,
     StandardFormParams,
-    _act_on_side,
     _frozen,
-    _mid,
     _spectrum_degenerate,
     apply_channel,
 )
@@ -143,7 +143,6 @@ __all__ = [
     "nfg_after_channel_closed_form",
     "nfg_closed_form",
     "nfg_numeric",
-    "nfg_theta_objective",
     "nfg_two_mode",
     "nfg_upper_bound",
 ]
@@ -201,27 +200,6 @@ def nfg_closed_form(p: StandardFormParams) -> NfgResult:
     return _result(beta_minus_alpha / (half_c * half_d), "closed_form", np.pi / 2)
 
 
-def nfg_theta_objective(state: GaussianState, theta: float) -> float:
-    """Objective 1 - sqrt(det G det G_S)/det((G+G_S)/2) at rotation angle theta.
-
-    ``G_S`` is the covariance matrix after rotating mode A by ``theta``.  For
-    a state in standard form this equals
-    1 - (ab-c^2)(ab-d^2) / ((ab-c^2*n0)(ab-d^2*n0)) with n0 = (1+cos theta)/2,
-    so it is 0 at theta = 0 and reaches the closed-form value at theta = pi/2,
-    nondecreasing in between.  The rotation is symplectic, so det G_S = det G
-    and the value is 1 - det G / det((G+G_S)/2), from two Cholesky
-    factorizations.  Clamped into [0, 1) like `NfgResult` values.
-    """
-    if state.n_a != 1 or state.n_b != 1:
-        raise ValueError("theta objective is defined for (1+1)-mode states")
-    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    g = state.cm
-    c, s = np.cos(theta), np.sin(theta)
-    gs = _act_on_side(g, 2, "A", np.array([[c, s], [-s, c]]))
-    return _clamp(-float(np.expm1(_chol_logdet(g)[1] - _chol_logdet(_mid(g, gs))[1])))
-
-
 def _log1m(mu: float) -> float:
     """log(1 - mu) for mu <= 1, with -inf at mu = 1: the clamp, no warning."""
     return math.log1p(-mu) if mu < 1.0 else -math.inf
@@ -229,10 +207,10 @@ def _log1m(mu: float) -> float:
 
 def _measure(state: GaussianState) -> float:
     """1 - prod (1 - mu)/(1 - mu/2) over the state's correlation spectrum,
-    unclamped; a mu rounded below 0 enters the half term as 0."""
+    unclamped."""
     total = 0.0
     for mu in state._correlation_spectrum.tolist():
-        total += _log1m(mu) - math.log1p(-0.5 * max(mu, 0.0))
+        total += _log1m(mu) - math.log1p(-0.5 * mu)
     return -math.expm1(total)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, _factorize, _mid
+from .states import GaussianState, _cholesky, _mid
 
 __all__ = ["OverlapResult", "c_squared", "fidelity_f", "overlap", "purity"]
 
@@ -46,9 +46,9 @@ def _chol_logdet(m: np.ndarray):
     2 sum log diag(L).
 
     The matrices passed here are physical covariance matrices or means of
-    two; one singular at double precision raises `_factorize`'s `ValueError`.
+    two; one singular at double precision raises `_cholesky`'s `ValueError`.
     """
-    chol = _factorize(np.linalg.cholesky, _mid(m, m.T))
+    chol = _cholesky(_mid(m, m.T))
     return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 

@@ -107,12 +107,12 @@ def _mid(x, y):
     return 0.5 * x + 0.5 * y
 
 
-def _factorize(factor, *args):
-    """``factor(*args)`` for a NumPy factorization or solve of covariance
-    blocks; a block that does not factor raises `_singular`'s `ValueError`.
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a covariance block, read from its lower
+    triangle; a block that does not factor raises `_singular`'s `ValueError`.
     """
     try:
-        return factor(*args)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise _singular() from exc
 
@@ -172,11 +172,10 @@ def _two_mode_spectrum(g: list[list[float]]) -> list[float]:
     """The correlation spectrum of a (1+1)-mode covariance matrix ``g``
     (nested lists), ascending and clipped at 1, in scalar arithmetic.
 
-    mu are the squared singular values of the `_whiten` matrix
-    W = L_A^{-1} C L_B^{-T}: W^T W is L_B^{-1} X L_B^{-T}, the matrix the
-    generic path solves.  For a 2x2 W the singular values are (p +- q)/2
-    with p = |(w00 + w11, w01 - w10)| and q = |(w00 - w11, w01 + w10)|, so
-    no eigensolve runs.
+    The 2x2 case of `GaussianState._correlation_spectrum`: mu are the
+    squared singular values of the `_whiten` matrix W = L_A^{-1} C L_B^{-T},
+    and for a 2x2 W those are (p +- q)/2 with p = |(w00 + w11, w01 - w10)|
+    and q = |(w00 - w11, w01 + w10)|, so no LAPACK call runs.
     """
     _, _, (w00, w01, w10, w11) = _whiten(g)
     p = math.hypot(w00 + w11, w01 - w10)
@@ -346,7 +345,12 @@ def validate_cm(gamma) -> ValidationReport:
     builds this full report only to explain a rejection.
     """
     g = _as_square_even(gamma, "covariance matrix")
-    symmetric, gs, physical = _verdict(g)
+    return _report(g, _verdict(g))
+
+
+def _report(g: np.ndarray, verdict: tuple) -> ValidationReport:
+    """The `validate_cm` report of ``g`` around its `_verdict`."""
+    symmetric, gs, physical = verdict
     gs = np.asarray(gs)
     delta = symplectic_form(g.shape[0] // 2)
     # Delta Gamma scaled by an even power of two at most max|Gamma|, so it is
@@ -430,8 +434,9 @@ class GaussianState:
                 f"expected {dim}x{dim} for {self.n_a}+{self.n_b} modes"
             )
         mean = _as_vector(self.mean, dim, "mean")
-        if not _verdict(g)[2]:
-            report = validate_cm(g)
+        verdict = _verdict(g)
+        if not verdict[2]:
+            report = _report(g, verdict)
             raise ValueError(
                 "covariance matrix is not physical "
                 f"(symmetric={report.symmetric}, "
@@ -451,33 +456,37 @@ class GaussianState:
 
     @cached_property
     def _correlation_spectrum(self) -> np.ndarray:
-        """mu, the eigenvalues of B^{-1} X with X = C^T A^{-1} C, ascending.
+        """mu, the squared canonical correlations between A and B, ascending.
 
-        These are the squared canonical correlations between A and B.  With
-        L the Cholesky factor of B they are the eigenvalues of the symmetric
-        Z = L^{-1} X L^{-T}, from one eigensolve; for a (1+1)-mode state
-        `_two_mode_spectrum` gives them as the squared singular values of a
-        2x2 matrix in closed form, with no NumPy linear algebra.  mu = 1
+        With L_A, L_B the Cholesky factors of A and B, mu are the squared
+        singular values of W = L_A^{-1} C L_B^{-T}, padded in front with zeros
+        to 2 n_b entries: W^T W = L_B^{-1} X L_B^{-T} with X = C^T A^{-1} C,
+        so mu are the eigenvalues of B^{-1} X, but W's conditioning is not
+        squared.  A (1+1)-mode state takes the 2x2 case in closed form
+        (`_two_mode_spectrum`); larger partitions take two triangular solves
+        and one SVD.  Only the lower triangles of A and B are read.  mu = 1
         means det(B - X) = 0, a pure state squeezed past double precision,
-        and rounding can push it above 1, so mu is clipped at 1; directions
-        X does not reach (rank X <= 2 n_a) give mu = 0 up to rounding of
-        either sign.  Empty when B has no modes.  Exactly zero, with nothing
-        factorized, when C is zero (a product state, or no mode on A), so a
-        product state scores 0 even with a block squeezed past double
-        precision.  A correlated state whose A or B block is singular at
-        double precision raises `_singular`'s `ValueError`.
+        and rounding can push it above 1, so mu is clipped at 1; the
+        2 n_b - 2 n_a directions X cannot reach when n_a < n_b (rank
+        X <= 2 n_a) give mu exactly 0.  Empty when B has no modes.  Exactly
+        zero, with nothing factorized, when C is zero (a product state, or
+        no mode on A), so a product state scores 0 even with a block
+        squeezed past double precision.  A correlated state whose A or B
+        block does not factor at double precision raises `_singular`'s
+        `ValueError`.
         """
         k = 2 * self.n_a
-        if not self.cm[:k, k:].any():
+        g = self.cm
+        if not g[:k, k:].any():
             return _frozen(np.zeros(2 * self.n_b))
         if self.n_a == self.n_b == 1:
-            return _frozen(_two_mode_spectrum(self.cm.tolist()))
-        a, b, c = blocks(self)
-        x = c.T @ _factorize(np.linalg.solve, a, c)
-        x = _mid(x, x.T)
-        chol = _factorize(np.linalg.cholesky, b)
-        z = np.linalg.solve(chol, np.linalg.solve(chol, x).T)
-        return _frozen(np.minimum(np.linalg.eigvalsh(z), 1.0))
+            return _frozen(_two_mode_spectrum(g.tolist()))
+        y = np.linalg.solve(_cholesky(g[:k, :k]), g[:k, k:])  # L_A^{-1} C
+        w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
+        sigma = np.linalg.svd(w_t, compute_uv=False)[::-1]  # W's, ascending
+        mu = np.zeros(2 * self.n_b)
+        mu[mu.size - sigma.size :] = np.minimum(sigma * sigma, 1.0)
+        return _frozen(mu)
 
 
 def blocks(state: GaussianState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -685,7 +694,7 @@ def _spectrum_degenerate(a: np.ndarray) -> bool:
     n = a.shape[0] // 2
     if n == 1:
         return False
-    h = _symplectic_hermitian(_factorize(np.linalg.cholesky, a))
+    h = _symplectic_hermitian(_cholesky(a))
     return _degenerate(np.linalg.eigvalsh(h)[n:][::-1])
 
 

@@ -15,7 +15,8 @@ from nfg import (
     williamson,
 )
 from nfg.fock import FockDensityMatrix
-from nfg.states import DEFAULT_TOL
+from nfg.overlap import _chol_logdet, _clamp
+from nfg.states import DEFAULT_TOL, _act_on_side, _mid
 
 
 def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.4) -> np.ndarray:
@@ -113,6 +114,27 @@ def brute_force_nfg(state: GaussianState, points: int) -> np.ndarray:
 def rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, s], [-s, c]])
+
+
+def nfg_theta_objective(state: GaussianState, theta: float) -> float:
+    """Objective 1 - sqrt(det G det G_S)/det((G+G_S)/2) at rotation angle theta.
+
+    ``G_S`` is the covariance matrix after rotating mode A by ``theta``.  For
+    a state in standard form this equals
+    1 - (ab-c^2)(ab-d^2) / ((ab-c^2*n0)(ab-d^2*n0)) with n0 = (1+cos theta)/2,
+    so it is 0 at theta = 0 and reaches the closed-form value at theta = pi/2,
+    nondecreasing in between.  The rotation is symplectic, so det G_S = det G
+    and the value is 1 - det G / det((G+G_S)/2), from two Cholesky
+    factorizations: the literal objective, an independent check of the
+    correlation spectrum.  Clamped into [0, 1) like `NfgResult` values.
+    """
+    if state.n_a != 1 or state.n_b != 1:
+        raise ValueError("theta objective is defined for (1+1)-mode states")
+    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    g = state.cm
+    gs = _act_on_side(g, 2, "A", rotation(theta))
+    return _clamp(-float(np.expm1(_chol_logdet(g)[1] - _chol_logdet(_mid(g, gs))[1])))
 
 
 def planted_degenerate_state(rng: np.random.Generator, n_a: int, n_b: int) -> GaussianState:

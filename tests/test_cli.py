@@ -102,7 +102,10 @@ PINNED_STATES = {
 #: of 50-digit determinants of the stored matrix.  The (1+1) standard forms
 #: were re-pinned when they took the scalar path: each parameter is at least
 #: as close to the 50-digit invariants of the stored matrix as before, and
-#: the SSTS, stored in standard form, comes back exactly.
+#: the SSTS, stored in standard form, comes back exactly.  The (1+2) and
+#: (2+2) bounds were re-pinned when the generic spectrum took the SVD of the
+#: whitened cross block; each lies within 3e-16 relative of 50-digit
+#: determinants of the stored matrix.
 PINNED_OUTPUTS = {
     ("ssts", "nfg"): "value: 0.96386858821118793\nmethod: bound\n",
     ("ssts", "validate"): (
@@ -122,12 +125,12 @@ PINNED_OUTPUTS = {
         "a: 2.0053677966896744\nb: 2.6865405264019375\n"
         "c: 1.0560323341042253\nd: -0.9541374515342772\n"
     ),
-    ("random-1+2", "nfg"): "value: 0.51328354156933786\nmethod: bound\n",
+    ("random-1+2", "nfg"): "value: 0.51328354156933809\nmethod: bound\n",
     ("random-1+2", "validate"): (
         "symplectic eigenvalues: 2.0835801302199077 1.6253618640231786 1.5102293375285374\n"
         "symmetric: yes\npositive definite: yes\nphysical: yes\n"
     ),
-    ("random-2+2", "nfg"): "value: 0.92591856185422938\nmethod: bound\n",
+    ("random-2+2", "nfg"): "value: 0.92591856185422949\nmethod: bound\n",
     ("random-2+2", "validate"): (
         "symplectic eigenvalues: 2.284886183228652 2.1381634285464184 "
         "1.9110441504119762 1.8239414841747574\n"
@@ -150,8 +153,8 @@ class TestPinnedOutputs:
 
 #: `--json` output of `nfg validate`, `nfg nfg` and `nfg standard-form` on
 #: `PINNED_STATES`, parsed, recorded when each subcommand was a public
-#: function with its own defaults.  The (1+1) values were re-pinned like
-#: `PINNED_OUTPUTS`.
+#: function with its own defaults.  The (1+1) values and the (1+2) and
+#: (2+2) measures and bounds were re-pinned like `PINNED_OUTPUTS`.
 PINNED_JSON = {
     ("ssts", "validate"): {
         "symmetric": True, "symplectic_eigenvalues": [43.16248370981447, 43.16248370981444],
@@ -188,14 +191,14 @@ PINNED_JSON = {
         "positive_definite": True, "physical": True,
     },
     ("random-1+2", "nfg", "--method", "numeric"): {
-        "value": 0.3254507697214608, "method": "numeric",
+        "value": 0.32545076972146103, "method": "numeric",
         "optimizer_theta": [1.5707963267948966], "lower_bound_only": False,
     },
     ("random-2+2", "nfg", "--method", "numeric"): {
-        "value": 0.813002830171009, "method": "numeric",
+        "value": 0.8130028301710093, "method": "numeric",
         "optimizer_theta": [1.5707963267948966, 1.5707963267948966], "lower_bound_only": False,
     },
-    ("random-2+2", "nfg", "--method", "bound"): {"value": 0.9259185618542294, "method": "bound"},
+    ("random-2+2", "nfg", "--method", "bound"): {"value": 0.9259185618542295, "method": "bound"},
 }  # fmt: skip
 
 
@@ -247,9 +250,9 @@ PINNED_CHANNELS = {
 }
 
 #: Standard output of `nfg channel` on `PINNED_STATES`; the (1+1) outputs
-#: were re-pinned when their spectrum took the closed form, the others were
-#: recorded with the eigensolve.  All match 50-digit determinants of the
-#: stored matrices to 1e-15.
+#: were re-pinned when their spectrum took the closed form, the others when
+#: it took the SVD of the whitened cross block.  All match 50-digit
+#: determinants of the stored matrices to 1e-15.
 PINNED_CHANNEL_OUTPUTS = {
     "ssts": (
         "before: 0.89795524691358053\nafter: 0.87432393845740419\n"
@@ -260,11 +263,11 @@ PINNED_CHANNEL_OUTPUTS = {
         "monotonic: yes\nslack: 0.1108335748826156\n"
     ),
     "random-1+2": (
-        "before: 0.32545076972146081\nafter: 0.21264904756913805\n"
-        "monotonic: yes\nslack: 0.11280172215232276\n"
+        "before: 0.32545076972146103\nafter: 0.21264904756913816\n"
+        "monotonic: yes\nslack: 0.11280172215232287\n"
     ),
     "random-2+2": (
-        "before: 0.81300283017100905\nafter: 0.61465574823098079\n"
+        "before: 0.81300283017100927\nafter: 0.61465574823098101\n"
         "monotonic: yes\nslack: 0.19834708194002826\n"
     ),
 }

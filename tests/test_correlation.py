@@ -22,7 +22,6 @@ from nfg import (
     nfg_closed_form,
     nfg_numeric,
     nfg_ssts,
-    nfg_theta_objective,
     nfg_two_mode,
     nfg_upper_bound,
     ssts,
@@ -38,6 +37,7 @@ from helpers import (
     dilation_channel,
     haar_unitary,
     linalg_calls,
+    nfg_theta_objective,
     passive_stabilizer,
     planted_degenerate_state,
     random_channel,
@@ -351,32 +351,38 @@ class TestCorrelationSpectrum:
         assert nfg_two_mode(state).value == pytest.approx(value, rel=1e-15, abs=0.0)
         assert nfg_upper_bound(state) == pytest.approx(bound, rel=1e-15, abs=0.0)
 
-    def test_one_spectrum_eigensolve_per_state(self, rng, monkeypatch):
-        # The spectrum is the only real symmetric eigvalsh in these calls;
-        # validation and the degeneracy flag solve complex Hermitian ones.
-        # A (1+1) state takes the closed form and solves none.
+    def test_one_spectrum_svd_per_state(self, rng, monkeypatch):
+        # The spectrum is the only SVD in these calls, and no real symmetric
+        # eigvalsh runs: validation and the degeneracy flag solve complex
+        # Hermitian ones.  A (1+1) state takes the closed form and runs none.
         pair, ch = random_state(rng), random_channel(rng)
         multimode = random_state(rng, 2, 1)
-        real_solves = []
-        eigvalsh = np.linalg.eigvalsh
+        svds, real_solves = [], []
+        svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
 
-        def spy(m, *args, **kwargs):
+        def svd_spy(m, *args, **kwargs):
+            svds.append(m.shape)
+            return svd(m, *args, **kwargs)
+
+        def eigvalsh_spy(m, *args, **kwargs):
             if not np.iscomplexobj(m):
                 real_solves.append(m.shape)
             return eigvalsh(m, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
         value = nfg_two_mode(pair).value
         nfg_upper_bound(pair)
         nfg_numeric(pair)
         report = check_monotonicity(pair, ch)
         assert report.before == value
-        assert real_solves == []
+        assert svds == []
         nfg_upper_bound(multimode)
         nfg_numeric(multimode)
         report = check_monotonicity(multimode, ch)
         assert report.before == nfg_numeric(multimode).value
-        assert real_solves == [(2, 2), (2, 2)]  # the input state, then the output
+        assert real_solves == []
+        assert svds == [(2, 4), (2, 4)]  # W^T of the input state, then of the output
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1), (2, 0), (0, 2)])
     def test_bound_is_zero_with_one_side_empty(self, rng, n_a, n_b):
@@ -836,7 +842,8 @@ class TestPartitionProperties:
             state = random_state(rng, n_a, n_b)
             ch = dilation_channel(rng, n_a if side == "A" else n_b, 0.4 if i % 2 else 0.02)
             out = apply_channel(state, ch, side)
-            # both spectra come sorted ascending from eigvalsh
+            # both spectra come sorted ascending: reversed singular values,
+            # zeros padded in front
             assert np.all(out._correlation_spectrum <= state._correlation_spectrum + 1e-13)
             assert nfg_numeric(out).value <= nfg_numeric(state).value + 1e-13
             assert nfg_upper_bound(out) <= nfg_upper_bound(state) + 1e-13
@@ -895,9 +902,9 @@ class TestPartitionProperties:
 
 
 class TestTwoModeClosedForm:
-    """The (1+1) spectrum in closed form against the generic eigensolve.  A
-    vacuum ancilla on B sends a (1+1) state down the generic path and, by
-    ancilla invariance (step 4 of the module notes), leaves mu as it is."""
+    """The (1+1) spectrum in closed form against the generic SVD.  A vacuum
+    ancilla sends a (1+1) state down the generic path and, by ancilla
+    invariance (step 4 of the module notes), leaves mu as it is."""
 
     @staticmethod
     def closed_and_generic(state: GaussianState) -> tuple[tuple, tuple]:
@@ -909,9 +916,10 @@ class TestTwoModeClosedForm:
         closed, generic = self.closed_and_generic(state)
         assert closed[1] >= closed[0]  # bound >= N with zero slack
         if closed != pytest.approx(generic, rel=2e-15, abs=0.0):
-            # The eigensolve loses digits as mu nears 1 (4.1e-15 on N at
-            # mu = 0.99995 in one of 3000 draws); there the 50-digit
-            # reference decides, and it must side with the closed form.
+            # The two paths round apart, by up to 2.1e-15 on N in 6000
+            # draws, where the SVD's value lay 2.0e-15 from the 50-digit
+            # reference; there the reference decides, and it must side with
+            # the closed form.
             assert closed == pytest.approx(reference_values(state), rel=2e-15, abs=0.0)
 
     def test_stream_shaped_draws(self, rng):
@@ -947,7 +955,7 @@ class TestTwoModeClosedForm:
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_correlated_singular_block_raises_the_factorization_error(self, side):
         with pytest.raises(ValueError) as generic:
-            nfg.states._factorize(np.linalg.cholesky, squeezed_block(16.0))
+            nfg.states._cholesky(squeezed_block(16.0))
         with pytest.raises(ValueError) as closed:
             nfg_two_mode(squeezed_correlated(16.0, side))
         assert str(closed.value) == str(generic.value)
@@ -968,6 +976,38 @@ class TestTwoModeClosedForm:
                 with pytest.raises(ValueError, match="singular at double precision"):
                     nfg_upper_bound(state)
 
+    @pytest.mark.parametrize("ancilla_side", ["A", "B"])
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("r", np.arange(4.0, 10.5, 0.5))
+    def test_squeezed_states_keep_full_precision(self, r, side, ancilla_side):
+        # An eigensolve of W^T W squares W's conditioning: with B squeezed
+        # and the ancilla on B it put N 2.4e-6, 7.1e-3 and 1.0 off at r = 6,
+        # 8 and 9.5.  The raise set is the next test's.
+        wide = with_ancilla(squeezed_correlated(r, side), ancilla_side, np.eye(2))
+        try:
+            generic = (nfg_numeric(wide).value, nfg_upper_bound(wide))
+        except ValueError as exc:
+            assert "singular at double precision" in str(exc)
+            return
+        assert generic == pytest.approx(reference_values(wide), rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("ancilla_side", ["A", "B"])
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_generic_path_raises_where_the_closed_form_does(self, side, ancilla_side):
+        for r in np.linspace(4.0, 17.0, 261):
+            state = squeezed_correlated(r, side)
+            wide = with_ancilla(state, ancilla_side, np.eye(2))
+            raised = []
+            for call, s in ((nfg_two_mode, state), (nfg_numeric, wide)):
+                try:
+                    call(s)
+                except ValueError as exc:
+                    assert "singular at double precision" in str(exc)
+                    raised.append(True)
+                else:
+                    raised.append(False)
+            assert raised[0] == raised[1], r
+
     @pytest.mark.parametrize("n_bar", [1e8, 1e10, 1e13])
     def test_tmsv_past_double_precision_reads_the_clamp(self, n_bar):
         state = tmsv(np.arcsinh(np.sqrt(n_bar)))
@@ -975,20 +1015,26 @@ class TestTwoModeClosedForm:
         assert state._correlation_spectrum.tolist() == [1.0, 1.0]
         assert self.closed_and_generic(state) == ((below_one, below_one),) * 2
 
+    @pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 1), (2, 2), (1, 3), (3, 2)])
+    def test_generic_spectrum_layout(self, rng, n_a, n_b):
+        # 2 n_b entries, ascending, exact zeros in front for the directions
+        # X cannot reach, and clipped at 1 on a pure state squeezed past
+        # double precision, whose singular values round above 1.
+        zeros = 2 * max(n_b - n_a, 0)
+        for _ in range(10):
+            mu = random_state(rng, n_a, n_b)._correlation_spectrum
+            assert mu.shape == (2 * n_b,) and not mu.flags.writeable
+            assert np.all(mu[:zeros] == 0.0) and np.all(mu[zeros:] > 0.0)
+            assert np.all(np.diff(mu) >= 0.0) and mu[-1] < 1.0
+        for side in ("A", "B"):
+            wide = with_ancilla(tmsv(np.arcsinh(np.sqrt(1e13))), side, np.eye(2))
+            assert wide._correlation_spectrum.tolist() == [0.0] * (2 * wide.n_b - 2) + [1.0, 1.0]
+
     def test_no_numpy_linear_algebra_runs(self, rng, monkeypatch):
         pair, multimode = stream_shaped_state(rng), random_state(rng, 2, 1)
-        calls = []
-        for name in np.linalg.__all__:
-            original = getattr(np.linalg, name)
-            if callable(original) and not isinstance(original, type):
-
-                def spy(*args, _name=name, _original=original, **kwargs):
-                    calls.append(_name)
-                    return _original(*args, **kwargs)
-
-                monkeypatch.setattr(np.linalg, name, spy)
+        calls = linalg_calls(monkeypatch)
         mu = pair._correlation_spectrum
         assert calls == []
         assert not mu.flags.writeable and mu[0] <= mu[1] <= 1.0
         multimode._correlation_spectrum
-        assert "eigvalsh" in calls
+        assert calls == ["cholesky", "solve", "cholesky", "solve", "svd"]

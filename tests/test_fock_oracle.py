@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nfg import GaussianState, nfg_theta_objective, nfg_two_mode, overlap, tmsv
+from nfg import GaussianState, nfg_two_mode, overlap, tmsv
 from nfg.fock import (
     FockDensityMatrix,
     _log_factorials,
@@ -15,7 +15,7 @@ from nfg.fock import (
     two_mode_squeezed_dm,
 )
 
-from helpers import dense
+from helpers import dense, nfg_theta_objective
 
 
 #: Cutoffs at which each builder's zero parameter must give the vacuum exactly:

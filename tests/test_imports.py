@@ -101,7 +101,6 @@ PUBLIC_NAMES = [
     "nfg_numeric",
     "nfg_ssts",
     "nfg_ssts_limit",
-    "nfg_theta_objective",
     "nfg_two_mode",
     "nfg_upper_bound",
     "overlap",

@@ -8,13 +8,12 @@ from nfg import (
     apply_gaussian_unitary,
     c_squared,
     fidelity_f,
-    nfg_theta_objective,
     overlap,
     purity,
     tmsv,
 )
 
-from helpers import random_state, random_symplectic
+from helpers import nfg_theta_objective, random_state, random_symplectic
 
 
 def thermal(n_bar: float) -> GaussianState:

@@ -681,6 +681,22 @@ class TestConstructionVerdict:
             GaussianState(cm, 1, 0)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("n_a, n_b", [(1, 0), (1, 1), (2, 1)])
+    def test_rejection_decides_once(self, monkeypatch, n_a, n_b):
+        # The report that explains a rejection reuses the verdict in hand.
+        calls = []
+        verdict = nfg.states._verdict
+
+        def spy(g):
+            calls.append(g.shape)
+            return verdict(g)
+
+        monkeypatch.setattr(nfg.states, "_verdict", spy)
+        dim = 2 * (n_a + n_b)
+        with pytest.raises(ValueError, match="not physical"):
+            GaussianState(0.5 * np.eye(dim), n_a, n_b)
+        assert calls == [(dim, dim)]
+
     def test_construction_runs_no_report_eigensolve(self, rng, monkeypatch):
         # The symplectic spectrum (a non-symmetric eigvals) serves only the
         # report, so building a physical state, on its own or as the output
