@@ -34,6 +34,7 @@ Channel file::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -336,7 +337,10 @@ def _standard_form(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``nfg`` parser, built on first use and shared: parsing does not
+    change it, and argparse looks up the output streams only when it prints."""
     parser = argparse.ArgumentParser(
         prog="nfg",
         description="Fidelity-based correlation of bipartite Gaussian states.",
@@ -387,7 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run the ``nfg`` command on ``argv`` (default ``sys.argv[1:]``) and
-    return its exit code: 0 success, 1 domain failure, 2 parse failure."""
+    return its exit code: 0 success, 1 domain failure, 2 parse failure.
+
+    The argument parser is built once per process, on the first call."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

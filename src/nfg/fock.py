@@ -6,18 +6,27 @@ expansions and computes trace overlaps by literal matrix traces, completely
 independently of any phase-space formula.  Test support only: not part of
 the public package surface.
 
+Each family writes its expansion once (thermal weights, coherent and squeezed
+amplitudes, two-mode Schmidt coefficients), and every matrix is built from it.
 Cutoffs are adaptive by default: they grow from 20, doubling per step, until
-the truncated trace is within the guard of 1, and the achieved deficit is
-reported on the result.  Matrices with real expansions are stored in real
-dtype (a real symmetric matrix is Hermitian).  A two-mode state is stored on
-its support: the block of rows and columns it can occupy, with their indices
-in the cutoff^2 product basis, so the two-mode squeezed vacuum takes
-cutoff^2 entries instead of cutoff^4.
+the truncated trace is within the guard of 1.  The search reads only the
+diagonal weights, computed with the arithmetic of the matrix diagonal, so
+the matrix is built once, at the cutoff found, and a search that reaches the
+ceiling raises without building one.  The achieved deficit is reported on
+the result.
+
+Matrices with real expansions are stored in real dtype (a real symmetric
+matrix is Hermitian).  A two-mode state is stored on its support: the block
+of rows and columns it can occupy, with their indices in the cutoff^2
+product basis, so the two-mode squeezed vacuum takes cutoff^2 entries
+instead of cutoff^4.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,13 +70,18 @@ class FockDensityMatrix:
     support: np.ndarray | None = None
 
 
+def _deficit(diagonal: np.ndarray) -> float:
+    """1 - trace from a density matrix's diagonal, clamped at 0."""
+    return max(0.0, 1.0 - float(diagonal.sum().real))
+
+
 def _finalize(
     cutoff: int, entries: np.ndarray, support: np.ndarray | None = None
 ) -> FockDensityMatrix:
     herm_err = np.abs(entries - entries.conj().T).max()
     if herm_err > 1e-12:
         raise ValueError(f"construction produced a non-Hermitian matrix ({herm_err:.3g})")
-    deficit = max(0.0, 1.0 - float(np.trace(entries).real))
+    deficit = _deficit(np.diagonal(entries))
     entries = entries.copy()
     entries.flags.writeable = False
     if support is not None:
@@ -75,27 +89,63 @@ def _finalize(
     return FockDensityMatrix(cutoff, entries, deficit, support)
 
 
-def _adaptive(build, cutoff: int | None, ceiling: int) -> FockDensityMatrix:
-    if cutoff is not None:
-        if cutoff < 2:
-            raise ValueError(f"cutoff must be at least 2, got {cutoff}")
-        dm = build(int(cutoff))
-        if dm.trace_deficit > _GUARD:
-            raise ValueError(
-                f"cutoff {cutoff} leaves trace deficit {dm.trace_deficit:.3g} > {_GUARD}"
-            )
-        return dm
+class _Expansion(NamedTuple):
+    """The number-basis expansion of one state.
+
+    ``terms(c)`` gives its first c coefficients: the amplitudes of a pure
+    state, or the diagonal weights of a mixed one.  A two-mode expansion runs
+    over the pairs |kk>, so its matrix is stored on the support
+    k * cutoff + k, under the lower two-mode ceiling.
+    """
+
+    terms: Callable[[int], np.ndarray]
+    pure: bool
+    two_mode: bool = False
+
+    @property
+    def ceiling(self) -> int:
+        return _CEILING_TWO_MODE if self.two_mode else _CEILING
+
+    def diagonal(self, v: np.ndarray) -> np.ndarray:
+        """The diagonal of `build`'s matrix, with the same arithmetic."""
+        return v * v.conj() if self.pure else v
+
+    def build(self, c: int, v: np.ndarray) -> FockDensityMatrix:
+        entries = np.outer(v, v.conj()) if self.pure else np.diag(v)
+        return _finalize(c, entries, np.arange(c) * (c + 1) if self.two_mode else None)
+
+
+def _search(expansion: _Expansion) -> tuple[int, np.ndarray]:
+    """The adaptive cutoff and the terms there: doubling from `_START` up to
+    the ceiling until the diagonal weights leave a deficit within the guard."""
     c = _START
     while True:
-        dm = build(c)
-        if dm.trace_deficit <= _GUARD:
-            return dm
-        if c >= ceiling:
+        v = expansion.terms(c)
+        deficit = _deficit(expansion.diagonal(v))
+        if deficit <= _GUARD:
+            return c, v
+        if c >= expansion.ceiling:
             raise ValueError(
-                f"trace deficit {dm.trace_deficit:.3g} still above {_GUARD} "
-                f"at the cutoff ceiling {ceiling}"
+                f"trace deficit {deficit:.3g} still above {_GUARD} "
+                f"at the cutoff ceiling {expansion.ceiling}"
             )
-        c = min(2 * c, ceiling)
+        c = min(2 * c, expansion.ceiling)
+
+
+def _adaptive(expansion: _Expansion, cutoff: int | None) -> FockDensityMatrix:
+    """The density matrix at ``cutoff``, or at the searched cutoff if None;
+    the deficit is checked on the weights, so only a kept matrix is built."""
+    if cutoff is None:
+        c, v = _search(expansion)
+    else:
+        if cutoff < 2:
+            raise ValueError(f"cutoff must be at least 2, got {cutoff}")
+        c = int(cutoff)
+        v = expansion.terms(c)
+        deficit = _deficit(expansion.diagonal(v))
+        if deficit > _GUARD:
+            raise ValueError(f"cutoff {cutoff} leaves trace deficit {deficit:.3g} > {_GUARD}")
+    return expansion.build(c, v)
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -111,32 +161,38 @@ def _log_powers(x: float, k: np.ndarray) -> np.ndarray:
     return k * np.log(x)
 
 
-def thermal_dm(n_bar: float, cutoff: int | None = None) -> FockDensityMatrix:
-    """Thermal state: diagonal weights n_bar^k / (1 + n_bar)^(k+1)."""
+def _thermal_expansion(n_bar: float) -> _Expansion:
     if not (np.isfinite(n_bar) and n_bar >= 0.0):
         raise ValueError(f"n_bar must be finite and >= 0, got {n_bar}")
 
-    def build(c: int) -> FockDensityMatrix:
-        p = np.exp(_log_powers(n_bar / (1.0 + n_bar), np.arange(c))) / (1.0 + n_bar)
-        return _finalize(c, np.diag(p))
+    def weights(c: int) -> np.ndarray:
+        return np.exp(_log_powers(n_bar / (1.0 + n_bar), np.arange(c))) / (1.0 + n_bar)
 
-    return _adaptive(build, cutoff, _CEILING)
+    return _Expansion(weights, pure=False)
 
 
-def coherent_dm(alpha: complex, cutoff: int | None = None) -> FockDensityMatrix:
-    """Coherent state |alpha>: amplitudes e^{-|alpha|^2/2} alpha^k / sqrt(k!)."""
+def thermal_dm(n_bar: float, cutoff: int | None = None) -> FockDensityMatrix:
+    """Thermal state: diagonal weights n_bar^k / (1 + n_bar)^(k+1)."""
+    return _adaptive(_thermal_expansion(n_bar), cutoff)
+
+
+def _coherent_expansion(alpha: complex) -> _Expansion:
     alpha = complex(alpha)
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
 
-    def build(c: int) -> FockDensityMatrix:
+    def amplitudes(c: int) -> np.ndarray:
         k = np.arange(c)
         # Amplitude modulus in log space; the phase factored separately.
         log_mod = _log_powers(abs(alpha), k) - 0.5 * _log_factorials(c) - 0.5 * abs(alpha) ** 2
-        psi = np.exp(log_mod) * np.exp(1j * k * np.angle(alpha))
-        return _finalize(c, np.outer(psi, psi.conj()))
+        return np.exp(log_mod) * np.exp(1j * k * np.angle(alpha))
 
-    return _adaptive(build, cutoff, _CEILING)
+    return _Expansion(amplitudes, pure=True)
+
+
+def coherent_dm(alpha: complex, cutoff: int | None = None) -> FockDensityMatrix:
+    """Coherent state |alpha>: amplitudes e^{-|alpha|^2/2} alpha^k / sqrt(k!)."""
+    return _adaptive(_coherent_expansion(alpha), cutoff)
 
 
 def _squeezed_amplitudes(r: float, c: int) -> np.ndarray:
@@ -160,16 +216,25 @@ def _squeezed_amplitudes(r: float, c: int) -> np.ndarray:
     return psi
 
 
-def squeezed_vacuum_dm(r: float, cutoff: int | None = None) -> FockDensityMatrix:
-    """Squeezed vacuum with quadrature variances (e^{-2r}, e^{2r})."""
+def _squeezed_expansion(r: float) -> _Expansion:
     if not np.isfinite(r):
         raise ValueError(f"squeeze parameter must be finite, got {r}")
+    return _Expansion(lambda c: _squeezed_amplitudes(float(r), c), pure=True)
 
-    def build(c: int) -> FockDensityMatrix:
-        psi = _squeezed_amplitudes(float(r), c)
-        return _finalize(c, np.outer(psi, psi))
 
-    return _adaptive(build, cutoff, _CEILING)
+def squeezed_vacuum_dm(r: float, cutoff: int | None = None) -> FockDensityMatrix:
+    """Squeezed vacuum with quadrature variances (e^{-2r}, e^{2r})."""
+    return _adaptive(_squeezed_expansion(r), cutoff)
+
+
+def _tmsv_expansion(r: float) -> _Expansion:
+    if not (np.isfinite(r) and r >= 0.0):
+        raise ValueError(f"squeeze parameter must be finite and >= 0, got {r}")
+
+    def schmidt(c: int) -> np.ndarray:
+        return np.exp(_log_powers(np.tanh(r), np.arange(c))) / np.cosh(r)
+
+    return _Expansion(schmidt, pure=True, two_mode=True)
 
 
 def two_mode_squeezed_dm(r: float, cutoff: int | None = None) -> FockDensityMatrix:
@@ -180,15 +245,7 @@ def two_mode_squeezed_dm(r: float, cutoff: int | None = None) -> FockDensityMatr
     Schmidt coefficients, in real dtype (the expansion is real), with
     ``support`` = k * cutoff + k.
     """
-    if not (np.isfinite(r) and r >= 0.0):
-        raise ValueError(f"squeeze parameter must be finite and >= 0, got {r}")
-
-    def build(c: int) -> FockDensityMatrix:
-        k = np.arange(c)
-        lam = np.exp(_log_powers(np.tanh(r), k)) / np.cosh(r)
-        return _finalize(c, np.outer(lam, lam), k * c + k)
-
-    return _adaptive(build, cutoff, _CEILING_TWO_MODE)
+    return _adaptive(_tmsv_expansion(r), cutoff)
 
 
 def overlap_fock(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
@@ -206,7 +263,10 @@ def overlap_fock(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
         _, i, j = np.intersect1d(rho.support, sigma.support, return_indices=True)
         a, b = a[np.ix_(i, i)], b[np.ix_(j, j)]
     val = complex(np.einsum("ij,ji->", a, b))
-    assert abs(val.imag) < 1e-12, "overlap of Hermitian matrices must be real"
+    if abs(val.imag) >= 1e-12:
+        raise ValueError(
+            f"overlap has imaginary part {val.imag:.3g}: the matrices are not Hermitian"
+        )
     return float(val.real)
 
 
@@ -247,35 +307,39 @@ def _squeezed_state(r: float) -> GaussianState:
     return GaussianState(np.diag([np.exp(-2.0 * r), np.exp(2.0 * r)]), 1, 0)
 
 
-#: (density-matrix builder, GaussianState builder) of each family.
+#: (expansion, GaussianState builder) of each family.
 _BUILDERS = {
-    "thermal": (thermal_dm, _thermal_state),
-    "coherent": (coherent_dm, _coherent_state),
-    "squeezed": (squeezed_vacuum_dm, _squeezed_state),
-    "tmsv": (two_mode_squeezed_dm, tmsv),
+    "thermal": (_thermal_expansion, _thermal_state),
+    "coherent": (_coherent_expansion, _coherent_state),
+    "squeezed": (_squeezed_expansion, _squeezed_state),
+    "tmsv": (_tmsv_expansion, tmsv),
 }
 
 
 def oracle_rows(families: list[str] | None = None) -> list[OracleRow]:
     """Compare the Fock oracle with the covariance-matrix overlap.
 
-    For each parameter pair of each requested family, both states are built
-    at a common adaptive cutoff and the literal trace overlap is compared
-    with the phase-space formula.  Returns one row per pair with the
-    relative error and the worse of the two trace deficits.
+    For each parameter pair of each requested family, both density matrices
+    are built at the larger of the two searched cutoffs, and the literal
+    trace overlap is compared with the phase-space formula.  Within a call
+    each distinct parameter is searched once and each distinct (parameter,
+    cutoff) matrix is built once.  Returns one row per pair with the relative
+    error and the worse of the two trace deficits.
     """
     rows = []
     for family in families or list(_CASES):
         if family not in _CASES:
             raise ValueError(f"unknown family {family!r}")
-        build_dm, build_state = _BUILDERS[family]
+        expand, build_state = _BUILDERS[family]
+        expansions = {x: expand(x) for pair in _CASES[family] for x in pair}
+        cutoffs = {x: _search(e)[0] for x, e in expansions.items()}
+        matrices = {}
         for x1, x2 in _CASES[family]:
-            d1, d2 = build_dm(x1), build_dm(x2)
-            c = max(d1.cutoff, d2.cutoff)
-            if d1.cutoff != c:
-                d1 = build_dm(x1, c)
-            if d2.cutoff != c:
-                d2 = build_dm(x2, c)
+            c = max(cutoffs[x1], cutoffs[x2])
+            for x in (x1, x2):
+                if (x, c) not in matrices:
+                    matrices[x, c] = _adaptive(expansions[x], c)
+            d1, d2 = matrices[x1, c], matrices[x2, c]
             fock_val = overlap_fock(d1, d2)
             cm_val = overlap(build_state(x1), build_state(x2)).value
             rel = abs(fock_val - cm_val) / abs(cm_val)
@@ -287,7 +351,7 @@ def oracle_rows(families: list[str] | None = None) -> list[OracleRow]:
                     cm_val,
                     rel,
                     max(d1.trace_deficit, d2.trace_deficit),
-                    d1.cutoff,
+                    c,
                 )
             )
     return rows

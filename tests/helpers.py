@@ -14,6 +14,7 @@ from nfg import (
     symplectic_form,
     williamson,
 )
+from nfg import fock
 from nfg.fock import FockDensityMatrix
 from nfg.overlap import _chol_logdet, _clamp
 from nfg.states import DEFAULT_TOL, _act_on_side, _mid
@@ -91,6 +92,59 @@ def dense(dm: FockDensityMatrix) -> np.ndarray:
     full = np.zeros((n, n), dm.entries.dtype)
     full[np.ix_(dm.support, dm.support)] = dm.entries
     return full
+
+
+def _reference_builds() -> dict:
+    """Each family's matrix at cutoff c, built as the oracle did before its
+    search read the weights: the literal expansion, then `fock._finalize`."""
+
+    def thermal(n_bar, c):
+        p = np.exp(fock._log_powers(n_bar / (1.0 + n_bar), np.arange(c))) / (1.0 + n_bar)
+        return fock._finalize(c, np.diag(p))
+
+    def coherent(alpha, c):
+        alpha = complex(alpha)
+        k = np.arange(c)
+        log_mod = (
+            fock._log_powers(abs(alpha), k) - 0.5 * fock._log_factorials(c) - 0.5 * abs(alpha) ** 2
+        )
+        psi = np.exp(log_mod) * np.exp(1j * k * np.angle(alpha))
+        return fock._finalize(c, np.outer(psi, psi.conj()))
+
+    def squeezed(r, c):
+        psi = fock._squeezed_amplitudes(float(r), c)
+        return fock._finalize(c, np.outer(psi, psi))
+
+    def tmsv(r, c):
+        k = np.arange(c)
+        lam = np.exp(fock._log_powers(np.tanh(r), k)) / np.cosh(r)
+        return fock._finalize(c, np.outer(lam, lam), k * c + k)
+
+    return {
+        "thermal": (thermal, fock._CEILING),
+        "coherent": (coherent, fock._CEILING),
+        "squeezed": (squeezed, fock._CEILING),
+        "tmsv": (tmsv, fock._CEILING_TWO_MODE),
+    }
+
+
+def reference_adaptive_dm(family: str, x) -> FockDensityMatrix:
+    """Independent check of the Fock oracle's adaptive cutoff: the doubling
+    from `fock._START` that builds the full matrix at every step and reads
+    its trace, stopping within `fock._GUARD` or raising at the ceiling.  This
+    is the search the oracle ran before it read the diagonal weights."""
+    build, ceiling = _reference_builds()[family]
+    c = fock._START
+    while True:
+        dm = build(x, c)
+        if dm.trace_deficit <= fock._GUARD:
+            return dm
+        if c >= ceiling:
+            raise ValueError(
+                f"trace deficit {dm.trace_deficit:.3g} still above {fock._GUARD} "
+                f"at the cutoff ceiling {ceiling}"
+            )
+        c = min(2 * c, ceiling)
 
 
 def brute_force_nfg(state: GaussianState, points: int) -> np.ndarray:

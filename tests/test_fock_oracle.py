@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nfg import GaussianState, nfg_two_mode, overlap, tmsv
+from nfg import GaussianState, fock, nfg_two_mode, overlap, tmsv
 from nfg.fock import (
     FockDensityMatrix,
     _log_factorials,
@@ -15,7 +15,7 @@ from nfg.fock import (
     two_mode_squeezed_dm,
 )
 
-from helpers import dense, nfg_theta_objective
+from helpers import dense, nfg_theta_objective, reference_adaptive_dm
 
 
 #: Cutoffs at which each builder's zero parameter must give the vacuum exactly:
@@ -225,6 +225,13 @@ class TestMatrixInvariants:
 
 
 class TestOverlapFock:
+    def test_non_hermitian_pair_rejected(self):
+        # tr(ab) = 1j: an overlap that is not real must raise, also under -O.
+        a = FockDensityMatrix(2, np.array([[1, 1j], [0, 0]]), 0.0)
+        b = FockDensityMatrix(2, np.array([[0, 0], [1, 0]]), 0.0)
+        with pytest.raises(ValueError, match="imaginary part 1"):
+            overlap_fock(a, b)
+
     def test_identical_pure_states(self):
         dm = coherent_dm(0.5, cutoff=30)
         assert overlap_fock(dm, dm) == pytest.approx(1.0, rel=1e-12)
@@ -278,3 +285,101 @@ class TestAgainstPhaseSpaceFormula:
             fock_val = overlap_fock(dm1, dm2)
             cm_val = overlap(st1, st2).value
             assert fock_val == pytest.approx(cm_val, rel=1e-6)
+
+
+#: The public builder of each family.
+BUILDERS = {
+    "thermal": thermal_dm,
+    "coherent": coherent_dm,
+    "squeezed": squeezed_vacuum_dm,
+    "tmsv": two_mode_squeezed_dm,
+}
+
+#: Parameters on which the weight-based cutoff search is checked against the
+#: build-and-trace reference.  The largest of each family but coherent reach
+#: the cutoff ceiling.
+SEARCH_GRID = {
+    "thermal": [0.0, 1e-3, 0.01, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 30.0, 100.0, 1e4],
+    "coherent": [
+        0.0,
+        *(m * np.exp(1j * phase) for m in (0.5, 1.0, 2.0, 3.5, 6.0) for phase in (0.0, 0.7, np.pi / 2, -2.2)),
+    ],
+    "squeezed": [-1.0, -0.5, -0.1, 0.0, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0],
+    "tmsv": [0.0, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0],
+}
+
+#: Cutoff of each `oracle_rows()` row, in order.
+ORACLE_CUTOFFS = [40, 40, 160, 80, 20, 20, 20, 40, 80, 80, 40, 20, 80]
+
+
+def build_or_message(build):
+    """The density matrix ``build()`` returns, or the message of its ValueError."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCutoffSearch:
+    @pytest.mark.parametrize(
+        "family, x", [(family, x) for family, xs in SEARCH_GRID.items() for x in xs]
+    )
+    def test_matches_build_and_trace_reference(self, family, x):
+        expected = build_or_message(lambda: reference_adaptive_dm(family, x))
+        got = build_or_message(lambda: BUILDERS[family](x))
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert got.cutoff == expected.cutoff
+        assert got.entries.dtype == expected.entries.dtype
+        assert got.entries.shape == expected.entries.shape
+        assert got.entries.tobytes() == expected.entries.tobytes()
+        assert got.trace_deficit == expected.trace_deficit
+        if expected.support is None:
+            assert got.support is None
+        else:
+            assert np.array_equal(got.support, expected.support)
+
+    def test_grid_reaches_the_ceiling(self):
+        ceiling_hits = [
+            (family, x)
+            for family, xs in SEARCH_GRID.items()
+            for x in xs
+            if isinstance(build_or_message(lambda: reference_adaptive_dm(family, x)), str)
+        ]
+        assert ceiling_hits == [
+            ("thermal", 30.0), ("thermal", 100.0), ("thermal", 1e4),
+            ("squeezed", 2.0), ("tmsv", 2.0),
+        ]
+
+
+@pytest.fixture
+def finalize_cutoffs(monkeypatch):
+    """The cutoff of every matrix `fock._finalize` builds, for the rest of the test."""
+    cutoffs = []
+    original = fock._finalize
+
+    def counting(cutoff, *args):
+        cutoffs.append(cutoff)
+        return original(cutoff, *args)
+
+    monkeypatch.setattr(fock, "_finalize", counting)
+    return cutoffs
+
+
+class TestBuildCounts:
+    @pytest.mark.parametrize("family", list(BUILDERS))
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+    def test_adaptive_builder_builds_once(self, finalize_cutoffs, family, x):
+        dm = BUILDERS[family](x)
+        assert finalize_cutoffs == [dm.cutoff]
+
+    def test_ceiling_raises_before_any_build(self, finalize_cutoffs):
+        with pytest.raises(ValueError, match="ceiling 512"):
+            thermal_dm(1e4)
+        assert finalize_cutoffs == []
+
+    def test_oracle_rows_builds_only_kept_matrices(self, finalize_cutoffs):
+        rows = oracle_rows()
+        assert len(finalize_cutoffs) == 20
+        assert [r.cutoff for r in rows] == ORACLE_CUTOFFS
