@@ -172,7 +172,22 @@ def _result(value: float, method: str, theta, lower_bound_only: bool = False) ->
     return NfgResult(_clamp(value), method, _frozen(np.atleast_1d(theta)), lower_bound_only)
 
 
-def _standard_kernel(p: StandardFormParams) -> tuple[float, float, float, float, float]:
+def _unit_scale(p: StandardFormParams) -> tuple[int, float, float, float, float]:
+    """``(e, a, b, c, d)``: the standard form scaled by 2^-e, e the power of
+    two that brings ab near 1.
+
+    Every quantity of `_standard_kernel` is homogeneous in (a, b, c, d), and
+    the closed forms are ratios of equal degree, with the channel's M scaled
+    alike.  Scaling by a power of two is exact, so ordinary forms give the
+    same bits, while a form near 1e200 no longer overflows ab.
+    """
+    e = (math.frexp(p.a)[1] + math.frexp(p.b)[1]) // 2
+    return e, *(math.ldexp(x, -e) for x in (p.a, p.b, p.c, p.d))
+
+
+def _standard_kernel(
+    a: float, b: float, c: float, d: float
+) -> tuple[float, float, float, float, float]:
     """(c^2, d^2, ab - c^2/2, ab - d^2/2, beta - alpha) of a standard form.
 
     beta = (ab-c^2/2)(ab-d^2/2) is the product of the middle two entries and
@@ -180,8 +195,8 @@ def _standard_kernel(p: StandardFormParams) -> tuple[float, float, float, float,
     evaluated as (c^2/2)(ab-d^2/2) + (d^2/2)(ab-c^2): a physical form has
     ab >= c^2 >= d^2, so both terms are nonnegative and nothing cancels.
     """
-    ab = p.a * p.b
-    c2, d2 = p.c * p.c, p.d * p.d
+    ab = a * b
+    c2, d2 = c * c, d * d
     half_d = ab - 0.5 * d2
     return c2, d2, ab - 0.5 * c2, half_d, 0.5 * c2 * half_d + 0.5 * d2 * (ab - c2)
 
@@ -194,9 +209,10 @@ def nfg_closed_form(p: StandardFormParams) -> NfgResult:
     evaluated as a sum of two nonnegative terms,
     (c^2/2)(ab-d^2/2) + (d^2/2)(ab-c^2) over the same denominator, which is
     exact for product states and immune to the cancellation the literal
-    1-minus-ratio suffers when the ratio is near 1.
+    1-minus-ratio suffers when the ratio is near 1.  The form is first
+    scaled by a power of two (`_unit_scale`), so ab cannot overflow.
     """
-    _, _, half_c, half_d, beta_minus_alpha = _standard_kernel(p)
+    _, _, half_c, half_d, beta_minus_alpha = _standard_kernel(*_unit_scale(p)[1:])
     return _result(beta_minus_alpha / (half_c * half_d), "closed_form", np.pi / 2)
 
 
@@ -299,12 +315,13 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
 
     where alpha = (ab-c^2)(ab-d^2), beta = (ab-c^2/2)(ab-d^2/2) and
     delta = a(ab-c^2/2) n2 + a(ab-d^2/2) n3 + a^2 n4.  The numerator uses the
-    same cancellation-free beta-alpha as `nfg_closed_form`; the denominator
-    is strictly positive for any valid channel with K, M not both zero, which
-    is asserted rather than branched on.  Everything, det K and det M
-    included, is scalar arithmetic on the entries.  The channel displacement
-    d_bar does not enter.  K = 0 gives exactly 0; M = 0 with det K = 1
-    reproduces `nfg_closed_form` bit for bit.
+    same cancellation-free beta-alpha as `nfg_closed_form`, on the form and
+    M scaled alike by `_unit_scale`'s power of two, which leaves the value
+    as it is; the denominator is strictly positive for any valid channel
+    with K, M not both zero, and one that is not raises `ValueError`.
+    Everything, det K and det M included, is scalar arithmetic on the
+    entries.  The channel displacement d_bar does not enter.  K = 0 gives
+    exactly 0; M = 0 with det K = 1 reproduces `nfg_closed_form` bit for bit.
     """
     if ch.n_modes != 1:
         raise ValueError("closed form requires a single-mode channel on B")
@@ -312,15 +329,18 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
     (m11, m12), (_, m22) = ch.m_noise.tolist()
     if not any((k11, k12, k21, k22, m11, m12, m22)):
         raise ValueError("K and M must not both be zero")
-    c2, d2, half_c, half_d, beta_minus_alpha = _standard_kernel(p)
+    e, a, b, c, d = _unit_scale(p)
+    m11, m12, m22 = (math.ldexp(x, -e) for x in (m11, m12, m22))
+    c2, d2, half_c, half_d, beta_minus_alpha = _standard_kernel(a, b, c, d)
     n1 = (k11 * k22 - k12 * k21) ** 2
     n2 = m22 * k11**2 + m11 * k21**2 - 2.0 * m12 * k11 * k21
     n3 = m22 * k12**2 + m11 * k22**2 - 2.0 * m12 * k12 * k22
     n4 = m11 * m22 - m12 * m12
-    delta = p.a * (half_c * n2 + half_d * n3 + p.a * n4)
-    num = beta_minus_alpha * n1 + 0.5 * p.a * (c2 * n2 + d2 * n3)
+    delta = a * (half_c * n2 + half_d * n3 + a * n4)
+    num = beta_minus_alpha * n1 + 0.5 * a * (c2 * n2 + d2 * n3)
     den = half_c * half_d * n1 + delta
-    assert den > 0.0, "denominator must be positive for a valid channel"
+    if not den > 0.0:
+        raise ValueError(f"post-channel denominator {den:.6g} is not positive: invalid channel")
     return _result(num / den, "channel_closed_form", np.pi / 2)
 
 

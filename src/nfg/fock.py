@@ -13,7 +13,11 @@ the truncated trace is within the guard of 1.  The search reads only the
 diagonal weights, computed with the arithmetic of the matrix diagonal, so
 the matrix is built once, at the cutoff found, and a search that reaches the
 ceiling raises without building one.  The achieved deficit is reported on
-the result.
+the result.  A built matrix is checked to be Hermitian with one temporary,
+its difference from its conjugate transpose, and frozen in place, not
+copied.  The comparison harness, `oracle_rows`, builds one `GaussianState`
+per distinct parameter and reuses the search's terms at a parameter's own
+cutoff.
 
 Matrices with real expansions are stored in real dtype (a real symmetric
 matrix is Hermitian).  A two-mode state is stored on its support: the block
@@ -78,11 +82,14 @@ def _deficit(diagonal: np.ndarray) -> float:
 def _finalize(
     cutoff: int, entries: np.ndarray, support: np.ndarray | None = None
 ) -> FockDensityMatrix:
-    herm_err = np.abs(entries - entries.conj().T).max()
+    """Check that a builder's fresh ``entries`` are Hermitian, then freeze
+    them, and ``support``, in place: the result owns them, uncopied."""
+    diff = entries - entries.conj().T
+    # max|entries - entries^H|; a real difference takes its modulus in place
+    herm_err = (np.abs(diff, out=diff) if diff.dtype.kind == "f" else np.abs(diff)).max()
     if herm_err > 1e-12:
         raise ValueError(f"construction produced a non-Hermitian matrix ({herm_err:.3g})")
     deficit = _deficit(np.diagonal(entries))
-    entries = entries.copy()
     entries.flags.writeable = False
     if support is not None:
         support.flags.writeable = False
@@ -322,9 +329,10 @@ def oracle_rows(families: list[str] | None = None) -> list[OracleRow]:
     For each parameter pair of each requested family, both density matrices
     are built at the larger of the two searched cutoffs, and the literal
     trace overlap is compared with the phase-space formula.  Within a call
-    each distinct parameter is searched once and each distinct (parameter,
-    cutoff) matrix is built once.  Returns one row per pair with the relative
-    error and the worse of the two trace deficits.
+    each distinct parameter is searched once and has one `GaussianState`,
+    and each distinct (parameter, cutoff) matrix is built once, from the
+    searched terms when the cutoff is the parameter's own.  Returns one row
+    per pair with the relative error and the worse of the two trace deficits.
     """
     rows = []
     for family in families or list(_CASES):
@@ -332,16 +340,22 @@ def oracle_rows(families: list[str] | None = None) -> list[OracleRow]:
             raise ValueError(f"unknown family {family!r}")
         expand, build_state = _BUILDERS[family]
         expansions = {x: expand(x) for pair in _CASES[family] for x in pair}
-        cutoffs = {x: _search(e)[0] for x, e in expansions.items()}
+        searched = {x: _search(e) for x, e in expansions.items()}
+        states = {x: build_state(x) for x in expansions}
         matrices = {}
+
+        def matrix(x, c: int) -> FockDensityMatrix:
+            if (x, c) not in matrices:
+                own, terms = searched[x]
+                e = expansions[x]
+                matrices[x, c] = e.build(c, terms) if c == own else _adaptive(e, c)
+            return matrices[x, c]
+
         for x1, x2 in _CASES[family]:
-            c = max(cutoffs[x1], cutoffs[x2])
-            for x in (x1, x2):
-                if (x, c) not in matrices:
-                    matrices[x, c] = _adaptive(expansions[x], c)
-            d1, d2 = matrices[x1, c], matrices[x2, c]
+            c = max(searched[x1][0], searched[x2][0])
+            d1, d2 = matrix(x1, c), matrix(x2, c)
             fock_val = overlap_fock(d1, d2)
-            cm_val = overlap(build_state(x1), build_state(x2)).value
+            cm_val = overlap(states[x1], states[x2]).value
             rel = abs(fock_val - cm_val) / abs(cm_val)
             rows.append(
                 OracleRow(

@@ -18,7 +18,8 @@ Conventions used throughout the package:
   (1+1)-mode states and the maps of up to two modes, whether the matrix
   plus its allowance times I has a Cholesky factor, in scalar arithmetic;
   beyond, its smallest eigenvalue.  A one-mode unitary is checked as
-  |det S - 1|.
+  |det S - 1|.  The same scalar factorization, `_ldl`, gives the overlaps
+  of `nfg.overlap` up to 4 x 4 their determinant and mean term.
 """
 
 from __future__ import annotations
@@ -232,34 +233,25 @@ def _allowance(scale: float) -> float:
     return max(DEFAULT_TOL, _ROUNDING * scale)
 
 
-#: Largest matrix, in rows, that `_semidefinite` tests by a scalar
-#: factorization: (1+1)-mode states and maps of up to two modes, the cut
-#: `_two_mode_spectrum` makes.  From 6 x 6 on NumPy's eigensolve is the
+#: Largest matrix, in rows, that `_semidefinite` tests and `nfg.overlap`
+#: factors by `_ldl`: (1+1)-mode states and maps of up to two modes, the
+#: cut `_two_mode_spectrum` makes.  From 6 x 6 on NumPy's eigensolve is the
 #: faster: 7.7 against 10.6 us at 6 x 6, 9.8 against 20 us at 8 x 8, on a
 #: 2-vCPU Intel Xeon host, while at 4 x 4 the factorization takes 4.6 us
 #: and the eigensolve 6.1 us before the array it needs is built.
 _SCALAR_DIM = 4
 
 
-def _semidefinite(h, shift: float) -> bool:
-    """Whether the Hermitian ``h`` has no eigenvalue below -``shift``: the
-    one positive-semidefiniteness test behind the Simon verdict and the
-    channel check.  ``h`` is nested lists or an array.  A NaN entry
-    answers False.
-
-    Up to `_SCALAR_DIM` rows it asks whether h + shift I has a Cholesky
-    factor, by an LDL^H factorization by rows in Python complex arithmetic
-    that reads the lower triangle: every pivot must be > 0.  In exact
-    arithmetic that is lambda_min(h) > -shift, the eigenvalue rule but for
-    the tie; the factorization is backward stable, so in floating point the
-    two part only within a small multiple of eps max|h| of the threshold.
-    Larger matrices take `np.linalg.eigvalsh`: lambda_min >= -shift.
+def _ldl(h, shift: float) -> tuple[list[list], list[float]] | None:
+    """The LDL^H factorization of h + shift I, for a Hermitian ``h`` given
+    as nested lists, of which only the lower triangle is read:
+    ``(conj_lower, pivots)``, the rows of conj(L) left of L's unit diagonal
+    and the diagonal of D, or None at the first pivot that is not > 0 (a NaN
+    included).  It runs by rows in Python scalar arithmetic, complex for a
+    complex ``h`` and float for a real one.  `_semidefinite` and the
+    overlaps of `nfg.overlap` up to `_SCALAR_DIM` rows both factor here.
     """
-    if len(h) > _SCALAR_DIM:
-        return bool(np.linalg.eigvalsh(np.asarray(h))[0] >= -shift)
-    if isinstance(h, np.ndarray):
-        h = h.tolist()
-    conj_lower, pivots = [], []  # the rows of conj(L), L unit lower, and D
+    conj_lower, pivots = [], []
     for i, row in enumerate(h):
         u_row, c_row = [], []  # u_ij = l_ij d_j, and conj(l_ij)
         pivot = row[i].real + shift
@@ -272,10 +264,30 @@ def _semidefinite(h, shift: float) -> bool:
             u_row.append(u)
             c_row.append(c)
         if not pivot > 0.0:
-            return False
+            return None
         conj_lower.append(c_row)
         pivots.append(pivot)
-    return True
+    return conj_lower, pivots
+
+
+def _semidefinite(h, shift: float) -> bool:
+    """Whether the Hermitian ``h`` has no eigenvalue below -``shift``: the
+    one positive-semidefiniteness test behind the Simon verdict and the
+    channel check.  ``h`` is nested lists or an array.  A NaN entry
+    answers False.
+
+    Up to `_SCALAR_DIM` rows it asks whether h + shift I has a Cholesky
+    factor, by the `_ldl` factorization: every pivot must be > 0.  In exact
+    arithmetic that is lambda_min(h) > -shift, the eigenvalue rule but for
+    the tie; the factorization is backward stable, so in floating point the
+    two part only within a small multiple of eps max|h| of the threshold.
+    Larger matrices take `np.linalg.eigvalsh`: lambda_min >= -shift.
+    """
+    if len(h) > _SCALAR_DIM:
+        return bool(np.linalg.eigvalsh(np.asarray(h))[0] >= -shift)
+    if isinstance(h, np.ndarray):
+        h = h.tolist()
+    return _ldl(h, shift) is not None
 
 
 @dataclass(frozen=True)

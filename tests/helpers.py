@@ -191,6 +191,19 @@ def nfg_theta_objective(state: GaussianState, theta: float) -> float:
     return _clamp(-float(np.expm1(_chol_logdet(g)[1] - _chol_logdet(_mid(g, gs))[1])))
 
 
+def reference_log_overlap(rho: GaussianState, sigma: GaussianState) -> float:
+    """Independent check of the scalar overlap: log tr(rho sigma) by the
+    NumPy Cholesky path `nfg.overlap` takes above 4 x 4 (`_chol_logdet`,
+    then a triangular solve for the mean term), at every size."""
+    chol, logdet = _chol_logdet(_mid(rho.cm, sigma.cm))
+    log = -0.5 * logdet
+    delta = rho.mean - sigma.mean
+    if delta.any():
+        z = np.linalg.solve(chol, delta)
+        log -= 0.5 * float(z @ z)
+    return log
+
+
 def planted_degenerate_state(rng: np.random.Generator, n_a: int, n_b: int) -> GaussianState:
     """Random (n_a+n_b)-mode state whose A block has the symplectic spectrum
     nu (n_a-fold), under random local symplectics on A and on B.

@@ -480,6 +480,19 @@ class TestChannelCommand:
         assert after <= before
         assert float(out.split("discrepancy: ")[1].split()[0]) < 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    def test_compare_closed_on_a_state_past_1e200(self, capsys, tmp_path):
+        # ab ~ 1e401 would overflow the closed form's arithmetic; N = 24/49.
+        eye, z = np.eye(2), np.diag([1.0, -1.0])
+        cm = 1e200 * np.block([[3.0 * eye, 2.0 * z], [2.0 * z, 3.0 * eye]])
+        state = write_json(tmp_path / "huge.json", state_doc(cm, 1, 1))
+        ch = self.write_channel(tmp_path, np.sqrt(0.5) * np.eye(2), 0.5 * np.eye(2))
+        assert main(["channel", state, ch, "--compare-closed"]) == 0
+        out = capsys.readouterr().out
+        closed = float(out.split("closed_form_after: ")[1].split()[0])
+        assert closed == pytest.approx(24.0 / 49.0, rel=1e-15)
+        assert float(out.split("discrepancy: ")[1].split()[0]) < 1e-15
+
     def test_invalid_channel_exits_one(self, capsys, ssts_file, tmp_path):
         ch = self.write_channel(tmp_path, 2.0 * np.eye(2), 0.1 * np.eye(2))
         assert main(["channel", ssts_file, ch]) == 1
@@ -665,8 +678,10 @@ class TestSweepCommand:
 
 
 #: Byte length and SHA-256 of the default `nfg oracle-check` stdout, with the
-#: Fock oracle's log k! from a running sum of log j.
-GOLDEN_ORACLE = (1395, "a2664018c2decec9af6debcd8021bedad9ee9a92a56471024de88f3645754a21")
+#: Fock oracle's log k! from a running sum of log j and the one-mode and
+#: (1+1) formula values from the scalar LDL^T overlap: each within 3.5e-16
+#: relative of a 50-digit evaluation of the overlap formula.
+GOLDEN_ORACLE = (1395, "e114a6e6930cc60d41b75e106f6abbed7394230882662bbb0a1c05d7ded05bca")
 
 
 class TestOracleCheckCommand:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -770,6 +771,58 @@ class TestAfterChannelClosedForm:
         p, _, _ = standard_form(random_state(rng))
         with pytest.raises(ValueError):
             nfg_after_channel_closed_form(p, ch)
+
+
+def huge_standard_state() -> GaussianState:
+    """[[3I, 2Z], [2Z, 3I]] scaled by 1e200: N = 24/49, while ab ~ 1e401
+    overflows a double."""
+    eye, z = np.eye(2), np.diag([1.0, -1.0])
+    return GaussianState(1e200 * np.block([[3.0 * eye, 2.0 * z], [2.0 * z, 3.0 * eye]]), 1, 1)
+
+
+class TestClosedFormScale:
+    def test_huge_state_keeps_its_value(self):
+        state = huge_standard_state()
+        p, _, _ = standard_form(state)
+        assert nfg_two_mode(state).value == pytest.approx(24.0 / 49.0, rel=1e-15)
+        assert nfg_closed_form(p).value == pytest.approx(24.0 / 49.0, rel=1e-15)
+
+    def test_huge_state_after_channel_matches_apply_then_compute(self):
+        state = huge_standard_state()
+        p, _, _ = standard_form(state)
+        # a vacuum-noise attenuator, and one whose noise matches the state
+        for ch in (
+            GaussianChannel(np.sqrt(0.5) * np.eye(2), 0.5 * np.eye(2)),
+            GaussianChannel(0.5 * np.eye(2), 1e200 * np.eye(2)),
+        ):
+            applied = check_monotonicity(state, ch).after
+            direct = nfg_after_channel_closed_form(p, ch).value
+            assert direct == pytest.approx(applied, rel=1e-12)
+
+    @pytest.mark.parametrize("exponent", [1, 2, 300, 900])
+    def test_power_of_two_scaling_keeps_the_bits(self, rng, exponent):
+        # The form, and M with it, scaled up by 2^exponent (scaled down it
+        # would not be physical): the same value bit for bit.
+        for _ in range(20):
+            p, _, _ = standard_form(random_state(rng))
+            ch = random_channel(rng)
+            scaled = StandardFormParams(*(np.ldexp(x, exponent) for x in (p.a, p.b, p.c, p.d)))
+            moved = GaussianChannel(ch.k, np.ldexp(ch.m_noise, exponent))
+            assert nfg_closed_form(scaled).value == nfg_closed_form(p).value
+            assert (
+                nfg_after_channel_closed_form(scaled, moved).value
+                == nfg_after_channel_closed_form(p, ch).value
+            )
+
+    def test_nonpositive_denominator_raises_value_error(self):
+        # A singular K with M = 0 is no valid channel (GaussianChannel
+        # refuses it); the closed form raises, also under python -O.
+        p = StandardFormParams(3.0, 3.0, 2.0, -2.0)
+        not_a_channel = SimpleNamespace(
+            n_modes=1, k=np.array([[1.0, 0.0], [0.0, 0.0]]), m_noise=np.zeros((2, 2))
+        )
+        with pytest.raises(ValueError, match="denominator"):
+            nfg_after_channel_closed_form(p, not_a_channel)
 
 
 class TestMonotonicity:

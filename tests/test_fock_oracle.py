@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -224,6 +225,32 @@ class TestMatrixInvariants:
         assert dm.trace_deficit < 1e-10
 
 
+class TestFinalize:
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            np.array([[0.5, 0.25, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]),
+            np.array([[0.5, 0.1 + 0.2j], [0.1 + 0.2j, 0.5]]),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_non_hermitian_rejected_with_its_error(self, entries):
+        herm_err = np.abs(entries - entries.conj().T).max()
+        assert herm_err > 0.1
+        with pytest.raises(ValueError, match="non-Hermitian") as info:
+            fock._finalize(entries.shape[0], entries)
+        assert f"({herm_err:.3g})" in str(info.value)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_freezes_the_entries_uncopied(self, dtype):
+        entries = np.diag([0.75, 0.25]).astype(dtype)
+        support = np.array([0, 3])
+        dm = fock._finalize(2, entries, support)
+        assert dm.entries is entries and dm.support is support
+        assert not dm.entries.flags.writeable and not dm.support.flags.writeable
+        assert dm.trace_deficit == 0.0
+
+
 class TestOverlapFock:
     def test_non_hermitian_pair_rejected(self):
         # tr(ab) = 1j: an overlap that is not real must raise, also under -O.
@@ -258,8 +285,30 @@ class TestAgainstPhaseSpaceFormula:
             post_init(state)
 
         monkeypatch.setattr(GaussianState, "__post_init__", counting)
-        rows = oracle_rows()
-        assert len(built) == 2 * len(rows) == 26
+        per_family = {}
+        for family in ("thermal", "coherent", "squeezed", "tmsv"):
+            built.clear()
+            oracle_rows([family])
+            per_family[family] = len(built)
+        # one state per distinct parameter of the family's pairs
+        assert per_family == {"thermal": 5, "coherent": 5, "squeezed": 4, "tmsv": 3}
+        built.clear()
+        oracle_rows()
+        assert len(built) == 17
+
+    def test_formula_values_match_50_digit_references(self):
+        # tr(rho sigma) = det(M)^{-1/2} exp(-delta^T M^{-1} delta / 2), M the
+        # mean of the two stored covariance matrices, in 50 digits.
+        for family, pairs in fock._CASES.items():
+            build_state = fock._BUILDERS[family][1]
+            for row, (x1, x2) in zip(oracle_rows([family]), pairs):
+                rho, sigma = build_state(x1), build_state(x2)
+                with mpmath.workdps(50):
+                    m = (mpmath.matrix(rho.cm.tolist()) + mpmath.matrix(sigma.cm.tolist())) / 2
+                    delta = mpmath.matrix(rho.mean.tolist()) - mpmath.matrix(sigma.mean.tolist())
+                    quad = (delta.T * mpmath.inverse(m) * delta)[0]
+                    expected = mpmath.exp(-quad / 2) / mpmath.sqrt(mpmath.det(m))
+                    assert abs(row.cm_value - expected) <= 3.5e-16 * expected, row.label
 
     def test_family_subset(self):
         rows = oracle_rows(["thermal"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -13,7 +15,13 @@ from nfg import (
     tmsv,
 )
 
-from helpers import nfg_theta_objective, random_state, random_symplectic
+from helpers import (
+    linalg_calls,
+    nfg_theta_objective,
+    random_state,
+    random_symplectic,
+    reference_log_overlap,
+)
 
 
 def thermal(n_bar: float) -> GaussianState:
@@ -157,3 +165,66 @@ class TestSingularCovariance:
         with pytest.raises(ValueError, match="singular at double precision") as info:
             call(state)
         assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def scalar_pairs(rng: np.random.Generator, count: int) -> list[tuple[GaussianState, GaussianState]]:
+    """``count`` random pairs, alternately one-mode and (1+1)-mode, half of
+    them with both states displaced."""
+    pairs = []
+    for i in range(count):
+        modes, displaced = ((1, 0), (1, 1))[i % 2], i % 4 < 2
+        pairs.append(tuple(random_state(rng, *modes, displaced=displaced) for _ in range(2)))
+    return pairs
+
+
+class TestScalarOverlap:
+    """One-mode and (1+1)-mode overlaps run the scalar LDL^T of
+    `nfg.states._ldl`; the NumPy Cholesky path is the reference."""
+
+    def test_matches_numpy_cholesky_path(self, rng):
+        worst = 0.0
+        for rho, sigma in scalar_pairs(rng, 5000):
+            for a, b in ((rho, sigma), (rho, rho)):
+                expected = reference_log_overlap(a, b)
+                got = overlap(a, b).log_value
+                worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
+        assert worst <= 1e-13
+
+    def test_runs_no_linalg_call(self, rng, monkeypatch):
+        pairs = scalar_pairs(rng, 8)
+        calls = linalg_calls(monkeypatch)
+        for rho, sigma in pairs:
+            overlap(rho, sigma)
+            purity(rho)
+            fidelity_f(rho, sigma)
+            c_squared(rho, sigma)
+        assert calls == []
+
+    def test_larger_states_keep_numpy_cholesky(self, rng, monkeypatch):
+        rho, sigma = random_state(rng, 2, 1), random_state(rng, 2, 1, displaced=True)
+        expected = reference_log_overlap(rho, sigma)
+        calls = linalg_calls(monkeypatch)
+        assert overlap(rho, sigma).log_value == expected
+        assert calls == ["cholesky", "solve"]
+
+    @pytest.mark.parametrize("exponent", range(6, 14))
+    def test_tmsv_past_double_precision_only_raises_singular(self, exponent):
+        # Near-singular pure states: values are not resolved on either path,
+        # so none is pinned; a call may only return or raise `_singular`'s
+        # error, with no warning.
+        state, other = (tmsv(np.arcsinh(np.sqrt(10.0**k))) for k in (exponent, exponent + 1))
+        calls = [
+            lambda: overlap(state, state),
+            lambda: overlap(state, other),
+            lambda: purity(state),
+            lambda: fidelity_f(state, other),
+            lambda: c_squared(state, state),
+            lambda: c_squared(state, other),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                try:
+                    call()
+                except ValueError as exc:
+                    assert "singular at double precision" in str(exc)
