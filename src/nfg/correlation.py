@@ -185,6 +185,11 @@ def _unit_scale(p: StandardFormParams) -> tuple[int, float, float, float, float]
     return e, *(math.ldexp(x, -e) for x in (p.a, p.b, p.c, p.d))
 
 
+def _log2(x: float) -> float:
+    """log2|x|, -inf at 0."""
+    return math.log2(abs(x)) if x else -math.inf
+
+
 def _standard_kernel(
     a: float, b: float, c: float, d: float
 ) -> tuple[float, float, float, float, float]:
@@ -316,9 +321,16 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
     where alpha = (ab-c^2)(ab-d^2), beta = (ab-c^2/2)(ab-d^2/2) and
     delta = a(ab-c^2/2) n2 + a(ab-d^2/2) n3 + a^2 n4.  The numerator uses the
     same cancellation-free beta-alpha as `nfg_closed_form`, on the form and
-    M scaled alike by `_unit_scale`'s power of two, which leaves the value
-    as it is; the denominator is strictly positive for any valid channel
-    with K, M not both zero, and one that is not raises `ValueError`.
+    M scaled alike by `_unit_scale`'s power of two.  K and M are then scaled
+    by 2^-f and 2^-2f, 2^f the power of two at the fourth root of the largest
+    monomial of n1 ... n4, taken from the entries' log2 (as M >= 0, an m12
+    monomial never exceeds the others).  n1 ... n4 are homogeneous of degree
+    4 under K -> tK, M -> t^2 M and the scaling is exact, so the value keeps
+    its bits; no product then overflows, and only a term negligible next to
+    the largest can underflow: a large gain no longer overflows (det K)^2,
+    and K = diag(g, 1/g) keeps n1 = 1.  The denominator is strictly
+    positive for any valid channel with K, M not both zero, and one that is
+    not raises `ValueError`.
     Everything, det K and det M included, is scalar arithmetic on the
     entries.  The channel displacement d_bar does not enter.  K = 0 gives
     exactly 0; M = 0 with det K = 1 reproduces `nfg_closed_form` bit for bit.
@@ -331,6 +343,17 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
         raise ValueError("K and M must not both be zero")
     e, a, b, c, d = _unit_scale(p)
     m11, m12, m22 = (math.ldexp(x, -e) for x in (m11, m12, m22))
+    l11, l12, l21, l22, lm1, lm2 = map(_log2, (k11, k12, k21, k22, m11, m22))
+    # log2 of the largest monomial of n1, n2, n3 and n4.
+    top = max(
+        2.0 * max(l11 + l22, l12 + l21),
+        lm2 + 2.0 * max(l11, l12),
+        lm1 + 2.0 * max(l21, l22),
+        lm1 + lm2,
+    )
+    f = math.floor(top / 4.0) if top > -math.inf else 0
+    k11, k12, k21, k22 = (math.ldexp(x, -f) for x in (k11, k12, k21, k22))
+    m11, m12, m22 = (math.ldexp(x, -2 * f) for x in (m11, m12, m22))
     c2, d2, half_c, half_d, beta_minus_alpha = _standard_kernel(a, b, c, d)
     n1 = (k11 * k22 - k12 * k21) ** 2
     n2 = m22 * k11**2 + m11 * k21**2 - 2.0 * m12 * k11 * k21

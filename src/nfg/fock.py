@@ -1,29 +1,26 @@
 """Truncated Fock-basis oracle for validating the covariance-matrix overlap.
 
-Builds density matrices of standard Gaussian states (thermal, coherent,
-squeezed vacuum, two-mode squeezed vacuum) by their textbook number-basis
-expansions and computes trace overlaps by literal matrix traces, completely
-independently of any phase-space formula.  Test support only: not part of
+Expands standard Gaussian states (thermal, coherent, squeezed vacuum,
+two-mode squeezed vacuum) in the number basis by their textbook formulas
+and computes trace overlaps from those expansions, completely independently
+of any phase-space formula.  For tests and diagnostics only: not part of
 the public package surface.
 
-Each family writes its expansion once (thermal weights, coherent and squeezed
-amplitudes, two-mode Schmidt coefficients), and every matrix is built from it.
-Cutoffs are adaptive by default: they grow from 20, doubling per step, until
-the truncated trace is within the guard of 1.  The search reads only the
-diagonal weights, computed with the arithmetic of the matrix diagonal, so
-the matrix is built once, at the cutoff found, and a search that reaches the
-ceiling raises without building one.  The achieved deficit is reported on
-the result.  A built matrix is checked to be Hermitian with one temporary,
-its difference from its conjugate transpose, and frozen in place, not
-copied.  The comparison harness, `oracle_rows`, builds one `GaussianState`
-per distinct parameter and reuses the search's terms at a parameter's own
-cutoff.
+Every state the oracle builds is pure (coherent, squeezed, two-mode
+squeezed) or diagonal (thermal), so a state is stored as its expansion:
+the amplitudes psi of rho = |psi><psi|, or the weights p of rho = diag p.
+The two-mode squeezed vacuum is pure on the pairs |kk>, so its expansion
+runs over them and takes cutoff entries.  tr(rho sigma) is |<psi|phi>|^2
+for two pure states and the dot product of the two diagonals otherwise.
 
-Matrices with real expansions are stored in real dtype (a real symmetric
-matrix is Hermitian).  A two-mode state is stored on its support: the block
-of rows and columns it can occupy, with their indices in the cutoff^2
-product basis, so the two-mode squeezed vacuum takes cutoff^2 entries
-instead of cutoff^4.
+Each family writes its expansion once, and every stored state comes from
+it.  Cutoffs are adaptive by default: they grow from 20, doubling per step,
+until the truncated trace is within the guard of 1.  The search reads the
+same diagonal as the deficit and the overlap, so a state is stored once, at
+the cutoff found, and a search that reaches the ceiling raises without
+storing one.  The achieved deficit is reported on the result.  The
+comparison harness, `oracle_rows`, builds one `GaussianState` per distinct
+parameter and reuses the search's terms at a parameter's own cutoff.
 """
 
 from __future__ import annotations
@@ -51,49 +48,37 @@ __all__ = [
 
 _GUARD = 1e-10
 _START = 20
-_CEILING = 512  # per mode; two-mode builders cap lower to bound memory
-_CEILING_TWO_MODE = 128
+_CEILING = 512  # per mode
 
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    """Density matrix in a truncated number basis.
+    """Density matrix in a truncated number basis, stored as its expansion.
 
-    ``cutoff`` is the basis dimension per mode.  ``support`` holds the basis
-    indices of the rows and columns of ``entries``; every other matrix
-    element is zero.  ``None`` means the full basis, which is how one-mode
-    states are stored (``entries`` is cutoff x cutoff); two-mode states carry
-    a support in the cutoff^2 product basis, where |m n> has index
-    m * cutoff + n.  ``trace_deficit`` is 1 - trace, the probability weight
-    lost to truncation (clamped at 0).
+    ``cutoff`` is the basis dimension per mode and ``entries`` the length-
+    ``cutoff`` expansion: the amplitudes psi of rho = |psi><psi| if ``pure``,
+    else the weights p of rho = diag p.  A ``two_mode`` expansion runs over
+    the pairs |kk>; rho is zero elsewhere in the cutoff^2 product basis.
+    Real expansions are stored in real dtype.  ``trace_deficit`` is
+    1 - trace, the probability weight lost to truncation (clamped at 0).
     """
 
     cutoff: int
     entries: np.ndarray
     trace_deficit: float
-    support: np.ndarray | None = None
+    pure: bool
+    two_mode: bool = False
 
 
-def _deficit(diagonal: np.ndarray) -> float:
-    """1 - trace from a density matrix's diagonal, clamped at 0."""
-    return max(0.0, 1.0 - float(diagonal.sum().real))
+def _diagonal(entries: np.ndarray, pure: bool) -> np.ndarray:
+    """The diagonal of the density matrix an expansion stands for: |psi|^2,
+    as psi psi*, or the weights p."""
+    return entries * entries.conj() if pure else entries
 
 
-def _finalize(
-    cutoff: int, entries: np.ndarray, support: np.ndarray | None = None
-) -> FockDensityMatrix:
-    """Check that a builder's fresh ``entries`` are Hermitian, then freeze
-    them, and ``support``, in place: the result owns them, uncopied."""
-    diff = entries - entries.conj().T
-    # max|entries - entries^H|; a real difference takes its modulus in place
-    herm_err = (np.abs(diff, out=diff) if diff.dtype.kind == "f" else np.abs(diff)).max()
-    if herm_err > 1e-12:
-        raise ValueError(f"construction produced a non-Hermitian matrix ({herm_err:.3g})")
-    deficit = _deficit(np.diagonal(entries))
-    entries.flags.writeable = False
-    if support is not None:
-        support.flags.writeable = False
-    return FockDensityMatrix(cutoff, entries, deficit, support)
+def _deficit(entries: np.ndarray, pure: bool) -> float:
+    """1 - trace of the density matrix an expansion stands for, clamped at 0."""
+    return max(0.0, 1.0 - float(_diagonal(entries, pure).sum().real))
 
 
 class _Expansion(NamedTuple):
@@ -101,25 +86,17 @@ class _Expansion(NamedTuple):
 
     ``terms(c)`` gives its first c coefficients: the amplitudes of a pure
     state, or the diagonal weights of a mixed one.  A two-mode expansion runs
-    over the pairs |kk>, so its matrix is stored on the support
-    k * cutoff + k, under the lower two-mode ceiling.
+    over the pairs |kk>.
     """
 
     terms: Callable[[int], np.ndarray]
     pure: bool
     two_mode: bool = False
 
-    @property
-    def ceiling(self) -> int:
-        return _CEILING_TWO_MODE if self.two_mode else _CEILING
-
-    def diagonal(self, v: np.ndarray) -> np.ndarray:
-        """The diagonal of `build`'s matrix, with the same arithmetic."""
-        return v * v.conj() if self.pure else v
-
     def build(self, c: int, v: np.ndarray) -> FockDensityMatrix:
-        entries = np.outer(v, v.conj()) if self.pure else np.diag(v)
-        return _finalize(c, entries, np.arange(c) * (c + 1) if self.two_mode else None)
+        """The state at cutoff c from its terms there, frozen in place."""
+        v.flags.writeable = False
+        return FockDensityMatrix(c, v, _deficit(v, self.pure), self.pure, self.two_mode)
 
 
 def _search(expansion: _Expansion) -> tuple[int, np.ndarray]:
@@ -128,20 +105,20 @@ def _search(expansion: _Expansion) -> tuple[int, np.ndarray]:
     c = _START
     while True:
         v = expansion.terms(c)
-        deficit = _deficit(expansion.diagonal(v))
+        deficit = _deficit(v, expansion.pure)
         if deficit <= _GUARD:
             return c, v
-        if c >= expansion.ceiling:
+        if c >= _CEILING:
             raise ValueError(
                 f"trace deficit {deficit:.3g} still above {_GUARD} "
-                f"at the cutoff ceiling {expansion.ceiling}"
+                f"at the cutoff ceiling {_CEILING}"
             )
-        c = min(2 * c, expansion.ceiling)
+        c = min(2 * c, _CEILING)
 
 
 def _adaptive(expansion: _Expansion, cutoff: int | None) -> FockDensityMatrix:
-    """The density matrix at ``cutoff``, or at the searched cutoff if None;
-    the deficit is checked on the weights, so only a kept matrix is built."""
+    """The state at ``cutoff``, or at the searched cutoff if None; the
+    deficit is checked on the weights before the state is stored."""
     if cutoff is None:
         c, v = _search(expansion)
     else:
@@ -149,7 +126,7 @@ def _adaptive(expansion: _Expansion, cutoff: int | None) -> FockDensityMatrix:
             raise ValueError(f"cutoff must be at least 2, got {cutoff}")
         c = int(cutoff)
         v = expansion.terms(c)
-        deficit = _deficit(expansion.diagonal(v))
+        deficit = _deficit(v, expansion.pure)
         if deficit > _GUARD:
             raise ValueError(f"cutoff {cutoff} leaves trace deficit {deficit:.3g} > {_GUARD}")
     return expansion.build(c, v)
@@ -247,34 +224,26 @@ def _tmsv_expansion(r: float) -> _Expansion:
 def two_mode_squeezed_dm(r: float, cutoff: int | None = None) -> FockDensityMatrix:
     """Two-mode squeezed vacuum: Schmidt coefficients tanh^k(r) / cosh(r).
 
-    The state vector sits on the diagonal pairs |kk>, so the density matrix
-    is stored on that support: the cutoff x cutoff outer product of the
-    Schmidt coefficients, in real dtype (the expansion is real), with
-    ``support`` = k * cutoff + k.
+    The state vector sits on the pairs |kk>, so it is stored as its
+    ``cutoff`` real Schmidt coefficients, with ``two_mode`` set.
     """
     return _adaptive(_tmsv_expansion(r), cutoff)
 
 
 def overlap_fock(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
-    """tr(rho sigma) by direct contraction of the truncated matrices.
+    """tr(rho sigma) by direct contraction of the truncated expansions.
 
-    Two support-stored matrices are contracted on their common support, the
-    only basis states on which both can be nonzero.
+    Two pure states give |<psi|phi>|^2; any other pair gives the dot product
+    of the two diagonals, the only entries a diagonal state has.
     """
     if rho.cutoff != sigma.cutoff:
         raise ValueError(f"cutoff mismatch: {rho.cutoff} vs {sigma.cutoff}")
-    if (rho.support is None) != (sigma.support is None):
-        raise ValueError("cannot contract a full matrix with a support-stored one")
-    a, b = rho.entries, sigma.entries
-    if rho.support is not None:
-        _, i, j = np.intersect1d(rho.support, sigma.support, return_indices=True)
-        a, b = a[np.ix_(i, i)], b[np.ix_(j, j)]
-    val = complex(np.einsum("ij,ji->", a, b))
-    if abs(val.imag) >= 1e-12:
-        raise ValueError(
-            f"overlap has imaginary part {val.imag:.3g}: the matrices are not Hermitian"
-        )
-    return float(val.real)
+    if rho.two_mode != sigma.two_mode:
+        raise ValueError("cannot contract a one-mode state with a two-mode one")
+    if rho.pure and sigma.pure:
+        return float(abs(np.vdot(rho.entries, sigma.entries)) ** 2)
+    p, q = (_diagonal(dm.entries, dm.pure) for dm in (rho, sigma))
+    return float(np.dot(p, q).real)
 
 
 # --- comparison harness -----------------------------------------------------
@@ -326,12 +295,12 @@ _BUILDERS = {
 def oracle_rows(families: list[str] | None = None) -> list[OracleRow]:
     """Compare the Fock oracle with the covariance-matrix overlap.
 
-    For each parameter pair of each requested family, both density matrices
-    are built at the larger of the two searched cutoffs, and the literal
-    trace overlap is compared with the phase-space formula.  Within a call
-    each distinct parameter is searched once and has one `GaussianState`,
-    and each distinct (parameter, cutoff) matrix is built once, from the
-    searched terms when the cutoff is the parameter's own.  Returns one row
+    For each parameter pair of each requested family, both states are
+    expanded at the larger of the two searched cutoffs, and the contracted
+    overlap is compared with the phase-space formula.  Within a call each
+    distinct parameter is searched once and has one `GaussianState`, and
+    each distinct (parameter, cutoff) state is built once, from the searched
+    terms when the cutoff is the parameter's own.  Returns one row
     per pair with the relative error and the worse of the two trace deficits.
     """
     rows = []
@@ -342,18 +311,18 @@ def oracle_rows(families: list[str] | None = None) -> list[OracleRow]:
         expansions = {x: expand(x) for pair in _CASES[family] for x in pair}
         searched = {x: _search(e) for x, e in expansions.items()}
         states = {x: build_state(x) for x in expansions}
-        matrices = {}
+        stored = {}
 
-        def matrix(x, c: int) -> FockDensityMatrix:
-            if (x, c) not in matrices:
+        def fock_state(x, c: int) -> FockDensityMatrix:
+            if (x, c) not in stored:
                 own, terms = searched[x]
                 e = expansions[x]
-                matrices[x, c] = e.build(c, terms) if c == own else _adaptive(e, c)
-            return matrices[x, c]
+                stored[x, c] = e.build(c, terms) if c == own else _adaptive(e, c)
+            return stored[x, c]
 
         for x1, x2 in _CASES[family]:
             c = max(searched[x1][0], searched[x2][0])
-            d1, d2 = matrix(x1, c), matrix(x2, c)
+            d1, d2 = fock_state(x1, c), fock_state(x2, c)
             fock_val = overlap_fock(d1, d2)
             cm_val = overlap(states[x1], states[x2]).value
             rel = abs(fock_val - cm_val) / abs(cm_val)

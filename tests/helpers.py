@@ -1,5 +1,7 @@
 """Shared builders for randomized property tests."""
 
+from typing import NamedTuple
+
 import mpmath
 import numpy as np
 import scipy.linalg as la
@@ -85,22 +87,62 @@ def through_thermal_dilation(
     return GaussianState(0.5 * (out + out.T), state.n_a, state.n_b)
 
 
+def literal_matrix(dm: FockDensityMatrix) -> np.ndarray:
+    """The matrix ``dm``'s expansion stands for, on its support: |psi><psi|
+    or diag p, cutoff x cutoff.  A two-mode state's support is the pairs
+    |kk>, which `dense` places in the product basis."""
+    v = dm.entries
+    return np.outer(v, v.conj()) if dm.pure else np.diag(v)
+
+
 def dense(dm: FockDensityMatrix) -> np.ndarray:
-    """The full cutoff^2 x cutoff^2 matrix of a support-stored two-mode
-    density matrix, zero off its support.  For small cutoffs only."""
-    n = dm.cutoff**2
-    full = np.zeros((n, n), dm.entries.dtype)
-    full[np.ix_(dm.support, dm.support)] = dm.entries
+    """The full density matrix of ``dm``: `literal_matrix` for one mode, and
+    for two modes the cutoff^2 x cutoff^2 matrix with that block at the
+    product-basis indices k * cutoff + k of |kk>, zero elsewhere.  For small
+    two-mode cutoffs only."""
+    block = literal_matrix(dm)
+    if not dm.two_mode:
+        return block
+    c = dm.cutoff
+    pairs = np.arange(c) * (c + 1)
+    full = np.zeros((c * c, c * c), block.dtype)
+    full[np.ix_(pairs, pairs)] = block
     return full
 
 
+def dense_overlap(rho: FockDensityMatrix, sigma: FockDensityMatrix) -> float:
+    """tr(rho sigma) as the literal trace of the product of the two `dense`
+    matrices."""
+    return float(np.einsum("ij,ji->", dense(rho), dense(sigma)).real)
+
+
+class ReferenceDM(NamedTuple):
+    """A literal-expansion build: the matrix on the state's support (see
+    `literal_matrix`) and 1 - its trace, clamped at 0."""
+
+    cutoff: int
+    matrix: np.ndarray
+    trace_deficit: float
+
+
+def _hermitian_reference(cutoff: int, matrix: np.ndarray) -> ReferenceDM:
+    """Check that a literal build is Hermitian, then read its deficit off the
+    diagonal, as the oracle did when it stored matrices."""
+    herm_err = np.abs(matrix - matrix.conj().T).max()
+    if herm_err > 1e-12:
+        raise ValueError(f"construction produced a non-Hermitian matrix ({herm_err:.3g})")
+    deficit = max(0.0, 1.0 - float(np.diagonal(matrix).sum().real))
+    return ReferenceDM(cutoff, matrix, deficit)
+
+
 def _reference_builds() -> dict:
-    """Each family's matrix at cutoff c, built as the oracle did before its
-    search read the weights: the literal expansion, then `fock._finalize`."""
+    """Each family's matrix at cutoff c, built as the oracle did before it
+    stored expansions: the literal expansion's outer product or diagonal,
+    checked to be Hermitian.  A two-mode matrix is its block on the |kk>."""
 
     def thermal(n_bar, c):
         p = np.exp(fock._log_powers(n_bar / (1.0 + n_bar), np.arange(c))) / (1.0 + n_bar)
-        return fock._finalize(c, np.diag(p))
+        return _hermitian_reference(c, np.diag(p))
 
     def coherent(alpha, c):
         alpha = complex(alpha)
@@ -109,42 +151,36 @@ def _reference_builds() -> dict:
             fock._log_powers(abs(alpha), k) - 0.5 * fock._log_factorials(c) - 0.5 * abs(alpha) ** 2
         )
         psi = np.exp(log_mod) * np.exp(1j * k * np.angle(alpha))
-        return fock._finalize(c, np.outer(psi, psi.conj()))
+        return _hermitian_reference(c, np.outer(psi, psi.conj()))
 
     def squeezed(r, c):
         psi = fock._squeezed_amplitudes(float(r), c)
-        return fock._finalize(c, np.outer(psi, psi))
+        return _hermitian_reference(c, np.outer(psi, psi))
 
     def tmsv(r, c):
-        k = np.arange(c)
-        lam = np.exp(fock._log_powers(np.tanh(r), k)) / np.cosh(r)
-        return fock._finalize(c, np.outer(lam, lam), k * c + k)
+        lam = np.exp(fock._log_powers(np.tanh(r), np.arange(c))) / np.cosh(r)
+        return _hermitian_reference(c, np.outer(lam, lam))
 
-    return {
-        "thermal": (thermal, fock._CEILING),
-        "coherent": (coherent, fock._CEILING),
-        "squeezed": (squeezed, fock._CEILING),
-        "tmsv": (tmsv, fock._CEILING_TWO_MODE),
-    }
+    return {"thermal": thermal, "coherent": coherent, "squeezed": squeezed, "tmsv": tmsv}
 
 
-def reference_adaptive_dm(family: str, x) -> FockDensityMatrix:
+def reference_adaptive_dm(family: str, x) -> ReferenceDM:
     """Independent check of the Fock oracle's adaptive cutoff: the doubling
     from `fock._START` that builds the full matrix at every step and reads
-    its trace, stopping within `fock._GUARD` or raising at the ceiling.  This
-    is the search the oracle ran before it read the diagonal weights."""
-    build, ceiling = _reference_builds()[family]
+    its trace, stopping within `fock._GUARD` or raising at `fock._CEILING`.
+    This is the search the oracle ran before it read the diagonal weights."""
+    build = _reference_builds()[family]
     c = fock._START
     while True:
         dm = build(x, c)
         if dm.trace_deficit <= fock._GUARD:
             return dm
-        if c >= ceiling:
+        if c >= fock._CEILING:
             raise ValueError(
                 f"trace deficit {dm.trace_deficit:.3g} still above {fock._GUARD} "
-                f"at the cutoff ceiling {ceiling}"
+                f"at the cutoff ceiling {fock._CEILING}"
             )
-        c = min(2 * c, ceiling)
+        c = min(2 * c, fock._CEILING)
 
 
 def brute_force_nfg(state: GaussianState, points: int) -> np.ndarray:

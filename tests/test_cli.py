@@ -493,6 +493,20 @@ class TestChannelCommand:
         assert closed == pytest.approx(24.0 / 49.0, rel=1e-15)
         assert float(out.split("discrepancy: ")[1].split()[0]) < 1e-15
 
+    @pytest.mark.filterwarnings("error")
+    def test_compare_closed_on_a_large_gain_channel(self, capsys, tmp_path):
+        # (det K)^2 = 1e400 would overflow the closed form's arithmetic.
+        eye, z = np.eye(2), np.diag([1.0, -1.0])
+        cm = np.block([[3.0 * eye, 2.0 * z], [2.0 * z, 3.0 * eye]])
+        state = write_json(tmp_path / "two.json", state_doc(cm, 1, 1))
+        ch = self.write_channel(tmp_path, 1e100 * eye, 2e200 * eye)
+        assert main(["channel", state, ch, "--compare-closed"]) == 0
+        out = capsys.readouterr().out
+        after = float(out.split("after: ")[1].split()[0])
+        closed = float(out.split("closed_form_after: ")[1].split()[0])
+        assert after == pytest.approx(0.284, abs=5e-4)
+        assert closed == pytest.approx(after, rel=1e-12)
+
     def test_invalid_channel_exits_one(self, capsys, ssts_file, tmp_path):
         ch = self.write_channel(tmp_path, 2.0 * np.eye(2), 0.1 * np.eye(2))
         assert main(["channel", ssts_file, ch]) == 1
@@ -678,10 +692,12 @@ class TestSweepCommand:
 
 
 #: Byte length and SHA-256 of the default `nfg oracle-check` stdout, with the
-#: Fock oracle's log k! from a running sum of log j and the one-mode and
-#: (1+1) formula values from the scalar LDL^T overlap: each within 3.5e-16
-#: relative of a 50-digit evaluation of the overlap formula.
-GOLDEN_ORACLE = (1395, "e114a6e6930cc60d41b75e106f6abbed7394230882662bbb0a1c05d7ded05bca")
+#: Fock oracle's log k! from a running sum of log j, its overlaps contracted
+#: from the stored expansions (each within 5e-16 relative of a 50-digit
+#: contraction of the same coefficients), and the one-mode and (1+1) formula
+#: values from the scalar LDL^T overlap: each within 3.5e-16 relative of a
+#: 50-digit evaluation of the overlap formula.
+GOLDEN_ORACLE = (1395, "4bee3d5c8520d71703374b99e5b4194acd05a885ef2cf59caaa44af01f3ebd43")
 
 
 class TestOracleCheckCommand:

@@ -732,9 +732,12 @@ class TestAfterChannelClosedForm:
 
     def test_noiseless_symplectic_channel_preserves_value(self, rng):
         # M = 0 with det K = 1: the measure is unchanged.  For K with an
-        # exactly representable unit determinant the reduction is bitwise.
+        # exactly representable unit determinant the reduction is bitwise,
+        # squeezers up to g = 1e150 included: there max|K|^2 = g^2 while
+        # det K = 1, so a scaling taken from max|K| alone would underflow n1.
         p, _, _ = standard_form(random_state(rng))
-        for k in (np.diag([2.0, 0.5]), np.array([[1.0, 0.3], [0.0, 1.0]])):
+        squeezers = [np.diag(k) for g in (1e80, 1e100, 1e150) for k in ([g, 1 / g], [1 / g, g])]
+        for k in (np.diag([2.0, 0.5]), np.array([[1.0, 0.3], [0.0, 1.0]]), *squeezers):
             ch = GaussianChannel(k, np.zeros((2, 2)))
             assert nfg_after_channel_closed_form(p, ch).value == nfg_closed_form(p).value
         ch = GaussianChannel(rotation(0.7), np.zeros((2, 2)))
@@ -797,6 +800,34 @@ class TestClosedFormScale:
         ):
             applied = check_monotonicity(state, ch).after
             direct = nfg_after_channel_closed_form(p, ch).value
+            assert direct == pytest.approx(applied, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "k, m",
+        [
+            ([1e100, 1e100], [2e200, 2e200]),
+            ([1e150, 1e150], [1e300, 1e300]),
+            ([1e-50, 1e-50], [1e50, 1e50]),
+            ([1e-100, 1e-100], [1e100, 1e100]),
+            ([1e-150, 1e-150], [1e150, 1e150]),
+            # A squeezer with noise on one quadrature: n1 and n3 are 1
+            # while max|K| sqrt(max|M|) is 1e300.
+            ([1e150, 1e-150], [1e300, 0.0]),
+            ([1e150, 1e-200], [1e300, 1e-300]),
+        ],
+    )
+    def test_extreme_channel_matches_apply_then_compute(self, k, m):
+        # K and M diagonal: (det K)^2 would overflow, or K and M underflow,
+        # without the channel's own power-of-two scaling.
+        eye, z = np.eye(2), np.diag([1.0, -1.0])
+        state = GaussianState(np.block([[3.0 * eye, 2.0 * z], [2.0 * z, 3.0 * eye]]), 1, 1)
+        p, _, _ = standard_form(state)
+        ch = GaussianChannel(np.diag(k), np.diag(m))
+        applied = check_monotonicity(state, ch).after
+        direct = nfg_after_channel_closed_form(p, ch).value
+        if applied == 0.0:
+            assert direct == 0.0
+        else:
             assert direct == pytest.approx(applied, rel=1e-12)
 
     @pytest.mark.parametrize("exponent", [1, 2, 300, 900])

@@ -16,7 +16,13 @@ from nfg.fock import (
     two_mode_squeezed_dm,
 )
 
-from helpers import dense, nfg_theta_objective, reference_adaptive_dm
+from helpers import (
+    dense,
+    dense_overlap,
+    literal_matrix,
+    nfg_theta_objective,
+    reference_adaptive_dm,
+)
 
 
 #: Cutoffs at which each builder's zero parameter must give the vacuum exactly:
@@ -46,13 +52,13 @@ class TestThermal:
     def test_zero_temperature_is_vacuum(self):
         for cutoff in ZERO_PARAMETER_CUTOFFS:
             dm = thermal_dm(0.0, cutoff=cutoff)
-            assert np.array_equal(dm.entries, vacuum_projector(cutoff))
+            assert np.array_equal(dense(dm), vacuum_projector(cutoff))
             assert dm.trace_deficit == 0.0
 
     def test_geometric_weights(self):
         dm = thermal_dm(1.0, cutoff=60)
         k = np.arange(60)
-        assert np.diag(dm.entries) == pytest.approx(0.5**(k + 1.0))
+        assert dm.entries == pytest.approx(0.5**(k + 1.0))
 
     def test_purity_of_unit_occupancy(self):
         dm = thermal_dm(1.0, cutoff=60)
@@ -68,7 +74,7 @@ class TestThermal:
     def test_adaptive_cutoff_meets_guard(self):
         dm = thermal_dm(3.0)
         assert dm.trace_deficit < 1e-10
-        assert dm.entries.shape == (dm.cutoff, dm.cutoff)
+        assert dm.entries.shape == (dm.cutoff,)
 
     def test_ceiling_reported(self):
         with pytest.raises(ValueError):
@@ -79,7 +85,7 @@ class TestCoherent:
     def test_zero_amplitude_is_vacuum(self):
         for cutoff in ZERO_PARAMETER_CUTOFFS:
             dm = coherent_dm(0.0, cutoff=cutoff)
-            assert np.array_equal(dm.entries, vacuum_projector(cutoff).astype(complex))
+            assert np.array_equal(dense(dm), vacuum_projector(cutoff).astype(complex))
             assert dm.trace_deficit == 0.0
 
     def test_overlap_with_vacuum(self):
@@ -94,19 +100,19 @@ class TestCoherent:
     def test_complex_amplitude_phases(self):
         dm = coherent_dm(1j, cutoff=30)
         # <1|rho|0> = alpha e^{-|alpha|^2}, pure imaginary for alpha = i
-        assert dm.entries[1, 0] == pytest.approx(1j * np.exp(-1.0), rel=1e-12)
+        assert dense(dm)[1, 0] == pytest.approx(1j * np.exp(-1.0), rel=1e-12)
 
 
 class TestSqueezed:
     def test_zero_squeezing_is_vacuum(self):
         for cutoff in ZERO_PARAMETER_CUTOFFS:
             dm = squeezed_vacuum_dm(0.0, cutoff=cutoff)
-            assert np.array_equal(dm.entries, vacuum_projector(cutoff))
+            assert np.array_equal(dense(dm), vacuum_projector(cutoff))
             assert dm.trace_deficit == 0.0
 
     def test_odd_levels_empty(self):
         dm = squeezed_vacuum_dm(0.8)
-        assert np.all(np.diag(dm.entries)[1::2] == 0.0)
+        assert np.all(dm.entries[1::2] == 0.0)
 
     def test_purity_one(self):
         dm = squeezed_vacuum_dm(1.0)
@@ -136,40 +142,72 @@ class TestTwoModeSqueezed:
         dm = two_mode_squeezed_dm(r, cutoff=30)
         reduced = np.einsum("ikjk->ij", dense(dm).reshape(30, 30, 30, 30))
         thermal = thermal_dm(np.sinh(r) ** 2, cutoff=30)
-        assert np.abs(reduced - thermal.entries).max() < 1e-12
+        assert np.abs(reduced - dense(thermal)).max() < 1e-12
 
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             two_mode_squeezed_dm(-1.0)
 
+    def test_strong_squeezing_converges_under_the_ceiling(self):
+        # r = 2 needs more than 160 pairs; the search stops at 320.
+        dm = two_mode_squeezed_dm(2.0)
+        assert dm.cutoff == 320
+        assert 0.0 < dm.trace_deficit <= 1e-10
+        assert overlap_fock(dm, dm) == pytest.approx(1.0, abs=2e-10)
 
-class TestSupportStorage:
-    @pytest.mark.parametrize("cutoff", [10, 24])
-    def test_overlap_matches_dense_contraction(self, cutoff):
-        rng = np.random.default_rng(cutoff)
-        # A hand-built state whose support only partly meets the |kk> pairs.
-        support = np.array([1, cutoff + 1, 3 * cutoff + 3, cutoff - 1])
-        g = rng.normal(size=(4, 4))
-        block = g @ g.T / np.trace(g @ g.T)
-        dms = [two_mode_squeezed_dm(r, cutoff) for r in (0.0, 0.1, 0.3)]
-        dms.append(FockDensityMatrix(cutoff, block, 0.0, support))
+
+def one_mode_states(cutoff: int) -> list[FockDensityMatrix]:
+    """Diagonal (thermal) and pure (coherent, complex and real, and squeezed)
+    one-mode states, with a vacuum of each family."""
+    return [
+        thermal_dm(0.0, cutoff),
+        thermal_dm(0.5, cutoff),
+        coherent_dm(0.0, cutoff),
+        coherent_dm(0.7 + 0.2j, cutoff),
+        coherent_dm(-0.4, cutoff),
+        squeezed_vacuum_dm(0.0, cutoff),
+        squeezed_vacuum_dm(0.3, cutoff),
+        squeezed_vacuum_dm(-0.5, cutoff),
+    ]
+
+
+def two_mode_states(cutoff: int) -> list[FockDensityMatrix]:
+    """Pure two-mode squeezed states, and a hand-built diagonal state on the
+    same pairs |kk>: the dephased two-mode squeezed vacuum."""
+    dms = [two_mode_squeezed_dm(r, cutoff) for r in (0.0, 0.1, 0.3)]
+    psi = two_mode_squeezed_dm(0.2, cutoff).entries
+    dms.append(FockDensityMatrix(cutoff, psi * psi, 0.0, pure=False, two_mode=True))
+    return dms
+
+
+class TestExpansionStorage:
+    @pytest.mark.parametrize(
+        "states, cutoff",
+        [(one_mode_states, 40), (one_mode_states, 80), (two_mode_states, 10), (two_mode_states, 24)],
+        ids=["one-40", "one-80", "two-10", "two-24"],
+    )
+    def test_overlap_matches_dense_contraction(self, states, cutoff):
+        # Every pair of kinds: pure and pure, pure and diagonal, diagonal and
+        # diagonal, within and across families.
+        dms = states(cutoff)
+        assert {dm.pure for dm in dms} == {True, False}
         for a in dms:
             for b in dms:
-                expected = np.einsum("ij,ji->", dense(a), dense(b))
-                assert abs(overlap_fock(a, b) - expected) <= 1e-15
+                assert abs(overlap_fock(a, b) - dense_overlap(a, b)) <= 1e-15
 
     @pytest.mark.parametrize("r, cutoff", [(0.3, 10), (0.3, 24), (1.0, None)])
-    def test_block_holds_cutoff_squared_entries(self, r, cutoff):
+    def test_two_mode_state_holds_cutoff_entries(self, r, cutoff):
         dm = two_mode_squeezed_dm(r, cutoff)
-        assert dm.entries.nbytes == dm.cutoff**2 * 8
-        assert np.array_equal(dm.support, np.arange(dm.cutoff) * (dm.cutoff + 1))
+        assert dm.pure and dm.two_mode
+        assert dm.entries.shape == (dm.cutoff,)
+        assert dm.entries.nbytes == dm.cutoff * 8
 
     @pytest.mark.parametrize("cutoff", [10, 24])
-    def test_full_against_support_stored_rejected(self, cutoff):
-        dm = two_mode_squeezed_dm(0.3, cutoff)
-        full = FockDensityMatrix(cutoff, dense(dm), dm.trace_deficit)
-        for a, b in ((full, dm), (dm, full), (thermal_dm(0.1, cutoff), dm)):
-            with pytest.raises(ValueError):
+    def test_one_mode_against_two_mode_rejected(self, cutoff):
+        two = two_mode_squeezed_dm(0.3, cutoff)
+        one = FockDensityMatrix(cutoff, two.entries, two.trace_deficit, pure=True)
+        for a, b in ((one, two), (two, one), (thermal_dm(0.1, cutoff), two)):
+            with pytest.raises(ValueError, match="one-mode state with a two-mode one"):
                 overlap_fock(a, b)
 
     def test_cutoff_mismatch_rejected(self):
@@ -184,10 +222,9 @@ class TestMeasureInFockBasis:
     @staticmethod
     def fock_objective(r: float, theta: float) -> float:
         rho = two_mode_squeezed_dm(r)
-        # exp(-i theta n_A) |kk> = exp(-i theta k) |kk>: same support.
-        phase = np.exp(-1j * theta * np.arange(rho.cutoff))
-        rotated = rho.entries * np.outer(phase, phase.conj())
-        rho_s = FockDensityMatrix(rho.cutoff, rotated, rho.trace_deficit, rho.support)
+        # exp(-i theta n_A) |kk> = exp(-i theta k) |kk>: still on the pairs.
+        rotated = rho.entries * np.exp(-1j * theta * np.arange(rho.cutoff))
+        rho_s = FockDensityMatrix(rho.cutoff, rotated, rho.trace_deficit, pure=True, two_mode=True)
         cross = overlap_fock(rho, rho_s)
         return 1.0 - cross**2 / (overlap_fock(rho, rho) * overlap_fock(rho_s, rho_s))
 
@@ -218,47 +255,16 @@ class TestMatrixInvariants:
         ],
         ids=["thermal", "coherent", "squeezed", "tmsv"],
     )
-    def test_hermitian_positive_unit_trace(self, dm):
-        assert np.abs(dm.entries - dm.entries.conj().T).max() < 1e-12
-        assert np.linalg.eigvalsh(dm.entries).min() > -1e-10
+    def test_hermitian_positive_unit_trace_frozen(self, dm):
+        matrix = dense(dm)
+        assert np.abs(matrix - matrix.conj().T).max() < 1e-12
+        assert np.linalg.eigvalsh(matrix).min() > -1e-10
         assert dm.trace_deficit >= 0.0
         assert dm.trace_deficit < 1e-10
-
-
-class TestFinalize:
-    @pytest.mark.parametrize(
-        "entries",
-        [
-            np.array([[0.5, 0.25, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]),
-            np.array([[0.5, 0.1 + 0.2j], [0.1 + 0.2j, 0.5]]),
-        ],
-        ids=["real", "complex"],
-    )
-    def test_non_hermitian_rejected_with_its_error(self, entries):
-        herm_err = np.abs(entries - entries.conj().T).max()
-        assert herm_err > 0.1
-        with pytest.raises(ValueError, match="non-Hermitian") as info:
-            fock._finalize(entries.shape[0], entries)
-        assert f"({herm_err:.3g})" in str(info.value)
-
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_freezes_the_entries_uncopied(self, dtype):
-        entries = np.diag([0.75, 0.25]).astype(dtype)
-        support = np.array([0, 3])
-        dm = fock._finalize(2, entries, support)
-        assert dm.entries is entries and dm.support is support
-        assert not dm.entries.flags.writeable and not dm.support.flags.writeable
-        assert dm.trace_deficit == 0.0
+        assert not dm.entries.flags.writeable
 
 
 class TestOverlapFock:
-    def test_non_hermitian_pair_rejected(self):
-        # tr(ab) = 1j: an overlap that is not real must raise, also under -O.
-        a = FockDensityMatrix(2, np.array([[1, 1j], [0, 0]]), 0.0)
-        b = FockDensityMatrix(2, np.array([[0, 0], [1, 0]]), 0.0)
-        with pytest.raises(ValueError, match="imaginary part 1"):
-            overlap_fock(a, b)
-
     def test_identical_pure_states(self):
         dm = coherent_dm(0.5, cutoff=30)
         assert overlap_fock(dm, dm) == pytest.approx(1.0, rel=1e-12)
@@ -309,6 +315,25 @@ class TestAgainstPhaseSpaceFormula:
                     quad = (delta.T * mpmath.inverse(m) * delta)[0]
                     expected = mpmath.exp(-quad / 2) / mpmath.sqrt(mpmath.det(m))
                     assert abs(row.cm_value - expected) <= 3.5e-16 * expected, row.label
+
+    def test_fock_values_match_50_digit_contractions(self):
+        # Each row's Fock value against the exact contraction of the
+        # coefficients it was computed from: |sum conj(psi) phi|^2, or
+        # sum p q over the diagonals, in 50 digits.
+        for family, pairs in fock._CASES.items():
+            for row, (x1, x2) in zip(oracle_rows([family]), pairs):
+                dms = [BUILDERS[family](x, row.cutoff) for x in (x1, x2)]
+                with mpmath.workdps(50):
+                    v1, v2 = ([mpmath.mpc(complex(z)) for z in dm.entries.tolist()] for dm in dms)
+                    if dms[0].pure and dms[1].pure:
+                        expected = abs(mpmath.fsum(mpmath.conj(a) * b for a, b in zip(v1, v2))) ** 2
+                    else:
+                        p, q = (
+                            [abs(z) ** 2 if dm.pure else mpmath.re(z) for z in v]
+                            for dm, v in zip(dms, (v1, v2))
+                        )
+                        expected = mpmath.fsum(a * b for a, b in zip(p, q))
+                    assert abs(row.fock_value - expected) <= 5e-16 * expected, row.label
 
     def test_family_subset(self):
         rows = oracle_rows(["thermal"])
@@ -379,15 +404,15 @@ class TestCutoffSearch:
         if isinstance(expected, str):
             assert got == expected
             return
+        # A two-mode state is compared on its |kk> block: its full matrix at
+        # cutoff 160 would take 5 GB.
         assert got.cutoff == expected.cutoff
-        assert got.entries.dtype == expected.entries.dtype
-        assert got.entries.shape == expected.entries.shape
-        assert got.entries.tobytes() == expected.entries.tobytes()
+        assert got.two_mode == (family == "tmsv")
+        matrix = literal_matrix(got)
+        assert matrix.dtype == expected.matrix.dtype
+        assert matrix.shape == expected.matrix.shape
+        assert matrix.tobytes() == expected.matrix.tobytes()
         assert got.trace_deficit == expected.trace_deficit
-        if expected.support is None:
-            assert got.support is None
-        else:
-            assert np.array_equal(got.support, expected.support)
 
     def test_grid_reaches_the_ceiling(self):
         ceiling_hits = [
@@ -398,37 +423,36 @@ class TestCutoffSearch:
         ]
         assert ceiling_hits == [
             ("thermal", 30.0), ("thermal", 100.0), ("thermal", 1e4),
-            ("squeezed", 2.0), ("tmsv", 2.0),
+            ("squeezed", 2.0),
         ]
 
 
 @pytest.fixture
-def finalize_cutoffs(monkeypatch):
-    """The cutoff of every matrix `fock._finalize` builds, for the rest of the test."""
+def stored_cutoffs(monkeypatch):
+    """The cutoff of every state `fock` stores, for the rest of the test."""
     cutoffs = []
-    original = fock._finalize
 
-    def counting(cutoff, *args):
+    def counting(cutoff, *args, **kwargs):
         cutoffs.append(cutoff)
-        return original(cutoff, *args)
+        return FockDensityMatrix(cutoff, *args, **kwargs)
 
-    monkeypatch.setattr(fock, "_finalize", counting)
+    monkeypatch.setattr(fock, "FockDensityMatrix", counting)
     return cutoffs
 
 
 class TestBuildCounts:
     @pytest.mark.parametrize("family", list(BUILDERS))
     @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
-    def test_adaptive_builder_builds_once(self, finalize_cutoffs, family, x):
+    def test_adaptive_builder_builds_once(self, stored_cutoffs, family, x):
         dm = BUILDERS[family](x)
-        assert finalize_cutoffs == [dm.cutoff]
+        assert stored_cutoffs == [dm.cutoff]
 
-    def test_ceiling_raises_before_any_build(self, finalize_cutoffs):
+    def test_ceiling_raises_before_any_build(self, stored_cutoffs):
         with pytest.raises(ValueError, match="ceiling 512"):
             thermal_dm(1e4)
-        assert finalize_cutoffs == []
+        assert stored_cutoffs == []
 
-    def test_oracle_rows_builds_only_kept_matrices(self, finalize_cutoffs):
+    def test_oracle_rows_builds_only_kept_states(self, stored_cutoffs):
         rows = oracle_rows()
-        assert len(finalize_cutoffs) == 20
+        assert len(stored_cutoffs) == 20
         assert [r.cutoff for r in rows] == ORACLE_CUTOFFS
