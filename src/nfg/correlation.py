@@ -130,7 +130,6 @@ from .states import (
     GaussianChannel,
     GaussianState,
     StandardFormParams,
-    _frozen,
     _spectrum_degenerate,
     apply_channel,
 )
@@ -169,7 +168,11 @@ class NfgResult:
 
 
 def _result(value: float, method: str, theta, lower_bound_only: bool = False) -> NfgResult:
-    return NfgResult(_clamp(value), method, _frozen(np.atleast_1d(theta)), lower_bound_only)
+    """The clamped result; ``theta`` is pi/2 or an array built by the caller,
+    which is frozen in place."""
+    theta = np.atleast_1d(theta)
+    theta.flags.writeable = False
+    return NfgResult(_clamp(value), method, theta, lower_bound_only)
 
 
 def _unit_scale(p: StandardFormParams) -> tuple[int, float, float, float, float]:
@@ -222,8 +225,9 @@ def nfg_closed_form(p: StandardFormParams) -> NfgResult:
 
 
 def _log1m(mu: float) -> float:
-    """log(1 - mu) for mu <= 1, with -inf at mu = 1: the clamp, no warning."""
-    return math.log1p(-mu) if mu < 1.0 else -math.inf
+    """log(1 - mu) for mu <= 1, with -inf at mu = 1: the clamp, no warning.
+    A NaN stays NaN, so `_clamp` refuses it."""
+    return -math.inf if mu >= 1.0 else math.log1p(-mu)
 
 
 def _measure(state: GaussianState) -> float:
@@ -289,7 +293,10 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
     is strictly larger than this rotation family, so the result is flagged
     ``lower_bound_only`` ("A spectrum degenerate", by the rule of
     `williamson`'s ``degeneracy_flag``).  The flag reads the spectrum from one
-    Hermitian eigensolve; no Williamson decomposition runs.  A product state
+    Hermitian eigensolve on A's Cholesky factor L_A; no Williamson
+    decomposition runs.  The flag and the correlation spectrum share L_A
+    (`states._spectrum_degenerate`), so a fresh state's A block is factored
+    once for both.  A product state
     (C = 0) is never flagged and its A block is not factorized: every
     stabilizer leaves it as it is, so its value, exactly 0, is the supremum
     over the whole stabilizer whatever A's spectrum.  The value is
@@ -300,9 +307,8 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
     if state.n_a < 1 or state.n_b < 1:
         raise ValueError("numeric search needs at least one mode on each side")
     theta = np.full(state.n_a, np.pi / 2)
-    ka = 2 * state.n_a
-    degenerate = state.cm[:ka, ka:].any() and _spectrum_degenerate(state.cm[:ka, :ka])
-    return _result(_measure(state), "numeric", theta, bool(degenerate))
+    degenerate = _spectrum_degenerate(state)
+    return _result(_measure(state), "numeric", theta, degenerate)
 
 
 def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) -> NfgResult:

@@ -41,7 +41,12 @@ _ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
 
 
 def _clamp(value: float) -> float:
-    return min(max(0.0, float(value)), _ONE_BELOW_1)  # max(0.0, -0.0) is +0.0
+    """``value`` clamped into [0, 1); a NaN, which max() would turn into 0.0
+    and so into an uncorrelated reading, raises `ValueError`."""
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError("the computed value is NaN (an overflow or invalid operation)")
+    return min(max(0.0, value), _ONE_BELOW_1)  # max(0.0, -0.0) is +0.0
 
 
 def _chol_logdet(m: np.ndarray):

@@ -77,7 +77,7 @@ def _as_square_even(m, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if m.shape[0] == 0 or m.shape[0] % 2 != 0:
         raise ValueError(f"{name} must have even positive dimension, got {m.shape[0]}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 
@@ -185,6 +185,26 @@ def _two_mode_spectrum(g: list[list[float]]) -> list[float]:
     return [min(low * low, 1.0), min(high * high, 1.0)]
 
 
+def _whitened_spectrum(g: np.ndarray, chol_a: np.ndarray) -> np.ndarray:
+    """The correlation spectrum of a covariance matrix ``g`` whose A block,
+    its first ``len(chol_a)`` rows, has the lower Cholesky factor ``chol_a``:
+    the squared singular values of W = L_A^{-1} C L_B^{-T}, ascending,
+    clipped at 1, padded in front with zeros to the size of B and read-only.
+
+    The generic case of `GaussianState._correlation_spectrum`, by two
+    triangular solves and one SVD.  It takes L_A rather than A so that
+    `_spectrum_degenerate`, which solves the same factor, can share it.
+    """
+    k = len(chol_a)
+    y = np.linalg.solve(chol_a, g[:k, k:])  # L_A^{-1} C
+    w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
+    sigma = np.linalg.svd(w_t, compute_uv=False)[::-1]  # W's, ascending
+    mu = np.zeros(len(g) - k)
+    mu[mu.size - sigma.size :] = np.minimum(sigma * sigma, 1.0)
+    mu.flags.writeable = False  # built here, so frozen in place, not copied
+    return mu
+
+
 def _max_abs(rows: list[list[float]]) -> float:
     """max|x| over the entries of a matrix given as nested lists."""
     return max(map(abs, itertools.chain.from_iterable(rows)))
@@ -192,11 +212,17 @@ def _max_abs(rows: list[list[float]]) -> float:
 
 def _symmetric_part(g: np.ndarray) -> tuple[bool, np.ndarray]:
     """``(symmetric, gs)``: whether ``g`` is symmetric within `DEFAULT_TOL`
-    relative to max(1, max|g|), and its symmetric part ``gs``."""
+    relative to max(1, max|g|), and its symmetric part ``gs``.
+
+    g is halved once: h - h^T and h + h^T are `_mid(g, -g.T)` and
+    `_mid(g, g.T)` bit for bit, as 0.5 (-x) = -(0.5 x) and adding -y is
+    subtracting y, subnormal halves included.
+    """
     scale = max(1.0, float(np.abs(g).max()))
+    h = 0.5 * g
     # half the asymmetry against half the tolerance: the same test, no overflow
-    symmetric = float(np.abs(_mid(g, -g.T)).max()) <= 0.5 * DEFAULT_TOL * scale
-    return symmetric, _mid(g, g.T)
+    symmetric = float(np.abs(h - h.T).max()) <= 0.5 * DEFAULT_TOL * scale
+    return symmetric, h + h.T
 
 
 def _symmetric_rows(rows: list[list[float]]) -> tuple[bool, list[list[float]]]:
@@ -476,7 +502,10 @@ class GaussianState:
         so mu are the eigenvalues of B^{-1} X, but W's conditioning is not
         squared.  A (1+1)-mode state takes the 2x2 case in closed form
         (`_two_mode_spectrum`); larger partitions take two triangular solves
-        and one SVD.  Only the lower triangles of A and B are read.  mu = 1
+        and one SVD (`_whitened_spectrum`).  `nfg_numeric`'s degeneracy flag
+        fills this slot from the Cholesky factor of A it has already taken
+        (`_spectrum_degenerate`), so that A is factored once.  Only the lower
+        triangles of A and B are read.  mu = 1
         means det(B - X) = 0, a pure state squeezed past double precision,
         and rounding can push it above 1, so mu is clipped at 1; the
         2 n_b - 2 n_a directions X cannot reach when n_a < n_b (rank
@@ -493,12 +522,7 @@ class GaussianState:
             return _frozen(np.zeros(2 * self.n_b))
         if self.n_a == self.n_b == 1:
             return _frozen(_two_mode_spectrum(g.tolist()))
-        y = np.linalg.solve(_cholesky(g[:k, :k]), g[:k, k:])  # L_A^{-1} C
-        w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
-        sigma = np.linalg.svd(w_t, compute_uv=False)[::-1]  # W's, ascending
-        mu = np.zeros(2 * self.n_b)
-        mu[mu.size - sigma.size :] = np.minimum(sigma * sigma, 1.0)
-        return _frozen(mu)
+        return _whitened_spectrum(g, _cholesky(g[:k, :k]))
 
 
 def blocks(state: GaussianState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -682,10 +706,9 @@ _DEGENERACY_TOL = 1e-8
 def _degenerate(nus: np.ndarray) -> bool:
     """True when two neighbours of the descending spectrum ``nus`` agree within
     `_DEGENERACY_TOL`, relative to the larger one or 1; never for a single
-    mode."""
-    return len(nus) > 1 and bool(
-        np.any(np.abs(np.diff(nus)) <= _DEGENERACY_TOL * np.maximum(nus[:-1], 1.0))
-    )
+    mode, nor for a NaN.  Scalar arithmetic on the n values."""
+    nus = nus.tolist()
+    return any(abs(y - x) <= _DEGENERACY_TOL * max(x, 1.0) for x, y in zip(nus, nus[1:]))
 
 
 def _symplectic_hermitian(chol: np.ndarray) -> np.ndarray:
@@ -698,16 +721,27 @@ def _symplectic_hermitian(chol: np.ndarray) -> np.ndarray:
     return 1j * (chol.T @ symplectic_form(chol.shape[0] // 2) @ chol)
 
 
-def _spectrum_degenerate(a: np.ndarray) -> bool:
-    """`williamson(a).degeneracy_flag` from the symplectic spectrum alone:
-    one eigensolve of `_symplectic_hermitian`, with no eigenvectors and no
-    symplectic S.  A single mode is never degenerate, so its block is not
-    factorized at all (it may be singular at double precision)."""
-    n = a.shape[0] // 2
-    if n == 1:
+def _spectrum_degenerate(state: GaussianState) -> bool:
+    """`nfg_numeric`'s ``lower_bound_only``: `williamson(A).degeneracy_flag`
+    of a correlated state's A block, from the symplectic spectrum alone.
+
+    One eigensolve of `_symplectic_hermitian`, with no eigenvectors and no
+    symplectic S.  The flag and the correlation spectrum share A's Cholesky
+    factor L_A: a state that has not computed its spectrum yet gets it here,
+    by `_whitened_spectrum` from the same L_A, into the slot of its cached
+    property, so the measure and the flag factor A once.  A single A mode is
+    never degenerate and a product state (C = 0) never flagged, so for those
+    the flag factorizes nothing (A may be singular at double precision).
+    """
+    n, k = state.n_a, 2 * state.n_a
+    g = state.cm
+    if n == 1 or not g[:k, k:].any():
         return False
-    h = _symplectic_hermitian(_cholesky(a))
-    return _degenerate(np.linalg.eigvalsh(h)[n:][::-1])
+    chol = _cholesky(g[:k, :k])
+    degenerate = _degenerate(np.linalg.eigvalsh(_symplectic_hermitian(chol))[n:][::-1])
+    if "_correlation_spectrum" not in vars(state):
+        vars(state)["_correlation_spectrum"] = _whitened_spectrum(g, chol)
+    return degenerate
 
 
 def williamson(gamma) -> WilliamsonDecomposition:

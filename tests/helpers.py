@@ -19,7 +19,7 @@ from nfg import (
 from nfg import fock
 from nfg.fock import FockDensityMatrix
 from nfg.overlap import _chol_logdet, _clamp
-from nfg.states import DEFAULT_TOL, _act_on_side, _mid
+from nfg.states import _DEGENERACY_TOL, DEFAULT_TOL, _act_on_side, _mid
 
 
 def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.4) -> np.ndarray:
@@ -397,6 +397,22 @@ def reference_verdict(g) -> tuple[np.ndarray, np.ndarray]:
     simon = (gs + 1j * symplectic_form(g.shape[-1] // 2)) * outer
     margin = np.where(screened, np.linalg.eigvalsh(simon)[..., 0] + DEFAULT_TOL, np.nan)
     return screened & (margin >= 0.0), margin
+
+
+def reference_symmetric_part(g: np.ndarray) -> tuple[bool, np.ndarray]:
+    """`nfg.states._symmetric_part` as two `_mid` calls, the expression the
+    library used before it halved g once: the rewrite must match its bits."""
+    scale = max(1.0, float(np.abs(g).max()))
+    symmetric = float(np.abs(_mid(g, -g.T)).max()) <= 0.5 * DEFAULT_TOL * scale
+    return symmetric, _mid(g, g.T)
+
+
+def reference_degenerate(nus: np.ndarray) -> bool:
+    """`nfg.states._degenerate` in NumPy, the expression the library used
+    before its scalar loop: the rewrite must decide alike, NaN included."""
+    return len(nus) > 1 and bool(
+        np.any(np.abs(np.diff(nus)) <= _DEGENERACY_TOL * np.maximum(nus[:-1], 1.0))
+    )
 
 
 def reference_channel_verdict(k: np.ndarray, m: np.ndarray) -> tuple[bool, float, float]:

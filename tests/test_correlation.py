@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -323,6 +324,52 @@ class TestUpperBound:
             assert bound >= nfg_numeric(state).value
 
 
+class TestNanIsRefused:
+    """A NaN in a measure raises `ValueError` instead of reading as an
+    uncorrelated 0 (max(0.0, nan) is 0.0): every `NfgResult`, bound,
+    monotonicity report and c_squared goes through `overlap._clamp`."""
+
+    @pytest.fixture
+    def nan_spectrum(self, monkeypatch):
+        def spectrum(state):
+            mu = np.zeros(2 * state.n_b)
+            mu[-1] = np.nan
+            return mu
+
+        monkeypatch.setattr(GaussianState, "_correlation_spectrum", property(spectrum))
+
+    @pytest.mark.parametrize(
+        "n_a, call",
+        [
+            (1, lambda s, ch: nfg_two_mode(s)),
+            (1, lambda s, ch: nfg_numeric(s)),
+            (2, lambda s, ch: nfg_numeric(s)),
+            (1, lambda s, ch: nfg_upper_bound(s)),
+            (2, lambda s, ch: nfg_upper_bound(s)),
+            (1, lambda s, ch: check_monotonicity(s, ch)),
+            (2, lambda s, ch: check_monotonicity(s, ch)),
+        ],
+    )
+    def test_spectrum_callers(self, rng, nan_spectrum, n_a, call):
+        state, ch = random_state(rng, n_a, 1), random_channel(rng)
+        with pytest.raises(ValueError, match="NaN"):
+            call(state, ch)
+
+    def test_c_squared(self, rng, monkeypatch):
+        # `nfg.overlap` is the function; the module is in sys.modules
+        overlap_module = sys.modules["nfg.overlap"]
+        monkeypatch.setattr(overlap_module, "fidelity_f", lambda rho, sigma: np.nan)
+        state = random_state(rng)
+        with pytest.raises(ValueError, match="NaN"):
+            c_squared(state, state)
+
+    def test_closed_form(self, rng, monkeypatch):
+        monkeypatch.setattr(nfg.correlation, "_standard_kernel", lambda *args: (np.nan,) * 5)
+        p, _, _ = standard_form(random_state(rng))
+        with pytest.raises(ValueError, match="NaN"):
+            nfg_closed_form(p)
+
+
 class TestCorrelationSpectrum:
     """The measure and its bound from the one spectrum a state keeps."""
 
@@ -461,6 +508,52 @@ class TestNumeric:
         monkeypatch.setattr(np.linalg, "eigh", refuse)  # no eigenvectors at all
         assert nfg_numeric(planted).lower_bound_only
         assert not nfg_numeric(generic).lower_bound_only
+
+    @pytest.mark.parametrize("n_b", [1, 2])
+    def test_one_cholesky_of_a_per_request(self, rng, monkeypatch, n_b):
+        # On a fresh correlated state the flag's factor of A also whitens C
+        # for the spectrum: A is factored, the flag solved, then C whitened,
+        # B factored and W decomposed.  The bound reads the kept spectrum.
+        state = random_state(rng, 2, n_b)
+        calls = linalg_calls(monkeypatch)
+        factored, cholesky = [], np.linalg.cholesky
+
+        def spy(m):
+            factored.append(m.copy())
+            return cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        nfg_numeric(state)
+        nfg_upper_bound(state)
+        assert calls == ["cholesky", "eigvalsh", "solve", "cholesky", "solve", "svd"]
+        a, b = state.cm[:4, :4], state.cm[4:, 4:]
+        assert [np.array_equal(f, a) for f in factored] == [True, False]
+        assert np.array_equal(factored[1], b)
+
+    def test_product_state_factors_nothing(self, rng, monkeypatch):
+        a, b = random_cm(rng, 2), random_cm(rng, 1)
+        state = GaussianState(la.block_diag(a, b), 2, 1)
+        calls = linalg_calls(monkeypatch)
+        nfg_numeric(state)
+        nfg_upper_bound(state)
+        assert calls == []
+
+    def test_single_a_mode_runs_no_flag_eigensolve(self, rng, monkeypatch):
+        state = random_state(rng, 1, 2)
+        calls = linalg_calls(monkeypatch)
+        nfg_numeric(state)
+        nfg_upper_bound(state)
+        assert calls == ["cholesky", "solve", "cholesky", "solve", "svd"]
+
+    def test_bound_alone_then_the_flag(self, rng, monkeypatch):
+        # The bound alone takes the spectrum's own factors; the flag is not
+        # kept, so a later nfg_numeric factors A again for it, and only that.
+        state = random_state(rng, 2, 1)
+        calls = linalg_calls(monkeypatch)
+        nfg_upper_bound(state)
+        assert calls == ["cholesky", "solve", "cholesky", "solve", "svd"]
+        nfg_numeric(state)
+        assert calls[5:] == ["cholesky", "eigvalsh"]
 
     def test_mean_independence(self, rng):
         state = ssts(SstsParams(1.0, 0.9)).displaced(rng.normal(size=4))

@@ -18,6 +18,7 @@ from nfg import (
     apply_gaussian_unitary,
     blocks,
     is_symplectic,
+    nfg_numeric,
     ssts,
     standard_form,
     state_from_params,
@@ -37,8 +38,11 @@ from helpers import (
     random_cm,
     random_state,
     random_symplectic,
+    planted_degenerate_state,
     reference_channel_verdict,
+    reference_degenerate,
     reference_standard_form,
+    reference_symmetric_part,
     reference_verdict,
     rotation,
     squeezed_product,
@@ -538,23 +542,27 @@ class TestGaussianState:
             mu[0] = 0.5
 
     def test_correlation_spectrum_under_concurrent_first_use(self, rng):
-        # Many threads ask fresh states for the spectrum at once; each must
-        # read the value a serial computation gives, bit for bit.
+        # Many threads ask fresh states for the spectrum at once, half of
+        # them through nfg_numeric, whose degeneracy flag fills the same
+        # slot; each must read the value a serial computation gives, bit for
+        # bit.
         cms = [random_cm(rng, 3) for _ in range(40)]
         expected = [GaussianState(g, 2, 1)._correlation_spectrum for g in cms]
         states = [GaussianState(g, 2, 1) for g in cms]
         mismatches, start = [], threading.Barrier(8)
 
-        def work():
+        def work(i):
             start.wait()
             for state, mu in zip(states, expected):
+                if i % 2:
+                    nfg_numeric(state)
                 if not np.array_equal(state._correlation_spectrum, mu):
                     mismatches.append(mu)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work) for _ in range(8)]
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -736,6 +744,94 @@ def _near_boundary_cms(rng, count):
 def _exact_det(a) -> Fraction:
     (p, q), (r, s) = [[Fraction(float(x)) for x in row] for row in a]
     return p * s - q * r
+
+
+def _asymmetric_draws(rng, n: int):
+    """2n x 2n matrices around the symmetry test and the scales `_mid`
+    guards: a random CM with one entry moved so that the asymmetry lies
+    just inside or outside `DEFAULT_TOL` of its scale, at unit scale,
+    near 1e300 and at the float maximum, and with subnormal entries."""
+    for _ in range(40):
+        g = random_cm(rng, n)
+        i, j = sorted(rng.choice(2 * n, 2, replace=False))
+        for scale in (1.0, 1e300 / np.abs(g).max(), 1.5e308 / np.abs(g).max()):
+            h = g * scale
+            for factor in (0.5, 1.0 - 1e-6, 1.0 - 4e-16, 1.0, 1.0 + 4e-16, 1.0 + 1e-6, 2.0):
+                moved = h.copy()
+                moved[i, j] += factor * nfg.states.DEFAULT_TOL * max(1.0, np.abs(h).max())
+                yield moved
+        sub = g.copy()
+        sub[i, j], sub[j, i] = 5e-324, 3e-320  # subnormal, and asymmetric
+        yield sub
+        yield g * 1e-310  # every entry subnormal
+
+
+def _spectrum_draws(rng, n: int):
+    """Descending n-value spectra: random, with planted equal pairs, pairs a
+    hair inside or outside `_DEGENERACY_TOL`, values below 1 (the max(nu, 1)
+    branch) and NaNs."""
+    for _ in range(200):
+        nus = np.sort(rng.uniform(0.2, 4.0, n))[::-1]
+        k = rng.integers(n - 1)
+        yield nus
+        for gap in (0.0, 1.0 - 1e-6, 1.0 + 1e-6):
+            planted = nus.copy()
+            planted[k + 1] = planted[k] - gap * 1e-8 * max(planted[k], 1.0)
+            yield planted
+        low = nus.copy()
+        # gaps within 1e-8 of 1 but not of 0.5: only max(nu, 1) matches them
+        low[k:] = 0.5 - 7e-9 * np.arange(n - k)
+        yield low
+        for count in (1, 2):
+            nan = nus.copy()
+            nan[rng.choice(n, count, replace=False)] = np.nan
+            yield nan
+
+
+class TestHelperRewritesKeepTheirBits:
+    """`_symmetric_part` halves g once and `_degenerate` runs in scalar
+    arithmetic; both must give what their NumPy expressions (kept in
+    `helpers`) give, bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_symmetric_part(self, rng, n):
+        outcomes = set()
+        for g in _asymmetric_draws(rng, n):
+            symmetric, gs = nfg.states._symmetric_part(g)
+            ref_symmetric, ref_gs = reference_symmetric_part(g)
+            assert symmetric == ref_symmetric
+            assert gs.tobytes() == ref_gs.tobytes()
+            outcomes.add(symmetric)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_degeneracy_rule(self, rng, n):
+        outcomes = set()
+        for nus in _spectrum_draws(rng, n):
+            flag = nfg.states._degenerate(nus)
+            assert flag is reference_degenerate(nus)
+            outcomes.add(flag)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "nus", [[np.nan, np.nan], [3.0, np.nan, 1.0], [np.nan, 2.0, 2.0 + 1e-3], [2.0]]
+    )
+    def test_nan_and_single_values_read_not_degenerate(self, nus):
+        assert not nfg.states._degenerate(np.array(nus))
+        assert not reference_degenerate(np.array(nus))
+
+    def test_williamson_flag_on_test_states(self, rng):
+        cms = [tmsv(0.5).cm, np.diag([3.0, 3.0, 2.0, 2.0]), 3.0 * np.eye(4), 5.0 * np.eye(2)]
+        for nus in [(1.0, 1.0), (2.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 1.5)]:
+            cms += [random_cm(rng, len(nus), nus=nus) for _ in range(10)]
+        cms += [random_cm(rng, n) for n in (1, 2, 3, 4) for _ in range(10)]
+        cms += [planted_degenerate_state(rng, 2, 2).cm[:4, :4] for _ in range(10)]
+        flags = set()
+        for g in cms:
+            dec = williamson(g)
+            assert dec.degeneracy_flag is reference_degenerate(dec.nus)
+            flags.add(dec.degeneracy_flag)
+        assert flags == {True, False}
 
 
 class TestScalarVerdict:
