@@ -509,12 +509,25 @@ class TestNumeric:
         assert nfg_numeric(planted).lower_bound_only
         assert not nfg_numeric(generic).lower_bound_only
 
-    @pytest.mark.parametrize("n_b", [1, 2])
-    def test_one_cholesky_of_a_per_request(self, rng, monkeypatch, n_b):
-        # On a fresh correlated state the flag's factor of A also whitens C
-        # for the spectrum: A is factored, the flag solved, then C whitened,
-        # B factored and W decomposed.  The bound reads the kept spectrum.
-        state = random_state(rng, 2, n_b)
+    @pytest.mark.parametrize(
+        "n_a, n_b, correlated, expected",
+        [
+            (2, 1, True, ["cholesky", "eigvalsh", "solve", "cholesky", "solve", "svd"]),
+            (2, 2, True, ["cholesky", "eigvalsh", "solve", "cholesky", "solve", "svd"]),
+            (2, 1, False, []),
+            (1, 2, True, ["cholesky", "solve", "cholesky", "solve", "svd"]),
+        ],
+    )
+    def test_one_cholesky_of_a_per_request(self, rng, monkeypatch, n_a, n_b, correlated, expected):
+        # nfg_numeric then nfg_upper_bound on a fresh state.  With n_a >= 2
+        # the flag's factor of A also whitens C: A is factored, the flag
+        # solved, C whitened, B factored and W decomposed, and the bound
+        # reads the kept spectrum.  A product state factors nothing, and a
+        # single A mode runs no flag eigensolve.
+        if correlated:
+            state = random_state(rng, n_a, n_b)
+        else:
+            state = GaussianState(la.block_diag(random_cm(rng, n_a), random_cm(rng, n_b)), n_a, n_b)
         calls = linalg_calls(monkeypatch)
         factored, cholesky = [], np.linalg.cholesky
 
@@ -525,25 +538,10 @@ class TestNumeric:
         monkeypatch.setattr(np.linalg, "cholesky", spy)
         nfg_numeric(state)
         nfg_upper_bound(state)
-        assert calls == ["cholesky", "eigvalsh", "solve", "cholesky", "solve", "svd"]
-        a, b = state.cm[:4, :4], state.cm[4:, 4:]
-        assert [np.array_equal(f, a) for f in factored] == [True, False]
-        assert np.array_equal(factored[1], b)
-
-    def test_product_state_factors_nothing(self, rng, monkeypatch):
-        a, b = random_cm(rng, 2), random_cm(rng, 1)
-        state = GaussianState(la.block_diag(a, b), 2, 1)
-        calls = linalg_calls(monkeypatch)
-        nfg_numeric(state)
-        nfg_upper_bound(state)
-        assert calls == []
-
-    def test_single_a_mode_runs_no_flag_eigensolve(self, rng, monkeypatch):
-        state = random_state(rng, 1, 2)
-        calls = linalg_calls(monkeypatch)
-        nfg_numeric(state)
-        nfg_upper_bound(state)
-        assert calls == ["cholesky", "solve", "cholesky", "solve", "svd"]
+        assert calls == expected
+        ka = 2 * n_a
+        a, b = state.cm[:ka, :ka].tolist(), state.cm[ka:, ka:].tolist()
+        assert [f.tolist() for f in factored] == ([a, b] if correlated else [])
 
     def test_bound_alone_then_the_flag(self, rng, monkeypatch):
         # The bound alone takes the spectrum's own factors; the flag is not
