@@ -24,6 +24,9 @@ State file::
      "cm": [<row-major 2(n_a+n_b) x 2(n_a+n_b) floats>],
      "mean": [<optional, defaults to zeros>]}
 
+``n_a`` and ``n_b`` must be JSON integers: 1.0, true or "1" is a parse
+failure.
+
 Channel file::
 
     {"schema_version": "1",
@@ -109,10 +112,10 @@ def _vector(doc: dict, key: str, length: int, path: str) -> np.ndarray:
 
 def _parse_state_raw(path: str) -> tuple[int, int, np.ndarray, np.ndarray]:
     doc = _read_json(path)
-    try:
-        n_a, n_b = int(doc["n_a"]), int(doc["n_b"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: fields 'n_a' and 'n_b' must be integers") from exc
+    n_a, n_b = doc.get("n_a"), doc.get("n_b")
+    # a JSON integer only: int() would take 1.9, true or "1" too
+    if not all(type(n) is int for n in (n_a, n_b)):
+        raise ParseError(f"{path}: fields 'n_a' and 'n_b' must be integers")
     if n_a < 0 or n_b < 0 or n_a + n_b < 1:
         raise ParseError(f"{path}: need n_a, n_b >= 0 with at least one mode")
     cm = _matrix(doc, "cm", path)

@@ -271,13 +271,12 @@ class OptimizerConfig:
     """Settings of a numeric supremum search; `nfg_numeric` ignores them.
 
     The supremum has a closed form, so no search runs.  The class and its
-    fields are kept so callers that build one keep working.
+    three fields are kept for the callers that still build one.
     """
 
     grid_points: int = 33
     refine_iters: int = 60
     restarts: int = 4
-    seed: int = 0
 
 
 def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> NfgResult:

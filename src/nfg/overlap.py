@@ -9,9 +9,9 @@ trace overlap has the closed form
 with delta = d1 - d2.  All determinants are evaluated in log space through a
 Cholesky factorization, so the routines stay finite well past the point where
 det would overflow, and purity (the self overlap) reuses the same code path
-bit for bit.  Up to 4 x 4, one-mode and (1+1)-mode states, the factorization
-is `nfg.states._ldl`, the scalar LDL^T that also decides the Simon verdict,
-so these overlaps run no `np.linalg` call; larger ones take NumPy's Cholesky.
+bit for bit.  At every size the factorization is `nfg.states._ldl`, the
+scalar LDL^T that also decides the Simon verdict, so no overlap runs an
+`np.linalg` call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _SCALAR_DIM, GaussianState, _cholesky, _ldl, _mid, _singular
+from .states import GaussianState, _ldl, _mid, _singular
 
 __all__ = ["OverlapResult", "c_squared", "fidelity_f", "overlap", "purity"]
 
@@ -49,37 +49,17 @@ def _clamp(value: float) -> float:
     return min(max(0.0, value), _ONE_BELOW_1)  # max(0.0, -0.0) is +0.0
 
 
-def _chol_logdet(m: np.ndarray):
-    """Lower Cholesky factor L of a symmetric PD matrix and its log-determinant,
-    2 sum log diag(L).
-
-    The matrices passed here are physical covariance matrices or means of
-    two; one singular at double precision raises `_cholesky`'s `ValueError`.
-    """
-    chol = _cholesky(_mid(m, m.T))
-    return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
 def _log_overlap(v1, d1, v2, d2) -> float:
     """log tr(rho1 rho2) from the covariance matrices and means (arrays).
 
-    Up to `_SCALAR_DIM` rows it factors the lower triangle of the
-    `_chol_logdet` matrix, with its roundings, by `_ldl` in float arithmetic:
-    log det is the sum of the log pivots, and delta^T mid^{-1} delta the sum
-    of z_i^2 / d_i with L z = delta by forward substitution.  A pivot that
-    is not > 0 raises `_singular`'s `ValueError`, as `_cholesky` does.
+    It factors the symmetric part of mid = (V1 + V2)/2 by `_ldl` in float
+    arithmetic: log det is the sum of the log pivots, and delta^T mid^{-1}
+    delta the sum of z_i^2 / d_i with L z = delta by forward substitution.
+    A pivot that is not > 0, a matrix singular at double precision, raises
+    `_singular`'s `ValueError`.
     """
-    if len(v1) > _SCALAR_DIM:
-        chol, logdet = _chol_logdet(_mid(v1, v2))
-        log = -0.5 * logdet
-        delta = d1 - d2
-        if delta.any():
-            z = np.linalg.solve(chol, delta)  # delta^T mid^{-1} delta = z.z
-            log -= 0.5 * float(z @ z)
-        return log
-    m = [[_mid(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(v1.tolist(), v2.tolist())]
-    triangle = [[_mid(x, m[j][i]) for j, x in enumerate(row[: i + 1])] for i, row in enumerate(m)]
-    factor = _ldl(triangle, 0.0)
+    m = _mid(v1, v2)
+    factor = _ldl(_mid(m, m.T).tolist(), 0.0)
     if factor is None:
         raise _singular()
     lower, pivots = factor

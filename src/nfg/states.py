@@ -18,8 +18,8 @@ Conventions used throughout the package:
   (1+1)-mode states and the maps of up to two modes, whether the matrix
   plus its allowance times I has a Cholesky factor, in scalar arithmetic;
   beyond, its smallest eigenvalue.  A one-mode unitary is checked as
-  |det S - 1|.  The same scalar factorization, `_ldl`, gives the overlaps
-  of `nfg.overlap` up to 4 x 4 their determinant and mean term.
+  |det S - 1|.  The same scalar factorization, `_ldl`, gives every overlap
+  of `nfg.overlap` its determinant and mean term, at any size.
 """
 
 from __future__ import annotations
@@ -40,10 +40,8 @@ __all__ = [
     "WilliamsonDecomposition",
     "apply_channel",
     "apply_gaussian_unitary",
-    "blocks",
     "is_symplectic",
     "standard_form",
-    "state_from_params",
     "symplectic_form",
     "validate_cm",
     "williamson",
@@ -169,19 +167,31 @@ def _whiten(g: list[list[float]]) -> tuple[tuple, tuple, tuple]:
     return l_a, l_b, (w00, w01, w10, w11)
 
 
+def _svd_2x2(w: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """``(p, q, u, v)`` for a 2x2 W = ``(w00, w01, w10, w11)``, in scalar
+    arithmetic: with e, f = (w00 +- w11)/2 and g, h = (w10 +- w01)/2,
+    p = |(e, h)|, q = |(f, g)|, u = atan2(h, e) and v = atan2(g, f).
+
+    W = R(phi) diag(p + q, p - q) R(theta) with phi, theta = (u +- v)/2 and
+    R(t) = [[cos t, -sin t], [sin t, cos t]], so W's singular values are
+    p + q and |p - q|, and p - q carries the sign of det W.  The correlation
+    spectrum and the standard form both read them here.
+    """
+    w00, w01, w10, w11 = w
+    e, f, g, h = 0.5 * (w00 + w11), 0.5 * (w00 - w11), 0.5 * (w10 + w01), 0.5 * (w10 - w01)
+    return math.hypot(e, h), math.hypot(f, g), math.atan2(h, e), math.atan2(g, f)
+
+
 def _two_mode_spectrum(g: list[list[float]]) -> list[float]:
     """The correlation spectrum of a (1+1)-mode covariance matrix ``g``
     (nested lists), ascending and clipped at 1, in scalar arithmetic.
 
     The 2x2 case of `GaussianState._correlation_spectrum`: mu are the
-    squared singular values of the `_whiten` matrix W = L_A^{-1} C L_B^{-T},
-    and for a 2x2 W those are (p +- q)/2 with p = |(w00 + w11, w01 - w10)|
-    and q = |(w00 - w11, w01 + w10)|, so no LAPACK call runs.
+    squared singular values p +- q (`_svd_2x2`) of the `_whiten` matrix
+    W = L_A^{-1} C L_B^{-T}, so no LAPACK call runs.
     """
-    _, _, (w00, w01, w10, w11) = _whiten(g)
-    p = math.hypot(w00 + w11, w01 - w10)
-    q = math.hypot(w00 - w11, w01 + w10)
-    low, high = 0.5 * (p - q), 0.5 * (p + q)
+    p, q, _, _ = _svd_2x2(_whiten(g)[2])
+    low, high = p - q, p + q
     return [min(low * low, 1.0), min(high * high, 1.0)]
 
 
@@ -259,12 +269,12 @@ def _allowance(scale: float) -> float:
     return max(DEFAULT_TOL, _ROUNDING * scale)
 
 
-#: Largest matrix, in rows, that `_semidefinite` tests and `nfg.overlap`
-#: factors by `_ldl`: (1+1)-mode states and maps of up to two modes, the
-#: cut `_two_mode_spectrum` makes.  From 6 x 6 on NumPy's eigensolve is the
-#: faster: 7.7 against 10.6 us at 6 x 6, 9.8 against 20 us at 8 x 8, on a
-#: 2-vCPU Intel Xeon host, while at 4 x 4 the factorization takes 4.6 us
-#: and the eigensolve 6.1 us before the array it needs is built.
+#: Largest matrix, in rows, that `_semidefinite` tests by `_ldl`: (1+1)-mode
+#: states and maps of up to two modes, the cut `_two_mode_spectrum` makes.
+#: From 6 x 6 on NumPy's eigensolve is the faster: 7.7 against 10.6 us at
+#: 6 x 6, 9.8 against 20 us at 8 x 8, on a 2-vCPU Intel Xeon host, while at
+#: 4 x 4 the factorization takes 4.6 us and the eigensolve 6.1 us before the
+#: array it needs is built.
 _SCALAR_DIM = 4
 
 
@@ -274,8 +284,9 @@ def _ldl(h, shift: float) -> tuple[list[list], list[float]] | None:
     ``(conj_lower, pivots)``, the rows of conj(L) left of L's unit diagonal
     and the diagonal of D, or None at the first pivot that is not > 0 (a NaN
     included).  It runs by rows in Python scalar arithmetic, complex for a
-    complex ``h`` and float for a real one.  `_semidefinite` and the
-    overlaps of `nfg.overlap` up to `_SCALAR_DIM` rows both factor here.
+    complex ``h`` and float for a real one.  `_semidefinite`, up to
+    `_SCALAR_DIM` rows, and the overlaps of `nfg.overlap`, at every size,
+    both factor here.
     """
     conj_lower, pivots = [], []
     for i, row in enumerate(h):
@@ -484,14 +495,6 @@ class GaussianState:
         object.__setattr__(self, "cm", _frozen(g))
         object.__setattr__(self, "mean", _frozen(mean))
 
-    @property
-    def n_modes(self) -> int:
-        return self.n_a + self.n_b
-
-    def displaced(self, shift) -> "GaussianState":
-        """Same state with the mean shifted by `shift`."""
-        return GaussianState(self.cm, self.n_a, self.n_b, self.mean + np.asarray(shift, float))
-
     @cached_property
     def _correlation_spectrum(self) -> np.ndarray:
         """mu, the squared canonical correlations between A and B, ascending.
@@ -523,17 +526,6 @@ class GaussianState:
         if self.n_a == self.n_b == 1:
             return _frozen(_two_mode_spectrum(g.tolist()))
         return _whitened_spectrum(g, _cholesky(g[:k, :k]))
-
-
-def blocks(state: GaussianState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return copies of the (A, B, C) blocks of the covariance matrix.
-
-    A and B are the covariance matrices of the reduced states on the two
-    subsystems; C holds the cross correlations.
-    """
-    k = 2 * state.n_a
-    g = state.cm
-    return g[:k, :k].copy(), g[k:, k:].copy(), g[:k, k:].copy()
 
 
 @dataclass(frozen=True)
@@ -600,19 +592,14 @@ def _map_side(
     return GaussianState(g, state.n_a, state.n_b, mean)
 
 
-def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str = "global") -> GaussianState:
-    """Apply a Gaussian unitary to side "A" or "B" of the partition, or globally.
+def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str) -> GaussianState:
+    """Apply a Gaussian unitary to side "A" or "B" of the partition.
 
-    For one side the other block of the covariance matrix is carried over
-    untouched (bit for bit).  The output goes through the `GaussianState`
-    constructor, so its Simon verdict is checked again.
+    The other block of the covariance matrix is carried over untouched (bit
+    for bit).  The output goes through the `GaussianState` constructor, so
+    its Simon verdict is checked again.
     """
-    s, m = u.s, u.m
-    if side != "global":
-        return _map_side(state, side, s, m)
-    if s.shape[0] != state.cm.shape[0]:
-        raise ValueError("unitary dimension does not match the state")
-    return GaussianState(s @ state.cm @ s.T, state.n_a, state.n_b, s @ state.mean + m)
+    return _map_side(state, side, u.s, u.m)
 
 
 def _complete_positivity_matrix(k: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -816,11 +803,6 @@ def _standard_cm(a: float, b: float, c: float, d: float) -> np.ndarray:
     )
 
 
-def state_from_params(p: StandardFormParams) -> GaussianState:
-    """Build the zero-mean (1+1)-mode state with the standard-form CM of `p`."""
-    return GaussianState(_standard_cm(p.a, p.b, p.c, p.d), 1, 1)
-
-
 def _local_frame(l: tuple[float, float, float, float], angle: float) -> np.ndarray:
     """R(angle) s for the `_cholesky_2x2` result ``l`` of a one-mode block,
     with s = sqrt(l00 l11) L^{-1} and R(t) = [[cos t, -sin t], [sin t, cos t]].
@@ -847,10 +829,8 @@ def standard_form(state: GaussianState) -> tuple[StandardFormParams, np.ndarray,
     is symplectic with s A s^T = a I; B gives b likewise.  The cross block
     becomes sqrt(ab) W with W = L_A^{-1} C L_B^{-T}, the matrix whose
     singular values give the correlation spectrum.  Its SVD with both
-    factors in SO(2) is W = R(phi) diag(sigma_+, sigma_-') R(theta): with
-    e, f = (w00 +- w11)/2 and g, h = (w10 +- w01)/2, sigma_+ and
-    sigma_-' are |(e, h)| +- |(f, g)|, and phi, theta = (atan2(h, e) +-
-    atan2(g, f))/2.  So c = sqrt(ab) sigma_+ >= |d|, d = sqrt(ab) sigma_-'
+    factors in SO(2) is W = R(phi) diag(p + q, p - q) R(theta), from
+    `_svd_2x2`.  So c = sqrt(ab) (p + q) >= |d|, d = sqrt(ab) (p - q)
     carries the sign of det C, and the frames are R(phi)^T s_a and
     R(theta) s_b.  An input already in standard form (A = a I, B = b I,
     C = diag(c, d) with c >= |d|) comes back as it is, with exactly identity
@@ -864,10 +844,8 @@ def standard_form(state: GaussianState) -> tuple[StandardFormParams, np.ndarray,
     (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = cm
     if a01 == b01 == c01 == c10 == 0.0 and a00 == a11 and b00 == b11 and c00 >= abs(c11):
         return StandardFormParams(a00, b00, c00, c11), np.eye(2), np.eye(2)
-    l_a, l_b, (w00, w01, w10, w11) = _whiten(cm)
-    e, f, g, h = 0.5 * (w00 + w11), 0.5 * (w00 - w11), 0.5 * (w10 + w01), 0.5 * (w10 - w01)
-    p, q = math.hypot(e, h), math.hypot(f, g)
-    u, v = math.atan2(h, e), math.atan2(g, f)
+    l_a, l_b, w = _whiten(cm)
+    p, q, u, v = _svd_2x2(w)
     a, b = math.sqrt(l_a[3]), math.sqrt(l_b[3])
     root = math.sqrt(a * b)
     params = StandardFormParams(a, b, root * (p + q), root * (p - q))

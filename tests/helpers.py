@@ -18,8 +18,8 @@ from nfg import (
 )
 from nfg import fock
 from nfg.fock import FockDensityMatrix
-from nfg.overlap import _chol_logdet, _clamp
-from nfg.states import _DEGENERACY_TOL, DEFAULT_TOL, _act_on_side, _mid
+from nfg.overlap import _clamp
+from nfg.states import _DEGENERACY_TOL, DEFAULT_TOL, _act_on_side, _cholesky, _mid
 
 
 def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.4) -> np.ndarray:
@@ -85,6 +85,20 @@ def through_thermal_dilation(
     s = la.block_diag(np.eye(ka), s_be)
     out = (s @ la.block_diag(state.cm, env) @ s.T)[: ka + kb, : ka + kb]
     return GaussianState(0.5 * (out + out.T), state.n_a, state.n_b)
+
+
+def standard_state(p: StandardFormParams) -> GaussianState:
+    """The zero-mean (1+1)-mode state with the standard-form covariance
+    matrix [[a I, diag(c, d)], [diag(c, d), b I]] of ``p``, written out."""
+    a, b, c, d = p.a, p.b, p.c, p.d
+    cm = [[a, 0.0, c, 0.0], [0.0, a, 0.0, d], [c, 0.0, b, 0.0], [0.0, d, 0.0, b]]
+    return GaussianState(np.array(cm), 1, 1)
+
+
+def apply_global(state: GaussianState, u: GaussianUnitary) -> GaussianState:
+    """``state`` after the Gaussian unitary ``u`` on all of its modes:
+    Gamma -> S Gamma S^T and d -> S d + m, with the partition kept."""
+    return GaussianState(u.s @ state.cm @ u.s.T, state.n_a, state.n_b, u.s @ state.mean + u.m)
 
 
 def literal_matrix(dm: FockDensityMatrix) -> np.ndarray:
@@ -206,6 +220,15 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+def chol_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor L of the symmetric part of ``m`` and its
+    log-determinant, 2 sum log diag(L), by NumPy's Cholesky: the path
+    `nfg.overlap` took above 4 x 4 before it ran `_ldl` at every size.  A
+    matrix singular at double precision raises `_singular`'s `ValueError`."""
+    chol = _cholesky(_mid(m, m.T))
+    return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
 def nfg_theta_objective(state: GaussianState, theta: float) -> float:
     """Objective 1 - sqrt(det G det G_S)/det((G+G_S)/2) at rotation angle theta.
 
@@ -224,14 +247,14 @@ def nfg_theta_objective(state: GaussianState, theta: float) -> float:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     g = state.cm
     gs = _act_on_side(g, 2, "A", rotation(theta))
-    return _clamp(-float(np.expm1(_chol_logdet(g)[1] - _chol_logdet(_mid(g, gs))[1])))
+    return _clamp(-float(np.expm1(chol_logdet(g)[1] - chol_logdet(_mid(g, gs))[1])))
 
 
 def reference_log_overlap(rho: GaussianState, sigma: GaussianState) -> float:
-    """Independent check of the scalar overlap: log tr(rho sigma) by the
-    NumPy Cholesky path `nfg.overlap` takes above 4 x 4 (`_chol_logdet`,
-    then a triangular solve for the mean term), at every size."""
-    chol, logdet = _chol_logdet(_mid(rho.cm, sigma.cm))
+    """Independent check of the scalar overlap: log tr(rho sigma) by NumPy's
+    Cholesky (`chol_logdet`, then a triangular solve for the mean term), at
+    every size."""
+    chol, logdet = chol_logdet(_mid(rho.cm, sigma.cm))
     log = -0.5 * logdet
     delta = rho.mean - sigma.mean
     if delta.any():

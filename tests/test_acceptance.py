@@ -37,14 +37,13 @@ from nfg import (
     q_ssts,
     ssts,
     standard_form,
-    state_from_params,
     sweep,
     tmsv,
 )
 from nfg.fock import oracle_rows
 
 from conftest import seed
-from helpers import random_channel, random_state, random_symplectic
+from helpers import random_channel, random_state, random_symplectic, standard_state
 
 
 @pytest.fixture
@@ -241,7 +240,7 @@ class TestCriterion08ZeroIffProduct:
             ua = GaussianUnitary(random_symplectic(rng, 1))
             ub = GaussianUnitary(random_symplectic(rng, 1))
             scrambled = apply_gaussian_unitary(
-                apply_gaussian_unitary(state_from_params(p), ua, "A"), ub, "B"
+                apply_gaussian_unitary(standard_state(p), ua, "A"), ub, "B"
             )
             smallest = min(smallest, nfg_two_mode(scrambled).value)
         ok = products_exact and smallest > 0.0

@@ -445,6 +445,19 @@ class TestNfgCommand:
         assert main(["nfg", path]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "n_a, n_b", [(1.9, 1), (1, True), ("1", 1), (1.0, 1), (None, 1)], ids=repr
+    )
+    @pytest.mark.parametrize("command", ["nfg", "validate"])
+    def test_mode_counts_must_be_json_integers(self, capsys, tmp_path, command, n_a, n_b):
+        # int() would read 1.9 as 1 and true as 1, and print a value.
+        cm = ssts(SstsParams(49.0, 0.9)).cm
+        path = write_json(tmp_path / "n.json", state_doc(cm, n_a, n_b))
+        assert main([command, path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "fields 'n_a' and 'n_b' must be integers" in err
+
 
 class TestChannelCommand:
     def write_channel(self, tmp_path, k, m, d_bar=None):

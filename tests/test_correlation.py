@@ -28,13 +28,13 @@ from nfg import (
     nfg_upper_bound,
     ssts,
     standard_form,
-    state_from_params,
     symplectic_form,
     tmsv,
     williamson,
 )
 
 from helpers import (
+    apply_global,
     brute_force_nfg,
     dilation_channel,
     haar_unitary,
@@ -50,6 +50,7 @@ from helpers import (
     rotation,
     squeezed_block,
     squeezed_product,
+    standard_state,
     stream_shaped_state,
     through_thermal_dilation,
 )
@@ -112,12 +113,12 @@ class TestThetaObjective:
     def test_zero_angle_is_exact_zero(self, rng):
         state = random_state(rng)
         params, _, _ = standard_form(state)
-        assert nfg_theta_objective(state_from_params(params), 0.0) == 0.0
+        assert nfg_theta_objective(standard_state(params), 0.0) == 0.0
 
     def test_endpoint_matches_closed_form(self, rng):
         for _ in range(10):
             params, _, _ = standard_form(random_state(rng))
-            state = state_from_params(params)
+            state = standard_state(params)
             assert nfg_theta_objective(state, np.pi / 2) == pytest.approx(
                 nfg_closed_form(params).value, abs=1e-12
             )
@@ -125,7 +126,7 @@ class TestThetaObjective:
     def test_matches_parameter_expression(self, rng):
         for _ in range(10):
             p, _, _ = standard_form(random_state(rng))
-            state = state_from_params(p)
+            state = standard_state(p)
             theta = rng.uniform(0.0, np.pi / 2)
             n0 = (1.0 + np.cos(theta)) / 2.0
             ab, c2, d2 = p.a * p.b, p.c**2, p.d**2
@@ -135,7 +136,7 @@ class TestThetaObjective:
     def test_nondecreasing_on_grid(self, rng):
         for _ in range(5):
             params, _, _ = standard_form(random_state(rng))
-            state = state_from_params(params)
+            state = standard_state(params)
             vals = [nfg_theta_objective(state, t) for t in np.linspace(0.0, np.pi / 2, 100)]
             assert np.all(np.diff(vals) >= -1e-12)
 
@@ -168,7 +169,7 @@ class TestTwoMode:
         state = ssts(SstsParams(1.0, 0.5))
         base = nfg_two_mode(state).value
         for _ in range(5):
-            moved = state.displaced(10.0 * rng.normal(size=4))
+            moved = GaussianState(state.cm, 1, 1, 10.0 * rng.normal(size=4))
             assert nfg_two_mode(moved).value == pytest.approx(base, abs=1e-12)
 
     def test_local_unitary_invariance(self, rng):
@@ -179,7 +180,7 @@ class TestTwoMode:
                 la.block_diag(random_symplectic(rng, 1), random_symplectic(rng, 1))
             )
             assert nfg_two_mode(
-                apply_gaussian_unitary(state, u, "global")
+                apply_global(state, u)
             ).value == pytest.approx(base, abs=1e-9)
 
     def test_wrong_partition_rejected(self):
@@ -195,7 +196,7 @@ class TestTwoMode:
             u = GaussianUnitary(
                 la.block_diag(random_symplectic(rng, 1), random_symplectic(rng, 1))
             )
-            states.append(apply_gaussian_unitary(state_from_params(p), u, "global"))
+            states.append(apply_global(standard_state(p), u))
         states += [ssts(SstsParams(1e13, mu)) for mu in np.linspace(0.0, 1.0, 10)]
         for state in states:
             expected = nfg_closed_form(standard_form(state)[0]).value
@@ -218,7 +219,7 @@ class TestZeroIffProduct:
             u = GaussianUnitary(
                 la.block_diag(random_symplectic(rng, 1), random_symplectic(rng, 1))
             )
-            state = apply_gaussian_unitary(state_from_params(params), u, "global")
+            state = apply_global(standard_state(params), u)
             assert nfg_two_mode(state).value >= 1e-14
 
 
@@ -307,7 +308,7 @@ class TestUpperBound:
         # which has no cancellation.  A difference of log-determinants loses
         # every digit here and falls to 0, below the measure itself.
         a, b, d = 3.0, 2.0, -c / 2
-        state = state_from_params(StandardFormParams(a, b, c, d))
+        state = standard_state(StandardFormParams(a, b, c, d))
         exact = (a * b * (c * c + d * d) - c * c * d * d) / (a * b) ** 2
         bound = nfg_upper_bound(state)
         assert bound == pytest.approx(exact, rel=1e-12, abs=0.0)
@@ -394,7 +395,7 @@ class TestCorrelationSpectrum:
 
     @pytest.mark.parametrize("c", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
     def test_weak_correlations_match_high_precision_reference(self, c):
-        state = state_from_params(StandardFormParams(3.0, 2.0, c, -c / 2))
+        state = standard_state(StandardFormParams(3.0, 2.0, c, -c / 2))
         value, bound = reference_values(state)
         assert nfg_two_mode(state).value == pytest.approx(value, rel=1e-15, abs=0.0)
         assert nfg_upper_bound(state) == pytest.approx(bound, rel=1e-15, abs=0.0)
@@ -554,7 +555,7 @@ class TestNumeric:
         assert calls[5:] == ["cholesky", "eigvalsh"]
 
     def test_mean_independence(self, rng):
-        state = ssts(SstsParams(1.0, 0.9)).displaced(rng.normal(size=4))
+        state = GaussianState(ssts(SstsParams(1.0, 0.9)).cm, 1, 1, rng.normal(size=4))
         assert nfg_numeric(state).value == pytest.approx(
             nfg_two_mode(state).value, abs=1e-10
         )
@@ -841,7 +842,7 @@ class TestAfterChannelClosedForm:
             p, _, _ = standard_form(random_state(rng))
             ch = random_channel(rng)
             direct = nfg_after_channel_closed_form(p, ch).value
-            applied = nfg_two_mode(apply_channel(state_from_params(p), ch, "B")).value
+            applied = nfg_two_mode(apply_channel(standard_state(p), ch, "B")).value
             assert direct == pytest.approx(applied, abs=1e-8)
 
     def test_channel_displacement_is_irrelevant(self, rng):
@@ -1107,12 +1108,12 @@ class TestTwoModeClosedForm:
         for _ in range(3):
             local = la.block_diag(*(rotation(t) for t in rng.uniform(0.0, 2 * np.pi, 2)))
             family = ssts(SstsParams(n_bar, mu))
-            self.assert_paths_agree(apply_gaussian_unitary(family, GaussianUnitary(local), "global"))
+            self.assert_paths_agree(apply_global(family, GaussianUnitary(local)))
 
     @pytest.mark.parametrize("c", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
     def test_weak_standard_forms_keep_relative_precision(self, c):
         p = StandardFormParams(3.0, 2.0, c, -c / 2)
-        state = state_from_params(p)
+        state = standard_state(p)
         closed, generic = self.closed_and_generic(state)
         assert closed == pytest.approx(generic, rel=2e-15, abs=0.0)
         assert closed[0] == pytest.approx(nfg_closed_form(p).value, rel=2e-15, abs=0.0)

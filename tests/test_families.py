@@ -19,12 +19,13 @@ from nfg import (
     purity,
     q_ssts,
     ssts,
-    state_from_params,
     sweep,
     tmsv,
     validate_cm,
 )
 from nfg.families import _R_MAX
+
+from helpers import standard_state
 
 # Reference values computed with 50-digit arithmetic (1200 digits at n_bar =
 # 1e150, where t^2 has 300) directly from the published closed forms (no
@@ -147,8 +148,8 @@ class TestTmsv:
 
 class TestOneVerdict:
     """The family builders hand their standard-form matrix to GaussianState,
-    whose Simon verdict is the only one run, and build the matrix that
-    `state_from_params` builds."""
+    whose Simon verdict is the only one run, and build the standard-form
+    matrix that `helpers.standard_state` writes out."""
 
     @pytest.fixture
     def verdicts(self, monkeypatch):
@@ -168,14 +169,14 @@ class TestOneVerdict:
         assert verdicts == [(4, 4)]
         a = 1.0 + 2.0 * n_bar
         c = 2.0 * mu * np.sqrt(n_bar * (1.0 + n_bar))
-        assert np.array_equal(state.cm, state_from_params(StandardFormParams(a, a, c, -c)).cm)
+        assert np.array_equal(state.cm, standard_state(StandardFormParams(a, a, c, -c)).cm)
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 3.0, 350.0])
     def test_tmsv(self, verdicts, r):
         state = tmsv(r)
         assert verdicts == [(4, 4)]
         ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
-        assert np.array_equal(state.cm, state_from_params(StandardFormParams(ch, ch, sh, -sh)).cm)
+        assert np.array_equal(state.cm, standard_state(StandardFormParams(ch, ch, sh, -sh)).cm)
 
 
 class TestClosedFormValues:

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -50,27 +52,89 @@ def test_sweep_does_not_load_scipy(tmp_path):
     assert out.stat().st_size > 0
 
 
-def test_benchmark_workloads_reference_existing_names():
-    # The benchmark's workloads reach nfg through attribute lookups on the
-    # package and on its cli and fock modules.  No other test runs them, so
-    # a renamed or deleted name would break the benchmark with every test
-    # green.  The file is parsed, not imported or changed.
-    modules = {"nfg": "nfg", "cli": "nfg.cli", "fock": "nfg.fock"}
-    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
-    refs = {
-        (node.value.id, node.attr)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
+#: How the benchmark's files name nfg, its cli and its fock module.
+BENCHMARK_MODULES = {"nfg": "nfg", "cli": "nfg.cli", "fock": "nfg.fock"}
+
+
+def _benchmark_trees() -> list[ast.AST]:
+    """The benchmark's workloads and its own tests, parsed, not imported."""
+    return [
+        ast.parse((ROOT / "perfbench" / name).read_text(encoding="utf-8"))
+        for name in ("workloads.py", "test_perfbench.py")
+    ]
+
+
+def _benchmark_ref(node) -> tuple[str, str] | None:
+    """``(module, attr)`` when ``node`` is ``nfg.attr``, ``cli.attr`` or
+    ``fock.attr``."""
+    if (
+        isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
-        and node.value.id in modules
-    }
-    assert {name for name, _ in refs} == set(modules)
+        and node.value.id in BENCHMARK_MODULES
+    ):
+        return node.value.id, node.attr
+    return None
+
+
+def _benchmark_object(ref: tuple[str, str]):
+    module, attr = ref
+    return getattr(importlib.import_module(BENCHMARK_MODULES[module]), attr)
+
+
+def test_benchmark_workloads_reference_existing_names():
+    # The benchmark reaches nfg through attribute lookups on the package and
+    # on its cli and fock modules.  No other test runs its workloads, so a
+    # renamed or deleted name would break the benchmark with every test
+    # green.  The files are parsed, not imported or changed.
+    refs = {ref for tree in _benchmark_trees() for ref in map(_benchmark_ref, ast.walk(tree)) if ref}
+    assert {module for module, _ in refs} == set(BENCHMARK_MODULES)
     missing = [
-        f"{name}.{attr}"
-        for name, attr in sorted(refs)
-        if not hasattr(importlib.import_module(modules[name]), attr)
+        f"{module}.{attr}"
+        for module, attr in sorted(refs)
+        if not hasattr(importlib.import_module(BENCHMARK_MODULES[module]), attr)
     ]
     assert missing == []
+
+
+def test_benchmark_calls_bind_to_the_signatures():
+    # Each call the benchmark makes, directly or through its tracer's
+    # ``t.call(name, fn, *args)``, must bind its positional count and keyword
+    # names to the callee's signature, so a removed field or option, or one
+    # made keyword-only, fails here.  Calls with * or ** are skipped.
+    bound, unbound = set(), []
+    for tree in _benchmark_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            ref, args = _benchmark_ref(node.func), node.args
+            if ref is None and isinstance(node.func, ast.Attribute) and node.func.attr == "call":
+                ref, args = (_benchmark_ref(args[1]), args[2:]) if len(args) > 1 else (None, [])
+            if ref is None:
+                continue
+            keywords = [k.arg for k in node.keywords]
+            if None in keywords or any(isinstance(a, ast.Starred) for a in args):
+                continue
+            try:
+                inspect.signature(_benchmark_object(ref)).bind(*args, **dict.fromkeys(keywords))
+            except TypeError as exc:
+                unbound.append(f"line {node.lineno}: {'.'.join(ref)}: {exc}")
+            bound.add(ref[1])
+    assert unbound == []
+    # the forms above are all seen: direct, with keywords, through t.call
+    assert {"OptimizerConfig", "apply_gaussian_unitary", "oracle_rows", "main"} <= bound
+
+
+def test_state_and_optimizer_fields():
+    # A state is its matrix, partition and mean; `OptimizerConfig` keeps the
+    # three fields the benchmark's warm-up sets.
+    state_attrs = {name for name in vars(nfg.GaussianState) if not name.startswith("_")}
+    fields = [f.name for f in dataclasses.fields(nfg.GaussianState)]
+    assert fields == ["cm", "n_a", "n_b", "mean"] and state_attrs <= set(fields)
+    assert [f.name for f in dataclasses.fields(nfg.OptimizerConfig)] == [
+        "grid_points",
+        "refine_iters",
+        "restarts",
+    ]
 
 
 #: `nfg.__all__` when it was still written out by hand, name by name.
@@ -90,7 +154,6 @@ PUBLIC_NAMES = [
     "WilliamsonDecomposition",
     "apply_channel",
     "apply_gaussian_unitary",
-    "blocks",
     "c_squared",
     "check_monotonicity",
     "dg_ssts",
@@ -108,7 +171,6 @@ PUBLIC_NAMES = [
     "q_ssts",
     "ssts",
     "standard_form",
-    "state_from_params",
     "sweep",
     "symplectic_form",
     "tmsv",

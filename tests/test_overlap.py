@@ -7,7 +7,6 @@ import scipy.linalg as la
 from nfg import (
     GaussianState,
     GaussianUnitary,
-    apply_gaussian_unitary,
     c_squared,
     fidelity_f,
     overlap,
@@ -16,6 +15,7 @@ from nfg import (
 )
 
 from helpers import (
+    apply_global,
     linalg_calls,
     nfg_theta_objective,
     random_state,
@@ -122,8 +122,8 @@ class TestFidelity:
         for _ in range(10):
             a, b = random_state(rng, displaced=True), random_state(rng, displaced=True)
             u = GaussianUnitary(random_symplectic(rng, 2), rng.normal(size=4))
-            ua = apply_gaussian_unitary(a, u, "global")
-            ub = apply_gaussian_unitary(b, u, "global")
+            ua = apply_global(a, u)
+            ub = apply_global(b, u)
             assert overlap(ua, ub).value == pytest.approx(
                 overlap(a, b).value, rel=1e-10
             )
@@ -177,9 +177,13 @@ def scalar_pairs(rng: np.random.Generator, count: int) -> list[tuple[GaussianSta
     return pairs
 
 
+#: The partitions above (1+1) modes that the all-sizes checks draw from.
+LARGER_MODES = [(2, 1), (1, 2), (2, 2), (3, 1), (3, 2)]
+
+
 class TestScalarOverlap:
-    """One-mode and (1+1)-mode overlaps run the scalar LDL^T of
-    `nfg.states._ldl`; the NumPy Cholesky path is the reference."""
+    """Overlaps of every size run the scalar LDL^T of `nfg.states._ldl`;
+    NumPy's Cholesky (`helpers.reference_log_overlap`) is the reference."""
 
     def test_matches_numpy_cholesky_path(self, rng):
         worst = 0.0
@@ -200,12 +204,30 @@ class TestScalarOverlap:
             c_squared(rho, sigma)
         assert calls == []
 
-    def test_larger_states_keep_numpy_cholesky(self, rng, monkeypatch):
-        rho, sigma = random_state(rng, 2, 1), random_state(rng, 2, 1, displaced=True)
-        expected = reference_log_overlap(rho, sigma)
+    def test_larger_states_match_numpy_cholesky(self, rng):
+        # 3,000 pairs, 600 per partition, half of them displaced, each also
+        # against itself.
+        worst = 0.0
+        for i in range(3000):
+            modes, displaced = LARGER_MODES[i % 5], i % 10 < 5
+            rho, sigma = (random_state(rng, *modes, displaced=displaced) for _ in range(2))
+            for a, b in ((rho, sigma), (rho, rho)):
+                expected = reference_log_overlap(a, b)
+                got = overlap(a, b).log_value
+                worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("modes", [(2, 1), (2, 2), (3, 1)])
+    def test_larger_states_run_no_linalg_call(self, rng, monkeypatch, modes):
+        # The states are built first: their Simon verdict beyond 4 x 4 is
+        # an eigensolve, which is not the overlap's.
+        rho, sigma = random_state(rng, *modes), random_state(rng, *modes, displaced=True)
         calls = linalg_calls(monkeypatch)
-        assert overlap(rho, sigma).log_value == expected
-        assert calls == ["cholesky", "solve"]
+        overlap(rho, sigma)
+        purity(rho)
+        fidelity_f(rho, sigma)
+        c_squared(rho, sigma)
+        assert calls == []
 
     @pytest.mark.parametrize("exponent", range(6, 14))
     def test_tmsv_past_double_precision_only_raises_singular(self, exponent):

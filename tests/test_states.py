@@ -16,12 +16,10 @@ from nfg import (
     StandardFormParams,
     apply_channel,
     apply_gaussian_unitary,
-    blocks,
     is_symplectic,
     nfg_numeric,
     ssts,
     standard_form,
-    state_from_params,
     symplectic_form,
     tmsv,
     validate_cm,
@@ -29,6 +27,7 @@ from nfg import (
 )
 
 from helpers import (
+    apply_global,
     dilation_channel,
     exact_standard_form,
     haar_unitary,
@@ -46,6 +45,7 @@ from helpers import (
     reference_verdict,
     rotation,
     squeezed_product,
+    standard_state,
     stream_shaped_cm,
     stream_shaped_state,
 )
@@ -91,7 +91,7 @@ class TestValidateCm:
 
     def test_pure_ssts_on_the_boundary(self):
         c = 2.0 * np.sqrt(2.0)
-        g = state_from_params(StandardFormParams(3.0, 3.0, c, -c)).cm
+        g = standard_state(StandardFormParams(3.0, 3.0, c, -c)).cm
         report = validate_cm(g)
         assert report.physical
         # nu^2 = (dtilde +- sqrt(dtilde^2 - 4 det)) / 2 with dtilde = a^2+b^2+2cd
@@ -314,18 +314,18 @@ class TestWilliamson:
 
 class TestStandardForm:
     def test_already_standard_returns_identity_locals(self):
-        state = state_from_params(StandardFormParams(2.0, 2.0, 1.0, -1.0))
+        state = standard_state(StandardFormParams(2.0, 2.0, 1.0, -1.0))
         params, s_a, s_b = standard_form(state)
         assert (params.a, params.b, params.c, params.d) == (2.0, 2.0, 1.0, -1.0)
         assert np.array_equal(s_a, np.eye(2))
         assert np.array_equal(s_b, np.eye(2))
 
     def test_recovers_rotated_family_state(self, rng):
-        base = state_from_params(StandardFormParams(3.0, 3.0, np.sqrt(2.0), -np.sqrt(2.0)))
+        base = standard_state(StandardFormParams(3.0, 3.0, np.sqrt(2.0), -np.sqrt(2.0)))
         for _ in range(20):
             phi, psi = rng.uniform(0.0, 2.0 * np.pi, 2)
             u = GaussianUnitary(la.block_diag(rotation(phi), rotation(psi)))
-            params, _, _ = standard_form(apply_gaussian_unitary(base, u, "global"))
+            params, _, _ = standard_form(apply_global(base, u))
             assert params.a == pytest.approx(3.0, abs=1e-9)
             assert params.b == pytest.approx(3.0, abs=1e-9)
             assert params.c == pytest.approx(np.sqrt(2.0), abs=1e-9)
@@ -350,13 +350,13 @@ class TestStandardForm:
             assert params.c >= abs(params.d) - 1e-12
             assert is_symplectic(s_a) and is_symplectic(s_b)
             loc = la.block_diag(s_a, s_b)
-            target = state_from_params(params).cm
+            target = standard_state(params).cm
             assert np.abs(loc @ state.cm @ loc.T - target).max() < 1e-8 * scale
 
     def test_idempotent(self, rng):
         for _ in range(20):
             params, _, _ = standard_form(random_state(rng))
-            again, s_a, s_b = standard_form(state_from_params(params))
+            again, s_a, s_b = standard_form(standard_state(params))
             assert again.a == pytest.approx(params.a, rel=1e-10)
             assert again.b == pytest.approx(params.b, rel=1e-10)
             assert again.c == pytest.approx(params.c, rel=1e-10, abs=1e-12)
@@ -391,7 +391,7 @@ class TestStandardForm:
             kappa = np.array([kappa_a, kappa_b, max(kappa_a, kappa_b), max(kappa_a, kappa_b)])
             error = np.abs(new - exact_standard_form(state)) / scale
             assert np.all(error[far] <= 4.0 * kappa[far] * np.finfo(float).eps)
-        target = state_from_params(p).cm
+        target = standard_state(p).cm
         for frames in ((s_a, s_b), (t_a, t_b)):
             local = la.block_diag(*frames)
             assert np.abs(local @ state.cm @ local.T - target).max() <= 1e-12 * max(p.a, p.b)
@@ -410,7 +410,7 @@ class TestStandardForm:
                     for r, before, after in rng.uniform(0.0, [1.0, 2 * np.pi, 2 * np.pi], (2, 3))
                 ]
                 u = GaussianUnitary(la.block_diag(*local))
-                self.assert_matches_reference(apply_gaussian_unitary(family, u, "global"))
+                self.assert_matches_reference(apply_global(family, u))
 
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_squeezed_block_gives_params_or_the_value_error(self, side):
@@ -484,29 +484,8 @@ class TestParamsValidation:
             base = ssts(SstsParams(n_bar, mu))
             for _ in range(10):
                 u = GaussianUnitary(la.block_diag(local(), local()))
-                params, _, _ = standard_form(apply_gaussian_unitary(base, u, "global"))
-                assert validate_cm(state_from_params(params).cm).physical
-
-
-class TestBlocks:
-    def test_product_state_has_zero_cross_block(self):
-        g = la.block_diag(3.0 * np.eye(2), 2.0 * np.eye(2))
-        a, b, c = blocks(GaussianState(g, 1, 1))
-        assert np.array_equal(a, 3.0 * np.eye(2))
-        assert np.array_equal(b, 2.0 * np.eye(2))
-        assert np.array_equal(c, np.zeros((2, 2)))
-
-    def test_standard_form_read_off(self):
-        state = state_from_params(StandardFormParams(2.0, 3.0, 1.0, -0.5))
-        a, b, c = blocks(state)
-        assert np.array_equal(a, 2.0 * np.eye(2))
-        assert np.array_equal(b, 3.0 * np.eye(2))
-        assert np.array_equal(c, np.diag([1.0, -0.5]))
-
-    def test_blocks_are_symmetric(self, rng):
-        a, b, _ = blocks(random_state(rng, 2, 1))
-        assert np.array_equal(a, a.T)
-        assert np.array_equal(b, b.T)
+                params, _, _ = standard_form(apply_global(base, u))
+                assert validate_cm(standard_state(params).cm).physical
 
 
 class TestGaussianState:
@@ -526,12 +505,6 @@ class TestGaussianState:
             state.cm[0, 0] = 2.0
         with pytest.raises(ValueError):
             state.mean[0] = 1.0
-
-    def test_displaced_copy(self):
-        state = GaussianState(np.eye(2), 1, 0)
-        moved = state.displaced([1.0, -2.0])
-        assert np.array_equal(moved.mean, [1.0, -2.0])
-        assert np.array_equal(state.mean, [0.0, 0.0])
 
     def test_correlation_spectrum_is_cached_read_only(self, rng):
         state = random_state(rng, 2, 2)
@@ -1008,14 +981,15 @@ class TestVectorFields:
 
 
 class TestApplyGaussianUnitary:
-    def test_identity_leaves_state_unchanged(self, rng):
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_identity_leaves_state_unchanged(self, rng, side):
         state = random_state(rng, displaced=True)
-        out = apply_gaussian_unitary(state, GaussianUnitary(np.eye(4)), "global")
+        out = apply_gaussian_unitary(state, GaussianUnitary(np.eye(2)), side)
         assert np.array_equal(out.cm, state.cm)
         assert np.array_equal(out.mean, state.mean)
 
     def test_rotation_on_a_gives_predicted_cross_block(self):
-        state = state_from_params(StandardFormParams(2.0, 2.0, 1.0, -0.8))
+        state = standard_state(StandardFormParams(2.0, 2.0, 1.0, -0.8))
         theta = 0.3
         out = apply_gaussian_unitary(state, GaussianUnitary(rotation(theta)), "A")
         c, d = 1.0, -0.8
@@ -1025,12 +999,12 @@ class TestApplyGaussianUnitary:
                 [-c * np.sin(theta), d * np.cos(theta)],
             ]
         )
-        assert blocks(out)[2] == pytest.approx(expected)
+        assert out.cm[:2, 2:] == pytest.approx(expected)
 
     def test_displacement_only(self):
-        state = state_from_params(StandardFormParams(2.0, 2.0, 1.0, -1.0))
-        u = GaussianUnitary(np.eye(4), [1.0, 2.0, 3.0, 4.0])
-        out = apply_gaussian_unitary(state, u, "global")
+        state = standard_state(StandardFormParams(2.0, 2.0, 1.0, -1.0))
+        out = apply_gaussian_unitary(state, GaussianUnitary(np.eye(2), [1.0, 2.0]), "A")
+        out = apply_gaussian_unitary(out, GaussianUnitary(np.eye(2), [3.0, 4.0]), "B")
         assert np.array_equal(out.cm, state.cm)
         assert np.array_equal(out.mean, [1.0, 2.0, 3.0, 4.0])
 
@@ -1048,23 +1022,26 @@ class TestApplyGaussianUnitary:
         assert np.array_equal(out.cm[:4, :4], state.cm[:4, :4])
         assert np.array_equal(out.mean[:4], state.mean[:4])
 
-    def test_determinant_preserved(self, rng):
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_determinant_preserved(self, rng, side):
         for _ in range(20):
-            state = random_state(rng, 2, 1)
-            u = GaussianUnitary(random_symplectic(rng, 3))
-            out = apply_gaussian_unitary(state, u, "global")
+            state = random_state(rng, 2, 2)
+            u = GaussianUnitary(random_symplectic(rng, 2))
+            out = apply_gaussian_unitary(state, u, side)
             assert np.linalg.det(out.cm) == pytest.approx(
                 np.linalg.det(state.cm), rel=1e-10
             )
 
     def test_dimension_mismatch_rejected(self, rng):
-        state = random_state(rng)
-        with pytest.raises(ValueError):
-            apply_gaussian_unitary(state, GaussianUnitary(np.eye(2)), "global")
-        with pytest.raises(ValueError):
-            apply_gaussian_unitary(state, GaussianUnitary(np.eye(4)), "A")
-        with pytest.raises(ValueError):
-            apply_gaussian_unitary(state, GaussianUnitary(np.eye(2)), "C")
+        with pytest.raises(ValueError, match="does not match side A"):
+            apply_gaussian_unitary(random_state(rng), GaussianUnitary(np.eye(4)), "A")
+
+    @pytest.mark.parametrize("side", ["global", "C", "a", ""])
+    def test_unknown_side_rejected(self, rng, side):
+        # "A" and "B" are the only sides; there is no whole-state option.
+        for u in (GaussianUnitary(np.eye(2)), GaussianUnitary(np.eye(4))):
+            with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+                apply_gaussian_unitary(random_state(rng), u, side)
 
     def test_non_symplectic_rejected(self):
         with pytest.raises(ValueError):
