@@ -33,7 +33,7 @@ import numpy as np
 
 from .families import tmsv
 from .overlap import overlap
-from .states import GaussianState
+from .states import GaussianState, _is_integer
 
 __all__ = [
     "FockDensityMatrix",
@@ -117,13 +117,14 @@ def _search(expansion: _Expansion) -> tuple[int, np.ndarray]:
 
 
 def _adaptive(expansion: _Expansion, cutoff: int | None) -> FockDensityMatrix:
-    """The state at ``cutoff``, or at the searched cutoff if None; the
+    """The state at ``cutoff``, an integer of at least 2 (a float such as
+    20.5 is refused, not truncated), or at the searched cutoff if None; the
     deficit is checked on the weights before the state is stored."""
     if cutoff is None:
         c, v = _search(expansion)
     else:
-        if cutoff < 2:
-            raise ValueError(f"cutoff must be at least 2, got {cutoff}")
+        if not _is_integer(cutoff) or cutoff < 2:
+            raise ValueError(f"cutoff must be an integer of at least 2, got {cutoff!r}")
         c = int(cutoff)
         v = expansion.terms(c)
         deficit = _deficit(v, expansion.pure)

@@ -14,12 +14,18 @@ Conventions used throughout the package:
   state or on one side of the partition.  Both maps are judged by one rule:
   their defining identity must hold up to `_allowance` of their scale;
 * both positive-semidefiniteness conditions, Simon's for a state and the
-  channel's, are decided by one test, `_semidefinite`: up to 4 x 4, the
-  (1+1)-mode states and the maps of up to two modes, whether the matrix
-  plus its allowance times I has a Cholesky factor, in scalar arithmetic;
-  beyond, its smallest eigenvalue.  A one-mode unitary is checked as
+  channel's, are decided by one test: up to 4 x 4, the (1+1)-mode states
+  and the maps of up to two modes, whether the matrix plus its allowance
+  times I has a Cholesky factor, in scalar arithmetic; beyond, its smallest
+  eigenvalue (`_semidefinite`).  A one-mode unitary is checked as
   |det S - 1|.  The same scalar factorization, `_ldl`, gives every overlap
-  of `nfg.overlap` its determinant and mean term, at any size.
+  of `nfg.overlap` its determinant and mean term, at any size;
+* the scalar kernels are written out, with no loop, for the only sizes a
+  (1+1)-mode request meets: `_ldl_2` and `_ldl_4`, and the Simon verdicts
+  `_verdict_2` and `_verdict_4`, which read g entry by entry and build only
+  the lower triangle of the equilibrated matrix.  Each runs the operations
+  of the row loops (`_ldl_rows` factors beyond 4 rows) in the same order,
+  so verdicts, pivots and overlaps have the loops' bits.
 """
 
 from __future__ import annotations
@@ -88,6 +94,12 @@ def _as_vector(v, n: int, name: str) -> np.ndarray:
     if v.shape != (n,) or not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be a finite vector of length {n}, got {v}")
     return v
+
+
+def _is_integer(n) -> bool:
+    """Whether ``n`` is an int or a NumPy integer: a count.  A bool, a float
+    (1.0 included) and anything else is not."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -271,23 +283,17 @@ def _allowance(scale: float) -> float:
 
 #: Largest matrix, in rows, that `_semidefinite` tests by `_ldl`: (1+1)-mode
 #: states and maps of up to two modes, the cut `_two_mode_spectrum` makes.
-#: From 6 x 6 on NumPy's eigensolve is the faster: 7.7 against 10.6 us at
-#: 6 x 6, 9.8 against 20 us at 8 x 8, on a 2-vCPU Intel Xeon host, while at
-#: 4 x 4 the factorization takes 4.6 us and the eigensolve 6.1 us before the
-#: array it needs is built.
+#: From 6 x 6 on NumPy's eigensolve is faster than the row loop
+#: `_ldl_rows`: 7.7 against 10.6 us at 6 x 6, 9.8 against 20 us at 8 x 8, on
+#: a 2-vCPU Intel Xeon host.  At 4 x 4, on a host of the same kind, the
+#: written-out `_ldl_4` takes 2.8 us on a complex Simon matrix (the loop took
+#: 6.9) and the eigensolve 7.3 us before the array it needs is built.
 _SCALAR_DIM = 4
 
 
-def _ldl(h, shift: float) -> tuple[list[list], list[float]] | None:
-    """The LDL^H factorization of h + shift I, for a Hermitian ``h`` given
-    as nested lists, of which only the lower triangle is read:
-    ``(conj_lower, pivots)``, the rows of conj(L) left of L's unit diagonal
-    and the diagonal of D, or None at the first pivot that is not > 0 (a NaN
-    included).  It runs by rows in Python scalar arithmetic, complex for a
-    complex ``h`` and float for a real one.  `_semidefinite`, up to
-    `_SCALAR_DIM` rows, and the overlaps of `nfg.overlap`, at every size,
-    both factor here.
-    """
+def _ldl_rows(h, shift: float) -> tuple[list[list], list[float]] | None:
+    """`_ldl` by a loop over the rows, for any size; `_ldl_2` and `_ldl_4`
+    write out its operations for 2 and 4 rows."""
     conj_lower, pivots = [], []
     for i, row in enumerate(h):
         u_row, c_row = [], []  # u_ij = l_ij d_j, and conj(l_ij)
@@ -307,6 +313,72 @@ def _ldl(h, shift: float) -> tuple[list[list], list[float]] | None:
     return conj_lower, pivots
 
 
+def _ldl_2(h, shift: float) -> tuple[list[list], list[float]] | None:
+    """`_ldl_rows` written out for 2 rows: the same operations in the same
+    order, so the same bits."""
+    r0, r1 = h
+    p0 = r0[0].real + shift
+    if not p0 > 0.0:
+        return None
+    u10 = r1[0]
+    c10 = (u10 / p0).conjugate()
+    p1 = r1[1].real + shift - (u10 * c10).real
+    if not p1 > 0.0:
+        return None
+    return [[], [c10]], [p0, p1]
+
+
+def _ldl_4(h, shift: float) -> tuple[list[list], list[float]] | None:
+    """`_ldl_rows` written out for 4 rows: the same operations in the same
+    order, so the same bits.  u_ij = l_ij d_j and c_ij = conj(l_ij)."""
+    r0, r1, r2, r3 = h
+    p0 = r0[0].real + shift
+    if not p0 > 0.0:
+        return None
+    u10 = r1[0]
+    c10 = (u10 / p0).conjugate()
+    p1 = r1[1].real + shift - (u10 * c10).real
+    if not p1 > 0.0:
+        return None
+    u20 = r2[0]
+    c20 = (u20 / p0).conjugate()
+    u21 = r2[1] - u20 * c10
+    c21 = (u21 / p1).conjugate()
+    p2 = r2[2].real + shift - (u20 * c20).real - (u21 * c21).real
+    if not p2 > 0.0:
+        return None
+    u30 = r3[0]
+    c30 = (u30 / p0).conjugate()
+    u31 = r3[1] - u30 * c10
+    c31 = (u31 / p1).conjugate()
+    u32 = r3[2] - u30 * c20 - u31 * c21
+    c32 = (u32 / p2).conjugate()
+    p3 = r3[3].real + shift - (u30 * c30).real - (u31 * c31).real - (u32 * c32).real
+    if not p3 > 0.0:
+        return None
+    return [[], [c10], [c20, c21], [c30, c31, c32]], [p0, p1, p2, p3]
+
+
+def _ldl(h, shift: float) -> tuple[list[list], list[float]] | None:
+    """The LDL^H factorization of h + shift I, for a Hermitian ``h`` given
+    as nested lists, of which only the lower triangle is read:
+    ``(conj_lower, pivots)``, the rows of conj(L) left of L's unit diagonal
+    and the diagonal of D, or None at the first pivot that is not > 0 (a NaN
+    included).  It runs in Python scalar arithmetic, complex for a complex
+    ``h`` and float for a real one: written out for 2 and 4 rows, one-mode
+    and (1+1)-mode matrices (`_ldl_2`, `_ldl_4`), and by the row loop
+    `_ldl_rows` beyond, with the same bits at every size.  `_semidefinite`,
+    up to `_SCALAR_DIM` rows, and the overlaps of `nfg.overlap`, at every
+    size, both factor here.
+    """
+    n = len(h)
+    if n == 4:
+        return _ldl_4(h, shift)
+    if n == 2:
+        return _ldl_2(h, shift)
+    return _ldl_rows(h, shift)
+
+
 def _semidefinite(h, shift: float) -> bool:
     """Whether the Hermitian ``h`` has no eigenvalue below -``shift``: the
     one positive-semidefiniteness test behind the Simon verdict and the
@@ -318,7 +390,8 @@ def _semidefinite(h, shift: float) -> bool:
     arithmetic that is lambda_min(h) > -shift, the eigenvalue rule but for
     the tie; the factorization is backward stable, so in floating point the
     two part only within a small multiple of eps max|h| of the threshold.
-    Larger matrices take `np.linalg.eigvalsh`: lambda_min >= -shift.
+    Larger matrices take `np.linalg.eigvalsh`: lambda_min >= -shift.  The
+    2- and 4-row Simon verdicts call `_ldl_2` and `_ldl_4` directly.
     """
     if len(h) > _SCALAR_DIM:
         return bool(np.linalg.eigvalsh(np.asarray(h))[0] >= -shift)
@@ -337,36 +410,90 @@ class ValidationReport:
     physical: bool
 
 
-def _verdict(g: np.ndarray) -> tuple[bool, np.ndarray | list[list[float]], bool]:
-    """The `validate_cm` verdict of a square, even, finite `g`:
-    ``(symmetric, gs, physical)`` with ``gs`` the symmetric part of `g`.
+def _verdict_2(rows: list[list[float]]) -> tuple[bool, bool]:
+    """`_verdict` of a 2 x 2 matrix given as nested lists, written out: the
+    operations of `_symmetric_rows` and the equilibration, on the lower
+    triangle only, then `_ldl_2`."""
+    (g00, g01), (g10, g11) = rows
+    scale = max(1.0, abs(g00), abs(g01), abs(g10), abs(g11))
+    x10, y10 = 0.5 * g10, 0.5 * g01  # `_mid`'s halves
+    if not abs(x10 - y10) <= 0.5 * DEFAULT_TOL * scale:
+        return False, False
+    d0, d1 = 0.5 * g00 + 0.5 * g00, 0.5 * g11 + 0.5 * g11
+    if not (d0 > 0.0 and d1 > 0.0):
+        return True, False
+    r0, r1 = 1.0 / math.sqrt(d0), 1.0 / math.sqrt(d1)
+    w01 = r0 * r1  # + i Delta, scaled alike
+    lower = ((d0 * (r0 * r0),), (complex((x10 + y10) * w01, -w01), d1 * (r1 * r1)))
+    return True, _ldl_2(lower, DEFAULT_TOL) is not None
 
-    `_semidefinite` decides Simon's criterion on the equilibrated matrix at
-    `DEFAULT_TOL`.  Up to `_SCALAR_DIM` rows the symmetry and
-    positive-diagonal tests and the equilibration run in scalar arithmetic
-    on ``g.tolist()``, ``gs`` is nested lists and the test is a scalar
-    Cholesky factorization; beyond, they run in NumPy and the test is one
-    Hermitian eigensolve.  `validate_cm` adds the report-only eigensolves.
+
+def _verdict_4(rows: list[list[float]]) -> tuple[bool, bool]:
+    """`_verdict` of a 4 x 4 matrix given as nested lists, written out: the
+    operations of `_symmetric_rows` and the equilibration, on the lower
+    triangle only, then `_ldl_4`."""
+    (g00, g01, g02, g03), (g10, g11, g12, g13), (g20, g21, g22, g23), (g30, g31, g32, g33) = rows
+    scale = max(
+        1.0, abs(g00), abs(g01), abs(g02), abs(g03), abs(g10), abs(g11), abs(g12), abs(g13),
+        abs(g20), abs(g21), abs(g22), abs(g23), abs(g30), abs(g31), abs(g32), abs(g33),
+    )  # fmt: skip
+    x10, y10 = 0.5 * g10, 0.5 * g01  # `_mid`'s halves
+    x20, y20 = 0.5 * g20, 0.5 * g02
+    x21, y21 = 0.5 * g21, 0.5 * g12
+    x30, y30 = 0.5 * g30, 0.5 * g03
+    x31, y31 = 0.5 * g31, 0.5 * g13
+    x32, y32 = 0.5 * g32, 0.5 * g23
+    asymmetry = max(
+        abs(x10 - y10), abs(x20 - y20), abs(x21 - y21),
+        abs(x30 - y30), abs(x31 - y31), abs(x32 - y32),
+    )  # fmt: skip
+    if not asymmetry <= 0.5 * DEFAULT_TOL * scale:
+        return False, False
+    d0, d1 = 0.5 * g00 + 0.5 * g00, 0.5 * g11 + 0.5 * g11
+    d2, d3 = 0.5 * g22 + 0.5 * g22, 0.5 * g33 + 0.5 * g33
+    if not (d0 > 0.0 and d1 > 0.0 and d2 > 0.0 and d3 > 0.0):
+        return True, False
+    r0, r1 = 1.0 / math.sqrt(d0), 1.0 / math.sqrt(d1)
+    r2, r3 = 1.0 / math.sqrt(d2), 1.0 / math.sqrt(d3)
+    w01, w23 = r0 * r1, r2 * r3  # + i Delta, scaled alike
+    lower = (
+        (d0 * (r0 * r0),),
+        (complex((x10 + y10) * w01, -w01), d1 * (r1 * r1)),
+        ((x20 + y20) * (r2 * r0), (x21 + y21) * (r2 * r1), d2 * (r2 * r2)),
+        (
+            (x30 + y30) * (r3 * r0),
+            (x31 + y31) * (r3 * r1),
+            complex((x32 + y32) * w23, -w23),
+            d3 * (r3 * r3),
+        ),
+    )
+    return True, _ldl_4(lower, DEFAULT_TOL) is not None
+
+
+def _verdict(g: np.ndarray) -> tuple[bool, bool]:
+    """The `validate_cm` verdict of a square, even, finite `g`:
+    ``(symmetric, physical)``.
+
+    Simon's criterion is decided on the equilibrated matrix at
+    `DEFAULT_TOL`.  A 2 x 2 or 4 x 4 ``g`` takes `_verdict_2` or
+    `_verdict_4`: the symmetry and positive-diagonal tests and the
+    equilibration entry by entry on ``g.tolist()``, and a written-out
+    Cholesky test of the lower triangle, with no copy of the symmetric part.
+    Larger matrices run those steps in NumPy and `_semidefinite`'s one
+    Hermitian eigensolve.  `_report` adds the report-only eigensolves.
     """
-    if g.shape[0] > _SCALAR_DIM:
-        symmetric, gs = _symmetric_part(g)
-        diag = np.diag(gs)
-        if not (symmetric and np.all(diag > 0.0)):
-            return symmetric, gs, False
-        root = 1.0 / np.sqrt(diag)
-        simon = (gs + 1j * symplectic_form(g.shape[0] // 2)) * np.outer(root, root)
-        return symmetric, gs, _semidefinite(simon, DEFAULT_TOL)
-    symmetric, gs = _symmetric_rows(g.tolist())
-    diag = [row[i] for i, row in enumerate(gs)]
-    if not (symmetric and all(x > 0.0 for x in diag)):
-        return symmetric, gs, False
-    root = [1.0 / math.sqrt(x) for x in diag]
-    simon = [[x * (r * q) for x, q in zip(row, root)] for row, r in zip(gs, root)]
-    for i in range(0, len(gs), 2):  # + i Delta, scaled alike
-        w = root[i] * root[i + 1]
-        simon[i][i + 1] = complex(simon[i][i + 1], w)
-        simon[i + 1][i] = complex(simon[i + 1][i], -w)
-    return symmetric, gs, _semidefinite(simon, DEFAULT_TOL)
+    n = g.shape[0]
+    if n == 4:
+        return _verdict_4(g.tolist())
+    if n == 2:
+        return _verdict_2(g.tolist())
+    symmetric, gs = _symmetric_part(g)
+    diag = np.diag(gs)
+    if not (symmetric and np.all(diag > 0.0)):
+        return symmetric, False
+    root = 1.0 / np.sqrt(diag)
+    simon = (gs + 1j * symplectic_form(n // 2)) * np.outer(root, root)
+    return symmetric, _semidefinite(simon, DEFAULT_TOL)
 
 
 def validate_cm(gamma) -> ValidationReport:
@@ -398,9 +525,11 @@ def validate_cm(gamma) -> ValidationReport:
 
 
 def _report(g: np.ndarray, verdict: tuple) -> ValidationReport:
-    """The `validate_cm` report of ``g`` around its `_verdict`."""
-    symmetric, gs, physical = verdict
-    gs = np.asarray(gs)
+    """The `validate_cm` report of ``g`` around its `_verdict`.  The
+    symmetric part, which the 2- and 4-row verdicts do not build, is taken
+    here by `_symmetric_part`."""
+    symmetric, physical = verdict
+    gs = _symmetric_part(g)[1]
     delta = symplectic_form(g.shape[0] // 2)
     # Delta Gamma scaled by an even power of two at most max|Gamma|, so it is
     # finite up to the float maximum and the eigensolve, square roots too,
@@ -453,7 +582,8 @@ class GaussianState:
     """A Gaussian state: covariance matrix, mean vector, and an A|B partition.
 
     ``cm`` is 2(n_a+n_b) x 2(n_a+n_b) with the block layout
-    ``[[A, C], [C^T, B]]`` where A covers the first 2*n_a rows.  ``mean``
+    ``[[A, C], [C^T, B]]`` where A covers the first 2*n_a rows; the mode
+    counts are ints or NumPy integers, not floats or bools.  ``mean``
     defaults to zero.  Construction checks the Simon verdict of `validate_cm`
     at `DEFAULT_TOL`, a scalar Cholesky test up to (1+1) modes and one
     Hermitian eigensolve beyond, and freezes the arrays; the full report is
@@ -473,6 +603,8 @@ class GaussianState:
     mean: np.ndarray | None = None
 
     def __post_init__(self):
+        if not (_is_integer(self.n_a) and _is_integer(self.n_b)):
+            raise ValueError(f"n_a and n_b must be integers, got {self.n_a!r} and {self.n_b!r}")
         if self.n_a < 0 or self.n_b < 0 or self.n_a + self.n_b < 1:
             raise ValueError("need n_a, n_b >= 0 with at least one mode in total")
         g = _as_square_even(self.cm, "covariance matrix")
@@ -484,7 +616,7 @@ class GaussianState:
             )
         mean = _as_vector(self.mean, dim, "mean")
         verdict = _verdict(g)
-        if not verdict[2]:
+        if not verdict[1]:
             report = _report(g, verdict)
             raise ValueError(
                 "covariance matrix is not physical "
@@ -789,7 +921,7 @@ class StandardFormParams:
         a, b, c, d = self.a, self.b, self.c, self.d
         if not all(math.isfinite(x) for x in (a, b, c, d)):
             raise ValueError("standard-form parameters must be finite")
-        if not _verdict(_standard_cm(a, b, c, d))[2]:
+        if not _verdict(_standard_cm(a, b, c, d))[1]:
             raise ValueError(
                 f"standard-form parameters are not physical: a={a}, b={b}, c={c}, d={d}"
             )

@@ -1,5 +1,6 @@
 """Shared builders for randomized property tests."""
 
+import math
 from typing import NamedTuple
 
 import mpmath
@@ -19,7 +20,15 @@ from nfg import (
 from nfg import fock
 from nfg.fock import FockDensityMatrix
 from nfg.overlap import _clamp
-from nfg.states import _DEGENERACY_TOL, DEFAULT_TOL, _act_on_side, _cholesky, _mid
+from nfg.states import (
+    _DEGENERACY_TOL,
+    DEFAULT_TOL,
+    _act_on_side,
+    _cholesky,
+    _ldl_rows,
+    _mid,
+    _symmetric_rows,
+)
 
 
 def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.4) -> np.ndarray:
@@ -420,6 +429,33 @@ def reference_verdict(g) -> tuple[np.ndarray, np.ndarray]:
     simon = (gs + 1j * symplectic_form(g.shape[-1] // 2)) * outer
     margin = np.where(screened, np.linalg.eigvalsh(simon)[..., 0] + DEFAULT_TOL, np.nan)
     return screened & (margin >= 0.0), margin
+
+
+def loop_simon(g: np.ndarray) -> tuple[bool, list[list] | None]:
+    """The Simon matrix of a 2 x 2 or 4 x 4 ``g`` by the loops the library
+    ran before it wrote the verdict out: ``(symmetric, simon)``, from
+    `_symmetric_rows`, with ``simon`` the full equilibrated
+    D^{-1/2} (Gamma + i Delta) D^{-1/2} as nested lists, or None where the
+    symmetry or positive-diagonal test rejects."""
+    symmetric, gs = _symmetric_rows(g.tolist())
+    diag = [row[i] for i, row in enumerate(gs)]
+    if not (symmetric and all(x > 0.0 for x in diag)):
+        return symmetric, None
+    root = [1.0 / math.sqrt(x) for x in diag]
+    simon = [[x * (r * q) for x, q in zip(row, root)] for row, r in zip(gs, root)]
+    for i in range(0, len(gs), 2):  # + i Delta, scaled alike
+        w = root[i] * root[i + 1]
+        simon[i][i + 1] = complex(simon[i][i + 1], w)
+        simon[i + 1][i] = complex(simon[i + 1][i], -w)
+    return symmetric, simon
+
+
+def loop_verdict(g: np.ndarray) -> tuple[bool, bool]:
+    """`nfg.states._verdict` of a 2 x 2 or 4 x 4 ``g`` by the loops: the
+    `loop_simon` matrix factored by the row loop `_ldl_rows`.  The
+    written-out verdict must return the same ``(symmetric, physical)``."""
+    symmetric, simon = loop_simon(g)
+    return symmetric, simon is not None and _ldl_rows(simon, DEFAULT_TOL) is not None
 
 
 def reference_symmetric_part(g: np.ndarray) -> tuple[bool, np.ndarray]:

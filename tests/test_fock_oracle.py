@@ -395,6 +395,17 @@ def build_or_message(build):
 
 
 class TestCutoffSearch:
+    @pytest.mark.parametrize("family", BUILDERS)
+    @pytest.mark.parametrize("cutoff", [20.5, 20.0, "20", True])
+    def test_non_integer_cutoff_rejected(self, family, cutoff):
+        # int() would have built 20.5 at cutoff 20
+        with pytest.raises(ValueError, match="must be an integer"):
+            BUILDERS[family](0.01, cutoff)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        dm = thermal_dm(0.01, np.int64(20))
+        assert dm.cutoff == 20 and type(dm.cutoff) is int
+
     @pytest.mark.parametrize(
         "family, x", [(family, x) for family, xs in SEARCH_GRID.items() for x in xs]
     )

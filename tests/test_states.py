@@ -1,3 +1,5 @@
+import collections
+import itertools
 import sys
 import threading
 import warnings
@@ -32,6 +34,8 @@ from helpers import (
     exact_standard_form,
     haar_unitary,
     linalg_calls,
+    loop_simon,
+    loop_verdict,
     passive_stabilizer,
     random_channel,
     random_cm,
@@ -499,6 +503,19 @@ class TestGaussianState:
         with pytest.raises(ValueError):
             GaussianState(np.eye(2), 1, 0, mean=[0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "n_a, n_b",
+        [(1.5, 0.5), (1.0, 1.0), (1, 1.0), (True, 1), (1, False), ("1", 1), (None, 1)],
+    )
+    def test_mode_counts_must_be_integers(self, n_a, n_b):
+        # 1.5 + 0.5 = 2 modes would pass the shape check and fail later
+        with pytest.raises(ValueError, match="must be integers"):
+            GaussianState(np.eye(4), n_a, n_b, np.zeros(4))
+
+    def test_numpy_integer_mode_counts_accepted(self):
+        state = GaussianState(np.eye(4), np.int64(1), np.int32(1))
+        assert (state.n_a, state.n_b) == (1, 1)
+
     def test_arrays_are_frozen(self):
         state = GaussianState(np.eye(2), 1, 0)
         with pytest.raises(ValueError):
@@ -805,6 +822,146 @@ class TestHelperRewritesKeepTheirBits:
             assert dec.degeneracy_flag is reference_degenerate(dec.nus)
             flags.add(dec.degeneracy_flag)
         assert flags == {True, False}
+
+
+def _unit_lower(rng, n: int, complex_entries: bool) -> np.ndarray:
+    """A unit lower-triangular n x n matrix of small integers (Gaussian
+    integers if ``complex_entries``), so that L D L^H with D of powers of two
+    and every step of its LDL^H are exact in floating point."""
+    low = np.tril(rng.integers(-2, 3, size=(n, n)), -1) + np.eye(n)
+    if complex_entries:
+        low = low + 1j * np.tril(rng.integers(-2, 3, size=(n, n)), -1)
+    return low
+
+
+def _ldl_draws(rng, n: int):
+    """(h, shift) for `_ldl` at n rows, h as nested lists: real and complex
+    positive-definite draws, the verdict's mix of float and complex entries,
+    indefinite and near-singular draws, and exact L D L^H matrices whose
+    pivot at each row is zero, negative or NaN."""
+    for _ in range(300):
+        x = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3)
+        z = x + 1j * rng.normal(size=(n, n))
+        yield (x @ x.T).tolist(), 0.0
+        yield (z @ z.conj().T).tolist(), 0.0
+        mixed = random_cm(rng, n // 2).tolist()  # Gamma + i Delta: complex where Delta is not 0
+        for i in range(0, n, 2):
+            mixed[i][i + 1] = complex(mixed[i][i + 1], 1.0)
+            mixed[i + 1][i] = complex(mixed[i + 1][i], -1.0)
+        yield mixed, nfg.states.DEFAULT_TOL
+        yield (x + x.T).tolist(), 0.0  # indefinite mostly: fails at some row
+        thin = rng.normal(size=(n, n - 1))  # rank n - 1: the last pivot ~ 0
+        for shift in (0.0, 1e-15, -1e-15, 1e-12):
+            yield (thin @ thin.T).tolist(), shift
+    for k in range(n):
+        for complex_entries in (False, True):
+            low = _unit_lower(rng, n, complex_entries)
+            for bad in (0.0, -1.0, np.nan):
+                d = 2.0 ** rng.integers(-3, 4, size=n)
+                d[k] = 0.0 if np.isnan(bad) else bad
+                h = (low * d) @ low.conj().T
+                if np.isnan(bad):
+                    h[k, k] = h[k, rng.integers(k + 1)] = np.nan
+                yield h.tolist(), 0.0
+
+
+def _boundary_draws(rng, count: int):
+    """2 x 2 and 4 x 4 covariance matrices of pure states, nu = 1 on the
+    physical boundary, scaled by 1 +- 10^-12..10^-6, and skewed by 0.99 and
+    1.01 times the symmetry tolerance at a random entry: three draws per
+    state, ``count`` states."""
+    for i in range(count):
+        n = 1 + i % 2
+        if i % 4 == 3:
+            g = stream_shaped_cm(rng, nus=[1.0, 1.0])
+        else:
+            g = random_cm(rng, n, nus=np.ones(n))
+        yield g * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -6.0))
+        i, j = rng.choice(2 * n, 2, replace=False)
+        for slack in (0.99, 1.01):
+            skew = g.copy()
+            skew[i, j] += slack * nfg.states.DEFAULT_TOL * max(1.0, np.abs(g).max())
+            yield skew
+
+
+class TestWrittenOutKernels:
+    """The 2- and 4-row `_ldl` bodies and verdicts are the row loops written
+    out: the same operations in the same order, so the same bits."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_ldl_matches_the_row_loop_bit_for_bit(self, rng, n):
+        body = {2: nfg.states._ldl_2, 4: nfg.states._ldl_4}[n]
+        failed = set()
+        for h, shift in _ldl_draws(rng, n):
+            expected = nfg.states._ldl_rows(h, shift)
+            # repr tells -0.0 from 0.0 and round-trips every float
+            assert repr(body(h, shift)) == repr(expected)
+            assert repr(nfg.states._ldl(h, shift)) == repr(expected)
+            if expected is None:  # the first leading block that does not factor
+                leading = ([row[:k] for row in h[:k]] for k in range(1, n + 1))
+                failed.add(next(len(b) for b in leading if nfg.states._ldl_rows(b, shift) is None))
+        assert failed == set(range(1, n + 1))  # a failure at every row
+
+    def test_ldl_reads_the_lower_triangle_only(self, rng):
+        for n in (2, 4):
+            for h, shift in itertools.islice(_ldl_draws(rng, n), 40):
+                lower = [row[: i + 1] for i, row in enumerate(h)]
+                assert repr(nfg.states._ldl(lower, shift)) == repr(nfg.states._ldl(h, shift))
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """Every (h, shift) that `_ldl_2` and `_ldl_4` are handed."""
+        seen = []
+        for name in ("_ldl_2", "_ldl_4"):
+
+            def spy(h, shift, _body=getattr(nfg.states, name)):
+                seen.append((h, shift))
+                return _body(h, shift)
+
+            monkeypatch.setattr(nfg.states, name, spy)
+        return seen
+
+    @staticmethod
+    def assert_loop_verdict(g, factored) -> tuple[bool, bool]:
+        """`_verdict` of g against `loop_verdict`; the lower triangle it
+        factors must be the loop's Simon matrix's, bit for bit."""
+        factored.clear()
+        verdict = nfg.states._verdict(g)
+        assert verdict == loop_verdict(g)
+        simon = loop_simon(g)[1]
+        if simon is None:
+            assert factored == []
+        else:
+            [(h, shift)] = factored
+            assert shift == nfg.states.DEFAULT_TOL
+            lower = [row[: i + 1] for i, row in enumerate(simon)]
+            assert repr([list(row) for row in h]) == repr(lower)
+        return verdict
+
+    def test_verdict_matches_the_loop_on_the_corpus(self, rng, factored):
+        draws = [g for g, _, _ in _verdict_corpus(rng) if len(g) <= 4]
+        draws += [g for n in (1, 2) for g in _asymmetric_draws(rng, n)]
+        # subnormal diagonals, whose `_mid` halves round, equilibrated without overflow
+        draws += [g * 2.0**-1023 for g in draws[:50]]
+        outcomes = set()
+        for g in draws:
+            outcomes.add(self.assert_loop_verdict(g, factored))
+            # the report's symmetric part has the loop's bits
+            gs = nfg.states._symmetric_part(g)[1]
+            assert repr(gs.tolist()) == repr(nfg.states._symmetric_rows(g.tolist())[1])
+        assert outcomes == {(True, True), (True, False), (False, False)}
+
+    def test_verdict_matches_the_loop_on_boundary_draws(self, rng, factored):
+        outcomes = collections.Counter()
+        for g in _boundary_draws(rng, 3400):
+            outcomes[len(g), self.assert_loop_verdict(g, factored)] += 1
+        assert sum(outcomes.values()) >= 10_000
+        for n in (2, 4):
+            assert {verdict for size, verdict in outcomes if size == n} == {
+                (True, True),
+                (True, False),
+                (False, False),
+            }
 
 
 class TestScalarVerdict:
