@@ -291,17 +291,18 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
     When the A-block symplectic spectrum is degenerate the stabilizer group
     is strictly larger than this rotation family, so the result is flagged
     ``lower_bound_only`` ("A spectrum degenerate", by the rule of
-    `williamson`'s ``degeneracy_flag``).  The flag reads the spectrum from one
-    Hermitian eigensolve on A's Cholesky factor L_A; no Williamson
-    decomposition runs.  The flag and the correlation spectrum share L_A
-    (`states._spectrum_degenerate`), so a fresh state's A block is factored
-    once for both.  A product state
-    (C = 0) is never flagged and its A block is not factorized: every
+    `williamson`'s ``degeneracy_flag``).  The value is then still the
+    supremum over every stabilizer U(k_g) on the degenerate groups whose
+    eigenphases lie in [-pi/2, pi/2]: M^T M = (I + sym O)/2 >= I/2 bounds
+    the determinant (see the module notes), with equality at U = i I.
+
+    The flag reads the spectrum from one Hermitian eigensolve on A's
+    Cholesky factor L_A (`states._spectrum_degenerate`); no Williamson
+    decomposition runs.  The state keeps L_A, which its correlation spectrum
+    solves too, so A is factored once for both, in either order.  A product
+    state (C = 0) is never flagged and its A block is not factorized: every
     stabilizer leaves it as it is, so its value, exactly 0, is the supremum
-    over the whole stabilizer whatever A's spectrum.  The value is
-    then still the supremum over every stabilizer U(k_g) on the degenerate
-    groups whose eigenphases lie in [-pi/2, pi/2]: M^T M = (I + sym O)/2 >= I/2
-    bounds the determinant (see the module notes), with equality at U = i I.
+    over the whole stabilizer whatever A's spectrum.
     """
     if state.n_a < 1 or state.n_b < 1:
         raise ValueError("numeric search needs at least one mode on each side")

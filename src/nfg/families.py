@@ -32,7 +32,7 @@ from itertools import chain, cycle, repeat
 
 import numpy as np
 
-from .states import GaussianState, _standard_cm
+from .states import GaussianState, _is_integer, _standard_cm
 
 __all__ = [
     "SstsParams",
@@ -197,7 +197,8 @@ def nfg_ssts_limit(mu: float) -> float:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Rectangular (n_bar, mu) grid specification with inclusive bounds."""
+    """Rectangular (n_bar, mu) grid specification with inclusive bounds; the
+    step counts are ints or NumPy integers, not floats or bools."""
 
     n_bar_min: float
     n_bar_max: float
@@ -210,6 +211,10 @@ class SweepGrid:
         bounds = [self.n_bar_min, self.n_bar_max, self.mu_min, self.mu_max]
         if not all(np.isfinite(b) for b in bounds):
             raise ValueError("grid bounds must be finite")
+        if not (_is_integer(self.n_bar_steps) and _is_integer(self.mu_steps)):
+            raise ValueError(
+                f"grid steps must be integers, got {self.n_bar_steps!r} and {self.mu_steps!r}"
+            )
         if self.n_bar_steps < 1 or self.mu_steps < 1:
             raise ValueError("grid needs at least one step per axis")
         if self.n_bar_max < self.n_bar_min or self.mu_max < self.mu_min:

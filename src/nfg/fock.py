@@ -13,14 +13,16 @@ The two-mode squeezed vacuum is pure on the pairs |kk>, so its expansion
 runs over them and takes cutoff entries.  tr(rho sigma) is |<psi|phi>|^2
 for two pure states and the dot product of the two diagonals otherwise.
 
-Each family writes its expansion once, and every stored state comes from
-it.  Cutoffs are adaptive by default: they grow from 20, doubling per step,
-until the truncated trace is within the guard of 1.  The search reads the
-same diagonal as the deficit and the overlap, so a state is stored once, at
-the cutoff found, and a search that reaches the ceiling raises without
-storing one.  The achieved deficit is reported on the result.  The
-comparison harness, `oracle_rows`, builds one `GaussianState` per distinct
-parameter and reuses the search's terms at a parameter's own cutoff.
+Each family writes its expansion once, and the terms at cutoff c are the
+first c of the terms at any larger cutoff, bit for bit, so a state's terms
+are computed once, at the ceiling, and every stored state is a slice of
+them.  Cutoffs are adaptive by default: the first of 20, 40, 80, ... up to
+the ceiling whose slice leaves a truncated trace within the guard of 1, and
+a search that reaches the ceiling raises without storing a state.  The
+deficit is checked and recorded once per stored state, on its slice, and
+reported on the result.  The comparison harness, `oracle_rows`, builds one
+`GaussianState` and one ceiling expansion per distinct parameter, and
+stores each distinct (parameter, cutoff) slice once.
 """
 
 from __future__ import annotations
@@ -93,44 +95,40 @@ class _Expansion(NamedTuple):
     pure: bool
     two_mode: bool = False
 
-    def build(self, c: int, v: np.ndarray) -> FockDensityMatrix:
-        """The state at cutoff c from its terms there, frozen in place."""
+    def build(self, v: np.ndarray) -> FockDensityMatrix:
+        """The state whose first len(v) terms are ``v``, frozen in place; a
+        cutoff whose weights leave a deficit above the guard raises."""
+        deficit = _deficit(v, self.pure)
+        if deficit > _GUARD:
+            raise ValueError(f"cutoff {len(v)} leaves trace deficit {deficit:.3g} > {_GUARD}")
         v.flags.writeable = False
-        return FockDensityMatrix(c, v, _deficit(v, self.pure), self.pure, self.two_mode)
+        return FockDensityMatrix(len(v), v, deficit, self.pure, self.two_mode)
 
 
-def _search(expansion: _Expansion) -> tuple[int, np.ndarray]:
-    """The adaptive cutoff and the terms there: doubling from `_START` up to
-    the ceiling until the diagonal weights leave a deficit within the guard."""
+def _search(expansion: _Expansion, v: np.ndarray) -> int:
+    """The adaptive cutoff of the terms ``v`` at the ceiling: doubling from
+    `_START` up to the ceiling until the slice's diagonal weights leave a
+    deficit within the guard."""
     c = _START
-    while True:
-        v = expansion.terms(c)
-        deficit = _deficit(v, expansion.pure)
-        if deficit <= _GUARD:
-            return c, v
+    while (deficit := _deficit(v[:c], expansion.pure)) > _GUARD:
         if c >= _CEILING:
             raise ValueError(
                 f"trace deficit {deficit:.3g} still above {_GUARD} "
                 f"at the cutoff ceiling {_CEILING}"
             )
         c = min(2 * c, _CEILING)
+    return c
 
 
 def _adaptive(expansion: _Expansion, cutoff: int | None) -> FockDensityMatrix:
     """The state at ``cutoff``, an integer of at least 2 (a float such as
-    20.5 is refused, not truncated), or at the searched cutoff if None; the
-    deficit is checked on the weights before the state is stored."""
+    20.5 is refused, not truncated), or at the searched cutoff if None."""
     if cutoff is None:
-        c, v = _search(expansion)
-    else:
-        if not _is_integer(cutoff) or cutoff < 2:
-            raise ValueError(f"cutoff must be an integer of at least 2, got {cutoff!r}")
-        c = int(cutoff)
-        v = expansion.terms(c)
-        deficit = _deficit(v, expansion.pure)
-        if deficit > _GUARD:
-            raise ValueError(f"cutoff {cutoff} leaves trace deficit {deficit:.3g} > {_GUARD}")
-    return expansion.build(c, v)
+        v = expansion.terms(_CEILING)
+        return expansion.build(v[: _search(expansion, v)])
+    if not _is_integer(cutoff) or cutoff < 2:
+        raise ValueError(f"cutoff must be an integer of at least 2, got {cutoff!r}")
+    return expansion.build(expansion.terms(int(cutoff)))
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -299,10 +297,10 @@ def oracle_rows(families: list[str] | None = None) -> list[OracleRow]:
     For each parameter pair of each requested family, both states are
     expanded at the larger of the two searched cutoffs, and the contracted
     overlap is compared with the phase-space formula.  Within a call each
-    distinct parameter is searched once and has one `GaussianState`, and
-    each distinct (parameter, cutoff) state is built once, from the searched
-    terms when the cutoff is the parameter's own.  Returns one row
-    per pair with the relative error and the worse of the two trace deficits.
+    distinct parameter is expanded and searched once and has one
+    `GaussianState`, and each distinct (parameter, cutoff) state is stored
+    once, as a slice of its terms at the ceiling.  Returns one row per pair
+    with the relative error and the worse of the two trace deficits.
     """
     rows = []
     for family in families or list(_CASES):
@@ -310,20 +308,14 @@ def oracle_rows(families: list[str] | None = None) -> list[OracleRow]:
             raise ValueError(f"unknown family {family!r}")
         expand, build_state = _BUILDERS[family]
         expansions = {x: expand(x) for pair in _CASES[family] for x in pair}
-        searched = {x: _search(e) for x, e in expansions.items()}
+        terms = {x: e.terms(_CEILING) for x, e in expansions.items()}
+        cutoffs = {x: _search(e, terms[x]) for x, e in expansions.items()}
         states = {x: build_state(x) for x in expansions}
-        stored = {}
-
-        def fock_state(x, c: int) -> FockDensityMatrix:
-            if (x, c) not in stored:
-                own, terms = searched[x]
-                e = expansions[x]
-                stored[x, c] = e.build(c, terms) if c == own else _adaptive(e, c)
-            return stored[x, c]
-
-        for x1, x2 in _CASES[family]:
-            c = max(searched[x1][0], searched[x2][0])
-            d1, d2 = fock_state(x1, c), fock_state(x2, c)
+        pairs = [(x1, x2, max(cutoffs[x1], cutoffs[x2])) for x1, x2 in _CASES[family]]
+        needed = dict.fromkeys((x, c) for x1, x2, c in pairs for x in (x1, x2))
+        stored = {(x, c): expansions[x].build(terms[x][:c]) for x, c in needed}
+        for x1, x2, c in pairs:
+            d1, d2 = stored[x1, c], stored[x2, c]
             fock_val = overlap_fock(d1, d2)
             cm_val = overlap(states[x1], states[x2]).value
             rel = abs(fock_val - cm_val) / abs(cm_val)

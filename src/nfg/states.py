@@ -207,26 +207,6 @@ def _two_mode_spectrum(g: list[list[float]]) -> list[float]:
     return [min(low * low, 1.0), min(high * high, 1.0)]
 
 
-def _whitened_spectrum(g: np.ndarray, chol_a: np.ndarray) -> np.ndarray:
-    """The correlation spectrum of a covariance matrix ``g`` whose A block,
-    its first ``len(chol_a)`` rows, has the lower Cholesky factor ``chol_a``:
-    the squared singular values of W = L_A^{-1} C L_B^{-T}, ascending,
-    clipped at 1, padded in front with zeros to the size of B and read-only.
-
-    The generic case of `GaussianState._correlation_spectrum`, by two
-    triangular solves and one SVD.  It takes L_A rather than A so that
-    `_spectrum_degenerate`, which solves the same factor, can share it.
-    """
-    k = len(chol_a)
-    y = np.linalg.solve(chol_a, g[:k, k:])  # L_A^{-1} C
-    w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
-    sigma = np.linalg.svd(w_t, compute_uv=False)[::-1]  # W's, ascending
-    mu = np.zeros(len(g) - k)
-    mu[mu.size - sigma.size :] = np.minimum(sigma * sigma, 1.0)
-    mu.flags.writeable = False  # built here, so frozen in place, not copied
-    return mu
-
-
 def _max_abs(rows: list[list[float]]) -> float:
     """max|x| over the entries of a matrix given as nested lists."""
     return max(map(abs, itertools.chain.from_iterable(rows)))
@@ -636,14 +616,12 @@ class GaussianState:
         to 2 n_b entries: W^T W = L_B^{-1} X L_B^{-T} with X = C^T A^{-1} C,
         so mu are the eigenvalues of B^{-1} X, but W's conditioning is not
         squared.  A (1+1)-mode state takes the 2x2 case in closed form
-        (`_two_mode_spectrum`); larger partitions take two triangular solves
-        and one SVD (`_whitened_spectrum`).  `nfg_numeric`'s degeneracy flag
-        fills this slot from the Cholesky factor of A it has already taken
-        (`_spectrum_degenerate`), so that A is factored once.  Only the lower
-        triangles of A and B are read.  mu = 1
-        means det(B - X) = 0, a pure state squeezed past double precision,
-        and rounding can push it above 1, so mu is clipped at 1; the
-        2 n_b - 2 n_a directions X cannot reach when n_a < n_b (rank
+        (`_two_mode_spectrum`); larger partitions take two triangular solves,
+        on L_A (`_chol_a`, which `nfg_numeric`'s degeneracy flag reads too)
+        and on L_B, and one SVD.  Only the lower triangles of A and B are
+        read.  mu = 1 means det(B - X) = 0, a pure state squeezed past double
+        precision, and rounding can push it above 1, so mu is clipped at 1;
+        the 2 n_b - 2 n_a directions X cannot reach when n_a < n_b (rank
         X <= 2 n_a) give mu exactly 0.  Empty when B has no modes.  Exactly
         zero, with nothing factorized, when C is zero (a product state, or
         no mode on A), so a product state scores 0 even with a block
@@ -657,7 +635,24 @@ class GaussianState:
             return _frozen(np.zeros(2 * self.n_b))
         if self.n_a == self.n_b == 1:
             return _frozen(_two_mode_spectrum(g.tolist()))
-        return _whitened_spectrum(g, _cholesky(g[:k, :k]))
+        y = np.linalg.solve(self._chol_a, g[:k, k:])  # L_A^{-1} C
+        w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
+        sigma = np.linalg.svd(w_t, compute_uv=False)[::-1]  # W's, ascending
+        mu = np.zeros(2 * self.n_b)
+        mu[mu.size - sigma.size :] = np.minimum(sigma * sigma, 1.0)
+        mu.flags.writeable = False  # built here, so frozen in place, not copied
+        return mu
+
+    @cached_property
+    def _chol_a(self) -> np.ndarray:
+        """L_A, the lower Cholesky factor of the A block, read-only; a block
+        that does not factor raises `_singular`'s `ValueError`.  The generic
+        correlation spectrum and `nfg_numeric`'s degeneracy flag both solve
+        it, so A is factored once per state, whichever runs first."""
+        k = 2 * self.n_a
+        chol = _cholesky(self.cm[:k, :k])
+        chol.flags.writeable = False
+        return chol
 
 
 @dataclass(frozen=True)
@@ -708,7 +703,9 @@ def _map_side(
 
     The other diagonal block and the other part of the mean are carried over
     bit for bit.  The output goes through the `GaussianState` constructor, so
-    its Simon verdict is checked again.
+    its Simon verdict is checked again.  A map whose output overflows gives
+    inf or NaN entries, which the constructor rejects with a `ValueError`, so
+    the products run with NumPy's overflow and invalid-value warnings off.
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
@@ -717,10 +714,11 @@ def _map_side(
     mean = state.mean.copy()
     if k.shape[0] != mean[part].shape[0]:
         raise ValueError(f"dimension {k.shape[0]} does not match side {side}")
-    mean[part] = k @ state.mean[part] + shift
-    g = _act_on_side(state.cm, ka, side, k)
-    if noise is not None:
-        g[part, part] += noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean[part] = k @ state.mean[part] + shift
+        g = _act_on_side(state.cm, ka, side, k)
+        if noise is not None:
+            g[part, part] += noise
     return GaussianState(g, state.n_a, state.n_b, mean)
 
 
@@ -844,23 +842,16 @@ def _spectrum_degenerate(state: GaussianState) -> bool:
     """`nfg_numeric`'s ``lower_bound_only``: `williamson(A).degeneracy_flag`
     of a correlated state's A block, from the symplectic spectrum alone.
 
-    One eigensolve of `_symplectic_hermitian`, with no eigenvectors and no
-    symplectic S.  The flag and the correlation spectrum share A's Cholesky
-    factor L_A: a state that has not computed its spectrum yet gets it here,
-    by `_whitened_spectrum` from the same L_A, into the slot of its cached
-    property, so the measure and the flag factor A once.  A single A mode is
-    never degenerate and a product state (C = 0) never flagged, so for those
-    the flag factorizes nothing (A may be singular at double precision).
+    One eigensolve of `_symplectic_hermitian` on L_A (`GaussianState._chol_a`,
+    which the correlation spectrum solves too), with no eigenvectors and no
+    symplectic S.  A single A mode is never degenerate and a product state
+    (C = 0) never flagged, so for those the flag factorizes nothing (A may be
+    singular at double precision).
     """
     n, k = state.n_a, 2 * state.n_a
-    g = state.cm
-    if n == 1 or not g[:k, k:].any():
+    if n == 1 or not state.cm[:k, k:].any():
         return False
-    chol = _cholesky(g[:k, :k])
-    degenerate = _degenerate(np.linalg.eigvalsh(_symplectic_hermitian(chol))[n:][::-1])
-    if "_correlation_spectrum" not in vars(state):
-        vars(state)["_correlation_spectrum"] = _whitened_spectrum(g, chol)
-    return degenerate
+    return _degenerate(np.linalg.eigvalsh(_symplectic_hermitian(state._chol_a))[n:][::-1])
 
 
 def williamson(gamma) -> WilliamsonDecomposition:

@@ -521,9 +521,9 @@ class TestNumeric:
     )
     def test_one_cholesky_of_a_per_request(self, rng, monkeypatch, n_a, n_b, correlated, expected):
         # nfg_numeric then nfg_upper_bound on a fresh state.  With n_a >= 2
-        # the flag's factor of A also whitens C: A is factored, the flag
-        # solved, C whitened, B factored and W decomposed, and the bound
-        # reads the kept spectrum.  A product state factors nothing, and a
+        # the flag and the spectrum share the state's one factor of A: A is
+        # factored, the flag solved, C whitened, B factored and W decomposed,
+        # and the bound reads the kept spectrum.  A product state factors nothing, and a
         # single A mode runs no flag eigensolve.
         if correlated:
             state = random_state(rng, n_a, n_b)
@@ -545,14 +545,14 @@ class TestNumeric:
         assert [f.tolist() for f in factored] == ([a, b] if correlated else [])
 
     def test_bound_alone_then_the_flag(self, rng, monkeypatch):
-        # The bound alone takes the spectrum's own factors; the flag is not
-        # kept, so a later nfg_numeric factors A again for it, and only that.
+        # The bound alone takes the spectrum's own factors; the state keeps
+        # L_A, so a later nfg_numeric only solves it for the flag.
         state = random_state(rng, 2, 1)
         calls = linalg_calls(monkeypatch)
         nfg_upper_bound(state)
         assert calls == ["cholesky", "solve", "cholesky", "solve", "svd"]
         nfg_numeric(state)
-        assert calls[5:] == ["cholesky", "eigvalsh"]
+        assert calls[5:] == ["eigvalsh"]
 
     def test_mean_independence(self, rng):
         state = GaussianState(ssts(SstsParams(1.0, 0.9)).cm, 1, 1, rng.normal(size=4))

@@ -303,6 +303,18 @@ class TestSweep:
             p = SstsParams(row.n_bar, row.mu)
             assert (row.nfg, row.dg, row.q) == (nfg_ssts(p), dg_ssts(p), q_ssts(p))
 
+    @pytest.mark.parametrize("steps", [2.5, 51.0, True, "51", None])
+    def test_non_integer_steps_rejected(self, steps):
+        # 2.5 used to leak NumPy's TypeError out of sweep(), and True was
+        # taken as a 1-step axis.
+        for args in ((steps, 51), (51, steps)):
+            with pytest.raises(ValueError, match="grid steps must be integers"):
+                SweepGrid(0.0, 50.0, args[0], 0.0, 1.0, args[1])
+
+    def test_numpy_integer_steps_accepted(self):
+        rows = sweep(SweepGrid(0.0, 2.0, np.int64(3), 0.0, 1.0, np.int32(2)))
+        assert rows == sweep(SweepGrid(0.0, 2.0, 3, 0.0, 1.0, 2))
+
     def test_degenerate_grids_rejected(self):
         with pytest.raises(ValueError):
             SweepGrid(0.0, 50.0, 0, 0.0, 1.0, 51)

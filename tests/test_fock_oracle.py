@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -467,3 +468,78 @@ class TestBuildCounts:
         rows = oracle_rows()
         assert len(stored_cutoffs) == 20
         assert [r.cutoff for r in rows] == ORACLE_CUTOFFS
+
+
+#: The rungs of the adaptive search, and one odd cutoff off it.
+PREFIX_CUTOFFS = (20, 33, 40, 80, 160, 320, 512)
+
+#: Parameters beyond `fock._CASES` on which the prefix property is checked too.
+LARGER_PARAMETERS = {
+    "thermal": [30.0, 1e4],
+    "coherent": [6.0, 3.5j],
+    "squeezed": [-1.5, 2.0],
+    "tmsv": [1.5, 2.0],
+}
+
+#: Per `fock._CASES` parameter: the cutoff and digest of its default-cutoff
+#: state, and one digest of its states at every explicit PREFIX_CUTOFFS
+#: cutoff (or of the error where the deficit is too large), as the oracle
+#: built them when it expanded each state at its own cutoff.
+PINNED_STATES = {
+    ("thermal", 0.0): ((20, "a9a03fe687fe3957"), "687314beaa9a5e6a"),
+    ("thermal", 1.0): ((40, "8df6c431840a4356"), "a20480f4b4688d8c"),
+    ("thermal", 3.0): ((160, "3e78cd0a0af842cd"), "c72fe1c619153971"),
+    ("thermal", 0.5): ((40, "5c330217254e5f91"), "94f9208fe0015716"),
+    ("thermal", 2.0): ((80, "7c4b06d79aa65317"), "9299ffd1d18d7967"),
+    ("coherent", 0.0): ((20, "fc160738bdbc0fb1"), "83ae07ca5f749519"),
+    ("coherent", 1.0): ((20, "60d5862c1a1cbddd"), "0482e9efca9d014e"),
+    ("coherent", -0.5 + 0.5j): ((20, "b1053e4e8ab71e58"), "f3a2e1ff8bba40ff"),
+    ("coherent", 2.0): ((40, "6a13114a8ced7af5"), "0772cd3ba2e78bd8"),
+    ("coherent", 1j): ((20, "cb3bbc3f4ece357e"), "ee5cd61d963c4fa6"),
+    ("squeezed", 0.0): ((20, "cefd7c3453cd70a4"), "5fb85e3700a43525"),
+    ("squeezed", 1.0): ((80, "0759bf578f067cab"), "10b51e07579dfd77"),
+    ("squeezed", 0.5): ((40, "4a9823d3ec8bbbe7"), "33b238200b873934"),
+    ("squeezed", 0.3): ((20, "e018d1489ea302a4"), "5021b6d57a198a11"),
+    ("tmsv", 0.0): ((20, "70a60cadd5c57204"), "9d7e531df7d7aa2f"),
+    ("tmsv", 0.5): ((20, "5a7e84c614d4af65"), "5d29fd43626e8770"),
+    ("tmsv", 1.0): ((80, "054054f1f927b040"), "3b39f61532577ee8"),
+}
+
+
+def state_pin(dm: FockDensityMatrix) -> tuple[int, str]:
+    """The cutoff of a state and a digest of its entries' bytes and dtype, its
+    trace deficit's bits and its flags."""
+    h = hashlib.sha256(dm.entries.tobytes())
+    h.update(f"{dm.entries.dtype}|{dm.trace_deficit.hex()}|{dm.pure}|{dm.two_mode}".encode())
+    return dm.cutoff, h.hexdigest()[:16]
+
+
+def explicit_cutoff_digest(family: str, x) -> str:
+    h = hashlib.sha256()
+    for c in PREFIX_CUTOFFS:
+        h.update(str(build_or_message(lambda: state_pin(BUILDERS[family](x, c)))).encode())
+    return h.hexdigest()[:16]
+
+
+class TestCeilingSlices:
+    @pytest.mark.parametrize(
+        "family, x",
+        [
+            (family, x)
+            for family, pairs in fock._CASES.items()
+            for x in [*dict.fromkeys(v for pair in pairs for v in pair), *LARGER_PARAMETERS[family]]
+        ],
+    )
+    def test_terms_are_a_prefix_of_the_ceiling_terms(self, family, x):
+        # Every stored state is a slice of its terms at the ceiling, so the
+        # terms at cutoff c must be the first c there, bit for bit.
+        expansion = fock._BUILDERS[family][0](x)
+        ceiling = expansion.terms(fock._CEILING)
+        for c in PREFIX_CUTOFFS:
+            assert expansion.terms(c).tobytes() == ceiling[:c].tobytes(), c
+
+    @pytest.mark.parametrize("family, x", PINNED_STATES)
+    def test_states_keep_their_bits(self, family, x):
+        default, explicit = PINNED_STATES[family, x]
+        assert state_pin(BUILDERS[family](x)) == default
+        assert explicit_cutoff_digest(family, x) == explicit

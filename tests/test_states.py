@@ -533,9 +533,9 @@ class TestGaussianState:
 
     def test_correlation_spectrum_under_concurrent_first_use(self, rng):
         # Many threads ask fresh states for the spectrum at once, half of
-        # them through nfg_numeric, whose degeneracy flag fills the same
-        # slot; each must read the value a serial computation gives, bit for
-        # bit.
+        # them through nfg_numeric, whose degeneracy flag reads the same
+        # cached L_A; each must read the value a serial computation gives,
+        # bit for bit.
         cms = [random_cm(rng, 3) for _ in range(40)]
         expected = [GaussianState(g, 2, 1)._correlation_spectrum for g in cms]
         states = [GaussianState(g, 2, 1) for g in cms]
@@ -566,6 +566,16 @@ class TestGaussianState:
 #: Scales whose sum of two overflows: (x + y)/2 must be taken as x/2 + y/2.
 HUGE = [9e307, 1.5e308, 1.79e308]
 
+#: A (1+1)-mode state at 1e200 scale (3 I on each side, C = 2Z): physical, but
+#: a map with max|K| >= 1e108 overflows it.
+HUGE_PAIR = GaussianState(
+    1e200 * np.array([[3, 0, 2, 0], [0, 3, 0, -2], [2, 0, 3, 0], [0, -2, 0, 3]]), 1, 1
+)
+
+#: The CI's large-gain channel and its noiseless squeezer's K.
+HUGE_GAIN = GaussianChannel(1e100 * np.eye(2), 2e200 * np.eye(2))
+SQUEEZE_1E150 = np.diag([1e150, 1e-150])
+
 
 class TestHugeScale:
     @pytest.mark.parametrize("s", HUGE)
@@ -593,6 +603,34 @@ class TestHugeScale:
     def test_channel_noise_symmetrized_without_overflow(self, s):
         ch = GaussianChannel(np.eye(2), s * np.eye(2))
         assert np.array_equal(ch.m_noise, s * np.eye(2))
+
+    @pytest.mark.parametrize(
+        "apply, match",
+        [
+            # Side B of the two-mode state at 1e200 under a large gain and a
+            # noiseless squeezer, and side A under that squeezer: K g K^T
+            # overflows, and inf * 0 gives NaN.
+            (lambda: apply_channel(HUGE_PAIR, HUGE_GAIN), "non-finite"),
+            (lambda: apply_channel(HUGE_PAIR, GaussianChannel(SQUEEZE_1E150, np.zeros((2, 2)))),
+             "non-finite"),
+            (lambda: apply_gaussian_unitary(HUGE_PAIR, GaussianUnitary(SQUEEZE_1E150), "A"),
+             "non-finite"),
+            # The noise sum and the mean overflow on their own.
+            (lambda: apply_channel(GaussianState(1e308 * np.eye(4), 1, 1),
+                                   GaussianChannel(np.eye(2), 1e308 * np.eye(2))),
+             "non-finite"),
+            (lambda: apply_gaussian_unitary(GaussianState(np.eye(4), 1, 1, [1e308, 0.0, 0.0, 0.0]),
+                                            GaussianUnitary(np.diag([2.0, 0.5])), "A"),
+             "mean must be a finite vector"),
+        ],
+        ids=["gain-on-B", "squeezer-on-B", "squeezer-on-A", "noise-sum", "mean"],
+    )  # fmt: skip
+    def test_overflowing_map_rejected_without_warnings(self, apply, match):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=match):
+                apply()
+        assert [str(w.message) for w in caught] == []
 
     def test_midpoint_is_the_plain_one_on_normal_numbers(self, rng):
         for _ in range(20):
