@@ -130,6 +130,7 @@ from .states import (
     GaussianChannel,
     GaussianState,
     StandardFormParams,
+    _frozen,
     _spectrum_degenerate,
     apply_channel,
 )
@@ -167,11 +168,12 @@ class NfgResult:
     lower_bound_only: bool = False
 
 
-def _result(value: float, method: str, theta, lower_bound_only: bool = False) -> NfgResult:
-    """The clamped result; ``theta`` is pi/2 or an array built by the caller,
-    which is frozen in place."""
-    theta = np.atleast_1d(theta)
-    theta.flags.writeable = False
+#: ``optimizer_theta`` of every (1+1) result: one read-only [pi/2], shared.
+_HALF_PI = _frozen(np.array([np.pi / 2]))
+
+
+def _result(value: float, method: str, theta=_HALF_PI, lower_bound_only=False) -> NfgResult:
+    """The clamped result; ``theta`` is read-only."""
     return NfgResult(_clamp(value), method, theta, lower_bound_only)
 
 
@@ -221,7 +223,7 @@ def nfg_closed_form(p: StandardFormParams) -> NfgResult:
     scaled by a power of two (`_unit_scale`), so ab cannot overflow.
     """
     _, _, half_c, half_d, beta_minus_alpha = _standard_kernel(*_unit_scale(p)[1:])
-    return _result(beta_minus_alpha / (half_c * half_d), "closed_form", np.pi / 2)
+    return _result(beta_minus_alpha / (half_c * half_d), "closed_form")
 
 
 def _log1m(mu: float) -> float:
@@ -246,7 +248,7 @@ def nfg_two_mode(state: GaussianState) -> NfgResult:
     that form.  The mean plays no role."""
     if state.n_a != 1 or state.n_b != 1:
         raise ValueError("closed form requires a (1+1)-mode state")
-    return _result(_measure(state), "closed_form", np.pi / 2)
+    return _result(_measure(state), "closed_form")
 
 
 def nfg_upper_bound(state: GaussianState) -> float:
@@ -306,7 +308,7 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
     """
     if state.n_a < 1 or state.n_b < 1:
         raise ValueError("numeric search needs at least one mode on each side")
-    theta = np.full(state.n_a, np.pi / 2)
+    theta = _frozen(np.full(state.n_a, np.pi / 2))
     degenerate = _spectrum_degenerate(state)
     return _result(_measure(state), "numeric", theta, degenerate)
 
@@ -370,7 +372,7 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
     den = half_c * half_d * n1 + delta
     if not den > 0.0:
         raise ValueError(f"post-channel denominator {den:.6g} is not positive: invalid channel")
-    return _result(num / den, "channel_closed_form", np.pi / 2)
+    return _result(num / den, "channel_closed_form")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from itertools import chain, cycle, repeat
 
 import numpy as np
 
-from .states import GaussianState, _is_integer, _standard_cm
+from .states import GaussianState, _is_integer, _standard_rows
 
 __all__ = [
     "SstsParams",
@@ -95,7 +95,7 @@ def ssts(p: SstsParams) -> GaussianState:
     """
     a = 1.0 + 2.0 * p.n_bar
     c = 2.0 * p.mu * np.sqrt(p.n_bar * (1.0 + p.n_bar))
-    return GaussianState(_standard_cm(a, a, c, -c), 1, 1)
+    return GaussianState(_standard_rows(a, a, c, -c), 1, 1)
 
 
 #: The largest r accepted by `tmsv`.
@@ -118,7 +118,7 @@ def tmsv(r: float) -> GaussianState:
     if r > _R_MAX:
         raise ValueError(f"squeeze parameter must be at most {_R_MAX}, got {r}")
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    return GaussianState(_standard_cm(ch, ch, sh, -sh), 1, 1)
+    return GaussianState(_standard_rows(ch, ch, sh, -sh), 1, 1)
 
 
 def _split(n_bar, mu):

@@ -25,7 +25,9 @@ Conventions used throughout the package:
   `_verdict_2` and `_verdict_4`, which read g entry by entry and build only
   the lower triangle of the equilibrated matrix.  Each runs the operations
   of the row loops (`_ldl_rows` factors beyond 4 rows) in the same order,
-  so verdicts, pivots and overlaps have the loops' bits.
+  so verdicts, pivots and overlaps have the loops' bits;
+* a constructor copies caller input once and rejects complex input
+  (`_owned`); arrays built here are frozen in place, never copied again.
 """
 
 from __future__ import annotations
@@ -75,23 +77,37 @@ def symplectic_form(n: int) -> np.ndarray:
     return _frozen(delta)
 
 
-def _as_square_even(m, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+def _owned(a, name: str) -> np.ndarray:
+    """``a`` as read-only float64 no caller can write: itself if it already is
+    and owns its memory, as arrays built here do, else one frozen copy.
+    Complex input raises: a cast would drop its imaginary part."""
+    if isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable and a.dtype == float:
+        return a
+    a = np.array(a)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got complex entries")
+    return _frozen(a.astype(float, copy=False))
+
+
+def _as_square_even(m, name: str) -> tuple[np.ndarray, list[list[float]]]:
+    """``(m, rows)``: an `_owned`, finite, square, even ``m`` and its rows."""
+    m = _owned(m, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if m.shape[0] == 0 or m.shape[0] % 2 != 0:
         raise ValueError(f"{name} must have even positive dimension, got {m.shape[0]}")
-    if not np.isfinite(m).all():
+    rows = m.tolist()
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
         raise ValueError(f"{name} has non-finite entries")
-    return m
+    return m, rows
 
 
 def _as_vector(v, n: int, name: str) -> np.ndarray:
-    """``v`` as a finite float vector of length ``n``; zeros if it is None."""
+    """``v`` as an `_owned` finite vector of length ``n``; zeros if it is None."""
     if v is None:
-        return np.zeros(n)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n,) or not np.all(np.isfinite(v)):
+        return _frozen(np.zeros(n))
+    v = _owned(v, name)
+    if v.shape != (n,) or not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"{name} must be a finite vector of length {n}, got {v}")
     return v
 
@@ -103,9 +119,20 @@ def _is_integer(n) -> bool:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
+    """``a``, just built here and held by nothing else, made read-only in place."""
+    a.setflags(write=False)
     return a
+
+
+class _cached_property(cached_property):
+    """`cached_property` without the lock Python 3.11 takes on a miss: threads
+    that miss at once each compute the value, and get the same one."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
 
 
 def _mid(x, y):
@@ -344,12 +371,9 @@ def _ldl(h, shift: float) -> tuple[list[list], list[float]] | None:
     as nested lists, of which only the lower triangle is read:
     ``(conj_lower, pivots)``, the rows of conj(L) left of L's unit diagonal
     and the diagonal of D, or None at the first pivot that is not > 0 (a NaN
-    included).  It runs in Python scalar arithmetic, complex for a complex
-    ``h`` and float for a real one: written out for 2 and 4 rows, one-mode
-    and (1+1)-mode matrices (`_ldl_2`, `_ldl_4`), and by the row loop
-    `_ldl_rows` beyond, with the same bits at every size.  `_semidefinite`,
-    up to `_SCALAR_DIM` rows, and the overlaps of `nfg.overlap`, at every
-    size, both factor here.
+    included), in Python scalar arithmetic, complex or float as ``h`` is:
+    `_ldl_2`, `_ldl_4` and beyond the row loop `_ldl_rows`, with the same
+    bits.  `_semidefinite` and every overlap of `nfg.overlap` factor here.
     """
     n = len(h)
     if n == 4:
@@ -362,8 +386,8 @@ def _ldl(h, shift: float) -> tuple[list[list], list[float]] | None:
 def _semidefinite(h, shift: float) -> bool:
     """Whether the Hermitian ``h`` has no eigenvalue below -``shift``: the
     one positive-semidefiniteness test behind the Simon verdict and the
-    channel check.  ``h`` is nested lists or an array.  A NaN entry
-    answers False.
+    channel check.  ``h`` is nested lists, or an array beyond
+    `_SCALAR_DIM` rows.  A NaN entry answers False.
 
     Up to `_SCALAR_DIM` rows it asks whether h + shift I has a Cholesky
     factor, by the `_ldl` factorization: every pivot must be > 0.  In exact
@@ -375,8 +399,6 @@ def _semidefinite(h, shift: float) -> bool:
     """
     if len(h) > _SCALAR_DIM:
         return bool(np.linalg.eigvalsh(np.asarray(h))[0] >= -shift)
-    if isinstance(h, np.ndarray):
-        h = h.tolist()
     return _ldl(h, shift) is not None
 
 
@@ -450,23 +472,18 @@ def _verdict_4(rows: list[list[float]]) -> tuple[bool, bool]:
     return True, _ldl_4(lower, DEFAULT_TOL) is not None
 
 
-def _verdict(g: np.ndarray) -> tuple[bool, bool]:
-    """The `validate_cm` verdict of a square, even, finite `g`:
-    ``(symmetric, physical)``.
-
-    Simon's criterion is decided on the equilibrated matrix at
-    `DEFAULT_TOL`.  A 2 x 2 or 4 x 4 ``g`` takes `_verdict_2` or
-    `_verdict_4`: the symmetry and positive-diagonal tests and the
-    equilibration entry by entry on ``g.tolist()``, and a written-out
-    Cholesky test of the lower triangle, with no copy of the symmetric part.
-    Larger matrices run those steps in NumPy and `_semidefinite`'s one
-    Hermitian eigensolve.  `_report` adds the report-only eigensolves.
+def _verdict(g: np.ndarray, rows: list[list[float]]) -> tuple[bool, bool]:
+    """The `validate_cm` verdict ``(symmetric, physical)`` of a square, even,
+    finite ``g`` and its ``rows``: Simon's criterion on the equilibrated
+    matrix at `DEFAULT_TOL`, on the rows up to 4 x 4 (`_verdict_2`,
+    `_verdict_4`) and beyond in NumPy, with `_semidefinite`'s one Hermitian
+    eigensolve.  `_report` adds the report-only eigensolves.
     """
-    n = g.shape[0]
+    n = len(rows)
     if n == 4:
-        return _verdict_4(g.tolist())
+        return _verdict_4(rows)
     if n == 2:
-        return _verdict_2(g.tolist())
+        return _verdict_2(rows)
     symmetric, gs = _symmetric_part(g)
     diag = np.diag(gs)
     if not (symmetric and np.all(diag > 0.0)):
@@ -496,12 +513,11 @@ def validate_cm(gamma) -> ValidationReport:
     and still be physical within the tolerance.
 
     Only the Simon test decides ``physical``; the symplectic spectrum and
-    ``positive_definite`` take two eigensolves and serve the report.
-    `GaussianState` therefore checks the verdict alone on construction and
-    builds this full report only to explain a rejection.
+    ``positive_definite`` take two eigensolves and serve the report, which
+    `GaussianState` builds only to explain a rejection.
     """
-    g = _as_square_even(gamma, "covariance matrix")
-    return _report(g, _verdict(g))
+    g, rows = _as_square_even(gamma, "covariance matrix")
+    return _report(g, _verdict(g, rows))
 
 
 def _report(g: np.ndarray, verdict: tuple) -> ValidationReport:
@@ -538,15 +554,16 @@ def _map_peak(rows: list[list[float]], name: str) -> float:
 def is_symplectic(s) -> bool:
     """True iff max|S Delta S^T - Delta| <= `_allowance` (max|S|^2).
 
-    The allowance is `DEFAULT_TOL` up to max|S| ~ 375 and grows with the
-    rounding of S Delta S^T beyond, so valid squeezers up to r ~ 16 pass and
-    a symplectic scaled by 2 is still rejected there.  For one mode
-    S Delta S^T = det S Delta, so the test reads |det S - 1| in scalar
-    arithmetic.  An S with max|S| above 1e150 raises a `ValueError`, as a
-    channel's K does.
+    By `_allowance`, squeezers up to r ~ 16 pass and 2 S is rejected.  For
+    one mode S Delta S^T = det S Delta, so the test reads |det S - 1| in
+    scalar arithmetic.  An S with max|S| above 1e150 raises a `ValueError`,
+    as a channel's K does.
     """
-    s = _as_square_even(s, "matrix")
-    rows = s.tolist()
+    return _symplectic(*_as_square_even(s, "matrix"))
+
+
+def _symplectic(s: np.ndarray, rows: list[list[float]]) -> bool:
+    """`is_symplectic` of `_as_square_even`'s ``(s, rows)``."""
     peak = _map_peak(rows, "S")
     if len(rows) == 2:
         (s00, s01), (s10, s11) = rows
@@ -564,17 +581,18 @@ class GaussianState:
     ``cm`` is 2(n_a+n_b) x 2(n_a+n_b) with the block layout
     ``[[A, C], [C^T, B]]`` where A covers the first 2*n_a rows; the mode
     counts are ints or NumPy integers, not floats or bools.  ``mean``
-    defaults to zero.  Construction checks the Simon verdict of `validate_cm`
-    at `DEFAULT_TOL`, a scalar Cholesky test up to (1+1) modes and one
-    Hermitian eigensolve beyond, and freezes the arrays; the full report is
-    built only to explain a rejection.  Every state, including the outputs
-    of `apply_gaussian_unitary` and `apply_channel`, is checked this way.
-    Instances are immutable and safe to share between threads.
+    defaults to zero.  Construction copies the arrays once, read-only
+    (`_owned`: complex input raises, and a map's output, frozen as built, is
+    not copied), rejects non-finite entries and checks the Simon verdict of
+    `validate_cm` at `DEFAULT_TOL`; the full report is built only to explain
+    a rejection.  Every state, the outputs of `apply_gaussian_unitary` and
+    `apply_channel` included, is checked this way.  Instances are immutable
+    and safe to share between threads.
 
     The correlation spectrum behind the measure and its bound (see
     `nfg.correlation`) is computed on first use and kept with the instance,
     which never changes; it is a read-only array, and two threads that miss
-    it at once compute the same value.
+    it at once compute the same value, with no lock.
     """
 
     cm: np.ndarray
@@ -587,7 +605,7 @@ class GaussianState:
             raise ValueError(f"n_a and n_b must be integers, got {self.n_a!r} and {self.n_b!r}")
         if self.n_a < 0 or self.n_b < 0 or self.n_a + self.n_b < 1:
             raise ValueError("need n_a, n_b >= 0 with at least one mode in total")
-        g = _as_square_even(self.cm, "covariance matrix")
+        g, rows = _as_square_even(self.cm, "covariance matrix")
         dim = 2 * (self.n_a + self.n_b)
         if g.shape[0] != dim:
             raise ValueError(
@@ -595,7 +613,7 @@ class GaussianState:
                 f"expected {dim}x{dim} for {self.n_a}+{self.n_b} modes"
             )
         mean = _as_vector(self.mean, dim, "mean")
-        verdict = _verdict(g)
+        verdict = _verdict(g, rows)
         if not verdict[1]:
             report = _report(g, verdict)
             raise ValueError(
@@ -604,76 +622,63 @@ class GaussianState:
                 f"positive_definite={report.positive_definite}, "
                 f"min symplectic eigenvalue={report.symplectic_eigenvalues[-1]:.6g})"
             )
-        object.__setattr__(self, "cm", _frozen(g))
-        object.__setattr__(self, "mean", _frozen(mean))
+        object.__setattr__(self, "cm", g)
+        object.__setattr__(self, "mean", mean)
 
-    @cached_property
+    @_cached_property
     def _correlation_spectrum(self) -> np.ndarray:
         """mu, the squared canonical correlations between A and B, ascending.
 
-        With L_A, L_B the Cholesky factors of A and B, mu are the squared
-        singular values of W = L_A^{-1} C L_B^{-T}, padded in front with zeros
-        to 2 n_b entries: W^T W = L_B^{-1} X L_B^{-T} with X = C^T A^{-1} C,
-        so mu are the eigenvalues of B^{-1} X, but W's conditioning is not
-        squared.  A (1+1)-mode state takes the 2x2 case in closed form
-        (`_two_mode_spectrum`); larger partitions take two triangular solves,
-        on L_A (`_chol_a`, which `nfg_numeric`'s degeneracy flag reads too)
-        and on L_B, and one SVD.  Only the lower triangles of A and B are
-        read.  mu = 1 means det(B - X) = 0, a pure state squeezed past double
-        precision, and rounding can push it above 1, so mu is clipped at 1;
-        the 2 n_b - 2 n_a directions X cannot reach when n_a < n_b (rank
-        X <= 2 n_a) give mu exactly 0.  Empty when B has no modes.  Exactly
-        zero, with nothing factorized, when C is zero (a product state, or
-        no mode on A), so a product state scores 0 even with a block
-        squeezed past double precision.  A correlated state whose A or B
-        block does not factor at double precision raises `_singular`'s
-        `ValueError`.
+        mu are the squared singular values of W = L_A^{-1} C L_B^{-T} (see
+        the `nfg.correlation` notes), clipped at 1 and padded in front with
+        zeros to 2 n_b entries: in closed form for (1+1) modes
+        (`_two_mode_spectrum`), else by two triangular solves, on L_A
+        (`_chol_a`) and L_B, and one SVD.  Only the lower triangles of A and
+        B are read.  Empty when B has no modes; exactly zero, with nothing
+        factorized, when C is zero, so a product state scores 0 even with a
+        block squeezed past double precision.  A correlated state whose A or
+        B block does not factor raises `_singular`'s `ValueError`.
         """
         k = 2 * self.n_a
         g = self.cm
         if not g[:k, k:].any():
             return _frozen(np.zeros(2 * self.n_b))
         if self.n_a == self.n_b == 1:
-            return _frozen(_two_mode_spectrum(g.tolist()))
+            return _frozen(np.array(_two_mode_spectrum(g.tolist())))
         y = np.linalg.solve(self._chol_a, g[:k, k:])  # L_A^{-1} C
         w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
         sigma = np.linalg.svd(w_t, compute_uv=False)[::-1]  # W's, ascending
         mu = np.zeros(2 * self.n_b)
         mu[mu.size - sigma.size :] = np.minimum(sigma * sigma, 1.0)
-        mu.flags.writeable = False  # built here, so frozen in place, not copied
-        return mu
+        return _frozen(mu)
 
-    @cached_property
+    @_cached_property
     def _chol_a(self) -> np.ndarray:
         """L_A, the lower Cholesky factor of the A block, read-only; a block
         that does not factor raises `_singular`'s `ValueError`.  The generic
         correlation spectrum and `nfg_numeric`'s degeneracy flag both solve
         it, so A is factored once per state, whichever runs first."""
         k = 2 * self.n_a
-        chol = _cholesky(self.cm[:k, :k])
-        chol.flags.writeable = False
-        return chol
+        return _frozen(_cholesky(self.cm[:k, :k]))
 
 
 @dataclass(frozen=True)
 class GaussianUnitary:
     """Phase-space action of a Gaussian unitary: Gamma -> S Gamma S^T, d -> S d + m.
 
-    S must pass `is_symplectic`, the map rule `GaussianChannel` applies too:
-    its allowance grows with eps max|S|^2 from max|S| ~ 375 on, so
-    squeezers up to the n_bar = 1e13 states that `validate_cm` accepts
-    (r ~ 16) are not rejected on rounding.
+    S must pass `is_symplectic`, the map rule `GaussianChannel` applies too.
+    S and m are copied once, as a state's arrays are.
     """
 
     s: np.ndarray
     m: np.ndarray | None = None
 
     def __post_init__(self):
-        s = _as_square_even(self.s, "symplectic matrix")
-        if not is_symplectic(s):
+        s, rows = _as_square_even(self.s, "symplectic matrix")
+        if not _symplectic(s, rows):
             raise ValueError("matrix does not satisfy S Delta S^T = Delta")
-        object.__setattr__(self, "s", _frozen(s))
-        object.__setattr__(self, "m", _frozen(_as_vector(self.m, s.shape[0], "m")))
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "m", _as_vector(self.m, len(rows), "m"))
 
 
 def _act_on_side(cm: np.ndarray, ka: int, side: str, k: np.ndarray) -> np.ndarray:
@@ -702,10 +707,11 @@ def _map_side(
     part of the mean to K d + shift.
 
     The other diagonal block and the other part of the mean are carried over
-    bit for bit.  The output goes through the `GaussianState` constructor, so
-    its Simon verdict is checked again.  A map whose output overflows gives
-    inf or NaN entries, which the constructor rejects with a `ValueError`, so
-    the products run with NumPy's overflow and invalid-value warnings off.
+    bit for bit.  The output, frozen in place, goes through the
+    `GaussianState` constructor, which takes it without a copy and checks
+    its Simon verdict again.  A map whose output overflows gives inf or NaN
+    entries, which the constructor rejects with a `ValueError`, so the
+    products run with NumPy's overflow and invalid-value warnings off.
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
@@ -719,16 +725,12 @@ def _map_side(
         g = _act_on_side(state.cm, ka, side, k)
         if noise is not None:
             g[part, part] += noise
-    return GaussianState(g, state.n_a, state.n_b, mean)
+    return GaussianState(_frozen(g), state.n_a, state.n_b, _frozen(mean))
 
 
 def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str) -> GaussianState:
-    """Apply a Gaussian unitary to side "A" or "B" of the partition.
-
-    The other block of the covariance matrix is carried over untouched (bit
-    for bit).  The output goes through the `GaussianState` constructor, so
-    its Simon verdict is checked again.
-    """
+    """Apply a Gaussian unitary to side "A" or "B" of the partition; the other
+    block is carried over bit for bit, and the output is checked again."""
     return _map_side(state, side, u.s, u.m)
 
 
@@ -750,12 +752,11 @@ class GaussianChannel:
     K Delta K^T = det K Delta, reads det M >= (det K - 1)^2.  It may have no
     eigenvalue below minus the `_allowance` of max(max|K|^2, max|M|), the
     rule `is_symplectic` applies to a unitary, so the noiseless channels of
-    squeezers up to r ~ 16 pass as their unitaries do.  `_semidefinite`
-    decides: up to two modes, whether the matrix plus the allowance times I
-    has a Cholesky factor, in scalar arithmetic; beyond, its smallest
-    eigenvalue.  A NaN rejects, and a rejection names the smallest
-    eigenvalue.  max|K| may be at most 1e150, so that neither K Delta K^T
-    nor max|K|^2 overflows.
+    squeezers up to r ~ 16 pass as their unitaries do; `_semidefinite`
+    decides.  A rejection names the smallest eigenvalue.  max|K| may be at
+    most 1e150, so that neither K Delta K^T nor max|K|^2 overflows.  K and M
+    are copied once, as a state's arrays are, and every test reads their
+    rows; ``m_noise`` keeps M's symmetric part.
     """
 
     k: np.ndarray
@@ -763,16 +764,15 @@ class GaussianChannel:
     d_bar: np.ndarray | None = None
 
     def __post_init__(self):
-        k = _as_square_even(self.k, "K")
-        m = _as_square_even(self.m_noise, "M")
+        k, k_rows = _as_square_even(self.k, "K")
+        m, m_rows = _as_square_even(self.m_noise, "M")
         if m.shape != k.shape:
             raise ValueError("M must match the shape of K")
-        k_rows = k.tolist()
         k_max = _map_peak(k_rows, "K")
-        symmetric, m_rows = _symmetric_rows(m.tolist())
+        symmetric, m_rows = _symmetric_rows(m_rows)
         if not symmetric:
             raise ValueError("noise matrix M must be symmetric")
-        m = np.array(m_rows)
+        m = _frozen(np.array(m_rows))
         allowance = _allowance(max(k_max**2, _max_abs(m_rows)))
         if len(k_rows) == 2:
             (k00, k01), (k10, k11) = k_rows
@@ -781,15 +781,15 @@ class GaussianChannel:
             loss = 1.0 - (k00 * k11 - k01 * k10)
             h = [[m00, complex(m01, loss)], [complex(m10, -loss), m11]]
         else:
-            h = _complete_positivity_matrix(k, m)
+            h = _complete_positivity_matrix(k, m).tolist()
         if not _semidefinite(h, allowance):
             least = float(np.linalg.eigvalsh(_complete_positivity_matrix(k, m))[0])
             raise ValueError(
                 f"invalid channel: M + i(Delta - K Delta K^T) has eigenvalue {least:.6g} < 0"
             )
-        d = _as_vector(self.d_bar, k.shape[0], "d_bar")
+        d = _as_vector(self.d_bar, len(k), "d_bar")
         for name, arr in (("k", k), ("m_noise", m), ("d_bar", d)):
-            object.__setattr__(self, name, _frozen(arr))
+            object.__setattr__(self, name, arr)
 
     @property
     def n_modes(self) -> int:
@@ -800,9 +800,8 @@ def apply_channel(state: GaussianState, ch: GaussianChannel, side: str = "B") ->
     """Send subsystem ``side``, "A" or "B", through the channel.
 
     For side B this is A -> A, C -> C K^T, B -> K B K^T + M, and the B part of
-    the mean becomes K d_B + d_bar; side A maps the A rows likewise.  The
-    other diagonal block is carried over untouched.  The map is the one
-    `apply_gaussian_unitary` uses for one side, with the noise M added.
+    the mean becomes K d_B + d_bar; side A maps the A rows likewise.  The map
+    is `apply_gaussian_unitary`'s, with the noise M added.
     """
     return _map_side(state, side, ch.k, ch.d_bar, ch.m_noise)
 
@@ -877,7 +876,7 @@ def williamson(gamma) -> WilliamsonDecomposition:
     `_DEGENERACY_TOL` (relative).  `nfg_numeric` applies the same rule to the
     A block's spectrum without decomposing it.
     """
-    g = _as_square_even(gamma, "covariance matrix")
+    g = _as_square_even(gamma, "covariance matrix")[0]
     g = _mid(g, g.T)
     n = g.shape[0] // 2
     try:
@@ -912,7 +911,7 @@ class StandardFormParams:
         a, b, c, d = self.a, self.b, self.c, self.d
         if not all(math.isfinite(x) for x in (a, b, c, d)):
             raise ValueError("standard-form parameters must be finite")
-        if not _verdict(_standard_cm(a, b, c, d))[1]:
+        if not _verdict_4(_standard_rows(*map(float, (a, b, c, d))))[1]:
             raise ValueError(
                 f"standard-form parameters are not physical: a={a}, b={b}, c={c}, d={d}"
             )
@@ -920,10 +919,8 @@ class StandardFormParams:
             raise ValueError(f"canonical orientation requires c >= |d|, got c={c}, d={d}")
 
 
-def _standard_cm(a: float, b: float, c: float, d: float) -> np.ndarray:
-    return np.array(
-        [[a, 0.0, c, 0.0], [0.0, a, 0.0, d], [c, 0.0, b, 0.0], [0.0, d, 0.0, b]], dtype=float
-    )
+def _standard_rows(a: float, b: float, c: float, d: float) -> list[list[float]]:
+    return [[a, 0.0, c, 0.0], [0.0, a, 0.0, d], [c, 0.0, b, 0.0], [0.0, d, 0.0, b]]
 
 
 def _local_frame(l: tuple[float, float, float, float], angle: float) -> np.ndarray:

@@ -156,9 +156,9 @@ class TestOneVerdict:
         calls = []
         verdict = nfg.states._verdict
 
-        def spy(g):
+        def spy(g, rows):
             calls.append(g.shape)
-            return verdict(g)
+            return verdict(g, rows)
 
         monkeypatch.setattr(nfg.states, "_verdict", spy)
         return calls

@@ -723,9 +723,9 @@ class TestConstructionVerdict:
         calls = []
         verdict = nfg.states._verdict
 
-        def spy(g):
+        def spy(g, rows):
             calls.append(g.shape)
-            return verdict(g)
+            return verdict(g, rows)
 
         monkeypatch.setattr(nfg.states, "_verdict", spy)
         dim = 2 * (n_a + n_b)
@@ -964,7 +964,7 @@ class TestWrittenOutKernels:
         """`_verdict` of g against `loop_verdict`; the lower triangle it
         factors must be the loop's Simon matrix's, bit for bit."""
         factored.clear()
-        verdict = nfg.states._verdict(g)
+        verdict = nfg.states._verdict(g, g.tolist())
         assert verdict == loop_verdict(g)
         simon = loop_simon(g)[1]
         if simon is None:
@@ -1173,6 +1173,66 @@ class TestVectorFields:
             v = {"short": np.zeros(n - 1), "long": np.zeros(n + 1), "matrix": np.zeros((n, 1))}[bad]
         with pytest.raises(ValueError, match=f"^{field} must be a finite vector of length {n}, got"):
             build(v)
+
+
+#: A complex real-shaped array for each array field of the three constructors.
+_SKEW = 0.5j * np.eye(2)[::-1]
+COMPLEX_FIELDS = [
+    pytest.param(lambda: GaussianState(np.eye(4) + 0.5j * np.eye(4)[::-1], 1, 1), id="cm"),
+    pytest.param(lambda: GaussianState(np.eye(4), 1, 1, np.full(4, 1j)), id="mean"),
+    pytest.param(lambda: GaussianUnitary(np.eye(2) + _SKEW), id="S"),
+    pytest.param(lambda: GaussianUnitary(np.eye(2), np.full(2, 1j)), id="m"),
+    pytest.param(lambda: GaussianChannel((1 + 1j) * np.eye(2), np.eye(2)), id="K"),
+    pytest.param(lambda: GaussianChannel(np.eye(2), np.eye(2) + _SKEW), id="M"),
+    pytest.param(lambda: GaussianChannel(np.eye(2), np.eye(2), np.full(2, 1j)), id="d_bar"),
+]
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("build", COMPLEX_FIELDS)
+    def test_complex_input_rejected(self, build):
+        # A cast to float would drop the imaginary part with only a warning.
+        with pytest.raises(ValueError, match="must be real, got complex entries"):
+            build()
+
+    def test_caller_input_stays_isolated(self, rng):
+        ch = random_channel(rng)
+        cm, mean = random_cm(rng, 2), rng.normal(size=4)
+        s, shift = rotation(0.3), rng.normal(size=2)
+        k, m, d_bar = np.array(ch.k), np.array(ch.m_noise), rng.normal(size=2)
+        state, u = GaussianState(cm, 1, 1, mean), GaussianUnitary(s, shift)
+        channel = GaussianChannel(k, m, d_bar)
+        held = [state.cm, state.mean, u.s, u.m, channel.k, channel.m_noise, channel.d_bar]
+        kept = [a.copy() for a in held]
+        for a in (cm, mean, s, shift, k, m, d_bar):
+            assert a.flags.writeable
+            a += 1.0
+        for a, b in zip(held, kept):
+            assert not a.flags.writeable and np.array_equal(a, b)
+        # a read-only view of memory the caller can still write is copied too
+        view = cm.view()
+        view.setflags(write=False)
+        assert not np.shares_memory(GaussianState(view, 1, 1).cm, cm)
+        for out in (apply_gaussian_unitary(state, u, "A"), apply_channel(state, channel)):
+            for a, b in ((out.cm, state.cm), (out.mean, state.mean)):
+                assert not a.flags.writeable and not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("n_a, n_b", [(1, 1), (2, 2)])
+    def test_cached_values_computed_once(self, rng, monkeypatch, n_a, n_b):
+        state = random_state(rng, n_a, n_b)
+        closed, closed_forms = nfg.states._two_mode_spectrum, []
+
+        def spy(g):
+            closed_forms.append(g)
+            return closed(g)
+
+        monkeypatch.setattr(nfg.states, "_two_mode_spectrum", spy)
+        calls = linalg_calls(monkeypatch)
+        mu, chol = state._correlation_spectrum, state._chol_a
+        assert state._correlation_spectrum is mu and state._chol_a is chol
+        assert len(closed_forms) == (n_a == 1)
+        # L_A once, and L_B for the generic spectrum
+        assert calls.count("cholesky") == (1 if n_a == 1 else 2)
 
 
 class TestApplyGaussianUnitary:
