@@ -14,12 +14,12 @@ Conventions used throughout the package:
   state or on one side of the partition.  Both maps are judged by one rule:
   their defining identity must hold up to `_allowance` of their scale;
 * both positive-semidefiniteness conditions, Simon's for a state and the
-  channel's, are decided by one test: up to 4 x 4, the (1+1)-mode states
-  and the maps of up to two modes, whether the matrix plus its allowance
-  times I has a Cholesky factor, in scalar arithmetic; beyond, its smallest
-  eigenvalue (`_semidefinite`).  A one-mode unitary is checked as
-  |det S - 1|.  The same scalar factorization, `_ldl`, gives every overlap
-  of `nfg.overlap` its determinant and mean term, at any size;
+  channel's, are decided by whether the matrix plus its allowance times I
+  has a Cholesky factor, by the scalar factorization `_ldl`, at every size
+  but one: the Simon verdict beyond 4 x 4 compares its smallest eigenvalue,
+  which is faster there.  A one-mode unitary is checked as |det S - 1|.
+  The same `_ldl` gives every overlap of `nfg.overlap` its determinant and
+  mean term, at any size;
 * the scalar kernels are written out, with no loop, for the only sizes a
   (1+1)-mode request meets: `_ldl_2` and `_ldl_4`, and the Simon verdicts
   `_verdict_2` and `_verdict_4`, which read g entry by entry and build only
@@ -288,16 +288,6 @@ def _allowance(scale: float) -> float:
     return max(DEFAULT_TOL, _ROUNDING * scale)
 
 
-#: Largest matrix, in rows, that `_semidefinite` tests by `_ldl`: (1+1)-mode
-#: states and maps of up to two modes, the cut `_two_mode_spectrum` makes.
-#: From 6 x 6 on NumPy's eigensolve is faster than the row loop
-#: `_ldl_rows`: 7.7 against 10.6 us at 6 x 6, 9.8 against 20 us at 8 x 8, on
-#: a 2-vCPU Intel Xeon host.  At 4 x 4, on a host of the same kind, the
-#: written-out `_ldl_4` takes 2.8 us on a complex Simon matrix (the loop took
-#: 6.9) and the eigensolve 7.3 us before the array it needs is built.
-_SCALAR_DIM = 4
-
-
 def _ldl_rows(h, shift: float) -> tuple[list[list], list[float]] | None:
     """`_ldl` by a loop over the rows, for any size; `_ldl_2` and `_ldl_4`
     write out its operations for 2 and 4 rows."""
@@ -373,7 +363,11 @@ def _ldl(h, shift: float) -> tuple[list[list], list[float]] | None:
     and the diagonal of D, or None at the first pivot that is not > 0 (a NaN
     included), in Python scalar arithmetic, complex or float as ``h`` is:
     `_ldl_2`, `_ldl_4` and beyond the row loop `_ldl_rows`, with the same
-    bits.  `_semidefinite` and every overlap of `nfg.overlap` factor here.
+    bits.  In exact arithmetic a factor exists iff lambda_min(h) > -shift;
+    the factorization is backward stable, so in floating point the two part
+    only within a small multiple of eps max|h| of the threshold.  The Simon
+    verdict up to 4 x 4, the channel check and every overlap of
+    `nfg.overlap` factor here.
     """
     n = len(h)
     if n == 4:
@@ -381,25 +375,6 @@ def _ldl(h, shift: float) -> tuple[list[list], list[float]] | None:
     if n == 2:
         return _ldl_2(h, shift)
     return _ldl_rows(h, shift)
-
-
-def _semidefinite(h, shift: float) -> bool:
-    """Whether the Hermitian ``h`` has no eigenvalue below -``shift``: the
-    one positive-semidefiniteness test behind the Simon verdict and the
-    channel check.  ``h`` is nested lists, or an array beyond
-    `_SCALAR_DIM` rows.  A NaN entry answers False.
-
-    Up to `_SCALAR_DIM` rows it asks whether h + shift I has a Cholesky
-    factor, by the `_ldl` factorization: every pivot must be > 0.  In exact
-    arithmetic that is lambda_min(h) > -shift, the eigenvalue rule but for
-    the tie; the factorization is backward stable, so in floating point the
-    two part only within a small multiple of eps max|h| of the threshold.
-    Larger matrices take `np.linalg.eigvalsh`: lambda_min >= -shift.  The
-    2- and 4-row Simon verdicts call `_ldl_2` and `_ldl_4` directly.
-    """
-    if len(h) > _SCALAR_DIM:
-        return bool(np.linalg.eigvalsh(np.asarray(h))[0] >= -shift)
-    return _ldl(h, shift) is not None
 
 
 @dataclass(frozen=True)
@@ -475,9 +450,10 @@ def _verdict_4(rows: list[list[float]]) -> tuple[bool, bool]:
 def _verdict(g: np.ndarray, rows: list[list[float]]) -> tuple[bool, bool]:
     """The `validate_cm` verdict ``(symmetric, physical)`` of a square, even,
     finite ``g`` and its ``rows``: Simon's criterion on the equilibrated
-    matrix at `DEFAULT_TOL`, on the rows up to 4 x 4 (`_verdict_2`,
-    `_verdict_4`) and beyond in NumPy, with `_semidefinite`'s one Hermitian
-    eigensolve.  `_report` adds the report-only eigensolves.
+    matrix at `DEFAULT_TOL`, up to 4 x 4 by `_ldl` on the rows (`_verdict_2`,
+    `_verdict_4`), beyond in NumPy, with one Hermitian eigensolve:
+    lambda_min >= -`DEFAULT_TOL`.  `_report` adds the report-only
+    eigensolves.
     """
     n = len(rows)
     if n == 4:
@@ -490,7 +466,10 @@ def _verdict(g: np.ndarray, rows: list[list[float]]) -> tuple[bool, bool]:
         return symmetric, False
     root = 1.0 / np.sqrt(diag)
     simon = (gs + 1j * symplectic_form(n // 2)) * np.outer(root, root)
-    return symmetric, _semidefinite(simon, DEFAULT_TOL)
+    # One eigensolve, not a scalar verdict by `_ldl_rows`: on a 2-vCPU Intel
+    # Xeon host that verdict took 30.9 against 27.0 us at 6 x 6 and 46.4
+    # against 28.0 us at 8 x 8, and made a `multimode_search` op 12-17% slower.
+    return symmetric, bool(np.linalg.eigvalsh(simon)[0] >= -DEFAULT_TOL)
 
 
 def validate_cm(gamma) -> ValidationReport:
@@ -503,14 +482,15 @@ def validate_cm(gamma) -> ValidationReport:
     large Gamma is, so the tolerance means the same thing at every scale: a
     relative distance to the physical set.  (The singular two-mode matrix with
     a = b = c = -d, nu_min = 0, is that close for a >~ 3e4.)  Up to 4 x 4 the
-    test is whether the matrix plus DEFAULT_TOL I has a Cholesky factor, in
-    scalar arithmetic; larger matrices compare their smallest eigenvalue (see
-    `_semidefinite`).  Symplectic eigenvalues are the moduli of the
-    eigenvalues of i*Delta*Gamma, reported once each, in descending order;
-    ``positive_definite`` is the smallest eigenvalue of Gamma being > 0.  A
-    pure state squeezed past double precision (n_bar >~ 1e8) is stored as a
-    singular matrix, so it can read not positive definite with nu_min ~ 0
-    and still be physical within the tolerance.
+    test is whether the matrix plus DEFAULT_TOL I has a Cholesky factor, by
+    the scalar factorization (`_ldl`); larger matrices, where one eigensolve
+    is faster, compare their smallest eigenvalue.  Symplectic eigenvalues
+    are the moduli of the eigenvalues of i*Delta*Gamma, reported once each,
+    in descending order; ``positive_definite`` is the smallest eigenvalue of
+    Gamma being > 0.  A pure state squeezed past double precision
+    (n_bar >~ 1e8) is stored as a singular matrix, so it can read not
+    positive definite with nu_min ~ 0 and still be physical within the
+    tolerance.
 
     Only the Simon test decides ``physical``; the symplectic spectrum and
     ``positive_definite`` take two eigensolves and serve the report, which
@@ -520,6 +500,12 @@ def validate_cm(gamma) -> ValidationReport:
     return _report(g, _verdict(g, rows))
 
 
+def _even_power(peak: float) -> float:
+    """The largest even power of two at most ``peak`` > 0.  Dividing a matrix
+    by it is exact, and so are the square roots of what it scales."""
+    return math.ldexp(1.0, (math.frexp(peak)[1] - 1) // 2 * 2)
+
+
 def _report(g: np.ndarray, verdict: tuple) -> ValidationReport:
     """The `validate_cm` report of ``g`` around its `_verdict`.  The
     symmetric part, which the 2- and 4-row verdicts do not build, is taken
@@ -527,10 +513,9 @@ def _report(g: np.ndarray, verdict: tuple) -> ValidationReport:
     symmetric, physical = verdict
     gs = _symmetric_part(g)[1]
     delta = symplectic_form(g.shape[0] // 2)
-    # Delta Gamma scaled by an even power of two at most max|Gamma|, so it is
-    # finite up to the float maximum and the eigensolve, square roots too,
-    # scales exactly
-    scale = math.ldexp(1.0, (math.frexp(float(np.abs(gs).max()))[1] - 1) // 2 * 2)
+    # Delta Gamma scaled down, so it is finite up to the float maximum and
+    # the eigensolve, square roots too, scales exactly
+    scale = _even_power(float(np.abs(gs).max()))
     moduli = np.sort(np.abs(np.linalg.eigvals(delta @ (gs / scale)))) * scale
     nus = moduli[::2][::-1]  # pairs collapse to one entry each, descending
     positive_definite = bool(np.linalg.eigvalsh(gs)[0] > 0.0)
@@ -734,12 +719,6 @@ def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str) 
     return _map_side(state, side, u.s, u.m)
 
 
-def _complete_positivity_matrix(k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The Hermitian M + i(Delta - K Delta K^T) of a channel, as an array."""
-    delta = symplectic_form(k.shape[0] // 2)
-    return m + 1j * (delta - k @ delta @ k.T)
-
-
 @dataclass(frozen=True)
 class GaussianChannel:
     """Gaussian channel acting on covariance and mean as
@@ -752,8 +731,9 @@ class GaussianChannel:
     K Delta K^T = det K Delta, reads det M >= (det K - 1)^2.  It may have no
     eigenvalue below minus the `_allowance` of max(max|K|^2, max|M|), the
     rule `is_symplectic` applies to a unitary, so the noiseless channels of
-    squeezers up to r ~ 16 pass as their unitaries do; `_semidefinite`
-    decides.  A rejection names the smallest eigenvalue.  max|K| may be at
+    squeezers up to r ~ 16 pass as their unitaries do.  Whether the matrix
+    plus that allowance times I has a Cholesky factor (`_ldl`) decides, at
+    every size; a rejection names the smallest eigenvalue.  max|K| may be at
     most 1e150, so that neither K Delta K^T nor max|K|^2 overflows.  K and M
     are copied once, as a state's arrays are, and every test reads their
     rows; ``m_noise`` keeps M's symmetric part.
@@ -781,9 +761,10 @@ class GaussianChannel:
             loss = 1.0 - (k00 * k11 - k01 * k10)
             h = [[m00, complex(m01, loss)], [complex(m10, -loss), m11]]
         else:
-            h = _complete_positivity_matrix(k, m).tolist()
-        if not _semidefinite(h, allowance):
-            least = float(np.linalg.eigvalsh(_complete_positivity_matrix(k, m))[0])
+            delta = symplectic_form(len(k_rows) // 2)
+            h = (m + 1j * (delta - k @ delta @ k.T)).tolist()
+        if _ldl(h, allowance) is None:
+            least = float(np.linalg.eigvalsh(h)[0])
             raise ValueError(
                 f"invalid channel: M + i(Delta - K Delta K^T) has eigenvalue {least:.6g} < 0"
             )
@@ -954,7 +935,10 @@ def standard_form(state: GaussianState) -> tuple[StandardFormParams, np.ndarray,
     carries the sign of det C, and the frames are R(phi)^T s_a and
     R(theta) s_b.  An input already in standard form (A = a I, B = b I,
     C = diag(c, d) with c >= |d|) comes back as it is, with exactly identity
-    locals.  A block that does not factor at double precision raises
+    locals.  Any other input is first divided by `_even_power` of max|Gamma|
+    and a, b, c, d multiplied back: that is exact, leaves W and the frames
+    as they are, and keeps det A and det B finite for entries up to the
+    float maximum.  A block that does not factor at double precision raises
     `_singular`'s `ValueError`, and the parameters must pass the
     `StandardFormParams` verdict.
     """
@@ -964,9 +948,10 @@ def standard_form(state: GaussianState) -> tuple[StandardFormParams, np.ndarray,
     (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = cm
     if a01 == b01 == c01 == c10 == 0.0 and a00 == a11 and b00 == b11 and c00 >= abs(c11):
         return StandardFormParams(a00, b00, c00, c11), np.eye(2), np.eye(2)
-    l_a, l_b, w = _whiten(cm)
+    unit = _even_power(max(a00, a11, b00, b11))  # max|Gamma|, as Gamma >= 0
+    l_a, l_b, w = _whiten((state.cm / unit).tolist())
     p, q, u, v = _svd_2x2(w)
     a, b = math.sqrt(l_a[3]), math.sqrt(l_b[3])
     root = math.sqrt(a * b)
-    params = StandardFormParams(a, b, root * (p + q), root * (p - q))
+    params = StandardFormParams(a * unit, b * unit, root * (p + q) * unit, root * (p - q) * unit)
     return params, _local_frame(l_a, -0.5 * (u + v)), _local_frame(l_b, 0.5 * (u - v))

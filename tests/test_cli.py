@@ -8,7 +8,18 @@ import numpy as np
 import pytest
 
 import nfg.cli
-from nfg import SstsParams, SweepGrid, dg_ssts, nfg_ssts, q_ssts, ssts, sweep, tmsv
+from nfg import (
+    GaussianState,
+    SstsParams,
+    SweepGrid,
+    dg_ssts,
+    nfg_ssts,
+    q_ssts,
+    ssts,
+    standard_form,
+    sweep,
+    tmsv,
+)
 from nfg.cli import CSV_HEADER, _g, main, read_state, write_state
 
 from helpers import random_state
@@ -748,6 +759,24 @@ class TestStandardFormCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["a"] == pytest.approx(np.cosh(0.6), rel=1e-12)
         assert doc["c"] == pytest.approx(np.sinh(0.6), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rotated_state_past_1e200(self, capsys, tmp_path):
+        # det A ~ 1e400 would overflow without the power-of-two scaling; the
+        # state is scaled by 2^664 ~ 1e200, so the parameters scale exactly.
+        cm = np.array(
+            [
+                [3.2, 2.05, -0.36, -1.36],
+                [2.05, 2.57, -0.95, -0.79],
+                [-0.36, -0.95, 2.32, 0.79],
+                [-1.36, -0.79, 0.79, 3.38],
+            ]
+        )
+        path = write_json(tmp_path / "huge.json", state_doc(2.0**664 * cm, 1, 1))
+        assert main(["standard-form", path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        p, _, _ = standard_form(GaussianState(cm, 1, 1))
+        assert doc == {x: 2.0**664 * getattr(p, x) for x in "abcd"}
 
 
 class TestArgumentErrors:

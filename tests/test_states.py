@@ -436,6 +436,26 @@ class TestStandardForm:
                 assert squeezed == pytest.approx(1.0, abs=1e-9)
                 assert thermal == 3.0 and p.c == p.d == 0.0
 
+    def test_power_of_four_scalings_keep_their_bits(self):
+        # 4^k Gamma has 4^k times Gamma's parameters and the same frames, bit
+        # for bit, up to k = 510, where det A ~ 1e615 is far past the float
+        # maximum: the rows are scaled by a power of two before they are
+        # factored.
+        cm = np.array(
+            [
+                [3.2, 2.05, -0.36, -1.36],
+                [2.05, 2.57, -0.95, -0.79],
+                [-0.36, -0.95, 2.32, 0.79],
+                [-1.36, -0.79, 0.79, 3.38],
+            ]
+        )
+        p, s_a, s_b = standard_form(GaussianState(cm, 1, 1))
+        for k in range(511):
+            t = 4.0**k
+            q, t_a, t_b = standard_form(GaussianState(t * cm, 1, 1))
+            assert (q.a, q.b, q.c, q.d) == (t * p.a, t * p.b, t * p.c, t * p.d), k
+            assert np.array_equal(t_a, s_a) and np.array_equal(t_b, s_b), k
+
     def test_no_numpy_linear_algebra_but_the_params_verdict(self, rng, monkeypatch):
         state = stream_shaped_state(rng)
         calls = linalg_calls(monkeypatch)
@@ -1003,10 +1023,10 @@ class TestWrittenOutKernels:
 
 
 class TestScalarVerdict:
-    """Up to 4 x 4 the Simon verdict and the channel check are a scalar
-    Cholesky test.  It decides as the eigensolve it replaced (kept in
-    `helpers`) on every draw outside a rounding band around the threshold,
-    and `validate_cm` agrees with construction on every draw."""
+    """Up to 4 x 4 the Simon verdict, and at every size the channel check,
+    are a scalar Cholesky test.  It decides as the eigensolve it replaced
+    (kept in `helpers`) on every draw outside a rounding band around the
+    threshold, and `validate_cm` agrees with construction on every draw."""
 
     @staticmethod
     def agree(cms) -> np.ndarray:
@@ -1056,8 +1076,9 @@ class TestScalarVerdict:
 
     def test_channels(self, rng):
         # One-mode channels of the ill-conditioned recipe (M nearly rank
-        # one, det M 10% either side of (det K - 1)^2), then one-mode and
-        # two-mode channels with their noise scaled either side of enough.
+        # one, det M 10% either side of (det K - 1)^2), then one-, two- and
+        # three-mode channels with their noise scaled either side of enough,
+        # and the three-mode ones again with max|M| ~ 1e300.
         draws = []
         for _ in range(4000):
             k = rng.normal(size=(2, 2)) * 10 ** rng.uniform(-2, 2)
@@ -1070,6 +1091,9 @@ class TestScalarVerdict:
             draws.append((ch.k, rng.uniform(0.5, 1.5) * ch.m_noise))
             ch = dilation_channel(rng, 2)
             draws.append((ch.k, rng.uniform(0.5, 1.5) * ch.m_noise))
+            ch = dilation_channel(rng, 3)
+            draws.append((ch.k, rng.uniform(0.5, 1.5) * ch.m_noise))
+            draws.append((ch.k, 1e300 / np.abs(ch.m_noise).max() * ch.m_noise))
         outcomes = []
         for k, m in draws:
             expected, margin, scale = reference_channel_verdict(k, m)
@@ -1094,10 +1118,12 @@ class TestScalarVerdict:
         cm, ch = stream_shaped_cm(rng), random_channel(rng)
         p, s_a, _ = standard_form(GaussianState(cm, 1, 1))
         multimode = random_cm(rng, 3)
+        channels = [ch, dilation_channel(rng, 2), dilation_channel(rng, 3)]
         calls = linalg_calls(monkeypatch)
         GaussianState(cm, 1, 1)
         StandardFormParams(p.a, p.b, p.c, p.d)
-        GaussianChannel(ch.k, ch.m_noise)
+        for ch in channels:  # one, two and three modes
+            GaussianChannel(ch.k, ch.m_noise)
         GaussianUnitary(s_a)
         assert calls == []
         GaussianState(multimode, 2, 1)
