@@ -27,7 +27,12 @@ Conventions used throughout the package:
   of the row loops (`_ldl_rows` factors beyond 4 rows) in the same order,
   so verdicts, pivots and overlaps have the loops' bits;
 * a constructor copies caller input once and rejects complex input
-  (`_owned`); arrays built here are frozen in place, never copied again.
+  (`_owned`); arrays built here are frozen in place, never copied again.  A
+  `GaussianState` keeps the rows it listed for its checks, and the (1+1)
+  kernels read them, not ``cm``: the correlation spectrum with its C = 0
+  test, `standard_form`, and every overlap of `nfg.overlap`, which builds
+  the lower triangle of sym((V1 + V2)/2) from two states' rows.  No code
+  writes to them.
 """
 
 from __future__ import annotations
@@ -77,6 +82,12 @@ def symplectic_form(n: int) -> np.ndarray:
     return _frozen(delta)
 
 
+@cache
+def _zeros(n: int) -> np.ndarray:
+    """The read-only zero vector of length ``n``, shared as `symplectic_form` is."""
+    return _frozen(np.zeros(n))
+
+
 def _owned(a, name: str) -> np.ndarray:
     """``a`` as read-only float64 no caller can write: itself if it already is
     and owns its memory, as arrays built here do, else one frozen copy.
@@ -103,9 +114,10 @@ def _as_square_even(m, name: str) -> tuple[np.ndarray, list[list[float]]]:
 
 
 def _as_vector(v, n: int, name: str) -> np.ndarray:
-    """``v`` as an `_owned` finite vector of length ``n``; zeros if it is None."""
+    """``v`` as an `_owned` finite vector of length ``n``; the shared `_zeros`
+    if it is None."""
     if v is None:
-        return _frozen(np.zeros(n))
+        return _zeros(n)
     v = _owned(v, name)
     if v.shape != (n,) or not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"{name} must be a finite vector of length {n}, got {v}")
@@ -186,16 +198,20 @@ def _cholesky_2x2(p: float, q: float, r: float) -> tuple[float, float, float, fl
     raise _singular()
 
 
-def _whiten(g: list[list[float]]) -> tuple[tuple, tuple, tuple]:
+def _whiten(g: list[list[float]], unit: float = 1.0) -> tuple[tuple, tuple, tuple]:
     """``(l_a, l_b, w)`` for a (1+1)-mode covariance matrix ``g`` (nested
-    lists), in scalar arithmetic: the `_cholesky_2x2` results of the A and B
-    blocks and W = L_A^{-1} C L_B^{-T} as ``(w00, w01, w10, w11)``, by two
-    forward substitutions.  Reads the lower triangles of A and B, as
-    LAPACK's Cholesky does; a block that does not factor raises `_singular`'s
-    `ValueError`.  The correlation spectrum and the standard form both start
-    here.
+    lists) divided by ``unit``, in scalar arithmetic: the `_cholesky_2x2`
+    results of the A and B blocks and W = L_A^{-1} C L_B^{-T} as
+    ``(w00, w01, w10, w11)``, by two forward substitutions.  Reads the lower
+    triangles of A and B, as LAPACK's Cholesky does, and divides only the
+    entries it reads (exactly, by the default 1.0); a block that does not
+    factor raises `_singular`'s `ValueError`.  The correlation spectrum and
+    the standard form both start here.
     """
     (a00, _, c00, c01), (a10, a11, c10, c11), (_, _, b00, _), (_, _, b10, b11) = g
+    a00, a10, a11 = a00 / unit, a10 / unit, a11 / unit
+    b00, b10, b11 = b00 / unit, b10 / unit, b11 / unit
+    c00, c01, c10, c11 = c00 / unit, c01 / unit, c10 / unit, c11 / unit
     la0, la1, la2, _ = l_a = _cholesky_2x2(a00, a10, a11)
     lb0, lb1, lb2, _ = l_b = _cholesky_2x2(b00, b10, b11)
     # Y = L_A^{-1} C, then W = Y L_B^{-T}
@@ -237,6 +253,17 @@ def _two_mode_spectrum(g: list[list[float]]) -> list[float]:
 def _max_abs(rows: list[list[float]]) -> float:
     """max|x| over the entries of a matrix given as nested lists."""
     return max(map(abs, itertools.chain.from_iterable(rows)))
+
+
+def _same_bits(x: list[list[float]], y: list[list[float]]) -> bool:
+    """Whether two matrices of finite floats, given as nested lists, hold the
+    same bits: equal entries, and zeros of equal sign, which ``==`` does not
+    tell apart."""
+    return x == y and all(
+        math.copysign(1.0, p) == math.copysign(1.0, q)
+        for p, q in zip(itertools.chain.from_iterable(x), itertools.chain.from_iterable(y))
+        if not p
+    )
 
 
 def _symmetric_part(g: np.ndarray) -> tuple[bool, np.ndarray]:
@@ -566,13 +593,18 @@ class GaussianState:
     ``cm`` is 2(n_a+n_b) x 2(n_a+n_b) with the block layout
     ``[[A, C], [C^T, B]]`` where A covers the first 2*n_a rows; the mode
     counts are ints or NumPy integers, not floats or bools.  ``mean``
-    defaults to zero.  Construction copies the arrays once, read-only
-    (`_owned`: complex input raises, and a map's output, frozen as built, is
-    not copied), rejects non-finite entries and checks the Simon verdict of
-    `validate_cm` at `DEFAULT_TOL`; the full report is built only to explain
-    a rejection.  Every state, the outputs of `apply_gaussian_unitary` and
-    `apply_channel` included, is checked this way.  Instances are immutable
-    and safe to share between threads.
+    defaults to the shared read-only zero vector.  Construction copies the
+    arrays once, read-only (`_owned`: complex input raises, and a map's
+    output, frozen as built, is not copied), rejects non-finite entries and
+    checks the Simon verdict of `validate_cm` at `DEFAULT_TOL`; the full
+    report is built only to explain a rejection.  Every state, the outputs of
+    `apply_gaussian_unitary` and `apply_channel` included, is checked this
+    way.  Instances are immutable and safe to share between threads.
+
+    The state keeps, privately, the rows of ``cm`` as nested lists, listed
+    once for those checks.  The scalar kernels read them instead of ``cm``:
+    the (1+1) correlation spectrum, `standard_form`, and every overlap of
+    `nfg.overlap`.  No code writes to them.
 
     The correlation spectrum behind the measure and its bound (see
     `nfg.correlation`) is computed on first use and kept with the instance,
@@ -609,6 +641,7 @@ class GaussianState:
             )
         object.__setattr__(self, "cm", g)
         object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "_rows", rows)
 
     @_cached_property
     def _correlation_spectrum(self) -> np.ndarray:
@@ -616,20 +649,24 @@ class GaussianState:
 
         mu are the squared singular values of W = L_A^{-1} C L_B^{-T} (see
         the `nfg.correlation` notes), clipped at 1 and padded in front with
-        zeros to 2 n_b entries: in closed form for (1+1) modes
-        (`_two_mode_spectrum`), else by two triangular solves, on L_A
-        (`_chol_a`) and L_B, and one SVD.  Only the lower triangles of A and
-        B are read.  Empty when B has no modes; exactly zero, with nothing
-        factorized, when C is zero, so a product state scores 0 even with a
-        block squeezed past double precision.  A correlated state whose A or
-        B block does not factor raises `_singular`'s `ValueError`.
+        zeros to 2 n_b entries: in closed form for (1+1) modes, on the
+        state's rows (`_two_mode_spectrum`), else by two triangular solves,
+        on L_A (`_chol_a`) and L_B, and one SVD.  Only the lower triangles of
+        A and B are read.  Empty when B has no modes; the shared zeros, with
+        nothing factorized, when C is zero, so a product state scores 0 even
+        with a block squeezed past double precision.  A correlated state
+        whose A or B block does not factor raises `_singular`'s `ValueError`.
         """
+        if self.n_a == self.n_b == 1:
+            rows = self._rows
+            (_, _, c00, c01), (_, _, c10, c11) = rows[0], rows[1]
+            if not (c00 or c01 or c10 or c11):
+                return _zeros(2)
+            return _frozen(np.array(_two_mode_spectrum(rows)))
         k = 2 * self.n_a
         g = self.cm
         if not g[:k, k:].any():
-            return _frozen(np.zeros(2 * self.n_b))
-        if self.n_a == self.n_b == 1:
-            return _frozen(np.array(_two_mode_spectrum(g.tolist())))
+            return _zeros(2 * self.n_b)
         y = np.linalg.solve(self._chol_a, g[:k, k:])  # L_A^{-1} C
         w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
         sigma = np.linalg.svd(w_t, compute_uv=False)[::-1]  # W's, ascending
@@ -736,7 +773,8 @@ class GaussianChannel:
     every size; a rejection names the smallest eigenvalue.  max|K| may be at
     most 1e150, so that neither K Delta K^T nor max|K|^2 overflows.  K and M
     are copied once, as a state's arrays are, and every test reads their
-    rows; ``m_noise`` keeps M's symmetric part.
+    rows; ``m_noise`` keeps M's symmetric part, in that copy unless the
+    symmetric part differs from M in some bit.
     """
 
     k: np.ndarray
@@ -749,10 +787,12 @@ class GaussianChannel:
         if m.shape != k.shape:
             raise ValueError("M must match the shape of K")
         k_max = _map_peak(k_rows, "K")
-        symmetric, m_rows = _symmetric_rows(m_rows)
+        symmetric, m_sym = _symmetric_rows(m_rows)
         if not symmetric:
             raise ValueError("noise matrix M must be symmetric")
-        m = _frozen(np.array(m_rows))
+        if not _same_bits(m_sym, m_rows):  # else M is its symmetric part
+            m = _frozen(np.array(m_sym))
+        m_rows = m_sym
         allowance = _allowance(max(k_max**2, _max_abs(m_rows)))
         if len(k_rows) == 2:
             (k00, k01), (k10, k11) = k_rows
@@ -938,18 +978,19 @@ def standard_form(state: GaussianState) -> tuple[StandardFormParams, np.ndarray,
     locals.  Any other input is first divided by `_even_power` of max|Gamma|
     and a, b, c, d multiplied back: that is exact, leaves W and the frames
     as they are, and keeps det A and det B finite for entries up to the
-    float maximum.  A block that does not factor at double precision raises
-    `_singular`'s `ValueError`, and the parameters must pass the
-    `StandardFormParams` verdict.
+    float maximum.  Both the test and the division read the state's rows, in
+    Python floats, whose division rounds as NumPy's does.  A block that does
+    not factor at double precision raises `_singular`'s `ValueError`, and the
+    parameters must pass the `StandardFormParams` verdict.
     """
     if state.n_a != 1 or state.n_b != 1:
         raise ValueError("standard form is defined for (1+1)-mode states")
-    cm = state.cm.tolist()
-    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = cm
+    rows = state._rows
+    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (_, _, _, b11) = rows
     if a01 == b01 == c01 == c10 == 0.0 and a00 == a11 and b00 == b11 and c00 >= abs(c11):
         return StandardFormParams(a00, b00, c00, c11), np.eye(2), np.eye(2)
     unit = _even_power(max(a00, a11, b00, b11))  # max|Gamma|, as Gamma >= 0
-    l_a, l_b, w = _whiten((state.cm / unit).tolist())
+    l_a, l_b, w = _whiten(rows, unit)
     p, q, u, v = _svd_2x2(w)
     a, b = math.sqrt(l_a[3]), math.sqrt(l_b[3])
     root = math.sqrt(a * b)

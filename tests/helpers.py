@@ -25,6 +25,7 @@ from nfg.states import (
     DEFAULT_TOL,
     _act_on_side,
     _cholesky,
+    _ldl,
     _ldl_rows,
     _mid,
     _symmetric_rows,
@@ -270,6 +271,44 @@ def reference_log_overlap(rho: GaussianState, sigma: GaussianState) -> float:
         z = np.linalg.solve(chol, delta)
         log -= 0.5 * float(z @ z)
     return log
+
+
+def array_mid_factor(v1: np.ndarray, v2: np.ndarray) -> tuple[list[list], list[float]] | None:
+    """The factor the overlap took before it read the states' rows: `_ldl`
+    of the array midpoint sym((V1 + V2)/2), from two `_mid` calls on the
+    covariance matrices.  The rows-based overlap must give its bits."""
+    m = _mid(v1, v2)
+    return _ldl(_mid(m, m.T).tolist(), 0.0)
+
+
+def array_log_overlap(rho: GaussianState, sigma: GaussianState) -> float:
+    """log tr(rho sigma) by the overlap's arithmetic before it read the
+    states' rows: `array_mid_factor`, then the log pivots and the mean term
+    by forward substitution.  The rows-based overlap must give its bits."""
+    lower, pivots = array_mid_factor(rho.cm, sigma.cm)
+    logdet = 0.0
+    for d in pivots:
+        logdet += math.log(d)
+    log = -0.5 * logdet
+    delta = [x - y for x, y in zip(rho.mean.tolist(), sigma.mean.tolist())]
+    if any(delta):
+        quad, z = 0.0, []
+        for l_row, d, x in zip(lower, pivots, delta):
+            for l_ij, z_j in zip(l_row, z):
+                x -= l_ij * z_j
+            z.append(x)
+            quad += x * x / d
+        log -= 0.5 * quad
+    return log
+
+
+def float_bits(values) -> list[str]:
+    """The bits of floats, or of nested lists and tuples of them, as
+    `float.hex` strings in row order: equal lists mean equal bits, the sign
+    of zero included."""
+    if isinstance(values, (list, tuple)):
+        return [bits for v in values for bits in float_bits(v)]
+    return [float(values).hex()]
 
 
 def planted_degenerate_state(rng: np.random.Generator, n_a: int, n_b: int) -> GaussianState:

@@ -1128,6 +1128,16 @@ class TestTwoModeClosedForm:
             assert not np.any(np.signbit(closed))
             assert np.array_equal(state._correlation_spectrum, [0.0, 0.0])
 
+    @pytest.mark.parametrize("entry", [(0, 2), (0, 3), (1, 2), (1, 3)])
+    def test_one_nonzero_cross_entry_is_correlated(self, entry):
+        # The C = 0 test reads all four entries of C from the state's rows.
+        g = 3.0 * np.eye(4)
+        g[entry] = g[entry[::-1]] = 1.0
+        state = GaussianState(g, 1, 1)
+        closed, generic = self.closed_and_generic(state)
+        assert closed == pytest.approx(generic, rel=2e-15, abs=0.0)
+        assert closed[0] > 0.0 and state._correlation_spectrum[1] == pytest.approx(1.0 / 9.0)
+
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_correlated_singular_block_raises_the_factorization_error(self, side):
         with pytest.raises(ValueError) as generic:

@@ -14,10 +14,17 @@ from nfg import (
     tmsv,
 )
 
+from nfg.overlap import _log_overlap, _mid_lower
+from nfg.states import _ldl
+
 from helpers import (
     apply_global,
+    array_log_overlap,
+    array_mid_factor,
+    float_bits,
     linalg_calls,
     nfg_theta_objective,
+    random_cm,
     random_state,
     random_symplectic,
     reference_log_overlap,
@@ -250,3 +257,84 @@ class TestScalarOverlap:
                     call()
                 except ValueError as exc:
                     assert "singular at double precision" in str(exc)
+
+
+def _asymmetric(rng, cm: np.ndarray) -> np.ndarray:
+    """``cm`` with every off-diagonal pair split by up to 1e-10 of its scale:
+    asymmetric, but within the constructor's tolerance."""
+    noise = 1e-10 * float(np.abs(cm).max()) * rng.uniform(-1.0, 1.0, cm.shape)
+    return cm + np.triu(noise, 1)
+
+
+def _subnormal(rng, n: int) -> np.ndarray:
+    """A thermal CM with subnormal off-diagonal entries, unequal across the
+    diagonal, whose halves round."""
+    cm = np.diag(rng.uniform(1.0, 3.0, 2 * n))
+    tiny = rng.integers(-7, 8, (2 * n, 2 * n)) * 5e-324
+    return cm + tiny - np.diag(np.diag(tiny))
+
+
+#: 1-, 2-, 3- and 4-mode partitions.
+_BIT_MODES = [(1, 0), (1, 1), (2, 1), (2, 2)]
+
+
+def _bit_pairs(rng, modes):
+    """Pairs on ``modes`` of every kind the rows-based midpoint must match the
+    array midpoint on: plain, asymmetric within tolerance, entries near
+    1e300, subnormal off-diagonals; each kind with zero and nonzero means."""
+    n = sum(modes)
+    builds = [
+        lambda: random_cm(rng, n),
+        lambda: _asymmetric(rng, random_cm(rng, n)),
+        lambda: 1e300 * random_cm(rng, n),
+        lambda: _asymmetric(rng, 1.7e300 * random_cm(rng, n)),
+        lambda: _subnormal(rng, n),
+    ]
+    pairs = []
+    for build in builds:
+        for displaced in (False, True):
+            for _ in range(10):
+                means = (2.0 * rng.normal(size=2 * n) if displaced else None for _ in range(2))
+                pairs.append(tuple(GaussianState(build(), *modes, mean) for mean in means))
+    return pairs
+
+
+class TestRowsMidpoint:
+    """Every overlap builds sym((V1 + V2)/2) from the states' rows
+    (`_mid_lower`); the array midpoint it replaced (`array_mid_factor`,
+    `array_log_overlap`) is the reference, bit for bit."""
+
+    @pytest.mark.parametrize("modes", _BIT_MODES)
+    def test_pivots_match_array_midpoint_bit_for_bit(self, rng, modes):
+        for rho, sigma in _bit_pairs(rng, modes):
+            for a, b in ((rho, sigma), (rho, rho), (sigma, rho)):
+                lower, pivots = _ldl(_mid_lower(a._rows, b._rows), 0.0)
+                ref_lower, ref_pivots = array_mid_factor(a.cm, b.cm)
+                assert float_bits(pivots) == float_bits(ref_pivots)
+                assert float_bits(lower) == float_bits(ref_lower)
+
+    @pytest.mark.parametrize("modes", _BIT_MODES)
+    def test_log_overlap_matches_array_midpoint_bit_for_bit(self, rng, modes):
+        for rho, sigma in _bit_pairs(rng, modes):
+            for a, b in ((rho, sigma), (rho, rho), (sigma, sigma)):
+                got = _log_overlap(a, b)
+                assert got.hex() == array_log_overlap(a, b).hex()
+                assert overlap(a, b).log_value.hex() == got.hex()
+
+    @pytest.mark.parametrize("modes", _BIT_MODES)
+    def test_lower_triangle_matches_array_midpoint(self, rng, modes):
+        # the triangle itself, beyond what the factor reads of it
+        for rho, sigma in _bit_pairs(rng, modes)[::5]:
+            m = 0.5 * rho.cm + 0.5 * sigma.cm
+            full = (0.5 * m + 0.5 * m.T).tolist()
+            expected = [row[: i + 1] for i, row in enumerate(full)]
+            assert float_bits(_mid_lower(rho._rows, sigma._rows)) == float_bits(expected)
+
+    def test_kinds_are_what_they_claim(self, rng):
+        pairs = _bit_pairs(rng, (1, 1))
+        asymmetric, huge, tiny = pairs[20][0].cm, pairs[60][0].cm, pairs[80][0].cm
+        assert not np.array_equal(asymmetric, asymmetric.T)
+        assert not np.array_equal(huge, huge.T) and np.abs(huge).max() > 1e300
+        off = tiny[~np.eye(4, dtype=bool)]
+        assert np.all(np.abs(off) < 5e-323) and np.any(off != 0.0)
+        assert not np.array_equal(tiny, tiny.T)

@@ -18,8 +18,12 @@ from nfg import (
     StandardFormParams,
     apply_channel,
     apply_gaussian_unitary,
+    c_squared,
+    fidelity_f,
     is_symplectic,
     nfg_numeric,
+    overlap,
+    purity,
     ssts,
     standard_form,
     symplectic_form,
@@ -32,6 +36,7 @@ from helpers import (
     apply_global,
     dilation_channel,
     exact_standard_form,
+    float_bits,
     haar_unitary,
     linalg_calls,
     loop_simon,
@@ -1190,6 +1195,27 @@ class TestVectorFields:
         assert np.array_equal(getattr(build(list(v)), field), v)
 
     @pytest.mark.parametrize("build, field, n", VECTOR_FIELDS)
+    def test_none_gives_one_shared_frozen_zero_vector(self, build, field, n):
+        zeros = getattr(build(None), field)
+        assert getattr(build(None), field) is zeros is nfg.states._as_vector(None, n, field)
+        assert not zeros.flags.writeable and zeros.base is None
+        with pytest.raises(ValueError, match="read-only"):
+            zeros[0] = 1.0
+
+    def test_maps_copy_the_shared_zero_mean(self, rng):
+        state = GaussianState(random_cm(rng, 2), 1, 1)
+        u = GaussianUnitary(rotation(0.3))
+        ch = GaussianChannel(rotation(0.2), 0.5 * np.eye(2))
+        zeros = state.mean
+        assert u.m is ch.d_bar is nfg.states._as_vector(None, 2, "m")
+        for side in ("A", "B"):
+            for out in (apply_gaussian_unitary(state, u, side), apply_channel(state, ch, side)):
+                assert out.mean is not zeros and not np.shares_memory(out.mean, zeros)
+                assert not out.mean.flags.writeable
+        for shared in (zeros, u.m):
+            assert float_bits(shared.tolist()) == [(0.0).hex()] * len(shared)
+
+    @pytest.mark.parametrize("build, field, n", VECTOR_FIELDS)
     @pytest.mark.parametrize("bad", ["short", "long", "matrix", "nan", "inf", "-inf"])
     def test_bad_vector_rejected_naming_the_field(self, build, field, n, bad):
         v = np.zeros(n)
@@ -1242,6 +1268,59 @@ class TestOwnership:
         for out in (apply_gaussian_unitary(state, u, "A"), apply_channel(state, channel)):
             for a, b in ((out.cm, state.cm), (out.mean, state.mean)):
                 assert not a.flags.writeable and not np.shares_memory(a, b)
+
+    def test_symmetric_noise_is_kept_without_a_copy(self, rng):
+        for m in (0.8 * np.eye(2), random_channel(rng).m_noise, random_cm(rng, 2)):
+            m = np.array(m)
+            m.setflags(write=False)  # an `_owned` array: taken as it is
+            k = np.eye(len(m))
+            assert GaussianChannel(k, m).m_noise is m
+            # a caller's writable M: one copy, kept
+            kept = GaussianChannel(k, m.copy()).m_noise
+            assert kept.base is None and not kept.flags.writeable
+            assert kept.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            pytest.param([[1.0, 0.5], [0.5 + 1e-12, 1.0]], id="asymmetric"),
+            pytest.param([[1.0, -0.0], [0.0, 1.0]], id="zero-signs"),
+            pytest.param([[5e-324, 0.0], [0.0, 1.0]], id="subnormal-diagonal"),
+        ],
+    )
+    def test_noise_not_equal_to_its_symmetric_part_in_bits_is_rebuilt(self, m):
+        m = np.array(m)
+        m.setflags(write=False)
+        noise = GaussianChannel(np.eye(2), m).m_noise
+        assert noise is not m and not noise.flags.writeable
+        expected = nfg.states._symmetric_rows(m.tolist())[1]
+        assert noise.tobytes() == np.array(expected).tobytes() != m.tobytes()
+
+    @pytest.mark.parametrize("n_a, n_b", [(1, 0), (1, 1), (2, 1), (2, 2)])
+    def test_rows_are_the_cm_and_never_written(self, rng, n_a, n_b):
+        n = n_a + n_b
+        cm = random_cm(rng, n)
+        cm[0, 1] += 1e-12  # asymmetric within tolerance, as listed
+        states = [
+            GaussianState(cm.tolist(), n_a, n_b),
+            GaussianState(random_cm(rng, n), n_a, n_b, rng.normal(size=2 * n)),
+        ]
+        kept = [[row.copy() for row in state._rows] for state in states]
+        u = GaussianUnitary(random_symplectic(rng, n_a), rng.normal(size=2 * n_a))
+        outputs = [apply_gaussian_unitary(state, u, "A") for state in states]
+        if n_b:
+            ch = dilation_channel(rng, n_b)
+            outputs += [apply_channel(state, ch, "B") for state in states]
+        if (n_a, n_b) == (1, 1):
+            for state in states + outputs:
+                standard_form(state)
+        for a in states + outputs:
+            for b in states + outputs:
+                overlap(a, b), purity(a), fidelity_f(a, b), c_squared(a, b)
+        for state, rows in zip(states, kept):
+            assert float_bits(state._rows) == float_bits(rows)
+        for state in states + outputs:
+            assert float_bits(state._rows) == float_bits(state.cm.tolist())
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 1), (2, 2)])
     def test_cached_values_computed_once(self, rng, monkeypatch, n_a, n_b):
