@@ -24,8 +24,8 @@ State file::
      "cm": [<row-major 2(n_a+n_b) x 2(n_a+n_b) floats>],
      "mean": [<optional, defaults to zeros>]}
 
-``n_a`` and ``n_b`` must be JSON integers: 1.0, true or "1" is a parse
-failure.
+``n_a`` and ``n_b`` must be JSON integers, and entries JSON numbers: a
+count of 1.0, true or "1", or an entry true or "3", is a parse failure.
 
 Channel file::
 
@@ -80,13 +80,21 @@ def _read_json(path: str) -> dict:
     return doc
 
 
-def _matrix(doc: dict, key: str, path: str) -> np.ndarray:
+def _numbers(value, key: str, path: str) -> np.ndarray:
+    """Field ``key``'s ``value`` as a float array.  A bool or str entry is a
+    parse failure, though NumPy would read true as 1.0 and "3" as 3.0."""
     try:
-        flat = np.asarray(doc[key], dtype=float)
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing field {key!r}") from exc
+        if isinstance(value, list) and any(isinstance(x, (bool, str)) for x in value):
+            raise TypeError("bool or str entry")
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: field {key!r} is not a list of numbers") from exc
+
+
+def _matrix(doc: dict, key: str, path: str) -> np.ndarray:
+    if key not in doc:
+        raise ParseError(f"{path}: missing field {key!r}")
+    flat = _numbers(doc[key], key, path)
     if flat.ndim != 1:
         raise ParseError(f"{path}: field {key!r} must be a flat row-major list")
     dim = math.isqrt(flat.size)
@@ -101,10 +109,7 @@ def _matrix(doc: dict, key: str, path: str) -> np.ndarray:
 def _vector(doc: dict, key: str, length: int, path: str) -> np.ndarray:
     if doc.get(key) is None:
         return np.zeros(length)
-    try:
-        vec = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: field {key!r} is not a list of numbers") from exc
+    vec = _numbers(doc[key], key, path)
     if vec.shape != (length,):
         raise ParseError(f"{path}: field {key!r} must have length {length}")
     return vec
@@ -165,10 +170,6 @@ def read_channel(path: str) -> GaussianChannel:
 # Each handler takes the parsed arguments and returns the exit code.
 
 
-def _yes(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
 def _print_fields(fields: dict, as_json: bool = False) -> None:
     """Print ``fields`` as one JSON object, or one "key: value" line each:
     a float with `_g`, a flag as yes/no, a list as space-separated `_g`."""
@@ -177,7 +178,7 @@ def _print_fields(fields: dict, as_json: bool = False) -> None:
         return
     for key, val in fields.items():
         if isinstance(val, bool):
-            val = _yes(val)
+            val = "yes" if val else "no"
         elif isinstance(val, list):
             val = " ".join(_g(v) for v in val)
         elif not isinstance(val, str):
@@ -189,23 +190,22 @@ def _validate(args) -> int:
     """Report symmetry, symplectic spectrum, and physicality; exit 0 iff physical."""
     _, _, cm, _ = _parse_state_raw(args.state)
     report = validate_cm(cm)
+    nus = report.symplectic_eigenvalues.tolist()
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "symmetric": report.symmetric,
-                    "symplectic_eigenvalues": [float(v) for v in report.symplectic_eigenvalues],
-                    "positive_definite": report.positive_definite,
-                    "physical": report.physical,
-                }
-            )
-        )
+        fields = {
+            "symmetric": report.symmetric,
+            "symplectic_eigenvalues": nus,
+            "positive_definite": report.positive_definite,
+            "physical": report.physical,
+        }
     else:
-        nus = " ".join(_g(v) for v in report.symplectic_eigenvalues)
-        print(f"symplectic eigenvalues: {nus}")
-        print(f"symmetric: {_yes(report.symmetric)}")
-        print(f"positive definite: {_yes(report.positive_definite)}")
-        print(f"physical: {_yes(report.physical)}")
+        fields = {
+            "symplectic eigenvalues": nus,
+            "symmetric": report.symmetric,
+            "positive definite": report.positive_definite,
+            "physical": report.physical,
+        }
+    _print_fields(fields, args.json)
     return 0 if report.physical else 1
 
 

@@ -236,7 +236,7 @@ def _measure(state: GaussianState) -> float:
     """1 - prod (1 - mu)/(1 - mu/2) over the state's correlation spectrum,
     unclamped."""
     total = 0.0
-    for mu in state._correlation_spectrum.tolist():
+    for mu in state._correlation_spectrum:
         total += _log1m(mu) - math.log1p(-0.5 * mu)
     return -math.expm1(total)
 
@@ -263,7 +263,7 @@ def nfg_upper_bound(state: GaussianState) -> float:
     double precision has a singular Schur complement and reads just below 1.
     """
     total = 0.0
-    for mu in state._correlation_spectrum.tolist():  # in `_measure`'s order
+    for mu in state._correlation_spectrum:  # in `_measure`'s order
         total += _log1m(mu)
     return _clamp(-math.expm1(total))
 
@@ -337,8 +337,8 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
     its bits; no product then overflows, and only a term negligible next to
     the largest can underflow: a large gain no longer overflows (det K)^2,
     and K = diag(g, 1/g) keeps n1 = 1.  The denominator is strictly
-    positive for any valid channel with K, M not both zero, and one that is
-    not raises `ValueError`.
+    positive for any valid channel (`GaussianChannel` refuses K = M = 0),
+    and one that is not raises `ValueError`.
     Everything, det K and det M included, is scalar arithmetic on the
     entries.  The channel displacement d_bar does not enter.  K = 0 gives
     exactly 0; M = 0 with det K = 1 reproduces `nfg_closed_form` bit for bit.
@@ -347,8 +347,6 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
         raise ValueError("closed form requires a single-mode channel on B")
     (k11, k12), (k21, k22) = ch.k.tolist()
     (m11, m12), (_, m22) = ch.m_noise.tolist()
-    if not any((k11, k12, k21, k22, m11, m12, m22)):
-        raise ValueError("K and M must not both be zero")
     e, a, b, c, d = _unit_scale(p)
     m11, m12, m22 = (math.ldexp(x, -e) for x in (m11, m12, m22))
     l11, l12, l21, l22, lm1, lm2 = map(_log2, (k11, k12, k21, k22, m11, m22))

@@ -108,10 +108,11 @@ def tmsv(r: float) -> GaussianState:
     Diagonal entries cosh(2r), cross block diag(sinh 2r, -sinh 2r); equals
     ssts(n_bar = sinh^2 r, mu = 1).  Built like `ssts`, with one verdict.
 
-    ``r`` must be at most 354.891356446692, the largest double for which
-    2 cosh 2r is finite: the verdict symmetrizes the matrix as (G + G^T)/2,
-    which overflows beyond it.  A larger r is rejected before cosh and sinh
-    are evaluated.
+    ``r`` must be at most 354.891356446692, and a larger r is rejected
+    before cosh and sinh are evaluated, so np.cosh(2r), which overflows from
+    2r ~ 710.48, is never inf.  The limit is where 2 cosh 2r overflows; the
+    verdict halves before it adds, so it accepts the matrix a little beyond,
+    at r = 355.0 and 355.2.
     """
     if not (np.isfinite(r) and r >= 0.0):
         raise ValueError(f"squeeze parameter must be finite and >= 0, got {r}")

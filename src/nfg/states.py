@@ -28,11 +28,11 @@ Conventions used throughout the package:
   so verdicts, pivots and overlaps have the loops' bits;
 * a constructor copies caller input once and rejects complex input
   (`_owned`); arrays built here are frozen in place, never copied again.  A
-  `GaussianState` keeps the rows it listed for its checks, and the (1+1)
-  kernels read them, not ``cm``: the correlation spectrum with its C = 0
-  test, `standard_form`, and every overlap of `nfg.overlap`, which builds
-  the lower triangle of sym((V1 + V2)/2) from two states' rows.  No code
-  writes to them.
+  `GaussianState` keeps the rows it listed for its checks, and the scalar
+  kernels read them, not ``cm``: the correlation spectrum's C = 0 test, at
+  every partition, and its (1+1) closed form, `standard_form`, and every
+  overlap of `nfg.overlap`, which builds the lower triangle of
+  sym((V1 + V2)/2) from two states' rows.  No code writes to them.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def _svd_2x2(w: tuple[float, float, float, float]) -> tuple[float, float, float,
     return math.hypot(e, h), math.hypot(f, g), math.atan2(h, e), math.atan2(g, f)
 
 
-def _two_mode_spectrum(g: list[list[float]]) -> list[float]:
+def _two_mode_spectrum(g: list[list[float]]) -> tuple[float, float]:
     """The correlation spectrum of a (1+1)-mode covariance matrix ``g``
     (nested lists), ascending and clipped at 1, in scalar arithmetic.
 
@@ -247,7 +247,7 @@ def _two_mode_spectrum(g: list[list[float]]) -> list[float]:
     """
     p, q, _, _ = _svd_2x2(_whiten(g)[2])
     low, high = p - q, p + q
-    return [min(low * low, 1.0), min(high * high, 1.0)]
+    return min(low * low, 1.0), min(high * high, 1.0)
 
 
 def _max_abs(rows: list[list[float]]) -> float:
@@ -603,12 +603,13 @@ class GaussianState:
 
     The state keeps, privately, the rows of ``cm`` as nested lists, listed
     once for those checks.  The scalar kernels read them instead of ``cm``:
-    the (1+1) correlation spectrum, `standard_form`, and every overlap of
-    `nfg.overlap`.  No code writes to them.
+    the correlation spectrum's C = 0 test and its (1+1) closed form,
+    `standard_form`, and every overlap of `nfg.overlap`.  No code writes to
+    them.
 
     The correlation spectrum behind the measure and its bound (see
     `nfg.correlation`) is computed on first use and kept with the instance,
-    which never changes; it is a read-only array, and two threads that miss
+    which never changes; it is a tuple of floats, and two threads that miss
     it at once compute the same value, with no lock.
     """
 
@@ -644,35 +645,29 @@ class GaussianState:
         object.__setattr__(self, "_rows", rows)
 
     @_cached_property
-    def _correlation_spectrum(self) -> np.ndarray:
+    def _correlation_spectrum(self) -> tuple[float, ...]:
         """mu, the squared canonical correlations between A and B, ascending.
 
-        mu are the squared singular values of W = L_A^{-1} C L_B^{-T} (see
-        the `nfg.correlation` notes), clipped at 1 and padded in front with
-        zeros to 2 n_b entries: in closed form for (1+1) modes, on the
-        state's rows (`_two_mode_spectrum`), else by two triangular solves,
-        on L_A (`_chol_a`) and L_B, and one SVD.  Only the lower triangles of
-        A and B are read.  Empty when B has no modes; the shared zeros, with
-        nothing factorized, when C is zero, so a product state scores 0 even
-        with a block squeezed past double precision.  A correlated state
-        whose A or B block does not factor raises `_singular`'s `ValueError`.
+        A tuple of 2 n_b floats: the squared singular values of
+        W = L_A^{-1} C L_B^{-T} (see the `nfg.correlation` notes), clipped at
+        1, zeros in front: in closed form for (1+1) modes, on the state's rows
+        (`_two_mode_spectrum`), else by two triangular solves, on L_A
+        (`_chol_a`) and L_B, and one SVD, reading only A's and B's lower
+        triangles.  All zeros, nothing factorized, when the rows hold C = 0,
+        so a product state scores 0 even with a block squeezed past double
+        precision.  A correlated state whose A or B block does not factor
+        raises `_singular`'s `ValueError`.
         """
+        k, rows = 2 * self.n_a, self._rows
+        if not any(x for row in rows[:k] for x in row[k:]):
+            return (0.0,) * (2 * self.n_b)
         if self.n_a == self.n_b == 1:
-            rows = self._rows
-            (_, _, c00, c01), (_, _, c10, c11) = rows[0], rows[1]
-            if not (c00 or c01 or c10 or c11):
-                return _zeros(2)
-            return _frozen(np.array(_two_mode_spectrum(rows)))
-        k = 2 * self.n_a
+            return _two_mode_spectrum(rows)
         g = self.cm
-        if not g[:k, k:].any():
-            return _zeros(2 * self.n_b)
         y = np.linalg.solve(self._chol_a, g[:k, k:])  # L_A^{-1} C
         w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
-        sigma = np.linalg.svd(w_t, compute_uv=False)[::-1]  # W's, ascending
-        mu = np.zeros(2 * self.n_b)
-        mu[mu.size - sigma.size :] = np.minimum(sigma * sigma, 1.0)
-        return _frozen(mu)
+        sigma = np.linalg.svd(w_t, compute_uv=False)[::-1].tolist()  # W's, ascending
+        return (0.0,) * (2 * self.n_b - len(sigma)) + tuple(min(s * s, 1.0) for s in sigma)
 
     @_cached_property
     def _chol_a(self) -> np.ndarray:

@@ -25,10 +25,13 @@ from nfg.states import (
     DEFAULT_TOL,
     _act_on_side,
     _cholesky,
+    _frozen,
     _ldl,
     _ldl_rows,
     _mid,
     _symmetric_rows,
+    _two_mode_spectrum,
+    _zeros,
 )
 
 
@@ -407,6 +410,29 @@ def stream_shaped_cm(rng: np.random.Generator, log_n_bar_max: float = 5.0, nus=N
 def stream_shaped_state(rng: np.random.Generator) -> GaussianState:
     """The `stream_shaped_cm` state, n_bar up to 1e5."""
     return GaussianState(stream_shaped_cm(rng), 1, 1)
+
+
+def reference_spectrum(state: GaussianState) -> np.ndarray:
+    """The correlation spectrum as the read-only array the library built
+    before it became a tuple, both branches as they were: a (1+1) C = 0 test
+    on the rows and `_two_mode_spectrum`, else a NumPy C = 0 test, two
+    triangular solves, one SVD and zeros padded in front."""
+    if state.n_a == state.n_b == 1:
+        rows = state._rows
+        (_, _, c00, c01), (_, _, c10, c11) = rows[0], rows[1]
+        if not (c00 or c01 or c10 or c11):
+            return _zeros(2)
+        return _frozen(np.array(_two_mode_spectrum(rows)))
+    k = 2 * state.n_a
+    g = state.cm
+    if not g[:k, k:].any():
+        return _zeros(2 * state.n_b)
+    y = np.linalg.solve(state._chol_a, g[:k, k:])  # L_A^{-1} C
+    w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
+    sigma = np.linalg.svd(w_t, compute_uv=False)[::-1]  # W's, ascending
+    mu = np.zeros(2 * state.n_b)
+    mu[mu.size - sigma.size :] = np.minimum(sigma * sigma, 1.0)
+    return _frozen(mu)
 
 
 def williamson_2x2(a: np.ndarray) -> tuple[np.ndarray, float]:

@@ -469,6 +469,19 @@ class TestNfgCommand:
         assert out == ""
         assert "fields 'n_a' and 'n_b' must be integers" in err
 
+    @pytest.mark.parametrize("entry", ["1", True], ids=repr)
+    @pytest.mark.parametrize("field", ["cm", "mean"])
+    @pytest.mark.parametrize("command", ["nfg", "validate"])
+    def test_numbers_must_not_be_strings_or_bools(self, capsys, tmp_path, command, field, entry):
+        # NumPy would read "1" and true as 1.0, and the vacuum would print.
+        doc = state_doc(np.eye(4), 1, 1, [0.0] * 4)
+        doc[field][0] = entry
+        path = write_json(tmp_path / "s.json", doc)
+        assert main([command, path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"field {field!r} is not a list of numbers" in err
+
 
 class TestChannelCommand:
     def write_channel(self, tmp_path, k, m, d_bar=None):
@@ -541,6 +554,18 @@ class TestChannelCommand:
         path.write_text('{"schema_version": "1", "k": [1, 0, 0]}')
         assert main(["channel", ssts_file, str(path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("entry", ["1", True], ids=repr)
+    @pytest.mark.parametrize("field", ["k", "m_noise", "d_bar"])
+    def test_numbers_must_not_be_strings_or_bools(self, capsys, ssts_file, tmp_path, field, entry):
+        # NumPy would read "1" and true as 1.0, and the channel would run.
+        path = self.write_channel(tmp_path, np.eye(2), np.zeros((2, 2)), [0.0, 0.0])
+        doc = json.loads(Path(path).read_text())
+        doc[field][0] = entry
+        assert main(["channel", ssts_file, write_json(tmp_path / "ch.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"field {field!r} is not a list of numbers" in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e160, 1e200])

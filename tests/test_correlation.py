@@ -37,6 +37,7 @@ from helpers import (
     apply_global,
     brute_force_nfg,
     dilation_channel,
+    float_bits,
     haar_unitary,
     linalg_calls,
     nfg_theta_objective,
@@ -47,10 +48,12 @@ from helpers import (
     random_passive_stabilizer,
     random_state,
     random_symplectic,
+    reference_spectrum,
     rotation,
     squeezed_block,
     squeezed_product,
     standard_state,
+    stream_shaped_cm,
     stream_shaped_state,
     through_thermal_dilation,
 )
@@ -437,6 +440,52 @@ class TestCorrelationSpectrum:
     def test_bound_is_zero_with_one_side_empty(self, rng, n_a, n_b):
         bound = nfg_upper_bound(random_state(rng, n_a, n_b))
         assert bound == 0.0 and np.copysign(1.0, bound) == 1.0
+
+    @staticmethod
+    def assert_reference_bits(state: GaussianState):
+        mu = state._correlation_spectrum
+        assert isinstance(mu, tuple) and all(type(x) is float for x in mu)
+        assert state._correlation_spectrum is mu
+        assert float_bits(mu) == float_bits(reference_spectrum(state).tolist())
+
+    def test_stream_shaped_pairs_match_the_array_reference(self, rng):
+        for _ in range(400):
+            self.assert_reference_bits(GaussianState(stream_shaped_cm(rng, 13.0), 1, 1))
+
+    @pytest.mark.parametrize("n_a", [1, 2, 3])
+    @pytest.mark.parametrize("n_b", [1, 2, 3])
+    def test_random_states_match_the_array_reference(self, rng, n_a, n_b):
+        for _ in range(10):
+            self.assert_reference_bits(random_state(rng, n_a, n_b))
+
+    @pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3)])
+    def test_one_side_empty_matches_the_array_reference(self, rng, n_a, n_b):
+        state = random_state(rng, n_a, n_b)
+        self.assert_reference_bits(state)
+        assert len(state._correlation_spectrum) == 2 * n_b
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("ancilla_side", [None, "A", "B"])
+    def test_product_with_singular_block_factors_nothing(self, monkeypatch, side, ancilla_side):
+        # C = 0 at (1+1), and at (2+1) or (1+2) with an ancilla: one test on
+        # the rows gives zeros before any block is factored.
+        state = squeezed_product(16.0, side)
+        if ancilla_side is not None:
+            state = with_ancilla(state, ancilla_side, np.eye(2))
+        calls = linalg_calls(monkeypatch)
+        mu = state._correlation_spectrum
+        assert calls == []
+        assert mu == (0.0,) * (2 * state.n_b) and not any(np.signbit(mu))
+        self.assert_reference_bits(state)
+
+    @pytest.mark.parametrize("ancilla_side", [None, "A", "B"])
+    @pytest.mark.parametrize("n_bar", [1e10, 1e13])
+    def test_clamped_tmsv_matches_the_array_reference(self, n_bar, ancilla_side):
+        state = tmsv(np.arcsinh(np.sqrt(n_bar)))
+        if ancilla_side is not None:
+            state = with_ancilla(state, ancilla_side, np.eye(2))
+        self.assert_reference_bits(state)
+        assert state._correlation_spectrum[-2:] == (1.0, 1.0)
 
 
 class TestNumeric:
@@ -938,14 +987,14 @@ class TestClosedFormScale:
             )
 
     def test_nonpositive_denominator_raises_value_error(self):
-        # A singular K with M = 0 is no valid channel (GaussianChannel
-        # refuses it); the closed form raises, also under python -O.
+        # A singular K with M = 0, K = M = 0 included, is no valid channel
+        # (GaussianChannel refuses it); the closed form raises, also under
+        # python -O.
         p = StandardFormParams(3.0, 3.0, 2.0, -2.0)
-        not_a_channel = SimpleNamespace(
-            n_modes=1, k=np.array([[1.0, 0.0], [0.0, 0.0]]), m_noise=np.zeros((2, 2))
-        )
-        with pytest.raises(ValueError, match="denominator"):
-            nfg_after_channel_closed_form(p, not_a_channel)
+        for k in (np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2))):
+            not_a_channel = SimpleNamespace(n_modes=1, k=k, m_noise=np.zeros((2, 2)))
+            with pytest.raises(ValueError, match="denominator"):
+                nfg_after_channel_closed_form(p, not_a_channel)
 
 
 class TestMonotonicity:
@@ -1020,7 +1069,8 @@ class TestPartitionProperties:
             out = apply_channel(state, ch, side)
             # both spectra come sorted ascending: reversed singular values,
             # zeros padded in front
-            assert np.all(out._correlation_spectrum <= state._correlation_spectrum + 1e-13)
+            mu_out, mu = np.asarray(out._correlation_spectrum), np.asarray(state._correlation_spectrum)
+            assert np.all(mu_out <= mu + 1e-13)
             assert nfg_numeric(out).value <= nfg_numeric(state).value + 1e-13
             assert nfg_upper_bound(out) <= nfg_upper_bound(state) + 1e-13
 
@@ -1198,7 +1248,7 @@ class TestTwoModeClosedForm:
     def test_tmsv_past_double_precision_reads_the_clamp(self, n_bar):
         state = tmsv(np.arcsinh(np.sqrt(n_bar)))
         below_one = np.nextafter(1.0, 0.0)
-        assert state._correlation_spectrum.tolist() == [1.0, 1.0]
+        assert list(state._correlation_spectrum) == [1.0, 1.0]
         assert self.closed_and_generic(state) == ((below_one, below_one),) * 2
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 1), (2, 2), (1, 3), (3, 2)])
@@ -1209,18 +1259,20 @@ class TestTwoModeClosedForm:
         zeros = 2 * max(n_b - n_a, 0)
         for _ in range(10):
             mu = random_state(rng, n_a, n_b)._correlation_spectrum
-            assert mu.shape == (2 * n_b,) and not mu.flags.writeable
+            assert isinstance(mu, tuple)
+            mu = np.asarray(mu)
+            assert mu.shape == (2 * n_b,)
             assert np.all(mu[:zeros] == 0.0) and np.all(mu[zeros:] > 0.0)
             assert np.all(np.diff(mu) >= 0.0) and mu[-1] < 1.0
         for side in ("A", "B"):
             wide = with_ancilla(tmsv(np.arcsinh(np.sqrt(1e13))), side, np.eye(2))
-            assert wide._correlation_spectrum.tolist() == [0.0] * (2 * wide.n_b - 2) + [1.0, 1.0]
+            assert list(wide._correlation_spectrum) == [0.0] * (2 * wide.n_b - 2) + [1.0, 1.0]
 
     def test_no_numpy_linear_algebra_runs(self, rng, monkeypatch):
         pair, multimode = stream_shaped_state(rng), random_state(rng, 2, 1)
         calls = linalg_calls(monkeypatch)
         mu = pair._correlation_spectrum
         assert calls == []
-        assert not mu.flags.writeable and mu[0] <= mu[1] <= 1.0
+        assert isinstance(mu, tuple) and mu[0] <= mu[1] <= 1.0
         multimode._correlation_spectrum
         assert calls == ["cholesky", "solve", "cholesky", "solve", "svd"]
