@@ -25,7 +25,7 @@ State file::
      "mean": [<optional, defaults to zeros>]}
 
 ``n_a`` and ``n_b`` must be JSON integers, and entries JSON numbers: a
-count of 1.0, true or "1", or an entry true or "3", is a parse failure.
+count of 1.0, true or "1", or an entry true, "3" or null, is a parse failure.
 
 Channel file::
 
@@ -81,11 +81,12 @@ def _read_json(path: str) -> dict:
 
 
 def _numbers(value, key: str, path: str) -> np.ndarray:
-    """Field ``key``'s ``value`` as a float array.  A bool or str entry is a
-    parse failure, though NumPy would read true as 1.0 and "3" as 3.0."""
+    """Field ``key``'s ``value`` as a float array.  A bool, str or null entry
+    is a parse failure, though NumPy would read true as 1.0, "3" as 3.0 and
+    null as NaN."""
     try:
-        if isinstance(value, list) and any(isinstance(x, (bool, str)) for x in value):
-            raise TypeError("bool or str entry")
+        if isinstance(value, list) and any(x is None or isinstance(x, (bool, str)) for x in value):
+            raise TypeError("bool, str or null entry")
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: field {key!r} is not a list of numbers") from exc

@@ -340,13 +340,13 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
     positive for any valid channel (`GaussianChannel` refuses K = M = 0),
     and one that is not raises `ValueError`.
     Everything, det K and det M included, is scalar arithmetic on the
-    entries.  The channel displacement d_bar does not enter.  K = 0 gives
+    rows of K and M the channel keeps.  The channel displacement d_bar does not enter.  K = 0 gives
     exactly 0; M = 0 with det K = 1 reproduces `nfg_closed_form` bit for bit.
     """
     if ch.n_modes != 1:
         raise ValueError("closed form requires a single-mode channel on B")
-    (k11, k12), (k21, k22) = ch.k.tolist()
-    (m11, m12), (_, m22) = ch.m_noise.tolist()
+    (k11, k12), (k21, k22) = ch._k_rows
+    (m11, m12), (_, m22) = ch._m_rows
     e, a, b, c, d = _unit_scale(p)
     m11, m12, m22 = (math.ldexp(x, -e) for x in (m11, m12, m22))
     l11, l12, l21, l22, lm1, lm2 = map(_log2, (k11, k12, k21, k22, m11, m22))

@@ -25,14 +25,23 @@ Conventions used throughout the package:
   `_verdict_2` and `_verdict_4`, which read g entry by entry and build only
   the lower triangle of the equilibrated matrix.  Each runs the operations
   of the row loops (`_ldl_rows` factors beyond 4 rows) in the same order,
-  so verdicts, pivots and overlaps have the loops' bits;
+  so verdicts, pivots and overlaps have the loops' bits.  A one-sided map
+  of a 2-row side, at any partition, is written out too (`_map_rows`):
+  (K X) K^T and the cross block in Python floats, association and order as
+  NumPy's, but rounded without FMA, so a (1+1) request maps with no NumPy
+  arithmetic and no BLAS product; larger sides keep `_act_on_side`;
 * a constructor copies caller input once and rejects complex input
   (`_owned`); arrays built here are frozen in place, never copied again.  A
   `GaussianState` keeps the rows it listed for its checks, and the scalar
   kernels read them, not ``cm``: the correlation spectrum's C = 0 test, at
-  every partition, and its (1+1) closed form, `standard_form`, and every
+  every partition, and its (1+1) closed form, `standard_form`, every
   overlap of `nfg.overlap`, which builds the lower triangle of
-  sym((V1 + V2)/2) from two states' rows.  No code writes to them.
+  sym((V1 + V2)/2) from two states' rows, and the 2-row map.  A
+  `GaussianUnitary` keeps the rows of S and a `GaussianChannel` those of K
+  and M for that map, and the post-channel closed form reads the channel's.
+  A map's output passes the constructor's check step, `GaussianState._admit`,
+  with the rows it was built from, so it is not listed again.  No code
+  writes to any of these rows.
 """
 
 from __future__ import annotations
@@ -100,16 +109,27 @@ def _owned(a, name: str) -> np.ndarray:
     return _frozen(a.astype(float, copy=False))
 
 
-def _as_square_even(m, name: str) -> tuple[np.ndarray, list[list[float]]]:
-    """``(m, rows)``: an `_owned`, finite, square, even ``m`` and its rows."""
+def _square_even(m, name: str) -> np.ndarray:
+    """``m`` `_owned`, square and of even positive dimension."""
     m = _owned(m, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if m.shape[0] == 0 or m.shape[0] % 2 != 0:
         raise ValueError(f"{name} must have even positive dimension, got {m.shape[0]}")
-    rows = m.tolist()
+    return m
+
+
+def _check_finite(rows: list[list[float]], name: str) -> None:
+    """Raise unless every entry of a matrix given as nested lists is finite."""
     if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
         raise ValueError(f"{name} has non-finite entries")
+
+
+def _as_square_even(m, name: str) -> tuple[np.ndarray, list[list[float]]]:
+    """``(m, rows)``: an `_owned`, finite, square, even ``m`` and its rows."""
+    m = _square_even(m, name)
+    rows = m.tolist()
+    _check_finite(rows, name)
     return m, rows
 
 
@@ -594,18 +614,19 @@ class GaussianState:
     ``[[A, C], [C^T, B]]`` where A covers the first 2*n_a rows; the mode
     counts are ints or NumPy integers, not floats or bools.  ``mean``
     defaults to the shared read-only zero vector.  Construction copies the
-    arrays once, read-only (`_owned`: complex input raises, and a map's
-    output, frozen as built, is not copied), rejects non-finite entries and
-    checks the Simon verdict of `validate_cm` at `DEFAULT_TOL`; the full
-    report is built only to explain a rejection.  Every state, the outputs of
-    `apply_gaussian_unitary` and `apply_channel` included, is checked this
-    way.  Instances are immutable and safe to share between threads.
+    arrays once, read-only (`_owned`: complex input raises), then one check
+    step (`_admit`) rejects non-finite entries and checks the Simon verdict
+    of `validate_cm` at `DEFAULT_TOL`; the full report is built only to
+    explain a rejection.  Every state, the outputs of
+    `apply_gaussian_unitary` and `apply_channel` included, passes that step:
+    a map hands it the output array, frozen as built, and the rows it was
+    built from.  Instances are immutable and safe to share between threads.
 
     The state keeps, privately, the rows of ``cm`` as nested lists, listed
     once for those checks.  The scalar kernels read them instead of ``cm``:
     the correlation spectrum's C = 0 test and its (1+1) closed form,
-    `standard_form`, and every overlap of `nfg.overlap`.  No code writes to
-    them.
+    `standard_form`, every overlap of `nfg.overlap` and the map of a 2-row
+    side.  No code writes to them.
 
     The correlation spectrum behind the measure and its bound (see
     `nfg.correlation`) is computed on first use and kept with the instance,
@@ -623,14 +644,23 @@ class GaussianState:
             raise ValueError(f"n_a and n_b must be integers, got {self.n_a!r} and {self.n_b!r}")
         if self.n_a < 0 or self.n_b < 0 or self.n_a + self.n_b < 1:
             raise ValueError("need n_a, n_b >= 0 with at least one mode in total")
-        g, rows = _as_square_even(self.cm, "covariance matrix")
+        g = _square_even(self.cm, "covariance matrix")
+        self._admit(g, g.tolist(), self.mean)
+
+    def _admit(self, g: np.ndarray, rows: list[list[float]], mean) -> None:
+        """The check every state passes, built by the constructor or by
+        `_map_side`: ``g``, square and even, and its ``rows`` must be finite
+        and fit the mode counts, ``mean`` must pass `_as_vector`, and the
+        rows the Simon verdict; a rejection explains itself by `_report`.
+        Sets ``cm``, ``mean`` and the rows the scalar kernels read."""
+        _check_finite(rows, "covariance matrix")
         dim = 2 * (self.n_a + self.n_b)
-        if g.shape[0] != dim:
+        if len(rows) != dim:
             raise ValueError(
-                f"covariance matrix is {g.shape[0]}x{g.shape[0]}, "
+                f"covariance matrix is {len(rows)}x{len(rows)}, "
                 f"expected {dim}x{dim} for {self.n_a}+{self.n_b} modes"
             )
-        mean = _as_vector(self.mean, dim, "mean")
+        mean = _as_vector(mean, dim, "mean")
         verdict = _verdict(g, rows)
         if not verdict[1]:
             report = _report(g, verdict)
@@ -640,9 +670,15 @@ class GaussianState:
                 f"positive_definite={report.positive_definite}, "
                 f"min symplectic eigenvalue={report.symplectic_eigenvalues[-1]:.6g})"
             )
-        object.__setattr__(self, "cm", g)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "_rows", rows)
+        vars(self).update(cm=g, mean=mean, _rows=rows)  # past the frozen __setattr__
+
+    @property
+    def _uncorrelated(self) -> bool:
+        """Whether the rows hold C = 0, a -0.0 entry counting as zero: the
+        one C = 0 test, behind the correlation spectrum's zeros and
+        `_spectrum_degenerate`'s product states."""
+        k = 2 * self.n_a
+        return not any(x for row in self._rows[:k] for x in row[k:])
 
     @_cached_property
     def _correlation_spectrum(self) -> tuple[float, ...]:
@@ -658,12 +694,11 @@ class GaussianState:
         precision.  A correlated state whose A or B block does not factor
         raises `_singular`'s `ValueError`.
         """
-        k, rows = 2 * self.n_a, self._rows
-        if not any(x for row in rows[:k] for x in row[k:]):
+        if self._uncorrelated:
             return (0.0,) * (2 * self.n_b)
         if self.n_a == self.n_b == 1:
-            return _two_mode_spectrum(rows)
-        g = self.cm
+            return _two_mode_spectrum(self._rows)
+        k, g = 2 * self.n_a, self.cm
         y = np.linalg.solve(self._chol_a, g[:k, k:])  # L_A^{-1} C
         w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
         sigma = np.linalg.svd(w_t, compute_uv=False)[::-1].tolist()  # W's, ascending
@@ -684,7 +719,9 @@ class GaussianUnitary:
     """Phase-space action of a Gaussian unitary: Gamma -> S Gamma S^T, d -> S d + m.
 
     S must pass `is_symplectic`, the map rule `GaussianChannel` applies too.
-    S and m are copied once, as a state's arrays are.
+    S and m are copied once, as a state's arrays are.  The unitary keeps,
+    privately, the rows of S listed for that check, which the map of a
+    2-row side reads (see `apply_gaussian_unitary`).
     """
 
     s: np.ndarray
@@ -694,8 +731,7 @@ class GaussianUnitary:
         s, rows = _as_square_even(self.s, "symplectic matrix")
         if not _symplectic(s, rows):
             raise ValueError("matrix does not satisfy S Delta S^T = Delta")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "m", _as_vector(self.m, len(rows), "m"))
+        vars(self).update(s=s, m=_as_vector(self.m, len(rows), "m"), _rows=rows)
 
 
 def _act_on_side(cm: np.ndarray, ka: int, side: str, k: np.ndarray) -> np.ndarray:
@@ -716,39 +752,95 @@ def _act_on_side(cm: np.ndarray, ka: int, side: str, k: np.ndarray) -> np.ndarra
     return g
 
 
+def _map_rows(
+    rows: list[list[float]], p: int, k: list[list[float]], noise: list[list[float]] | None
+) -> list[list[float]]:
+    """`_act_on_side`, plus ``noise`` on the side's block, for the 2-row side
+    starting at row ``p`` of a matrix given as nested lists, in Python
+    floats: the side's block is (K X) K^T, association and order as NumPy's,
+    the cross block C K^T (side B, rows above) or K C (side A, columns to the
+    right), read from the upper triangle and mirrored.  The other diagonal
+    block is carried over bit for bit.  A product that overflows gives inf
+    or NaN, with no warning."""
+    (k00, k01), (k10, k11) = k
+    q = p + 1
+    out = [row.copy() for row in rows]
+    (x00, x01), (x10, x11) = rows[p][p : q + 1], rows[q][p : q + 1]
+    t00, t01 = k00 * x00 + k01 * x10, k00 * x01 + k01 * x11  # K X
+    t10, t11 = k10 * x00 + k11 * x10, k10 * x01 + k11 * x11
+    y00, y01 = t00 * k00 + t01 * k01, t00 * k10 + t01 * k11
+    y10, y11 = t10 * k00 + t11 * k01, t10 * k10 + t11 * k11
+    if noise is not None:
+        (m00, m01), (m10, m11) = noise
+        y00, y01, y10, y11 = y00 + m00, y01 + m01, y10 + m10, y11 + m11
+    out[p][p : q + 1], out[q][p : q + 1] = (y00, y01), (y10, y11)
+    for i in range(len(rows)):
+        if i < p:  # C above side B: row i of C K^T
+            c0, c1 = rows[i][p], rows[i][q]
+        elif i > q:  # C right of side A: column i of K C
+            c0, c1 = rows[p][i], rows[q][i]
+        else:
+            continue
+        out[i][p] = out[p][i] = c0 * k00 + c1 * k01
+        out[i][q] = out[q][i] = c0 * k10 + c1 * k11
+    return out
+
+
 def _map_side(
-    state: GaussianState, side: str, k: np.ndarray, shift: np.ndarray, noise: np.ndarray | None = None
+    state: GaussianState,
+    side: str,
+    k: tuple[np.ndarray, list[list[float]]],
+    shift: np.ndarray,
+    noise: tuple[np.ndarray, list[list[float]]] | None = None,
 ) -> GaussianState:
     """Map one side of the partition: the side's rows and columns of the
-    covariance matrix by K, plus ``noise`` on its diagonal block, and its
-    part of the mean to K d + shift.
+    covariance matrix by K, plus M on its diagonal block, and its part of
+    the mean to K d + shift.  ``k`` and ``noise`` are ``(array, rows)``
+    pairs, as `_as_square_even` gives them.
 
     The other diagonal block and the other part of the mean are carried over
-    bit for bit.  The output, frozen in place, goes through the
-    `GaussianState` constructor, which takes it without a copy and checks
-    its Simon verdict again.  A map whose output overflows gives inf or NaN
-    entries, which the constructor rejects with a `ValueError`, so the
-    products run with NumPy's overflow and invalid-value warnings off.
+    bit for bit.  A 2-row side maps in Python floats, on the state's rows and
+    K's (`_map_rows`), and the output array is built once from its rows;
+    a larger side maps in NumPy (`_act_on_side`), with its overflow and
+    invalid-value warnings off.  Either output goes through the check every
+    state passes (`GaussianState._admit`), without being copied or listed
+    again: an overflow gives inf or NaN entries, which it rejects with a
+    `ValueError`, and the Simon verdict runs again.
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    ka = 2 * state.n_a
-    part = slice(0, ka) if side == "A" else slice(ka, None)
-    mean = state.mean.copy()
-    if k.shape[0] != mean[part].shape[0]:
-        raise ValueError(f"dimension {k.shape[0]} does not match side {side}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean[part] = k @ state.mean[part] + shift
-        g = _act_on_side(state.cm, ka, side, k)
-        if noise is not None:
-            g[part, part] += noise
-    return GaussianState(_frozen(g), state.n_a, state.n_b, _frozen(mean))
+    k, k_rows = k
+    ka, n = 2 * state.n_a, len(state._rows)
+    p, width = (0, ka) if side == "A" else (ka, n - ka)
+    if len(k_rows) != width:
+        raise ValueError(f"dimension {len(k_rows)} does not match side {side}")
+    if width == 2:
+        (k00, k01), (k10, k11) = k_rows
+        d = state.mean.tolist()
+        (d0, d1), (s0, s1) = d[p : p + 2], shift.tolist()
+        d[p : p + 2] = k00 * d0 + k01 * d1 + s0, k10 * d0 + k11 * d1 + s1
+        rows = _map_rows(state._rows, p, k_rows, None if noise is None else noise[1])
+        g, mean = np.array(rows, float), np.array(d)
+    else:
+        part = slice(p, p + width)
+        mean = state.mean.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean[part] = k @ state.mean[part] + shift
+            g = _act_on_side(state.cm, ka, side, k)
+            if noise is not None:
+                g[part, part] += noise[0]
+        rows = g.tolist()
+    out = object.__new__(GaussianState)  # the mode counts passed with ``state``
+    vars(out).update(n_a=state.n_a, n_b=state.n_b)
+    out._admit(_frozen(g), rows, _frozen(mean))
+    return out
 
 
 def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str) -> GaussianState:
     """Apply a Gaussian unitary to side "A" or "B" of the partition; the other
-    block is carried over bit for bit, and the output is checked again."""
-    return _map_side(state, side, u.s, u.m)
+    block is carried over bit for bit, and the output is checked again.  A
+    2-row side maps in Python floats, on the rows the state and S keep."""
+    return _map_side(state, side, (u.s, u._rows), u.m)
 
 
 @dataclass(frozen=True)
@@ -769,7 +861,9 @@ class GaussianChannel:
     most 1e150, so that neither K Delta K^T nor max|K|^2 overflows.  K and M
     are copied once, as a state's arrays are, and every test reads their
     rows; ``m_noise`` keeps M's symmetric part, in that copy unless the
-    symmetric part differs from M in some bit.
+    symmetric part differs from M in some bit.  The channel keeps, privately,
+    the rows of K and of that symmetric part, which the map of a 2-row side
+    and `nfg_after_channel_closed_form` read.
     """
 
     k: np.ndarray
@@ -804,8 +898,7 @@ class GaussianChannel:
                 f"invalid channel: M + i(Delta - K Delta K^T) has eigenvalue {least:.6g} < 0"
             )
         d = _as_vector(self.d_bar, len(k), "d_bar")
-        for name, arr in (("k", k), ("m_noise", m), ("d_bar", d)):
-            object.__setattr__(self, name, arr)
+        vars(self).update(k=k, m_noise=m, d_bar=d, _k_rows=k_rows, _m_rows=m_rows)
 
     @property
     def n_modes(self) -> int:
@@ -817,9 +910,10 @@ def apply_channel(state: GaussianState, ch: GaussianChannel, side: str = "B") ->
 
     For side B this is A -> A, C -> C K^T, B -> K B K^T + M, and the B part of
     the mean becomes K d_B + d_bar; side A maps the A rows likewise.  The map
-    is `apply_gaussian_unitary`'s, with the noise M added.
+    is `apply_gaussian_unitary`'s, with the noise M added: a 2-row side maps
+    in Python floats, on the rows the state and the channel keep.
     """
-    return _map_side(state, side, ch.k, ch.d_bar, ch.m_noise)
+    return _map_side(state, side, (ch.k, ch._k_rows), ch.d_bar, (ch.m_noise, ch._m_rows))
 
 
 @dataclass(frozen=True)
@@ -863,8 +957,8 @@ def _spectrum_degenerate(state: GaussianState) -> bool:
     (C = 0) never flagged, so for those the flag factorizes nothing (A may be
     singular at double precision).
     """
-    n, k = state.n_a, 2 * state.n_a
-    if n == 1 or not state.cm[:k, k:].any():
+    n = state.n_a
+    if n == 1 or state._uncorrelated:
         return False
     return _degenerate(np.linalg.eigvalsh(_symplectic_hermitian(state._chol_a))[n:][::-1])
 

@@ -482,6 +482,19 @@ class TestNfgCommand:
         assert out == ""
         assert f"field {field!r} is not a list of numbers" in err
 
+    @pytest.mark.parametrize("field", ["cm", "mean"])
+    @pytest.mark.parametrize("command", ["nfg", "validate"])
+    def test_null_entry_is_a_parse_failure(self, capsys, tmp_path, command, field):
+        # NumPy would read null as NaN, and the state would fail as
+        # non-finite, exit 1, not as a malformed file.
+        doc = state_doc(np.eye(4), 1, 1, [0.0] * 4)
+        doc[field][0] = None
+        path = write_json(tmp_path / "s.json", doc)
+        assert main([command, path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"field {field!r} is not a list of numbers" in err
+
 
 class TestChannelCommand:
     def write_channel(self, tmp_path, k, m, d_bar=None):
@@ -562,6 +575,18 @@ class TestChannelCommand:
         path = self.write_channel(tmp_path, np.eye(2), np.zeros((2, 2)), [0.0, 0.0])
         doc = json.loads(Path(path).read_text())
         doc[field][0] = entry
+        assert main(["channel", ssts_file, write_json(tmp_path / "ch.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"field {field!r} is not a list of numbers" in err
+
+    @pytest.mark.parametrize("field", ["k", "m_noise", "d_bar"])
+    def test_null_entry_is_a_parse_failure(self, capsys, ssts_file, tmp_path, field):
+        # NumPy would read null as NaN, and the channel would fail as
+        # non-finite, exit 1, not as a malformed file.
+        path = self.write_channel(tmp_path, np.eye(2), np.zeros((2, 2)), [0.0, 0.0])
+        doc = json.loads(Path(path).read_text())
+        doc[field][0] = None
         assert main(["channel", ssts_file, write_json(tmp_path / "ch.json", doc)]) == 2
         out, err = capsys.readouterr()
         assert out == ""

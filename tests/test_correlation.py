@@ -989,10 +989,13 @@ class TestClosedFormScale:
     def test_nonpositive_denominator_raises_value_error(self):
         # A singular K with M = 0, K = M = 0 included, is no valid channel
         # (GaussianChannel refuses it); the closed form raises, also under
-        # python -O.
+        # python -O.  The closed form reads the rows a channel keeps.
         p = StandardFormParams(3.0, 3.0, 2.0, -2.0)
         for k in (np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2))):
-            not_a_channel = SimpleNamespace(n_modes=1, k=k, m_noise=np.zeros((2, 2)))
+            m = np.zeros((2, 2))
+            not_a_channel = SimpleNamespace(
+                n_modes=1, k=k, m_noise=m, _k_rows=k.tolist(), _m_rows=m.tolist()
+            )
             with pytest.raises(ValueError, match="denominator"):
                 nfg_after_channel_closed_form(p, not_a_channel)
 

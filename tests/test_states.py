@@ -5,6 +5,7 @@ import threading
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -647,8 +648,15 @@ class TestHugeScale:
             (lambda: apply_gaussian_unitary(GaussianState(np.eye(4), 1, 1, [1e308, 0.0, 0.0, 0.0]),
                                             GaussianUnitary(np.diag([2.0, 0.5])), "A"),
              "mean must be a finite vector"),
+            # The 2-row side of a (2+1) and a (1+2) state at 1e200.
+            (lambda: apply_channel(GaussianState(1e200 * np.eye(6), 2, 1), HUGE_GAIN),
+             "non-finite"),
+            (lambda: apply_gaussian_unitary(GaussianState(1e200 * np.eye(6), 1, 2),
+                                            GaussianUnitary(SQUEEZE_1E150), "A"),
+             "non-finite"),
         ],
-        ids=["gain-on-B", "squeezer-on-B", "squeezer-on-A", "noise-sum", "mean"],
+        ids=["gain-on-B", "squeezer-on-B", "squeezer-on-A", "noise-sum", "mean",
+             "gain-on-B-of-2+1", "squeezer-on-A-of-1+2"],
     )  # fmt: skip
     def test_overflowing_map_rejected_without_warnings(self, apply, match):
         with warnings.catch_warnings(record=True) as caught:
@@ -1406,3 +1414,150 @@ class TestApplyGaussianUnitary:
     def test_non_symplectic_rejected(self):
         with pytest.raises(ValueError):
             GaussianUnitary(2.0 * np.eye(2))
+
+
+#: Partitions with a 2-row side, and that side: (1+1) on both sides, B of
+#: (2+1) and A of (1+2).
+TWO_ROW_SIDES = [(1, 1, "A"), (1, 1, "B"), (2, 1, "B"), (1, 2, "A")]
+
+
+def _mp_side_map(state, side, k, shift, noise=None):
+    """``(cm, mean, cm_bound, mean_bound)``: one side of ``state`` mapped by
+    the 2 x 2 ``k``, ``shift`` and ``noise`` at 50 digits, with the entrywise
+    bounds |K~| |G| |K~|^T + |M~| and |K~| |d| + |shift~| the rounding of a
+    float map is measured against (K~ = K on the side, I elsewhere)."""
+    n, p = 2 * (state.n_a + state.n_b), 0 if side == "A" else 2 * state.n_a
+    with mpmath.workdps(50):
+        kt, mt, st = mpmath.eye(n), mpmath.zeros(n, n), mpmath.zeros(n, 1)
+        for i in range(2):
+            st[p + i] = shift[i]
+            for j in range(2):
+                kt[p + i, p + j] = k[i][j]
+                mt[p + i, p + j] = 0.0 if noise is None else noise[i][j]
+        g, d = mpmath.matrix(state.cm.tolist()), mpmath.matrix(state.mean.tolist())
+        k_abs, m_abs = kt.apply(abs), mt.apply(abs)
+        return (
+            kt * g * kt.T + mt,
+            kt * d + st,
+            k_abs * g.apply(abs) * k_abs.T + m_abs,
+            k_abs * d.apply(abs) + st.apply(abs),
+        )
+
+
+def _numpy_channel_on_b(state: GaussianState, ch: GaussianChannel) -> GaussianState:
+    """The post-channel state by the NumPy map, `_act_on_side`, which larger
+    sides still take: the reference the 2-row map is held to."""
+    ka = 2 * state.n_a
+    g = nfg.states._act_on_side(state.cm, ka, "B", ch.k)
+    g[ka:, ka:] += ch.m_noise
+    return GaussianState(g, state.n_a, state.n_b)
+
+
+class TestRowMap:
+    """The map of a 2-row side, in Python floats on the rows each object keeps."""
+
+    @pytest.mark.parametrize("n_a, n_b, side", TWO_ROW_SIDES)
+    def test_entries_within_a_few_eps_of_a_50_digit_map(self, rng, n_a, n_b, side):
+        eps = float(np.finfo(float).eps)
+        for i in range(40):
+            if (n_a, n_b) == (1, 1) and i % 2:
+                state = GaussianState(stream_shaped_cm(rng), 1, 1, 2.0 * rng.normal(size=4))
+            else:
+                state = random_state(rng, n_a, n_b, displaced=True)
+            shift, drawn = rng.normal(size=2), random_channel(rng)
+            ch = GaussianChannel(drawn.k, drawn.m_noise, shift)
+            for u, noise in ((GaussianUnitary(random_symplectic(rng, 1), shift), None),
+                             (ch, ch.m_noise)):  # fmt: skip
+                k = u.s if noise is None else u.k
+                out = (
+                    apply_gaussian_unitary(state, u, side)
+                    if noise is None
+                    else apply_channel(state, u, side)
+                )
+                cm, mean, cm_bound, mean_bound = _mp_side_map(state, side, k, shift, noise)
+                for r, row in enumerate(out.cm.tolist()):
+                    for c, x in enumerate(row):
+                        assert abs(x - cm[r, c]) <= 4 * eps * cm_bound[r, c], (r, c)
+                for r, x in enumerate(out.mean.tolist()):
+                    assert abs(x - mean[r]) <= 4 * eps * mean_bound[r], r
+                # the other diagonal block and its mean are carried over bit
+                # for bit, and the cross block is mirrored
+                rows, kept = out._rows, state._rows
+                other = range(2, len(rows)) if side == "A" else range(len(rows) - 2)
+                for r in other:
+                    assert float_bits([rows[r][c] for c in other]) == float_bits(
+                        [kept[r][c] for c in other]
+                    )
+                    assert float_bits(out.mean[r]) == float_bits(state.mean[r])
+                mapped = (0, 1) if side == "A" else (len(rows) - 2, len(rows) - 1)
+                cross = [(r, c) for r in mapped for c in other]
+                assert float_bits([rows[r][c] for r, c in cross]) == float_bits(
+                    [rows[c][r] for r, c in cross]
+                )
+
+    @pytest.mark.parametrize("n_a, n_b, side", TWO_ROW_SIDES)
+    def test_two_row_side_never_takes_the_numpy_map(self, rng, monkeypatch, n_a, n_b, side):
+        def refuse(*args):
+            raise AssertionError("the NumPy map ran on a 2-row side")
+
+        state = random_state(rng, n_a, n_b, displaced=True)
+        u = GaussianUnitary(random_symplectic(rng, 1), rng.normal(size=2))
+        ch = random_channel(rng)
+        monkeypatch.setattr(nfg.states, "_act_on_side", refuse)
+        calls = linalg_calls(monkeypatch)
+        for out in (apply_gaussian_unitary(state, u, side), apply_channel(state, ch, side)):
+            assert (out.n_a, out.n_b) == (n_a, n_b)
+            assert float_bits(out._rows) == float_bits(out.cm.tolist())
+        # a (1+1) map and the Simon verdict of its output read rows only;
+        # larger outputs keep the verdict's eigensolve
+        assert calls == ([] if n_a + n_b == 2 else ["eigvalsh", "eigvalsh"])
+
+    def test_larger_side_keeps_the_numpy_map(self, rng):
+        state = random_state(rng, 2, 2)
+        u, ch = GaussianUnitary(random_symplectic(rng, 2)), dilation_channel(rng, 2)
+        assert float_bits(apply_channel(state, ch)._rows) == float_bits(
+            _numpy_channel_on_b(state, ch)._rows
+        )
+        rotated = nfg.states._act_on_side(state.cm, 4, "A", u.s)
+        assert float_bits(apply_gaussian_unitary(state, u, "A")._rows) == float_bits(
+            rotated.tolist()
+        )
+
+    @pytest.mark.parametrize("n_a", [1, 2])
+    def test_no_monotonicity_draw_flips(self, rng, n_a):
+        # The float map and the NumPy map give the same verdict and the same
+        # side of `before` on every draw, to a few ulps of the value.
+        for i in range(200):
+            state = (
+                stream_shaped_state(rng) if n_a == 1 and i % 2 else random_state(rng, n_a, 1)
+            )
+            ch = random_channel(rng)
+            report = nfg.check_monotonicity(state, ch)
+            after = nfg.correlation._clamp(
+                nfg.correlation._measure(_numpy_channel_on_b(state, ch))
+            )
+            assert report.holds and after <= report.before + 1e-10
+            assert (report.after <= report.before) == (after <= report.before)
+            assert report.after == pytest.approx(after, rel=1e-12, abs=1e-300)
+
+    def test_maps_keep_the_rows_they_checked(self, rng):
+        u = GaussianUnitary(random_symplectic(rng, 1).tolist())
+        ch = GaussianChannel(rotation(0.3), [[1.0, 0.5], [0.5 + 1e-12, 1.0]])
+        assert float_bits(u._rows) == float_bits(u.s.tolist())
+        assert float_bits(ch._k_rows) == float_bits(ch.k.tolist())
+        assert float_bits(ch._m_rows) == float_bits(ch.m_noise.tolist())
+
+    def test_one_correlation_test_on_the_rows(self, rng, monkeypatch):
+        # The spectrum and the degeneracy flag share the rows' C = 0 test,
+        # where C = -0.0 counts as zero: nothing is factorized.
+        g = la.block_diag(random_cm(rng, 2), random_cm(rng, 1))
+        g[:4, 4:], g[4:, :4] = -0.0, -0.0
+        state = GaussianState(g, 2, 1)
+        tests, rows_test = [], GaussianState._uncorrelated.fget
+        monkeypatch.setattr(
+            GaussianState, "_uncorrelated", property(lambda s: tests.append(s) or rows_test(s))
+        )
+        calls = linalg_calls(monkeypatch)
+        result = nfg_numeric(state)
+        assert result.value == 0.0 and not result.lower_bound_only
+        assert tests == [state, state] and calls == []
