@@ -10,19 +10,19 @@ with delta = d1 - d2.  All determinants are evaluated in log space through a
 Cholesky factorization, so the routines stay finite well past the point where
 det would overflow, and purity (the self overlap) reuses the same code path
 bit for bit.  At every size the factorization is `nfg.states._ldl`, the
-scalar LDL^T that also decides the Simon verdict, so no overlap runs an
-`np.linalg` call.  It factors the lower triangle of sym((V1 + V2)/2), built
-in Python floats from the rows each `GaussianState` keeps from its checks
-(`_mid_lower`), by the operations of `nfg.states._mid` in its order, so no
-overlap runs a NumPy elementwise operation either.
+scalar LDL^T that also decides the Simon verdict.  It factors the lower
+triangle of sym((V1 + V2)/2), built in Python floats from the rows each
+`GaussianState` keeps from its checks (`_mid_lower`), by the operations of
+`nfg.states._mid` in its order, and the last step is libm's ``exp``
+(`math.exp`).  So the module imports no NumPy and no overlap runs NumPy
+arithmetic: the bits depend only on IEEE double arithmetic and the C
+library, not on the CPU NumPy dispatches by.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .states import GaussianState, _ldl, _singular
 
@@ -40,7 +40,7 @@ class OverlapResult:
     log_value: float
 
 
-_ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
+_ONE_BELOW_1 = math.nextafter(1.0, 0.0)
 
 
 def _clamp(value: float) -> float:
@@ -138,7 +138,7 @@ def overlap(rho: GaussianState, sigma: GaussianState) -> OverlapResult:
     if rho.cm.shape != sigma.cm.shape:
         raise ValueError("states live on different mode counts")
     log = _log_overlap(rho, sigma)
-    return OverlapResult(float(np.exp(log)), log)
+    return OverlapResult(math.exp(log), log)
 
 
 def purity(state: GaussianState) -> float:
@@ -158,7 +158,7 @@ def fidelity_f(rho: GaussianState, sigma: GaussianState) -> float:
     log_cross = _log_overlap(rho, sigma)
     log_p1 = _log_overlap(rho, rho)
     log_p2 = _log_overlap(sigma, sigma)
-    return float(np.exp(log_cross - 0.5 * (log_p1 + log_p2)))
+    return math.exp(log_cross - 0.5 * (log_p1 + log_p2))
 
 
 def c_squared(rho: GaussianState, sigma: GaussianState) -> float:

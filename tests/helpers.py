@@ -58,6 +58,17 @@ def random_state(
     return GaussianState(random_cm(rng, n), n_a, n_b, mean)
 
 
+def with_ancilla(state: GaussianState, side: str, ancilla: np.ndarray) -> GaussianState:
+    """`state` with the uncorrelated one-mode covariance `ancilla` appended
+    as the last mode of `side`."""
+    cm = la.block_diag(state.cm, ancilla)
+    if side == "B":
+        return GaussianState(cm, state.n_a, state.n_b + 1)
+    ka, n = 2 * state.n_a, cm.shape[0]
+    perm = np.r_[:ka, n - 2 : n, ka : n - 2]
+    return GaussianState(cm[np.ix_(perm, perm)], state.n_a + 1, state.n_b)
+
+
 def random_channel(rng: np.random.Generator) -> GaussianChannel:
     """Random valid single-mode channel with a 5% margin on det M."""
     k = rng.normal(size=(2, 2))

@@ -34,6 +34,8 @@ from nfg import (
     nfg_ssts_limit,
     nfg_two_mode,
     nfg_upper_bound,
+    overlap,
+    purity,
     q_ssts,
     ssts,
     standard_form,
@@ -43,7 +45,13 @@ from nfg import (
 from nfg.fock import oracle_rows
 
 from conftest import seed
-from helpers import random_channel, random_state, random_symplectic, standard_state
+from helpers import (
+    random_channel,
+    random_state,
+    random_symplectic,
+    standard_state,
+    with_ancilla,
+)
 
 
 @pytest.fixture
@@ -320,3 +328,49 @@ class TestCriterion11UpperBound:
         )
         assert worst_excess <= 1e-10
         assert bound_max < 1.0
+
+
+class TestCriterion12AncillaRemedy:
+    """The local ancilla problem (Piani, PRA 86, 034101 (2012)): a
+    Hilbert-Schmidt quantity changes when an uncorrelated ancilla joins one
+    side, since tr[(rho x tau)(sigma x tau)] = tr(rho sigma) tr(tau^2).  The
+    abstract sells N as its remedy."""
+
+    def test_thermal_ancilla_scales_hs_but_not_the_measure(self, announce):
+        rng = criterion_rng(12)
+        states = [ssts(SstsParams(1.0, 0.7))]
+        states += [random_state(rng, n_a, n_b) for n_a, n_b in ((1, 1), (1, 2), (2, 1), (2, 2))]
+        quarter = np.array([[0.0, -1.0], [1.0, 0.0]])  # the pi/2 rotation, exactly
+
+        def hs(rho, sigma):
+            """tr rho^2 + tr sigma^2 - 2 tr rho sigma, and the sum of its terms."""
+            p, q, x = purity(rho), purity(sigma), overlap(rho, sigma).value
+            return p + q - 2.0 * x, p + q + 2.0 * x
+
+        worst_hs, worst_ulps, cases = 0.0, 0.0, 0
+        for rho in states:
+            sigma = apply_gaussian_unitary(
+                rho, GaussianUnitary(np.kron(np.eye(rho.n_a), quarter)), "A"
+            )
+            distance, _ = hs(rho, sigma)
+            value = nfg_numeric(rho).value
+            for side in ("A", "B"):
+                for n_bar in 10.0 ** np.arange(-3, 7):
+                    tau = (1.0 + 2.0 * n_bar) * np.eye(2)
+                    tau_purity = 1.0 / (1.0 + 2.0 * n_bar)
+                    rho_tau = with_ancilla(rho, side, tau)
+                    grown, terms = hs(rho_tau, with_ancilla(sigma, side, tau))
+                    err = abs(grown - tau_purity * distance) / terms
+                    worst_hs = max(worst_hs, err / np.finfo(float).eps)
+                    drift = abs(nfg_numeric(rho_tau).value - value)
+                    worst_ulps = max(worst_ulps, drift / np.spacing(value))
+                    cases += 1
+        ok = worst_hs <= 64.0 and worst_ulps <= 4.0
+        announce(
+            12,
+            ok,
+            f"{cases} ancillas, n_bar 1e-3..1e6: HS distance = tr(tau^2) x HS to "
+            f"{worst_hs:.1f} eps of its terms; N moves at most {worst_ulps:.0f} ulps",
+        )
+        assert worst_hs <= 64.0
+        assert worst_ulps <= 4.0

@@ -56,6 +56,7 @@ from helpers import (
     stream_shaped_cm,
     stream_shaped_state,
     through_thermal_dilation,
+    with_ancilla,
 )
 
 
@@ -1045,17 +1046,6 @@ def swapped(state: GaussianState) -> GaussianState:
     ka = 2 * state.n_a
     perm = np.r_[ka : state.cm.shape[0], :ka]
     return GaussianState(state.cm[np.ix_(perm, perm)], state.n_b, state.n_a, state.mean[perm])
-
-
-def with_ancilla(state: GaussianState, side: str, ancilla: np.ndarray) -> GaussianState:
-    """`state` with the uncorrelated one-mode covariance `ancilla` appended
-    as the last mode of `side`."""
-    cm = la.block_diag(state.cm, ancilla)
-    if side == "B":
-        return GaussianState(cm, state.n_a, state.n_b + 1)
-    ka, n = 2 * state.n_a, cm.shape[0]
-    perm = np.r_[:ka, n - 2 : n, ka : n - 2]
-    return GaussianState(cm[np.ix_(perm, perm)], state.n_a + 1, state.n_b)
 
 
 class TestPartitionProperties:

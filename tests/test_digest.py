@@ -2,17 +2,17 @@
 
 The (1+1) kernels run in Python floats, with no BLAS product and no NumPy
 arithmetic: the one-sided maps, the correlation spectrum mu, the standard
-form, the post-channel closed form and the log overlaps c_squared is built
-from.  Their bits then depend only on IEEE double arithmetic and the C
-library's elementary functions, not on the CPU's BLAS build, so one digest
-can pin them.  The corpus is built the same way: from standard-form
-parameters drawn by Python's `random` and written-out rotations and
-squeezers, with every state after the first made by the maps themselves.
+form, the post-channel closed form, the log overlaps, and c_squared and
+purity, which end in libm's ``exp`` of those logs.  Their bits then depend
+only on IEEE double arithmetic and the C library's elementary functions,
+not on the CPU's BLAS build or on the CPU NumPy dispatches its own loops
+by, so one digest can pin them.  The corpus is built the same way: from
+standard-form parameters drawn by Python's `random` and written-out
+rotations and squeezers, with every state after the first made by the maps
+themselves.
 
-c_squared itself is pinned up to its last step, ``exp`` of the hashed log
-overlaps: NumPy dispatches ``np.exp`` by CPU, so that bit may differ
-between hosts.  A change to any hashed bit is an output change: it is
-listed, and the digest re-recorded.
+A change to any hashed bit is an output change: it is listed, and the
+digest re-recorded.
 """
 
 import hashlib
@@ -27,14 +27,16 @@ from nfg import (
     StandardFormParams,
     apply_channel,
     apply_gaussian_unitary,
+    c_squared,
     check_monotonicity,
     nfg_after_channel_closed_form,
+    purity,
     standard_form,
 )
 from nfg.overlap import _log_overlap
 
 #: sha256 of the corpus values below, in their order, as little-endian doubles.
-PINNED = "a90f0cf24c5951d15267a5e1136bb0d4c9540643dcf23422e59e21c38c3cb270"
+PINNED = "dd5f8dcc6c814185988a822a7e78875f5999ee6f44158a638a3e2219e4e55d30"
 
 
 def _product(x, y):
@@ -110,6 +112,7 @@ def _corpus_values(count: int = 48):
         values += [params.a, params.b, params.c, params.d, *s_a[0], *s_a[1], *s_b.ravel().tolist()]
         for x, y in ((state, rotated), (state, state), (rotated, rotated)):
             values.append(_log_overlap(x, y))
+        values += [c_squared(state, rotated), purity(state), purity(rotated)]
         values += [report.before, report.after, nfg_after_channel_closed_form(params, ch).value]
     return values
 
