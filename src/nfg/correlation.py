@@ -122,6 +122,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -168,13 +169,16 @@ class NfgResult:
     lower_bound_only: bool = False
 
 
-#: ``optimizer_theta`` of every (1+1) result: one read-only [pi/2], shared.
-_HALF_PI = _frozen(np.array([np.pi / 2]))
+@cache
+def _half_pi(n: int) -> np.ndarray:
+    """``optimizer_theta`` of every result with ``n`` A modes: pi/2 for each,
+    one read-only vector per ``n``, shared as `symplectic_form` is."""
+    return _frozen(np.full(n, np.pi / 2))
 
 
-def _result(value: float, method: str, theta=_HALF_PI, lower_bound_only=False) -> NfgResult:
-    """The clamped result; ``theta`` is read-only."""
-    return NfgResult(_clamp(value), method, theta, lower_bound_only)
+def _result(value: float, method: str, n_a: int = 1, lower_bound_only=False) -> NfgResult:
+    """The clamped result, with the shared `_half_pi` of ``n_a`` as theta."""
+    return NfgResult(_clamp(value), method, _half_pi(n_a), lower_bound_only)
 
 
 def _unit_scale(p: StandardFormParams) -> tuple[int, float, float, float, float]:
@@ -298,19 +302,20 @@ def nfg_numeric(state: GaussianState, opt: OptimizerConfig | None = None) -> Nfg
     eigenphases lie in [-pi/2, pi/2]: M^T M = (I + sym O)/2 >= I/2 bounds
     the determinant (see the module notes), with equality at U = i I.
 
-    The flag reads the spectrum from one Hermitian eigensolve on A's
-    Cholesky factor L_A (`states._spectrum_degenerate`); no Williamson
+    The flag reads the spectrum from A's Cholesky factor L_A
+    (`states._spectrum_degenerate`): for two A modes in closed form, in
+    Python floats, and for more by one Hermitian eigensolve; no Williamson
     decomposition runs.  The state keeps L_A, which its correlation spectrum
     solves too, so A is factored once for both, in either order.  A product
     state (C = 0) is never flagged and its A block is not factorized: every
     stabilizer leaves it as it is, so its value, exactly 0, is the supremum
-    over the whole stabilizer whatever A's spectrum.
+    over the whole stabilizer whatever A's spectrum.  ``optimizer_theta`` is
+    one read-only vector per n_a, shared by every result.
     """
     if state.n_a < 1 or state.n_b < 1:
         raise ValueError("numeric search needs at least one mode on each side")
-    theta = _frozen(np.full(state.n_a, np.pi / 2))
     degenerate = _spectrum_degenerate(state)
-    return _result(_measure(state), "numeric", theta, degenerate)
+    return _result(_measure(state), "numeric", state.n_a, degenerate)
 
 
 def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) -> NfgResult:

@@ -533,15 +533,17 @@ def validate_cm(gamma) -> ValidationReport:
     the scalar factorization (`_ldl`); larger matrices, where one eigensolve
     is faster, compare their smallest eigenvalue.  Symplectic eigenvalues
     are the moduli of the eigenvalues of i*Delta*Gamma, reported once each,
-    in descending order; ``positive_definite`` is the smallest eigenvalue of
-    Gamma being > 0.  A pure state squeezed past double precision
-    (n_bar >~ 1e8) is stored as a singular matrix, so it can read not
-    positive definite with nu_min ~ 0 and still be physical within the
-    tolerance.
+    in descending order; for one mode the one modulus is sqrt|det Gamma|, in
+    scalar arithmetic, so 3 I reads exactly 3.  ``positive_definite`` is the
+    smallest eigenvalue of Gamma being > 0.  A pure state squeezed past
+    double precision (n_bar >~ 1e8) is stored as a singular matrix, so it
+    can read not positive definite with nu_min ~ 0 and still be physical
+    within the tolerance.
 
     Only the Simon test decides ``physical``; the symplectic spectrum and
-    ``positive_definite`` take two eigensolves and serve the report, which
-    `GaussianState` builds only to explain a rejection.
+    ``positive_definite`` take two eigensolves (one for a single mode) and
+    serve the report, which `GaussianState` builds only to explain a
+    rejection.
     """
     g, rows = _as_square_even(gamma, "covariance matrix")
     return _report(g, _verdict(g, rows))
@@ -559,12 +561,16 @@ def _report(g: np.ndarray, verdict: tuple) -> ValidationReport:
     here by `_symmetric_part`."""
     symmetric, physical = verdict
     gs = _symmetric_part(g)[1]
-    delta = symplectic_form(g.shape[0] // 2)
-    # Delta Gamma scaled down, so it is finite up to the float maximum and
-    # the eigensolve, square roots too, scales exactly
+    # Gamma scaled down, so its products are finite up to the float maximum
+    # and the eigensolve, square roots too, scales exactly
     scale = _even_power(float(np.abs(gs).max()))
-    moduli = np.sort(np.abs(np.linalg.eigvals(delta @ (gs / scale)))) * scale
-    nus = moduli[::2][::-1]  # pairs collapse to one entry each, descending
+    if len(gs) == 2:  # Delta Gamma has eigenvalues +-sqrt(-det Gamma)
+        (g00, g01), (g10, g11) = (gs / scale).tolist()
+        nus = np.array([math.sqrt(abs(g00 * g11 - g01 * g10)) * scale])
+    else:
+        delta = symplectic_form(g.shape[0] // 2)
+        moduli = np.sort(np.abs(np.linalg.eigvals(delta @ (gs / scale)))) * scale
+        nus = moduli[::2][::-1]  # pairs collapse to one entry each, descending
     positive_definite = bool(np.linalg.eigvalsh(gs)[0] > 0.0)
     return ValidationReport(symmetric, _frozen(nus), positive_definite, physical)
 
@@ -708,8 +714,9 @@ class GaussianState:
     def _chol_a(self) -> np.ndarray:
         """L_A, the lower Cholesky factor of the A block, read-only; a block
         that does not factor raises `_singular`'s `ValueError`.  The generic
-        correlation spectrum and `nfg_numeric`'s degeneracy flag both solve
-        it, so A is factored once per state, whichever runs first."""
+        correlation spectrum solves it and `nfg_numeric`'s degeneracy flag
+        reads it, its rows for two A modes and by one eigensolve for more, so
+        A is factored once per state, whichever runs first."""
         k = 2 * self.n_a
         return _frozen(_cholesky(self.cm[:k, :k]))
 
@@ -941,25 +948,62 @@ def _symplectic_hermitian(chol: np.ndarray) -> np.ndarray:
     """i L^T Delta L for the Cholesky factor L of g = L L^T.
 
     L^T Delta L is similar to Delta g, so this Hermitian matrix has
-    eigenvalues +-nu_i, the symplectic eigenvalues of g; `williamson` and
-    the degeneracy flag of `nfg_numeric` both solve it.
+    eigenvalues +-nu_i, the symplectic eigenvalues of g; `williamson` and,
+    for three or more A modes, the degeneracy flag of `nfg_numeric` solve it.
     """
     return 1j * (chol.T @ symplectic_form(chol.shape[0] // 2) @ chol)
 
 
+def _degenerate_4(l: list[list[float]]) -> bool:
+    """`_degenerate` of the two symplectic eigenvalues of g = L L^T, for the
+    4 x 4 lower factor L given as nested lists, in Python floats with no
+    eigensolve (see `_spectrum_degenerate`).  Never for a NaN, nor for an
+    overflowed product: an infinite scale reads not degenerate."""
+    (l00, _, _, _), (_, l11, _, _), (l20, l21, l22, _), (l30, l31, l32, l33) = l
+    # K = L^T Delta L above its diagonal; L's l10 drops out
+    a = l00 * l11 + l20 * l31 - l30 * l21
+    b, c = l20 * l32 - l30 * l22, l20 * l33
+    d, e, f = l21 * l32 - l31 * l22, l21 * l33, l22 * l33
+    gap = math.hypot(a - f, b + e, c - d)  # nu_1 - nu_2
+    nu_1 = 0.5 * (math.hypot(a + f, b - e, c + d) + gap)
+    return gap <= _DEGENERACY_TOL * max(nu_1, 1.0) < math.inf
+
+
 def _spectrum_degenerate(state: GaussianState) -> bool:
     """`nfg_numeric`'s ``lower_bound_only``: `williamson(A).degeneracy_flag`
-    of a correlated state's A block, from the symplectic spectrum alone.
+    of a correlated state's A block, from the symplectic spectrum alone, by
+    `_degenerate`'s rule |nu_1 - nu_2| <= `_DEGENERACY_TOL` max(nu_1, 1).
 
-    One eigensolve of `_symplectic_hermitian` on L_A (`GaussianState._chol_a`,
-    which the correlation spectrum solves too), with no eigenvectors and no
-    symplectic S.  A single A mode is never degenerate and a product state
-    (C = 0) never flagged, so for those the flag factorizes nothing (A may be
-    singular at double precision).
+    Two A modes take a closed form in Python floats on L_A
+    (`GaussianState._chol_a`, which the correlation spectrum solves too),
+    `_degenerate_4`.  K = L_A^T Delta L_A is antisymmetric 4 x 4, with
+    entries a, b, c, d, e, f = K01, K02, K03, K12, K13, K23, each a sum of
+    at most three products of L_A's lower triangle, and singular values
+    nu_1, nu_1, nu_2, nu_2.  Its self-dual and anti-self-dual parts are
+    p = (a + f, b - e, c + d) and q = (a - f, b + e, c - d), with
+    |p|^2 + |q|^2 = |K|_F^2 = 2 (nu_1^2 + nu_2^2) and
+    |p|^2 - |q|^2 = 4 Pf K = 4 nu_1 nu_2, because
+    Pf K = af - be + cd = det L_A Pf Delta = det L_A > 0.  So |p| = nu_1 + nu_2
+    and |q| = nu_1 - nu_2: the gap is the norm of differences of entries,
+    with an error of ~eps nu_1, as the eigensolve's is, and the rule reads
+    |q| <= `_DEGENERACY_TOL` max((|p| + |q|)/2, 1).  The textbook invariants
+    of two modes (Serafini, Illuminati and De Siena, J. Phys. B 37, L21
+    (2004)) give nu_1^2 - nu_2^2 = sqrt(D^2 - 4 det A), with the
+    Delta-invariant D = det A_11 + det A_22 + 2 det A_12 over A's 2 x 2
+    blocks; that difference of near-equal squares loses half the digits
+    exactly where the gap is small, so they are not used.
+
+    Three or more A modes take one eigensolve of `_symplectic_hermitian` on
+    L_A, with no eigenvectors.  No symplectic S is built at any size.  A
+    single A mode is never degenerate and a product state (C = 0) never
+    flagged, so for those the flag factorizes nothing (A may be singular at
+    double precision).
     """
     n = state.n_a
     if n == 1 or state._uncorrelated:
         return False
+    if n == 2:
+        return _degenerate_4(state._chol_a.tolist())
     return _degenerate(np.linalg.eigvalsh(_symplectic_hermitian(state._chol_a))[n:][::-1])
 
 
@@ -984,7 +1028,9 @@ def williamson(gamma) -> WilliamsonDecomposition:
 
     ``degeneracy_flag`` is set when two consecutive eigenvalues agree within
     `_DEGENERACY_TOL` (relative).  `nfg_numeric` applies the same rule to the
-    A block's spectrum without decomposing it.
+    A block's spectrum without decomposing it: in closed form for two modes,
+    with no eigensolve, and for more by this eigensolve without its
+    eigenvectors (`_spectrum_degenerate`).
     """
     g = _as_square_even(gamma, "covariance matrix")[0]
     g = _mid(g, g.T)

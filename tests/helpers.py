@@ -25,11 +25,14 @@ from nfg.states import (
     DEFAULT_TOL,
     _act_on_side,
     _cholesky,
+    _even_power,
     _frozen,
     _ldl,
     _ldl_rows,
     _mid,
+    _symmetric_part,
     _symmetric_rows,
+    _symplectic_hermitian,
     _two_mode_spectrum,
     _zeros,
 )
@@ -548,6 +551,26 @@ def reference_degenerate(nus: np.ndarray) -> bool:
     return len(nus) > 1 and bool(
         np.any(np.abs(np.diff(nus)) <= _DEGENERACY_TOL * np.maximum(nus[:-1], 1.0))
     )
+
+
+def eigensolve_degenerate(chol: np.ndarray) -> bool:
+    """`nfg_numeric`'s degeneracy flag as the library decided it for every
+    A block before two A modes took a closed form: `reference_degenerate`
+    of the top half of the eigenvalues of `_symplectic_hermitian` on the
+    Cholesky factor of A, reversed."""
+    n = chol.shape[0] // 2
+    return reference_degenerate(np.linalg.eigvalsh(_symplectic_hermitian(chol))[n:][::-1])
+
+
+def eigensolve_symplectic_spectrum(g: np.ndarray) -> np.ndarray:
+    """`validate_cm`'s symplectic eigenvalues as the library took them at
+    every size before one mode took sqrt|det|: the moduli of the eigenvalues
+    of Delta Gamma_s, Gamma_s scaled by `_even_power` of its peak, one per
+    pair, descending."""
+    gs = _symmetric_part(g)[1]
+    scale = _even_power(float(np.abs(gs).max()))
+    delta = symplectic_form(g.shape[0] // 2)
+    return (np.sort(np.abs(np.linalg.eigvals(delta @ (gs / scale)))) * scale)[::2][::-1]
 
 
 def reference_channel_verdict(k: np.ndarray, m: np.ndarray) -> tuple[bool, float, float]:

@@ -406,8 +406,9 @@ class TestCorrelationSpectrum:
 
     def test_one_spectrum_svd_per_state(self, rng, monkeypatch):
         # The spectrum is the only SVD in these calls, and no real symmetric
-        # eigvalsh runs: validation and the degeneracy flag solve complex
-        # Hermitian ones.  A (1+1) state takes the closed form and runs none.
+        # eigvalsh runs: validation beyond 4 x 4 solves complex Hermitian
+        # ones, and the flag of two A modes none.  A (1+1) state takes the
+        # closed form and runs none.
         pair, ch = random_state(rng), random_channel(rng)
         multimode = random_state(rng, 2, 1)
         svds, real_solves = [], []
@@ -563,8 +564,9 @@ class TestNumeric:
     @pytest.mark.parametrize(
         "n_a, n_b, correlated, expected",
         [
-            (2, 1, True, ["cholesky", "eigvalsh", "solve", "cholesky", "solve", "svd"]),
-            (2, 2, True, ["cholesky", "eigvalsh", "solve", "cholesky", "solve", "svd"]),
+            (2, 1, True, ["cholesky", "solve", "cholesky", "solve", "svd"]),
+            (2, 2, True, ["cholesky", "solve", "cholesky", "solve", "svd"]),
+            (3, 1, True, ["cholesky", "eigvalsh", "solve", "cholesky", "solve", "svd"]),
             (2, 1, False, []),
             (1, 2, True, ["cholesky", "solve", "cholesky", "solve", "svd"]),
         ],
@@ -572,9 +574,10 @@ class TestNumeric:
     def test_one_cholesky_of_a_per_request(self, rng, monkeypatch, n_a, n_b, correlated, expected):
         # nfg_numeric then nfg_upper_bound on a fresh state.  With n_a >= 2
         # the flag and the spectrum share the state's one factor of A: A is
-        # factored, the flag solved, C whitened, B factored and W decomposed,
-        # and the bound reads the kept spectrum.  A product state factors nothing, and a
-        # single A mode runs no flag eigensolve.
+        # factored, the flag decided (in closed form for two A modes, by an
+        # eigensolve for three), C whitened, B factored and W decomposed,
+        # and the bound reads the kept spectrum.  A product state factors
+        # nothing, and a single A mode runs no flag at all.
         if correlated:
             state = random_state(rng, n_a, n_b)
         else:
@@ -594,15 +597,17 @@ class TestNumeric:
         a, b = state.cm[:ka, :ka].tolist(), state.cm[ka:, ka:].tolist()
         assert [f.tolist() for f in factored] == ([a, b] if correlated else [])
 
-    def test_bound_alone_then_the_flag(self, rng, monkeypatch):
+    @pytest.mark.parametrize("n_a, flag_calls", [(2, []), (3, ["eigvalsh"])])
+    def test_bound_alone_then_the_flag(self, rng, monkeypatch, n_a, flag_calls):
         # The bound alone takes the spectrum's own factors; the state keeps
-        # L_A, so a later nfg_numeric only solves it for the flag.
-        state = random_state(rng, 2, 1)
+        # L_A, so a later nfg_numeric only reads it for the flag: in Python
+        # floats for two A modes, by one eigensolve for three.
+        state = random_state(rng, n_a, 1)
         calls = linalg_calls(monkeypatch)
         nfg_upper_bound(state)
         assert calls == ["cholesky", "solve", "cholesky", "solve", "svd"]
         nfg_numeric(state)
-        assert calls[5:] == ["eigvalsh"]
+        assert calls[5:] == flag_calls
 
     def test_mean_independence(self, rng):
         state = GaussianState(ssts(SstsParams(1.0, 0.9)).cm, 1, 1, rng.normal(size=4))
@@ -671,6 +676,14 @@ class TestNumeric:
         with pytest.raises(ValueError):
             res.optimizer_theta[0] = 0.0
         assert np.array_equal(res.optimizer_theta, [np.pi / 2])
+
+    @pytest.mark.parametrize("n_a", [1, 2, 3])
+    def test_optimizer_theta_is_one_array_per_mode_count(self, rng, n_a):
+        # every result at one n_a holds the same read-only pi/2 vector
+        thetas = [nfg_numeric(random_state(rng, n_a, n_b)).optimizer_theta for n_b in (1, 2, 1)]
+        assert all(theta is thetas[0] for theta in thetas)
+        assert not thetas[0].flags.writeable
+        assert thetas[0].tolist() == [np.pi / 2] * n_a
 
 
 class TestPassiveStabilizers:

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import sys
 import threading
 import warnings
@@ -49,6 +50,8 @@ from helpers import (
     random_symplectic,
     planted_degenerate_state,
     reference_channel_verdict,
+    eigensolve_degenerate,
+    eigensolve_symplectic_spectrum,
     reference_degenerate,
     reference_standard_form,
     reference_symmetric_part,
@@ -109,6 +112,34 @@ class TestValidateCm:
         assert dtilde == pytest.approx(2.0)
         assert np.linalg.det(g) == pytest.approx(1.0)
         assert report.symplectic_eigenvalues == pytest.approx([1.0, 1.0])
+
+    @pytest.mark.parametrize("cm, nu", [(3.0 * np.eye(2), 3.0), (0.5 * np.eye(2), 0.5)])
+    def test_one_mode_thermal_reads_exactly(self, cm, nu):
+        assert validate_cm(cm).symplectic_eigenvalues.tolist() == [nu]
+
+    def test_one_mode_matches_the_eigensolve(self, rng):
+        # nu = sqrt|det Gamma_s| in scalar arithmetic rounds the 2 x 2
+        # determinant once: its error is u (kappa + 1)/2 + u relative, u the
+        # unit roundoff and kappa = (|g00 g11| + |g01 g10|)/|det|, and the
+        # eigensolve's is of the same order, but it is up to ~10 ulps off
+        # where the closed form is exact.  So: within that rounding bound of
+        # the 50-digit value, and never more than 4 ulps further from it
+        # than the eigensolve.
+        u = 2.0**-53
+        for i in range(600):
+            g = random_cm(rng, 1, nu_max=1e3 if i % 2 else 3.0)
+            g = g * 10.0 ** rng.uniform(-300.0, 300.0) if i % 3 else g
+            nu = validate_cm(g).symplectic_eigenvalues
+            assert nu.shape == (1,) and not nu.flags.writeable
+            reference = float(eigensolve_symplectic_spectrum(g)[0])
+            (p, q), (r, s) = nfg.states._symmetric_part(g)[1].tolist()
+            with mpmath.workdps(50):
+                det = mpmath.mpf(p) * s - mpmath.mpf(q) * r
+                exact = float(mpmath.sqrt(abs(det)))
+                kappa = float((abs(mpmath.mpf(p) * s) + abs(mpmath.mpf(q) * r)) / abs(det))
+            ulp = math.ulp(exact)
+            assert abs(nu[0] - exact) <= (u * ((kappa + 1.0) / 2.0 + 1.0) * exact) + ulp / 2
+            assert abs(nu[0] - exact) <= abs(reference - exact) + 4.0 * ulp
 
     def test_negative_definite_rejected(self):
         # moduli of the symplectic spectrum alone would pass -3*I; the
@@ -893,6 +924,104 @@ class TestHelperRewritesKeepTheirBits:
             assert dec.degeneracy_flag is reference_degenerate(dec.nus)
             flags.add(dec.degeneracy_flag)
         assert flags == {True, False}
+
+
+def _pfaffian(l: np.ndarray) -> tuple[float, float, float]:
+    """``(pf, det, scale)`` for a 4 x 4 lower factor L taken to max|L| ~ 1
+    by a power of two: Pf(L^T Delta L) = K01 K23 - K02 K13 + K03 K12 in
+    NumPy, det L and the size max|L|^4 of the terms either is made of."""
+    l = l * 2.0 ** -np.ceil(np.log2(np.abs(l).max()))
+    k = l.T @ symplectic_form(2) @ l
+    pf = k[0, 1] * k[2, 3] - k[0, 2] * k[1, 3] + k[0, 3] * k[1, 2]
+    return float(pf), float(np.prod(np.diag(l))), float(np.abs(l).max()) ** 4
+
+
+def _squeezed_cm(rng, nus, r_max: float) -> np.ndarray:
+    """A two-mode CM with symplectic spectrum ``nus``: local squeezers up to
+    ``r_max`` on each mode, then a `random_symplectic`."""
+    r = rng.uniform(0.0, r_max, 2)
+    squeeze = np.diag(np.exp([r[0], -r[0], r[1], -r[1]]))
+    s = random_symplectic(rng, 2) @ squeeze
+    g = s @ np.diag(np.repeat(nus, 2)) @ s.T
+    return 0.5 * (g + g.T)
+
+
+def _two_mode_a_blocks(rng):
+    """``(a, expected)``: 4 x 4 A blocks for the closed-form flag, with the
+    flag their exact spectrum gives, or None where it is not fixed: random
+    and planted (nu, nu) spectra, thermal or squeezed, then scaled so that
+    max|A| is spread up to ~1e300."""
+    for i in range(150):
+        nus = np.sort(rng.uniform(1.0, 5.0, 2))[::-1]
+        planted = i % 3 == 0
+        if planted:
+            nus = np.full(2, nus[0])
+        g = random_cm(rng, 2, nus=nus) if i % 2 else _squeezed_cm(rng, nus, 4.0)
+        peak = 10.0 ** rng.uniform(0.0, 300.0)
+        yield g, (True if planted else None)
+        yield g * (peak / np.abs(g).max()), (True if planted else None)
+
+
+class TestClosedFormDegeneracyFlag:
+    """Two A modes decide `nfg_numeric`'s flag in closed form on L_A
+    (`_degenerate_4`), where the library solved i L_A^T Delta L_A
+    (`eigensolve_degenerate`, kept in `helpers`): the two must agree."""
+
+    @pytest.mark.parametrize("n_b", [1, 2])
+    def test_states_match_the_eigensolve(self, rng, n_b):
+        outcomes = set()
+        for i in range(60):
+            planted = i % 3 == 0
+            state = (planted_degenerate_state if planted else random_state)(rng, 2, n_b)
+            flag = nfg.states._spectrum_degenerate(state)
+            assert flag is eigensolve_degenerate(state._chol_a)
+            assert flag is nfg_numeric(state).lower_bound_only
+            assert flag or not planted
+            outcomes.add(flag)
+            pf, det, size = _pfaffian(state._chol_a)
+            assert pf > 0.0 and abs(pf - det) <= 1e-13 * size
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])
+    def test_gap_at_the_tolerance(self, rng, factor):
+        # nu_2 = nu_1 - factor * tol * nu_1: inside the rule just below 1,
+        # outside just above, the eigensolve and the closed form alike
+        for _ in range(200):
+            nu = 10.0 ** rng.uniform(0.0, 3.0)
+            gap = factor * nfg.states._DEGENERACY_TOL * nu
+            chol = np.linalg.cholesky(random_cm(rng, 2, nus=[nu, nu - gap]))
+            flag = nfg.states._degenerate_4(chol.tolist())
+            assert flag is eigensolve_degenerate(chol) is (factor < 1.0)
+
+    def test_thermal_and_squeezed_blocks_up_to_1e300(self, rng):
+        outcomes = set()
+        for a, expected in _two_mode_a_blocks(rng):
+            chol = np.linalg.cholesky(a)
+            flag = nfg.states._degenerate_4(chol.tolist())
+            assert flag is eigensolve_degenerate(chol)
+            assert expected is None or flag is expected
+            outcomes.add(flag)
+            pf, det, size = _pfaffian(chol)
+            assert pf > 0.0 and abs(pf - det) <= 1e-13 * size
+        assert outcomes == {True, False}
+
+    def test_an_overflowed_product_never_reads_degenerate(self, rng):
+        # (nu, nu) blocks are degenerate at every scale in exact arithmetic.
+        # At max|A| = 1e306 the entries of K are finite and the flag reads
+        # True.  With L's last row scaled past that, the products with l33
+        # overflow to inf, and the gap and nu_1 with them; with all of L
+        # scaled, differences of infs give NaN.  Neither may read degenerate.
+        for _ in range(20):
+            a = random_cm(rng, 2, nus=[2.0, 2.0])
+            chol = np.linalg.cholesky(a * (1e306 / np.abs(a).max()))
+            assert nfg.states._degenerate_4(chol.tolist()) is True
+            assert eigensolve_degenerate(chol)
+            for k in (20, 100, 600):
+                with np.errstate(over="ignore"):
+                    row, whole = chol.copy(), chol * 2.0**k
+                    row[3] *= 2.0**k
+                assert nfg.states._degenerate_4(row.tolist()) is False
+                assert nfg.states._degenerate_4(whole.tolist()) is False
 
 
 def _unit_lower(rng, n: int, complex_entries: bool) -> np.ndarray:
