@@ -51,7 +51,7 @@ from .correlation import (
     nfg_two_mode,
     nfg_upper_bound,
 )
-from .families import SweepGrid, _sweep_columns
+from .families import SweepGrid, sweep
 from .fock import _CASES, oracle_rows
 from .states import GaussianChannel, GaussianState, standard_form, validate_cm
 
@@ -142,17 +142,18 @@ def read_state(path: str) -> GaussianState:
 
 
 def write_state(state: GaussianState, path: str) -> None:
-    """Write a state file that re-parses to the identical state."""
+    """Write a state file that re-parses to the identical state.  The counts
+    may be NumPy integers; the text is built before the file is opened."""
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "n_a": state.n_a,
-        "n_b": state.n_b,
+        "n_a": int(state.n_a),
+        "n_b": int(state.n_b),
         "cm": [float(x) for x in state.cm.ravel()],
         "mean": [float(x) for x in state.mean],
     }
+    text = json.dumps(doc, indent=1) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_channel(path: str) -> GaussianChannel:
@@ -286,7 +287,7 @@ def _sweep(args) -> int:
             )
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-    n_axis, mu_axis, values = _sweep_columns(grid)
+    n_axis, mu_axis, values = sweep(grid)
     mu_cells = ["%.17g," % mu for mu in mu_axis.tolist()]
     n_cells = ("%.17g," % n for n in n_axis.tolist())
     prefixes = (n + mu for n in n_cells for mu in mu_cells)

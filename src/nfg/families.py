@@ -20,15 +20,15 @@ limits (eps -> 0) instead of losing digits.
 
 Each closed form has one implementation, written with + - * / and sqrt only,
 so it runs element-wise on a float or on an array.  The point functions pass
-one (n_bar, mu) pair; ``sweep`` and ``nfg sweep`` pass the whole grid as
-arrays.  IEEE arithmetic rounds every element as it rounds the same scalar,
-so a grid value equals the point value bit for bit.
+one (n_bar, mu) pair; ``sweep``, which ``nfg sweep`` runs, passes the whole
+grid as arrays and returns the axes and five flat value columns.  IEEE
+arithmetic rounds every element as it rounds the same scalar, so a grid
+value equals the point value bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, cycle, repeat
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .states import GaussianState, _is_integer, _standard_rows
 __all__ = [
     "SstsParams",
     "SweepGrid",
-    "SweepRow",
     "dg_ssts",
     "nfg_ssts",
     "nfg_ssts_limit",
@@ -222,29 +221,18 @@ class SweepGrid:
             raise ValueError("grid bounds must be monotone (max >= min)")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point with all measures and their pairwise differences."""
-
-    n_bar: float
-    mu: float
-    nfg: float
-    dg: float
-    q: float
-    nfg_minus_dg: float
-    nfg_minus_q: float
-
-
-def _sweep_columns(grid: SweepGrid) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+def sweep(grid: SweepGrid) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The grid's validated n_bar and mu axes, and its five value columns
     (nfg, dg, q, nfg - dg, nfg - q) as flat float arrays, n_bar outer, mu inner.
 
     Each axis value repeats along the other axis, so callers expand the axes
-    themselves.  An invalid grid raises the ValueError that SstsParams raises
-    for its first bad point in grid order.  A bad mu makes every n_bar row
-    bad, so that point is then in the first row, at the first bad mu (its
-    n_bar may be bad too, and SstsParams checks n_bar first); otherwise it is
-    at the first bad n_bar, with the first mu.
+    themselves.  Every value equals the point functions bit for bit, and the
+    difference columns are exactly the differences of the value columns.
+    An invalid grid raises the ValueError that SstsParams raises for its
+    first bad point in grid order.  A bad mu makes every n_bar row bad, so
+    that point is then in the first row, at the first bad mu (its n_bar may
+    be bad too, and SstsParams checks n_bar first); otherwise it is at the
+    first bad n_bar, with the first mu.
     """
     n_axis = np.linspace(grid.n_bar_min, grid.n_bar_max, grid.n_bar_steps)
     mu_axis = np.linspace(grid.mu_min, grid.mu_max, grid.mu_steps)
@@ -256,17 +244,3 @@ def _sweep_columns(grid: SweepGrid) -> tuple[np.ndarray, np.ndarray, tuple[np.nd
     n_bar, mu = (x.ravel() for x in np.meshgrid(n_axis, mu_axis, indexing="ij"))
     nfg, dg, q = _nfg(n_bar, mu), _dg(n_bar, mu), _q(n_bar, mu)
     return n_axis, mu_axis, (nfg, dg, q, nfg - dg, nfg - q)
-
-
-def sweep(grid: SweepGrid) -> list[SweepRow]:
-    """Evaluate all closed forms on the grid, n_bar outer, mu inner.
-
-    The grid is evaluated at once as arrays (`_sweep_columns`), and the rows
-    repeat each n_bar over the mu axis and cycle that axis; every field is a
-    float equal bit for bit to the point functions, and the difference
-    columns agree exactly with the value columns of the same row.
-    """
-    n_axis, mu_axis, values = _sweep_columns(grid)
-    n_bar = chain.from_iterable(repeat(n, mu_axis.size) for n in n_axis.tolist())
-    mu = cycle(mu_axis.tolist())
-    return [SweepRow(*row) for row in zip(n_bar, mu, *(c.tolist() for c in values))]

@@ -21,15 +21,16 @@ Conventions used throughout the package:
   The same `_ldl` gives every overlap of `nfg.overlap` its determinant and
   mean term, at any size;
 * the scalar kernels are written out, with no loop, for the only sizes a
-  (1+1)-mode request meets: `_ldl_2` and `_ldl_4`, and the Simon verdicts
-  `_verdict_2` and `_verdict_4`, which read g entry by entry and build only
-  the lower triangle of the equilibrated matrix.  Each runs the operations
-  of the row loops (`_ldl_rows` factors beyond 4 rows) in the same order,
-  so verdicts, pivots and overlaps have the loops' bits.  A one-sided map
-  of a 2-row side, at any partition, is written out too (`_map_rows`):
-  (K X) K^T and the cross block in Python floats, association and order as
-  NumPy's, but rounded without FMA, so a (1+1) request maps with no NumPy
-  arithmetic and no BLAS product; larger sides keep `_act_on_side`;
+  (1+1)-mode request meets: `_ldl_4`, which returns after row 1 for 2
+  rows, and the Simon verdicts `_verdict_2` and `_verdict_4`, which read g
+  entry by entry and build only the lower triangle of the equilibrated
+  matrix.  Each runs the operations of the row loops (`_ldl_rows` factors
+  beyond 4 rows) in the same order, so verdicts, pivots and overlaps have
+  the loops' bits.  A one-sided map of a 2-row side, at any partition, is
+  written out too (`_map_rows`): (K X) K^T and the cross block in Python
+  floats, association and order as NumPy's, but rounded without FMA, so a
+  (1+1) request maps with no NumPy arithmetic and no BLAS product; larger
+  sides keep `_act_on_side`;
 * a constructor copies caller input once and rejects complex input
   (`_owned`); arrays built here are frozen in place, never copied again.  A
   `GaussianState` keeps the rows it listed for its checks, and the scalar
@@ -336,8 +337,8 @@ def _allowance(scale: float) -> float:
 
 
 def _ldl_rows(h, shift: float) -> tuple[list[list], list[float]] | None:
-    """`_ldl` by a loop over the rows, for any size; `_ldl_2` and `_ldl_4`
-    write out its operations for 2 and 4 rows."""
+    """`_ldl` by a loop over the rows, for any size; `_ldl_4` writes out its
+    operations for 2 and 4 rows."""
     conj_lower, pivots = [], []
     for i, row in enumerate(h):
         u_row, c_row = [], []  # u_ij = l_ij d_j, and conj(l_ij)
@@ -357,25 +358,11 @@ def _ldl_rows(h, shift: float) -> tuple[list[list], list[float]] | None:
     return conj_lower, pivots
 
 
-def _ldl_2(h, shift: float) -> tuple[list[list], list[float]] | None:
-    """`_ldl_rows` written out for 2 rows: the same operations in the same
-    order, so the same bits."""
-    r0, r1 = h
-    p0 = r0[0].real + shift
-    if not p0 > 0.0:
-        return None
-    u10 = r1[0]
-    c10 = (u10 / p0).conjugate()
-    p1 = r1[1].real + shift - (u10 * c10).real
-    if not p1 > 0.0:
-        return None
-    return [[], [c10]], [p0, p1]
-
-
 def _ldl_4(h, shift: float) -> tuple[list[list], list[float]] | None:
-    """`_ldl_rows` written out for 4 rows: the same operations in the same
-    order, so the same bits.  u_ij = l_ij d_j and c_ij = conj(l_ij)."""
-    r0, r1, r2, r3 = h
+    """`_ldl_rows` written out for 2 or 4 rows, returning after row 1 when
+    ``h`` has 2: the same operations in the same order, so the same bits.
+    u_ij = l_ij d_j and c_ij = conj(l_ij)."""
+    r0, r1 = h[0], h[1]
     p0 = r0[0].real + shift
     if not p0 > 0.0:
         return None
@@ -384,6 +371,9 @@ def _ldl_4(h, shift: float) -> tuple[list[list], list[float]] | None:
     p1 = r1[1].real + shift - (u10 * c10).real
     if not p1 > 0.0:
         return None
+    if len(h) == 2:
+        return [[], [c10]], [p0, p1]
+    r2, r3 = h[2], h[3]
     u20 = r2[0]
     c20 = (u20 / p0).conjugate()
     u21 = r2[1] - u20 * c10
@@ -409,18 +399,15 @@ def _ldl(h, shift: float) -> tuple[list[list], list[float]] | None:
     ``(conj_lower, pivots)``, the rows of conj(L) left of L's unit diagonal
     and the diagonal of D, or None at the first pivot that is not > 0 (a NaN
     included), in Python scalar arithmetic, complex or float as ``h`` is:
-    `_ldl_2`, `_ldl_4` and beyond the row loop `_ldl_rows`, with the same
-    bits.  In exact arithmetic a factor exists iff lambda_min(h) > -shift;
-    the factorization is backward stable, so in floating point the two part
-    only within a small multiple of eps max|h| of the threshold.  The Simon
+    `_ldl_4` up to 4 rows and beyond it the row loop `_ldl_rows`, with the
+    same bits.  In exact arithmetic a factor exists iff lambda_min(h) >
+    -shift; the factorization is backward stable, so in floating point the
+    two part only within a small multiple of eps max|h| of the threshold.  The Simon
     verdict up to 4 x 4, the channel check and every overlap of
     `nfg.overlap` factor here.
     """
-    n = len(h)
-    if n == 4:
+    if len(h) <= 4:  # h has an even, positive number of rows
         return _ldl_4(h, shift)
-    if n == 2:
-        return _ldl_2(h, shift)
     return _ldl_rows(h, shift)
 
 
@@ -437,7 +424,7 @@ class ValidationReport:
 def _verdict_2(rows: list[list[float]]) -> tuple[bool, bool]:
     """`_verdict` of a 2 x 2 matrix given as nested lists, written out: the
     operations of `_symmetric_rows` and the equilibration, on the lower
-    triangle only, then `_ldl_2`."""
+    triangle only, then `_ldl_4`, which stops after row 1."""
     (g00, g01), (g10, g11) = rows
     scale = max(1.0, abs(g00), abs(g01), abs(g10), abs(g11))
     x10, y10 = 0.5 * g10, 0.5 * g01  # `_mid`'s halves
@@ -449,7 +436,7 @@ def _verdict_2(rows: list[list[float]]) -> tuple[bool, bool]:
     r0, r1 = 1.0 / math.sqrt(d0), 1.0 / math.sqrt(d1)
     w01 = r0 * r1  # + i Delta, scaled alike
     lower = ((d0 * (r0 * r0),), (complex((x10 + y10) * w01, -w01), d1 * (r1 * r1)))
-    return True, _ldl_2(lower, DEFAULT_TOL) is not None
+    return True, _ldl_4(lower, DEFAULT_TOL) is not None
 
 
 def _verdict_4(rows: list[list[float]]) -> tuple[bool, bool]:

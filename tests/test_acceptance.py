@@ -289,8 +289,8 @@ class TestCriterion10Dominance:
             SweepGrid(0.0, 50.0, 51, 0.0, 1.0, 51),
             SweepGrid(100000.0, 100500.0, 51, 0.0, 1.0, 51),
         ):
-            for row in sweep(grid):
-                grid_min = min(grid_min, row.nfg_minus_dg, row.nfg_minus_q)
+            _, _, (_, _, _, nfg_minus_dg, nfg_minus_q) = sweep(grid)
+            grid_min = min(grid_min, nfg_minus_dg.min(), nfg_minus_q.min())
         rng = criterion_rng(10)
         sample_min = np.inf
         for _ in range(100_000):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import re
@@ -10,14 +9,15 @@ import pytest
 import nfg.cli
 from nfg import (
     GaussianState,
+    GaussianUnitary,
     SstsParams,
     SweepGrid,
+    apply_gaussian_unitary,
     dg_ssts,
     nfg_ssts,
     q_ssts,
     ssts,
     standard_form,
-    sweep,
     tmsv,
 )
 from nfg.cli import CSV_HEADER, _g, main, read_state, write_state
@@ -146,6 +146,21 @@ class TestStateRoundTrip:
         assert np.array_equal(back.cm, state.cm)
         assert np.array_equal(back.mean, state.mean)
         assert (back.n_a, back.n_b) == (2, 1)
+
+    @pytest.mark.parametrize("count", [np.int32, np.int64])
+    def test_numpy_integer_mode_counts(self, tmp_path, rng, count):
+        # json cannot serialize NumPy integers; a map carries the counts over
+        source = random_state(rng, 1, 1, displaced=True)
+        state = GaussianState(source.cm, count(1), count(1), source.mean)
+        squeezer = GaussianUnitary(np.diag([2.0, 0.5]), np.array([0.25, -1.0]))
+        for case in (state, apply_gaussian_unitary(state, squeezer, "B")):
+            assert type(case.n_a) is count
+            path = tmp_path / "state.json"
+            write_state(case, str(path))
+            back = read_state(str(path))
+            assert back.cm.tobytes() == case.cm.tobytes()
+            assert back.mean.tobytes() == case.mean.tobytes()
+            assert (back.n_a, back.n_b) == (1, 1)
 
     def test_mean_defaults_to_zero(self, tmp_path):
         path = write_json(tmp_path / "s.json", state_doc(np.eye(2), 1, 0))
@@ -518,7 +533,12 @@ class TestSweepCommand:
         ]  # fmt: skip
         out = tmp_path / "sweep.csv"
         assert main([*args, "--out", str(out)]) == 0
-        rows = [",".join(_g(x) for x in dataclasses.astuple(row)) for row in sweep(grid)]
+        rows = []
+        for n_bar in np.linspace(grid.n_bar_min, grid.n_bar_max, n_steps).tolist():
+            for mu in np.linspace(grid.mu_min, grid.mu_max, mu_steps).tolist():
+                p = SstsParams(n_bar, mu)
+                nfg, dg, q = nfg_ssts(p), dg_ssts(p), q_ssts(p)
+                rows.append(",".join(map(_g, (n_bar, mu, nfg, dg, q, nfg - dg, nfg - q))))
         assert out.read_text() == "\n".join([CSV_HEADER, *rows]) + "\n"
         for to_stdout in ([], ["--out", "-"]):
             capsys.readouterr()

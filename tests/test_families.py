@@ -1,6 +1,5 @@
 import re
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from nfg import (
     SstsParams,
     StandardFormParams,
     SweepGrid,
-    SweepRow,
     dg_ssts,
     nfg_ssts,
     nfg_ssts_limit,
@@ -253,31 +251,12 @@ class TestLimit:
 
 class TestSweep:
     def test_single_point_grid(self):
-        rows = sweep(SweepGrid(49.0, 49.0, 1, 0.9, 0.9, 1))
-        assert len(rows) == 1
-        row = rows[0]
-        assert row.nfg == pytest.approx(0.897955, abs=1e-5)
-        assert row.dg == pytest.approx(0.000356, abs=1e-6)
-        assert row.q == pytest.approx(0.040867, abs=1e-6)
-
-    def test_ordering_and_difference_columns(self):
-        rows = sweep(SweepGrid(0.0, 2.0, 3, 0.0, 1.0, 3))
-        assert len(rows) == 9
-        n_bars = [row.n_bar for row in rows]
-        mus = [row.mu for row in rows]
-        assert n_bars == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
-        assert mus == [0.0, 0.5, 1.0] * 3
-        for row in rows:
-            assert row.nfg_minus_dg == row.nfg - row.dg
-            assert row.nfg_minus_q == row.nfg - row.q
-
-    def test_matches_point_functions(self):
-        rows = sweep(SweepGrid(0.0, 50.0, 6, 0.0, 1.0, 6))
-        for row in rows:
-            p = SstsParams(row.n_bar, row.mu)
-            assert row.nfg == nfg_ssts(p)
-            assert row.dg == dg_ssts(p)
-            assert row.q == q_ssts(p)
+        n_axis, mu_axis, (nfg, dg, q, _, _) = sweep(SweepGrid(49.0, 49.0, 1, 0.9, 0.9, 1))
+        assert n_axis.tolist() == [49.0] and mu_axis.tolist() == [0.9]
+        assert nfg.shape == dg.shape == q.shape == (1,)
+        assert nfg[0] == pytest.approx(0.897955, abs=1e-5)
+        assert dg[0] == pytest.approx(0.000356, abs=1e-6)
+        assert q[0] == pytest.approx(0.040867, abs=1e-6)
 
     @pytest.mark.parametrize(
         "grid",
@@ -290,18 +269,25 @@ class TestSweep:
         ids=["small", "low", "high", "1e13"],
     )
     def test_contract(self, grid):
-        rows = sweep(grid)
-        assert type(rows) is list
-        n_axis = np.linspace(grid.n_bar_min, grid.n_bar_max, grid.n_bar_steps).tolist()
-        mu_axis = np.linspace(grid.mu_min, grid.mu_max, grid.mu_steps).tolist()
-        assert [(row.n_bar, row.mu) for row in rows] == [(n, mu) for n in n_axis for mu in mu_axis]
-        for row in rows:
-            assert type(row) is SweepRow
-            assert all(type(getattr(row, f.name)) is float for f in fields(SweepRow))
-            assert row.nfg_minus_dg == row.nfg - row.dg
-            assert row.nfg_minus_q == row.nfg - row.q
-            p = SstsParams(row.n_bar, row.mu)
-            assert (row.nfg, row.dg, row.q) == (nfg_ssts(p), dg_ssts(p), q_ssts(p))
+        n_axis, mu_axis, columns = sweep(grid)
+        assert np.array_equal(
+            n_axis, np.linspace(grid.n_bar_min, grid.n_bar_max, grid.n_bar_steps)
+        )
+        assert np.array_equal(mu_axis, np.linspace(grid.mu_min, grid.mu_max, grid.mu_steps))
+        size = grid.n_bar_steps * grid.mu_steps
+        assert len(columns) == 5
+        for column in columns:
+            assert type(column) is np.ndarray
+            assert column.dtype == np.float64 and column.shape == (size,)
+        nfg, dg, q, nfg_minus_dg, nfg_minus_q = columns
+        # n_bar outer, mu inner
+        points = [SstsParams(n, mu) for n in n_axis.tolist() for mu in mu_axis.tolist()]
+        # bit for bit: the point functions run the same closed forms on floats
+        assert nfg.tolist() == [nfg_ssts(p) for p in points]
+        assert dg.tolist() == [dg_ssts(p) for p in points]
+        assert q.tolist() == [q_ssts(p) for p in points]
+        assert np.array_equal(nfg_minus_dg, nfg - dg)
+        assert np.array_equal(nfg_minus_q, nfg - q)
 
     @pytest.mark.parametrize("steps", [2.5, 51.0, True, "51", None])
     def test_non_integer_steps_rejected(self, steps):
@@ -312,8 +298,10 @@ class TestSweep:
                 SweepGrid(0.0, 50.0, args[0], 0.0, 1.0, args[1])
 
     def test_numpy_integer_steps_accepted(self):
-        rows = sweep(SweepGrid(0.0, 2.0, np.int64(3), 0.0, 1.0, np.int32(2)))
-        assert rows == sweep(SweepGrid(0.0, 2.0, 3, 0.0, 1.0, 2))
+        n_axis, mu_axis, columns = sweep(SweepGrid(0.0, 2.0, np.int64(3), 0.0, 1.0, np.int32(2)))
+        want_n, want_mu, want = sweep(SweepGrid(0.0, 2.0, 3, 0.0, 1.0, 2))
+        assert np.array_equal(n_axis, want_n) and np.array_equal(mu_axis, want_mu)
+        assert all(np.array_equal(c, w) for c, w in zip(columns, want, strict=True))
 
     def test_degenerate_grids_rejected(self):
         with pytest.raises(ValueError):

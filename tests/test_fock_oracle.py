@@ -66,6 +66,10 @@ class TestThermal:
         assert dm.trace_deficit < 1e-10
         assert overlap_fock(dm, dm) == pytest.approx(1.0 / 3.0, abs=1e-10)
 
+    def test_negative_n_bar_rejected(self):
+        with pytest.raises(ValueError, match="n_bar must be finite and >= 0"):
+            thermal_dm(-1.0)
+
     def test_insufficient_cutoff_rejected(self):
         with pytest.raises(ValueError):
             thermal_dm(1.0, cutoff=5)
@@ -98,6 +102,10 @@ class TestCoherent:
         dm = coherent_dm(1.0 - 0.5j)
         assert overlap_fock(dm, dm) == pytest.approx(1.0, abs=1e-9)
 
+    def test_non_finite_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_dm(np.nan)
+
     def test_complex_amplitude_phases(self):
         dm = coherent_dm(1j, cutoff=30)
         # <1|rho|0> = alpha e^{-|alpha|^2}, pure imaginary for alpha = i
@@ -110,6 +118,10 @@ class TestSqueezed:
             dm = squeezed_vacuum_dm(0.0, cutoff=cutoff)
             assert np.array_equal(dense(dm), vacuum_projector(cutoff))
             assert dm.trace_deficit == 0.0
+
+    def test_non_finite_r_rejected(self):
+        with pytest.raises(ValueError, match="squeeze parameter must be finite"):
+            squeezed_vacuum_dm(np.inf)
 
     def test_odd_levels_empty(self):
         dm = squeezed_vacuum_dm(0.8)

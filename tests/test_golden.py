@@ -24,7 +24,10 @@ and three modes), ``splitter`` (a lossy 50:50 beam splitter on two modes),
 ``gain`` ((det K)^2 = 1e400), ``squeezer`` (max|K| = 1e150), and the
 noiseless amplifiers ``amplifier`` and ``amplifier3``, which are not
 completely positive.  ``unphysical`` and ``one-sub`` violate the
-uncertainty principle; ``fractional`` and ``string`` fail to parse.
+uncertainty principle.  These fail to parse: ``fractional``, ``string``,
+``array`` (a JSON array, not an object), ``no-cm``, ``nested`` (a cm of
+rows, not flat), ``short-mean`` (a mean of one entry for one mode),
+``negative`` (``n_a`` = -1) and the channel ``mismatch`` (2 x 2 K, 4 x 4 M).
 """
 
 from pathlib import Path
@@ -77,6 +80,11 @@ CASES = {
     "nfg-random-2+2-bound-json": ("nfg random-2+2.json --method bound --json", 0, ""),
     "nfg-fractional": ("nfg fractional.json", 2, "error: fractional.json: fields 'n_a' and 'n_b' must be integers"),
     "nfg-string": ("nfg string.json", 2, "error: string.json: field 'cm' is not a list of numbers"),
+    "nfg-array": ("nfg array.json", 2, "error: array.json: top-level JSON value must be an object"),
+    "nfg-nested": ("nfg nested.json", 2, "error: nested.json: field 'cm' must be a flat row-major list"),
+    "nfg-negative": ("nfg negative.json", 2, "error: negative.json: need n_a, n_b >= 0 with at least one mode"),
+    "validate-no-cm": ("validate no-cm.json", 2, "error: no-cm.json: missing field 'cm'"),
+    "validate-short-mean": ("validate short-mean.json", 2, "error: short-mean.json: field 'mean' must have length 2"),
     "validate-two": ("validate two.json", 0, ""),
     "validate-two-json": ("validate two.json --json", 0, ""),
     "validate-one": ("validate one.json", 0, ""),
@@ -116,6 +124,7 @@ CASES = {
     "channel-random-2+2-splitter-closed": ("channel random-2+2.json splitter.json --compare-closed", 1, NOT_1_1),
     "channel-two-amplifier": ("channel two.json amplifier.json", 1, NOT_CP),
     "channel-one-three-amplifier3": ("channel one-three.json amplifier3.json", 1, NOT_CP),
+    "channel-two-mismatch": ("channel two.json mismatch.json", 2, "error: mismatch.json: 'k' and 'm_noise' must have the same shape"),
 }  # fmt: skip
 
 

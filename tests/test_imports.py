@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -57,11 +58,10 @@ BENCHMARK_MODULES = {"nfg": "nfg", "cli": "nfg.cli", "fock": "nfg.fock"}
 
 
 def _benchmark_trees() -> list[ast.AST]:
-    """The benchmark's workloads and its own tests, parsed, not imported."""
-    return [
-        ast.parse((ROOT / "perfbench" / name).read_text(encoding="utf-8"))
-        for name in ("workloads.py", "test_perfbench.py")
-    ]
+    """Every Python file of the benchmark, parsed, not imported."""
+    paths = sorted((ROOT / "perfbench").glob("*.py"))
+    assert {"run.py", "workloads.py", "test_perfbench.py"} <= {p.name for p in paths}
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
 
 
 def _benchmark_ref(node) -> tuple[str, str] | None:
@@ -92,6 +92,26 @@ def test_benchmark_workloads_reference_existing_names():
         f"{module}.{attr}"
         for module, attr in sorted(refs)
         if not hasattr(importlib.import_module(BENCHMARK_MODULES[module]), attr)
+    ]
+    assert missing == []
+
+
+def test_benchmark_imports_existing_names():
+    # ``from nfg import cli, fock`` and the like: each imported name must
+    # exist in the module the benchmark imports it from.
+    imports = [
+        (node.module, alias.name)
+        for tree in _benchmark_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nfg"
+        for alias in node.names
+    ]
+    assert imports
+    missing = [
+        f"{module}.{name}"
+        for module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+        and importlib.util.find_spec(f"{module}.{name}") is None
     ]
     assert missing == []
 
@@ -149,7 +169,6 @@ PUBLIC_NAMES = [
     "SstsParams",
     "StandardFormParams",
     "SweepGrid",
-    "SweepRow",
     "ValidationReport",
     "WilliamsonDecomposition",
     "apply_channel",

@@ -109,6 +109,10 @@ class TestFidelity:
         # overlap 1/2, purities 1/3 and 1 -> F = (1/2)/sqrt(1/3)
         assert fidelity_f(thermal(1.0), VACUUM) == pytest.approx(np.sqrt(3.0) / 2.0)
 
+    def test_different_mode_counts_rejected(self):
+        with pytest.raises(ValueError, match="different mode counts"):
+            fidelity_f(thermal(1.0), GaussianState(np.eye(4), 1, 1))
+
     def test_symmetry(self, rng):
         for _ in range(10):
             a, b = random_state(rng), random_state(rng, displaced=True)

@@ -509,6 +509,10 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             StandardFormParams(2.0, 2.0, 2.0, 0.0)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            StandardFormParams(np.nan, 1.0, 0.0, 0.0)
+
     def test_rejects_wrong_orientation(self):
         with pytest.raises(ValueError):
             StandardFormParams(2.0, 2.0, 0.5, -1.0)
@@ -568,6 +572,11 @@ class TestGaussianState:
         # 1.5 + 0.5 = 2 modes would pass the shape check and fail later
         with pytest.raises(ValueError, match="must be integers"):
             GaussianState(np.eye(4), n_a, n_b, np.zeros(4))
+
+    def test_negative_mode_count_rejected(self):
+        # -1 + 2 modes would pass the shape check of a 2 x 2 matrix
+        with pytest.raises(ValueError, match="need n_a, n_b >= 0 with at least one mode"):
+            GaussianState(np.eye(2), -1, 2)
 
     def test_numpy_integer_mode_counts_accepted(self):
         state = GaussianState(np.eye(4), np.int64(1), np.int32(1))
@@ -1090,12 +1099,11 @@ class TestWrittenOutKernels:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_ldl_matches_the_row_loop_bit_for_bit(self, rng, n):
-        body = {2: nfg.states._ldl_2, 4: nfg.states._ldl_4}[n]
         failed = set()
         for h, shift in _ldl_draws(rng, n):
             expected = nfg.states._ldl_rows(h, shift)
             # repr tells -0.0 from 0.0 and round-trips every float
-            assert repr(body(h, shift)) == repr(expected)
+            assert repr(nfg.states._ldl_4(h, shift)) == repr(expected)
             assert repr(nfg.states._ldl(h, shift)) == repr(expected)
             if expected is None:  # the first leading block that does not factor
                 leading = ([row[:k] for row in h[:k]] for k in range(1, n + 1))
@@ -1110,15 +1118,14 @@ class TestWrittenOutKernels:
 
     @pytest.fixture
     def factored(self, monkeypatch):
-        """Every (h, shift) that `_ldl_2` and `_ldl_4` are handed."""
+        """Every (h, shift) that `_ldl_4` is handed, of 2 or 4 rows."""
         seen = []
-        for name in ("_ldl_2", "_ldl_4"):
 
-            def spy(h, shift, _body=getattr(nfg.states, name)):
-                seen.append((h, shift))
-                return _body(h, shift)
+        def spy(h, shift, _body=nfg.states._ldl_4):
+            seen.append((h, shift))
+            return _body(h, shift)
 
-            monkeypatch.setattr(nfg.states, name, spy)
+        monkeypatch.setattr(nfg.states, "_ldl_4", spy)
         return seen
 
     @staticmethod
