@@ -102,7 +102,7 @@ def _mid_lower(v1: list[list[float]], v2: list[list[float]]):
 
 
 def _log_overlap(rho: GaussianState, sigma: GaussianState) -> float:
-    """log tr(rho sigma) from the two states' rows and means.
+    """log tr(rho sigma) from the two states' rows and mean entries.
 
     It factors the symmetric part of mid = (V1 + V2)/2 (`_mid_lower`) by
     `_ldl` in float arithmetic: log det is the sum of the log pivots, and
@@ -121,7 +121,7 @@ def _log_overlap(rho: GaussianState, sigma: GaussianState) -> float:
     log = -0.5 * logdet
     if rho.mean is sigma.mean:
         return log
-    delta = [x - y for x, y in zip(rho.mean.tolist(), sigma.mean.tolist())]
+    delta = [x - y for x, y in zip(rho._mean_entries, sigma._mean_entries)]
     if any(delta):
         quad, z = 0.0, []
         for l_row, d, x in zip(lower, pivots, delta):

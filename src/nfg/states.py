@@ -14,12 +14,13 @@ Conventions used throughout the package:
   state or on one side of the partition.  Both maps are judged by one rule:
   their defining identity must hold up to `_allowance` of their scale;
 * both positive-semidefiniteness conditions, Simon's for a state and the
-  channel's, are decided by whether the matrix plus its allowance times I
-  has a Cholesky factor, by the scalar factorization `_ldl`, at every size
-  but one: the Simon verdict beyond 4 x 4 compares its smallest eigenvalue,
-  which is faster there.  A one-mode unitary is checked as |det S - 1|.
-  The same `_ldl` gives every overlap of `nfg.overlap` its determinant and
-  mean term, at any size;
+  channel's, are decided at every size by one rule: whether the matrix
+  plus its allowance times I has a Cholesky factor.  The scalar
+  factorization `_ldl` decides it for every channel and for the Simon
+  verdict up to 4 x 4; beyond, where it is faster, LAPACK's does
+  (`np.linalg.cholesky`), and no eigensolve runs to accept anything.  A
+  one-mode unitary is checked as |det S - 1|.  The same `_ldl` gives every
+  overlap of `nfg.overlap` its determinant and mean term, at any size;
 * the scalar kernels are written out, with no loop, for the only sizes a
   (1+1)-mode request meets: `_ldl_4`, which returns after row 1 for 2
   rows, and the Simon verdicts `_verdict_2` and `_verdict_4`, which read g
@@ -33,16 +34,18 @@ Conventions used throughout the package:
   sides keep `_act_on_side`;
 * a constructor copies caller input once and rejects complex input
   (`_owned`); arrays built here are frozen in place, never copied again.  A
-  `GaussianState` keeps the rows it listed for its checks, and the scalar
-  kernels read them, not ``cm``: the correlation spectrum's C = 0 test, at
-  every partition, and its (1+1) closed form, `standard_form`, every
-  overlap of `nfg.overlap`, which builds the lower triangle of
-  sym((V1 + V2)/2) from two states' rows, and the 2-row map.  A
-  `GaussianUnitary` keeps the rows of S and a `GaussianChannel` those of K
-  and M for that map, and the post-channel closed form reads the channel's.
-  A map's output passes the constructor's check step, `GaussianState._admit`,
-  with the rows it was built from, so it is not listed again.  No code
-  writes to any of these rows.
+  `GaussianState` keeps the rows and the mean entries it listed for its
+  checks, and the scalar kernels read them, not ``cm`` and ``mean``: the
+  correlation spectrum's C = 0 test, at every partition, and its (1+1)
+  closed form, `standard_form`, every overlap of `nfg.overlap`, which
+  builds the lower triangle of sym((V1 + V2)/2) from two states' rows and
+  takes the mean difference from their entries, and the 2-row map.  A
+  `GaussianUnitary` keeps the rows of S and the entries of m, and a
+  `GaussianChannel` the rows of K and M and the entries of d_bar, for that
+  map, and the post-channel closed form reads the channel's.  A map's
+  output passes the constructor's check step, `GaussianState._admit`, with
+  the rows and mean entries it was built from, so they are not listed
+  again.  No code writes to any of these lists.
 """
 
 from __future__ import annotations
@@ -71,9 +74,9 @@ __all__ = [
 ]
 
 #: Default validation tolerance, relative to the matrix scale (see
-#: `validate_cm`).  Double-precision eigen-solves on the small (<= 8x8)
-#: matrices handled here are accurate to a few ulps of that scale, so 1e-9
-#: leaves a wide safety margin.
+#: `validate_cm`).  Double-precision Cholesky factorizations and eigensolves
+#: of the small (<= 10 x 10) matrices handled here are accurate to a few
+#: ulps of that scale, so 1e-9 leaves a wide safety margin.
 DEFAULT_TOL = 1e-9
 
 
@@ -134,15 +137,21 @@ def _as_square_even(m, name: str) -> tuple[np.ndarray, list[list[float]]]:
     return m, rows
 
 
-def _as_vector(v, n: int, name: str) -> np.ndarray:
-    """``v`` as an `_owned` finite vector of length ``n``; the shared `_zeros`
-    if it is None."""
+def _as_vector(
+    v, n: int, name: str, entries: list[float] | None = None
+) -> tuple[np.ndarray, list[float]]:
+    """``(v, entries)``: ``v`` as an `_owned` finite vector of length ``n``
+    and its entries as a list, listed for the finiteness test unless the
+    caller built ``v`` from ``entries``; the shared `_zeros` and a list of
+    zeros if ``v`` is None."""
     if v is None:
-        return _zeros(n)
+        return _zeros(n), [0.0] * n
     v = _owned(v, name)
-    if v.shape != (n,) or not all(map(math.isfinite, v.tolist())):
+    if v.shape == (n,) and entries is None:
+        entries = v.tolist()
+    if v.shape != (n,) or not all(map(math.isfinite, entries)):
         raise ValueError(f"{name} must be a finite vector of length {n}, got {v}")
-    return v
+    return v, entries
 
 
 def _is_integer(n) -> bool:
@@ -293,12 +302,15 @@ def _symmetric_part(g: np.ndarray) -> tuple[bool, np.ndarray]:
 
     g is halved once: h - h^T and h + h^T are `_mid(g, -g.T)` and
     `_mid(g, g.T)` bit for bit, as 0.5 (-x) = -(0.5 x) and adding -y is
-    subtracting y, subnormal halves included.
+    subtracting y, subnormal halves included.  h - h^T is antisymmetric to
+    the bit, as x - y = -(y - x) in floating point, so its largest entry is
+    its largest modulus; max|g| is read only when that exceeds half the
+    tolerance, which a symmetric g never does.
     """
-    scale = max(1.0, float(np.abs(g).max()))
     h = 0.5 * g
     # half the asymmetry against half the tolerance: the same test, no overflow
-    symmetric = float(np.abs(h - h.T).max()) <= 0.5 * DEFAULT_TOL * scale
+    half = float((h - h.T).max())
+    symmetric = half <= 0.5 * DEFAULT_TOL or half <= 0.5 * DEFAULT_TOL * float(np.abs(g).max())
     return symmetric, h + h.T
 
 
@@ -481,13 +493,20 @@ def _verdict_4(rows: list[list[float]]) -> tuple[bool, bool]:
     return True, _ldl_4(lower, DEFAULT_TOL) is not None
 
 
+@cache
+def _i_delta(n: int) -> np.ndarray:
+    """i Delta for ``n`` modes, read-only and shared as `symplectic_form` is."""
+    return _frozen(1j * symplectic_form(n))
+
+
 def _verdict(g: np.ndarray, rows: list[list[float]]) -> tuple[bool, bool]:
     """The `validate_cm` verdict ``(symmetric, physical)`` of a square, even,
     finite ``g`` and its ``rows``: Simon's criterion on the equilibrated
-    matrix at `DEFAULT_TOL`, up to 4 x 4 by `_ldl` on the rows (`_verdict_2`,
-    `_verdict_4`), beyond in NumPy, with one Hermitian eigensolve:
-    lambda_min >= -`DEFAULT_TOL`.  `_report` adds the report-only
-    eigensolves.
+    matrix at `DEFAULT_TOL`, by one rule at every size, whether that matrix
+    plus `DEFAULT_TOL` I has a Cholesky factor.  Up to 4 x 4 `_ldl` factors
+    the rows (`_verdict_2`, `_verdict_4`); beyond, the matrix is built in
+    NumPy and `np.linalg.cholesky` factors it, reading its lower triangle as
+    `_ldl` does.  `_report` adds the report-only eigensolves.
     """
     n = len(rows)
     if n == 4:
@@ -495,15 +514,23 @@ def _verdict(g: np.ndarray, rows: list[list[float]]) -> tuple[bool, bool]:
     if n == 2:
         return _verdict_2(rows)
     symmetric, gs = _symmetric_part(g)
-    diag = np.diag(gs)
-    if not (symmetric and np.all(diag > 0.0)):
+    diag = gs.diagonal()
+    if not (symmetric and (diag > 0.0).all()):
         return symmetric, False
     root = 1.0 / np.sqrt(diag)
-    simon = (gs + 1j * symplectic_form(n // 2)) * np.outer(root, root)
-    # One eigensolve, not a scalar verdict by `_ldl_rows`: on a 2-vCPU Intel
-    # Xeon host that verdict took 30.9 against 27.0 us at 6 x 6 and 46.4
-    # against 28.0 us at 8 x 8, and made a `multimode_search` op 12-17% slower.
-    return symmetric, bool(np.linalg.eigvalsh(simon)[0] >= -DEFAULT_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):  # only an unphysical g overflows
+        simon = (gs + _i_delta(n // 2)) * (root[:, None] * root)
+    simon.reshape(-1)[:: n + 1] += DEFAULT_TOL
+    # LAPACK's factor, not `_ldl_rows` nor `eigvalsh`: on a 2-vCPU Intel Xeon
+    # host the whole verdict took 20.0 us at 6 x 6 and 22.8 at 8 x 8, against
+    # 24.1 and 38.1 by the row loop and 28.1 and 30.8 by the eigensolve.
+    try:
+        factor = np.linalg.cholesky(simon)
+    except np.linalg.LinAlgError:
+        return symmetric, False
+    # OpenBLAS factors a NaN or inf entry into NaN pivots instead of failing,
+    # and a NaN pivot carries through to the last row
+    return symmetric, bool(factor[-1, -1].real > 0.0)
 
 
 def validate_cm(gamma) -> ValidationReport:
@@ -515,10 +542,13 @@ def validate_cm(gamma) -> ValidationReport:
     no eigenvalue below -DEFAULT_TOL.  That matrix has unit diagonal however
     large Gamma is, so the tolerance means the same thing at every scale: a
     relative distance to the physical set.  (The singular two-mode matrix with
-    a = b = c = -d, nu_min = 0, is that close for a >~ 3e4.)  Up to 4 x 4 the
-    test is whether the matrix plus DEFAULT_TOL I has a Cholesky factor, by
-    the scalar factorization (`_ldl`); larger matrices, where one eigensolve
-    is faster, compare their smallest eigenvalue.  Symplectic eigenvalues
+    a = b = c = -d, nu_min = 0, is that close for a >~ 3e4.)  At every size
+    the test is whether the matrix plus DEFAULT_TOL I has a Cholesky factor,
+    which parts from the eigenvalue test only within a few ulps of the
+    threshold: up to 4 x 4 by the scalar factorization (`_ldl`), beyond by
+    LAPACK's, which is faster there.  A matrix whose equilibration
+    overflows, which only an unphysical Gamma's can, reads not physical,
+    with no warning.  Symplectic eigenvalues
     are the moduli of the eigenvalues of i*Delta*Gamma, reported once each,
     in descending order; for one mode the one modulus is sqrt|det Gamma|, in
     scalar arithmetic, so 3 I reads exactly 3.  ``positive_definite`` is the
@@ -615,11 +645,11 @@ class GaussianState:
     a map hands it the output array, frozen as built, and the rows it was
     built from.  Instances are immutable and safe to share between threads.
 
-    The state keeps, privately, the rows of ``cm`` as nested lists, listed
-    once for those checks.  The scalar kernels read them instead of ``cm``:
-    the correlation spectrum's C = 0 test and its (1+1) closed form,
-    `standard_form`, every overlap of `nfg.overlap` and the map of a 2-row
-    side.  No code writes to them.
+    The state keeps, privately, the rows of ``cm`` as nested lists and the
+    entries of ``mean`` as a list, listed once for those checks.  The scalar
+    kernels read them instead of the arrays: the correlation spectrum's
+    C = 0 test and its (1+1) closed form, `standard_form`, every overlap of
+    `nfg.overlap` and the map of a 2-row side.  No code writes to them.
 
     The correlation spectrum behind the measure and its bound (see
     `nfg.correlation`) is computed on first use and kept with the instance,
@@ -640,12 +670,15 @@ class GaussianState:
         g = _square_even(self.cm, "covariance matrix")
         self._admit(g, g.tolist(), self.mean)
 
-    def _admit(self, g: np.ndarray, rows: list[list[float]], mean) -> None:
+    def _admit(
+        self, g: np.ndarray, rows: list[list[float]], mean, entries: list[float] | None = None
+    ) -> None:
         """The check every state passes, built by the constructor or by
         `_map_side`: ``g``, square and even, and its ``rows`` must be finite
-        and fit the mode counts, ``mean`` must pass `_as_vector`, and the
-        rows the Simon verdict; a rejection explains itself by `_report`.
-        Sets ``cm``, ``mean`` and the rows the scalar kernels read."""
+        and fit the mode counts, ``mean`` (with the ``entries`` a map built
+        it from) must pass `_as_vector`, and the rows the Simon verdict; a
+        rejection explains itself by `_report`.  Sets ``cm``, ``mean`` and
+        the rows and mean entries the scalar kernels read."""
         _check_finite(rows, "covariance matrix")
         dim = 2 * (self.n_a + self.n_b)
         if len(rows) != dim:
@@ -653,7 +686,7 @@ class GaussianState:
                 f"covariance matrix is {len(rows)}x{len(rows)}, "
                 f"expected {dim}x{dim} for {self.n_a}+{self.n_b} modes"
             )
-        mean = _as_vector(mean, dim, "mean")
+        mean, entries = _as_vector(mean, dim, "mean", entries)
         verdict = _verdict(g, rows)
         if not verdict[1]:
             report = _report(g, verdict)
@@ -663,7 +696,8 @@ class GaussianState:
                 f"positive_definite={report.positive_definite}, "
                 f"min symplectic eigenvalue={report.symplectic_eigenvalues[-1]:.6g})"
             )
-        vars(self).update(cm=g, mean=mean, _rows=rows)  # past the frozen __setattr__
+        # past the frozen __setattr__
+        vars(self).update(cm=g, mean=mean, _rows=rows, _mean_entries=entries)
 
     @property
     def _uncorrelated(self) -> bool:
@@ -714,8 +748,8 @@ class GaussianUnitary:
 
     S must pass `is_symplectic`, the map rule `GaussianChannel` applies too.
     S and m are copied once, as a state's arrays are.  The unitary keeps,
-    privately, the rows of S listed for that check, which the map of a
-    2-row side reads (see `apply_gaussian_unitary`).
+    privately, the rows of S and the entries of m listed for the checks,
+    which the map of a 2-row side reads (see `apply_gaussian_unitary`).
     """
 
     s: np.ndarray
@@ -725,7 +759,8 @@ class GaussianUnitary:
         s, rows = _as_square_even(self.s, "symplectic matrix")
         if not _symplectic(s, rows):
             raise ValueError("matrix does not satisfy S Delta S^T = Delta")
-        vars(self).update(s=s, m=_as_vector(self.m, len(rows), "m"), _rows=rows)
+        m, m_entries = _as_vector(self.m, len(rows), "m")
+        vars(self).update(s=s, m=m, _rows=rows, _m_entries=m_entries)
 
 
 def _act_on_side(cm: np.ndarray, ka: int, side: str, k: np.ndarray) -> np.ndarray:
@@ -784,21 +819,23 @@ def _map_side(
     state: GaussianState,
     side: str,
     k: tuple[np.ndarray, list[list[float]]],
-    shift: np.ndarray,
+    shift: tuple[np.ndarray, list[float]],
     noise: tuple[np.ndarray, list[list[float]]] | None = None,
 ) -> GaussianState:
     """Map one side of the partition: the side's rows and columns of the
     covariance matrix by K, plus M on its diagonal block, and its part of
     the mean to K d + shift.  ``k`` and ``noise`` are ``(array, rows)``
-    pairs, as `_as_square_even` gives them.
+    pairs, as `_as_square_even` gives them, and ``shift`` an
+    ``(array, entries)`` pair, as `_as_vector` gives it.
 
     The other diagonal block and the other part of the mean are carried over
-    bit for bit.  A 2-row side maps in Python floats, on the state's rows and
-    K's (`_map_rows`), and the output array is built once from its rows;
-    a larger side maps in NumPy (`_act_on_side`), with its overflow and
-    invalid-value warnings off.  Either output goes through the check every
-    state passes (`GaussianState._admit`), without being copied or listed
-    again: an overflow gives inf or NaN entries, which it rejects with a
+    bit for bit.  A 2-row side maps in Python floats, on the lists the
+    state, K and the shift keep (`_map_rows`), and the output arrays are
+    built once from their lists; a larger side maps in NumPy
+    (`_act_on_side`), with its overflow and invalid-value warnings off.
+    Either output goes through the check every state passes
+    (`GaussianState._admit`), without being copied or listed again: an
+    overflow gives inf or NaN entries, which it rejects with a
     `ValueError`, and the Simon verdict runs again.
     """
     if side not in ("A", "B"):
@@ -810,31 +847,32 @@ def _map_side(
         raise ValueError(f"dimension {len(k_rows)} does not match side {side}")
     if width == 2:
         (k00, k01), (k10, k11) = k_rows
-        d = state.mean.tolist()
-        (d0, d1), (s0, s1) = d[p : p + 2], shift.tolist()
+        d = state._mean_entries.copy()
+        (d0, d1), (s0, s1) = d[p : p + 2], shift[1]
         d[p : p + 2] = k00 * d0 + k01 * d1 + s0, k10 * d0 + k11 * d1 + s1
         rows = _map_rows(state._rows, p, k_rows, None if noise is None else noise[1])
         g, mean = np.array(rows, float), np.array(d)
     else:
-        part = slice(p, p + width)
+        part, d = slice(p, p + width), None
         mean = state.mean.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            mean[part] = k @ state.mean[part] + shift
+            mean[part] = k @ state.mean[part] + shift[0]
             g = _act_on_side(state.cm, ka, side, k)
             if noise is not None:
                 g[part, part] += noise[0]
         rows = g.tolist()
     out = object.__new__(GaussianState)  # the mode counts passed with ``state``
     vars(out).update(n_a=state.n_a, n_b=state.n_b)
-    out._admit(_frozen(g), rows, _frozen(mean))
+    out._admit(_frozen(g), rows, _frozen(mean), d)
     return out
 
 
 def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str) -> GaussianState:
     """Apply a Gaussian unitary to side "A" or "B" of the partition; the other
     block is carried over bit for bit, and the output is checked again.  A
-    2-row side maps in Python floats, on the rows the state and S keep."""
-    return _map_side(state, side, (u.s, u._rows), u.m)
+    2-row side maps in Python floats, on the rows and entries the state and
+    the unitary keep."""
+    return _map_side(state, side, (u.s, u._rows), (u.m, u._m_entries))
 
 
 @dataclass(frozen=True)
@@ -856,8 +894,8 @@ class GaussianChannel:
     are copied once, as a state's arrays are, and every test reads their
     rows; ``m_noise`` keeps M's symmetric part, in that copy unless the
     symmetric part differs from M in some bit.  The channel keeps, privately,
-    the rows of K and of that symmetric part, which the map of a 2-row side
-    and `nfg_after_channel_closed_form` read.
+    the rows of K and of that symmetric part and the entries of d_bar, which
+    the map of a 2-row side and `nfg_after_channel_closed_form` read.
     """
 
     k: np.ndarray
@@ -891,8 +929,10 @@ class GaussianChannel:
             raise ValueError(
                 f"invalid channel: M + i(Delta - K Delta K^T) has eigenvalue {least:.6g} < 0"
             )
-        d = _as_vector(self.d_bar, len(k), "d_bar")
-        vars(self).update(k=k, m_noise=m, d_bar=d, _k_rows=k_rows, _m_rows=m_rows)
+        d, d_entries = _as_vector(self.d_bar, len(k), "d_bar")
+        vars(self).update(
+            k=k, m_noise=m, d_bar=d, _k_rows=k_rows, _m_rows=m_rows, _d_bar_entries=d_entries
+        )
 
     @property
     def n_modes(self) -> int:
@@ -905,9 +945,11 @@ def apply_channel(state: GaussianState, ch: GaussianChannel, side: str = "B") ->
     For side B this is A -> A, C -> C K^T, B -> K B K^T + M, and the B part of
     the mean becomes K d_B + d_bar; side A maps the A rows likewise.  The map
     is `apply_gaussian_unitary`'s, with the noise M added: a 2-row side maps
-    in Python floats, on the rows the state and the channel keep.
+    in Python floats, on the rows and entries the state and the channel keep.
     """
-    return _map_side(state, side, (ch.k, ch._k_rows), ch.d_bar, (ch.m_noise, ch._m_rows))
+    return _map_side(
+        state, side, (ch.k, ch._k_rows), (ch.d_bar, ch._d_bar_entries), (ch.m_noise, ch._m_rows)
+    )
 
 
 @dataclass(frozen=True)

@@ -488,14 +488,12 @@ def reference_standard_form(
     return StandardFormParams(a, b, c, d), s_a, s_b
 
 
-def reference_verdict(g) -> tuple[np.ndarray, np.ndarray]:
-    """Independent check of the Simon verdict `GaussianState` applies, on a
-    covariance matrix or a stack of them: ``(physical, margin)`` by the
-    Hermitian eigensolve the library used before its scalar Cholesky test,
-    with its arithmetic.  ``margin`` is the smallest eigenvalue of the
-    equilibrated D^{-1/2} (Gamma + i Delta) D^{-1/2} plus `DEFAULT_TOL`, so
-    ``physical`` is ``margin >= 0``; it is NaN where the symmetry or the
-    positive-diagonal test already rejects."""
+def reference_simon(g) -> tuple[np.ndarray, np.ndarray]:
+    """``(screened, simon)`` for a covariance matrix or a stack of them, by
+    the arithmetic of the Simon verdict before it factored: whether the
+    symmetry and positive-diagonal tests pass, and the equilibrated
+    D^{-1/2} (Gamma + i Delta) D^{-1/2}, with 1 in place of a diagonal entry
+    that is not > 0."""
     g = np.asarray(g, dtype=float)
     gt = np.swapaxes(g, -1, -2)
     scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
@@ -505,7 +503,18 @@ def reference_verdict(g) -> tuple[np.ndarray, np.ndarray]:
     screened = symmetric & np.all(diag > 0.0, axis=-1)
     root = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
     outer = root[..., :, None] * root[..., None, :]
-    simon = (gs + 1j * symplectic_form(g.shape[-1] // 2)) * outer
+    return screened, (gs + 1j * symplectic_form(g.shape[-1] // 2)) * outer
+
+
+def reference_verdict(g) -> tuple[np.ndarray, np.ndarray]:
+    """Independent check of the Simon verdict `GaussianState` applies, on a
+    covariance matrix or a stack of them: ``(physical, margin)`` by the
+    Hermitian eigensolve the library used before its Cholesky tests, on
+    `reference_simon`.  ``margin`` is the smallest eigenvalue of the
+    equilibrated D^{-1/2} (Gamma + i Delta) D^{-1/2} plus `DEFAULT_TOL`, so
+    ``physical`` is ``margin >= 0``; it is NaN where the symmetry or the
+    positive-diagonal test already rejects."""
+    screened, simon = reference_simon(g)
     margin = np.where(screened, np.linalg.eigvalsh(simon)[..., 0] + DEFAULT_TOL, np.nan)
     return screened & (margin >= 0.0), margin
 

@@ -182,6 +182,18 @@ class TestValidateCommand:
         assert "physical: no" in out
         assert "0.5" in out
 
+    def test_overflowing_equilibration_exits_one(self, capsys, tmp_path):
+        # three modes, symmetric and finite, whose Simon matrix overflows
+        # when it is equilibrated: not physical, with no warning
+        g = np.eye(6)
+        g[0, 0] = g[1, 1] = 1e-300
+        g[0, 2] = g[2, 0] = 1e300
+        path = write_json(tmp_path / "o.json", state_doc(g, 2, 1))
+        assert main(["validate", path]) == 1
+        out, err = capsys.readouterr()
+        assert "physical: no" in out
+        assert err == ""
+
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -406,9 +406,9 @@ class TestCorrelationSpectrum:
 
     def test_one_spectrum_svd_per_state(self, rng, monkeypatch):
         # The spectrum is the only SVD in these calls, and no real symmetric
-        # eigvalsh runs: validation beyond 4 x 4 solves complex Hermitian
-        # ones, and the flag of two A modes none.  A (1+1) state takes the
-        # closed form and runs none.
+        # eigvalsh runs: validation beyond 4 x 4 takes a Cholesky factor,
+        # and the flag of two A modes solves nothing.  A (1+1) state takes
+        # the closed form and runs none.
         pair, ch = random_state(rng), random_channel(rng)
         multimode = random_state(rng, 2, 1)
         svds, real_solves = [], []

@@ -53,6 +53,7 @@ from helpers import (
     eigensolve_degenerate,
     eigensolve_symplectic_spectrum,
     reference_degenerate,
+    reference_simon,
     reference_standard_form,
     reference_symmetric_part,
     reference_verdict,
@@ -1276,7 +1277,7 @@ class TestScalarVerdict:
         GaussianUnitary(s_a)
         assert calls == []
         GaussianState(multimode, 2, 1)
-        assert calls == ["eigvalsh"]
+        assert calls == ["cholesky"]
 
     @pytest.mark.parametrize(
         "build, message",
@@ -1320,6 +1321,164 @@ class TestScalarVerdict:
         assert str(info.value) == message
 
 
+def _multimode_boundary_draws(rng, count: int):
+    """6 x 6, 8 x 8 and 10 x 10 covariance matrices around the Simon
+    threshold, six per state, ``count`` states: a random state; a pure one,
+    nu = 1 on the physical boundary, scaled by 1 +- 10^-12..10^-6, and
+    skewed by 0.99 and 1.01 times the symmetry tolerance at a random entry;
+    that pure one minus x diag(Gamma), so that its equilibrated matrix has
+    its smallest eigenvalue within 1e-6, 1e-9 or 1e-11 of -DEFAULT_TOL (see
+    `_near_boundary_cms`); and the random state scaled by a power of two
+    that puts its smallest diagonal entry in [2^-1023, 2^-1022), subnormal
+    but large enough to equilibrate without overflow."""
+    tol = nfg.states.DEFAULT_TOL
+    for i in range(count):
+        n = 3 + i % 3
+        g, pure = random_cm(rng, n), random_cm(rng, n, nus=np.ones(n))
+        yield g
+        yield pure * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -6.0))
+        r, c = rng.choice(2 * n, 2, replace=False)
+        for slack in (0.99, 1.01):
+            skew = pure.copy()
+            skew[r, c] += slack * tol * max(1.0, np.abs(pure).max())
+            yield skew
+        spread = rng.choice([1e-6, 1e-9, 1e-11])
+        target = -tol + rng.uniform(-spread, spread)
+        yield pure - target / (target - 1.0) * np.diag(np.diag(pure))
+        yield np.ldexp(g, -1022 - math.frexp(np.diag(g).min())[1])
+
+
+def _lower_repr(m: np.ndarray) -> str:
+    """The repr of a square matrix's lower triangle, row by row: it tells
+    -0.0 from 0.0 and round-trips every float."""
+    return repr([row[: i + 1] for i, row in enumerate(m.tolist())])
+
+
+def _overflowing_cm(dim: int, tiny: int, far: int) -> np.ndarray:
+    """The dim x dim identity with the mode of rows ``tiny`` and ``tiny`` + 1
+    at variance 1e-300 and a 1e300 correlation between rows ``tiny`` and
+    ``far``: symmetric and finite, but its equilibration overflows."""
+    g = np.eye(dim)
+    g[tiny, tiny] = g[tiny + 1, tiny + 1] = 1e-300
+    g[tiny, far] = g[far, tiny] = 1e300
+    return g
+
+
+class TestCholeskyVerdict:
+    """Beyond 4 x 4 the Simon verdict asks whether the equilibrated matrix
+    plus `DEFAULT_TOL` I has a Cholesky factor from LAPACK, the rule `_ldl`
+    applies up to 4 x 4.  It decides as the eigensolve it replaced (kept in
+    `helpers`) on every draw outside a rounding band around the threshold,
+    factors that eigensolve's matrix bit for bit, and no path that accepts
+    a state, a map or a channel runs an eigensolve."""
+
+    def test_agrees_with_the_eigensolve_outside_the_band(self, rng):
+        outcomes, in_band = collections.Counter(), 0
+        for g in _multimode_boundary_draws(rng, 1700):
+            modes = len(g) // 2
+            physical, margin = reference_verdict(g)
+            try:
+                GaussianState(g, modes - 1, 1)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert validate_cm(g).physical == accepted
+            if abs(margin) <= BAND:
+                in_band += accepted != physical
+            else:  # NaN too: screened before the test
+                assert accepted == physical, margin
+            outcomes[modes, accepted] += 1
+        assert sum(outcomes.values()) >= 10_000
+        assert set(outcomes) == {(m, a) for m in (3, 4, 5) for a in (True, False)}
+        assert in_band <= 10
+
+    def test_factors_the_eigensolve_matrix_bit_for_bit(self, rng, monkeypatch):
+        handed, cholesky = [], np.linalg.cholesky
+
+        def spy(m):
+            handed.append(m.copy())
+            return cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        draws = list(_multimode_boundary_draws(rng, 150))
+        draws += [g for n in (3, 4) for g in _asymmetric_draws(rng, n)]
+        factored = 0
+        for g in draws:
+            handed.clear()
+            nfg.states._verdict(g, g.tolist())
+            with np.errstate(over="ignore", invalid="ignore"):  # g * 1e-310 overflows
+                screened, simon = reference_simon(g)
+            if not screened:
+                assert handed == []
+                continue
+            simon[np.diag_indices(len(g))] += nfg.states.DEFAULT_TOL
+            assert len(handed) == 1
+            assert _lower_repr(handed[0]) == _lower_repr(simon)
+            factored += 1
+        assert factored > 1000
+
+    @pytest.mark.parametrize("lapack", [False, True], ids=["nan-factor", "nan-input"])
+    def test_a_nan_factor_reads_not_physical(self, rng, monkeypatch, lapack):
+        # A NaN factor as such, and whatever LAPACK makes of a NaN matrix:
+        # OpenBLAS 0.3.31 returns a NaN factor, reference LAPACK fails.
+        g, cholesky = random_cm(rng, 3), np.linalg.cholesky
+        assert validate_cm(g).physical
+
+        def nan_factor(m):
+            nan = np.full_like(m, np.nan)
+            return cholesky(nan) if lapack else nan
+
+        monkeypatch.setattr(np.linalg, "cholesky", nan_factor)
+        assert not validate_cm(g).physical
+        with pytest.raises(ValueError, match="not physical"):
+            GaussianState(g, 2, 1)
+
+    def test_a_failed_factor_reads_not_physical(self, rng, monkeypatch):
+        g = random_cm(rng, 4)
+
+        def refuse(m):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        assert not validate_cm(g).physical
+        with pytest.raises(ValueError, match="not physical"):
+            GaussianState(g, 2, 2)
+
+    @pytest.mark.parametrize(
+        "dim, tiny, far",
+        [(4, 0, 2), (6, 0, 2), (6, 4, 0), (6, 2, 5), (8, 6, 1), (10, 4, 9)],
+    )
+    def test_an_overflowing_equilibration_reads_not_physical(self, dim, tiny, far):
+        g = _overflowing_cm(dim, tiny, far)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not validate_cm(g).physical
+            with pytest.raises(ValueError, match="not physical"):
+                GaussianState(g, dim // 2 - 1, 1)
+
+    def test_no_acceptance_path_runs_an_eigensolve(self, rng, monkeypatch):
+        partitions = [(1, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 3)]
+        states = [random_state(rng, n_a, n_b, displaced=True) for n_a, n_b in partitions]
+        unitaries = [
+            GaussianUnitary(random_symplectic(rng, n), rng.normal(size=2 * n)) for n in (1, 2, 3)
+        ]
+        channels = [dilation_channel(rng, n) for n in (1, 2, 3)]
+        p = standard_form(states[1])[0]
+        calls = linalg_calls(monkeypatch)
+        for state in states:
+            state = GaussianState(state.cm, state.n_a, state.n_b, state.mean)
+            apply_gaussian_unitary(state, unitaries[state.n_a - 1], "A")
+            if state.n_b:
+                apply_channel(state, channels[state.n_b - 1], "B")
+        for u, ch in zip(unitaries, channels):
+            GaussianUnitary(u.s, u.m)
+            GaussianChannel(ch.k, ch.m_noise, ch.d_bar)
+        StandardFormParams(p.a, p.b, p.c, p.d)
+        # one factor per verdict beyond 4 x 4: the five states of three or
+        # more modes, and each of their two maps
+        assert calls == ["cholesky"] * 15
+
+
 #: (build, field, length): build(v) makes a valid instance with v as its
 #: vector field ``field``, which must have ``length`` entries.
 VECTOR_FIELDS = [
@@ -1341,7 +1500,7 @@ class TestVectorFields:
     @pytest.mark.parametrize("build, field, n", VECTOR_FIELDS)
     def test_none_gives_one_shared_frozen_zero_vector(self, build, field, n):
         zeros = getattr(build(None), field)
-        assert getattr(build(None), field) is zeros is nfg.states._as_vector(None, n, field)
+        assert getattr(build(None), field) is zeros is nfg.states._as_vector(None, n, field)[0]
         assert not zeros.flags.writeable and zeros.base is None
         with pytest.raises(ValueError, match="read-only"):
             zeros[0] = 1.0
@@ -1351,7 +1510,7 @@ class TestVectorFields:
         u = GaussianUnitary(rotation(0.3))
         ch = GaussianChannel(rotation(0.2), 0.5 * np.eye(2))
         zeros = state.mean
-        assert u.m is ch.d_bar is nfg.states._as_vector(None, 2, "m")
+        assert u.m is ch.d_bar is nfg.states._as_vector(None, 2, "m")[0]
         for side in ("A", "B"):
             for out in (apply_gaussian_unitary(state, u, side), apply_channel(state, ch, side)):
                 assert out.mean is not zeros and not np.shares_memory(out.mean, zeros)
@@ -1645,8 +1804,8 @@ class TestRowMap:
             assert (out.n_a, out.n_b) == (n_a, n_b)
             assert float_bits(out._rows) == float_bits(out.cm.tolist())
         # a (1+1) map and the Simon verdict of its output read rows only;
-        # larger outputs keep the verdict's eigensolve
-        assert calls == ([] if n_a + n_b == 2 else ["eigvalsh", "eigvalsh"])
+        # a larger output's verdict is one LAPACK Cholesky factor
+        assert calls == ([] if n_a + n_b == 2 else ["cholesky", "cholesky"])
 
     def test_larger_side_keeps_the_numpy_map(self, rng):
         state = random_state(rng, 2, 2)
