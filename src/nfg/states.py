@@ -21,6 +21,10 @@ Conventions used throughout the package:
   (`np.linalg.cholesky`), and no eigensolve runs to accept anything.  A
   one-mode unitary is checked as |det S - 1|.  The same `_ldl` gives every
   overlap of `nfg.overlap` its determinant and mean term, at any size;
+* the correlation spectrum runs in Python floats wherever one side has a
+  single mode and the other at most two: (1+1) in closed form, and (2+1)
+  and (1+2) by one kernel (`_one_mode_side_spectrum`) on the written-out
+  4-row Cholesky factor `_cholesky_4`, which is also L_A for two A modes;
 * the scalar kernels are written out, with no loop, for the only sizes a
   (1+1)-mode request meets: `_ldl_4`, which returns after row 1 for 2
   rows, and the Simon verdicts `_verdict_2` and `_verdict_4`, which read g
@@ -33,19 +37,20 @@ Conventions used throughout the package:
   (1+1) request maps with no NumPy arithmetic and no BLAS product; larger
   sides keep `_act_on_side`;
 * a constructor copies caller input once and rejects complex input
-  (`_owned`); arrays built here are frozen in place, never copied again.  A
-  `GaussianState` keeps the rows and the mean entries it listed for its
+  (`_owned`); arrays built here are frozen in place, never copied again.
+  A `GaussianState` keeps the rows and the mean entries it listed for its
   checks, and the scalar kernels read them, not ``cm`` and ``mean``: the
-  correlation spectrum's C = 0 test, at every partition, and its (1+1)
-  closed form, `standard_form`, every overlap of `nfg.overlap`, which
-  builds the lower triangle of sym((V1 + V2)/2) from two states' rows and
-  takes the mean difference from their entries, and the 2-row map.  A
-  `GaussianUnitary` keeps the rows of S and the entries of m, and a
-  `GaussianChannel` the rows of K and M and the entries of d_bar, for that
-  map, and the post-channel closed form reads the channel's.  A map's
-  output passes the constructor's check step, `GaussianState._admit`, with
-  the rows and mean entries it was built from, so they are not listed
-  again.  No code writes to any of these lists.
+  correlation spectrum's C = 0 test, at every partition, and its float
+  paths at (1+1), (2+1) and (1+2), `standard_form`, every overlap of
+  `nfg.overlap`, which builds the lower triangle of sym((V1 + V2)/2) from
+  two states' rows and takes the mean difference from their entries, and
+  the 2-row map.  A `GaussianUnitary` keeps the rows of S and the entries
+  of m, and a `GaussianChannel` the rows of K and M and the entries of
+  d_bar, for that map, and the post-channel closed form reads the
+  channel's.  A map's output passes the constructor's check step,
+  `GaussianState._admit`, with the rows and mean entries it was built
+  from, so they are not listed again.  No code writes to any of these
+  lists.
 """
 
 from __future__ import annotations
@@ -228,6 +233,40 @@ def _cholesky_2x2(p: float, q: float, r: float) -> tuple[float, float, float, fl
     raise _singular()
 
 
+def _cholesky_4(rows: list[list[float]], p: int = 0) -> list[list[float]]:
+    """The lower Cholesky factor of the 4 x 4 block at rows and columns
+    ``p`` to ``p + 3`` of a matrix given as nested lists, as nested lists
+    with zeros above the diagonal, in Python floats.  Reads the block's
+    lower triangle: its leading 2 x 2 factor is `_cholesky_2x2`'s, and rows
+    2 and 3 take LAPACK's steps as that does: each pivot is the diagonal
+    entry less the dot product of the row so far, and each column below it
+    is scaled by the pivot's reciprocal.  So blocks fail to factor where
+    LAPACK's factor fails, up to the last bit of a dot product, which a
+    BLAS that fuses multiply-adds rounds once less; they raise
+    `_singular`'s `ValueError`."""
+    r0, r1, r2, r3 = rows[p : p + 4]
+    a00, (a10, a11) = r0[p], r1[p : p + 2]
+    (a20, a21, a22), (a30, a31, a32, a33) = r2[p : p + 3], r3[p : p + 4]
+    l00, l10, l11, _ = _cholesky_2x2(a00, a10, a11)
+    s0, s1 = 1.0 / l00, 1.0 / l11
+    l20, l30 = a20 * s0, a30 * s0
+    l21, l31 = (a21 - l20 * l10) * s1, (a31 - l30 * l10) * s1
+    pivot = a22 - (l20 * l20 + l21 * l21)
+    if not pivot > 0.0:
+        raise _singular()
+    l22 = math.sqrt(pivot)
+    l32 = (a32 - (l30 * l20 + l31 * l21)) * (1.0 / l22)
+    pivot = a33 - (l30 * l30 + l31 * l31 + l32 * l32)
+    if not pivot > 0.0:
+        raise _singular()
+    return [
+        [l00, 0.0, 0.0, 0.0],
+        [l10, l11, 0.0, 0.0],
+        [l20, l21, l22, 0.0],
+        [l30, l31, l32, math.sqrt(pivot)],
+    ]
+
+
 def _whiten(g: list[list[float]], unit: float = 1.0) -> tuple[tuple, tuple, tuple]:
     """``(l_a, l_b, w)`` for a (1+1)-mode covariance matrix ``g`` (nested
     lists) divided by ``unit``, in scalar arithmetic: the `_cholesky_2x2`
@@ -267,6 +306,15 @@ def _svd_2x2(w: tuple[float, float, float, float]) -> tuple[float, float, float,
     return math.hypot(e, h), math.hypot(f, g), math.atan2(h, e), math.atan2(g, f)
 
 
+def _squared_singular_values(w: tuple[float, float, float, float]) -> tuple[float, float]:
+    """The squared singular values (p -+ q)^2 of a 2x2 W (`_svd_2x2`),
+    ascending and clipped at 1: the two correlation-spectrum entries of the
+    float paths."""
+    p, q, _, _ = _svd_2x2(w)
+    low, high = p - q, p + q
+    return min(low * low, 1.0), min(high * high, 1.0)
+
+
 def _two_mode_spectrum(g: list[list[float]]) -> tuple[float, float]:
     """The correlation spectrum of a (1+1)-mode covariance matrix ``g``
     (nested lists), ascending and clipped at 1, in scalar arithmetic.
@@ -275,9 +323,52 @@ def _two_mode_spectrum(g: list[list[float]]) -> tuple[float, float]:
     squared singular values p +- q (`_svd_2x2`) of the `_whiten` matrix
     W = L_A^{-1} C L_B^{-T}, so no LAPACK call runs.
     """
-    p, q, _, _ = _svd_2x2(_whiten(g)[2])
-    low, high = p - q, p + q
-    return min(low * low, 1.0), min(high * high, 1.0)
+    return _squared_singular_values(_whiten(g)[2])
+
+
+def _one_mode_side_spectrum(
+    l: list[list[float]], b: tuple[float, float, float], x: list[tuple[float, float]]
+) -> tuple[float, float]:
+    """The two entries of the correlation spectrum that a one-mode side
+    leaves nonzero, ascending and clipped at 1, in Python floats with no
+    LAPACK call.
+
+    ``l`` is the `_cholesky_4` factor of the two-mode side's block, ``b``
+    the lower triangle (b00, b10, b11) of the one-mode side's block and
+    ``x`` its 4 x 2 cross block, as the two-mode side's rows.  Two forward
+    substitutions give W = L^{-1} X L_b^{-T}; its singular values are those
+    of the 2x2 R of a QR of W, by modified Gram-Schmidt with the larger
+    column first, so a norm is divided by only when W is not 0 (a cross
+    block that whitens to 0 gives zeros).  R's squared singular values come
+    from `_squared_singular_values`, as W's do in `_two_mode_spectrum`.  No
+    Gram matrix W^T W is formed: its conditioning would be W's squared.
+    For (2+1) modes X is C and W is the W of the module notes; for (1+2) X
+    is C^T and W its transpose, with the same singular values.  A one-mode
+    block that does not factor raises `_singular`'s `ValueError`.
+    """
+    (l00, _, _, _), (l10, l11, _, _), (l20, l21, l22, _), (l30, l31, l32, l33) = l
+    b0, b1, b2, _ = _cholesky_2x2(*b)
+    (x00, x01), (x10, x11), (x20, x21), (x30, x31) = x
+    # Y = L^{-1} X
+    y00, y01 = x00 / l00, x01 / l00
+    y10, y11 = (x10 - l10 * y00) / l11, (x11 - l10 * y01) / l11
+    y20, y21 = (x20 - l20 * y00 - l21 * y10) / l22, (x21 - l20 * y01 - l21 * y11) / l22
+    y30 = (x30 - l30 * y00 - l31 * y10 - l32 * y20) / l33
+    y31 = (x31 - l30 * y01 - l31 * y11 - l32 * y21) / l33
+    # W = Y L_b^{-T}, as its columns u and v
+    w00, w10, w20, w30 = y00 / b0, y10 / b0, y20 / b0, y30 / b0
+    w01, w11 = (y01 - b1 * w00) / b2, (y11 - b1 * w10) / b2
+    w21, w31 = (y21 - b1 * w20) / b2, (y31 - b1 * w30) / b2
+    u, v = (w00, w10, w20, w30), (w01, w11, w21, w31)
+    r00, r11 = math.hypot(*u), math.hypot(*v)
+    if r11 > r00:
+        u, v, r00 = v, u, r11
+    if not r00:
+        return 0.0, 0.0
+    q0, q1, q2, q3 = u[0] / r00, u[1] / r00, u[2] / r00, u[3] / r00
+    r01 = q0 * v[0] + q1 * v[1] + q2 * v[2] + q3 * v[3]
+    r11 = math.hypot(v[0] - r01 * q0, v[1] - r01 * q1, v[2] - r01 * q2, v[3] - r01 * q3)
+    return _squared_singular_values((r00, r01, 0.0, r11))
 
 
 def _max_abs(rows: list[list[float]]) -> float:
@@ -648,8 +739,9 @@ class GaussianState:
     The state keeps, privately, the rows of ``cm`` as nested lists and the
     entries of ``mean`` as a list, listed once for those checks.  The scalar
     kernels read them instead of the arrays: the correlation spectrum's
-    C = 0 test and its (1+1) closed form, `standard_form`, every overlap of
-    `nfg.overlap` and the map of a 2-row side.  No code writes to them.
+    C = 0 test and its float paths at (1+1), (2+1) and (1+2), L_A for two A
+    modes, `standard_form`, every overlap of `nfg.overlap` and the map of a
+    2-row side.  No code writes to them.
 
     The correlation spectrum behind the measure and its bound (see
     `nfg.correlation`) is computed on first use and kept with the instance,
@@ -713,31 +805,47 @@ class GaussianState:
 
         A tuple of 2 n_b floats: the squared singular values of
         W = L_A^{-1} C L_B^{-T} (see the `nfg.correlation` notes), clipped at
-        1, zeros in front: in closed form for (1+1) modes, on the state's rows
-        (`_two_mode_spectrum`), else by two triangular solves, on L_A
-        (`_chol_a`) and L_B, and one SVD, reading only A's and B's lower
-        triangles.  All zeros, nothing factorized, when the rows hold C = 0,
-        so a product state scores 0 even with a block squeezed past double
-        precision.  A correlated state whose A or B block does not factor
-        raises `_singular`'s `ValueError`.
+        1, zeros in front, reading only A's and B's lower triangles.  In
+        Python floats on the state's rows, with no LAPACK call, for (1+1)
+        modes in closed form (`_two_mode_spectrum`) and for (2+1) and (1+2)
+        by one kernel (`_one_mode_side_spectrum`): on L_A (`_chol_a`) and C
+        for (2+1), and for (1+2) on the swap, W^T, from the 4-row factor of
+        B and C^T.  Any other partition takes two triangular solves, on L_A
+        and LAPACK's L_B, and one SVD.  All zeros, nothing factorized, when
+        the rows hold C = 0, so a product state scores 0 even with a block
+        squeezed past double precision.  A correlated state whose A or B
+        block does not factor raises `_singular`'s `ValueError`.
         """
         if self._uncorrelated:
             return (0.0,) * (2 * self.n_b)
         if self.n_a == self.n_b == 1:
             return _two_mode_spectrum(self._rows)
-        k, g = 2 * self.n_a, self.cm
+        n_a, n_b, rows = self.n_a, self.n_b, self._rows
+        if n_a == 2 and n_b == 1:
+            b = (rows[4][4], rows[5][4], rows[5][5])
+            return _one_mode_side_spectrum(self._chol_a, b, [row[4:] for row in rows[:4]])
+        if n_a == 1 and n_b == 2:  # the swap: W^T, with C^T as the B side's rows
+            b = (rows[0][0], rows[1][0], rows[1][1])
+            x = list(zip(rows[0][2:], rows[1][2:]))
+            return (0.0, 0.0) + _one_mode_side_spectrum(_cholesky_4(rows, 2), b, x)
+        k, g = 2 * n_a, self.cm
         y = np.linalg.solve(self._chol_a, g[:k, k:])  # L_A^{-1} C
         w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
         sigma = np.linalg.svd(w_t, compute_uv=False)[::-1].tolist()  # W's, ascending
         return (0.0,) * (2 * self.n_b - len(sigma)) + tuple(min(s * s, 1.0) for s in sigma)
 
     @_cached_property
-    def _chol_a(self) -> np.ndarray:
-        """L_A, the lower Cholesky factor of the A block, read-only; a block
-        that does not factor raises `_singular`'s `ValueError`.  The generic
-        correlation spectrum solves it and `nfg_numeric`'s degeneracy flag
-        reads it, its rows for two A modes and by one eigensolve for more, so
-        A is factored once per state, whichever runs first."""
+    def _chol_a(self) -> list[list[float]] | np.ndarray:
+        """L_A, the lower Cholesky factor of the A block; a block that does
+        not factor raises `_singular`'s `ValueError`.  For two A modes it is
+        `_cholesky_4`'s rows, in Python floats, which the (2+1) spectrum
+        whitens with, the (2+2) spectrum solves and `nfg_numeric`'s
+        degeneracy flag reads; for any other count LAPACK's read-only
+        factor, which the generic spectrum solves and, for three or more A
+        modes, the flag's eigensolve reads.  So A is factored once per
+        state, in one way, whichever runs first."""
+        if self.n_a == 2:
+            return _cholesky_4(self._rows)
         k = 2 * self.n_a
         return _frozen(_cholesky(self.cm[:k, :k]))
 
@@ -1003,15 +1111,15 @@ def _spectrum_degenerate(state: GaussianState) -> bool:
     of a correlated state's A block, from the symplectic spectrum alone, by
     `_degenerate`'s rule |nu_1 - nu_2| <= `_DEGENERACY_TOL` max(nu_1, 1).
 
-    Two A modes take a closed form in Python floats on L_A
-    (`GaussianState._chol_a`, which the correlation spectrum solves too),
-    `_degenerate_4`.  K = L_A^T Delta L_A is antisymmetric 4 x 4, with
-    entries a, b, c, d, e, f = K01, K02, K03, K12, K13, K23, each a sum of
-    at most three products of L_A's lower triangle, and singular values
-    nu_1, nu_1, nu_2, nu_2.  Its self-dual and anti-self-dual parts are
-    p = (a + f, b - e, c + d) and q = (a - f, b + e, c - d), with
-    |p|^2 + |q|^2 = |K|_F^2 = 2 (nu_1^2 + nu_2^2) and
-    |p|^2 - |q|^2 = 4 Pf K = 4 nu_1 nu_2, because
+    Two A modes take a closed form in Python floats on L_A, `_degenerate_4`
+    on the rows of `GaussianState._chol_a`, the float factor the
+    correlation spectrum reads too.  K = L_A^T Delta L_A is antisymmetric
+    4 x 4, with entries a, b, c, d, e, f = K01, K02, K03, K12, K13, K23,
+    each a sum of at most three products of L_A's lower triangle, and
+    singular values nu_1, nu_1, nu_2, nu_2.  Its self-dual and
+    anti-self-dual parts are p = (a + f, b - e, c + d) and
+    q = (a - f, b + e, c - d), with |p|^2 + |q|^2 = |K|_F^2 =
+    2 (nu_1^2 + nu_2^2) and |p|^2 - |q|^2 = 4 Pf K = 4 nu_1 nu_2, because
     Pf K = af - be + cd = det L_A Pf Delta = det L_A > 0.  So |p| = nu_1 + nu_2
     and |q| = nu_1 - nu_2: the gap is the norm of differences of entries,
     with an error of ~eps nu_1, as the eigensolve's is, and the rule reads
@@ -1023,16 +1131,16 @@ def _spectrum_degenerate(state: GaussianState) -> bool:
     exactly where the gap is small, so they are not used.
 
     Three or more A modes take one eigensolve of `_symplectic_hermitian` on
-    L_A, with no eigenvectors.  No symplectic S is built at any size.  A
-    single A mode is never degenerate and a product state (C = 0) never
-    flagged, so for those the flag factorizes nothing (A may be singular at
-    double precision).
+    LAPACK's L_A, with no eigenvectors.  No symplectic S is built at any
+    size.  A single A mode is never degenerate and a product state (C = 0)
+    never flagged, so for those the flag factorizes nothing (A may be
+    singular at double precision).
     """
     n = state.n_a
     if n == 1 or state._uncorrelated:
         return False
     if n == 2:
-        return _degenerate_4(state._chol_a.tolist())
+        return _degenerate_4(state._chol_a)
     return _degenerate(np.linalg.eigvalsh(_symplectic_hermitian(state._chol_a))[n:][::-1])
 
 

@@ -429,8 +429,8 @@ def stream_shaped_state(rng: np.random.Generator) -> GaussianState:
 def reference_spectrum(state: GaussianState) -> np.ndarray:
     """The correlation spectrum as the read-only array the library built
     before it became a tuple, both branches as they were: a (1+1) C = 0 test
-    on the rows and `_two_mode_spectrum`, else a NumPy C = 0 test, two
-    triangular solves, one SVD and zeros padded in front."""
+    on the rows and `_two_mode_spectrum`, else a NumPy C = 0 test, then
+    `svd_spectrum` on the state's own L_A (`_chol_a`)."""
     if state.n_a == state.n_b == 1:
         rows = state._rows
         (_, _, c00, c01), (_, _, c10, c11) = rows[0], rows[1]
@@ -438,10 +438,26 @@ def reference_spectrum(state: GaussianState) -> np.ndarray:
             return _zeros(2)
         return _frozen(np.array(_two_mode_spectrum(rows)))
     k = 2 * state.n_a
-    g = state.cm
-    if not g[:k, k:].any():
+    if not state.cm[:k, k:].any():
         return _zeros(2 * state.n_b)
-    y = np.linalg.solve(state._chol_a, g[:k, k:])  # L_A^{-1} C
+    return svd_spectrum(state, state._chol_a)
+
+
+def lapack_spectrum(state: GaussianState) -> np.ndarray:
+    """`svd_spectrum` of a correlated state with L_A by LAPACK too: the
+    NumPy path every partition but (1+1) took before (2+1) and (1+2) ran in
+    Python floats and two A modes factored A in floats."""
+    k = 2 * state.n_a
+    return svd_spectrum(state, _cholesky(state.cm[:k, :k]))
+
+
+def svd_spectrum(state: GaussianState, chol_a) -> np.ndarray:
+    """The generic correlation spectrum of a correlated state, read-only,
+    from the lower factor ``chol_a`` of A (rows or an array): two triangular
+    solves, with L_B by LAPACK, one SVD and zeros padded in front."""
+    k = 2 * state.n_a
+    g = state.cm
+    y = np.linalg.solve(np.array(chol_a), g[:k, k:])  # L_A^{-1} C
     w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
     sigma = np.linalg.svd(w_t, compute_uv=False)[::-1]  # W's, ascending
     mu = np.zeros(2 * state.n_b)

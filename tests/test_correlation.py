@@ -39,6 +39,7 @@ from helpers import (
     dilation_channel,
     float_bits,
     haar_unitary,
+    lapack_spectrum,
     linalg_calls,
     nfg_theta_objective,
     passive_stabilizer,
@@ -64,11 +65,12 @@ def tmsv_reference(r: float) -> float:
     return 1.0 - 16.0 / ((np.exp(-4.0 * r) + np.exp(4.0 * r)) / 2.0 + 3.0) ** 2
 
 
-def reference_values(state: GaussianState) -> tuple[float, float]:
+def reference_values(state: GaussianState, digits: int = 50) -> tuple[float, float]:
     """N = 1 - det(B - X)/det(B - X/2) and the bound 1 - det(B - X)/det B,
-    X = C^T A^{-1} C, from 50-digit determinants of the stored matrix."""
+    X = C^T A^{-1} C, from determinants of the stored matrix at ``digits``
+    (50 by default) decimal digits."""
     k, n = 2 * state.n_a, state.cm.shape[0]
-    with mpmath.workdps(50):
+    with mpmath.workdps(digits):
         g = mpmath.matrix(state.cm.tolist())
         a, b, c = g[:k, :k], g[k:n, k:n], g[:k, k:n]
         x = c.T * mpmath.inverse(a) * c
@@ -77,6 +79,30 @@ def reference_values(state: GaussianState) -> tuple[float, float]:
 
 
 PARTITIONS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+
+
+def one_mode_side_state(rng: np.random.Generator, n_a: int, n_b: int, kind: str) -> GaussianState:
+    """A random (n_a+n_b) state, three modes in all, of one ``kind``:
+    "random"; "weak", with C scaled by 1e-6; "near-pure", with symplectic
+    eigenvalues within 1e-6 of 1; "scaled", either times 1e150 or with
+    every mode squeezed by 10^(+-75) on its axes, so that its entries span
+    1e-150 to 1e150."""
+    k = 2 * n_a
+    if kind == "near-pure":
+        nus = 1.0 + 10.0 ** rng.uniform(-12.0, -6.0, 3)
+        return GaussianState(random_cm(rng, 3, nus=nus), n_a, n_b)
+    g = random_cm(rng, 3)
+    if kind == "weak":
+        g[:k, k:] *= 1e-6
+        g[k:, :k] *= 1e-6
+    elif kind == "scaled":
+        if rng.uniform() < 0.5:
+            g *= 1e150
+        else:
+            d = np.repeat(10.0 ** (75.0 * rng.choice([-1.0, 1.0], 3)), 2)
+            d[1::2] = 1.0 / d[1::2]
+            g = d[:, None] * g * d
+    return GaussianState(g, n_a, n_b)
 
 
 class TestClosedForm:
@@ -408,9 +434,10 @@ class TestCorrelationSpectrum:
         # The spectrum is the only SVD in these calls, and no real symmetric
         # eigvalsh runs: validation beyond 4 x 4 takes a Cholesky factor,
         # and the flag of two A modes solves nothing.  A (1+1) state takes
-        # the closed form and runs none.
+        # the closed form and a (2+1) state the float kernel of a one-mode
+        # side: neither runs one.  A (2+2) state runs one.
         pair, ch = random_state(rng), random_channel(rng)
-        multimode = random_state(rng, 2, 1)
+        multimode, wide = random_state(rng, 2, 1), random_state(rng, 2, 2)
         svds, real_solves = [], []
         svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
 
@@ -436,7 +463,10 @@ class TestCorrelationSpectrum:
         report = check_monotonicity(multimode, ch)
         assert report.before == nfg_numeric(multimode).value
         assert real_solves == []
-        assert svds == [(2, 4), (2, 4)]  # W^T of the input state, then of the output
+        assert svds == []
+        nfg_upper_bound(wide)
+        nfg_numeric(wide)
+        assert svds == [(4, 4)]  # W^T, once
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1), (2, 0), (0, 2)])
     def test_bound_is_zero_with_one_side_empty(self, rng, n_a, n_b):
@@ -454,11 +484,45 @@ class TestCorrelationSpectrum:
         for _ in range(400):
             self.assert_reference_bits(GaussianState(stream_shaped_cm(rng, 13.0), 1, 1))
 
-    @pytest.mark.parametrize("n_a", [1, 2, 3])
-    @pytest.mark.parametrize("n_b", [1, 2, 3])
+    # (1+2) and (2+1) run in Python floats, with no SVD to match: their
+    # test is `test_float_spectrum_is_as_accurate_as_the_array_path`.
+    @pytest.mark.parametrize(
+        "n_b, n_a", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
+    )
     def test_random_states_match_the_array_reference(self, rng, n_a, n_b):
         for _ in range(10):
             self.assert_reference_bits(random_state(rng, n_a, n_b))
+
+    @pytest.mark.parametrize("kind", ["random", "weak", "near-pure", "scaled"])
+    @pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 1)])
+    def test_float_spectrum_is_as_accurate_as_the_array_path(self, rng, n_a, n_b, kind):
+        # (2+1) and (1+2) take the float kernel of a one-mode side.  Against
+        # high-precision determinants of the stored matrix (400 digits where
+        # it spans 1e+-150), its worst relative error on N and the bound is
+        # at most twice that of the array path it replaced (two LAPACK
+        # factors, two solves and an SVD, `lapack_spectrum`) on the same
+        # draws.  Over 600 draws per kind and partition the float path's
+        # worst was 7.6e-16 to 2.3e-15 and the array path's 7.8e-16 to
+        # 1.7e-13, never more than 1.2 times below the float path's: the
+        # array path's solve loses digits on locally squeezed states.
+        worst, array_worst = 0.0, 0.0
+        for _ in range(30):
+            state = one_mode_side_state(rng, n_a, n_b, kind)
+            value, bound = nfg_numeric(state).value, nfg_upper_bound(state)
+            assert value <= bound
+            array = SimpleNamespace(_correlation_spectrum=tuple(lapack_spectrum(state).tolist()))
+            digits = 400 if kind == "scaled" else 50
+            exact = reference_values(state, digits)
+            for (x, y), ref in zip(
+                ((value, nfg.correlation._measure(array)), (bound, nfg_upper_bound(array))), exact
+            ):
+                worst = max(worst, abs(x - ref) / ref)
+                array_worst = max(array_worst, abs(y - ref) / ref)
+            product = np.array(state.cm)
+            product[: 2 * n_a, 2 * n_a :] = product[2 * n_a :, : 2 * n_a] = 0.0
+            product = GaussianState(product, n_a, n_b)
+            assert (nfg_numeric(product).value, nfg_upper_bound(product)) == (0.0, 0.0)
+        assert worst <= 2.0 * array_worst
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3)])
     def test_one_side_empty_matches_the_array_reference(self, rng, n_a, n_b):
@@ -562,52 +626,66 @@ class TestNumeric:
         assert not nfg_numeric(generic).lower_bound_only
 
     @pytest.mark.parametrize(
-        "n_a, n_b, correlated, expected",
+        "n_a, n_b, correlated, expected, sides",
         [
-            (2, 1, True, ["cholesky", "solve", "cholesky", "solve", "svd"]),
-            (2, 2, True, ["cholesky", "solve", "cholesky", "solve", "svd"]),
-            (3, 1, True, ["cholesky", "eigvalsh", "solve", "cholesky", "solve", "svd"]),
-            (2, 1, False, []),
-            (1, 2, True, ["cholesky", "solve", "cholesky", "solve", "svd"]),
+            (2, 1, True, [], "A"),
+            (2, 2, True, ["solve", "cholesky", "solve", "svd"], "AB"),
+            (3, 1, True, ["cholesky", "eigvalsh", "solve", "cholesky", "solve", "svd"], "AB"),
+            (2, 1, False, [], ""),
+            (1, 2, True, [], "B"),
         ],
     )
-    def test_one_cholesky_of_a_per_request(self, rng, monkeypatch, n_a, n_b, correlated, expected):
+    def test_one_cholesky_of_a_per_request(
+        self, rng, monkeypatch, n_a, n_b, correlated, expected, sides
+    ):
         # nfg_numeric then nfg_upper_bound on a fresh state.  With n_a >= 2
         # the flag and the spectrum share the state's one factor of A: A is
         # factored, the flag decided (in closed form for two A modes, by an
         # eigensolve for three), C whitened, B factored and W decomposed,
-        # and the bound reads the kept spectrum.  A product state factors
-        # nothing, and a single A mode runs no flag at all.
+        # and the bound reads the kept spectrum.  A two-mode side is
+        # factored in Python floats (`_cholesky_4`), so (2+1) and (1+2) run
+        # no LAPACK call at all; a one-mode side takes the scalar 2 x 2
+        # factor, which is not counted here.  A product state factors
+        # nothing, and a single A mode runs no flag.
         if correlated:
             state = random_state(rng, n_a, n_b)
         else:
             state = GaussianState(la.block_diag(random_cm(rng, n_a), random_cm(rng, n_b)), n_a, n_b)
         calls = linalg_calls(monkeypatch)
-        factored, cholesky = [], np.linalg.cholesky
+        factored, cholesky, cholesky_4 = [], np.linalg.cholesky, nfg.states._cholesky_4
 
         def spy(m):
-            factored.append(m.copy())
+            factored.append(m.tolist())
             return cholesky(m)
 
+        def spy_4(rows, p=0):
+            factored.append([row[p : p + 4] for row in rows[p : p + 4]])
+            return cholesky_4(rows, p)
+
         monkeypatch.setattr(np.linalg, "cholesky", spy)
+        monkeypatch.setattr(nfg.states, "_cholesky_4", spy_4)
         nfg_numeric(state)
         nfg_upper_bound(state)
         assert calls == expected
         ka = 2 * n_a
-        a, b = state.cm[:ka, :ka].tolist(), state.cm[ka:, ka:].tolist()
-        assert [f.tolist() for f in factored] == ([a, b] if correlated else [])
+        blocks = {"A": state.cm[:ka, :ka].tolist(), "B": state.cm[ka:, ka:].tolist()}
+        assert factored == [blocks[side] for side in sides]
 
-    @pytest.mark.parametrize("n_a, flag_calls", [(2, []), (3, ["eigvalsh"])])
-    def test_bound_alone_then_the_flag(self, rng, monkeypatch, n_a, flag_calls):
+    @pytest.mark.parametrize(
+        "n_a, bound_calls, flag_calls",
+        [(2, [], []), (3, ["cholesky", "solve", "cholesky", "solve", "svd"], ["eigvalsh"])],
+    )
+    def test_bound_alone_then_the_flag(self, rng, monkeypatch, n_a, bound_calls, flag_calls):
         # The bound alone takes the spectrum's own factors; the state keeps
         # L_A, so a later nfg_numeric only reads it for the flag: in Python
-        # floats for two A modes, by one eigensolve for three.
+        # floats for two A modes, by one eigensolve for three.  At (2+1) the
+        # spectrum runs in Python floats too.
         state = random_state(rng, n_a, 1)
         calls = linalg_calls(monkeypatch)
         nfg_upper_bound(state)
-        assert calls == ["cholesky", "solve", "cholesky", "solve", "svd"]
+        assert calls == bound_calls
         nfg_numeric(state)
-        assert calls[5:] == flag_calls
+        assert calls[len(bound_calls) :] == flag_calls
 
     def test_mean_independence(self, rng):
         state = GaussianState(ssts(SstsParams(1.0, 0.9)).cm, 1, 1, rng.normal(size=4))
@@ -1134,8 +1212,9 @@ class TestPartitionProperties:
 
 
 class TestTwoModeClosedForm:
-    """The (1+1) spectrum in closed form against the generic SVD.  A vacuum
-    ancilla sends a (1+1) state down the generic path and, by ancilla
+    """The (1+1) spectrum in closed form against a wider partition's path.
+    A vacuum ancilla sends a (1+1) state to (2+1) or (1+2), whose spectrum
+    the float kernel of a one-mode side computes, and, by ancilla
     invariance (step 4 of the module notes), leaves mu as it is."""
 
     @staticmethod
@@ -1194,6 +1273,30 @@ class TestTwoModeClosedForm:
         assert closed == pytest.approx(generic, rel=2e-15, abs=0.0)
         assert closed[0] > 0.0 and state._correlation_spectrum[1] == pytest.approx(1.0 / 9.0)
 
+    @pytest.mark.parametrize("a, c", [(3.0, 1.0), (3.0, 1e-310), (3e4, 5e-324)])
+    @pytest.mark.parametrize("entry", [(i, j) for i in range(4) for j in (4, 5)])
+    @pytest.mark.parametrize("n_a, n_b", [(2, 1), (1, 2)])
+    def test_one_nonzero_cross_entry_at_a_one_mode_side(self, n_a, n_b, entry, a, c):
+        # a I with one cross entry c: mu = (c/a)^2 once, zeros elsewhere.
+        # The entry is mirrored to its (1+2) place, so half the cases leave
+        # the first column of W, or of W^T, zero: the QR takes the larger
+        # column first and divides by no zero norm.  A subnormal c whitens to
+        # a subnormal W, whose squares read 0, and the least subnormal
+        # against a = 3e4 to W = 0, which the QR returns as zeros.
+        if n_a == 1:
+            entry = (5 - entry[0], 5 - entry[1])
+        g = a * np.eye(6)
+        g[entry] = g[entry[::-1]] = c
+        state = GaussianState(g, n_a, n_b)
+        mu = state._correlation_spectrum
+        assert mu[:-1] == (0.0,) * (2 * n_b - 1) and not any(np.signbit(mu))
+        value, bound = nfg_numeric(state).value, nfg_upper_bound(state)
+        if c == 1.0:
+            assert mu[-1] == pytest.approx(1.0 / 9.0, rel=2e-15, abs=0.0)
+            assert (value, bound) == pytest.approx((1.0 / 17.0, 1.0 / 9.0), rel=2e-15, abs=0.0)
+        else:
+            assert mu[-1] == value == bound == 0.0
+
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_correlated_singular_block_raises_the_factorization_error(self, side):
         with pytest.raises(ValueError) as generic:
@@ -1250,6 +1353,36 @@ class TestTwoModeClosedForm:
                     raised.append(False)
             assert raised[0] == raised[1], r
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_squeezed_two_mode_block_raises_where_lapack_cholesky_fails(self, side):
+        # The case above with the ancilla mixed into the squeezed mode by a
+        # 50:50 beam splitter: a two-mode block squeezed past double
+        # precision, factored by the 4-row Cholesky at (2+1) (side A) or
+        # (1+2) (side B).  It takes LAPACK's steps, so it fails exactly
+        # where np.linalg.cholesky fails on the stored block; the (1+1)
+        # closed form of the unmixed state parts from both at 71 of the 261
+        # squeezings, so it is not the reference here.
+        h = np.sqrt(0.5) * np.eye(2)
+        p = 0 if side == "A" else 2
+        split = np.eye(6)
+        split[p : p + 4, p : p + 4] = np.block([[h, h], [-h, h]])
+        outcomes = set()
+        for r in np.linspace(4.0, 17.0, 261):
+            g = split @ with_ancilla(squeezed_correlated(r, side), side, np.eye(2)).cm @ split.T
+            state = GaussianState(0.5 * (g + g.T), 1 + (side == "A"), 1 + (side == "B"))
+            try:
+                np.linalg.cholesky(state.cm[p : p + 4, p : p + 4])
+                factors = True
+            except np.linalg.LinAlgError:
+                factors = False
+            if factors:
+                assert 0.0 <= nfg_numeric(state).value <= nfg_upper_bound(state) < 1.0
+            else:
+                with pytest.raises(ValueError, match="singular at double precision"):
+                    nfg_numeric(state)
+            outcomes.add(factors)
+        assert outcomes == {True, False}
+
     @pytest.mark.parametrize("n_bar", [1e8, 1e10, 1e13])
     def test_tmsv_past_double_precision_reads_the_clamp(self, n_bar):
         state = tmsv(np.arcsinh(np.sqrt(n_bar)))
@@ -1281,4 +1414,4 @@ class TestTwoModeClosedForm:
         assert calls == []
         assert isinstance(mu, tuple) and mu[0] <= mu[1] <= 1.0
         multimode._correlation_spectrum
-        assert calls == ["cholesky", "solve", "cholesky", "solve", "svd"]
+        assert calls == []  # (2+1): the float kernel of a one-mode side
