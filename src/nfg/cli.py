@@ -270,21 +270,23 @@ _FIGURE_GRIDS = {
 def _sweep(args) -> int:
     """Evaluate the closed forms on a grid and emit CSV (stdout or --out file).
 
-    ``--figure`` picks a paper grid; otherwise the six grid options give one,
-    and a grid `SweepGrid` rejects is a parse failure.  Every number is a
+    ``--figure`` picks a paper grid, and a grid option given with it is a
+    parse failure; otherwise the grid options given replace figure 1's, and
+    a grid `SweepGrid` rejects is a parse failure.  Every number is a
     ``%.17g`` format (the same digits as ``_g``).  Each n_bar and each mu of
     the grid is formatted once; a row is its "n_bar,mu," prefix, built
     lazily from those, and one format of its five values.  The text is
     written at once; an invalid grid raises before any file is opened.
     """
+    given = {k: v for k, v in vars(args).items() if k in SweepGrid.__dataclass_fields__}
     if args.figure is not None:
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise ParseError(f"{flags} cannot be given with --figure")
         grid = _FIGURE_GRIDS[args.figure]
     else:
         try:
-            grid = SweepGrid(
-                args.n_bar_min, args.n_bar_max, args.n_bar_steps,
-                args.mu_min, args.mu_max, args.mu_steps,
-            )
+            grid = SweepGrid(**{**vars(_FIGURE_GRIDS["1"]), **given})
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
     n_axis, mu_axis, values = sweep(grid)
@@ -312,7 +314,7 @@ def _oracle_check(args) -> int:
     ``--families`` is a comma-separated subset of the oracle's cases; an
     unknown name is a parse failure.
     """
-    families = args.families.split(",") if args.families else None
+    families = None if args.families is None else args.families.split(",")
     for name in families or []:
         if name not in _CASES:
             raise ParseError(f"unknown family {name!r}")
@@ -372,12 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="closed-form measures over an (n_bar, mu) grid as CSV")
     p.set_defaults(run=_sweep)
     p.add_argument("--figure", choices=["1", "2", "3", "4"])
-    p.add_argument("--n-bar-min", type=float, default=0.0)
-    p.add_argument("--n-bar-max", type=float, default=50.0)
-    p.add_argument("--n-bar-steps", type=int, default=51)
-    p.add_argument("--mu-min", type=float, default=0.0)
-    p.add_argument("--mu-max", type=float, default=1.0)
-    p.add_argument("--mu-steps", type=int, default=51)
+    p.add_argument("--n-bar-min", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--n-bar-max", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--n-bar-steps", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--mu-min", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--mu-max", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--mu-steps", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", help="output CSV path (default stdout)")
 
     p = sub.add_parser("oracle-check", help="validate overlaps against the Fock oracle")

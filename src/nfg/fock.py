@@ -303,7 +303,7 @@ def oracle_rows(families: list[str] | None = None) -> list[OracleRow]:
     with the relative error and the worse of the two trace deficits.
     """
     rows = []
-    for family in families or list(_CASES):
+    for family in list(_CASES) if families is None else families:
         if family not in _CASES:
             raise ValueError(f"unknown family {family!r}")
         expand, build_state = _BUILDERS[family]

@@ -9,14 +9,13 @@ trace overlap has the closed form
 with delta = d1 - d2.  All determinants are evaluated in log space through a
 Cholesky factorization, so the routines stay finite well past the point where
 det would overflow, and purity (the self overlap) reuses the same code path
-bit for bit.  At every size the factorization is `nfg.states._ldl`, the
-scalar LDL^T that also decides the Simon verdict.  It factors the lower
-triangle of sym((V1 + V2)/2), built in Python floats from the rows each
-`GaussianState` keeps from its checks (`_mid_lower`), by the operations of
-`nfg.states._mid` in its order, and the last step is libm's ``exp``
-(`math.exp`).  So the module imports no NumPy and no overlap runs NumPy
-arithmetic: the bits depend only on IEEE double arithmetic and the C
-library, not on the CPU NumPy dispatches by.
+bit for bit.  The factorization is the Simon verdict's at the same size.  Up
+to 4 rows `nfg.states._ldl_4` factors the lower triangle of sym((V1 + V2)/2),
+built in Python floats from the rows each `GaussianState` keeps from its
+checks (`_mid_lower`) by `nfg.states._mid`'s operations, and the last step
+is libm's ``exp``.  So no such overlap runs NumPy arithmetic: the bits depend
+only on IEEE double arithmetic and the C library.  Beyond 4 rows
+`nfg.states._cholesky_factor` (LAPACK) factors the array midpoint.
 """
 
 from __future__ import annotations
@@ -24,7 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .states import GaussianState, _ldl, _singular
+import numpy as np
+
+from .states import GaussianState, _cholesky_factor, _ldl_4, _mid, _singular
 
 __all__ = ["OverlapResult", "c_squared", "fidelity_f", "overlap", "purity"]
 
@@ -52,23 +53,18 @@ def _clamp(value: float) -> float:
     return min(max(0.0, value), _ONE_BELOW_1)  # max(0.0, -0.0) is +0.0
 
 
-def _mid_lower_rows(v1: list[list[float]], v2: list[list[float]]) -> list[list[float]]:
-    """`_mid_lower` by a loop over the rows, for any size; `_mid_lower_4`
-    writes out its operations for 4 rows."""
-    lower = []
-    for i, (r1, r2) in enumerate(zip(v1, v2)):
-        row = []
-        for j in range(i):
-            row.append(0.5 * (0.5 * r1[j] + 0.5 * r2[j]) + 0.5 * (0.5 * v1[j][i] + 0.5 * v2[j][i]))
-        m = 0.5 * r1[i] + 0.5 * r2[i]
-        row.append(0.5 * m + 0.5 * m)
-        lower.append(row)
-    return lower
-
-
-def _mid_lower_4(v1: list[list[float]], v2: list[list[float]]) -> tuple[tuple[float, ...], ...]:
-    """`_mid_lower_rows` written out for 4 rows: the same operations in the
-    same order, so the same bits."""
+def _mid_lower(v1: list[list[float]], v2: list[list[float]]) -> tuple[tuple[float, ...], ...]:
+    """The lower triangle of the symmetric part of m = (V1 + V2)/2, for
+    covariance matrices of 2 or 4 rows given as nested lists: entry (i, j),
+    j <= i, of `nfg.states._mid`(m, m^T) with m = `_mid`(V1, V2), by the
+    same operations in the same order, so with the same bits.  `_ldl_4`
+    reads only this triangle."""
+    if len(v1) == 2:
+        (a00, a01), (a10, a11) = v1
+        (b00, b01), (b10, b11) = v2
+        m00, m11 = 0.5 * a00 + 0.5 * b00, 0.5 * a11 + 0.5 * b11
+        m10 = 0.5 * (0.5 * a10 + 0.5 * b10) + 0.5 * (0.5 * a01 + 0.5 * b01)
+        return (0.5 * m00 + 0.5 * m00,), (m10, 0.5 * m11 + 0.5 * m11)
     (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = v1
     (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = v2
     m00, m11 = 0.5 * a00 + 0.5 * b00, 0.5 * a11 + 0.5 * b11
@@ -90,28 +86,29 @@ def _mid_lower_4(v1: list[list[float]], v2: list[list[float]]) -> tuple[tuple[fl
     )
 
 
-def _mid_lower(v1: list[list[float]], v2: list[list[float]]):
-    """The lower triangle of the symmetric part of m = (V1 + V2)/2, for
-    covariance matrices given as nested lists, row by row: entry (i, j),
-    j <= i, of `nfg.states._mid`(m, m^T) with m = `_mid`(V1, V2), by the
-    same operations in the same order, so with the same bits.  `_ldl`
-    reads only this triangle."""
-    if len(v1) == 4:
-        return _mid_lower_4(v1, v2)
-    return _mid_lower_rows(v1, v2)
-
-
 def _log_overlap(rho: GaussianState, sigma: GaussianState) -> float:
-    """log tr(rho sigma) from the two states' rows and mean entries.
-
-    It factors the symmetric part of mid = (V1 + V2)/2 (`_mid_lower`) by
-    `_ldl` in float arithmetic: log det is the sum of the log pivots, and
-    delta^T mid^{-1} delta the sum of z_i^2 / d_i with L z = delta by
-    forward substitution; one mean, as in a self overlap, gives delta = 0.
-    A pivot that is not > 0, a matrix singular at double precision, raises
-    `_singular`'s `ValueError`.
-    """
-    factor = _ldl(_mid_lower(rho._rows, sigma._rows), 0.0)
+    """log tr(rho sigma): -1/2 log det mid less 1/2 delta^T mid^{-1} delta,
+    from a Cholesky factor of mid = sym((V1 + V2)/2); one mean, as in a self
+    overlap, gives delta = 0.  Up to 4 rows `_ldl_4` factors `_mid_lower` in
+    floats, and L z = delta is forward substitution on the mean entries;
+    beyond, `_cholesky_factor` and one solve.  A factorization that fails, a
+    matrix singular at double precision, raises `_singular`'s `ValueError`."""
+    if len(rho._rows) > 4:
+        m = _mid(rho.cm, sigma.cm)
+        chol = _cholesky_factor(_mid(m, m.T), 0.0)
+        if chol is None:
+            raise _singular()
+        log = 0.0
+        for l_ii in chol.diagonal().tolist():  # libm's log, as below
+            log -= math.log(l_ii)
+        if rho.mean is sigma.mean:
+            return log
+        delta = rho.mean - sigma.mean
+        if delta.any():
+            z = np.linalg.solve(chol, delta)
+            log -= 0.5 * float(z @ z)
+        return log
+    factor = _ldl_4(_mid_lower(rho._rows, sigma._rows), 0.0)
     if factor is None:
         raise _singular()
     lower, pivots = factor

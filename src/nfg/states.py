@@ -15,42 +15,40 @@ Conventions used throughout the package:
   their defining identity must hold up to `_allowance` of their scale;
 * both positive-semidefiniteness conditions, Simon's for a state and the
   channel's, are decided at every size by one rule: whether the matrix
-  plus its allowance times I has a Cholesky factor.  The scalar
-  factorization `_ldl` decides it for every channel and for the Simon
-  verdict up to 4 x 4; beyond, where it is faster, LAPACK's does
-  (`np.linalg.cholesky`), and no eigensolve runs to accept anything.  A
-  one-mode unitary is checked as |det S - 1|.  The same `_ldl` gives every
-  overlap of `nfg.overlap` its determinant and mean term, at any size;
+  plus its allowance times I has a Cholesky factor; no eigensolve runs to
+  accept anything, and a one-mode unitary is checked as |det S - 1|.  Every
+  overlap of `nfg.overlap` takes its determinant and mean term from such a
+  factor.  Up to 4 rows the scalar LDL^T `_ldl_4` factors, beyond LAPACK's
+  (`_cholesky_factor`, the package's only `np.linalg.cholesky` call);
 * the correlation spectrum runs in Python floats wherever one side has a
   single mode and the other at most two: (1+1) in closed form, and (2+1)
   and (1+2) by one kernel (`_one_mode_side_spectrum`) on the written-out
   4-row Cholesky factor `_cholesky_4`, which is also L_A for two A modes;
 * the scalar kernels are written out, with no loop, for the only sizes a
   (1+1)-mode request meets: `_ldl_4`, which returns after row 1 for 2
-  rows, and the Simon verdicts `_verdict_2` and `_verdict_4`, which read g
-  entry by entry and build only the lower triangle of the equilibrated
-  matrix.  Each runs the operations of the row loops (`_ldl_rows` factors
-  beyond 4 rows) in the same order, so verdicts, pivots and overlaps have
-  the loops' bits.  A one-sided map of a 2-row side, at any partition, is
-  written out too (`_map_rows`): (K X) K^T and the cross block in Python
-  floats, association and order as NumPy's, but rounded without FMA, so a
-  (1+1) request maps with no NumPy arithmetic and no BLAS product; larger
-  sides keep `_act_on_side`;
+  rows, the overlap midpoint `nfg.overlap._mid_lower`, and the Simon
+  verdicts `_verdict_2` and `_verdict_4`, which read g entry by entry and
+  build only the lower triangle of the equilibrated matrix.  Each runs the
+  operations of a row loop (the tests keep it as the reference) in its
+  order, with its bits.  A one-sided map of a 2-row side, at any
+  partition, is written out too (`_map_rows`): (K X) K^T and the cross
+  block in Python floats, association and order as NumPy's, but rounded
+  without FMA, so a (1+1) request maps with no NumPy arithmetic and no
+  BLAS product; larger sides keep `_act_on_side`;
 * a constructor copies caller input once and rejects complex input
   (`_owned`); arrays built here are frozen in place, never copied again.
   A `GaussianState` keeps the rows and the mean entries it listed for its
   checks, and the scalar kernels read them, not ``cm`` and ``mean``: the
   correlation spectrum's C = 0 test, at every partition, and its float
-  paths at (1+1), (2+1) and (1+2), `standard_form`, every overlap of
-  `nfg.overlap`, which builds the lower triangle of sym((V1 + V2)/2) from
-  two states' rows and takes the mean difference from their entries, and
-  the 2-row map.  A `GaussianUnitary` keeps the rows of S and the entries
-  of m, and a `GaussianChannel` the rows of K and M and the entries of
-  d_bar, for that map, and the post-channel closed form reads the
-  channel's.  A map's output passes the constructor's check step,
-  `GaussianState._admit`, with the rows and mean entries it was built
-  from, so they are not listed again.  No code writes to any of these
-  lists.
+  paths at (1+1), (2+1) and (1+2), `standard_form`, every overlap of up
+  to 4 rows, which builds the lower triangle of sym((V1 + V2)/2) from two
+  states' rows and takes the mean difference from their entries, and the
+  2-row map.  A `GaussianUnitary` keeps the rows of S and the entries of
+  m, and a `GaussianChannel` the rows of K and M and the entries of d_bar,
+  for that map, and the post-channel closed form reads the channel's.  A
+  map's output passes the constructor's check step, `GaussianState._admit`,
+  with the rows and mean entries it was built from, so they are not listed
+  again.  No code writes to any of these lists.
 """
 
 from __future__ import annotations
@@ -192,14 +190,30 @@ def _mid(x, y):
     return 0.5 * x + 0.5 * y
 
 
-def _cholesky(m: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor of a covariance block, read from its lower
-    triangle; a block that does not factor raises `_singular`'s `ValueError`.
-    """
+def _cholesky_factor(m: np.ndarray, shift: float) -> np.ndarray | None:
+    """LAPACK's lower factor of m + shift I from the lower triangle of ``m``
+    (not written to), or None where it fails or, as OpenBLAS may instead of
+    failing on a NaN or inf, ends in a NaN pivot.  Beyond 4 rows the Simon
+    verdict, the channel check and every overlap factor here: the 6 x 6 and
+    8 x 8 verdicts took 20.0 and 22.8 us, against 24.1 and 38.1 by a row loop
+    and 28.1 and 30.8 by an eigensolve (2-vCPU Intel Xeon)."""
+    if shift:
+        m = m.copy()
+        m.reshape(-1)[:: len(m) + 1] += shift
     try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise _singular() from exc
+        factor = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    return factor if factor[-1, -1].real > 0.0 else None
+
+
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a covariance block, from its lower
+    triangle; one that does not factor raises `_singular`'s `ValueError`."""
+    factor = _cholesky_factor(m, 0.0)
+    if factor is None:
+        raise _singular()
+    return factor
 
 
 def _singular() -> ValueError:
@@ -439,32 +453,12 @@ def _allowance(scale: float) -> float:
     return max(DEFAULT_TOL, _ROUNDING * scale)
 
 
-def _ldl_rows(h, shift: float) -> tuple[list[list], list[float]] | None:
-    """`_ldl` by a loop over the rows, for any size; `_ldl_4` writes out its
-    operations for 2 and 4 rows."""
-    conj_lower, pivots = [], []
-    for i, row in enumerate(h):
-        u_row, c_row = [], []  # u_ij = l_ij d_j, and conj(l_ij)
-        pivot = row[i].real + shift
-        for j, (c_j, d_j) in enumerate(zip(conj_lower, pivots)):
-            u = row[j]
-            for u_k, c_jk in zip(u_row, c_j):
-                u -= u_k * c_jk
-            c = (u / d_j).conjugate()
-            pivot -= (u * c).real
-            u_row.append(u)
-            c_row.append(c)
-        if not pivot > 0.0:
-            return None
-        conj_lower.append(c_row)
-        pivots.append(pivot)
-    return conj_lower, pivots
-
-
 def _ldl_4(h, shift: float) -> tuple[list[list], list[float]] | None:
-    """`_ldl_rows` written out for 2 or 4 rows, returning after row 1 when
-    ``h`` has 2: the same operations in the same order, so the same bits.
-    u_ij = l_ij d_j and c_ij = conj(l_ij)."""
+    """LDL^H of h + shift I, for a Hermitian ``h`` of 2 or 4 rows as nested
+    lists, from its lower triangle, in Python scalars: ``(conj_lower,
+    pivots)``, conj(L) left of its unit diagonal and D, or None at the first
+    pivot not > 0.  Backward stable, so it parts from lambda_min(h) > -shift
+    only within a few eps max|h|.  u_ij = l_ij d_j and c_ij = conj(l_ij)."""
     r0, r1 = h[0], h[1]
     p0 = r0[0].real + shift
     if not p0 > 0.0:
@@ -494,24 +488,6 @@ def _ldl_4(h, shift: float) -> tuple[list[list], list[float]] | None:
     if not p3 > 0.0:
         return None
     return [[], [c10], [c20, c21], [c30, c31, c32]], [p0, p1, p2, p3]
-
-
-def _ldl(h, shift: float) -> tuple[list[list], list[float]] | None:
-    """The LDL^H factorization of h + shift I, for a Hermitian ``h`` given
-    as nested lists, of which only the lower triangle is read:
-    ``(conj_lower, pivots)``, the rows of conj(L) left of L's unit diagonal
-    and the diagonal of D, or None at the first pivot that is not > 0 (a NaN
-    included), in Python scalar arithmetic, complex or float as ``h`` is:
-    `_ldl_4` up to 4 rows and beyond it the row loop `_ldl_rows`, with the
-    same bits.  In exact arithmetic a factor exists iff lambda_min(h) >
-    -shift; the factorization is backward stable, so in floating point the
-    two part only within a small multiple of eps max|h| of the threshold.  The Simon
-    verdict up to 4 x 4, the channel check and every overlap of
-    `nfg.overlap` factor here.
-    """
-    if len(h) <= 4:  # h has an even, positive number of rows
-        return _ldl_4(h, shift)
-    return _ldl_rows(h, shift)
 
 
 @dataclass(frozen=True)
@@ -594,10 +570,10 @@ def _verdict(g: np.ndarray, rows: list[list[float]]) -> tuple[bool, bool]:
     """The `validate_cm` verdict ``(symmetric, physical)`` of a square, even,
     finite ``g`` and its ``rows``: Simon's criterion on the equilibrated
     matrix at `DEFAULT_TOL`, by one rule at every size, whether that matrix
-    plus `DEFAULT_TOL` I has a Cholesky factor.  Up to 4 x 4 `_ldl` factors
-    the rows (`_verdict_2`, `_verdict_4`); beyond, the matrix is built in
-    NumPy and `np.linalg.cholesky` factors it, reading its lower triangle as
-    `_ldl` does.  `_report` adds the report-only eigensolves.
+    plus `DEFAULT_TOL` I has a Cholesky factor.  Up to 4 x 4 `_ldl_4`
+    factors the rows (`_verdict_2`, `_verdict_4`); beyond, the matrix is
+    built in NumPy and `_cholesky_factor` factors it, reading its lower
+    triangle as `_ldl_4` does.  `_report` adds the report-only eigensolves.
     """
     n = len(rows)
     if n == 4:
@@ -611,17 +587,7 @@ def _verdict(g: np.ndarray, rows: list[list[float]]) -> tuple[bool, bool]:
     root = 1.0 / np.sqrt(diag)
     with np.errstate(over="ignore", invalid="ignore"):  # only an unphysical g overflows
         simon = (gs + _i_delta(n // 2)) * (root[:, None] * root)
-    simon.reshape(-1)[:: n + 1] += DEFAULT_TOL
-    # LAPACK's factor, not `_ldl_rows` nor `eigvalsh`: on a 2-vCPU Intel Xeon
-    # host the whole verdict took 20.0 us at 6 x 6 and 22.8 at 8 x 8, against
-    # 24.1 and 38.1 by the row loop and 28.1 and 30.8 by the eigensolve.
-    try:
-        factor = np.linalg.cholesky(simon)
-    except np.linalg.LinAlgError:
-        return symmetric, False
-    # OpenBLAS factors a NaN or inf entry into NaN pivots instead of failing,
-    # and a NaN pivot carries through to the last row
-    return symmetric, bool(factor[-1, -1].real > 0.0)
+    return symmetric, _cholesky_factor(simon, DEFAULT_TOL) is not None
 
 
 def validate_cm(gamma) -> ValidationReport:
@@ -636,7 +602,7 @@ def validate_cm(gamma) -> ValidationReport:
     a = b = c = -d, nu_min = 0, is that close for a >~ 3e4.)  At every size
     the test is whether the matrix plus DEFAULT_TOL I has a Cholesky factor,
     which parts from the eigenvalue test only within a few ulps of the
-    threshold: up to 4 x 4 by the scalar factorization (`_ldl`), beyond by
+    threshold: up to 4 x 4 by the scalar factorization (`_ldl_4`), beyond by
     LAPACK's, which is faster there.  A matrix whose equilibration
     overflows, which only an unphysical Gamma's can, reads not physical,
     with no warning.  Symplectic eigenvalues
@@ -996,9 +962,10 @@ class GaussianChannel:
     eigenvalue below minus the `_allowance` of max(max|K|^2, max|M|), the
     rule `is_symplectic` applies to a unitary, so the noiseless channels of
     squeezers up to r ~ 16 pass as their unitaries do.  Whether the matrix
-    plus that allowance times I has a Cholesky factor (`_ldl`) decides, at
-    every size; a rejection names the smallest eigenvalue.  max|K| may be at
-    most 1e150, so that neither K Delta K^T nor max|K|^2 overflows.  K and M
+    plus that allowance times I has a Cholesky factor decides, by the Simon
+    verdict's engine at each size; a rejection names the smallest
+    eigenvalue.  max|K| may be at most 1e150, so that neither
+    K Delta K^T nor max|K|^2 overflows.  K and M
     are copied once, as a state's arrays are, and every test reads their
     rows; ``m_noise`` keeps M's symmetric part, in that copy unless the
     symmetric part differs from M in some bit.  The channel keeps, privately,
@@ -1031,8 +998,10 @@ class GaussianChannel:
             h = [[m00, complex(m01, loss)], [complex(m10, -loss), m11]]
         else:
             delta = symplectic_form(len(k_rows) // 2)
-            h = (m + 1j * (delta - k @ delta @ k.T)).tolist()
-        if _ldl(h, allowance) is None:
+            h = m + 1j * (delta - k @ delta @ k.T)
+            h = h.tolist() if len(h) == 4 else h
+        factor = _ldl_4(h, allowance) if len(h) <= 4 else _cholesky_factor(h, allowance)
+        if factor is None:
             least = float(np.linalg.eigvalsh(h)[0])
             raise ValueError(
                 f"invalid channel: M + i(Delta - K Delta K^T) has eigenvalue {least:.6g} < 0"
@@ -1172,10 +1141,9 @@ def williamson(gamma) -> WilliamsonDecomposition:
     g = _as_square_even(gamma, "covariance matrix")[0]
     g = _mid(g, g.T)
     n = g.shape[0] // 2
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance matrix must be positive definite") from exc
+    chol = _cholesky_factor(g, 0.0)
+    if chol is None:
+        raise ValueError("covariance matrix must be positive definite")
     evals, v = np.linalg.eigh(_symplectic_hermitian(chol))
     nus, v = evals[n:][::-1], v[:, n:][:, ::-1]
     cols = np.empty((2 * n, 2 * n))

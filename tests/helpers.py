@@ -27,8 +27,6 @@ from nfg.states import (
     _cholesky,
     _even_power,
     _frozen,
-    _ldl,
-    _ldl_rows,
     _mid,
     _symmetric_part,
     _symmetric_rows,
@@ -249,9 +247,9 @@ def rotation(theta: float) -> np.ndarray:
 
 def chol_logdet(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor L of the symmetric part of ``m`` and its
-    log-determinant, 2 sum log diag(L), by NumPy's Cholesky: the path
-    `nfg.overlap` took above 4 x 4 before it ran `_ldl` at every size.  A
-    matrix singular at double precision raises `_singular`'s `ValueError`."""
+    log-determinant, 2 sum log diag(L), by NumPy's Cholesky, as `nfg.overlap`
+    factors beyond 4 rows.  A matrix singular at double precision raises
+    `_singular`'s `ValueError`."""
     chol = _cholesky(_mid(m, m.T))
     return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
@@ -290,12 +288,37 @@ def reference_log_overlap(rho: GaussianState, sigma: GaussianState) -> float:
     return log
 
 
+def _ldl_rows(h, shift: float) -> tuple[list[list], list[float]] | None:
+    """`nfg.states._ldl_4` by a loop over the rows, for any size: the
+    reference its written-out operations must match bit for bit, and the
+    factorization the library ran beyond 4 rows before LAPACK's did there.
+    u_ij = l_ij d_j and c_ij = conj(l_ij)."""
+    conj_lower, pivots = [], []
+    for i, row in enumerate(h):
+        u_row, c_row = [], []
+        pivot = row[i].real + shift
+        for j, (c_j, d_j) in enumerate(zip(conj_lower, pivots)):
+            u = row[j]
+            for u_k, c_jk in zip(u_row, c_j):
+                u -= u_k * c_jk
+            c = (u / d_j).conjugate()
+            pivot -= (u * c).real
+            u_row.append(u)
+            c_row.append(c)
+        if not pivot > 0.0:
+            return None
+        conj_lower.append(c_row)
+        pivots.append(pivot)
+    return conj_lower, pivots
+
+
 def array_mid_factor(v1: np.ndarray, v2: np.ndarray) -> tuple[list[list], list[float]] | None:
-    """The factor the overlap took before it read the states' rows: `_ldl`
-    of the array midpoint sym((V1 + V2)/2), from two `_mid` calls on the
-    covariance matrices.  The rows-based overlap must give its bits."""
+    """The factor the overlap took before it read the states' rows: the
+    row loop `_ldl_rows` of the array midpoint sym((V1 + V2)/2), from two
+    `_mid` calls on the covariance matrices.  The rows-based overlap of up
+    to 4 rows must give its bits."""
     m = _mid(v1, v2)
-    return _ldl(_mid(m, m.T).tolist(), 0.0)
+    return _ldl_rows(_mid(m, m.T).tolist(), 0.0)
 
 
 def array_log_overlap(rho: GaussianState, sigma: GaussianState) -> float:

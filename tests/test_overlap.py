@@ -15,7 +15,7 @@ from nfg import (
 )
 
 from nfg.overlap import _log_overlap, _mid_lower
-from nfg.states import _ldl
+from nfg.states import _ldl_4
 
 from helpers import (
     apply_global,
@@ -193,8 +193,9 @@ LARGER_MODES = [(2, 1), (1, 2), (2, 2), (3, 1), (3, 2)]
 
 
 class TestScalarOverlap:
-    """Overlaps of every size run the scalar LDL^T of `nfg.states._ldl`;
-    NumPy's Cholesky (`helpers.reference_log_overlap`) is the reference."""
+    """Overlaps of up to 4 rows run the scalar LDL^T `nfg.states._ldl_4`,
+    and larger ones LAPACK's Cholesky; NumPy's Cholesky of the midpoint
+    (`helpers.reference_log_overlap`) is the reference."""
 
     def test_matches_numpy_cholesky_path(self, rng):
         worst = 0.0
@@ -229,16 +230,19 @@ class TestScalarOverlap:
         assert worst <= 1e-14
 
     @pytest.mark.parametrize("modes", [(2, 1), (2, 2), (3, 1)])
-    def test_larger_states_run_no_linalg_call(self, rng, monkeypatch, modes):
+    def test_larger_states_run_one_cholesky_per_overlap(self, rng, monkeypatch, modes):
         # The states are built first: their Simon verdict beyond 4 x 4 is
-        # an eigensolve, which is not the overlap's.
+        # a Cholesky factor too, which is not the overlap's.  Each overlap
+        # factors its midpoint once, and one with two means solves once.
         rho, sigma = random_state(rng, *modes), random_state(rng, *modes, displaced=True)
         calls = linalg_calls(monkeypatch)
         overlap(rho, sigma)
         purity(rho)
         fidelity_f(rho, sigma)
         c_squared(rho, sigma)
-        assert calls == []
+        cross, self_overlap = ["cholesky", "solve"], ["cholesky"]
+        fidelity = cross + 2 * self_overlap
+        assert calls == cross + self_overlap + fidelity + fidelity
 
     @pytest.mark.parametrize("exponent", range(6, 14))
     def test_tmsv_past_double_precision_only_raises_singular(self, exponent):
@@ -278,8 +282,8 @@ def _subnormal(rng, n: int) -> np.ndarray:
     return cm + tiny - np.diag(np.diag(tiny))
 
 
-#: 1-, 2-, 3- and 4-mode partitions.
-_BIT_MODES = [(1, 0), (1, 1), (2, 1), (2, 2)]
+#: 1- and 2-mode partitions: the overlaps that read the states' rows.
+_BIT_MODES = [(1, 0), (1, 1)]
 
 
 def _bit_pairs(rng, modes):
@@ -304,15 +308,17 @@ def _bit_pairs(rng, modes):
 
 
 class TestRowsMidpoint:
-    """Every overlap builds sym((V1 + V2)/2) from the states' rows
-    (`_mid_lower`); the array midpoint it replaced (`array_mid_factor`,
-    `array_log_overlap`) is the reference, bit for bit."""
+    """Every overlap of up to 4 rows builds sym((V1 + V2)/2) from the
+    states' rows (`_mid_lower`); the array midpoint it replaced
+    (`array_mid_factor`, `array_log_overlap`) is the reference, bit for
+    bit.  Larger overlaps factor the array midpoint by LAPACK, checked on
+    the same kinds of pairs against `reference_log_overlap`."""
 
     @pytest.mark.parametrize("modes", _BIT_MODES)
     def test_pivots_match_array_midpoint_bit_for_bit(self, rng, modes):
         for rho, sigma in _bit_pairs(rng, modes):
             for a, b in ((rho, sigma), (rho, rho), (sigma, rho)):
-                lower, pivots = _ldl(_mid_lower(a._rows, b._rows), 0.0)
+                lower, pivots = _ldl_4(_mid_lower(a._rows, b._rows), 0.0)
                 ref_lower, ref_pivots = array_mid_factor(a.cm, b.cm)
                 assert float_bits(pivots) == float_bits(ref_pivots)
                 assert float_bits(lower) == float_bits(ref_lower)
@@ -333,6 +339,17 @@ class TestRowsMidpoint:
             full = (0.5 * m + 0.5 * m.T).tolist()
             expected = [row[: i + 1] for i, row in enumerate(full)]
             assert float_bits(_mid_lower(rho._rows, sigma._rows)) == float_bits(expected)
+
+    @pytest.mark.parametrize("modes", [(2, 1), (2, 2)])
+    def test_larger_states_match_the_reference_on_every_kind(self, rng, modes):
+        worst = 0.0
+        for rho, sigma in _bit_pairs(rng, modes):
+            for a, b in ((rho, sigma), (rho, rho), (sigma, rho)):
+                expected = reference_log_overlap(a, b)
+                got = _log_overlap(a, b)
+                assert overlap(a, b).log_value.hex() == got.hex()
+                worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
+        assert worst <= 1e-14
 
     def test_kinds_are_what_they_claim(self, rng):
         pairs = _bit_pairs(rng, (1, 1))

@@ -35,6 +35,7 @@ from nfg import (
 )
 
 from helpers import (
+    _ldl_rows,
     apply_global,
     dilation_channel,
     exact_standard_form,
@@ -1046,7 +1047,7 @@ def _unit_lower(rng, n: int, complex_entries: bool) -> np.ndarray:
 
 
 def _ldl_draws(rng, n: int):
-    """(h, shift) for `_ldl` at n rows, h as nested lists: real and complex
+    """(h, shift) for `_ldl_4` at n rows, h as nested lists: real and complex
     positive-definite draws, the verdict's mix of float and complex entries,
     indefinite and near-singular draws, and exact L D L^H matrices whose
     pivot at each row is zero, negative or NaN."""
@@ -1096,27 +1097,27 @@ def _boundary_draws(rng, count: int):
 
 
 class TestWrittenOutKernels:
-    """The 2- and 4-row `_ldl` bodies and verdicts are the row loops written
-    out: the same operations in the same order, so the same bits."""
+    """The 2- and 4-row `_ldl_4` bodies and verdicts are the row loop
+    (`helpers._ldl_rows`) written out: the same operations in the same
+    order, so the same bits."""
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_ldl_matches_the_row_loop_bit_for_bit(self, rng, n):
         failed = set()
         for h, shift in _ldl_draws(rng, n):
-            expected = nfg.states._ldl_rows(h, shift)
+            expected = _ldl_rows(h, shift)
             # repr tells -0.0 from 0.0 and round-trips every float
             assert repr(nfg.states._ldl_4(h, shift)) == repr(expected)
-            assert repr(nfg.states._ldl(h, shift)) == repr(expected)
             if expected is None:  # the first leading block that does not factor
                 leading = ([row[:k] for row in h[:k]] for k in range(1, n + 1))
-                failed.add(next(len(b) for b in leading if nfg.states._ldl_rows(b, shift) is None))
+                failed.add(next(len(b) for b in leading if _ldl_rows(b, shift) is None))
         assert failed == set(range(1, n + 1))  # a failure at every row
 
     def test_ldl_reads_the_lower_triangle_only(self, rng):
         for n in (2, 4):
             for h, shift in itertools.islice(_ldl_draws(rng, n), 40):
                 lower = [row[: i + 1] for i, row in enumerate(h)]
-                assert repr(nfg.states._ldl(lower, shift)) == repr(nfg.states._ldl(h, shift))
+                assert repr(nfg.states._ldl_4(lower, shift)) == repr(nfg.states._ldl_4(h, shift))
 
     @pytest.fixture
     def factored(self, monkeypatch):
@@ -1174,10 +1175,11 @@ class TestWrittenOutKernels:
 
 
 class TestScalarVerdict:
-    """Up to 4 x 4 the Simon verdict, and at every size the channel check,
-    are a scalar Cholesky test.  It decides as the eigensolve it replaced
-    (kept in `helpers`) on every draw outside a rounding band around the
-    threshold, and `validate_cm` agrees with construction on every draw."""
+    """Up to 4 x 4 the Simon verdict and the channel check are a scalar
+    Cholesky test, and beyond it LAPACK's.  It decides as the eigensolve it
+    replaced (kept in `helpers`) on every draw outside a rounding band
+    around the threshold, and `validate_cm` agrees with construction on
+    every draw."""
 
     @staticmethod
     def agree(cms) -> np.ndarray:
@@ -1276,9 +1278,9 @@ class TestScalarVerdict:
         for ch in channels:  # one, two and three modes
             GaussianChannel(ch.k, ch.m_noise)
         GaussianUnitary(s_a)
-        assert calls == []
+        assert calls == ["cholesky"]  # the three-mode channel's, beyond 4 x 4
         GaussianState(multimode, 2, 1)
-        assert calls == ["cholesky"]
+        assert calls == ["cholesky"] * 2
 
     @pytest.mark.parametrize(
         "build, message",
@@ -1367,7 +1369,7 @@ def _overflowing_cm(dim: int, tiny: int, far: int) -> np.ndarray:
 
 class TestCholeskyVerdict:
     """Beyond 4 x 4 the Simon verdict asks whether the equilibrated matrix
-    plus `DEFAULT_TOL` I has a Cholesky factor from LAPACK, the rule `_ldl`
+    plus `DEFAULT_TOL` I has a Cholesky factor from LAPACK, the rule `_ldl_4`
     applies up to 4 x 4.  It decides as the eigensolve it replaced (kept in
     `helpers`) on every draw outside a rounding band around the threshold,
     factors that eigensolve's matrix bit for bit, and no path that accepts
@@ -1434,6 +1436,18 @@ class TestCholeskyVerdict:
         with pytest.raises(ValueError, match="not physical"):
             GaussianState(g, 2, 1)
 
+    def test_cholesky_factor_shifts_a_copy(self, rng):
+        # The channel check names the smallest eigenvalue of the matrix it
+        # factored, so the shift must not reach the caller's array.
+        m = random_cm(rng, 3)
+        before = m.copy()
+        factor = nfg.states._cholesky_factor(m, 0.5)
+        assert np.array_equal(m, before)
+        assert np.array_equal(factor, np.linalg.cholesky(m + 0.5 * np.eye(6)))
+        assert nfg.states._cholesky_factor(m, -2.0 * np.linalg.eigvalsh(m)[-1]) is None
+        with pytest.raises(ValueError, match="must be positive definite"):
+            williamson(m - 2.0 * np.linalg.eigvalsh(m)[-1] * np.eye(6))
+
     def test_a_failed_factor_reads_not_physical(self, rng, monkeypatch):
         g = random_cm(rng, 4)
 
@@ -1475,9 +1489,10 @@ class TestCholeskyVerdict:
             GaussianUnitary(u.s, u.m)
             GaussianChannel(ch.k, ch.m_noise, ch.d_bar)
         StandardFormParams(p.a, p.b, p.c, p.d)
-        # one factor per verdict beyond 4 x 4: the five states of three or
-        # more modes, and each of their two maps
-        assert calls == ["cholesky"] * 15
+        # one factor per test beyond 4 x 4: the verdicts of the five states
+        # of three or more modes and of each of their two maps, and the
+        # three-mode channel's check
+        assert calls == ["cholesky"] * 16
 
 
 #: (build, field, length): build(v) makes a valid instance with v as its
