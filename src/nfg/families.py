@@ -18,12 +18,14 @@ Every factor is positive and bounded away from cancellation on the whole
 parameter range, so the values degrade gracefully to the n_bar -> infinity
 limits (eps -> 0) instead of losing digits.
 
-Each closed form has one implementation, written with + - * / and sqrt only,
-so it runs element-wise on a float or on an array.  The point functions pass
-one (n_bar, mu) pair; ``sweep``, which ``nfg sweep`` runs, passes the whole
-grid as arrays and returns the axes and five flat value columns.  IEEE
-arithmetic rounds every element as it rounds the same scalar, so a grid
-value equals the point value bit for bit.
+Each closed form has one implementation, written with + - * / and sqrt only
+and clamped into [0, 1) as every measure of `nfg.correlation` is (the
+TMSV's values round to 1 from n_bar ~ 1e5 on), so it runs element-wise on
+a float or on an array.  The point functions pass one (n_bar, mu) pair;
+``sweep``, which ``nfg sweep`` runs, passes the whole grid as arrays and
+returns the axes and five flat value columns.  IEEE arithmetic rounds
+every element as it rounds the same scalar, so a grid value equals the
+point value bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .overlap import _ONE_BELOW_1
 from .states import GaussianState, _is_integer, _standard_rows
 
 __all__ = [
@@ -136,21 +139,26 @@ def _nfg_from_us(us, big_p):
     return us * (big_p + q) / (2.0 * q * q)
 
 
+def _below_one(value):
+    """A closed form's nonnegative value, float or array, clamped below 1."""
+    return np.minimum(value, _ONE_BELOW_1)
+
+
 def _nfg(n_bar, mu):
     _, _, us, big_p = _split(n_bar, mu)
-    return _nfg_from_us(us, big_p)
+    return _below_one(_nfg_from_us(us, big_p))
 
 
 def _dg(n_bar, mu):
     eps, u, us, big_p = _split(n_bar, mu)
     root_w = np.sqrt((4.0 - 3.0 * u) + 3.0 * u * eps)
-    return 6.0 * us * eps / (big_p * (2.0 + root_w) * (1.0 + root_w))
+    return _below_one(6.0 * us * eps / (big_p * (2.0 + root_w) * (1.0 + root_w)))
 
 
 def _q(n_bar, mu):
     u = mu * mu
     omu = (1.0 - mu) * (1.0 + mu)
-    return 2.0 * n_bar * u / ((1.0 + 2.0 * n_bar * omu) * (1.0 + 2.0 * n_bar))
+    return _below_one(2.0 * n_bar * u / ((1.0 + 2.0 * n_bar * omu) * (1.0 + 2.0 * n_bar)))
 
 
 def nfg_ssts(p: SstsParams) -> float:
@@ -158,9 +166,10 @@ def nfg_ssts(p: SstsParams) -> float:
 
     Algebraically 1 - (1-us)^2/(1-us/2)^2 with us as in the module notes;
     evaluated as us*(P+Q)/(2Q^2), which is exact at mu = 0 and keeps full
-    precision as n_bar -> infinity.
+    precision as n_bar -> infinity.  At mu = 1 it rounds to 1 from
+    n_bar ~ 1e5 on and reads 1 - 2^-53, as `nfg_two_mode` of the state does.
     """
-    return _nfg(p.n_bar, p.mu)
+    return float(_nfg(p.n_bar, p.mu))
 
 
 def dg_ssts(p: SstsParams) -> float:
@@ -170,17 +179,19 @@ def dg_ssts(p: SstsParams) -> float:
     with t = 1+2n; rearranged to the positive product in the module notes,
     whose factors never cancel (the raw difference loses all digits once the
     two terms agree to ~1e-16, which happens already at moderate n_bar).
+    Clamped below 1, which it reaches at mu = 1 from n_bar ~ 1e8 on.
     """
-    return _dg(p.n_bar, p.mu)
+    return float(_dg(p.n_bar, p.mu))
 
 
 def q_ssts(p: SstsParams) -> float:
     """Average-distance measure of the SSTS, closed form.
 
     Algebraically 1/(1 + 2 n_bar (1-mu^2)) - 1/(1 + 2 n_bar), evaluated over
-    the common denominator so nothing cancels.
+    the common denominator so nothing cancels.  Clamped below 1, which it
+    reaches at mu = 1 from n_bar ~ 1e16 on.
     """
-    return _q(p.n_bar, p.mu)
+    return float(_q(p.n_bar, p.mu))
 
 
 def nfg_ssts_limit(mu: float) -> float:

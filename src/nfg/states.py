@@ -23,7 +23,10 @@ Conventions used throughout the package:
 * the correlation spectrum runs in Python floats wherever one side has a
   single mode and the other at most two: (1+1) in closed form, and (2+1)
   and (1+2) by one kernel (`_one_mode_side_spectrum`) on the written-out
-  4-row Cholesky factor `_cholesky_4`, which is also L_A for two A modes;
+  4-row Cholesky factor `_cholesky_4`, which is also L_A for two A modes.
+  At (2+2) both blocks take that factor and W is formed in Python floats
+  by the same forward substitution (`_forward_4`), so its SVD is the one
+  LAPACK call; only a side of three or more modes solves by LAPACK;
 * the scalar kernels are written out, with no loop, for the only sizes a
   (1+1)-mode request meets: `_ldl_4`, which returns after row 1 for 2
   rows, the overlap midpoint `nfg.overlap._mid_lower`, and the Simon
@@ -340,6 +343,24 @@ def _two_mode_spectrum(g: list[list[float]]) -> tuple[float, float]:
     return _squared_singular_values(_whiten(g)[2])
 
 
+def _forward_4(l: list[list[float]], columns) -> list[tuple[float, float, float, float]]:
+    """L^{-1} X in Python floats, as the list of its columns, for the 4 x 4
+    lower factor ``l`` (`_cholesky_4`'s rows) and the columns of X, each 4
+    floats, by forward substitution: entry i of a column is its entry of X
+    less the dot product, taken left to right, with the entries above,
+    divided by l_ii.  The float spectra of a two-mode side whiten with it:
+    one call for the Y = L^{-1} X of `_one_mode_side_spectrum`, two for the
+    (2+2) W."""
+    (l00, _, _, _), (l10, l11, _, _), (l20, l21, l22, _), (l30, l31, l32, l33) = l
+    out = []
+    for x0, x1, x2, x3 in columns:
+        y0 = x0 / l00
+        y1 = (x1 - l10 * y0) / l11
+        y2 = (x2 - l20 * y0 - l21 * y1) / l22
+        out.append((y0, y1, y2, (x3 - l30 * y0 - l31 * y1 - l32 * y2) / l33))
+    return out
+
+
 def _one_mode_side_spectrum(
     l: list[list[float]], b: tuple[float, float, float], x: list[tuple[float, float]]
 ) -> tuple[float, float]:
@@ -350,25 +371,19 @@ def _one_mode_side_spectrum(
     ``l`` is the `_cholesky_4` factor of the two-mode side's block, ``b``
     the lower triangle (b00, b10, b11) of the one-mode side's block and
     ``x`` its 4 x 2 cross block, as the two-mode side's rows.  Two forward
-    substitutions give W = L^{-1} X L_b^{-T}; its singular values are those
-    of the 2x2 R of a QR of W, by modified Gram-Schmidt with the larger
-    column first, so a norm is divided by only when W is not 0 (a cross
-    block that whitens to 0 gives zeros).  R's squared singular values come
-    from `_squared_singular_values`, as W's do in `_two_mode_spectrum`.  No
-    Gram matrix W^T W is formed: its conditioning would be W's squared.
+    substitutions give W = L^{-1} X L_b^{-T}, the first by `_forward_4`;
+    its singular values are those of the 2x2 R of a QR of W, by modified
+    Gram-Schmidt with the larger column first, so a norm is divided by
+    only when W is not 0 (a cross block that whitens to 0 gives zeros).
+    R's squared singular values come from `_squared_singular_values`, as
+    W's do in `_two_mode_spectrum`.  No Gram matrix W^T W is formed: its
+    conditioning would be W's squared.
     For (2+1) modes X is C and W is the W of the module notes; for (1+2) X
     is C^T and W its transpose, with the same singular values.  A one-mode
     block that does not factor raises `_singular`'s `ValueError`.
     """
-    (l00, _, _, _), (l10, l11, _, _), (l20, l21, l22, _), (l30, l31, l32, l33) = l
     b0, b1, b2, _ = _cholesky_2x2(*b)
-    (x00, x01), (x10, x11), (x20, x21), (x30, x31) = x
-    # Y = L^{-1} X
-    y00, y01 = x00 / l00, x01 / l00
-    y10, y11 = (x10 - l10 * y00) / l11, (x11 - l10 * y01) / l11
-    y20, y21 = (x20 - l20 * y00 - l21 * y10) / l22, (x21 - l20 * y01 - l21 * y11) / l22
-    y30 = (x30 - l30 * y00 - l31 * y10 - l32 * y20) / l33
-    y31 = (x31 - l30 * y01 - l31 * y11 - l32 * y21) / l33
+    (y00, y10, y20, y30), (y01, y11, y21, y31) = _forward_4(l, zip(*x))  # Y = L^{-1} X
     # W = Y L_b^{-T}, as its columns u and v
     w00, w10, w20, w30 = y00 / b0, y10 / b0, y20 / b0, y30 / b0
     w01, w11 = (y01 - b1 * w00) / b2, (y11 - b1 * w10) / b2
@@ -705,9 +720,9 @@ class GaussianState:
     The state keeps, privately, the rows of ``cm`` as nested lists and the
     entries of ``mean`` as a list, listed once for those checks.  The scalar
     kernels read them instead of the arrays: the correlation spectrum's
-    C = 0 test and its float paths at (1+1), (2+1) and (1+2), L_A for two A
-    modes, `standard_form`, every overlap of `nfg.overlap` and the map of a
-    2-row side.  No code writes to them.
+    C = 0 test and its float paths at (1+1), (2+1), (1+2) and (2+2), L_A
+    for two A modes, `standard_form`, every overlap of `nfg.overlap` and
+    the map of a 2-row side.  No code writes to them.
 
     The correlation spectrum behind the measure and its bound (see
     `nfg.correlation`) is computed on first use and kept with the instance,
@@ -776,11 +791,14 @@ class GaussianState:
         modes in closed form (`_two_mode_spectrum`) and for (2+1) and (1+2)
         by one kernel (`_one_mode_side_spectrum`): on L_A (`_chol_a`) and C
         for (2+1), and for (1+2) on the swap, W^T, from the 4-row factor of
-        B and C^T.  Any other partition takes two triangular solves, on L_A
-        and LAPACK's L_B, and one SVD.  All zeros, nothing factorized, when
-        the rows hold C = 0, so a product state scores 0 even with a block
-        squeezed past double precision.  A correlated state whose A or B
-        block does not factor raises `_singular`'s `ValueError`.
+        B and C^T.  (2+2) forms W in Python floats too, by `_forward_4` on
+        L_A and the 4-row factor of B, and hands it to one SVD.  A side of
+        three or more modes takes LAPACK's L_B, two LU solves
+        (`np.linalg.solve`) on L_A and L_B, and the same SVD, clip and zero
+        padding.  All zeros, nothing factorized, when the rows hold C = 0,
+        so a product state scores 0 even with a block squeezed past double
+        precision.  A correlated state whose A or B block does not factor
+        raises `_singular`'s `ValueError`.
         """
         if self._uncorrelated:
             return (0.0,) * (2 * self.n_b)
@@ -794,22 +812,27 @@ class GaussianState:
             b = (rows[0][0], rows[1][0], rows[1][1])
             x = list(zip(rows[0][2:], rows[1][2:]))
             return (0.0, 0.0) + _one_mode_side_spectrum(_cholesky_4(rows, 2), b, x)
-        k, g = 2 * n_a, self.cm
-        y = np.linalg.solve(self._chol_a, g[:k, k:])  # L_A^{-1} C
-        w_t = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
-        sigma = np.linalg.svd(w_t, compute_uv=False)[::-1].tolist()  # W's, ascending
+        if n_a == n_b == 2:
+            y = _forward_4(self._chol_a, zip(*(row[4:] for row in rows[:4])))  # L_A^{-1} C
+            # the columns of W^T = L_B^{-1} Y^T, so W by rows
+            w = np.array(_forward_4(_cholesky_4(rows, 4), zip(*y)))
+        else:
+            k, g = 2 * n_a, self.cm
+            y = np.linalg.solve(self._chol_a, g[:k, k:])  # L_A^{-1} C
+            w = np.linalg.solve(_cholesky(g[k:, k:]), y.T)  # W^T = L_B^{-1} Y^T
+        sigma = np.linalg.svd(w, compute_uv=False)[::-1].tolist()  # W's, ascending
         return (0.0,) * (2 * self.n_b - len(sigma)) + tuple(min(s * s, 1.0) for s in sigma)
 
     @_cached_property
     def _chol_a(self) -> list[list[float]] | np.ndarray:
         """L_A, the lower Cholesky factor of the A block; a block that does
         not factor raises `_singular`'s `ValueError`.  For two A modes it is
-        `_cholesky_4`'s rows, in Python floats, which the (2+1) spectrum
-        whitens with, the (2+2) spectrum solves and `nfg_numeric`'s
-        degeneracy flag reads; for any other count LAPACK's read-only
-        factor, which the generic spectrum solves and, for three or more A
-        modes, the flag's eigensolve reads.  So A is factored once per
-        state, in one way, whichever runs first."""
+        `_cholesky_4`'s rows, in Python floats, which the (2+1) and (2+2)
+        spectra whiten with and `nfg_numeric`'s degeneracy flag reads; for
+        any other count LAPACK's read-only factor, which the generic
+        spectrum solves and, for three or more A modes, the flag's
+        eigensolve reads.  So A is factored once per state, in one way,
+        whichever runs first."""
         if self.n_a == 2:
             return _cholesky_4(self._rows)
         k = 2 * self.n_a

@@ -468,16 +468,18 @@ def reference_spectrum(state: GaussianState) -> np.ndarray:
 
 def lapack_spectrum(state: GaussianState) -> np.ndarray:
     """`svd_spectrum` of a correlated state with L_A by LAPACK too: the
-    NumPy path every partition but (1+1) took before (2+1) and (1+2) ran in
-    Python floats and two A modes factored A in floats."""
+    NumPy path every partition but (1+1) took before (2+1), (1+2) and (2+2)
+    formed W in Python floats and two A modes factored A in floats."""
     k = 2 * state.n_a
     return svd_spectrum(state, _cholesky(state.cm[:k, :k]))
 
 
 def svd_spectrum(state: GaussianState, chol_a) -> np.ndarray:
     """The generic correlation spectrum of a correlated state, read-only,
-    from the lower factor ``chol_a`` of A (rows or an array): two triangular
-    solves, with L_B by LAPACK, one SVD and zeros padded in front."""
+    from the lower factor ``chol_a`` of A (rows or an array): L_B by
+    LAPACK, two LU solves (`np.linalg.solve`, which pivots and ignores the
+    factors' zeros), one SVD and zeros padded in front.  The library takes
+    this path only for a side of three or more modes."""
     k = 2 * state.n_a
     g = state.cm
     y = np.linalg.solve(np.array(chol_a), g[:k, k:])  # L_A^{-1} C

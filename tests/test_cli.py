@@ -49,6 +49,8 @@ HUGE_GRID = ["--n-bar-max", "1e13", "--n-bar-steps", "57", "--mu-steps", "33"]
 
 #: Byte length and SHA-256 of `nfg sweep` CSVs, recorded with the earlier
 #: point-by-point implementation (one SstsParams and one f-string per value).
+#: The mu = 1 rows at n_bar >= 1e5 changed when the closed forms were clamped
+#: below 1: those values print 0.99999999999999989 where they printed 1.
 GOLDEN_SWEEPS = {
     "figure-1": (
         ["--figure", "1"],
@@ -56,7 +58,7 @@ GOLDEN_SWEEPS = {
     ),
     "figure-2": (
         ["--figure", "2"],
-        333440, "e2dbe83f203e49aad16831c7ffb9ec1336a051ff26132598e28214f98b8c12f7",
+        334103, "1b9ba50c29fd51d9035176d6b8b4e223239d558a798e59005e3ae629a942ca2f",
     ),
     "figure-3": (
         ["--figure", "3"],
@@ -64,7 +66,7 @@ GOLDEN_SWEEPS = {
     ),
     "figure-4": (
         ["--figure", "4"],
-        333440, "e2dbe83f203e49aad16831c7ffb9ec1336a051ff26132598e28214f98b8c12f7",
+        334103, "1b9ba50c29fd51d9035176d6b8b4e223239d558a798e59005e3ae629a942ca2f",
     ),
     "101x101-low": (
         ["--n-bar-max", "52.5", "--n-bar-steps", "101", "--mu-steps", "101"],
@@ -72,11 +74,11 @@ GOLDEN_SWEEPS = {
     ),
     "101x101-high": (
         ["--n-bar-min", "100000", "--n-bar-max", "100525", "--n-bar-steps", "101", "--mu-steps", "101"],
-        1341513, "6989413558fb7ea76643e42ede20916d0a68e73fc78ae41f40f1580fafb55f49",
+        1342892, "9f801a0084d0986e2e9a6955ce6631ab16c817c9cd2e72ea0fe2eddb1a863902",
     ),
     "n-bar-1e13": (
         HUGE_GRID,
-        235709, "1610de4518758d0f8c9afb34fb7ad35bfc8d1c322e0d745712298e9e1689aa3e",
+        237729, "85d492539c7eeff8ad7e26ed22fab02f73c74b94e6a0803fae2135936d830d3c",
     ),
 }  # fmt: skip
 

@@ -91,15 +91,20 @@ def exact_spectrum(state: GaussianState, digits: int = 50) -> list[float]:
 
 
 def split_spectrum_state(rng: np.random.Generator, n_a: int, n_b: int) -> GaussianState:
-    """A (2+1) or (1+2) state whose two nonzero mu differ by about 10 or
-    more orders: vacuum plus the classical noise t v v^T + s w w^T, with
-    t in [0.5, 5) and s in [1e-9, 1e-6), where the one-mode side's q enters
-    only v and its p only w, then a random symplectic on each side."""
-    n, one = n_a + n_b, 0 if n_a == 1 else 2 * n_a
-    t, s = rng.uniform(0.5, 5.0), 10.0 ** rng.uniform(-9.0, -6.0)
-    v, w = rng.normal(size=2 * n), rng.normal(size=2 * n)
-    v[one : one + 2], w[one : one + 2] = (1.0, 0.0), (0.0, 1.0)
-    g = np.eye(2 * n) + t * np.outer(v, v) + s * np.outer(w, w)
+    """A (2+1), (1+2) or (2+2) state whose nonzero mu split in two halves
+    about 10 or more orders apart: vacuum plus the classical noise
+    sum_j t_j v_j v_j^T, one term per quadrature of the smaller side (B at
+    (2+2)), which enters only its own term, half of the t_j in [0.5, 5) and
+    half in [1e-9, 1e-6), then a random symplectic on each side.  For a
+    one-mode side the terms are t v v^T + s w w^T, q entering v and p w."""
+    n, k = n_a + n_b, 2 * min(n_a, n_b)
+    one = 0 if n_a < n_b else 2 * n_a
+    t = np.concatenate([rng.uniform(0.5, 5.0, k // 2), 10.0 ** rng.uniform(-9.0, -6.0, k // 2)])
+    v = rng.normal(size=(k, 2 * n))
+    v[:, one : one + k] = np.eye(k)
+    g = np.eye(2 * n)
+    for t_j, v_j in zip(t, v):
+        g = g + t_j * np.outer(v_j, v_j)
     local = la.block_diag(random_symplectic(rng, n_a), random_symplectic(rng, n_b))
     g = local @ g @ local.T
     return GaussianState(0.5 * (g + g.T), n_a, n_b)
@@ -108,17 +113,16 @@ def split_spectrum_state(rng: np.random.Generator, n_a: int, n_b: int) -> Gaussi
 PARTITIONS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
 
 
-def one_mode_side_state(rng: np.random.Generator, n_a: int, n_b: int, kind: str) -> GaussianState:
-    """A random (n_a+n_b) state, three modes in all, of one ``kind``:
-    "random"; "weak", with C scaled by 1e-6; "near-pure", with symplectic
-    eigenvalues within 1e-6 of 1; "scaled", either times 1e150 or with
-    every mode squeezed by 10^(+-75) on its axes, so that its entries span
-    1e-150 to 1e150."""
-    k = 2 * n_a
+def float_path_state(rng: np.random.Generator, n_a: int, n_b: int, kind: str) -> GaussianState:
+    """A random (n_a+n_b) state of one ``kind``: "random"; "weak", with C
+    scaled by 1e-6; "near-pure", with symplectic eigenvalues within 1e-6
+    of 1; "scaled", either times 1e150 or with every mode squeezed by
+    10^(+-75) on its axes, so that its entries span 1e-150 to 1e150."""
+    k, n = 2 * n_a, n_a + n_b
     if kind == "near-pure":
-        nus = 1.0 + 10.0 ** rng.uniform(-12.0, -6.0, 3)
-        return GaussianState(random_cm(rng, 3, nus=nus), n_a, n_b)
-    g = random_cm(rng, 3)
+        nus = 1.0 + 10.0 ** rng.uniform(-12.0, -6.0, n)
+        return GaussianState(random_cm(rng, n, nus=nus), n_a, n_b)
+    g = random_cm(rng, n)
     if kind == "weak":
         g[:k, k:] *= 1e-6
         g[k:, :k] *= 1e-6
@@ -126,7 +130,7 @@ def one_mode_side_state(rng: np.random.Generator, n_a: int, n_b: int, kind: str)
         if rng.uniform() < 0.5:
             g *= 1e150
         else:
-            d = np.repeat(10.0 ** (75.0 * rng.choice([-1.0, 1.0], 3)), 2)
+            d = np.repeat(10.0 ** (75.0 * rng.choice([-1.0, 1.0], n)), 2)
             d[1::2] = 1.0 / d[1::2]
             g = d[:, None] * g * d
     return GaussianState(g, n_a, n_b)
@@ -462,7 +466,7 @@ class TestCorrelationSpectrum:
         # eigvalsh runs: validation beyond 4 x 4 takes a Cholesky factor,
         # and the flag of two A modes solves nothing.  A (1+1) state takes
         # the closed form and a (2+1) state the float kernel of a one-mode
-        # side: neither runs one.  A (2+2) state runs one.
+        # side: neither runs one.  A (2+2) state runs one, on W.
         pair, ch = random_state(rng), random_channel(rng)
         multimode, wide = random_state(rng, 2, 1), random_state(rng, 2, 2)
         svds, real_solves = [], []
@@ -493,7 +497,7 @@ class TestCorrelationSpectrum:
         assert svds == []
         nfg_upper_bound(wide)
         nfg_numeric(wide)
-        assert svds == [(4, 4)]  # W^T, once
+        assert svds == [(4, 4)]  # W, once
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1), (2, 0), (0, 2)])
     def test_bound_is_zero_with_one_side_empty(self, rng, n_a, n_b):
@@ -511,30 +515,32 @@ class TestCorrelationSpectrum:
         for _ in range(400):
             self.assert_reference_bits(GaussianState(stream_shaped_cm(rng, 13.0), 1, 1))
 
-    # (1+2) and (2+1) run in Python floats, with no SVD to match: their
-    # test is `test_float_spectrum_is_as_accurate_as_the_array_path`.
-    @pytest.mark.parametrize(
-        "n_b, n_a", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
-    )
+    # (1+2), (2+1) and (2+2) whiten C in Python floats, not by the array
+    # reference's solves: their test is
+    # `test_float_spectrum_is_as_accurate_as_the_array_path`.
+    @pytest.mark.parametrize("n_b, n_a", [(1, 1), (1, 3), (2, 3), (3, 1), (3, 2), (3, 3)])
     def test_random_states_match_the_array_reference(self, rng, n_a, n_b):
         for _ in range(10):
             self.assert_reference_bits(random_state(rng, n_a, n_b))
 
     @pytest.mark.parametrize("kind", ["random", "weak", "near-pure", "scaled"])
-    @pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 1), (2, 2)])
     def test_float_spectrum_is_as_accurate_as_the_array_path(self, rng, n_a, n_b, kind):
-        # (2+1) and (1+2) take the float kernel of a one-mode side.  Against
-        # high-precision determinants of the stored matrix (400 digits where
-        # it spans 1e+-150), its worst relative error on N and the bound is
-        # at most twice that of the array path it replaced (two LAPACK
-        # factors, two solves and an SVD, `lapack_spectrum`) on the same
-        # draws.  Over 600 draws per kind and partition the float path's
-        # worst was 7.6e-16 to 2.3e-15 and the array path's 7.8e-16 to
-        # 1.7e-13, never more than 1.2 times below the float path's: the
-        # array path's solve loses digits on locally squeezed states.
+        # (2+1) and (1+2) take the float kernel of a one-mode side, and
+        # (2+2) forms W in floats for its SVD.  Against high-precision
+        # determinants of the stored matrix (400 digits where it spans
+        # 1e+-150), the worst relative error on N and the bound is at most
+        # twice that of the array path they replaced (two LAPACK factors,
+        # two solves and an SVD, `lapack_spectrum`) on the same draws.
+        # Over 600 draws per kind and partition at (2+1) and (1+2) the
+        # float path's worst was 7.6e-16 to 2.3e-15 and the array path's
+        # 7.8e-16 to 1.7e-13, never more than 1.2 times below the float
+        # path's: the array path's solve loses digits on locally squeezed
+        # states.  Over 120 (2+2) draws per kind the float path's worst was
+        # 8.9e-16 to 9.9e-16 and the array path's 8.8e-16 to 7.1e-15.
         worst, array_worst = 0.0, 0.0
         for _ in range(30):
-            state = one_mode_side_state(rng, n_a, n_b, kind)
+            state = float_path_state(rng, n_a, n_b, kind)
             value, bound = nfg_numeric(state).value, nfg_upper_bound(state)
             assert value <= bound
             array = SimpleNamespace(_correlation_spectrum=tuple(lapack_spectrum(state).tolist()))
@@ -551,28 +557,32 @@ class TestCorrelationSpectrum:
             assert (nfg_numeric(product).value, nfg_upper_bound(product)) == (0.0, 0.0)
         assert worst <= 2.0 * array_worst
 
-    @pytest.mark.parametrize("n_a, n_b", [(2, 1), (1, 2)])
+    @pytest.mark.parametrize("n_a, n_b", [(2, 1), (1, 2), (2, 2)])
     def test_float_spectrum_keeps_the_smaller_mu(self, rng, n_a, n_b):
-        # Both mu against 50-digit singular values of W, on states whose
-        # two mu differ by 10 or more orders.  A backward-stable path moves
-        # sigma_min by at most c eps sigma_max, so each mu's relative error
-        # is at most 2 c eps (mu_max / mu)^(1/2); c = 16 here, and the
-        # array path (`lapack_spectrum`) meets the bound on the same draws.
-        # Over 240 draws the float path's worst c was 4 and the array
-        # path's 1.1: the float path's smaller mu is up to 5 times less
-        # accurate, as W's forward substitution loses more of sigma_min
-        # than the array path's solves.  R's r11 from the Gram identity,
-        # which squares W's conditioning, reads c ~ 1e7.
-        eps = np.finfo(float).eps
+        # Every nonzero mu against 50-digit singular values of W, on states
+        # whose smaller half of mu lies 10 or more orders below the larger.
+        # A backward-stable path moves each sigma by at most c eps
+        # sigma_max, so each mu's relative error is at most
+        # 2 c eps (mu_max / mu)^(1/2); c = 16 here, and the array path
+        # (`lapack_spectrum`) meets the bound on the same draws.  Over 240
+        # (2+1) and (1+2) draws the float path's worst c was 4 and the
+        # array path's 1.1: the float path's smaller mu is up to 5 times
+        # less accurate, as W's forward substitution loses more of
+        # sigma_min than the array path's solves.  R's r11 from the Gram
+        # identity, which squares W's conditioning, reads c ~ 1e7.  Over
+        # 720 (2+2) draws the float path's worst c was 8.9 and the array
+        # path's 5.5: both end in one SVD, of W formed by forward
+        # substitution or by LAPACK's solves.
+        eps, k = np.finfo(float).eps, 2 * min(n_a, n_b)
         for _ in range(40):
             state = split_spectrum_state(rng, n_a, n_b)
             exact = exact_spectrum(state)
-            assert exact[1] >= 1e10 * exact[0] > 0.0
+            assert exact[k // 2] >= 1e10 * exact[k // 2 - 1] > 0.0
             mu = state._correlation_spectrum
-            assert mu[:-2] == (0.0,) * (len(mu) - 2)
-            for path in (mu[-2:], lapack_spectrum(state).tolist()[-2:]):
+            assert mu[:-k] == (0.0,) * (len(mu) - k)
+            for path in (mu[-k:], lapack_spectrum(state).tolist()[-k:]):
                 for got, ref in zip(path, exact):
-                    assert abs(got - ref) <= 32.0 * eps * (exact[1] / ref) ** 0.5 * ref
+                    assert abs(got - ref) <= 32.0 * eps * (exact[-1] / ref) ** 0.5 * ref
 
     @pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3)])
     def test_one_side_empty_matches_the_array_reference(self, rng, n_a, n_b):
@@ -679,7 +689,7 @@ class TestNumeric:
         "n_a, n_b, correlated, expected, sides",
         [
             (2, 1, True, [], "A"),
-            (2, 2, True, ["solve", "cholesky", "solve", "svd"], "AB"),
+            (2, 2, True, ["svd"], "AB"),
             (3, 1, True, ["cholesky", "eigvalsh", "solve", "cholesky", "solve", "svd"], "AB"),
             (2, 1, False, [], ""),
             (1, 2, True, [], "B"),
@@ -694,7 +704,8 @@ class TestNumeric:
         # eigensolve for three), C whitened, B factored and W decomposed,
         # and the bound reads the kept spectrum.  A two-mode side is
         # factored in Python floats (`_cholesky_4`), so (2+1) and (1+2) run
-        # no LAPACK call at all; a one-mode side takes the scalar 2 x 2
+        # no LAPACK call at all and (2+2) only the SVD of the W it forms in
+        # floats; a one-mode side takes the scalar 2 x 2
         # factor, which is not counted here.  A product state factors
         # nothing, and a single A mode runs no flag.
         if correlated:
@@ -1412,14 +1423,29 @@ class TestTwoModeClosedForm:
         # where np.linalg.cholesky fails on the stored block; the (1+1)
         # closed form of the unmixed state parts from both at 71 of the 261
         # squeezings, so it is not the reference here.
+        self.assert_raises_where_lapack_cholesky_fails(side, wide=False)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_squeezed_block_at_two_plus_two_raises_where_lapack_cholesky_fails(self, side):
+        # The case above with a vacuum ancilla on the other side too: at
+        # (2+2) both blocks are factored by the 4-row Cholesky, and W is
+        # formed in floats before its one SVD.
+        self.assert_raises_where_lapack_cholesky_fails(side, wide=True)
+
+    @staticmethod
+    def assert_raises_where_lapack_cholesky_fails(side: str, wide: bool):
         h = np.sqrt(0.5) * np.eye(2)
         p = 0 if side == "A" else 2
         split = np.eye(6)
         split[p : p + 4, p : p + 4] = np.block([[h, h], [-h, h]])
+        if wide:  # the ancilla on A moves B down by one mode
+            p = 0 if side == "A" else 4
         outcomes = set()
         for r in np.linspace(4.0, 17.0, 261):
             g = split @ with_ancilla(squeezed_correlated(r, side), side, np.eye(2)).cm @ split.T
             state = GaussianState(0.5 * (g + g.T), 1 + (side == "A"), 1 + (side == "B"))
+            if wide:
+                state = with_ancilla(state, "B" if side == "A" else "A", np.eye(2))
             try:
                 np.linalg.cholesky(state.cm[p : p + 4, p : p + 4])
                 factors = True

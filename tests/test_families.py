@@ -93,7 +93,7 @@ class TestSstsState:
             if mu == 0.0:
                 assert values == [0.0, 0.0, 0.0]
             else:
-                assert all(np.finfo(float).tiny <= v <= 1.0 for v in values)
+                assert all(np.finfo(float).tiny <= v < 1.0 for v in values)
         with pytest.raises(ValueError, match="at most"):
             sweep(SweepGrid(0.0, 1e151, 3, 0.0, 1.0, 3))
 
@@ -216,6 +216,14 @@ class TestClosedFormValues:
             for mu in np.linspace(0.0, 1.0, 20):
                 p = SstsParams(float(n_bar), float(mu))
                 assert abs(nfg_ssts(p) - nfg_two_mode(ssts(p)).value) < 1e-10
+
+    @pytest.mark.parametrize("n_bar", [1e5, 1e8, 1e13])
+    def test_pure_member_matches_the_general_route_where_it_rounds_to_one(self, n_bar):
+        # Both clamp below 1, so the closed form reads 1 - 2^-53 as the
+        # state's measure does; every point function returns a Python float.
+        p = SstsParams(n_bar, 1.0)
+        assert nfg_ssts(p) == nfg_two_mode(ssts(p)).value == np.nextafter(1.0, 0.0)
+        assert all(type(f(p)) is float for f in (nfg_ssts, dg_ssts, q_ssts))
 
     def test_dg_vanishes_at_large_n_bar(self):
         vals = [dg_ssts(SstsParams(nb, 0.6)) for nb in (1e2, 1e5, 1e9, 1e13)]

@@ -1655,9 +1655,9 @@ class TestOwnership:
         mu, chol = state._correlation_spectrum, state._chol_a
         assert state._correlation_spectrum is mu and state._chol_a is chol
         assert len(closed_forms) == (n_a == 1)
-        # L_A once, by LAPACK for one A mode and in floats for two, and L_B
-        # for the generic spectrum
-        assert calls.count("cholesky") == 1
+        # L_A once, by LAPACK for one A mode; two A modes factor both
+        # blocks in floats and decompose W by the one SVD
+        assert calls == (["cholesky"] if n_a == 1 else ["svd"])
 
 
 class TestApplyGaussianUnitary:
