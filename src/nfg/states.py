@@ -29,15 +29,18 @@ Conventions used throughout the package:
   LAPACK call; only a side of three or more modes solves by LAPACK;
 * the scalar kernels are written out, with no loop, for the only sizes a
   (1+1)-mode request meets: `_ldl_4`, which returns after row 1 for 2
-  rows, the overlap midpoint `nfg.overlap._mid_lower`, and the Simon
+  rows, the overlap midpoint `nfg.overlap._mid_lower`, the Simon
   verdicts `_verdict_2` and `_verdict_4`, which read g entry by entry and
-  build only the lower triangle of the equilibrated matrix.  Each runs the
-  operations of a row loop (the tests keep it as the reference) in its
-  order, with its bits.  A one-sided map of a 2-row side, at any
-  partition, is written out too (`_map_rows`): (K X) K^T and the cross
-  block in Python floats, association and order as NumPy's, but rounded
-  without FMA, so a (1+1) request maps with no NumPy arithmetic and no
-  BLAS product; larger sides keep `_act_on_side`;
+  build only the lower triangle of the equilibrated matrix, and the
+  one-mode channel check `_channel_2`, which unpacks K and M once.  Each
+  runs the operations of a row loop (the tests keep it as the reference)
+  in its order, with its bits.  Every symmetry test, scalar or NumPy,
+  reads max|g| only when the asymmetry passes half `DEFAULT_TOL`
+  (`_nearly_symmetric`, `_symmetric_part`).  A one-sided map of a 2-row
+  side, at any partition, is written out too (`_map_rows`): (K X) K^T and
+  the cross block in Python floats, association and order as NumPy's, but
+  rounded without FMA, so a (1+1) request maps with no NumPy arithmetic
+  and no BLAS product; larger sides keep `_act_on_side`;
 * a constructor copies caller input once and rejects complex input
   (`_owned`); arrays built here are frozen in place, never copied again.
   A `GaussianState` keeps the rows and the mean entries it listed for its
@@ -434,10 +437,22 @@ def _symmetric_part(g: np.ndarray) -> tuple[bool, np.ndarray]:
     return symmetric, h + h.T
 
 
+def _nearly_symmetric(asymmetry: float, rows: list[list[float]]) -> bool:
+    """The symmetry test of the scalar kernels: whether ``asymmetry``, the
+    largest |x - y| over the `_mid` halves x, y of mirrored entries of a
+    matrix given as nested lists, is within half `DEFAULT_TOL` relative to
+    max(1, max|g|).  It reads ``asymmetry <= TOL/2 or asymmetry <=
+    TOL/2 max|g|``, which decides exactly as the bound TOL/2 max(1, max|g|),
+    as rounding is monotone; so max|g| is read, as `_symmetric_part` reads
+    it, only when the asymmetry passes TOL/2, which a symmetric g never does.
+    """
+    return asymmetry <= 0.5 * DEFAULT_TOL or asymmetry <= 0.5 * DEFAULT_TOL * _max_abs(rows)
+
+
 def _symmetric_rows(rows: list[list[float]]) -> tuple[bool, list[list[float]]]:
     """`_symmetric_part` of a matrix given as nested lists, in scalar
-    arithmetic with the same roundings; ``gs`` is nested lists too."""
-    scale = max(1.0, _max_abs(rows))
+    arithmetic with the same roundings; ``gs`` is nested lists too.  The
+    test is `_nearly_symmetric`'s, so max|g| is read only past TOL/2."""
     gs = [row.copy() for row in rows]
     asymmetry = 0.0
     for i, row in enumerate(rows):
@@ -446,7 +461,7 @@ def _symmetric_rows(rows: list[list[float]]) -> tuple[bool, list[list[float]]]:
             asymmetry = max(asymmetry, abs(x - y))
             gs[i][j] = gs[j][i] = x + y
         gs[i][i] = _mid(row[i], row[i])
-    return asymmetry <= 0.5 * DEFAULT_TOL * scale, gs
+    return _nearly_symmetric(asymmetry, rows), gs
 
 
 #: Rounding of a Gaussian map's defining identity, per unit of its scale.
@@ -518,11 +533,12 @@ class ValidationReport:
 def _verdict_2(rows: list[list[float]]) -> tuple[bool, bool]:
     """`_verdict` of a 2 x 2 matrix given as nested lists, written out: the
     operations of `_symmetric_rows` and the equilibration, on the lower
-    triangle only, then `_ldl_4`, which stops after row 1."""
+    triangle only, then `_ldl_4`, which stops after row 1.  The symmetry
+    test is `_nearly_symmetric`'s: max|g| is read only when the asymmetry
+    passes TOL/2."""
     (g00, g01), (g10, g11) = rows
-    scale = max(1.0, abs(g00), abs(g01), abs(g10), abs(g11))
     x10, y10 = 0.5 * g10, 0.5 * g01  # `_mid`'s halves
-    if not abs(x10 - y10) <= 0.5 * DEFAULT_TOL * scale:
+    if not _nearly_symmetric(abs(x10 - y10), rows):
         return False, False
     d0, d1 = 0.5 * g00 + 0.5 * g00, 0.5 * g11 + 0.5 * g11
     if not (d0 > 0.0 and d1 > 0.0):
@@ -536,12 +552,10 @@ def _verdict_2(rows: list[list[float]]) -> tuple[bool, bool]:
 def _verdict_4(rows: list[list[float]]) -> tuple[bool, bool]:
     """`_verdict` of a 4 x 4 matrix given as nested lists, written out: the
     operations of `_symmetric_rows` and the equilibration, on the lower
-    triangle only, then `_ldl_4`."""
+    triangle only, then `_ldl_4`.  The symmetry test is
+    `_nearly_symmetric`'s: max|g| is read only when the asymmetry passes
+    TOL/2."""
     (g00, g01, g02, g03), (g10, g11, g12, g13), (g20, g21, g22, g23), (g30, g31, g32, g33) = rows
-    scale = max(
-        1.0, abs(g00), abs(g01), abs(g02), abs(g03), abs(g10), abs(g11), abs(g12), abs(g13),
-        abs(g20), abs(g21), abs(g22), abs(g23), abs(g30), abs(g31), abs(g32), abs(g33),
-    )  # fmt: skip
     x10, y10 = 0.5 * g10, 0.5 * g01  # `_mid`'s halves
     x20, y20 = 0.5 * g20, 0.5 * g02
     x21, y21 = 0.5 * g21, 0.5 * g12
@@ -552,7 +566,7 @@ def _verdict_4(rows: list[list[float]]) -> tuple[bool, bool]:
         abs(x10 - y10), abs(x20 - y20), abs(x21 - y21),
         abs(x30 - y30), abs(x31 - y31), abs(x32 - y32),
     )  # fmt: skip
-    if not asymmetry <= 0.5 * DEFAULT_TOL * scale:
+    if not _nearly_symmetric(asymmetry, rows):
         return False, False
     d0, d1 = 0.5 * g00 + 0.5 * g00, 0.5 * g11 + 0.5 * g11
     d2, d3 = 0.5 * g22 + 0.5 * g22, 0.5 * g33 + 0.5 * g33
@@ -669,10 +683,9 @@ def _report(g: np.ndarray, verdict: tuple) -> ValidationReport:
 _K_MAX = 1e150
 
 
-def _map_peak(rows: list[list[float]], name: str) -> float:
-    """max|m| of a Gaussian map's matrix, given as nested lists, refused
-    past `_K_MAX` before any product of it is formed."""
-    peak = _max_abs(rows)
+def _map_peak(peak: float, name: str) -> float:
+    """``peak``, max|m| of a Gaussian map's matrix, refused past `_K_MAX`
+    before any product of the matrix is formed."""
     if peak > _K_MAX:
         raise ValueError(f"entries of {name} must be at most {_K_MAX} in modulus, got {peak}")
     return peak
@@ -691,7 +704,7 @@ def is_symplectic(s) -> bool:
 
 def _symplectic(s: np.ndarray, rows: list[list[float]]) -> bool:
     """`is_symplectic` of `_as_square_even`'s ``(s, rows)``."""
-    peak = _map_peak(rows, "S")
+    peak = _map_peak(_max_abs(rows), "S")
     if len(rows) == 2:
         (s00, s01), (s10, s11) = rows
         miss = abs(s00 * s11 - s01 * s10 - 1.0)
@@ -972,6 +985,43 @@ def apply_gaussian_unitary(state: GaussianState, u: GaussianUnitary, side: str) 
     return _map_side(state, side, (u.s, u._rows), (u.m, u._m_entries))
 
 
+#: The error for a channel's M that `_nearly_symmetric` rejects.
+_ASYMMETRIC_NOISE = "noise matrix M must be symmetric"
+
+
+def _channel_2(
+    k_rows: list[list[float]], m_rows: list[list[float]]
+) -> tuple[list[list[float]], bool, list[list], float]:
+    """`GaussianChannel`'s check of a one-mode channel up to its
+    factorization, written out as `_verdict_2` is: ``(m_rows, same, h,
+    allowance)``, the rows of M's symmetric part, whether they hold M's
+    bits, the Hermitian M + i(Delta - K Delta K^T) that `_ldl_4` factors,
+    and its allowance.  K's and M's rows are unpacked once, and the
+    operations of `_max_abs`, `_symmetric_rows` and `_same_bits` run in
+    their order, with their bits; K's peak past `_K_MAX`, then an M that
+    `_nearly_symmetric` rejects, raise their errors in that order.  For one
+    mode Delta - K Delta K^T = (1 - det K) Delta."""
+    (k00, k01), (k10, k11) = k_rows
+    k_max = _map_peak(max(abs(k00), abs(k01), abs(k10), abs(k11)), "K")
+    (m00, m01), (m10, m11) = m_rows
+    x, y = 0.5 * m10, 0.5 * m01  # `_mid`'s halves
+    if not _nearly_symmetric(abs(x - y), m_rows):
+        raise ValueError(_ASYMMETRIC_NOISE)
+    s00, s01, s11 = 0.5 * m00 + 0.5 * m00, x + y, 0.5 * m11 + 0.5 * m11
+    copysign = math.copysign
+    # `_same_bits`: equal entries, and zeros of equal sign
+    same = (
+        s00 == m00 and s01 == m01 and s01 == m10 and s11 == m11
+        and (s00 != 0.0 or copysign(1.0, s00) == copysign(1.0, m00))
+        and (s01 != 0.0 or copysign(1.0, s01) == copysign(1.0, m01) == copysign(1.0, m10))
+        and (s11 != 0.0 or copysign(1.0, s11) == copysign(1.0, m11))
+    )  # fmt: skip
+    allowance = _allowance(max(k_max**2, max(abs(s00), abs(s01), abs(s11))))
+    loss = 1.0 - (k00 * k11 - k01 * k10)
+    h = [[s00, complex(s01, loss)], [complex(s01, -loss), s11]]
+    return [[s00, s01], [s01, s11]], same, h, allowance
+
+
 @dataclass(frozen=True)
 class GaussianChannel:
     """Gaussian channel acting on covariance and mean as
@@ -990,10 +1040,14 @@ class GaussianChannel:
     eigenvalue.  max|K| may be at most 1e150, so that neither
     K Delta K^T nor max|K|^2 overflows.  K and M
     are copied once, as a state's arrays are, and every test reads their
-    rows; ``m_noise`` keeps M's symmetric part, in that copy unless the
-    symmetric part differs from M in some bit.  The channel keeps, privately,
-    the rows of K and of that symmetric part and the entries of d_bar, which
-    the map of a 2-row side and `nfg_after_channel_closed_form` read.
+    rows: for one mode by `_channel_2`, written out, and for more by the
+    row loops `_symmetric_rows` and `_same_bits`, with the same bits and
+    errors.  The symmetry test reads max|M| only when the asymmetry passes
+    half `DEFAULT_TOL` (`_nearly_symmetric`).  ``m_noise`` keeps M's
+    symmetric part, in that copy unless the symmetric part differs from M
+    in some bit.  The channel keeps, privately, the rows of K and of that
+    symmetric part and the entries of d_bar, which the map of a 2-row side
+    and `nfg_after_channel_closed_form` read.
     """
 
     k: np.ndarray
@@ -1005,21 +1059,19 @@ class GaussianChannel:
         m, m_rows = _as_square_even(self.m_noise, "M")
         if m.shape != k.shape:
             raise ValueError("M must match the shape of K")
-        k_max = _map_peak(k_rows, "K")
-        symmetric, m_sym = _symmetric_rows(m_rows)
-        if not symmetric:
-            raise ValueError("noise matrix M must be symmetric")
-        if not _same_bits(m_sym, m_rows):  # else M is its symmetric part
-            m = _frozen(np.array(m_sym))
-        m_rows = m_sym
-        allowance = _allowance(max(k_max**2, _max_abs(m_rows)))
         if len(k_rows) == 2:
-            (k00, k01), (k10, k11) = k_rows
-            (m00, m01), (m10, m11) = m_rows
-            # Delta - K Delta K^T = (1 - det K) Delta
-            loss = 1.0 - (k00 * k11 - k01 * k10)
-            h = [[m00, complex(m01, loss)], [complex(m10, -loss), m11]]
+            m_rows, same, h, allowance = _channel_2(k_rows, m_rows)
+            if not same:  # else M is its symmetric part
+                m = _frozen(np.array(m_rows))
         else:
+            k_max = _map_peak(_max_abs(k_rows), "K")
+            symmetric, m_sym = _symmetric_rows(m_rows)
+            if not symmetric:
+                raise ValueError(_ASYMMETRIC_NOISE)
+            if not _same_bits(m_sym, m_rows):  # else M is its symmetric part
+                m = _frozen(np.array(m_sym))
+            m_rows = m_sym
+            allowance = _allowance(max(k_max**2, _max_abs(m_rows)))
             delta = symplectic_form(len(k_rows) // 2)
             h = m + 1j * (delta - k @ delta @ k.T)
             h = h.tolist() if len(h) == 4 else h
@@ -1193,9 +1245,9 @@ class StandardFormParams:
 
     def __post_init__(self):
         a, b, c, d = self.a, self.b, self.c, self.d
-        if not all(math.isfinite(x) for x in (a, b, c, d)):
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
             raise ValueError("standard-form parameters must be finite")
-        if not _verdict_4(_standard_rows(*map(float, (a, b, c, d))))[1]:
+        if not _verdict_4(_standard_rows(float(a), float(b), float(c), float(d)))[1]:
             raise ValueError(
                 f"standard-form parameters are not physical: a={a}, b={b}, c={c}, d={d}"
             )

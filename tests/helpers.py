@@ -24,10 +24,14 @@ from nfg.states import (
     _DEGENERACY_TOL,
     DEFAULT_TOL,
     _act_on_side,
+    _allowance,
     _cholesky,
     _even_power,
     _frozen,
+    _map_peak,
+    _max_abs,
     _mid,
+    _same_bits,
     _symmetric_part,
     _symmetric_rows,
     _symplectic_hermitian,
@@ -560,13 +564,30 @@ def reference_verdict(g) -> tuple[np.ndarray, np.ndarray]:
     return screened & (margin >= 0.0), margin
 
 
+def eager_symmetric_rows(rows: list[list[float]]) -> tuple[bool, list[list[float]]]:
+    """`nfg.states._symmetric_rows` as it decided before it read max|g|
+    lazily: the bound half `DEFAULT_TOL` max(1, max|g|), with max|g| read
+    first.  Every scalar symmetry test of the library must decide as this,
+    and ``gs`` must keep its bits."""
+    scale = max(1.0, max(abs(x) for row in rows for x in row))
+    gs = [row.copy() for row in rows]
+    asymmetry = 0.0
+    for i, row in enumerate(rows):
+        for j in range(i):
+            x, y = 0.5 * row[j], 0.5 * rows[j][i]  # `_mid`'s halves
+            asymmetry = max(asymmetry, abs(x - y))
+            gs[i][j] = gs[j][i] = x + y
+        gs[i][i] = _mid(row[i], row[i])
+    return asymmetry <= 0.5 * DEFAULT_TOL * scale, gs
+
+
 def loop_simon(g: np.ndarray) -> tuple[bool, list[list] | None]:
     """The Simon matrix of a 2 x 2 or 4 x 4 ``g`` by the loops the library
     ran before it wrote the verdict out: ``(symmetric, simon)``, from
-    `_symmetric_rows`, with ``simon`` the full equilibrated
+    `eager_symmetric_rows`, with ``simon`` the full equilibrated
     D^{-1/2} (Gamma + i Delta) D^{-1/2} as nested lists, or None where the
     symmetry or positive-diagonal test rejects."""
-    symmetric, gs = _symmetric_rows(g.tolist())
+    symmetric, gs = eager_symmetric_rows(g.tolist())
     diag = [row[i] for i, row in enumerate(gs)]
     if not (symmetric and all(x > 0.0 for x in diag)):
         return symmetric, None
@@ -636,6 +657,38 @@ def reference_channel_verdict(k: np.ndarray, m: np.ndarray) -> tuple[bool, float
     scale = max(float(np.abs(k).max()) ** 2, float(np.abs(m).max()))
     margin = least + max(DEFAULT_TOL, 32.0 * float(np.finfo(float).eps) * scale)
     return margin >= 0.0, margin, scale
+
+
+def loop_channel(
+    k: np.ndarray, m: np.ndarray
+) -> tuple[np.ndarray, list[list[float]], list[list], float]:
+    """`GaussianChannel`'s check of a one-mode channel by the generic list
+    loops it ran before the 2-row case was written out (`_map_peak` on
+    `_max_abs`, `_symmetric_rows`, `_same_bits`), for a K and an M that
+    `_owned` keeps as they are: ``(m_noise, m_rows, h, allowance)``, with
+    ``m_noise`` ``m`` itself unless its symmetric part differs in some bit,
+    and ``h`` the Hermitian M + i(Delta - K Delta K^T) the library hands
+    `_ldl_4` with ``allowance``.  It raises the library's `ValueError`s, in
+    its order: K's peak, M's symmetry, then complete positivity where the
+    row loop `_ldl_rows` does not factor h plus the allowance times I."""
+    k_rows, m_rows = k.tolist(), m.tolist()
+    k_max = _map_peak(_max_abs(k_rows), "K")
+    symmetric, m_sym = _symmetric_rows(m_rows)
+    if not symmetric:
+        raise ValueError("noise matrix M must be symmetric")
+    if not _same_bits(m_sym, m_rows):
+        m = _frozen(np.array(m_sym))
+    allowance = _allowance(max(k_max**2, _max_abs(m_sym)))
+    (k00, k01), (k10, k11) = k_rows
+    (m00, m01), (m10, m11) = m_sym
+    loss = 1.0 - (k00 * k11 - k01 * k10)
+    h = [[m00, complex(m01, loss)], [complex(m10, -loss), m11]]
+    if _ldl_rows(h, allowance) is None:
+        least = float(np.linalg.eigvalsh(h)[0])
+        raise ValueError(
+            f"invalid channel: M + i(Delta - K Delta K^T) has eigenvalue {least:.6g} < 0"
+        )
+    return m, m_sym, h, allowance
 
 
 def linalg_calls(monkeypatch) -> list[str]:

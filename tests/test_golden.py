@@ -23,7 +23,8 @@ The channels: ``loss`` (one mode, and ``loss2``, ``loss3`` on each of two
 and three modes), ``splitter`` (a lossy 50:50 beam splitter on two modes),
 ``gain`` ((det K)^2 = 1e400), ``squeezer`` (max|K| = 1e150), and the
 noiseless amplifiers ``amplifier`` and ``amplifier3``, which are not
-completely positive.  ``unphysical`` and ``one-sub`` violate the
+completely positive.  Two one-mode channels are refused before that test:
+``asymmetric-noise`` (M asymmetric by 0.1) and ``huge-k`` (max|K| = 2e150).  ``unphysical`` and ``one-sub`` violate the
 uncertainty principle.  These fail to parse: ``fractional``, ``string``,
 ``array`` (a JSON array, not an object), ``no-cm``, ``nested`` (a cm of
 rows, not flat), ``short-mean`` (a mean of one entry for one mode),
@@ -128,6 +129,8 @@ CASES = {
     "channel-random-1+2-splitter-closed": ("channel random-1+2.json splitter.json --compare-closed", 1, NOT_1_1),
     "channel-random-2+2-splitter-closed": ("channel random-2+2.json splitter.json --compare-closed", 1, NOT_1_1),
     "channel-two-amplifier": ("channel two.json amplifier.json", 1, NOT_CP),
+    "channel-two-asymmetric-noise": ("channel two.json asymmetric-noise.json", 1, "error: noise matrix M must be symmetric"),
+    "channel-two-huge-k": ("channel two.json huge-k.json", 1, "error: entries of K must be at most 1e+150 in modulus, got 2e+150"),
     "channel-one-three-amplifier3": ("channel one-three.json amplifier3.json", 1, NOT_CP),
     "channel-two-mismatch": ("channel two.json mismatch.json", 2, "error: mismatch.json: 'k' and 'm_noise' must have the same shape"),
 }  # fmt: skip

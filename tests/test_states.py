@@ -38,10 +38,12 @@ from helpers import (
     _ldl_rows,
     apply_global,
     dilation_channel,
+    eager_symmetric_rows,
     exact_standard_form,
     float_bits,
     haar_unitary,
     linalg_calls,
+    loop_channel,
     loop_simon,
     loop_verdict,
     passive_stabilizer,
@@ -1096,6 +1098,19 @@ def _boundary_draws(rng, count: int):
             yield skew
 
 
+@pytest.fixture
+def factored(monkeypatch):
+    """Every (h, shift) that `_ldl_4` is handed, of 2 or 4 rows."""
+    seen = []
+
+    def spy(h, shift, _body=nfg.states._ldl_4):
+        seen.append((h, shift))
+        return _body(h, shift)
+
+    monkeypatch.setattr(nfg.states, "_ldl_4", spy)
+    return seen
+
+
 class TestWrittenOutKernels:
     """The 2- and 4-row `_ldl_4` bodies and verdicts are the row loop
     (`helpers._ldl_rows`) written out: the same operations in the same
@@ -1118,18 +1133,6 @@ class TestWrittenOutKernels:
             for h, shift in itertools.islice(_ldl_draws(rng, n), 40):
                 lower = [row[: i + 1] for i, row in enumerate(h)]
                 assert repr(nfg.states._ldl_4(lower, shift)) == repr(nfg.states._ldl_4(h, shift))
-
-    @pytest.fixture
-    def factored(self, monkeypatch):
-        """Every (h, shift) that `_ldl_4` is handed, of 2 or 4 rows."""
-        seen = []
-
-        def spy(h, shift, _body=nfg.states._ldl_4):
-            seen.append((h, shift))
-            return _body(h, shift)
-
-        monkeypatch.setattr(nfg.states, "_ldl_4", spy)
-        return seen
 
     @staticmethod
     def assert_loop_verdict(g, factored) -> tuple[bool, bool]:
@@ -1172,6 +1175,124 @@ class TestWrittenOutKernels:
                 (True, False),
                 (False, False),
             }
+
+
+class TestLazySymmetryRule:
+    """Every symmetry test reads max|g| only when the asymmetry passes half
+    the tolerance (`_nearly_symmetric`, `_symmetric_part`).  On draws at
+    both of the rule's bounds, each decides as the eager rule, which reads
+    max(1, max|g|) first (`helpers.eager_symmetric_rows`)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_symmetric_rows_and_part(self, rng, n):
+        outcomes = collections.Counter()
+        for g in _symmetry_threshold_draws(rng, n):
+            rows = g.tolist()
+            symmetric, gs = eager_symmetric_rows(rows)
+            assert repr(nfg.states._symmetric_rows(rows)) == repr((symmetric, gs))
+            assert nfg.states._symmetric_part(g)[0] == symmetric
+            outcomes[symmetric, float(np.abs(g).max()) > 1.0] += 1
+        # both verdicts, with max|g| below and above 1
+        assert len(outcomes) == 4
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_verdicts(self, rng, n):
+        verdict = nfg.states._verdict_2 if n == 1 else nfg.states._verdict_4
+        outcomes = set()
+        for g in _symmetry_threshold_draws(rng, n):
+            outcome = verdict(g.tolist())
+            assert outcome == loop_verdict(g)
+            outcomes.add(outcome[0])
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_channel(self, rng, n):
+        # K = I leaves M's symmetric part, positive definite, to the CP test
+        outcomes = set()
+        for m in _symmetry_threshold_draws(rng, n):
+            symmetric = eager_symmetric_rows(m.tolist())[0]
+            try:
+                GaussianChannel(np.eye(2 * n), m)
+                accepted = True
+            except ValueError as exc:
+                assert str(exc) == "noise matrix M must be symmetric"
+                accepted = False
+            assert accepted == symmetric
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
+
+
+class TestOneModeChannel:
+    """The one-mode channel check is written out (`_channel_2`): it must
+    give what the generic list loops it replaced give (`helpers.loop_channel`),
+    bit for bit: the same ``m_noise`` and kept rows, the same matrix and
+    allowance handed to `_ldl_4`, and the same error, in the same order."""
+
+    @staticmethod
+    def assert_loop_channel(k, m, factored) -> str | None:
+        """`GaussianChannel(k, m)` against `loop_channel`, on copies each
+        keeps as they are; return the error text, or None."""
+        k, m = np.array(k, float), np.array(m, float)
+        k.setflags(write=False)
+        m.setflags(write=False)
+        try:
+            expected, expected_error = loop_channel(k, m), None
+        except ValueError as exc:
+            expected, expected_error = None, str(exc)
+        factored.clear()
+        try:
+            ch, error = GaussianChannel(k, m), None
+        except ValueError as exc:
+            ch, error = None, str(exc)
+        assert error == expected_error
+        if expected is None:
+            if not error.startswith("invalid channel"):
+                assert factored == []  # refused before the CP test
+            return error
+        noise, rows, h, allowance = expected
+        assert (ch.m_noise is m) == (noise is m)
+        assert ch.m_noise.tobytes() == noise.tobytes() and not ch.m_noise.flags.writeable
+        assert repr(ch._m_rows) == repr(rows)
+        assert repr(factored) == repr([(h, allowance)])
+        return None
+
+    def test_matches_the_loops_on_the_verdict_draws(self, rng, factored):
+        errors = collections.Counter()
+        for k, m in _channel_draws(rng):
+            if k.shape == (2, 2):
+                error = self.assert_loop_channel(k, m, factored)
+                errors[error if error is None else error.split(":")[0]] += 1
+        assert set(errors) == {None, "invalid channel"}
+
+    def test_matches_the_loops_at_the_symmetry_bounds(self, rng, factored):
+        for m in _symmetry_threshold_draws(rng, 1):
+            self.assert_loop_channel(rng.normal(size=(2, 2)), m, factored)
+
+    @pytest.mark.parametrize(
+        "k, m, error",
+        [
+            pytest.param(np.eye(2), [[1.0, 0.5], [0.5 + 1e-12, 1.0]], None, id="asymmetric"),
+            pytest.param(np.eye(2), [[1.0, -0.0], [0.0, 1.0]], None, id="zero-signs"),
+            pytest.param(np.eye(2), [[1.0, -0.0], [-0.0, 1.0]], None, id="negative-zeros"),
+            pytest.param(np.eye(2), [[-0.0, 0.0], [0.0, 1.0]], None, id="negative-zero-diagonal"),
+            pytest.param(np.eye(2), [[5e-324, 0.0], [0.0, 1.0]], None, id="subnormal-diagonal"),
+            pytest.param(np.eye(2), [[-5e-324, 0.0], [0.0, 1.0]], None, id="negative-subnormal"),
+            pytest.param(
+                [[2e150, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]],
+                "entries of K must be at most 1e+150 in modulus, got 2e+150", id="peak-first",
+            ),
+            pytest.param(
+                2.0 * np.eye(2), [[0.0, 0.5], [0.0, 0.0]],
+                "noise matrix M must be symmetric", id="symmetry-before-cp",
+            ),
+            pytest.param(
+                2.0 * np.eye(2), np.zeros((2, 2)),
+                "invalid channel: M + i(Delta - K Delta K^T) has eigenvalue -3 < 0", id="cp",
+            ),
+        ],
+    )  # fmt: skip
+    def test_fixed_cases(self, factored, k, m, error):
+        assert self.assert_loop_channel(k, m, factored) == error
 
 
 class TestScalarVerdict:
@@ -1228,27 +1349,8 @@ class TestScalarVerdict:
         assert not accepted[scales <= 2e4].any() and accepted[scales >= 3e4].all()
 
     def test_channels(self, rng):
-        # One-mode channels of the ill-conditioned recipe (M nearly rank
-        # one, det M 10% either side of (det K - 1)^2), then one-, two- and
-        # three-mode channels with their noise scaled either side of enough,
-        # and the three-mode ones again with max|M| ~ 1e300.
-        draws = []
-        for _ in range(4000):
-            k = rng.normal(size=(2, 2)) * 10 ** rng.uniform(-2, 2)
-            v = rng.normal(size=2)
-            m = np.outer(v, v) + 10 ** rng.uniform(-8, 0) * np.eye(2)
-            m *= np.sqrt(rng.uniform(0.9, 1.1) * (np.linalg.det(k) - 1) ** 2 / np.linalg.det(m))
-            draws.append((k, m))
-        for _ in range(1000):
-            ch = random_channel(rng)
-            draws.append((ch.k, rng.uniform(0.5, 1.5) * ch.m_noise))
-            ch = dilation_channel(rng, 2)
-            draws.append((ch.k, rng.uniform(0.5, 1.5) * ch.m_noise))
-            ch = dilation_channel(rng, 3)
-            draws.append((ch.k, rng.uniform(0.5, 1.5) * ch.m_noise))
-            draws.append((ch.k, 1e300 / np.abs(ch.m_noise).max() * ch.m_noise))
         outcomes = []
-        for k, m in draws:
+        for k, m in _channel_draws(rng):
             expected, margin, scale = reference_channel_verdict(k, m)
             try:
                 GaussianChannel(k, m)
@@ -1322,6 +1424,56 @@ class TestScalarVerdict:
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
+
+
+def _channel_draws(rng) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(K, M)`` pairs around complete positivity: one-mode channels of the
+    ill-conditioned recipe (M nearly rank one, det M 10% either side of
+    (det K - 1)^2), then one-, two- and three-mode channels with their noise
+    scaled either side of enough, and the three-mode ones again with
+    max|M| ~ 1e300."""
+    draws = []
+    for _ in range(4000):
+        k = rng.normal(size=(2, 2)) * 10 ** rng.uniform(-2, 2)
+        v = rng.normal(size=2)
+        m = np.outer(v, v) + 10 ** rng.uniform(-8, 0) * np.eye(2)
+        m *= np.sqrt(rng.uniform(0.9, 1.1) * (np.linalg.det(k) - 1) ** 2 / np.linalg.det(m))
+        draws.append((k, m))
+    for _ in range(1000):
+        ch = random_channel(rng)
+        draws.append((ch.k, rng.uniform(0.5, 1.5) * ch.m_noise))
+        ch = dilation_channel(rng, 2)
+        draws.append((ch.k, rng.uniform(0.5, 1.5) * ch.m_noise))
+        ch = dilation_channel(rng, 3)
+        draws.append((ch.k, rng.uniform(0.5, 1.5) * ch.m_noise))
+        draws.append((ch.k, 1e300 / np.abs(ch.m_noise).max() * ch.m_noise))
+    return draws
+
+
+def _symmetry_threshold_draws(rng, n: int):
+    """2n x 2n diagonally dominant matrices, so positive definite, whose
+    asymmetry, half the difference of one mirrored pair (the other entry of
+    the pair 0), sits on, one ulp either side of, and 1e-6 either side of
+    each bound of `_nearly_symmetric`: half `DEFAULT_TOL`, and half
+    `DEFAULT_TOL` max|g|, with max|g| below and above 1."""
+    tol = nfg.states.DEFAULT_TOL
+    for _ in range(10):
+        i, j = rng.permutation(2 * n)[:2]
+        base = rng.uniform(-1.0, 1.0, (2 * n, 2 * n)) / (4 * n)
+        base = base + base.T
+        np.fill_diagonal(base, rng.uniform(0.5, 1.0, 2 * n))
+        for peak in (0.25, 1.0 - 2.0**-20, 4.0, 1e300):
+            g = base * (peak / np.abs(base).max())
+            g[i, j] = g[j, i] = 0.0
+            scale = float(np.abs(g).max())
+            for bound in (tol, tol * scale):
+                for gap in (
+                    bound, np.nextafter(bound, 0.0), np.nextafter(bound, np.inf),
+                    bound * (1.0 - 1e-6), bound * (1.0 + 1e-6),
+                ):  # fmt: skip
+                    moved = g.copy()
+                    moved[i, j] = rng.choice([-1.0, 1.0]) * gap
+                    yield moved
 
 
 def _multimode_boundary_draws(rng, count: int):
