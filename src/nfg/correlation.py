@@ -210,8 +210,9 @@ def _unit_scale(p: StandardFormParams) -> tuple[int, float, float, float, float]
     alike.  Scaling by a power of two is exact, so ordinary forms give the
     same bits, while a form near 1e200 no longer overflows ab.
     """
+    ldexp = math.ldexp
     e = (math.frexp(p.a)[1] + math.frexp(p.b)[1]) // 2
-    return e, *(math.ldexp(x, -e) for x in (p.a, p.b, p.c, p.d))
+    return e, ldexp(p.a, -e), ldexp(p.b, -e), ldexp(p.c, -e), ldexp(p.d, -e)
 
 
 def _log2(x: float) -> float:
@@ -376,9 +377,11 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
         raise ValueError("closed form requires a single-mode channel on B")
     (k11, k12), (k21, k22) = ch._k_rows
     (m11, m12), (_, m22) = ch._m_rows
+    ldexp = math.ldexp
     e, a, b, c, d = _unit_scale(p)
-    m11, m12, m22 = (math.ldexp(x, -e) for x in (m11, m12, m22))
-    l11, l12, l21, l22, lm1, lm2 = map(_log2, (k11, k12, k21, k22, m11, m22))
+    m11, m12, m22 = ldexp(m11, -e), ldexp(m12, -e), ldexp(m22, -e)
+    l11, l12, l21, l22 = _log2(k11), _log2(k12), _log2(k21), _log2(k22)
+    lm1, lm2 = _log2(m11), _log2(m22)
     # log2 of the largest monomial of n1, n2, n3 and n4.
     top = max(
         2.0 * max(l11 + l22, l12 + l21),
@@ -387,8 +390,8 @@ def nfg_after_channel_closed_form(p: StandardFormParams, ch: GaussianChannel) ->
         lm1 + lm2,
     )
     f = math.floor(top / 4.0) if top > -math.inf else 0
-    k11, k12, k21, k22 = (math.ldexp(x, -f) for x in (k11, k12, k21, k22))
-    m11, m12, m22 = (math.ldexp(x, -2 * f) for x in (m11, m12, m22))
+    k11, k12, k21, k22 = ldexp(k11, -f), ldexp(k12, -f), ldexp(k21, -f), ldexp(k22, -f)
+    m11, m12, m22 = ldexp(m11, -2 * f), ldexp(m12, -2 * f), ldexp(m22, -2 * f)
     c2, d2, half_c, half_d, beta_minus_alpha = _standard_kernel(a, b, c, d)
     n1 = (k11 * k22 - k12 * k21) ** 2
     n2 = m22 * k11**2 + m11 * k21**2 - 2.0 * m12 * k11 * k21

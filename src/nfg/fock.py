@@ -35,7 +35,7 @@ import numpy as np
 
 from .families import tmsv
 from .overlap import overlap
-from .states import GaussianState, _is_integer
+from .states import GaussianState, _frozen, _is_integer
 
 __all__ = [
     "FockDensityMatrix",
@@ -131,9 +131,23 @@ def _adaptive(expansion: _Expansion, cutoff: int | None) -> FockDensityMatrix:
     return expansion.build(expansion.terms(int(cutoff)))
 
 
-def _log_factorials(n: int) -> np.ndarray:
+def _running_log_factorials(n: int) -> np.ndarray:
     """log k! for k = 0 ... n-1, as a running sum of log j."""
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n)))))
+
+
+#: `_running_log_factorials` at the ceiling, read-only: a running sum's
+#: first n entries are its entries at any longer length, bit for bit.
+_CEILING_LOG_FACTORIALS = _frozen(_running_log_factorials(_CEILING))
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0 ... n-1: a read-only slice of the ceiling table up
+    to the ceiling, which every default cutoff reads, and a fresh running
+    sum only for an explicit cutoff above it."""
+    if n <= _CEILING:
+        return _CEILING_LOG_FACTORIALS[:n]
+    return _running_log_factorials(n)
 
 
 def _log_powers(x: float, k: np.ndarray) -> np.ndarray:

@@ -40,9 +40,16 @@ Conventions used throughout the package:
   side, at any partition, is written out too (`_map_rows`): (K X) K^T and
   the cross block in Python floats, association and order as NumPy's, but
   rounded without FMA, so a (1+1) request maps with no NumPy arithmetic
-  and no BLAS product; larger sides keep `_act_on_side`;
-* a constructor copies caller input once and rejects complex input
-  (`_owned`); arrays built here are frozen in place, never copied again.
+  and no BLAS product; larger sides keep `_act_on_side`.  A 4-row
+  matrix, a (1+1) state's, is mapped with no row copy and no loop.  The
+  checks every (1+1) constructor and map runs are written out as well: the
+  finiteness tests of 2 and 4 rows (`_check_finite`) and entries
+  (`_finite_entries`), the one-mode peak of S (`_symplectic`) and the
+  (1+1) C = 0 test (`_uncorrelated`) read entry by entry, in order, and
+  `_owned` copies float64 input once, with no cast;
+* a constructor copies caller input once and rejects complex, bool and
+  string input, reading the dtype of non-float64 input only (`_owned`);
+  arrays built here are frozen in place, never copied again.
   A `GaussianState` keeps the rows and the mean entries it listed for its
   checks, and the scalar kernels read them, not ``cm`` and ``mean``: the
   correlation spectrum's C = 0 test, at every partition, and its float
@@ -110,16 +117,29 @@ def _zeros(n: int) -> np.ndarray:
     return _frozen(np.zeros(n))
 
 
+#: The float64 dtype every array built or kept here has.
+_FLOAT = np.dtype(float)
+
+
 def _owned(a, name: str) -> np.ndarray:
     """``a`` as read-only float64 no caller can write: itself if it already is
-    and owns its memory, as arrays built here do, else one frozen copy.
-    Complex input raises: a cast would drop its imaginary part."""
-    if isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable and a.dtype == float:
+    and owns its memory, as arrays built here do, else one frozen copy, with
+    no cast when the copy is float64 already.  Only other input has its
+    dtype read: complex entries raise, as a cast would drop their imaginary
+    part, and so do bool and string entries, which a cast would read as 1.0
+    and 0.0 or parse as numbers."""
+    if isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable and a.dtype == _FLOAT:
         return a
     a = np.array(a)
-    if a.dtype.kind == "c":
-        raise ValueError(f"{name} must be real, got complex entries")
-    return _frozen(a.astype(float, copy=False))
+    if a.dtype != _FLOAT:
+        kind = a.dtype.kind
+        if kind == "c":
+            raise ValueError(f"{name} must be real, got complex entries")
+        if kind in "bSU":
+            what = "bool" if kind == "b" else "string"
+            raise ValueError(f"{name} must be numeric, got {what} entries")
+        a = a.astype(float)
+    return _frozen(a)
 
 
 def _square_even(m, name: str) -> np.ndarray:
@@ -133,9 +153,40 @@ def _square_even(m, name: str) -> np.ndarray:
 
 
 def _check_finite(rows: list[list[float]], name: str) -> None:
-    """Raise unless every entry of a matrix given as nested lists is finite."""
-    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+    """Raise unless every entry of a matrix given as nested lists is finite.
+    Written out, entry by entry in row order, for 2 and 4 rows, the only
+    sizes of a (1+1)-mode request; larger matrices are tested by a chain."""
+    n, isfinite = len(rows), math.isfinite
+    if n == 4:
+        r0, r1, r2, r3 = rows
+        (x00, x01, x02, x03), (x10, x11, x12, x13) = r0, r1
+        (x20, x21, x22, x23), (x30, x31, x32, x33) = r2, r3
+        finite = (
+            isfinite(x00) and isfinite(x01) and isfinite(x02) and isfinite(x03)
+            and isfinite(x10) and isfinite(x11) and isfinite(x12) and isfinite(x13)
+            and isfinite(x20) and isfinite(x21) and isfinite(x22) and isfinite(x23)
+            and isfinite(x30) and isfinite(x31) and isfinite(x32) and isfinite(x33)
+        )  # fmt: skip
+    elif n == 2:
+        (x00, x01), (x10, x11) = rows
+        finite = isfinite(x00) and isfinite(x01) and isfinite(x10) and isfinite(x11)
+    else:
+        finite = all(map(isfinite, itertools.chain.from_iterable(rows)))
+    if not finite:
         raise ValueError(f"{name} has non-finite entries")
+
+
+def _finite_entries(entries: list[float]) -> bool:
+    """Whether every entry of a vector given as a list is finite, written
+    out, in order, for 2 and 4 entries as `_check_finite` is."""
+    n, isfinite = len(entries), math.isfinite
+    if n == 4:
+        x0, x1, x2, x3 = entries
+        return isfinite(x0) and isfinite(x1) and isfinite(x2) and isfinite(x3)
+    if n == 2:
+        x0, x1 = entries
+        return isfinite(x0) and isfinite(x1)
+    return all(map(isfinite, entries))
 
 
 def _as_square_even(m, name: str) -> tuple[np.ndarray, list[list[float]]]:
@@ -158,15 +209,16 @@ def _as_vector(
     v = _owned(v, name)
     if v.shape == (n,) and entries is None:
         entries = v.tolist()
-    if v.shape != (n,) or not all(map(math.isfinite, entries)):
+    if v.shape != (n,) or not _finite_entries(entries):
         raise ValueError(f"{name} must be a finite vector of length {n}, got {v}")
     return v, entries
 
 
 def _is_integer(n) -> bool:
     """Whether ``n`` is an int or a NumPy integer: a count.  A bool, a float
-    (1.0 included) and anything else is not."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    (1.0 included) and anything else is not.  An exact int, the common
+    case, is answered by one type test."""
+    return type(n) is int or (isinstance(n, (int, np.integer)) and not isinstance(n, bool))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -703,12 +755,14 @@ def is_symplectic(s) -> bool:
 
 
 def _symplectic(s: np.ndarray, rows: list[list[float]]) -> bool:
-    """`is_symplectic` of `_as_square_even`'s ``(s, rows)``."""
-    peak = _map_peak(_max_abs(rows), "S")
+    """`is_symplectic` of `_as_square_even`'s ``(s, rows)``; one mode's peak,
+    `_max_abs`'s, is written out."""
     if len(rows) == 2:
         (s00, s01), (s10, s11) = rows
+        peak = _map_peak(max(abs(s00), abs(s01), abs(s10), abs(s11)), "S")
         miss = abs(s00 * s11 - s01 * s10 - 1.0)
     else:
+        peak = _map_peak(_max_abs(rows), "S")
         delta = symplectic_form(len(rows) // 2)
         miss = float(np.abs(s @ delta @ s.T - delta).max())
     return miss <= _allowance(peak**2)
@@ -722,11 +776,11 @@ class GaussianState:
     ``[[A, C], [C^T, B]]`` where A covers the first 2*n_a rows; the mode
     counts are ints or NumPy integers, not floats or bools.  ``mean``
     defaults to the shared read-only zero vector.  Construction copies the
-    arrays once, read-only (`_owned`: complex input raises), then one check
-    step (`_admit`) rejects non-finite entries and checks the Simon verdict
-    of `validate_cm` at `DEFAULT_TOL`; the full report is built only to
-    explain a rejection.  Every state, the outputs of
-    `apply_gaussian_unitary` and `apply_channel` included, passes that step:
+    arrays once, read-only (`_owned`: complex, bool and string input
+    raises), then one check step (`_admit`) rejects non-finite entries and
+    checks the Simon verdict of `validate_cm` at `DEFAULT_TOL`; the full
+    report is built only to explain a rejection.  Every state, the outputs
+    of `apply_gaussian_unitary` and `apply_channel` included, passes that step:
     a map hands it the output array, frozen as built, and the rows it was
     built from.  Instances are immutable and safe to share between threads.
 
@@ -789,9 +843,13 @@ class GaussianState:
     def _uncorrelated(self) -> bool:
         """Whether the rows hold C = 0, a -0.0 entry counting as zero: the
         one C = 0 test, behind the correlation spectrum's zeros and
-        `_spectrum_degenerate`'s product states."""
-        k = 2 * self.n_a
-        return not any(x for row in self._rows[:k] for x in row[k:])
+        `_spectrum_degenerate`'s product states.  Written out for (1+1)
+        modes, where C is 2 x 2."""
+        k, rows = 2 * self.n_a, self._rows
+        if k == 2 and len(rows) == 4:
+            (_, _, c00, c01), (_, _, c10, c11) = rows[0], rows[1]
+            return not (c00 or c01 or c10 or c11)
+        return not any(x for row in rows[:k] for x in row[k:])
 
     @_cached_property
     def _correlation_spectrum(self) -> tuple[float, ...]:
@@ -899,12 +957,14 @@ def _map_rows(
     floats: the side's block is (K X) K^T, association and order as NumPy's,
     the cross block C K^T (side B, rows above) or K C (side A, columns to the
     right), read from the upper triangle and mirrored.  The other diagonal
-    block is carried over bit for bit.  A product that overflows gives inf
-    or NaN, with no warning."""
+    block is carried over bit for bit.  A 4-row matrix, a (1+1)-mode state,
+    is built written out, with no row copy and no loop; larger ones copy
+    the rows and loop over the cross block.  A product that overflows gives
+    inf or NaN, with no warning."""
     (k00, k01), (k10, k11) = k
     q = p + 1
-    out = [row.copy() for row in rows]
-    (x00, x01), (x10, x11) = rows[p][p : q + 1], rows[q][p : q + 1]
+    rp, rq = rows[p], rows[q]
+    x00, x01, x10, x11 = rp[p], rp[q], rq[p], rq[q]
     t00, t01 = k00 * x00 + k01 * x10, k00 * x01 + k01 * x11  # K X
     t10, t11 = k10 * x00 + k11 * x10, k10 * x01 + k11 * x11
     y00, y01 = t00 * k00 + t01 * k01, t00 * k10 + t01 * k11
@@ -912,6 +972,27 @@ def _map_rows(
     if noise is not None:
         (m00, m01), (m10, m11) = noise
         y00, y01, y10, y11 = y00 + m00, y01 + m01, y10 + m10, y11 + m11
+    if len(rows) == 4:
+        (g00, g01, g02, g03), (g10, g11, g12, g13), (_, _, g22, g23), (_, _, g32, g33) = rows
+        if p:  # side B: rows 0 and 1 of C K^T
+            c00, c01 = g02 * k00 + g03 * k01, g02 * k10 + g03 * k11
+            c10, c11 = g12 * k00 + g13 * k01, g12 * k10 + g13 * k11
+            return [
+                [g00, g01, c00, c01],
+                [g10, g11, c10, c11],
+                [c00, c10, y00, y01],
+                [c01, c11, y10, y11],
+            ]
+        # side A: columns 2 and 3 of K C
+        c00, c10 = g02 * k00 + g12 * k01, g02 * k10 + g12 * k11
+        c01, c11 = g03 * k00 + g13 * k01, g03 * k10 + g13 * k11
+        return [
+            [y00, y01, c00, c01],
+            [y10, y11, c10, c11],
+            [c00, c10, g22, g23],
+            [c01, c11, g32, g33],
+        ]
+    out = [row.copy() for row in rows]
     out[p][p : q + 1], out[q][p : q + 1] = (y00, y01), (y10, y11)
     for i in range(len(rows)):
         if i < p:  # C above side B: row i of C K^T

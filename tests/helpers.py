@@ -691,6 +691,38 @@ def loop_channel(
     return m, m_sym, h, allowance
 
 
+def loop_map_rows(
+    rows: list[list[float]], p: int, k: list[list[float]], noise: list[list[float]] | None
+) -> list[list[float]]:
+    """`nfg.states._map_rows` by the row loop it ran at every size before
+    the 4-row matrix was written out: copy the rows, replace the side's
+    block by (K X) K^T plus ``noise``, then loop over the other rows for
+    the cross block, read from the upper triangle and mirrored.  The
+    written-out branch must give its bits."""
+    (k00, k01), (k10, k11) = k
+    q = p + 1
+    out = [row.copy() for row in rows]
+    (x00, x01), (x10, x11) = rows[p][p : q + 1], rows[q][p : q + 1]
+    t00, t01 = k00 * x00 + k01 * x10, k00 * x01 + k01 * x11  # K X
+    t10, t11 = k10 * x00 + k11 * x10, k10 * x01 + k11 * x11
+    y00, y01 = t00 * k00 + t01 * k01, t00 * k10 + t01 * k11
+    y10, y11 = t10 * k00 + t11 * k01, t10 * k10 + t11 * k11
+    if noise is not None:
+        (m00, m01), (m10, m11) = noise
+        y00, y01, y10, y11 = y00 + m00, y01 + m01, y10 + m10, y11 + m11
+    out[p][p : q + 1], out[q][p : q + 1] = (y00, y01), (y10, y11)
+    for i in range(len(rows)):
+        if i < p:  # C above side B: row i of C K^T
+            c0, c1 = rows[i][p], rows[i][q]
+        elif i > q:  # C right of side A: column i of K C
+            c0, c1 = rows[p][i], rows[q][i]
+        else:
+            continue
+        out[i][p] = out[p][i] = c0 * k00 + c1 * k01
+        out[i][q] = out[q][i] = c0 * k10 + c1 * k11
+    return out
+
+
 def linalg_calls(monkeypatch) -> list[str]:
     """Wrap every `np.linalg` function so each call appends its name to the
     returned list, for the rest of the test."""

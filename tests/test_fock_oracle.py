@@ -48,6 +48,17 @@ class TestLogFactorials:
             exact = math.log(math.factorial(k))
             assert abs(table[k] - exact) <= 1e-14 * exact, k
 
+    def test_ceiling_table_is_sliced(self):
+        # Up to the ceiling the table is a read-only slice of one shared
+        # table, with the bits of its own running sum; above, a fresh sum.
+        for n in (1, 2, 20, 33, 256, fock._CEILING):
+            table = _log_factorials(n)
+            assert table.base is fock._CEILING_LOG_FACTORIALS and not table.flags.writeable
+            assert table.tobytes() == fock._running_log_factorials(n).tobytes(), n
+        above = _log_factorials(fock._CEILING + 2)
+        assert above.base is not fock._CEILING_LOG_FACTORIALS
+        assert above[: fock._CEILING].tobytes() == fock._CEILING_LOG_FACTORIALS.tobytes()
+
 
 class TestThermal:
     def test_zero_temperature_is_vacuum(self):

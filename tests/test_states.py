@@ -1,8 +1,10 @@
 import collections
 import itertools
 import math
+import re
 import sys
 import threading
+import types
 import warnings
 from fractions import Fraction
 
@@ -44,6 +46,7 @@ from helpers import (
     haar_unitary,
     linalg_calls,
     loop_channel,
+    loop_map_rows,
     loop_simon,
     loop_verdict,
     passive_stabilizer,
@@ -1711,12 +1714,57 @@ COMPLEX_FIELDS = [
 ]
 
 
+#: (build, name, ndim): for each array field of the three constructors,
+#: build(x) makes an instance with x as that field, the others valid, and
+#: returns the array it keeps; a rejection names the field ``name``.
+ARRAY_FIELDS = [
+    pytest.param(lambda x: GaussianState(x, 1, 0).cm, "covariance matrix", 2, id="cm"),
+    pytest.param(lambda x: GaussianState(np.eye(2), 1, 0, x).mean, "mean", 1, id="mean"),
+    pytest.param(lambda x: GaussianUnitary(x).s, "symplectic matrix", 2, id="S"),
+    pytest.param(lambda x: GaussianUnitary(np.eye(2), x).m, "m", 1, id="m"),
+    pytest.param(lambda x: GaussianChannel(x, np.eye(2)).k, "K", 2, id="K"),
+    pytest.param(lambda x: GaussianChannel(np.eye(2), x).m_noise, "M", 2, id="M"),
+    pytest.param(lambda x: GaussianChannel(np.eye(2), np.eye(2), x).d_bar, "d_bar", 1, id="d_bar"),
+]
+
+
+def _identity_like(ndim: int, dtype) -> np.ndarray:
+    """The one-mode identity (``ndim`` 2) or zero vector (1) in ``dtype``:
+    values a float cast would accept."""
+    return (np.eye(2, dtype=int) if ndim == 2 else np.zeros(2, dtype=int)).astype(dtype)
+
+
 class TestOwnership:
     @pytest.mark.parametrize("build", COMPLEX_FIELDS)
     def test_complex_input_rejected(self, build):
         # A cast to float would drop the imaginary part with only a warning.
         with pytest.raises(ValueError, match="must be real, got complex entries"):
             build()
+
+    @pytest.mark.parametrize("build, name, ndim", ARRAY_FIELDS)
+    @pytest.mark.parametrize("dtype, what", [(bool, "bool"), (str, "string"), (bytes, "string")])
+    def test_bool_and_string_input_rejected(self, build, name, ndim, dtype, what):
+        # A cast to float would read True as 1.0 and parse "3" as 3.0; nested
+        # lists of such entries are refused as arrays of them are.
+        x = _identity_like(ndim, dtype)
+        for given in (x, x.tolist()):
+            with pytest.raises(ValueError, match=f"^{name} must be numeric, got {what} entries$"):
+                build(given)
+
+    def test_bool_and_string_matrices_rejected_by_the_functions(self):
+        for check in (validate_cm, is_symplectic):
+            with pytest.raises(ValueError, match="must be numeric, got bool entries"):
+                check(np.eye(4, dtype=bool))
+            with pytest.raises(ValueError, match="must be numeric, got string entries"):
+                check([["3", "0"], ["0", "3"]])
+
+    @pytest.mark.parametrize("build, name, ndim", ARRAY_FIELDS)
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32, np.longdouble])
+    def test_other_real_input_is_cast_once(self, build, name, ndim, dtype):
+        x = _identity_like(ndim, dtype)
+        kept = build(x)
+        assert kept.dtype == np.float64 and kept.base is None and not kept.flags.writeable
+        assert np.array_equal(kept, x.astype(float))
 
     def test_caller_input_stays_isolated(self, rng):
         ch = random_channel(rng)
@@ -1810,6 +1858,134 @@ class TestOwnership:
         # L_A once, by LAPACK for one A mode; two A modes factor both
         # blocks in floats and decompose W by the one SVD
         assert calls == (["cholesky"] if n_a == 1 else ["svd"])
+
+
+#: Non-finite values placed at every entry of the written-out checks.
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _chain_calls(monkeypatch) -> list[int]:
+    """Spy on the generic finiteness test: each `itertools.chain` listing
+    of `nfg.states` appends the number of rows it lists."""
+    calls = []
+
+    def from_iterable(rows):
+        calls.append(len(rows))
+        return itertools.chain.from_iterable(rows)
+
+    chain = types.SimpleNamespace(from_iterable=from_iterable)
+    monkeypatch.setattr(nfg.states, "itertools", types.SimpleNamespace(chain=chain))
+    return calls
+
+
+class TestWrittenOutChecks:
+    """The entry-by-entry finiteness tests of 2 and 4 rows and entries, the
+    one-mode peak of S, the int test of a mode count and the (1+1) C = 0
+    test raise and decide as the generic code they replace."""
+
+    #: (build, name): build(x) makes an instance with the square matrix x
+    #: as the named field, the other fields valid.
+    MATRICES = [
+        (lambda x: GaussianState(x, len(x) // 2, 0), "covariance matrix"),
+        (lambda x: GaussianUnitary(x), "symplectic matrix"),
+        (lambda x: GaussianChannel(x, np.eye(len(x))), "K"),
+        (lambda x: GaussianChannel(np.eye(len(x)), x), "M"),
+    ]
+
+    #: (build, name): build(v, n) makes an instance with the length-n vector
+    #: v as the named field.
+    VECTORS = [
+        (lambda v, n: GaussianState(np.eye(n), n // 2, 0, v), "mean"),
+        (lambda v, n: GaussianUnitary(np.eye(n), v), "m"),
+        (lambda v, n: GaussianChannel(np.eye(n), np.zeros((n, n)), v), "d_bar"),
+    ]
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_non_finite_matrix_entries_rejected(self, monkeypatch, dim):
+        chained = _chain_calls(monkeypatch)
+        for build, name in self.MATRICES:
+            for i, j in itertools.product(range(dim), repeat=2):
+                for bad in NON_FINITE:
+                    x = np.eye(dim)
+                    x[i, j] = bad
+                    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+                        build(x)
+        assert chained == []
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_non_finite_vector_entries_rejected(self, dim):
+        for build, name in self.VECTORS:
+            for i in range(dim):
+                for bad in NON_FINITE:
+                    v = np.zeros(dim)
+                    v[i] = bad
+                    message = f"^{name} must be a finite vector of length {dim}, got"
+                    with pytest.raises(ValueError, match=message):
+                        build(v, dim)
+
+    def test_six_rows_keep_the_generic_test(self, monkeypatch):
+        chained = _chain_calls(monkeypatch)
+        GaussianState(np.eye(6), 2, 1)
+        assert chained == [6]
+        for i, j in itertools.product(range(6), repeat=2):
+            for bad in NON_FINITE:
+                x = np.eye(6)
+                x[i, j] = bad
+                with pytest.raises(ValueError, match="^covariance matrix has non-finite entries$"):
+                    GaussianState(x, 2, 1)
+                for build, name in self.MATRICES[1:]:
+                    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+                        build(x)
+        # one listing per matrix checked: cm, S, K, and K then M
+        assert chained == [6] * (1 + 5 * 36 * len(NON_FINITE))
+        with pytest.raises(ValueError, match="^mean must be a finite vector of length 6, got"):
+            GaussianState(np.eye(6), 2, 1, [0.0] * 5 + [math.nan])
+
+    @pytest.mark.parametrize("big", [2e150, -2e150])
+    def test_one_mode_peak_of_s_at_every_entry(self, big):
+        for i, j in itertools.product(range(2), repeat=2):
+            s = np.eye(2)
+            s[i, j] = big
+            message = re.escape(f"entries of S must be at most 1e+150 in modulus, got {abs(big)}")
+            for check in (is_symplectic, GaussianUnitary):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    check(s)
+
+    def test_mode_count_int_test(self):
+        class Count(int):
+            pass
+
+        for n in (1, 0, np.int64(1), np.int32(2), np.uint8(1), Count(1)):
+            assert nfg.states._is_integer(n), repr(n)
+        for n in (True, False, np.bool_(True), 1.0, np.float64(1.0), "1", None, 1 + 0j):
+            assert not nfg.states._is_integer(n), repr(n)
+        state = GaussianState(np.eye(4), np.int64(1), np.int64(1))
+        assert (state.n_a, state.n_b) == (1, 1)
+        with pytest.raises(ValueError, match="must be integers"):
+            GaussianState(np.eye(4), np.bool_(True), 1)
+
+    def test_one_plus_one_correlation_test(self):
+        # Each upper cross entry alone makes C nonzero, a -0.0 counts as
+        # zero, and the lower cross block is not read, as the generic test.
+        def generic(state):
+            return not any(x for row in state._rows[:2] for x in row[2:])
+
+        for c in ([0.0] * 4, [-0.0] * 4, [0.0, -0.0, -0.0, 0.0]):
+            g = 3.0 * np.eye(4)
+            g[0, 2:], g[1, 2:] = c[:2], c[2:]
+            state = GaussianState(g, 1, 1)
+            assert state._uncorrelated and generic(state)
+        for r, col in itertools.product((0, 1), (2, 3)):
+            for x, mirrored in ((0.5, True), (1e-12, False), (-0.5, True)):
+                g = 3.0 * np.eye(4)
+                g[r, col] = x
+                if mirrored:
+                    g[col, r] = x
+                state = GaussianState(g, 1, 1)
+                assert not state._uncorrelated and not generic(state)
+        g = 3.0 * np.eye(4)
+        g[2, 0] = 1e-12  # below the diagonal only: not read
+        assert GaussianState(g, 1, 1)._uncorrelated
 
 
 class TestApplyGaussianUnitary:
@@ -1975,6 +2151,35 @@ class TestRowMap:
         # a (1+1) map and the Simon verdict of its output read rows only;
         # a larger output's verdict is one LAPACK Cholesky factor
         assert calls == ([] if n_a + n_b == 2 else ["cholesky", "cholesky"])
+
+    @pytest.mark.parametrize("p", [0, 2], ids=["A", "B"])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_four_rows_match_the_row_loop_bit_for_bit(self, rng, p, noisy):
+        def draw(shape, scale=1.0):
+            x = scale * rng.uniform(-1.0, 1.0, size=shape)
+            x[rng.random(shape) < 0.2] = -0.0
+            x[rng.random(shape) < 0.1] = 0.0
+            return x.tolist()
+
+        # unsymmetric rows too: a state keeps the rows it was given, within
+        # the tolerance, and the map reads the upper cross block only
+        draws = [(draw((4, 4)), draw((2, 2)), draw((2, 2)) if noisy else None) for _ in range(300)]
+        for scale in (1e160, 1e300):  # products overflow to inf, and inf - inf to NaN
+            for _ in range(50):
+                draws.append(
+                    (draw((4, 4), scale), draw((2, 2), scale), draw((2, 2), scale) if noisy else None)
+                )
+        inf = math.inf
+        draws.append(([[1.0, 2.0, 3.0, 4.0]] * 4, [[inf, -inf], [0.0, 1.0]], None))
+        seen = set()
+        for rows, k, noise in draws:
+            kept = float_bits(rows)
+            out = nfg.states._map_rows(rows, p, k, noise)
+            assert float_bits(out) == float_bits(loop_map_rows(rows, p, k, noise))
+            assert float_bits(rows) == kept  # the input is not written to
+            assert not any(o is r for o in out for r in rows)  # no row shared
+            seen.update(x.hex() for x in itertools.chain.from_iterable(out) if not math.isfinite(x))
+        assert {"inf", "-inf", "nan"} <= seen
 
     def test_larger_side_keeps_the_numpy_map(self, rng):
         state = random_state(rng, 2, 2)
